@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-faults test-docs lint lint-smoke sanitize-smoke recover-smoke hotpath-smoke mpi3-smoke procs-smoke proc-recover-smoke traffic-smoke check
+.PHONY: test test-faults test-docs lint check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -25,46 +25,29 @@ lint:
 		echo "ruff not installed; skipped (config in pyproject.toml)"; \
 	fi
 
-lint-smoke:
-	$(PYTHON) -m repro.bench --lint-smoke
-
-sanitize-smoke:
-	$(PYTHON) -m repro.bench --sanitize-smoke
-
-# Rank-death recovery gate: every recovery scenario must complete
-# value-correct on the shrunken world and replay bit-identically.
-recover-smoke:
-	$(PYTHON) -m repro.bench --recover-smoke
-
-hotpath-smoke:
-	$(PYTHON) -m repro.bench --hotpath-smoke
-
-# MPI-3 flush-datapath gate: deferred issue + per-target flush must beat
-# eager per-op epochs by >= 2x, and coalescing must add >= 1.5x on top.
-mpi3-smoke:
-	$(PYTHON) -m repro.bench --mpi3-smoke
-
-# Proc-backend gate: shared-memory-window throughput must scale >= 2x
-# from 1 to 4 ranks (enforced on hosts with >= 4 CPUs; recorded elsewhere).
-procs-smoke:
-	$(PYTHON) -m repro.bench --procs-smoke
-
-# Cross-process fault-tolerance gate: SIGKILL a rank mid-collective,
-# survivors must detect it inside the latency budget and finish a
-# value-correct checkpoint restore on the shrunken grid.
-proc-recover-smoke:
-	$(PYTHON) -m repro.bench --proc-recover-smoke
-
-# Service-traffic gate: every workload's oracle must verify (fault-free
-# and with kills landing mid-traffic), faulted seeds must replay
-# bit-identically, and the proc-backend SIGKILL run must keep goodput
-# >= 0.5x fault-free (degradation gate enforced on hosts with >= 4 CPUs).
-traffic-smoke:
-	$(PYTHON) -m repro.bench --traffic-smoke
+# Every gate of the bench registry (src/repro/bench/registry.py) is
+# `make <name>-smoke`; verdicts are ok / FAIL / skipped(cpu_count=N<M)
+# and only FAIL exits non-zero.  (A pattern rule cannot be .PHONY; no
+# file is ever named *-smoke, so the recipe always runs.)
+#   recover-smoke: every recovery scenario must complete value-correct
+#     on the shrunken world and replay bit-identically.
+#   mpi3-smoke: deferred issue + per-target flush must beat eager per-op
+#     epochs by >= 2x, and coalescing must add >= 1.5x on top.
+#   procs-smoke: shared-memory-window throughput must scale >= 2x from 1
+#     to 4 ranks (wall-clock floor: skipped on hosts too small to scale).
+#   proc-recover-smoke: SIGKILL a rank mid-collective; survivors must
+#     finish a value-correct checkpoint restore on the shrunken grid and
+#     (wall-clock floor) detect the death inside the latency budget.
+#   traffic-smoke: every workload's oracle must verify (fault-free and
+#     with kills landing mid-traffic), faulted seeds must replay
+#     bit-identically, and (wall-clock floor) the proc-backend SIGKILL
+#     run must keep goodput >= 0.5x fault-free.
+%-smoke:
+	$(PYTHON) -m repro.bench --$*-smoke
 
 # Docs-consistency gate: every CLI flag, module path, and relative link
 # in README.md, DESIGN.md, and docs/*.md must resolve.
 test-docs:
 	$(PYTHON) -m pytest -x -q tests/test_docs.py
 
-check: lint test test-faults test-docs lint-smoke sanitize-smoke recover-smoke mpi3-smoke procs-smoke proc-recover-smoke traffic-smoke
+check: lint test test-faults test-docs lint-smoke sanitize-smoke recover-smoke hotpath-smoke mpi3-smoke procs-smoke proc-recover-smoke traffic-smoke

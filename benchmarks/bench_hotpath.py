@@ -9,43 +9,40 @@ The speedup test measures every workload against its retained pre-PR
 reference implementation in-process, asserts the acceptance floors
 (≥5x on 1024-segment uniform pack/unpack, ≥2x on repeated strided
 translation), and rewrites ``benchmarks/BENCH_hotpath.json`` so the perf
-trajectory is tracked from this PR on.  The fast regression gate over
-that file is ``python -m repro.bench --hotpath-smoke``.
+trajectory is tracked from this PR on.  The floors, the writer and the
+fast regression gate over that file (``python -m repro.bench
+--hotpath-smoke``) are the ``hotpath`` entry of
+:mod:`repro.bench.registry`.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench import hotpath
+from repro.bench import hotpath, registry
+
+BENCH = registry.BENCHES["hotpath"]
 
 
-@pytest.mark.parametrize("name", hotpath.workload_names())
+@pytest.mark.parametrize("name", hotpath.WORKLOADS)
 def test_hotpath_optimized(benchmark, name):
-    optimized, _baseline = hotpath.build(name)
+    optimized, _baseline = hotpath.WORKLOADS[name]()
     benchmark(optimized)
 
 
-@pytest.mark.parametrize("name", hotpath.workload_names())
+@pytest.mark.parametrize("name", hotpath.WORKLOADS)
 def test_hotpath_reference(benchmark, name):
-    _optimized, baseline = hotpath.build(name)
+    _optimized, baseline = hotpath.WORKLOADS[name]()
     benchmark(baseline)
 
 
-def test_hotpath_speedups_and_write_baseline(emit):
-    results = hotpath.measure()
-    emit("hotpath", hotpath.format_results(results))
-    path = hotpath.write_baseline(results)
-    assert path.exists()
-    for name, floor in hotpath.MIN_SPEEDUP.items():
-        assert results[name]["speedup"] >= floor, (
-            f"{name}: {results[name]['speedup']:.1f}x below the {floor}x floor"
-        )
+def test_hotpath_speedups_and_write_baseline(regenerate_baseline):
+    regenerate_baseline("hotpath")
 
 
 @pytest.mark.hotpath_smoke
 def test_hotpath_smoke():
     """The <60 s regression gate, exposed as a pytest marker too."""
-    ok, report = hotpath.smoke()
+    verdict, report = registry.run_gate(BENCH)
     print(report)
-    assert ok, report
+    assert verdict != registry.FAIL, report

@@ -12,16 +12,15 @@ benches these are **wall-clock** numbers — the proc backend exists to
 escape the GIL, and only a wall clock can see whether it did.
 
 The scaling test asserts the acceptance floor (aggregate throughput
->= 2x from 1 to 4 ranks) on hosts with at least 4 CPUs, records the
-measured ratio on smaller hosts, and rewrites
-``benchmarks/BENCH_procs.json`` so the trajectory is tracked from this
-PR on.  The fast gate over that file is
-``python -m repro.bench --procs-smoke``.
+>= 2x from 1 to 4 ranks) where the host has the CPUs the check
+declares, records the measured ratio with a ``skipped`` verdict on
+smaller hosts, and rewrites ``benchmarks/BENCH_procs.json`` so the
+trajectory is tracked from this PR on.  The floor, the writer and the
+fast gate over that file (``python -m repro.bench --procs-smoke``) are
+the ``procs`` entry of :mod:`repro.bench.registry`.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -41,15 +40,5 @@ def test_procs_throughput_arm(benchmark, nproc):
     )
 
 
-def test_procs_scaling_and_write_baseline(emit):
-    results = procs_smoke.measure()
-    emit("procs", procs_smoke.format_results(results))
-    path = procs_smoke.write_baseline(results)
-    assert path.exists()
-    cores = os.cpu_count() or 1
-    if cores >= procs_smoke.MIN_CORES_FOR_GATE:
-        assert results["scaling_1_to_4"] >= procs_smoke.MIN_SCALING, (
-            f"aggregate throughput scaled only {results['scaling_1_to_4']:.2f}x "
-            f"from 1 to 4 ranks on a {cores}-CPU host "
-            f"(floor {procs_smoke.MIN_SCALING}x)"
-        )
+def test_procs_scaling_and_write_baseline(regenerate_baseline):
+    regenerate_baseline("procs")

@@ -25,3 +25,25 @@ def emit():
         (OUTPUT_DIR / f"{name}.txt").write_text(text + "\n")
 
     return _emit
+
+
+@pytest.fixture
+def regenerate_baseline(emit):
+    """Full measurement of one registry bench: print it, rewrite its
+    committed ``BENCH_*.json``, and assert the bench's own gate checks
+    (its floors, where this host can enforce them) on the fresh numbers."""
+
+    from repro.bench import registry
+
+    def _regenerate(bench_name: str) -> None:
+        bench = registry.BENCHES[bench_name]
+        results = bench.measure(False)
+        # output/<x>.txt sits beside BENCH_<x>.json
+        emit(pathlib.Path(bench.baseline).stem.removeprefix("BENCH_"),
+             bench.format(results))
+        assert registry.write_baseline(bench, results).exists()
+        outcomes = registry.run_checks(bench, results, results)
+        failures = [f for _check, _verdict, found in outcomes for f in found]
+        assert not failures, failures
+
+    return _regenerate

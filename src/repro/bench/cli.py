@@ -7,21 +7,18 @@ Examples::
     python -m repro.bench fig4 --platform bgp --kind get --seg-size 1024
     python -m repro.bench fig5
     python -m repro.bench fig6 --platform xe6 --kind triples
-    python -m repro.bench hotpath              # vectorized-datapath microbenches
-    python -m repro.bench --hotpath-smoke      # fast regression gate (<60 s)
-    python -m repro.bench mpi3                 # mpi2 vs mpi3 vs +coalescing
-    python -m repro.bench --mpi3-smoke         # flush-datapath gate (seconds)
-    python -m repro.bench procs                # proc-backend core scaling
-    python -m repro.bench --procs-smoke        # proc-backend scaling gate
-    python -m repro.bench --sanitize-smoke     # fuzzed-schedule RMA gate (<60 s)
-    python -m repro.bench --recover-smoke      # rank-death recovery gate (<60 s)
-    python -m repro.bench proc-recover         # SIGKILL detection + restart times
-    python -m repro.bench --proc-recover-smoke # proc-backend recovery gate
-    python -m repro.bench --lint-smoke         # whole-repo static sweep gate
-    python -m repro.bench traffic              # service-traffic load sweeps
-    python -m repro.bench --traffic-smoke      # graceful-degradation gate
-    python -m repro.bench --sanitize-ablation  # dynamic-checking overhead table
-    python -m repro.bench all            # everything (slow: full Fig. 4 grid)
+    python -m repro.bench all            # every figure (slow: full Fig. 4 grid)
+
+Every entry of :data:`repro.bench.registry.BENCHES` (``hotpath``, ``mpi3``,
+``procs``, ``proc-recover``, ``traffic``, ``sanitize``, ``recover``,
+``lint``, ``sanitize-ablation``) is also a subcommand taking the same
+four flags, and has a top-level alias::
+
+    python -m repro.bench hotpath [--fast]     # measure and print
+    python -m repro.bench hotpath --write      # rewrite benchmarks/BENCH_hotpath.json
+    python -m repro.bench hotpath --smoke      # fast gate; exit 1 on FAIL
+    python -m repro.bench --hotpath-smoke      # the same gate (`make hotpath-smoke`)
+    python -m repro.bench --sanitize-ablation  # report-only bench: no -smoke suffix
 
 The same series the pytest benches persist are printed to stdout.
 """
@@ -30,9 +27,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from ..simtime import PLATFORMS
-from . import hotpath
 from .figures import (
     FIG4_SEG_SIZES,
     fig3_series,
@@ -41,6 +38,7 @@ from .figures import (
     fig6_platform_series,
 )
 from .harness import format_series_table, format_table
+from .registry import BENCHES, FAIL, Bench, run_gate, write_baseline
 
 _PLATFORM_CHOICES = sorted(PLATFORMS) + ["all"]
 
@@ -103,120 +101,17 @@ def cmd_fig6(args) -> None:
             print()
 
 
-def cmd_hotpath(args) -> int:
-    """Hot-path microbenches: measure, optionally gate or rewrite baseline."""
-    if args.smoke:
-        ok, report = hotpath.smoke(args.baseline)
+def run_bench(bench: Bench, args) -> int:
+    """One registry bench: gate it, or measure and optionally rewrite its
+    baseline.  A bench with no baseline file is its gate."""
+    if args.smoke or not bench.baseline:
+        verdict, report = run_gate(bench, args.baseline)
         print(report)
-        return 0 if ok else 1
-    results = hotpath.measure(fast=args.fast)
-    print(hotpath.format_results(results))
+        return 1 if verdict == FAIL else 0
+    results = bench.measure(args.fast)
+    print(bench.format(results))
     if args.write:
-        path = hotpath.write_baseline(results, args.baseline)
-        print(f"\nwrote {path}")
-    return 0
-
-
-def cmd_mpi3(args) -> int:
-    """MPI-3 datapath benches: measure, optionally gate or rewrite baseline."""
-    from . import mpi3_smoke
-
-    if args.smoke:
-        ok, report = mpi3_smoke.smoke(args.baseline)
-        print(report)
-        return 0 if ok else 1
-    results = mpi3_smoke.measure(fast=args.fast)
-    print(mpi3_smoke.format_results(results))
-    if args.write:
-        path = mpi3_smoke.write_baseline(results, args.baseline)
-        print(f"\nwrote {path}")
-    return 0
-
-
-def cmd_procs(args) -> int:
-    """Proc-backend benches: wall-clock put/get throughput vs world size."""
-    from . import procs_smoke
-
-    if args.smoke:
-        ok, report = procs_smoke.smoke(args.baseline)
-        print(report)
-        return 0 if ok else 1
-    results = procs_smoke.measure(fast=args.fast)
-    print(procs_smoke.format_results(results))
-    if args.write:
-        path = procs_smoke.write_baseline(results, args.baseline)
-        print(f"\nwrote {path}")
-    return 0
-
-
-def cmd_proc_recover(args) -> int:
-    """Proc-backend recovery benches: detection latency + restart time."""
-    from . import proc_recover_smoke
-
-    if args.smoke:
-        ok, report = proc_recover_smoke.smoke(args.baseline)
-        print(report)
-        return 0 if ok else 1
-    results = proc_recover_smoke.measure(fast=args.fast)
-    print(proc_recover_smoke.format_results(results))
-    if args.write:
-        path = proc_recover_smoke.write_baseline(results, args.baseline)
-        print(f"\nwrote {path}")
-    return 0
-
-
-def cmd_traffic(args) -> int:
-    """Traffic-harness benches: offered load vs goodput/latency/shed rate."""
-    from . import traffic_smoke
-
-    if args.smoke:
-        ok, report = traffic_smoke.smoke(args.baseline)
-        print(report)
-        return 0 if ok else 1
-    results = traffic_smoke.measure(fast=args.fast)
-    print(traffic_smoke.format_results(results))
-    if args.write:
-        path = traffic_smoke.write_baseline(results, args.baseline)
-        print(f"\nwrote {path}")
-    return 0
-
-
-def cmd_sanitize(_args) -> int:
-    """Sanitizer + schedule-fuzzer smoke gate (mutex and RMW protocols)."""
-    from . import sanitize_smoke
-
-    ok, report = sanitize_smoke.smoke()
-    print(report)
-    return 0 if ok else 1
-
-
-def cmd_recover(_args) -> int:
-    """Recovery smoke gate: kill + shrink + rebuild across the scenarios."""
-    from . import recover_smoke
-
-    ok, report = recover_smoke.smoke()
-    print(report)
-    return 0 if ok else 1
-
-
-def cmd_lint(_args) -> int:
-    """Whole-repo repro.lint sweep + corpus sensitivity check."""
-    from . import lint_smoke
-
-    ok, report = lint_smoke.smoke()
-    print(report)
-    return 0 if ok else 1
-
-
-def cmd_sanitize_ablation(args) -> int:
-    """Overhead ablation: schedule vs +sanitizer vs +faults vs both."""
-    from . import sanitize_ablation
-
-    results = sanitize_ablation.measure(fast=args.fast)
-    print(sanitize_ablation.format_results(results))
-    if args.write:
-        path = sanitize_ablation.write_baseline(results, args.baseline)
-        print(f"\nwrote {path}")
+        print(f"\nwrote {write_baseline(bench, results, args.baseline)}")
     return 0
 
 
@@ -237,185 +132,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("table2", help="Table II platform characteristics")
+    sub.add_parser(
+        "table2", help="Table II platform characteristics"
+    ).set_defaults(run=cmd_table2)
 
     p3 = sub.add_parser("fig3", help="contiguous bandwidth")
     p3.add_argument("--platform", choices=_PLATFORM_CHOICES, default="all")
     p3.add_argument("--step", type=int, default=1,
                     help="sample every Nth power of two (default 1)")
+    p3.set_defaults(run=cmd_fig3)
 
     p4 = sub.add_parser("fig4", help="strided bandwidth by method")
     p4.add_argument("--platform", choices=_PLATFORM_CHOICES, default="all")
     p4.add_argument("--kind", choices=["get", "acc", "put", "all"], default="all")
     p4.add_argument("--seg-size", type=int, default=0,
                     help="segment size in bytes (0 = both paper sizes)")
+    p4.set_defaults(run=cmd_fig4)
 
-    sub.add_parser("fig5", help="registration interoperability")
+    sub.add_parser(
+        "fig5", help="registration interoperability"
+    ).set_defaults(run=cmd_fig5)
 
     p6 = sub.add_parser("fig6", help="NWChem CCSD/(T) scaling")
     p6.add_argument("--platform", choices=_PLATFORM_CHOICES, default="all")
     p6.add_argument("--kind", choices=["ccsd", "triples", "all"], default="all")
+    p6.set_defaults(run=cmd_fig6)
 
-    ph = sub.add_parser(
-        "hotpath", help="vectorized-datapath microbenches (pack/unpack, "
-        "strided translation, conflict check, GMR lookup)"
-    )
-    ph.add_argument("--smoke", action="store_true",
-                    help="fast regression gate against the committed "
-                    "benchmarks/BENCH_hotpath.json (exit 1 on >2x regression)")
-    ph.add_argument("--fast", action="store_true",
-                    help="shorter measurement windows")
-    ph.add_argument("--write", action="store_true",
-                    help="rewrite the committed baseline JSON")
-    ph.add_argument("--baseline", default=None,
-                    help="override the baseline JSON path")
-
-    pm = sub.add_parser(
-        "mpi3", help="MPI-3 flush-datapath benches: eager per-op epochs "
-        "(mpi2) vs deferred issue + flush (mpi3) vs adjacency coalescing"
-    )
-    pm.add_argument("--smoke", action="store_true",
-                    help="fast gate against the committed "
-                    "benchmarks/BENCH_mpi3_datapath.json (exit 1 when the "
-                    "mpi3 or coalescing speedup falls below its floor)")
-    pm.add_argument("--fast", action="store_true",
-                    help="fewer batches per arm")
-    pm.add_argument("--write", action="store_true",
-                    help="rewrite the committed baseline JSON")
-    pm.add_argument("--baseline", default=None,
-                    help="override the baseline JSON path")
-
-    pp = sub.add_parser(
-        "procs", help="proc-backend (one OS process per rank) aggregate "
-        "put/get throughput over shared-memory windows, for 1/2/4 ranks"
-    )
-    pp.add_argument("--smoke", action="store_true",
-                    help="fast gate: baseline benchmarks/BENCH_procs.json "
-                    "must parse, and on hosts with >= 4 CPUs the 1->4 rank "
-                    "aggregate-throughput scaling must stay >= 2x")
-    pp.add_argument("--fast", action="store_true",
-                    help="fewer repetitions per world size")
-    pp.add_argument("--write", action="store_true",
-                    help="rewrite the committed baseline JSON")
-    pp.add_argument("--baseline", default=None,
-                    help="override the baseline JSON path")
-
-    pr = sub.add_parser(
-        "proc-recover", help="proc-backend survivor restart: SIGKILL a rank "
-        "mid-collective, measure detection latency and recover+restore wall "
-        "time per heartbeat interval"
-    )
-    pr.add_argument("--smoke", action="store_true",
-                    help="fast gate: baseline benchmarks/BENCH_proc_recover"
-                    ".json must parse, the recovery must be value-correct, "
-                    "and on hosts with >= 4 CPUs detection must land inside "
-                    "its budget")
-    pr.add_argument("--fast", action="store_true",
-                    help="sweep only the first heartbeat interval")
-    pr.add_argument("--write", action="store_true",
-                    help="rewrite the committed baseline JSON")
-    pr.add_argument("--baseline", default=None,
-                    help="override the baseline JSON path")
-
-    pt = sub.add_parser(
-        "traffic", help="service-style traffic harness over the GA layer: "
-        "offered load vs goodput/p50/p99/shed rate per workload, seeded "
-        "mid-traffic kills with bit-identical replay, and a proc-backend "
-        "fault-free vs SIGKILL degradation pair"
-    )
-    pt.add_argument("--smoke", action="store_true",
-                    help="fast gate: baseline benchmarks/BENCH_traffic.json "
-                    "must parse, every run must verify its oracle, faulted "
-                    "replays must be bit-identical, and on hosts with >= 4 "
-                    "CPUs the proc SIGKILL run must recover with goodput "
-                    ">= 0.5x fault-free")
-    pt.add_argument("--fast", action="store_true",
-                    help="single offered-load point per workload")
-    pt.add_argument("--write", action="store_true",
-                    help="rewrite the committed baseline JSON")
-    pt.add_argument("--baseline", default=None,
-                    help="override the baseline JSON path")
+    for bench in BENCHES.values():
+        p = sub.add_parser(
+            bench.name, help=bench.help, description=bench.help,
+            epilog="gate checks: " + "; ".join(
+                f"{c.name} (needs >= {c.min_cpus} usable CPU(s))"
+                for c in bench.checks
+            ) if bench.checks else None,
+        )
+        p.add_argument("--smoke", action="store_true",
+                       help="fast gate against the committed baseline (exit "
+                       "1 on FAIL; ok and skipped(cpu_count=N<M) exit 0)")
+        p.add_argument("--fast", action="store_true",
+                       help="shorter measurement (fewer repetitions/points)")
+        p.add_argument("--write", action="store_true",
+                       help="rewrite the committed baseline JSON")
+        p.add_argument("--baseline", default=None,
+                       help="override the baseline JSON path")
+        p.set_defaults(run=partial(run_bench, bench))
 
     sub.add_parser(
-        "sanitize", help="fuzzed-schedule RMA sanitizer gate over the "
-        "mutex and RMW protocols (<60 s)"
-    )
-
-    sub.add_parser(
-        "recover", help="rank-death recovery gate: every recovery scenario "
-        "must complete value-correct on the shrunken world and replay "
-        "bit-identically (<60 s)"
-    )
-
-    sub.add_parser(
-        "lint", help="whole-repo static RMA/ARMCI sweep plus corpus "
-        "sensitivity check (seconds)"
-    )
-
-    pa = sub.add_parser(
-        "sanitize-ablation", help="dynamic-checking overhead ablation: bare "
-        "schedule vs +sanitizer vs +fault plumbing vs both"
-    )
-    pa.add_argument("--fast", action="store_true",
-                    help="shorter measurement windows")
-    pa.add_argument("--write", action="store_true",
-                    help="rewrite benchmarks/BENCH_sanitize_ablation.json")
-    pa.add_argument("--baseline", default=None,
-                    help="override the baseline JSON path")
-
-    sub.add_parser("all", help="everything (slow)")
+        "all", help="every table and figure (slow: full Fig. 4 grid)"
+    ).set_defaults(run=cmd_all)
     return parser
 
 
 def main(argv: "list[str] | None" = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     # convenience aliases: `python -m repro.bench --hotpath-smoke` etc.
-    if "--hotpath-smoke" in argv:
-        argv = [a for a in argv if a != "--hotpath-smoke"]
-        argv = ["hotpath", "--smoke"] + argv
-    if "--mpi3-smoke" in argv:
-        argv = [a for a in argv if a != "--mpi3-smoke"]
-        argv = ["mpi3", "--smoke"] + argv
-    if "--procs-smoke" in argv:
-        argv = [a for a in argv if a != "--procs-smoke"]
-        argv = ["procs", "--smoke"] + argv
-    if "--proc-recover-smoke" in argv:
-        argv = [a for a in argv if a != "--proc-recover-smoke"]
-        argv = ["proc-recover", "--smoke"] + argv
-    if "--sanitize-smoke" in argv:
-        argv = [a for a in argv if a != "--sanitize-smoke"]
-        argv = ["sanitize"] + argv
-    if "--recover-smoke" in argv:
-        argv = [a for a in argv if a != "--recover-smoke"]
-        argv = ["recover"] + argv
-    if "--lint-smoke" in argv:
-        argv = [a for a in argv if a != "--lint-smoke"]
-        argv = ["lint"] + argv
-    if "--traffic-smoke" in argv:
-        argv = [a for a in argv if a != "--traffic-smoke"]
-        argv = ["traffic", "--smoke"] + argv
-    if "--sanitize-ablation" in argv:
-        argv = [a for a in argv if a != "--sanitize-ablation"]
-        argv = ["sanitize-ablation"] + argv
+    for bench in BENCHES.values():
+        if bench.alias in argv:
+            smoke = ["--smoke"] if bench.checks else []
+            argv = [bench.name, *smoke, *(a for a in argv if a != bench.alias)]
     args = build_parser().parse_args(argv)
-    rv = {
-        "table2": cmd_table2,
-        "fig3": cmd_fig3,
-        "fig4": cmd_fig4,
-        "fig5": cmd_fig5,
-        "fig6": cmd_fig6,
-        "hotpath": cmd_hotpath,
-        "mpi3": cmd_mpi3,
-        "procs": cmd_procs,
-        "proc-recover": cmd_proc_recover,
-        "traffic": cmd_traffic,
-        "sanitize": cmd_sanitize,
-        "recover": cmd_recover,
-        "lint": cmd_lint,
-        "sanitize-ablation": cmd_sanitize_ablation,
-        "all": cmd_all,
-    }[args.command](args)
-    return int(rv or 0)
+    return int(args.run(args) or 0)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,9 +10,13 @@ Two measurement styles coexist, per DESIGN.md:
 * **analytic composition** (Figs. 5, 6): closed-form model evaluation
   where execution at true scale is infeasible.
 
-Nothing here measures Python wall-clock; pytest-benchmark covers the
-only place where real CPU time *is* the paper's metric (the §VI-B
-conflict-tree comparison).
+These helpers report *modeled* time only.  Python wall clock is
+measured elsewhere in this package — the hot-path speedup ratios
+(:mod:`repro.bench.hotpath`), the proc-backend throughput, recovery and
+traffic benches, and the sanitizer ablation — by the entries of
+:mod:`repro.bench.registry`, and end to end by ``benchmarks/e2e``;
+pytest-benchmark covers the one place where real CPU time *is* the
+paper's metric (the §VI-B conflict-tree comparison).
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ def format_table(
     lines.append(sep.join(h.rjust(w) for h, w in zip(headers, widths)))
     for r in srows:
         lines.append(sep.join(c.rjust(w) for c, w in zip(r, widths)))
-    return "\n".join(lines)
+    return "\n".join(line.rstrip() for line in lines)
 
 
 def format_series_table(title: str, xlabel: str, series: Sequence[Series]) -> str:

@@ -24,14 +24,13 @@ and a *baseline* callable (the pre-PR algorithm, retained in-tree), so
 speedups are measured by one suite on one machine in one process — the
 committed ``benchmarks/BENCH_hotpath.json`` records them and the smoke
 target (``python -m repro.bench --hotpath-smoke``) fails when a speedup
-collapses by more than 2x against that baseline file.
+drops below its :data:`MIN_SPEEDUP` floor or collapses by more than 2x
+against that baseline file.  The gate, baseline writer and loader are
+the shared ones in :mod:`repro.bench.registry`.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import platform
 import time
 from typing import Callable
 
@@ -42,14 +41,7 @@ from ..armci.gmr import GmrTable
 from ..mpi import datatypes as dt
 from ..mpi.group import UNDEFINED
 from ..mpi.window import _IntervalSet, _segments_overlap
-
-#: default location of the committed baseline (repo benchmarks/ dir)
-BASELINE_PATH = (
-    pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "BENCH_hotpath.json"
-)
-
-#: smoke fails when a measured speedup drops below committed/REGRESSION_FACTOR
-REGRESSION_FACTOR = 2.0
+from .harness import format_table
 
 #: acceptance floors: the vectorized datapath must beat the retained
 #: pre-PR reference by at least this much, independent of the machine
@@ -162,6 +154,7 @@ def _wl_gmr_lookup() -> tuple[Callable, Callable]:
     return (lambda: table.lookup(0, addr)), (lambda: table._lookup_bisect(0, addr))
 
 
+#: name -> builder of fresh-state (optimized, baseline) callables
 WORKLOADS: dict[str, Callable[[], tuple[Callable, Callable]]] = {
     "pack_uniform_1024": _wl_pack,
     "unpack_uniform_1024": _wl_unpack,
@@ -169,15 +162,6 @@ WORKLOADS: dict[str, Callable[[], tuple[Callable, Callable]]] = {
     "conflict_check_contig": _wl_conflict,
     "gmr_lookup_hot": _wl_gmr_lookup,
 }
-
-
-def workload_names() -> list[str]:
-    return list(WORKLOADS)
-
-
-def build(name: str) -> tuple[Callable, Callable]:
-    """(optimized, baseline) callables for one workload, fresh state."""
-    return WORKLOADS[name]()
 
 
 # ---------------------------------------------------------------------------
@@ -222,91 +206,13 @@ def measure(fast: bool = False) -> dict[str, dict[str, float]]:
     return results
 
 
-# ---------------------------------------------------------------------------
-# baseline file + smoke check
-# ---------------------------------------------------------------------------
-
-
-def write_baseline(
-    results: dict[str, dict[str, float]], path: "pathlib.Path | None" = None
-) -> pathlib.Path:
-    """Persist results as the machine-readable trajectory file."""
-    path = pathlib.Path(path) if path is not None else BASELINE_PATH
-    payload = {
-        "schema": 1,
-        "units": "seconds_per_op",
-        "note": (
-            "hot-path datapath benchmarks; 'baseline' is the retained "
-            "pre-vectorization reference implementation measured by the "
-            "same suite in the same process"
-        ),
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-        "min_speedup": MIN_SPEEDUP,
-        "results": results,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_baseline(path: "pathlib.Path | None" = None) -> dict:
-    path = pathlib.Path(path) if path is not None else BASELINE_PATH
-    return json.loads(path.read_text())
-
-
 def format_results(results: dict[str, dict[str, float]]) -> str:
-    width = max(len(n) for n in results)
-    lines = ["Hot-path datapath benchmarks (seconds per op)"]
-    lines.append("-" * len(lines[0]))
-    lines.append(
-        f"{'workload':<{width}}  {'optimized':>12}  {'baseline':>12}  {'speedup':>8}"
+    return format_table(
+        "Hot-path datapath benchmarks (seconds per op)",
+        ["workload", "optimized", "baseline", "speedup"],
+        [
+            [name, f"{r['optimized_s']:.3e}", f"{r['baseline_s']:.3e}",
+             f"{r['speedup']:.1f}x"]
+            for name, r in results.items()
+        ],
     )
-    for name, r in results.items():
-        lines.append(
-            f"{name:<{width}}  {r['optimized_s']:>12.3e}  "
-            f"{r['baseline_s']:>12.3e}  {r['speedup']:>7.1f}x"
-        )
-    return "\n".join(lines)
-
-
-def smoke(path: "pathlib.Path | None" = None) -> tuple[bool, str]:
-    """Fast regression gate against the committed baseline file.
-
-    Re-measures every workload (fast mode, <60 s total) and fails when a
-    measured speedup fell below ``committed_speedup / REGRESSION_FACTOR``
-    (i.e. the hot path regressed >2x relative to the in-process reference
-    implementation) or below its absolute acceptance floor.  Speedups —
-    not wall-clock times — are compared, so the gate is stable across
-    machines of different absolute speed.
-    """
-    try:
-        committed = load_baseline(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        where = path if path is not None else BASELINE_PATH
-        return False, f"HOTPATH SMOKE: unreadable baseline {where}: {exc}"
-    measured = measure(fast=True)
-    failures: list[str] = []
-    lines = [format_results(measured), ""]
-    for name, r in measured.items():
-        ref = committed.get("results", {}).get(name)
-        if ref is None:
-            failures.append(f"{name}: missing from committed baseline")
-            continue
-        floor = max(
-            MIN_SPEEDUP.get(name, 1.0), ref["speedup"] / REGRESSION_FACTOR
-        )
-        if r["speedup"] < floor:
-            failures.append(
-                f"{name}: speedup {r['speedup']:.1f}x fell below {floor:.1f}x "
-                f"(committed {ref['speedup']:.1f}x / regression factor "
-                f"{REGRESSION_FACTOR})"
-            )
-    if failures:
-        lines.append("HOTPATH SMOKE: FAIL")
-        lines.extend(f"  - {f}" for f in failures)
-        return False, "\n".join(lines)
-    lines.append("HOTPATH SMOKE: ok (no hot-path benchmark regressed >2x)")
-    return True, "\n".join(lines)

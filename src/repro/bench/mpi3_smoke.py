@@ -1,52 +1,39 @@
 """MPI-3 datapath benchmarks: flush completion + nonblocking aggregation.
 
-The PR's performance claim has two halves, and this module gates both
-against the committed ``benchmarks/BENCH_mpi3_datapath.json``:
+The datapath's performance claim has two halves, and the ``mpi3`` entry
+of :mod:`repro.bench.registry` gates both against the committed
+``benchmarks/BENCH_mpi3_datapath.json``:
 
 * **datapath** — the same stream of small nonblocking operations under
   ``datapath="mpi2"`` (each op eager, in its own lock/unlock epoch — the
   §V-C discipline) vs ``datapath="mpi3"`` (ops queued into the standing
   ``lock_all`` epoch, issued in batches, completed by one per-target
-  flush).  The mpi3 arm must be at least :data:`MIN_MPI3_SPEEDUP` faster
-  in modeled ops/s.
+  flush).  The mpi3 arm must be at least ``MIN_SPEEDUP["mpi3_speedup"]``
+  faster in modeled ops/s.
 * **coalescing** — the mpi3 arm with adjacency merging disabled
   (``nb_coalesce_threshold=0``) vs enabled.  Merging adjacent small
   puts/accs into few large transfers must buy at least
-  :data:`MIN_COALESCE_SPEEDUP` on top of deferral alone.
+  ``MIN_SPEEDUP["coalesce_speedup"]`` on top of deferral alone.
 
 All times are *modeled* seconds read from the simulated clock under the
 ``xe6`` platform's MPI path model (per-op lock/unlock cost vs cheap
-in-epoch issue + flush), so results are machine-independent: the smoke
-gate compares speedups, and a regression means the datapath itself —
-not the host — got slower.
+in-epoch issue + flush), so results are machine-independent and
+deterministic for a given code state: the smoke gate compares speedups
+(each must hold its floor and stay within 2x of the committed value),
+and a regression means the datapath itself — not the host — got slower.
 """
 
 from __future__ import annotations
-
-import json
-import pathlib
-import platform as host_platform
 
 import numpy as np
 
 from ..armci import Armci, ArmciConfig
 from ..mpi.runtime import current_proc
 from ..simtime import PLATFORMS, MPITimingPolicy
-from .harness import run_measurement
-
-#: default location of the committed baseline (repo benchmarks/ dir)
-BASELINE_PATH = (
-    pathlib.Path(__file__).resolve().parents[3]
-    / "benchmarks"
-    / "BENCH_mpi3_datapath.json"
-)
-
-#: smoke fails when a measured speedup drops below committed/REGRESSION_FACTOR
-REGRESSION_FACTOR = 2.0
+from .harness import format_table, run_measurement
 
 #: acceptance floors (the ISSUE's gates), machine-independent
-MIN_MPI3_SPEEDUP = 2.0
-MIN_COALESCE_SPEEDUP = 1.5
+MIN_SPEEDUP = {"mpi3_speedup": 2.0, "coalesce_speedup": 1.5}
 
 #: modeled platform: xe6 has per-op lock/unlock cost but no epoch-queue
 #: pathology, so it isolates exactly what flush-completion removes
@@ -131,104 +118,14 @@ def measure(fast: bool = False) -> dict[str, dict[str, float]]:
     return results
 
 
-# ---------------------------------------------------------------------------
-# baseline file + smoke check
-# ---------------------------------------------------------------------------
-
-
-def write_baseline(
-    results: dict[str, dict[str, float]], path: "pathlib.Path | None" = None
-) -> pathlib.Path:
-    """Persist results as the machine-readable trajectory file."""
-    path = pathlib.Path(path) if path is not None else BASELINE_PATH
-    payload = {
-        "schema": 1,
-        "units": "modeled_seconds_per_op",
-        "note": (
-            "MPI-3 flush-datapath benchmarks on the simulated clock "
-            f"({PLATFORM_KEY} MPI path model): eager per-op epochs (mpi2) "
-            "vs deferred issue + per-target flush (mpi3), with and "
-            "without adjacency coalescing"
-        ),
-        "environment": {
-            "python": host_platform.python_version(),
-            "numpy": np.__version__,
-            "platform_model": PLATFORM_KEY,
-        },
-        "min_speedup": {
-            "mpi3_speedup": MIN_MPI3_SPEEDUP,
-            "coalesce_speedup": MIN_COALESCE_SPEEDUP,
-        },
-        "results": results,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_baseline(path: "pathlib.Path | None" = None) -> dict:
-    path = pathlib.Path(path) if path is not None else BASELINE_PATH
-    return json.loads(path.read_text())
-
-
 def format_results(results: dict[str, dict[str, float]]) -> str:
-    width = max(len(n) for n in results)
-    lines = [f"MPI-3 datapath benchmarks (modeled s/op, {PLATFORM_KEY} model)"]
-    lines.append("-" * len(lines[0]))
-    lines.append(
-        f"{'workload':<{width}}  {'mpi2':>10}  {'mpi3':>10}  {'mpi3+coal':>10}"
-        f"  {'mpi3 gain':>9}  {'coal gain':>9}"
+    return format_table(
+        f"MPI-3 datapath benchmarks (modeled s/op, {PLATFORM_KEY} model)",
+        ["workload", "mpi2", "mpi3", "mpi3+coal", "mpi3 gain", "coal gain"],
+        [
+            [name, f"{r['mpi2_s_per_op']:.3e}", f"{r['mpi3_s_per_op']:.3e}",
+             f"{r['mpi3_coalesced_s_per_op']:.3e}",
+             f"{r['mpi3_speedup']:.1f}x", f"{r['coalesce_speedup']:.1f}x"]
+            for name, r in results.items()
+        ],
     )
-    for name, r in results.items():
-        lines.append(
-            f"{name:<{width}}  {r['mpi2_s_per_op']:>10.3e}  "
-            f"{r['mpi3_s_per_op']:>10.3e}  {r['mpi3_coalesced_s_per_op']:>10.3e}"
-            f"  {r['mpi3_speedup']:>8.1f}x  {r['coalesce_speedup']:>8.1f}x"
-        )
-    return "\n".join(lines)
-
-
-def smoke(path: "pathlib.Path | None" = None) -> tuple[bool, str]:
-    """Fast gate: re-measure and compare against the committed baseline.
-
-    Fails when either speedup falls below its absolute acceptance floor
-    (mpi3 >= 2x mpi2, coalesced >= 1.5x uncoalesced) or regresses by
-    more than :data:`REGRESSION_FACTOR` against the committed value.
-    Modeled speedups are deterministic for a given code state, so any
-    drift here is a real datapath change, not measurement noise.
-    """
-    try:
-        committed = load_baseline(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        where = path if path is not None else BASELINE_PATH
-        return False, f"MPI3 SMOKE: unreadable baseline {where}: {exc}"
-    measured = measure(fast=True)
-    failures: list[str] = []
-    lines = [format_results(measured), ""]
-    floors = {
-        "mpi3_speedup": MIN_MPI3_SPEEDUP,
-        "coalesce_speedup": MIN_COALESCE_SPEEDUP,
-    }
-    for name, r in measured.items():
-        ref = committed.get("results", {}).get(name)
-        if ref is None:
-            failures.append(f"{name}: missing from committed baseline")
-            continue
-        for metric, abs_floor in floors.items():
-            floor = max(abs_floor, ref[metric] / REGRESSION_FACTOR)
-            if r[metric] < floor:
-                failures.append(
-                    f"{name}: {metric} {r[metric]:.2f}x fell below {floor:.2f}x "
-                    f"(committed {ref[metric]:.2f}x / regression factor "
-                    f"{REGRESSION_FACTOR}, absolute floor {abs_floor}x)"
-                )
-    if failures:
-        lines.append("MPI3 SMOKE: FAIL")
-        lines.extend(f"  - {f}" for f in failures)
-        return False, "\n".join(lines)
-    lines.append(
-        "MPI3 SMOKE: ok (flush datapath >= "
-        f"{MIN_MPI3_SPEEDUP}x eager epochs, coalescing >= "
-        f"{MIN_COALESCE_SPEEDUP}x uncoalesced)"
-    )
-    return True, "\n".join(lines)

@@ -18,17 +18,18 @@ The workload replays from ``SEED``: array contents, shape, and the
 victim are pure functions of it.  Absolute seconds are machine-dependent
 trajectory data in ``benchmarks/BENCH_proc_recover.json``; the gate is
 the detection-latency ceiling (detection must come well before the
-``join_timeout`` deadlock backstop) and is enforced only on hosts with
-at least :data:`MIN_CORES_FOR_GATE` CPUs, where the survivors actually
-run in parallel and timing is meaningful.
+``join_timeout`` deadlock backstop, :func:`check_detect_budget`), which
+the ``proc-recover`` entry of :mod:`repro.bench.registry` enforces only
+on hosts with at least ``registry.WALLCLOCK_MIN_CPUS`` usable CPUs,
+where the survivors actually run in parallel and timing is meaningful.
+Value correctness (:func:`check_value_correct`) is gated on every host.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
-import platform as host_platform
+import shutil
 import signal
 import tempfile
 import time
@@ -36,13 +37,7 @@ import time
 import numpy as np
 
 from ..mpi.runtime import Runtime
-
-#: default location of the committed baseline (repo benchmarks/ dir)
-BASELINE_PATH = (
-    pathlib.Path(__file__).resolve().parents[3]
-    / "benchmarks"
-    / "BENCH_proc_recover.json"
-)
+from .harness import format_table
 
 #: world size and the rank the scenario kills
 NPROC = 4
@@ -56,8 +51,6 @@ JOIN_TIMEOUT_S = 60.0
 #: … and the gated ceiling on survivor-observed detection latency:
 #: detection must beat the backstop by an order of magnitude
 DETECT_BUDGET_S = JOIN_TIMEOUT_S * 0.1
-#: the latency gate applies only on hosts with at least this many CPUs
-MIN_CORES_FOR_GATE = 4
 
 _SHAPE = (12, 12)
 
@@ -66,6 +59,20 @@ def _base(seed: int) -> np.ndarray:
     return np.random.default_rng(seed).integers(
         0, 1000, size=_SHAPE, dtype=np.int64
     )
+
+
+def _create_filled(armci, base: np.ndarray):
+    """A fresh GA holding ``base`` (each rank writes its own block)."""
+    from ..ga import GlobalArray
+
+    ga = GlobalArray.create(armci, _SHAPE, "i8")
+    blk = ga.distribution()
+    if blk.size:
+        view = ga.access()
+        view[...] = base[tuple(slice(l, h) for l, h in zip(blk.lo, blk.hi))]
+        ga.release()
+    ga.sync()
+    return ga
 
 
 def _rank_body(comm, marker: str, seed: int):
@@ -90,13 +97,7 @@ def _rank_body(comm, marker: str, seed: int):
     )
     base = _base(seed)
     armci = Armci.init(comm)
-    ga = GlobalArray.create(armci, _SHAPE, "i8")
-    blk = ga.distribution()
-    if blk.size:
-        view = ga.access()
-        view[...] = base[tuple(slice(l, h) for l, h in zip(blk.lo, blk.hi))]
-        ga.release()
-    ga.sync()
+    ga = _create_filled(armci, base)
     ckpt = None
     t_detect = None
     recovery_s = None
@@ -125,25 +126,21 @@ def _rank_body(comm, marker: str, seed: int):
         if armci.world.agree(1 if have_ckpt else 0):
             ga = GlobalArray.restore(armci, ckpt)
         else:  # pragma: no cover - kill raced the checkpoint barrier
-            ga = GlobalArray.create(armci, _SHAPE, "i8")
-            blk = ga.distribution()
-            if blk.size:
-                view = ga.access()
-                view[...] = base[
-                    tuple(slice(l, h) for l, h in zip(blk.lo, blk.hi))
-                ]
-                ga.release()
-            ga.sync()
+            ga = _create_filled(armci, base)
         recovery_s = time.monotonic() - t0
     full = ga.get([0, 0], list(_SHAPE))
     ga.sync()
-    # the timing only counts if the recovery is value-correct
-    assert np.array_equal(full, base), "restored GA diverged from the seed"
     return {
         "t_detect": t_detect,
         "recovery_s": recovery_s,
         "nproc_after": armci.nproc,
+        # the timing only counts if the recovery is value-correct
+        "value_correct": bool(np.array_equal(full, base)),
     }
+
+
+def _stats(xs: "list[float]") -> dict:
+    return {"min": min(xs), "max": max(xs), "mean": sum(xs) / len(xs)}
 
 
 def _run_once(heartbeat_s: float) -> dict:
@@ -160,14 +157,7 @@ def _run_once(heartbeat_s: float) -> dict:
         out = rt.spmd(_rank_body, marker, SEED, join_timeout=JOIN_TIMEOUT_S)
         t_kill = float(pathlib.Path(marker).read_text())
     finally:
-        try:
-            os.unlink(marker)
-        except OSError:
-            pass
-        try:
-            os.rmdir(tmp)
-        except OSError:
-            pass
+        shutil.rmtree(tmp, ignore_errors=True)
     survivors = [r for r in out if r is not None]
     if len(survivors) != NPROC - 1:
         raise RuntimeError(f"expected {NPROC - 1} survivor results, got {out!r}")
@@ -177,140 +167,58 @@ def _run_once(heartbeat_s: float) -> dict:
     return {
         "heartbeat_s": heartbeat_s,
         "suspect_after_s": suspect_after,
-        "detect_latency_s": {
-            "min": min(detect),
-            "max": max(detect),
-            "mean": sum(detect) / len(detect),
-        },
-        "recovery_wall_s": {
-            "min": min(recovery),
-            "max": max(recovery),
-            "mean": sum(recovery) / len(recovery),
-        },
+        "value_correct": all(s["value_correct"] for s in survivors),
+        "detect_latency_s": _stats(detect),
+        "recovery_wall_s": _stats(recovery),
     }
 
 
 def measure(fast: bool = False) -> dict:
     """Detection latency + recovery wall time for each heartbeat interval."""
     sweep = HEARTBEATS[:1] if fast else HEARTBEATS
-    results: dict = {}
-    for hb in sweep:
-        results[f"hb{hb:g}"] = _run_once(hb)
-    results["worst_detect_latency_s"] = max(
-        r["detect_latency_s"]["max"] for r in results.values()
-    )
-    return results
-
-
-# ---------------------------------------------------------------------------
-# baseline file + smoke check
-# ---------------------------------------------------------------------------
-
-
-def write_baseline(results: dict, path: "pathlib.Path | None" = None) -> pathlib.Path:
-    """Persist results as the machine-readable trajectory file."""
-    path = pathlib.Path(path) if path is not None else BASELINE_PATH
-    payload = {
-        "schema": 1,
-        "units": "wall_clock_seconds",
-        "note": (
-            "proc-backend survivor restart: SIGKILL rank "
-            f"{VICTIM} of {NPROC} mid-collective (seed {SEED}), measure "
-            "survivor-observed detection latency (marker-file monotonic "
-            "stamp to first typed failure error) and recover+restore wall "
-            "time, per heartbeat interval; absolute seconds are machine-"
-            "dependent trajectory data — only the detection ceiling "
-            f"(< {DETECT_BUDGET_S:g}s, an order of magnitude inside the "
-            f"{JOIN_TIMEOUT_S:g}s join_timeout backstop) is gated, and "
-            f"only on hosts with >= {MIN_CORES_FOR_GATE} CPUs"
+    runs = {f"hb{hb:g}": _run_once(hb) for hb in sweep}
+    return {
+        "runs": runs,
+        "worst_detect_latency_s": max(
+            r["detect_latency_s"]["max"] for r in runs.values()
         ),
-        "environment": {
-            "python": host_platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-        },
-        "seed": SEED,
-        "nproc": NPROC,
-        "victim": VICTIM,
-        "join_timeout_s": JOIN_TIMEOUT_S,
-        "detect_budget_s": DETECT_BUDGET_S,
-        "min_cores_for_gate": MIN_CORES_FOR_GATE,
-        "results": results,
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_baseline(path: "pathlib.Path | None" = None) -> dict:
-    path = pathlib.Path(path) if path is not None else BASELINE_PATH
-    return json.loads(path.read_text())
 
 
 def format_results(results: dict) -> str:
-    lines = [
-        f"proc-backend recovery (SIGKILL rank {VICTIM} of {NPROC}, seed {SEED})"
-    ]
-    lines.append("-" * len(lines[0]))
-    lines.append(
-        f"{'heartbeat s':>11}  {'suspect s':>9}  {'detect s (min/mean/max)':>24}"
-        f"  {'recover s (mean)':>16}"
-    )
-    for key, r in results.items():
-        if not key.startswith("hb"):
-            continue
+    rows = []
+    for r in results["runs"].values():
         d, w = r["detect_latency_s"], r["recovery_wall_s"]
-        lines.append(
-            f"{r['heartbeat_s']:>11.3f}  {r['suspect_after_s']:>9.2f}"
-            f"  {d['min']:>7.3f}/{d['mean']:>7.3f}/{d['max']:>7.3f}"
-            f"  {w['mean']:>16.3f}"
-        )
-    lines.append(
-        f"worst detection latency: {results['worst_detect_latency_s']:.3f}s "
-        f"(budget {DETECT_BUDGET_S:g}s)"
+        rows.append([
+            f"{r['heartbeat_s']:.3f}", f"{r['suspect_after_s']:.2f}",
+            f"{d['min']:.3f}/{d['mean']:.3f}/{d['max']:.3f}", f"{w['mean']:.3f}",
+        ])
+    table = format_table(
+        f"proc-backend recovery (SIGKILL rank {VICTIM} of {NPROC}, seed {SEED})",
+        ["heartbeat s", "suspect s", "detect s (min/mean/max)", "recover s (mean)"],
+        rows,
     )
-    return "\n".join(lines)
+    return (
+        f"{table}\nworst detection latency: "
+        f"{results['worst_detect_latency_s']:.3f}s (budget {DETECT_BUDGET_S:g}s)"
+    )
 
 
-def smoke(path: "pathlib.Path | None" = None) -> tuple[bool, str]:
-    """Fast gate: one recovery run must be value-correct and fast to detect.
+def check_value_correct(measured: dict, _committed: dict) -> "list[str]":
+    """Every survivor must read back the seeded base after the restore."""
+    return [
+        f"{key}: restored GA diverged from the seed"
+        for key, r in measured["runs"].items()
+        if not r["value_correct"]
+    ]
 
-    The committed baseline must exist and parse (trajectory contract);
-    the detection-latency ceiling is enforced only when the host has
-    enough CPUs for the survivors to run concurrently.  Value
-    correctness is asserted inside the workload either way — a wrong
-    restore fails the gate on any host.
-    """
-    try:
-        load_baseline(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        where = path if path is not None else BASELINE_PATH
-        return False, f"PROC-RECOVER SMOKE: unreadable baseline {where}: {exc}"
-    try:
-        measured = measure(fast=True)
-    except Exception as exc:  # noqa: BLE001 - any failure fails the gate
-        return False, f"PROC-RECOVER SMOKE: FAIL\n  - recovery run raised: {exc!r}"
-    lines = [format_results(measured), ""]
-    cores = os.cpu_count() or 1
+
+def check_detect_budget(measured: dict, _committed: dict) -> "list[str]":
+    """Detection must beat the ``join_timeout`` backstop by 10x."""
     worst = measured["worst_detect_latency_s"]
-    if cores < MIN_CORES_FOR_GATE:
-        lines.append(
-            f"PROC-RECOVER SMOKE: ok (host has {cores} CPU(s) < "
-            f"{MIN_CORES_FOR_GATE}; the < {DETECT_BUDGET_S:g}s detection gate "
-            f"applies on multi-core hosts only — measured {worst:.3f}s "
-            "recorded, not gated; recovery was value-correct)"
-        )
-        return True, "\n".join(lines)
-    if worst > DETECT_BUDGET_S:
-        lines.append(
-            f"PROC-RECOVER SMOKE: FAIL\n  - survivors took {worst:.3f}s to "
-            f"observe the death (budget {DETECT_BUDGET_S:g}s, join_timeout "
-            f"{JOIN_TIMEOUT_S:g}s)"
-        )
-        return False, "\n".join(lines)
-    lines.append(
-        f"PROC-RECOVER SMOKE: ok (detection {worst:.3f}s < "
-        f"{DETECT_BUDGET_S:g}s budget; recovery value-correct on the "
-        f"{NPROC - 1}-rank shrunken grid)"
-    )
-    return True, "\n".join(lines)
+    if worst <= DETECT_BUDGET_S:
+        return []
+    return [
+        f"survivors took {worst:.3f}s to observe the death (budget "
+        f"{DETECT_BUDGET_S:g}s, join_timeout {JOIN_TIMEOUT_S:g}s)"
+    ]

@@ -1,7 +1,7 @@
 """Proc-backend throughput benchmarks: aggregate put/get scaling with cores.
 
-Unlike every other bench in this package, these numbers are **wall
-clock**, not modeled time: the whole point of ``backend="proc"``
+Unlike the modeled-clock benches in this package, these numbers are
+**wall clock**: the whole point of ``backend="proc"``
 (:mod:`repro.mpi.backend_proc`) is escaping the GIL, and only a wall
 clock can see that.  Each rank ring-puts and ring-gets a slab through
 the ARMCI mpi3 datapath (standing ``lock_all`` epoch + flush) over
@@ -12,37 +12,26 @@ ranks.
 
 Because the ratio compares the same machine against itself it is
 host-relative — but it still needs cores to scale onto, so the
-``>= MIN_SCALING`` floor is enforced only when the host has at least
-:data:`MIN_CORES_FOR_GATE` CPUs.  On smaller hosts the smoke records
-the measured ratio and passes with a note (matching the acceptance
-criterion: scaling is required "on a multi-core host").  Absolute MB/s
-are recorded in ``benchmarks/BENCH_procs.json`` for trajectory only and
-are never gated: they are machine-dependent.
+``procs`` entry of :mod:`repro.bench.registry` enforces the
+``>= MIN_SCALING`` floor (:func:`check_scaling`) only on hosts with
+``registry.WALLCLOCK_MIN_CPUS`` usable CPUs; elsewhere the verdict is
+``skipped(cpu_count=N<M)`` and the ratio is recorded with it (scaling
+is required "on a multi-core host").  Absolute MB/s are recorded in
+``benchmarks/BENCH_procs.json`` for trajectory only and are never
+gated: they are machine-dependent.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
-import platform as host_platform
 import time
 
 import numpy as np
 
 from ..mpi.runtime import Runtime
+from .harness import format_table
 
-#: default location of the committed baseline (repo benchmarks/ dir)
-BASELINE_PATH = (
-    pathlib.Path(__file__).resolve().parents[3]
-    / "benchmarks"
-    / "BENCH_procs.json"
-)
-
-#: required aggregate-throughput scaling from 1 rank to 4 ranks …
+#: required aggregate-throughput scaling from 1 rank to 4 ranks
 MIN_SCALING = 2.0
-#: … enforced only on hosts with at least this many CPUs
-MIN_CORES_FOR_GATE = 4
 
 #: world sizes measured (the scaling ratio is last/first)
 NPROCS = (1, 2, 4)
@@ -95,91 +84,28 @@ def measure(fast: bool = False) -> dict:
     return results
 
 
-# ---------------------------------------------------------------------------
-# baseline file + smoke check
-# ---------------------------------------------------------------------------
-
-
-def write_baseline(results: dict, path: "pathlib.Path | None" = None) -> pathlib.Path:
-    """Persist results as the machine-readable trajectory file."""
-    path = pathlib.Path(path) if path is not None else BASELINE_PATH
-    payload = {
-        "schema": 1,
-        "units": "wall_clock_MB_per_s",
-        "note": (
-            "proc-backend aggregate put/get throughput over shared-memory "
-            "windows (ARMCI mpi3 datapath, ring workload, "
-            f"{SLAB_BYTES // 1024} KiB slabs); absolute MB/s are "
-            "machine-dependent trajectory data — only the 1->4 rank "
-            f"scaling ratio is gated, and only on hosts with >= "
-            f"{MIN_CORES_FOR_GATE} CPUs"
-        ),
-        "environment": {
-            "python": host_platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-        },
-        "min_scaling": MIN_SCALING,
-        "min_cores_for_gate": MIN_CORES_FOR_GATE,
-        "results": results,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_baseline(path: "pathlib.Path | None" = None) -> dict:
-    path = pathlib.Path(path) if path is not None else BASELINE_PATH
-    return json.loads(path.read_text())
-
-
 def format_results(results: dict) -> str:
-    lines = ["proc-backend put/get throughput (wall clock, shared-memory windows)"]
-    lines.append("-" * len(lines[0]))
-    lines.append(f"{'ranks':>5}  {'aggregate MB/s':>14}  {'slowest rank s':>14}")
-    for nproc in NPROCS:
-        r = results[f"np{nproc}"]
-        lines.append(
-            f"{nproc:>5}  {r['aggregate_MB_per_s']:>14.1f}"
-            f"  {r['slowest_rank_s']:>14.3f}"
-        )
-    lines.append(f"scaling 1 -> {NPROCS[-1]} ranks: {results['scaling_1_to_4']:.2f}x")
-    return "\n".join(lines)
-
-
-def smoke(path: "pathlib.Path | None" = None) -> tuple[bool, str]:
-    """Fast gate: re-measure and check the core-scaling floor.
-
-    The committed baseline must exist and parse (trajectory contract);
-    the ``>= MIN_SCALING`` floor on the 1->4 rank aggregate-throughput
-    ratio is enforced only when the host has enough CPUs for scaling to
-    be physically possible.
-    """
-    try:
-        load_baseline(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        where = path if path is not None else BASELINE_PATH
-        return False, f"PROCS SMOKE: unreadable baseline {where}: {exc}"
-    measured = measure(fast=True)
-    lines = [format_results(measured), ""]
-    cores = os.cpu_count() or 1
-    scaling = measured["scaling_1_to_4"]
-    if cores < MIN_CORES_FOR_GATE:
-        lines.append(
-            f"PROCS SMOKE: ok (host has {cores} CPU(s) < {MIN_CORES_FOR_GATE}; "
-            f"the >= {MIN_SCALING}x scaling gate applies on multi-core hosts "
-            f"only — measured {scaling:.2f}x recorded, not gated)"
-        )
-        return True, "\n".join(lines)
-    if scaling < MIN_SCALING:
-        lines.append(
-            f"PROCS SMOKE: FAIL\n  - aggregate throughput scaled only "
-            f"{scaling:.2f}x from 1 to {NPROCS[-1]} ranks on a {cores}-CPU "
-            f"host (floor {MIN_SCALING}x)"
-        )
-        return False, "\n".join(lines)
-    lines.append(
-        f"PROCS SMOKE: ok (aggregate put/get throughput scaled {scaling:.2f}x "
-        f"from 1 to {NPROCS[-1]} ranks, floor {MIN_SCALING}x)"
+    table = format_table(
+        "proc-backend put/get throughput (wall clock, shared-memory windows)",
+        ["ranks", "aggregate MB/s", "slowest rank s"],
+        [
+            [n, f"{results[f'np{n}']['aggregate_MB_per_s']:.1f}",
+             f"{results[f'np{n}']['slowest_rank_s']:.3f}"]
+            for n in NPROCS
+        ],
     )
-    return True, "\n".join(lines)
+    return (
+        f"{table}\nscaling 1 -> {NPROCS[-1]} ranks: "
+        f"{results['scaling_1_to_4']:.2f}x"
+    )
+
+
+def check_scaling(measured: dict, _committed: dict) -> "list[str]":
+    """The core-scaling floor on the 1->4 rank aggregate-throughput ratio."""
+    scaling = measured["scaling_1_to_4"]
+    if scaling >= MIN_SCALING:
+        return []
+    return [
+        f"aggregate throughput scaled only {scaling:.2f}x from 1 to "
+        f"{NPROCS[-1]} ranks (floor {MIN_SCALING}x)"
+    ]

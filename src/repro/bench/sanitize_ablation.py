@@ -26,20 +26,10 @@ records the trajectory; a summary lives in ``docs/sanitizer.md``.
 
 from __future__ import annotations
 
-import json
-import pathlib
-import platform
 import statistics
 import time
 
-import numpy as np
-
-#: default location of the committed baseline (repo benchmarks/ dir)
-BASELINE_PATH = (
-    pathlib.Path(__file__).resolve().parents[3]
-    / "benchmarks"
-    / "BENCH_sanitize_ablation.json"
-)
+from .harness import format_table
 
 NPROC = 4
 
@@ -98,50 +88,15 @@ def measure(fast: bool = False) -> dict[str, dict[str, float]]:
     return results
 
 
-def write_baseline(
-    results: dict[str, dict[str, float]], path: "pathlib.Path | None" = None
-) -> pathlib.Path:
-    path = pathlib.Path(path) if path is not None else BASELINE_PATH
-    payload = {
-        "schema": 1,
-        "units": "wall_seconds_per_spmd_run",
-        "nproc": NPROC,
-        "note": (
-            "dynamic-checking overhead ablation over the deterministic "
-            "schedule: RMA sanitizer and (empty-plan) fault-injection "
-            "plumbing, separately and combined; overhead factors are "
-            "relative to the bare schedule in the same process"
-        ),
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-        "results": results,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_baseline(path: "pathlib.Path | None" = None) -> dict:
-    path = pathlib.Path(path) if path is not None else BASELINE_PATH
-    return json.loads(path.read_text())
-
-
 def format_results(results: dict[str, dict[str, float]]) -> str:
-    lines = ["Sanitizer / fault-injection overhead ablation "
-             f"(wall s per {NPROC}-rank run)"]
-    lines.append("-" * len(lines[0]))
-    header = f"{'workload':<16}"
-    for cname in CONFIGS:
-        header += f"  {cname:>26}"
-    lines.append(header)
-    for wname, r in results.items():
-        row = f"{wname:<16}"
-        for cname in CONFIGS:
-            cell = f"{r[f'{cname}_s']:.4f}s"
-            if cname != "schedule":
-                cell += f" ({r[f'{cname}_overhead']:.2f}x)"
-            row += f"  {cell:>26}"
-        lines.append(row)
-    return "\n".join(lines)
+    def cell(r: dict, cname: str) -> str:
+        if cname == "schedule":
+            return f"{r['schedule_s']:.4f}s"
+        return f"{r[f'{cname}_s']:.4f}s ({r[f'{cname}_overhead']:.2f}x)"
+
+    return format_table(
+        "Sanitizer / fault-injection overhead ablation "
+        f"(wall s per {NPROC}-rank run)",
+        ["workload", *CONFIGS],
+        [[wname, *(cell(r, c) for c in CONFIGS)] for wname, r in results.items()],
+    )

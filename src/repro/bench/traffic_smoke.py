@@ -24,32 +24,22 @@ robustness story cares about and records the service-level trajectory in
   :data:`GOODPUT_FLOOR` of the fault-free run.
 
 Absolute wall seconds are machine-dependent trajectory data; the
-proc-backend degradation gate (recovery observed + goodput floor) is
-enforced only on hosts with at least :data:`MIN_CORES_FOR_GATE` CPUs,
-where the kill timing is meaningful.  Determinism, oracle verification,
-and replay identity are gated on every host.
+``traffic`` entry of :mod:`repro.bench.registry` enforces the
+proc-backend degradation gate (:func:`check_degradation`: recovery
+observed + goodput floor) only on hosts with at least
+``registry.WALLCLOCK_MIN_CPUS`` usable CPUs, where the kill timing is
+meaningful.  Determinism, oracle verification, and replay identity
+(:func:`check_correctness`) are gated on every host.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
-import platform as host_platform
 import time
-
-import numpy as np
 
 from ..faults.plan import FaultPlan
 from ..faults.proc import ProcFaultPlan
 from ..traffic import TrafficConfig, run_traffic, run_traffic_proc
-
-#: default location of the committed baseline (repo benchmarks/ dir)
-BASELINE_PATH = (
-    pathlib.Path(__file__).resolve().parents[3]
-    / "benchmarks"
-    / "BENCH_traffic.json"
-)
+from .harness import format_table
 
 #: world size and seed for every run (the trajectory replays from these)
 NPROC = 4
@@ -68,8 +58,6 @@ PROC_VICTIM = 2
 PROC_KILL_FRACTION = 0.45
 #: killed-run goodput must stay at or above this fraction of fault-free
 GOODPUT_FLOOR = 0.5
-#: the wall-clock degradation gate applies only on hosts this wide
-MIN_CORES_FOR_GATE = 4
 
 _SCENARIOS = ("stencil", "worksteal", "bfs")
 
@@ -96,10 +84,6 @@ def _point(result) -> dict:
     }
 
 
-def _thread_cfg(scenario: str, offered: int) -> TrafficConfig:
-    return TrafficConfig(scenario=scenario, seed=SEED, offered=offered)
-
-
 def measure(fast: bool = False) -> dict:
     """Thread sweep + faulted replay pairs + the proc clean/SIGKILL pair."""
     results: dict = {"thread": {}, "proc": {}}
@@ -107,10 +91,11 @@ def measure(fast: bool = False) -> dict:
     for scenario in _SCENARIOS:
         entry: dict = {"sweep": {}}
         for offered in sweep:
-            r = run_traffic(_thread_cfg(scenario, offered), NPROC, SEED)
+            cfg = TrafficConfig(scenario=scenario, seed=SEED, offered=offered)
+            r = run_traffic(cfg, NPROC, SEED)
             entry["sweep"][f"offered{offered}"] = _point(r)
         plan = FaultPlan(seed=SEED).kill(VICTIM, KILL_POINT)
-        cfg = _thread_cfg(scenario, OFFERED_SWEEP[1])
+        cfg = TrafficConfig(scenario=scenario, seed=SEED, offered=OFFERED_SWEEP[1])
         faulted = run_traffic(cfg, NPROC, SEED, plan=plan)
         replay = run_traffic(cfg, NPROC, SEED, plan=plan)
         entry["faulted"] = _point(faulted)
@@ -148,162 +133,78 @@ def measure(fast: bool = False) -> dict:
     return results
 
 
-# ---------------------------------------------------------------------------
-# baseline file + smoke check
-# ---------------------------------------------------------------------------
-
-
-def write_baseline(results: dict, path: "pathlib.Path | None" = None) -> pathlib.Path:
-    """Persist results as the machine-readable trajectory file."""
-    path = pathlib.Path(path) if path is not None else BASELINE_PATH
-    payload = {
-        "schema": 1,
-        "units": "virtual_ticks (latency/goodput), wall_clock_seconds (proc)",
-        "note": (
-            "service-style traffic harness over the GA layer: offered "
-            "load vs goodput, p50/p99 latency in ticks, and shed rate "
-            "per workload on the deterministic thread backend; the same "
-            "workloads with a seeded mid-traffic kill (must recover, "
-            "verify, and replay bit-identically); and a proc-backend "
-            f"fault-free vs SIGKILL pair — the killed run must keep "
-            f"goodput >= {GOODPUT_FLOOR:g}x fault-free (gated on hosts "
-            f"with >= {MIN_CORES_FOR_GATE} CPUs; determinism and oracle "
-            "verification are gated everywhere)"
-        ),
-        "environment": {
-            "python": host_platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-        },
-        "seed": SEED,
-        "nproc": NPROC,
-        "offered_sweep": list(OFFERED_SWEEP),
-        "thread_kill": {"victim": VICTIM, "point": KILL_POINT},
-        "proc_kill_fraction": PROC_KILL_FRACTION,
-        "goodput_floor": GOODPUT_FLOOR,
-        "min_cores_for_gate": MIN_CORES_FOR_GATE,
-        "results": results,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_baseline(path: "pathlib.Path | None" = None) -> dict:
-    path = pathlib.Path(path) if path is not None else BASELINE_PATH
-    return json.loads(path.read_text())
-
-
 def format_results(results: dict) -> str:
-    lines = [
-        f"traffic harness (nproc {NPROC}, seed {SEED})",
-        "-" * 42,
-        f"{'scenario':>9}  {'offered':>7}  {'goodput':>8}  {'p50':>4}"
-        f"  {'p99':>4}  {'shed':>6}  {'recov':>5}",
-    ]
-    for scenario, entry in results.get("thread", {}).items():
+    def row(scenario: str, label: str, p: dict, note: str = "") -> list:
+        return [
+            scenario, label, f"{p['goodput_per_tick']:.3f}",
+            f"{p['p50_ticks']:.0f}", f"{p['p99_ticks']:.0f}",
+            f"{p['shed_rate']:.3f}", p["recoveries"], note,
+        ]
+
+    rows = []
+    for scenario, entry in results["thread"].items():
         for key in sorted(entry["sweep"]):
-            p = entry["sweep"][key]
-            lines.append(
-                f"{scenario:>9}  {key[7:]:>7}  {p['goodput_per_tick']:>8.3f}"
-                f"  {p['p50_ticks']:>4.0f}  {p['p99_ticks']:>4.0f}"
-                f"  {p['shed_rate']:>6.3f}  {p['recoveries']:>5d}"
-            )
+            rows.append(row(scenario, key[len("offered"):], entry["sweep"][key]))
         f = entry["faulted"]
-        lines.append(
-            f"{scenario:>9}  {'+kill':>7}  {f['goodput_per_tick']:>8.3f}"
-            f"  {f['p50_ticks']:>4.0f}  {f['p99_ticks']:>4.0f}"
-            f"  {f['shed_rate']:>6.3f}  {f['recoveries']:>5d}"
-            f"  dip={f['recovery_dip']:.2f} drain={f['drain_ticks']}"
-            f" replay={'ok' if f['replay_identical'] else 'DIVERGED'}"
-        )
-    proc = results.get("proc")
-    if proc:
-        c, k = proc["clean"], proc["killed"]
-        lines.append(
-            f"proc[{proc['scenario']}] clean: goodput "
-            f"{c['goodput_per_tick']:.3f}/tick in {c['wall_s']:.2f}s; "
-            f"SIGKILL@{proc['kill_after_s']:.2f}s: "
-            f"{k['goodput_per_tick']:.3f}/tick, recoveries={k['recoveries']}, "
-            f"ratio {proc['goodput_ratio']:.2f} (floor {GOODPUT_FLOOR:g})"
-        )
-    return "\n".join(lines)
+        rows.append(row(
+            scenario, "+kill", f,
+            f"dip={f['recovery_dip']:.2f} drain={f['drain_ticks']}"
+            f" replay={'ok' if f['replay_identical'] else 'DIVERGED'}",
+        ))
+    table = format_table(
+        f"traffic harness (nproc {NPROC}, seed {SEED})",
+        ["scenario", "offered", "goodput", "p50", "p99", "shed", "recov", ""],
+        rows,
+    )
+    proc = results["proc"]
+    c, k = proc["clean"], proc["killed"]
+    return (
+        f"{table}\nproc[{proc['scenario']}] clean: goodput "
+        f"{c['goodput_per_tick']:.3f}/tick in {c['wall_s']:.2f}s; "
+        f"SIGKILL@{proc['kill_after_s']:.2f}s: "
+        f"{k['goodput_per_tick']:.3f}/tick, recoveries={k['recoveries']}, "
+        f"ratio {proc['goodput_ratio']:.2f} (floor {GOODPUT_FLOOR:g})"
+    )
 
 
-def smoke(path: "pathlib.Path | None" = None) -> tuple[bool, str]:
-    """Fast gate for ``make check``: graceful degradation under live faults.
-
-    Hard-gated on any host: the committed baseline parses, every thread
-    run (sweep and faulted) completes with its oracle verified, faulted
-    runs actually recover, and the faulted replay is bit-identical.
-    Gated only on hosts with >= :data:`MIN_CORES_FOR_GATE` CPUs (where
-    wall-clock kill timing is meaningful): the proc-backend SIGKILL run
-    must recover at least once and keep goodput >= the floor.
-    """
-    try:
-        load_baseline(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        where = path if path is not None else BASELINE_PATH
-        return False, f"TRAFFIC SMOKE: unreadable baseline {where}: {exc}"
-    try:
-        measured = measure(fast=True)
-    except Exception as exc:  # noqa: BLE001 - any failure fails the gate
-        return False, f"TRAFFIC SMOKE: FAIL\n  - traffic run raised: {exc!r}"
+def check_correctness(measured: dict, _committed: dict) -> "list[str]":
+    """Host-independent contracts: every run (thread sweep, faulted, proc
+    pair) verifies its oracle, faulted runs recover, replays are identical."""
     problems = []
     for scenario, entry in measured["thread"].items():
-        for key, p in entry["sweep"].items():
+        for key, p in {**entry["sweep"], "faulted": entry["faulted"]}.items():
             if not (p["ok"] and p["verified"]):
                 problems.append(
                     f"thread {scenario} {key}: ok={p['ok']} "
                     f"verified={p['verified']}"
                 )
         f = entry["faulted"]
-        if not (f["ok"] and f["verified"]):
-            problems.append(
-                f"thread {scenario} faulted: ok={f['ok']} "
-                f"verified={f['verified']}"
-            )
         if f["recoveries"] < 1:
             problems.append(f"thread {scenario} faulted: no recovery observed")
         if not f["replay_identical"]:
             problems.append(f"thread {scenario} faulted: replay DIVERGED")
-    proc = measured["proc"]
     for which in ("clean", "killed"):
-        p = proc[which]
+        p = measured["proc"][which]
         if not (p["ok"] and p["verified"]):
             problems.append(
                 f"proc {which}: ok={p['ok']} verified={p['verified']}"
             )
-    cores = os.cpu_count() or 1
-    gate_timing = cores >= MIN_CORES_FOR_GATE
-    if gate_timing and not problems:
-        if proc["killed"]["recoveries"] < 1:
-            problems.append(
-                "proc killed: SIGKILL landed outside the traffic window "
-                "(no recovery observed)"
-            )
-        if proc["goodput_ratio"] < GOODPUT_FLOOR:
-            problems.append(
-                f"proc killed: goodput ratio {proc['goodput_ratio']:.2f} "
-                f"below the {GOODPUT_FLOOR:g} floor"
-            )
-    lines = [format_results(measured), ""]
-    if problems:
-        lines.append("TRAFFIC SMOKE: FAIL")
-        lines.extend(f"  - {p}" for p in problems)
-        return False, "\n".join(lines)
-    if not gate_timing:
-        lines.append(
-            f"TRAFFIC SMOKE: ok (host has {cores} CPU(s) < "
-            f"{MIN_CORES_FOR_GATE}; the proc degradation gate applies on "
-            "multi-core hosts only — oracle verification, recovery, and "
-            "replay identity were gated and passed)"
+    return problems
+
+
+def check_degradation(measured: dict, _committed: dict) -> "list[str]":
+    """Wall-clock contract: the real SIGKILL lands mid-traffic, the run
+    recovers, and goodput stays at or above the floor."""
+    proc = measured["proc"]
+    problems = []
+    if proc["killed"]["recoveries"] < 1:
+        problems.append(
+            "proc killed: SIGKILL landed outside the traffic window "
+            "(no recovery observed)"
         )
-        return True, "\n".join(lines)
-    lines.append(
-        f"TRAFFIC SMOKE: ok (all oracles verified; faulted replays "
-        f"bit-identical; proc goodput ratio "
-        f"{proc['goodput_ratio']:.2f} >= {GOODPUT_FLOOR:g} with "
-        f"{proc['killed']['recoveries']} recovery)"
-    )
-    return True, "\n".join(lines)
+    if proc["goodput_ratio"] < GOODPUT_FLOOR:
+        problems.append(
+            f"proc killed: goodput ratio {proc['goodput_ratio']:.2f} "
+            f"below the {GOODPUT_FLOOR:g} floor"
+        )
+    return problems

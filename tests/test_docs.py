@@ -1,17 +1,21 @@
 """Docs-consistency gate: what the docs mention must actually exist.
 
-Three classes of reference across ``README.md``, ``DESIGN.md``, and
+Four classes of reference across ``README.md``, ``DESIGN.md``, and
 ``docs/*.md`` are machine-checked so prose cannot silently rot:
 
 * ``python -m repro.<module> …`` invocations — the module must import,
   and every ``--flag`` on the invocation line must appear literally in
-  that module's source tree (argparse definitions live there);
+  that module's source tree (argparse definitions live there) or, for
+  ``repro.bench``, be an alias the bench registry generates;
 * backticked dotted names (``repro.mpi.backend_proc``,
-  ``repro.bench.procs_smoke.smoke``, …) and ``src/repro/...`` /
+  ``repro.bench.registry.run_gate``, …) and ``src/repro/...`` /
   ``tests/...`` style paths — must resolve to an importable module (+
   attribute chain) or an existing file;
 * relative markdown links ``](...)`` — must point at an existing file
-  or directory.
+  or directory;
+* the baseline catalogue in ``docs/benchmarks.md`` — every bench
+  registry entry with a baseline file must have a row naming the file
+  and its gate alias.
 
 The checks are deliberately literal: a flag renamed in ``cli.py`` or a
 module moved in a refactor fails this test until the docs catch up.
@@ -24,6 +28,8 @@ import pathlib
 import re
 
 import pytest
+
+from repro.bench.registry import BENCHES
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -68,7 +74,11 @@ def _package_sources(module_name: str) -> str:
             if impl_origin.name == "__init__.py"
             else [impl_origin]
         )
-    return "\n".join(f.read_text() for f in files)
+    source = "\n".join(f.read_text() for f in files)
+    if module_name == "repro.bench":
+        # the --<name>-smoke aliases are generated from the registry
+        source += "\n" + "\n".join(b.alias for b in BENCHES.values())
+    return source
 
 
 @pytest.mark.parametrize("doc", DOC_FILES, ids=_doc_id)
@@ -152,3 +162,23 @@ def test_relative_links_resolve(doc):
         if not (doc.parent / rel).exists():
             problems.append(f"]({target}): broken relative link")
     assert not problems, f"{_doc_id(doc)}:\n" + "\n".join(f"  - {p}" for p in problems)
+
+
+# ---------------------------------------------------------------------------
+# the baseline catalogue covers the bench registry
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "bench", [b for b in BENCHES.values() if b.baseline], ids=lambda b: b.name
+)
+def test_catalogue_has_a_row_per_registry_baseline(bench):
+    rows = [
+        line
+        for line in (REPO / "docs" / "benchmarks.md").read_text().splitlines()
+        if line.startswith(f"| `benchmarks/{bench.baseline}` |")
+    ]
+    assert len(rows) == 1, f"benchmarks/{bench.baseline}: {len(rows)} catalogue rows"
+    (row,) = rows
+    assert f"python -m repro.bench {bench.name} --write" in row
+    assert f"python -m repro.bench {bench.alias}" in row
