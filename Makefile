@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-faults test-docs lint check
+.PHONY: test test-faults test-sanitize test-docs lint check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -14,6 +14,12 @@ test:
 # every runtime (the benign plan exercises the whole injection plumbing).
 test-faults:
 	$(PYTHON) -m pytest -x -q --faults tests/test_faults.py
+
+# Re-run the whole suite with an RmaSanitizer installed in every runtime:
+# the "zero false positives over the suite" contract (~45 s; the
+# proc-backend tests skip themselves — the sanitizer is thread-only).
+test-sanitize:
+	$(PYTHON) -m pytest -x -q --sanitize
 
 # Static gate: repro.lint over everything we ship, plus ruff when the
 # machine has it (the sandbox image does not bundle ruff; CI does).
@@ -50,4 +56,4 @@ lint:
 test-docs:
 	$(PYTHON) -m pytest -x -q tests/test_docs.py
 
-check: lint test test-faults test-docs lint-smoke sanitize-smoke recover-smoke hotpath-smoke mpi3-smoke procs-smoke proc-recover-smoke traffic-smoke
+check: lint test test-faults test-sanitize test-docs lint-smoke sanitize-smoke recover-smoke hotpath-smoke mpi3-smoke procs-smoke proc-recover-smoke traffic-smoke

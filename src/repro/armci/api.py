@@ -9,7 +9,7 @@ This is the paper's contribution, assembled:
 * strided and IOV noncontiguous operations with the conservative /
   batched / direct / auto methods (§VI);
 * mutexes (Latham queueing algorithm, §V-D), mutex-based RMW, and the
-  MPI-3 fast path when the windows allow it;
+  native ``fetch_and_op`` RMW of the mpi3 datapath;
 * direct local access (access_begin / access_end, §V-E);
 * global-buffer staging (§V-E.1);
 * location-consistent completion semantics with a no-op fence (§V-F).
@@ -163,7 +163,6 @@ class Armci:
         world: Comm,
         config: ArmciConfig,
         strict: bool,
-        mpi3: bool,
         datapath: str = "mpi2",
     ):
         if datapath not in DATAPATHS:
@@ -173,8 +172,6 @@ class Armci:
         self.world = world
         self.config = config
         self.strict = strict
-        #: windows expose the MPI-3 surface (lock_all/flush/fetch_op)
-        self.mpi3 = mpi3 or datapath == "mpi3"
         #: "mpi2" = one epoch per op (§V-C); "mpi3" = standing lock_all
         #: per GMR with per-target flush completion and the nb queue
         self.datapath = datapath
@@ -187,8 +184,11 @@ class Armci:
         self._finalized = False
 
     @property
-    def _flush_mode(self) -> bool:
+    def mpi3(self) -> bool:
+        """Whether the windows expose the MPI-3 surface (lock_all/flush/fetch_op)."""
         return self.datapath == "mpi3"
+
+    _flush_mode = mpi3  # internal name: ops complete by flush, not unlock
 
     # -- lifecycle -----------------------------------------------------------------
     @classmethod
@@ -197,7 +197,6 @@ class Armci:
         comm: Comm,
         config: ArmciConfig = DEFAULT_CONFIG,
         strict: bool = True,
-        mpi3: bool = False,
         datapath: str = "mpi2",
     ) -> "Armci":
         """Collective initialisation; returns one shared runtime object.
@@ -211,20 +210,12 @@ class Armci:
         opens one ``lock_all`` per GMR at allocation and completes every
         operation with a per-target ``flush``, uses native
         ``fetch_and_op`` for RMW, and defers ``nb_*`` operations through
-        the coalescing queue (§VIII-B / the "Quo Vadis" idiom).  The
-        legacy ``mpi3=True`` flag only enables the MPI-3 window surface
-        (ablation use); ``datapath="mpi3"`` implies it.
+        the coalescing queue (§VIII-B / the "Quo Vadis" idiom).
         """
         if config.coherent_shortcut and strict:
             raise ArgumentError(
                 "coherent_shortcut requires strict=False windows "
                 "(it deliberately permits concurrent access, §V-E.1)"
-            )
-        actual_backend = comm.runtime.backend.name
-        if config.backend is not None and config.backend != actual_backend:
-            raise ArgumentError(
-                f"ArmciConfig.backend={config.backend!r} but the runtime "
-                f"uses the {actual_backend!r} backend (see docs/backends.md)"
             )
         world = comm.dup()
         with world.runtime.cond:
@@ -232,7 +223,7 @@ class Armci:
                 world.rank,
                 "armci_init",
                 None,
-                lambda _c: cls(world, config, strict, mpi3, datapath),
+                lambda _c: cls(world, config, strict, datapath),
             )
 
     def finalize(self) -> None:
@@ -365,12 +356,16 @@ class Armci:
 
     # -- contiguous one-sided operations (§V-C, §V-F) ---------------------------------
     def _check_mode(self, gmr: Gmr, kind: str) -> None:
-        """§VIII-A access-mode gate, sanitizer-aware."""
+        """§VIII-A access-mode gate."""
         if gmr.access_mode.allows(kind):
             return
         san = self.world.runtime.sanitizer
         if san is not None:
-            san.on_mode_violation(self.my_id, kind, gmr)
+            san.report(
+                "access-mode", self.my_id, kind, -1, gmr.win.win_id,
+                f"{kind} on GMR {gmr.gmr_id} violates declared access mode "
+                f"{gmr.access_mode.value}",
+            )
         raise ArgumentError(
             f"{kind} on GMR {gmr.gmr_id} violates access mode "
             f"{gmr.access_mode.value} (§VIII-A)"
@@ -443,6 +438,19 @@ class Armci:
         ``MPI_SUM`` accumulate, the mapping §V-F relies on.  Atomic
         element-wise with respect to other accumulates of the same type.
         """
+        (gmr, win_rank, disp, lock_mode), contrib, nbytes = self._acc_contribution(
+            src, dst, scale, nbytes, dtype, snapshot=False
+        )
+        with self._op_epoch(gmr, win_rank, lock_mode):
+            gmr.win.accumulate(contrib, win_rank, disp, op="MPI_SUM")
+        self.stats.count("acc", nbytes)
+
+    def _acc_contribution(self, src, dst: GlobalPtr, scale, nbytes, dtype, snapshot):
+        """Resolve an accumulate's target and its typed, scaled contribution.
+
+        ``snapshot`` forces a private copy even when no scaling made one
+        (a queued op must not see later writes to the user's buffer).
+        """
         if dtype is None:
             if isinstance(src, GlobalPtr):
                 raise ArgumentError("acc from a global pointer requires dtype=")
@@ -454,14 +462,13 @@ class Armci:
             raise ArgumentError(
                 f"acc of {nbytes} bytes is not a whole number of {dtype}"
             )
-        gmr, win_rank, disp, lock_mode = self._target(dst, "acc")
-        lb = buffers.resolve_local(self, src, nbytes, "out")
-        contrib = lb.data.view(dtype)
+        target = self._target(dst, "acc")
+        contrib = buffers.resolve_local(self, src, nbytes, "out").data.view(dtype)
         if scale != 1.0:
             contrib = contrib * dtype.type(scale)
-        with self._op_epoch(gmr, win_rank, lock_mode):
-            gmr.win.accumulate(contrib, win_rank, disp, op="MPI_SUM")
-        self.stats.count("acc", nbytes)
+        elif snapshot:
+            contrib = contrib.copy()
+        return target, contrib, nbytes
 
     # -- nonblocking variants ------------------------------------------------------
     def nb_put(self, src, dst: GlobalPtr, nbytes: "int | None" = None) -> NbHandle:
@@ -499,11 +506,8 @@ class Armci:
         if self._flush_mode:
             self.stats.count("get", nbytes)
             return self._nbq.enqueue("get", gmr, win_rank, disp, nbytes, lb=lb)
-        gmr.win.lock(win_rank, lock_mode)
-        try:
+        with self._op_epoch(gmr, win_rank, lock_mode):
             gmr.win.get(lb.data, win_rank, disp)
-        finally:
-            gmr.win.unlock(win_rank)
         self.stats.count("get", nbytes)
         if lb.writeback is None:
             return NbHandle(kind="get", target=src.rank)
@@ -517,28 +521,13 @@ class Armci:
         if not self._flush_mode:
             self.acc(src, dst, scale, nbytes, dtype)
             return NbHandle(kind="acc", target=dst.rank)
-        if dtype is None:
-            if isinstance(src, GlobalPtr):
-                raise ArgumentError("acc from a global pointer requires dtype=")
-            dtype = np.asarray(src).dtype
-        dtype = np.dtype(dtype)
-        if nbytes is None:
-            nbytes = _infer_nbytes(src)
-        if nbytes % dtype.itemsize:
-            raise ArgumentError(
-                f"acc of {nbytes} bytes is not a whole number of {dtype}"
-            )
-        gmr, win_rank, disp, _ = self._target(dst, "acc")
-        lb = buffers.resolve_local(self, src, nbytes, "out")
-        contrib = lb.data.view(dtype)
-        # snapshot (and scale) the contribution at enqueue time
-        if scale != 1.0:
-            contrib = contrib * dtype.type(scale)
-        else:
-            contrib = contrib.copy()
+        (gmr, win_rank, disp, _), contrib, nbytes = self._acc_contribution(
+            src, dst, scale, nbytes, dtype, snapshot=True
+        )
         self.stats.count("acc", nbytes)
         return self._nbq.enqueue(
-            "acc", gmr, win_rank, disp, nbytes, data=contrib, acc_dtype=dtype
+            "acc", gmr, win_rank, disp, nbytes, data=contrib,
+            acc_dtype=contrib.dtype,
         )
 
     @staticmethod
@@ -675,7 +664,10 @@ class Armci:
         self._check_mode(gmr, kind)
         win_rank, disp = gmr.displacement(remote)
         origin_t = strided.strided_datatype(list(local_strides), list(count))
-        target_t = strided.strided_datatype(list(remote_strides), list(count))
+        target_t = strided.strided_datatype(
+            list(remote_strides), list(count),
+            dt.BYTE if kind != "acc" else dt.from_numpy_dtype(acc_dtype),
+        )
         lock_mode = gmr.access_mode.lock_mode(kind)
         data, writeback = self._stage_strided_local(kind, local_view, origin_t, span)
         if kind == "acc":
@@ -696,11 +688,9 @@ class Armci:
                     target_datatype=target_t, origin_datatype=origin_used,
                 )
             else:
-                acc_t = dt.from_numpy_dtype(acc_dtype)
-                target_acc = _with_base(target_t, acc_t)
                 gmr.win.accumulate(
                     data, win_rank, disp, op="MPI_SUM",
-                    target_datatype=target_acc, origin_datatype=origin_used,
+                    target_datatype=target_t, origin_datatype=origin_used,
                 )
         if writeback is not None:
             writeback()
@@ -868,13 +858,10 @@ class Armci:
 
         mpi3 datapath: a single native ``fetch_and_op`` inside the
         standing lock_all epoch, completed by one flush — no mutex, no
-        epochs (§VIII-B).  Legacy ``mpi3=True`` keeps the per-call
-        shared-lock variant; plain mpi2 uses the §V-D mutex protocol.
+        epochs (§VIII-B).  mpi2 uses the §V-D mutex protocol.
         """
         if self._flush_mode:
             return rmw.rmw_flush(self, op, ptr, value)
-        if self.mpi3:
-            return rmw.rmw_mpi3(self, op, ptr, value)
         return rmw.rmw_mutex_based(self, op, ptr, value)
 
     # -- direct local access (§V-E) ----------------------------------------------
@@ -951,14 +938,3 @@ def _iov_remote(dst) -> tuple[int, np.ndarray]:
             )
     return rank, np.array([p.addr for p in ptrs], dtype=np.int64)
 
-
-def _with_base(t: dt.Datatype, elem: dt.Datatype) -> dt.Datatype:
-    """Rebuild a byte-based datatype's segment map as ``elem``-typed blocks."""
-    sm = t.segment_map()
-    if np.any(sm.offsets % elem.size) or np.any(sm.lengths % elem.size):
-        raise ArgumentError(
-            f"accumulate layout is not aligned to {elem.name} elements"
-        )
-    return dt.hindexed(
-        (sm.lengths // elem.size).tolist(), sm.offsets.tolist(), elem
-    ).commit()

@@ -62,12 +62,6 @@ class ArmciConfig:
         queue auto-drains (issue + one flush) when an enqueue would
         exceed it.  Bounds both memory and the modeled epoch queue
         depth.  Must be >= 1.
-    backend:
-        Expected runtime execution backend (``"thread"`` or ``"proc"``,
-        see :mod:`repro.mpi.backend`).  ``None`` (default) accepts
-        whatever backend the communicator's runtime uses;
-        :meth:`~repro.armci.api.Armci.init` rejects a mismatch so a
-        config tuned for one backend is not silently run on the other.
     """
 
     iov_method: str = "auto"
@@ -78,7 +72,6 @@ class ArmciConfig:
     alignment: int = 64
     nb_coalesce_threshold: int = 512
     nb_max_pending: int = 64
-    backend: "str | None" = None
 
     def __post_init__(self) -> None:
         if self.iov_method not in IOV_METHODS:
@@ -100,10 +93,6 @@ class ArmciConfig:
             raise ValueError("nb_coalesce_threshold must be >= 0 (0 = no merging)")
         if self.nb_max_pending < 1:
             raise ValueError("nb_max_pending must be >= 1")
-        if self.backend is not None and self.backend not in ("thread", "proc"):
-            raise ValueError(
-                f"backend must be None, 'thread', or 'proc', got {self.backend!r}"
-            )
 
     def with_(self, **kw) -> "ArmciConfig":
         """Copy with overrides (benches sweep methods this way)."""

@@ -32,36 +32,46 @@ from ..mpi.window import LOCK_EXCLUSIVE
 
 if TYPE_CHECKING:  # pragma: no cover
     from .api import Armci
-    from .gmr import GlobalPtr
+    from .gmr import GlobalPtr, Gmr
 
 __all__ = ["DlaState", "access_begin", "access_end"]
 
 
 class DlaState:
-    """Per-process bookkeeping of open DLA epochs (keyed by GMR id)."""
+    """Bookkeeping of open DLA epochs and the §V-E discipline on them."""
 
     def __init__(self) -> None:
-        self._open: dict[tuple[int, int], int] = {}  # (world rank, gmr id) -> count
+        self._open: set[tuple[int, int]] = set()  # (rank, gmr id)
 
-    def begin(self, world_rank: int, gmr_id: int) -> None:
-        key = (world_rank, gmr_id)
-        if key in self._open:
-            raise RMASyncError(
-                f"nested ARMCI access_begin on GMR {gmr_id}: direct-access "
-                "epochs do not nest (one lock per window per process)"
+    def begin(self, rank: int, gmr: "Gmr") -> None:
+        if (rank, gmr.gmr_id) in self._open:
+            _violate(
+                rank, gmr, "access_begin",
+                f"nested ARMCI access_begin on GMR {gmr.gmr_id}: direct-access "
+                "epochs do not nest (one lock per window per process)",
+                f"nested access_begin on GMR {gmr.gmr_id}: direct-access "
+                "epochs do not nest",
             )
-        self._open[key] = 1
+        self._open.add((rank, gmr.gmr_id))
 
-    def end(self, world_rank: int, gmr_id: int) -> None:
-        key = (world_rank, gmr_id)
-        if key not in self._open:
-            raise RMASyncError(
-                f"ARMCI access_end on GMR {gmr_id} without access_begin"
+    def end(self, rank: int, gmr: "Gmr") -> None:
+        if (rank, gmr.gmr_id) not in self._open:
+            _violate(
+                rank, gmr, "access_end",
+                f"ARMCI access_end on GMR {gmr.gmr_id} without access_begin",
+                f"access_end on GMR {gmr.gmr_id} without access_begin",
             )
-        del self._open[key]
+        self._open.discard((rank, gmr.gmr_id))
 
-    def is_open(self, world_rank: int, gmr_id: int) -> bool:
-        return (world_rank, gmr_id) in self._open
+    def is_open(self, rank: int, gmr_id: int) -> bool:
+        return (rank, gmr_id) in self._open
+
+
+def _violate(rank: int, gmr: "Gmr", op: str, plain: str, detail: str) -> None:
+    san = gmr.win.runtime.sanitizer
+    if san is not None:
+        san.report("dla", rank, op, -1, gmr.win.win_id, detail)
+    raise RMASyncError(plain)
 
 
 def access_begin(
@@ -86,11 +96,7 @@ def access_begin(
         raise ArgumentError(
             f"access_begin: {nbytes} bytes is not a whole number of {dtype}"
         )
-    san = gmr.win.runtime.sanitizer
-    if san is not None:
-        with gmr.win.runtime.cond:
-            san.on_dla_begin_attempt(me, gmr)
-    armci._dla.begin(me, gmr.gmr_id)
+    armci._dla.begin(me, gmr)
     try:
         if armci._flush_mode:
             # the standing lock_all epoch already permits local access
@@ -100,14 +106,14 @@ def access_begin(
             gmr.win.flush(win_rank)
         else:
             gmr.win.lock(win_rank, LOCK_EXCLUSIVE)
+            san = gmr.win.runtime.sanitizer
+            if san is not None:
+                # told only after the lock succeeds, so the DLA's own lock
+                # is never mistaken for a lock-while-DLA violation
+                san.on_dla_lock(me, gmr.win)
     except BaseException:
-        armci._dla.end(me, gmr.gmr_id)
+        armci._dla.end(me, gmr)
         raise
-    if san is not None:
-        # registered only after the lock succeeds, so the DLA's own lock
-        # is never mistaken for a lock-while-DLA violation
-        with gmr.win.runtime.cond:
-            san.on_dla_begin(me, gmr)
     slab = gmr.win.local_view()  # checked: self-lock or standing lock_all
     return slab[disp : disp + nbytes].view(dtype)
 
@@ -116,17 +122,13 @@ def access_end(armci: "Armci", ptr: "GlobalPtr") -> None:
     """End the direct-access epoch opened by :func:`access_begin`."""
     me = armci.my_id
     gmr = armci.table.require(ptr)
-    san = gmr.win.runtime.sanitizer
-    if san is not None:
-        with gmr.win.runtime.cond:
-            san.on_dla_end_attempt(me, gmr)
-    armci._dla.end(me, gmr.gmr_id)
-    if san is not None:
-        with gmr.win.runtime.cond:
-            san.on_dla_end(me, gmr)
+    armci._dla.end(me, gmr)
     if armci._flush_mode:
         # publish the direct stores: under the standing lock_all a flush
         # is the completion point (there is no lock to release)
         gmr.win.flush(gmr.group.rank)
     else:
+        san = gmr.win.runtime.sanitizer
+        if san is not None:
+            san.on_dla_unlock(me, gmr.win)
         gmr.win.unlock(gmr.group.rank)

@@ -279,7 +279,7 @@ class NbQueue:
                     else:
                         h._complete()
             if queue:
-                self._san_event("on_nb_discard", queue[0].gmr, key[2])
+                self._san_event("on_nb_drain", queue[0].gmr, key[2])
 
     def audit_finalize(self) -> None:
         """Drained-queue-at-finalize invariant (sanitizer-reported).

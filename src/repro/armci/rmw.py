@@ -9,9 +9,8 @@ each GMR owns a mutex, and an RMW is
 
 two full epochs plus two mutex messages, which is why the paper calls
 this "a high-latency implementation" and why MPI-3's ``fetch_and_op``
-(gated behind ``mpi3=True`` in our substrate) matters.  The MPI-3 fast
-path is implemented in :meth:`~repro.armci.api.Armci.rmw` when the
-windows were created in MPI-3 mode.
+matters: :func:`rmw_flush` is the single-op protocol the mpi3 datapath
+(``Armci.init(datapath="mpi3")``) uses instead.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "SWAP_LONG",
     "rmw_dtype",
     "rmw_mutex_based",
-    "rmw_mpi3",
     "rmw_flush",
 ]
 
@@ -110,30 +108,6 @@ def rmw_mutex_based(armci: "Armci", op: str, ptr: "GlobalPtr", value: int) -> in
     return int(old[0])
 
 
-def rmw_mpi3(armci: "Armci", op: str, ptr: "GlobalPtr", value: int) -> int:
-    """MPI-3 fast path: one fetch_and_op / compare-free swap (§VIII-B).
-
-    Legacy per-call form (``mpi3=True`` without the mpi3 datapath): it
-    opens a shared epoch of its own around the atomic.
-    """
-    from ..mpi import datatypes as dt
-
-    dtype = rmw_dtype(op)
-    gmr = armci.table.require(ptr)
-    win_rank, disp = gmr.displacement(ptr)
-    mpi_t = dt.from_numpy_dtype(dtype)
-    gmr.win.lock(win_rank, "shared")
-    try:
-        if op in (FETCH_AND_ADD, FETCH_AND_ADD_LONG):
-            old = gmr.win.fetch_and_op(value, win_rank, disp, mpi_t, op="MPI_SUM")
-        else:
-            old = gmr.win.fetch_and_op(value, win_rank, disp, mpi_t, op="MPI_REPLACE")
-    finally:
-        gmr.win.unlock(win_rank)
-    armci.stats.rmw_ops += 1
-    return int(old)
-
-
 def rmw_flush(armci: "Armci", op: str, ptr: "GlobalPtr", value: int) -> int:
     """MPI-3 datapath RMW: fetch_and_op in the standing lock_all epoch.
 
@@ -150,11 +124,9 @@ def rmw_flush(armci: "Armci", op: str, ptr: "GlobalPtr", value: int) -> int:
     mpi_t = dt.from_numpy_dtype(dtype)
     # per-location program order vs queued nb ops on this target
     armci._nbq.drain(gmr, win_rank)
+    mpi_op = "MPI_SUM" if op in (FETCH_AND_ADD, FETCH_AND_ADD_LONG) else "MPI_REPLACE"
     try:
-        if op in (FETCH_AND_ADD, FETCH_AND_ADD_LONG):
-            old = gmr.win.fetch_and_op(value, win_rank, disp, mpi_t, op="MPI_SUM")
-        else:
-            old = gmr.win.fetch_and_op(value, win_rank, disp, mpi_t, op="MPI_REPLACE")
+        old = gmr.win.fetch_and_op(value, win_rank, disp, mpi_t, op=mpi_op)
     finally:
         gmr.win.flush(win_rank)
     armci.stats.rmw_ops += 1

@@ -183,7 +183,7 @@ def _nests_evenly(strides: Sequence[int], count: Sequence[int]) -> bool:
 #: bound on the committed-datatype memo below (entries, LRU eviction)
 STRIDED_DATATYPE_CACHE_MAX = 256
 
-#: (strides, count) -> committed datatype.  GA issues long runs of
+#: (strides, count, element type) -> committed datatype.  GA issues long runs of
 #: strided operations over identically-shaped patches (every tile of a
 #: distributed array shares one stride/count signature), so the same
 #: translation is requested over and over; rebuilding and re-flattening
@@ -192,7 +192,7 @@ _strided_dt_cache: "OrderedDict[tuple, dt.Datatype]" = OrderedDict()
 
 
 def strided_datatype_uncached(
-    strides: Sequence[int], count: Sequence[int]
+    strides: Sequence[int], count: Sequence[int], elem: dt.Datatype = dt.BYTE
 ) -> dt.Datatype:
     """Build (and commit) the translation datatype, bypassing the memo.
 
@@ -202,20 +202,35 @@ def strided_datatype_uncached(
     """
     sl = len(strides)
     if sl == 0:
-        return dt.contiguous(count[0], dt.BYTE).commit()
-    if _nests_evenly(strides, count):
+        t = dt.contiguous(count[0], dt.BYTE)
+    elif _nests_evenly(strides, count):
         sizes = [count[sl]]
         for i in range(sl - 1, 0, -1):
             sizes.append(strides[i] // strides[i - 1])
         sizes.append(strides[0])
         subsizes = [count[i] for i in range(sl, 0, -1)] + [count[0]]
         starts = [0] * (sl + 1)
-        return dt.subarray(sizes, subsizes, starts, dt.BYTE).commit()
-    disps = segment_displacements(strides, count)
-    return dt.hindexed([count[0]] * len(disps), disps.tolist(), dt.BYTE).commit()
+        t = dt.subarray(sizes, subsizes, starts, dt.BYTE)
+    else:
+        disps = segment_displacements(strides, count)
+        t = dt.hindexed([count[0]] * len(disps), disps.tolist(), dt.BYTE)
+    t.commit()
+    if elem is dt.BYTE:
+        return t
+    # the same byte layout as whole ``elem`` blocks (accumulate's target type)
+    sm = t.segment_map()
+    if np.any(sm.offsets % elem.size) or np.any(sm.lengths % elem.size):
+        raise ArgumentError(
+            f"accumulate layout is not aligned to {elem.name} elements"
+        )
+    return dt.hindexed(
+        (sm.lengths // elem.size).tolist(), sm.offsets.tolist(), elem
+    ).commit()
 
 
-def strided_datatype(strides: Sequence[int], count: Sequence[int]) -> dt.Datatype:
+def strided_datatype(
+    strides: Sequence[int], count: Sequence[int], elem: dt.Datatype = dt.BYTE
+) -> dt.Datatype:
     """One MPI datatype covering a whole strided transfer (memoised).
 
     Prefers the subarray form (the paper's backward translation): the
@@ -226,20 +241,22 @@ def strided_datatype(strides: Sequence[int], count: Sequence[int]) -> dt.Datatyp
     and the patch is ``[count[sl], count[sl-1], ..., count[1], count[0]]``
     starting at index 0 in every dimension.  When strides do not nest
     evenly, an hindexed type over Algorithm 1's displacements is built
-    instead — still a single MPI operation.
+    instead — still a single MPI operation.  ``elem`` types the layout's
+    blocks (an accumulate needs its target's element type); the layout
+    must then consist of whole elements.
 
-    Results are memoised in a bounded LRU keyed on ``(strides, count)``;
+    Results are memoised in a bounded LRU keyed on ``(strides, count, elem)``;
     callers share the returned committed type and must not ``free()`` it
     (a freed cache entry is transparently re-committed on the next hit).
     """
-    key = (tuple(strides), tuple(count))
+    key = (tuple(strides), tuple(count), elem.name)
     hit = _strided_dt_cache.get(key)
     if hit is not None:
         _strided_dt_cache.move_to_end(key)
         # a caller may have free()d the shared type; commit() restores the
         # segment map and is a no-op on a live entry
         return hit.commit()
-    built = strided_datatype_uncached(strides, count)
+    built = strided_datatype_uncached(strides, count, elem)
     _strided_dt_cache[key] = built
     if len(_strided_dt_cache) > STRIDED_DATATYPE_CACHE_MAX:
         _strided_dt_cache.popitem(last=False)

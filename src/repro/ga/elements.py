@@ -36,6 +36,8 @@ def _element_addr(ga: GlobalArray, index: Sequence[int]) -> tuple[int, int]:
 
 def _group_by_owner(ga: GlobalArray, subs: np.ndarray):
     """Group element indices by owner: {owner: (positions, byte offsets)}."""
+    if len(subs) == 0:
+        return {}  # e.g. a TaskPool rank that drew no task: nothing to move
     if subs.ndim != 2 or subs.shape[1] != ga.ndim:
         raise ArgumentError(
             f"{ga.name}: subscript array must be (n, {ga.ndim}), got {subs.shape}"

@@ -98,21 +98,13 @@ from .errors import (
     InternalError,
     OpTimeoutError,
     ProgressDeadlockError,
-    RMASyncError,
     TagError,
     TargetFailedError,
 )
 from .group import Group
 from .p2p import ANY_SOURCE, P2PEngine, Request
 from .runtime import RankFailedError, Runtime, _tls, current_proc
-from .window import (
-    LOCK_EXCLUSIVE,
-    LOCK_SHARED,
-    Win,
-    WinError,
-    _Epoch,
-    _local_exposure_view,
-)
+from .window import LOCK_EXCLUSIVE, Win, _local_exposure_view
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     pass
@@ -156,6 +148,31 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
 # parent side
 # ---------------------------------------------------------------------------
 
+class _FlockMutex:
+    """Cross-process mutex that the kernel releases when its holder dies.
+
+    Stands in for the write lock of a ``multiprocessing.Queue`` inbox: the
+    stock one is a semaphore, so a rank SIGKILLed while its feeder thread
+    holds it would block every later writer to that inbox forever — and
+    with it the votes of the FT rounds that are meant to survive the kill.
+    Each process flocks its own open file description (one inherited over
+    ``fork`` would be shared with the parent and exclude nobody).
+    """
+
+    def __init__(self, path: str):
+        self._path = path
+        self._pid = -1
+        self._file: Any = None
+
+    def acquire(self) -> None:
+        if self._pid != os.getpid():
+            self._pid, self._file = os.getpid(), open(self._path, "ab")
+        fcntl.flock(self._file.fileno(), fcntl.LOCK_EX)
+
+    def release(self) -> None:
+        fcntl.flock(self._file.fileno(), fcntl.LOCK_UN)
+
+
 class ProcBackend(RuntimeBackend):
     """One forked OS process per rank; true multi-core parallelism."""
 
@@ -187,6 +204,8 @@ class ProcBackend(RuntimeBackend):
         inboxes = [ctx.Queue() for _ in range(nproc)]
         result_q = ctx.Queue()
         lockdir = tempfile.mkdtemp(prefix="repro-proc-")
+        for r, q in enumerate(inboxes):
+            q._wlock = _FlockMutex(os.path.join(lockdir, f"inbox{r}.wlock"))
         run_id = f"{os.getpid()}x{next(self._run_counter)}"
         # per-rank heartbeat leases: nproc slots of (pid, monotonic_ns),
         # created zeroed here so every child can attach before its peers
@@ -1344,34 +1363,9 @@ class ProcWin(Win):
 
     # -- passive-target sync -------------------------------------------------
     def lock(self, target_rank: int, mode: str = LOCK_EXCLUSIVE) -> None:
-        if mode not in (LOCK_SHARED, LOCK_EXCLUSIVE):
-            raise ArgumentError(f"unknown lock mode {mode!r}")
-        self._check_target(target_rank)
         rt = self.runtime
-        origin = current_proc().rank
-        if self.comm.group.rank_of_world(origin) < 0:
-            raise WinError(
-                f"world rank {origin} is not in this window's group and "
-                "cannot open an access epoch on it"
-            )
         with rt.cond:
-            self._check_alive()
-            rt.check_self_alive()
-            if origin in self._held:
-                raise RMASyncError(
-                    f"origin {origin} already holds a lock on target "
-                    f"{self._held[origin]} of this window (MPI-2 allows one "
-                    "lock per window per process)"
-                )
-            if origin in self._lock_all:
-                raise RMASyncError("lock() inside a lock_all epoch")
-            if origin in self._fence_members:
-                raise RMASyncError("lock() inside an active-target fence epoch")
-            if self._target_world(target_rank) in rt.dead_ranks:
-                raise TargetFailedError(
-                    f"lock: target rank {target_rank} of win {self.win_id} "
-                    "has failed"
-                )
+            origin, _ = self._lock_begin(target_rank, mode)
         # the cross-process exclusion, acquired without the giant lock so
         # the pump thread keeps running while we spin
         f = self._acquire_flock(
@@ -1380,34 +1374,12 @@ class ProcWin(Win):
         )
         with rt.cond:
             self._epoch_files[target_rank] = f
-            ls = self._locks[target_rank]
-            ls.mode = mode
-            ls.holders.add(origin)
-            self._held[origin] = target_rank
-            self._epochs[(origin, target_rank)] = _Epoch(origin, target_rank, mode)
-            rt.notify_progress()
+            self._open_epoch(origin, target_rank, mode)
 
     def unlock(self, target_rank: int) -> None:
-        self._check_target(target_rank)
-        rt = self.runtime
-        origin = current_proc().rank
-        with rt.cond:
-            self._check_alive()
-            rt.check_self_alive()
-            epoch = self._epochs.pop((origin, target_rank), None)
-            if epoch is None or self._held.get(origin) != target_rank:
-                raise RMASyncError(
-                    f"unlock({target_rank}) without a matching lock by "
-                    f"origin {origin}"
-                )
-            self._deliver_gets(epoch)
-            del self._held[origin]
-            ls = self._locks[target_rank]
-            ls.holders.discard(origin)
-            if not ls.holders:
-                ls.mode = None
+        with self.runtime.cond:
+            self._close_epoch(target_rank)
             f = self._epoch_files.pop(target_rank, None)
-            rt.notify_progress()
         if f is not None:
             self._drop_flock(f)
 

@@ -61,6 +61,10 @@ __all__ = [
 LOCK_SHARED = "shared"
 LOCK_EXCLUSIVE = "exclusive"
 
+_NOTHING_TO_FLUSH = "%s outside any passive-target epoch: nothing to complete"
+#: access class of the MPI-3 atomics' footprints, tracked only for a sanitizer
+_RMW = "rmw"
+
 #: pending additions an :class:`_IntervalSet` tolerates before folding them
 #: into its compacted disjoint coverage (amortises the sort; see class doc)
 INTERVAL_COMPACT_AT = 8
@@ -264,11 +268,12 @@ class _LockState:
 class Win:
     """An RMA window: one memory region per rank of a communicator.
 
-    When ``runtime.sanitizer`` is set (see :mod:`repro.sanitizer`), every
-    synchronisation and data-movement entry point reports to it *before*
-    performing the window's own checks, so the sanitizer can raise
-    structured :class:`~repro.sanitizer.RmaViolationError` subclasses of
-    the plain MPI errors this module would raise.
+    Every §III/§V rule is evaluated here, once, and a failed rule leaves
+    through :meth:`_violate`.  When the runtime has a sanitizer installed
+    (see :mod:`repro.sanitizer`) that exit hands it the finding, so it can
+    record it and raise the structured
+    :class:`~repro.sanitizer.RmaViolationError` subclass of the plain MPI
+    error this module raises otherwise.
     """
 
     def __init__(
@@ -304,9 +309,44 @@ class Win:
             rt._next_win_id = self.win_id + 1
         rt.add_death_hook(self._on_rank_death)
 
-    def _san(self):
-        """The installed sanitizer, or None (hot-path one-liner)."""
-        return self.runtime.sanitizer
+    # -- rule checking ---------------------------------------------------------
+    def _violate(
+        self,
+        plain_exc: "Exception | None",
+        kind: str,
+        op: str,
+        target: int,
+        detail: str,
+        ranges: tuple = (),
+    ) -> None:
+        """The one exit of a failed rule.
+
+        ``kind`` is a ``repro.sanitizer.ViolationKind`` value.  An
+        installed sanitizer gets the finding first (``mode="raise"``
+        raises the structured error there); otherwise, or in
+        ``mode="record"``, the plain MPI error fires.  ``plain_exc`` is
+        ``None`` for rules the window does not enforce by itself, which
+        therefore only a sanitizer can turn into an error.
+        """
+        san = self.runtime.sanitizer
+        if san is not None:
+            san.report(
+                kind, current_proc().rank, op, target, self.win_id, detail, ranges
+            )
+        if plain_exc is not None:
+            raise plain_exc
+
+    def _checked(self) -> bool:
+        """Whether the conflict-class rules apply to this window.
+
+        Always on a strict one; a relaxed window is entitled to
+        conflicting access (the coherent-shortcut model relies on it)
+        unless an installed sanitizer asks with ``check_nonstrict``.
+        """
+        if self.strict:
+            return True
+        san = self.runtime.sanitizer
+        return san is not None and san.check_nonstrict
 
     # -- fault handling --------------------------------------------------------
     def _on_rank_death(self, world_rank: int) -> None:
@@ -442,8 +482,13 @@ class Win:
         return self.comm.group
 
     # -- passive-target synchronisation ---------------------------------------------
-    def lock(self, target_rank: int, mode: str = LOCK_EXCLUSIVE) -> None:
-        """Begin a passive-target access epoch (MPI_Win_lock)."""
+    def _lock_begin(self, target_rank: int, mode: str) -> tuple[int, int]:
+        """Argument and precondition checks of :meth:`lock`.
+
+        Shared by every backend (called with ``runtime.cond`` held): only
+        *how the lock is then acquired* differs between them.  Returns
+        the origin and the target as world ranks.
+        """
         if mode not in (LOCK_SHARED, LOCK_EXCLUSIVE):
             raise ArgumentError(f"unknown lock mode {mode!r}")
         self._check_target(target_rank)
@@ -454,29 +499,76 @@ class Win:
                 f"world rank {origin} is not in this window's group and "
                 "cannot open an access epoch on it"
             )
+        self._check_alive()
+        rt.check_self_alive()
+        if origin in self._held:
+            held = self._held[origin]
+            self._violate(
+                RMASyncError(
+                    f"origin {origin} already holds a lock on target {held} "
+                    "of this window (MPI-2 allows one lock per window per "
+                    "process)"
+                ),
+                "lock-nesting", "lock", target_rank,
+                f"already holds a lock on target {held} of this window (one "
+                "lock per window per process)",
+            )
+        if origin in self._lock_all or origin in self._fence_members:
+            msg = "lock() inside " + (
+                "a lock_all epoch" if origin in self._lock_all
+                else "an active-target fence epoch"
+            )
+            self._violate(RMASyncError(msg), "lock-nesting", "lock", target_rank, msg)
+        target_world = self._target_world(target_rank)
+        if target_world in rt.dead_ranks:
+            raise TargetFailedError(
+                f"lock: target rank {target_rank} of win {self.win_id} has failed"
+            )
+        return origin, target_world
+
+    def _open_epoch(self, origin: int, target_rank: int, mode: str) -> None:
+        """Bookkeeping of a granted lock (``runtime.cond`` held)."""
+        ls = self._locks[target_rank]
+        ls.mode = mode
+        ls.holders.add(origin)
+        self._held[origin] = target_rank
+        self._epochs[(origin, target_rank)] = _Epoch(origin, target_rank, mode)
+        self.runtime.notify_progress()
+
+    def _close_epoch(self, target_rank: int) -> None:
+        """Checks and bookkeeping of :meth:`unlock` (``runtime.cond`` held)."""
+        self._check_target(target_rank)
+        origin = current_proc().rank
+        self._check_alive()
+        self.runtime.check_self_alive()
+        epoch = self._epochs.get((origin, target_rank))
+        if epoch is None or self._held.get(origin) != target_rank:
+            self._violate(
+                RMASyncError(
+                    f"unlock({target_rank}) without a matching lock by origin {origin}"
+                ),
+                "lock-unmatched", "unlock", target_rank,
+                "unlock without a matching lock by this origin",
+            )
+        if epoch.pending_reqs:
+            self._audit_requests(epoch)
+        del self._epochs[(origin, target_rank)]
+        self._deliver_gets(epoch)
+        del self._held[origin]
+        self._release(origin, target_rank)
+        self.runtime.notify_progress()
+
+    def _release(self, origin: int, target_rank: int) -> None:
+        ls = self._locks[target_rank]
+        ls.holders.discard(origin)
+        if not ls.holders:
+            ls.mode = None
+
+    def lock(self, target_rank: int, mode: str = LOCK_EXCLUSIVE) -> None:
+        """Begin a passive-target access epoch (MPI_Win_lock)."""
+        rt = self.runtime
         with rt.cond:
-            self._check_alive()
-            rt.check_self_alive()
-            san = self._san()
-            if san is not None:
-                san.on_lock(self, origin, target_rank, mode)
-            if origin in self._held:
-                raise RMASyncError(
-                    f"origin {origin} already holds a lock on target "
-                    f"{self._held[origin]} of this window (MPI-2 allows one "
-                    "lock per window per process)"
-                )
-            if origin in self._lock_all:
-                raise RMASyncError("lock() inside a lock_all epoch")
-            if origin in self._fence_members:
-                raise RMASyncError(
-                    "lock() inside an active-target fence epoch"
-                )
-            target_world = self._target_world(target_rank)
-            if target_world in rt.dead_ranks:
-                raise TargetFailedError(
-                    f"lock: target rank {target_rank} of win {self.win_id} has failed"
-                )
+            origin, target_world = self._lock_begin(target_rank, mode)
             ls = self._locks[target_rank]
 
             def grantable() -> bool:
@@ -518,37 +610,13 @@ class Win:
                     "failed while the request was queued"
                 )
             ls.queue.pop(0)
-            ls.mode = mode
-            ls.holders.add(origin)
-            self._held[origin] = target_rank
-            self._epochs[(origin, target_rank)] = _Epoch(origin, target_rank, mode)
-            rt.notify_progress()
+            self._open_epoch(origin, target_rank, mode)
         self._charge_sync("lock")
 
     def unlock(self, target_rank: int) -> None:
         """End the access epoch; completes all ops locally and remotely."""
-        self._check_target(target_rank)
-        rt = self.runtime
-        origin = current_proc().rank
-        with rt.cond:
-            self._check_alive()
-            rt.check_self_alive()
-            san = self._san()
-            if san is not None:
-                san.on_unlock(self, origin, target_rank)
-                san.on_epoch_close(self, origin, target_rank)
-            epoch = self._epochs.pop((origin, target_rank), None)
-            if epoch is None or self._held.get(origin) != target_rank:
-                raise RMASyncError(
-                    f"unlock({target_rank}) without a matching lock by origin {origin}"
-                )
-            self._deliver_gets(epoch)
-            del self._held[origin]
-            ls = self._locks[target_rank]
-            ls.holders.discard(origin)
-            if not ls.holders:
-                ls.mode = None
-            rt.notify_progress()
+        with self.runtime.cond:
+            self._close_epoch(target_rank)
         self._charge_sync("unlock")
 
     # -- active-target synchronisation (MPI_Win_fence) --------------------------------
@@ -617,11 +685,21 @@ class Win:
         rt = self.runtime
         origin = current_proc().rank
         with rt.cond:
-            san = self._san()
-            if san is not None:
-                san.on_lock_all(self, origin)
             if origin in self._held or origin in self._lock_all:
-                raise RMASyncError("lock_all while already in an epoch")
+                self._violate(
+                    RMASyncError("lock_all while already in an epoch"),
+                    "lock-nesting", "lock_all", -1,
+                    "lock_all while already in a lock_all epoch"
+                    if origin in self._lock_all
+                    else f"lock_all while holding a lock on target "
+                    f"{self._held[origin]} of this window",
+                )
+            if origin in self._fence_members:
+                # not a rule the window enforces by itself
+                self._violate(
+                    None, "lock-nesting", "lock_all", -1,
+                    "lock_all inside an active-target fence epoch",
+                )
             # acquire shared on all targets via the same FIFO discipline
             for t in range(self.comm.size):
                 ls = self._locks[t]
@@ -646,20 +724,17 @@ class Win:
         rt = self.runtime
         origin = current_proc().rank
         with rt.cond:
-            san = self._san()
-            if san is not None:
-                san.on_unlock_all(self, origin)
-                for t in range(self.comm.size):
-                    san.on_epoch_close(self, origin, t)
             if origin not in self._lock_all:
-                raise RMASyncError("unlock_all without lock_all")
+                self._violate(
+                    RMASyncError("unlock_all without lock_all"),
+                    "lock-unmatched", "unlock_all", -1,
+                    "unlock_all without a lock_all epoch open",
+                )
             for t in range(self.comm.size):
-                epoch = self._epochs.pop((origin, t))
-                self._deliver_gets(epoch)
-                ls = self._locks[t]
-                ls.holders.discard(origin)
-                if not ls.holders:
-                    ls.mode = None
+                self._audit_requests(self._epochs[(origin, t)])
+            for t in range(self.comm.size):
+                self._deliver_gets(self._epochs.pop((origin, t)))
+                self._release(origin, t)
             self._lock_all.discard(origin)
             rt.notify_progress()
         self._charge_sync("unlock_all")
@@ -680,16 +755,13 @@ class Win:
                 )
             epoch = self._epochs.get((origin, target_rank))
             if epoch is None:
-                san = self._san()
-                if san is not None:
-                    san.on_flush_no_epoch(self, origin, target_rank, "flush")
-                raise RMASyncError(f"flush({target_rank}) outside an epoch")
+                self._violate(
+                    RMASyncError(f"flush({target_rank}) outside an epoch"),
+                    "flush", "flush", target_rank, _NOTHING_TO_FLUSH % "flush",
+                )
             self._deliver_gets(epoch)
             # flushed ops no longer conflict with later ops of this epoch
             epoch.clear_accesses()
-            san = self._san()
-            if san is not None:
-                san.on_flush(self, origin, target_rank)
             self.runtime.notify_progress()
         self._charge_sync("flush")
 
@@ -698,15 +770,15 @@ class Win:
         origin = current_proc().rank
         with self.runtime.cond:
             self.runtime.check_self_alive()
-            san = self._san()
-            if san is not None and not any(o == origin for (o, _t) in self._epochs):
-                san.on_flush_no_epoch(self, origin, -1, "flush_all")
-            for (o, t), epoch in self._epochs.items():
-                if o == origin:
-                    self._deliver_gets(epoch)
-                    epoch.clear_accesses()
-                    if san is not None:
-                        san.on_flush(self, origin, t)
+            mine = [e for (o, _t), e in self._epochs.items() if o == origin]
+            if not mine:
+                # a no-op for the window; only a sanitizer objects
+                self._violate(
+                    None, "flush", "flush_all", -1, _NOTHING_TO_FLUSH % "flush_all"
+                )
+            for epoch in mine:
+                self._deliver_gets(epoch)
+                epoch.clear_accesses()
             self.runtime.notify_progress()
         self._charge_sync("flush")
 
@@ -723,11 +795,7 @@ class Win:
         op = mpi_ops.lookup(op)
         origin = current_proc().rank
         with self.runtime.cond:
-            san = self._san()
-            if san is not None:
-                san.on_rmw(self, origin, target_rank, target_offset, datatype)
-            self._require_epoch(origin, target_rank)
-            buf = self._typed_view(target_rank, target_offset, datatype, 1)
+            buf = self._atomic_view(origin, target_rank, target_offset, datatype)
             old = buf[0].item()
             if op is not mpi_ops.NO_OP:
                 src = np.array([value], dtype=datatype.base)
@@ -748,11 +816,7 @@ class Win:
         self._require_mpi3("compare_and_swap")
         origin = current_proc().rank
         with self.runtime.cond:
-            san = self._san()
-            if san is not None:
-                san.on_rmw(self, origin, target_rank, target_offset, datatype)
-            self._require_epoch(origin, target_rank)
-            buf = self._typed_view(target_rank, target_offset, datatype, 1)
+            buf = self._atomic_view(origin, target_rank, target_offset, datatype)
             old = buf[0].item()
             if old == compare:
                 buf[0] = value
@@ -779,14 +843,11 @@ class Win:
         )
         with self.runtime.cond:
             o = current_proc().rank
-            san = self._san()
-            if san is not None:
-                san.on_op(self, o, "put", None, segmap, origin, target_rank)
-            epoch = self._require_epoch(o, target_rank)
-            self._record_access(epoch, "put", None, segmap)
+            epoch = self._require_epoch(o, target_rank, "put")
+            self._record_access(epoch, "put", None, segmap, origin)
             payload = self._fault_filter("put", data)
             if payload is not None:
-                self._scatter_target(target_rank, segmap, payload)
+                segmap.scatter(self._buffers[target_rank], payload)
             op_index = epoch.op_count
             epoch.op_count += 1
             epoch.bytes_moved += len(data)
@@ -829,12 +890,11 @@ class Win:
         )
         with self.runtime.cond:
             o = current_proc().rank
-            san = self._san()
-            if san is not None:
-                san.on_op(self, o, "get", None, segmap, origin, target_rank)
-            epoch = self._require_epoch(o, target_rank)
-            self._record_access(epoch, "get", None, segmap)
-            staged = self._gather_target(target_rank, segmap)
+            epoch = self._require_epoch(o, target_rank, "get")
+            self._record_access(epoch, "get", None, segmap, origin)
+            # staged until unlock, so the gather must copy (gather() copies
+            # for every multi-segment map; copy=True forces it for one segment)
+            staged = segmap.gather(self._buffers[target_rank], copy=True)
             nbytes = len(staged)
             staged = self._fault_filter("get", staged)
             if staged is not None:
@@ -876,11 +936,8 @@ class Win:
             raise ArgumentError("accumulate: cannot infer element type")
         with self.runtime.cond:
             o = current_proc().rank
-            san = self._san()
-            if san is not None:
-                san.on_op(self, o, "acc", op.name, segmap, origin, target_rank)
-            epoch = self._require_epoch(o, target_rank)
-            self._record_access(epoch, "acc", op.name, segmap)
+            epoch = self._require_epoch(o, target_rank, "acc")
+            self._record_access(epoch, "acc", op.name, segmap, origin)
             payload = self._fault_filter("acc", data)
             if payload is not None:
                 self._accumulate_target(target_rank, segmap, payload, base, op)
@@ -929,7 +986,7 @@ class Win:
         Only done when a sanitizer is installed: the window itself never
         reads ``pending_reqs``, so plain runs keep zero bookkeeping.
         """
-        if self._san() is None:
+        if self.runtime.sanitizer is None:
             return
         origin = current_proc().rank
         with self.runtime.cond:
@@ -948,21 +1005,22 @@ class Win:
         """
         me = self.comm.rank
         origin = current_proc().rank
-        san = self._san()
-        if self.strict or san is not None:
+        if self._checked():
             with self.runtime.cond:
                 epoch = self._epochs.get((origin, me))
                 ok = epoch is not None and epoch.mode == LOCK_EXCLUSIVE
                 if not ok and origin in self._lock_all:
                     ok = True  # MPI-3 unified-model relaxation
                 if not ok:
-                    if san is not None:
-                        san.on_bare_local_access(self, origin)
-                    if self.strict:
-                        raise RMASyncError(
+                    self._violate(
+                        RMASyncError(
                             "direct local access requires an exclusive self-lock "
                             "(use ARMCI access_begin/access_end)"
-                        )
+                        ) if self.strict else None,
+                        "local-load-store", "local_view", me,
+                        "direct load/store of exposed memory without an "
+                        "exclusive self-lock",
+                    )
         return self._buffers[me].view(np.dtype(dtype))
 
     def exposed_buffer(self, target_rank: int) -> np.ndarray:
@@ -991,27 +1049,19 @@ class Win:
                 f"target rank {target_rank} not in [0, {self.comm.size})"
             )
 
-    def _typed_view(
-        self, target_rank: int, target_offset: int, datatype: dt.Datatype, count: int
-    ) -> np.ndarray:
-        """Typed element view into a target buffer (atomic-op helper)."""
-        disp = target_offset * self._disp_units[target_rank]
-        nbytes = datatype.size * count
-        buf = self._buffers[target_rank]
-        if disp < 0 or disp + nbytes > buf.nbytes:
-            san = self._san()
-            if san is not None:
-                san.on_range(
-                    self, current_proc().rank, "rmw",
-                    disp, disp + nbytes, buf.nbytes, target_rank,
-                )
-            raise RMARangeError(
-                f"atomic access [{disp},{disp + nbytes}) outside window of "
-                f"{buf.nbytes}B at target {target_rank}"
-            )
-        return buf[disp : disp + nbytes].view(datatype.base)
+    def _out_of_range(self, what: str, op: str, lo: int, hi: int, target_rank: int):
+        nbytes = self._buffers[target_rank].nbytes
+        self._violate(
+            RMARangeError(
+                f"{what} outside window of {nbytes}B at target {target_rank}"
+            ),
+            "range", op, target_rank,
+            f"datatype footprint exceeds the {nbytes}-byte window region at "
+            "the target",
+            ((lo, hi),),
+        )
 
-    def _require_epoch(self, origin_world: int, target_rank: int) -> _Epoch:
+    def _require_epoch(self, origin_world: int, target_rank: int, op: str) -> _Epoch:
         self.runtime.check_self_alive()
         if self._target_world(target_rank) in self.runtime.dead_ranks:
             raise TargetFailedError(
@@ -1022,8 +1072,11 @@ class Win:
         if epoch is None:
             epoch = self._fence_epoch(origin_world, target_rank)
         if epoch is None:
-            raise RMASyncError(
-                f"RMA operation on target {target_rank} outside an access epoch"
+            self._violate(
+                RMASyncError(
+                    f"RMA operation on target {target_rank} outside an access epoch"
+                ),
+                "epoch", op, target_rank, "RMA operation outside any access epoch",
             )
         return epoch
 
@@ -1055,15 +1108,8 @@ class Win:
         if segmap.nsegments:
             lo, hi = segmap.bounds()
             if lo < 0 or hi > buf.nbytes:
-                san = self._san()
-                if san is not None:
-                    san.on_range(
-                        self, current_proc().rank, kind,
-                        int(lo), int(hi), buf.nbytes, target_rank,
-                    )
-                raise RMARangeError(
-                    f"access [{lo},{hi}) outside window of {buf.nbytes}B "
-                    f"at target {target_rank}"
+                self._out_of_range(
+                    f"access [{lo},{hi})", kind, int(lo), int(hi), target_rank
                 )
         return segmap
 
@@ -1092,14 +1138,6 @@ class Win:
             if np.may_share_memory(data, self._buffers[target_rank]):
                 data = data.copy()
         return data
-
-    def _scatter_target(self, target_rank: int, segmap: dt.SegmentMap, data: np.ndarray) -> None:
-        segmap.scatter(self._buffers[target_rank], data)
-
-    def _gather_target(self, target_rank: int, segmap: dt.SegmentMap) -> np.ndarray:
-        # staged until unlock, so the gather must copy (gather() copies
-        # for every multi-segment map; copy=True forces it for one segment)
-        return segmap.gather(self._buffers[target_rank], copy=True)
 
     def _accumulate_target(
         self,
@@ -1144,40 +1182,116 @@ class Win:
             pos += ln
 
     def _record_access(
-        self, epoch: _Epoch, kind: str, opname: "str | None", segmap: dt.SegmentMap
+        self,
+        epoch: _Epoch,
+        kind: str,
+        opname: "str | None",
+        segmap: dt.SegmentMap,
+        origin_buf: np.ndarray,
     ) -> None:
-        if not self.strict:
+        """Apply the conflict-class rules to one put/get/acc, then record it."""
+        if not self._checked():
             return
         if segmap.nsegments <= 1:
             # contiguous fast path: nothing to sort
-            new_off, new_len = segmap.offsets, segmap.lengths
+            offs, lens = segmap.offsets, segmap.lengths
         else:
             order = np.argsort(segmap.offsets, kind="stable")
-            new_off = segmap.offsets[order]
-            new_len = segmap.lengths[order]
+            offs = segmap.offsets[order]
+            lens = segmap.lengths[order]
         if segmap.overlaps_self() and kind != "acc":
-            raise RMAConflictError(
-                f"{kind} with self-overlapping target segments within one operation"
+            msg = f"{kind} with self-overlapping target segments within one operation"
+            self._violate(
+                RMAConflictError(msg) if self.strict else None,
+                "conflict", kind, epoch.target, msg,
             )
-        # same-epoch conflicts
-        hit = epoch.conflict_class(kind, opname, new_off, new_len)
-        if hit is not None:
-            raise RMAConflictError(
+        san = self.runtime.sanitizer
+        if san is not None:
+            san.on_op(self, epoch.origin, kind, origin_buf, epoch.mode, epoch.target)
+        self._check_conflicts(epoch, kind, opname, offs, lens)
+        epoch.record(kind, opname, offs, lens)
+
+    def _check_conflicts(
+        self, epoch: _Epoch, kind: str, opname: "str | None", offs, lens
+    ) -> None:
+        """Fail on the first earlier access the new one conflicts with.
+
+        Searched in the origin's own epoch, then in the concurrently open
+        epochs of other origins on the same target (possible only under
+        shared locks and fence epochs).
+        """
+        other = epoch
+        hit = epoch.conflict_class(kind, opname, offs, lens)
+        if hit is None:
+            for (o, t), other in self._epochs.items():
+                if t == epoch.target and o != epoch.origin:
+                    hit = other.conflict_class(kind, opname, offs, lens)
+                    if hit is not None:
+                        break
+            else:
+                return
+        desc = _RMW if opname == _RMW else kind
+        if other is epoch:
+            plain = (
                 f"{kind} conflicts with earlier {hit} in the same epoch "
                 f"(origin {epoch.origin} -> target {epoch.target})"
             )
-        # cross-origin conflicts: only possible when the target lock is shared
-        for (o, t), other in self._epochs.items():
-            if t != epoch.target or o == epoch.origin:
-                continue
-            hit = other.conflict_class(kind, opname, new_off, new_len)
-            if hit is not None:
-                raise RMAConflictError(
-                    f"{kind} by origin {epoch.origin} conflicts with "
-                    f"concurrent {hit} by origin {o} on target {t} "
-                    "(both hold shared locks)"
-                )
-        epoch.record(kind, opname, new_off, new_len)
+            who = "in the same epoch"
+        else:
+            plain = (
+                f"{kind} by origin {epoch.origin} conflicts with concurrent "
+                f"{hit} by origin {other.origin} on target {epoch.target} "
+                "(both hold shared locks)"
+            )
+            who = f"in a concurrent epoch of origin {other.origin}"
+        # the window has no rule of its own about atomics' footprints
+        enforced = self.strict and opname != _RMW and hit != f"acc({_RMW})"
+        self._violate(
+            RMAConflictError(plain) if enforced else None,
+            "acc-interleave" if kind == "acc" and hit.startswith("acc") else "conflict",
+            desc, epoch.target, f"{desc} overlaps an earlier {hit} access {who}",
+            ((int(offs[0]), int((offs + lens).max())),),
+        )
+
+    def _atomic_view(
+        self, origin: int, target_rank: int, target_offset: int, datatype: dt.Datatype
+    ) -> np.ndarray:
+        """The element an MPI-3 atomic operates on, after the rule checks.
+
+        The window treats atomics as self-contained and never
+        conflict-checks them; only when a sanitizer is installed is their
+        footprint checked and recorded, as one mutually atomic accumulate
+        class — mixed atomics on one counter are clean, an atomic racing
+        a put/get in the same epoch is not.
+        """
+        epoch = self._require_epoch(origin, target_rank, _RMW)
+        disp = target_offset * self._disp_units[target_rank]
+        end = disp + datatype.size
+        buf = self._buffers[target_rank]
+        if disp < 0 or end > buf.nbytes:
+            self._out_of_range(
+                f"atomic access [{disp},{end})", _RMW, disp, end, target_rank
+            )
+        if self.runtime.sanitizer is not None and self._checked():
+            offs = np.array([disp], dtype=np.int64)
+            lens = np.array([datatype.size], dtype=np.int64)
+            self._check_conflicts(epoch, "acc", _RMW, offs, lens)
+            epoch.record("acc", _RMW, offs, lens)
+        return buf[disp:end].view(datatype.base)
+
+    def _audit_requests(self, epoch: _Epoch) -> None:
+        """A closing epoch must leave no request-based op unwaited.
+
+        ``pending_reqs`` is only ever filled for a sanitizer (see
+        :meth:`_register_request`); the window has no such rule itself.
+        """
+        pending = sum(1 for r in epoch.pending_reqs if not r.completed)
+        if pending:
+            self._violate(
+                None, "request", "unlock", epoch.target,
+                f"{pending} request-based op(s) (rput/rget) never completed "
+                "with wait/test before the epoch closed",
+            )
 
     def _deliver_gets(self, epoch: _Epoch) -> None:
         for staged, user_view, origin_segmap in epoch.pending_gets:

@@ -171,8 +171,7 @@ def recover(armci: Armci, *, rebuild: bool = True) -> "tuple[Armci, RecoveryRepo
             "armci_recover_init",
             None,
             lambda _c: Armci(
-                newcomm, armci.config, armci.strict, armci.mpi3,
-                datapath=armci.datapath,
+                newcomm, armci.config, armci.strict, armci.datapath
             ),
         )
 

@@ -1,27 +1,35 @@
-"""The dynamic RMA rule checker (see :mod:`repro.sanitizer`).
+"""The dynamic RMA rule checker's reporting policy (see :mod:`repro.sanitizer`).
 
-:class:`RmaSanitizer` is installed on a runtime as
-``runtime.sanitizer``; :class:`~repro.mpi.window.Win` and the ARMCI
-layers report every synchronisation and data-movement event to it
-*before* executing their own checks.  The sanitizer therefore sees the
-same state the window does, plus shadow state of its own for the two
-things the window never tracks:
+Every §III/§V rule is *evaluated* once, where the state it is about
+lives: in :class:`~repro.mpi.window.Win` (epochs, locks, byte coverage,
+ranges) and in the ARMCI layer (access modes, direct-local-access
+epochs, the nonblocking queue).  A failed rule is handed to the
+:class:`RmaSanitizer` installed as ``runtime.sanitizer`` through
+:meth:`RmaSanitizer.report`, which decides what happens to it.
 
-* byte coverage of epochs on ``strict=False`` windows (checked only
-  when ``check_nonstrict=True``, because relaxed windows are entitled
-  to conflicting access — the coherent-shortcut model relies on it);
-* the footprints of MPI-3 atomics (``fetch_and_op`` /
-  ``compare_and_swap``), which the window treats as self-contained and
-  never conflict-checks.  The sanitizer models them as one mutually
-  atomic accumulate class (``rmw``), so mixed atomics on one counter
-  are clean but an atomic racing a put/get in the same epoch is not.
+Having a sanitizer installed also makes the window track two kinds of
+footprint it otherwise ignores, in its own epoch records:
+
+* accesses on ``strict=False`` windows, when ``check_nonstrict=True``
+  (off by default, because relaxed windows are entitled to conflicting
+  access — the coherent-shortcut model relies on it);
+* the MPI-3 atomics (``fetch_and_op`` / ``compare_and_swap``), as one
+  mutually atomic accumulate class (``rmw``), so mixed atomics on one
+  counter are clean but an atomic racing a put/get in the same epoch is
+  not.
+
+What is evaluated *here* are the rules that need the sanitizer's own
+state or are nobody else's business: a local buffer aliasing the
+window's exposed memory (LOCAL_ALIAS), the refinement of a nested lock
+into LOCK_WHILE_DLA, and the flush-completion ledger of the MPI-3
+datapath's nonblocking queue.
 
 In ``mode="raise"`` (default) a violation raises the structured
 exception immediately — and because every structured exception is also
-the plain MPI error the window would have raised, programs and tests
-written against the plain classes behave identically.  In
+the plain MPI error the evaluating layer would have raised, programs
+and tests written against the plain classes behave identically.  In
 ``mode="record"`` violations accumulate in :attr:`violations` and the
-underlying layer's own error (if any) still fires.
+evaluating layer's own error (if the rule has one) still fires.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import threading
 
 import numpy as np
 
-from ..mpi.window import LOCK_EXCLUSIVE, LOCK_SHARED, _Epoch
+from ..mpi.window import LOCK_EXCLUSIVE, LOCK_SHARED
 from .violations import (
     ConflictViolationError,
     ModeViolationError,
@@ -42,16 +50,25 @@ from .violations import (
 
 __all__ = ["RmaSanitizer"]
 
+#: the structured error of each kind that is not a SyncViolationError
+_ERRORS = {
+    ViolationKind.CONFLICT: ConflictViolationError,
+    ViolationKind.ACC_INTERLEAVE: ConflictViolationError,
+    ViolationKind.LOCAL_ALIAS: ConflictViolationError,
+    ViolationKind.RANGE: RangeViolationError,
+    ViolationKind.ACCESS_MODE: ModeViolationError,
+}
+
 
 class RmaSanitizer:
-    """Dynamic checker for the MPI-2 RMA rules of §III / §V.
+    """Reporting policy for the MPI-2 RMA rules of §III / §V.
 
     Parameters
     ----------
     mode:
         ``"raise"`` — raise the structured violation error at the point
         of detection; ``"record"`` — append to :attr:`violations` and
-        let the underlying layer decide (its own plain error still
+        let the evaluating layer decide (its own plain error still
         applies where one exists).
     check_nonstrict:
         Also apply the conflict-class rules (conflicts, accumulate
@@ -67,210 +84,65 @@ class RmaSanitizer:
         self.check_nonstrict = check_nonstrict
         self.violations: list[RmaViolation] = []
         self._mu = threading.Lock()
-        #: (win_id, origin, target) -> (real epoch object, shadow _Epoch)
-        self._extra: dict[tuple, tuple] = {}
-        #: origin -> open DLA gmr ids / window ids
-        self._dla_open: dict[int, set[int]] = {}
+        #: origin -> ids of the windows whose self-lock a DLA epoch holds
         self._dla_wins: dict[int, set[int]] = {}
         #: (win_id, origin, target) -> queued-but-unflushed nb op count
         #: (the flush-completion ledger of the MPI-3 datapath's nb queue)
         self._nb_pending: dict[tuple, int] = {}
 
     # -- reporting ------------------------------------------------------------
-    def _report(self, exc_cls, kind, rank, op, target, win_id, detail, ranges=()):
+    def report(self, kind, rank, op, target, win_id, detail, ranges=()) -> None:
+        """Record one failed rule; raise its structured error in raise mode.
+
+        ``kind`` is a :class:`ViolationKind` or its string value (the
+        ``repro.mpi`` layer does not import this package).
+        """
+        kind = ViolationKind(kind)
+        if (
+            kind is ViolationKind.LOCK_NESTING
+            and op == "lock"
+            and win_id in self._dla_wins.get(rank, ())
+        ):
+            # the lock already held is a DLA epoch's self-lock
+            kind = ViolationKind.LOCK_WHILE_DLA
+            detail = (
+                "lock attempt while a direct-local-access epoch is open on "
+                "the same window (the §V-C double-lock hazard)"
+            )
         v = RmaViolation(kind, rank, op, target, win_id, detail, tuple(ranges))
         with self._mu:
             self.violations.append(v)
         if self.mode == "raise":
-            raise exc_cls(v)
+            raise _ERRORS.get(kind, SyncViolationError)(v)
 
-    def _checks_conflicts(self, win) -> bool:
-        return win.strict or self.check_nonstrict
-
-    # -- lock discipline (called with runtime.cond held) ------------------------
-    def on_lock(self, win, origin: int, target: int, mode: str) -> None:
-        if origin in win._held:
-            if win.win_id in self._dla_wins.get(origin, ()):
-                self._report(
-                    SyncViolationError, ViolationKind.LOCK_WHILE_DLA,
-                    origin, "lock", target, win.win_id,
-                    "lock attempt while a direct-local-access epoch is "
-                    "open on the same window (the §V-C double-lock hazard)",
-                )
-            else:
-                self._report(
-                    SyncViolationError, ViolationKind.LOCK_NESTING,
-                    origin, "lock", target, win.win_id,
-                    f"already holds a lock on target {win._held[origin]} "
-                    "of this window (one lock per window per process)",
-                )
-        elif origin in win._lock_all:
-            self._report(
-                SyncViolationError, ViolationKind.LOCK_NESTING,
-                origin, "lock", target, win.win_id,
-                "lock() inside a lock_all epoch",
-            )
-        elif origin in win._fence_members:
-            self._report(
-                SyncViolationError, ViolationKind.LOCK_NESTING,
-                origin, "lock", target, win.win_id,
-                "lock() inside an active-target fence epoch",
-            )
-
-    def on_unlock(self, win, origin: int, target: int) -> None:
-        if win._held.get(origin) != target or (origin, target) not in win._epochs:
-            self._report(
-                SyncViolationError, ViolationKind.LOCK_UNMATCHED,
-                origin, "unlock", target, win.win_id,
-                "unlock without a matching lock by this origin",
-            )
-        self._extra.pop((win.win_id, origin, target), None)
-
-    # -- data movement (called with runtime.cond held) ---------------------------
-    def on_op(self, win, origin, kind, opname, segmap, origin_arr, target) -> None:
-        real = self._require_epoch(win, origin, kind, target)
-        if real is None:
+    # -- window hook (called with runtime.cond held) ----------------------------
+    def on_op(self, win, origin, kind, origin_buf, mode, target) -> None:
+        """LOCAL_ALIAS: a put/get/acc whose local buffer is window memory."""
+        if mode not in (LOCK_SHARED, LOCK_EXCLUSIVE):
+            return  # a fence epoch covers the whole window
+        if not isinstance(origin_buf, np.ndarray):
             return
-        offs, lens = segmap.offsets, segmap.lengths
-        if segmap.nsegments > 1:
-            order = np.argsort(offs, kind="stable")
-            offs, lens = offs[order], lens[order]
-        if self._checks_conflicts(win):
-            if segmap.nsegments > 1 and kind != "acc" and segmap.overlaps_self():
-                self._report(
-                    ConflictViolationError, ViolationKind.CONFLICT,
-                    origin, kind, target, win.win_id,
-                    f"{kind} with self-overlapping target segments within "
-                    "one operation",
-                )
-            self._check_local_alias(win, origin, kind, origin_arr, real, target)
-            self._check_conflicts(win, origin, kind, opname, offs, lens, target)
-        if not win.strict and self.check_nonstrict:
-            # the relaxed window will not record this op; shadow it
-            self._shadow(win, origin, target, real).record(kind, opname, offs, lens)
-
-    def on_rmw(self, win, origin, target, target_offset, datatype) -> None:
-        real = self._require_epoch(win, origin, "rmw", target)
-        if real is None:
-            return
-        disp = target_offset * win._disp_units[target]
-        offs = np.array([disp], dtype=np.int64)
-        lens = np.array([datatype.size], dtype=np.int64)
-        if self._checks_conflicts(win):
-            self._check_conflicts(win, origin, "acc", "rmw", offs, lens, target,
-                                  opdesc="rmw")
-        # the window never records atomics; always shadow them so a later
-        # put/get overlapping the counter is caught even on strict windows
-        self._shadow(win, origin, target, real).record("acc", "rmw", offs, lens)
-
-    def on_range(self, win, origin, kind, lo, hi, win_nbytes, target) -> None:
-        self._report(
-            RangeViolationError, ViolationKind.RANGE,
-            origin, kind, target, win.win_id,
-            f"datatype footprint exceeds the {win_nbytes}-byte window "
-            "region at the target",
-            ranges=((lo, hi),),
-        )
-
-    def on_bare_local_access(self, win, origin) -> None:
-        if not self._checks_conflicts(win):
-            return
-        self._report(
-            SyncViolationError, ViolationKind.LOCAL_LOAD_STORE,
-            origin, "local_view", win.comm.rank, win.win_id,
-            "direct load/store of exposed memory without an exclusive "
-            "self-lock",
-        )
-
-    def on_flush(self, win, origin, target) -> None:
-        ent = self._extra.get((win.win_id, origin, target))
-        if ent is not None:
-            ent[1].clear_accesses()
-
-    # -- MPI-3 surface (gated behind mpi3=True) ---------------------------------
-    def on_lock_all(self, win, origin: int) -> None:
-        if origin in win._lock_all:
-            self._report(
-                SyncViolationError, ViolationKind.LOCK_NESTING,
-                origin, "lock_all", -1, win.win_id,
-                "lock_all while already in a lock_all epoch",
-            )
-        elif origin in win._held:
-            self._report(
-                SyncViolationError, ViolationKind.LOCK_NESTING,
-                origin, "lock_all", -1, win.win_id,
-                f"lock_all while holding a lock on target "
-                f"{win._held[origin]} of this window",
-            )
-        elif origin in win._fence_members:
-            self._report(
-                SyncViolationError, ViolationKind.LOCK_NESTING,
-                origin, "lock_all", -1, win.win_id,
-                "lock_all inside an active-target fence epoch",
+        my_wr = win.comm.group.rank_of_world(origin)
+        if my_wr < 0 or my_wr == target:
+            return  # a self-targeting epoch covers the local slab
+        slab = win.exposed_buffer(my_wr)
+        if slab.nbytes and np.shares_memory(origin_buf, slab):
+            self.report(
+                ViolationKind.LOCAL_ALIAS, origin, kind, target, win.win_id,
+                "local buffer aliases this window's exposed memory on the "
+                "origin; accessing it needs a second lock on the same "
+                "window (stage through a private buffer instead)",
             )
 
-    def on_unlock_all(self, win, origin: int) -> None:
-        if origin not in win._lock_all:
-            self._report(
-                SyncViolationError, ViolationKind.LOCK_UNMATCHED,
-                origin, "unlock_all", -1, win.win_id,
-                "unlock_all without a lock_all epoch open",
-            )
+    # -- ARMCI direct local access (§V-E) ---------------------------------------
+    def on_dla_lock(self, origin: int, win) -> None:
+        """A DLA epoch now holds ``win``'s exclusive self-lock."""
+        with self._mu:
+            self._dla_wins.setdefault(origin, set()).add(win.win_id)
 
-    def on_epoch_close(self, win, origin: int, target: int) -> None:
-        """Audit request completion as an epoch is about to close."""
-        epoch = win._epochs.get((origin, target))
-        if epoch is None:
-            return
-        pending = sum(1 for r in epoch.pending_reqs if not r.completed)
-        if pending:
-            self._report(
-                SyncViolationError, ViolationKind.REQUEST,
-                origin, "unlock", target, win.win_id,
-                f"{pending} request-based op(s) (rput/rget) never completed "
-                "with wait/test before the epoch closed",
-            )
-
-    def on_flush_no_epoch(self, win, origin: int, target: int, op: str) -> None:
-        self._report(
-            SyncViolationError, ViolationKind.FLUSH,
-            origin, op, target, win.win_id,
-            f"{op} outside any passive-target epoch: nothing to complete",
-        )
-
-    # -- ARMCI-level hooks ------------------------------------------------------
-    def on_mode_violation(self, origin, kind, gmr) -> None:
-        self._report(
-            ModeViolationError, ViolationKind.ACCESS_MODE,
-            origin, kind, -1, gmr.win.win_id,
-            f"{kind} on GMR {gmr.gmr_id} violates declared access mode "
-            f"{gmr.access_mode.value}",
-        )
-
-    def on_dla_begin_attempt(self, origin, gmr) -> None:
-        if gmr.gmr_id in self._dla_open.get(origin, ()):
-            self._report(
-                SyncViolationError, ViolationKind.DLA,
-                origin, "access_begin", -1, gmr.win.win_id,
-                f"nested access_begin on GMR {gmr.gmr_id}: direct-access "
-                "epochs do not nest",
-            )
-
-    def on_dla_begin(self, origin, gmr) -> None:
-        self._dla_open.setdefault(origin, set()).add(gmr.gmr_id)
-        self._dla_wins.setdefault(origin, set()).add(gmr.win.win_id)
-
-    def on_dla_end_attempt(self, origin, gmr) -> None:
-        if gmr.gmr_id not in self._dla_open.get(origin, ()):
-            self._report(
-                SyncViolationError, ViolationKind.DLA,
-                origin, "access_end", -1, gmr.win.win_id,
-                f"access_end on GMR {gmr.gmr_id} without access_begin",
-            )
-
-    def on_dla_end(self, origin, gmr) -> None:
-        self._dla_open.get(origin, set()).discard(gmr.gmr_id)
-        self._dla_wins.get(origin, set()).discard(gmr.win.win_id)
+    def on_dla_unlock(self, origin: int, win) -> None:
+        with self._mu:
+            self._dla_wins.get(origin, set()).discard(win.win_id)
 
     # -- MPI-3 datapath nb queue (flush-completion tracking) ---------------------
     def on_nb_enqueue(self, win, origin: int, target: int, kind: str) -> None:
@@ -278,18 +150,14 @@ class RmaSanitizer:
         self._nb_pending[key] = self._nb_pending.get(key, 0) + 1
 
     def on_nb_drain(self, win, origin: int, target: int) -> None:
-        self._nb_pending.pop((win.win_id, origin, target), None)
-
-    def on_nb_discard(self, win, origin: int, target: int) -> None:
-        """Recovery discarded a queue: the ops are gone, not leaked."""
+        """The queue was flushed — or discarded by recovery: gone, not leaked."""
         self._nb_pending.pop((win.win_id, origin, target), None)
 
     def on_nb_pending(self, win, origin: int, target: int, count: int) -> None:
         """Drained-queue-at-finalize invariant: report what never flushed."""
         self._nb_pending.pop((win.win_id, origin, target), None)
-        self._report(
-            SyncViolationError, ViolationKind.NB_PENDING,
-            origin, "finalize", target, win.win_id,
+        self.report(
+            ViolationKind.NB_PENDING, origin, "finalize", target, win.win_id,
             f"{count} queued nonblocking op(s) never reached a completion "
             "point (wait/wait_all/fence/barrier) before finalize",
         )
@@ -297,98 +165,3 @@ class RmaSanitizer:
     def nb_pending_count(self, win, origin: int, target: int) -> int:
         """Test hook: queued-op count the ledger currently attributes."""
         return self._nb_pending.get((win.win_id, origin, target), 0)
-
-    # -- internals ---------------------------------------------------------------
-    def _require_epoch(self, win, origin, op, target):
-        """The real epoch for (origin, target), or report EPOCH and return None."""
-        real = win._epochs.get((origin, target))
-        if real is None:
-            real = win._fence_epoch(origin, target)
-        if real is None:
-            self._report(
-                SyncViolationError, ViolationKind.EPOCH,
-                origin, op, target, win.win_id,
-                "RMA operation outside any access epoch",
-            )
-        return real
-
-    def _shadow(self, win, origin, target, real) -> _Epoch:
-        """Shadow epoch tied to the identity of the window's real epoch."""
-        key = (win.win_id, origin, target)
-        ent = self._extra.get(key)
-        if ent is not None and ent[0] is real:
-            return ent[1]
-        sh = _Epoch(origin, target, real.mode)
-        self._extra[key] = (real, sh)
-        return sh
-
-    def _check_local_alias(self, win, origin, kind, origin_arr, real, target):
-        if real.mode not in (LOCK_SHARED, LOCK_EXCLUSIVE):
-            return  # fence / lock_all epochs cover the whole window
-        if not isinstance(origin_arr, np.ndarray):
-            return
-        my_wr = win.comm.group.rank_of_world(origin)
-        if my_wr < 0 or my_wr == target:
-            return  # a self-targeting epoch covers the local slab
-        slab = win._buffers[my_wr]
-        if slab.nbytes and np.shares_memory(origin_arr, slab):
-            self._report(
-                ConflictViolationError, ViolationKind.LOCAL_ALIAS,
-                origin, kind, target, win.win_id,
-                "local buffer aliases this window's exposed memory on the "
-                "origin; accessing it needs a second lock on the same "
-                "window (stage through a private buffer instead)",
-            )
-
-    def _conflict_hit(self, win, origin, kind, opname, offs, lens, target):
-        """First conflicting access class, searching real + shadow epochs."""
-        real = win._epochs.get((origin, target))
-        if real is not None:
-            hit = real.conflict_class(kind, opname, offs, lens)
-            if hit is not None:
-                return hit, origin
-        ent = self._extra.get((win.win_id, origin, target))
-        if ent is not None and ent[0] is real and real is not None:
-            hit = ent[1].conflict_class(kind, opname, offs, lens)
-            if hit is not None:
-                return hit, origin
-        # cross-origin: possible only under shared locks / fence epochs
-        for (o, t), other in win._epochs.items():
-            if t != target or o == origin:
-                continue
-            hit = other.conflict_class(kind, opname, offs, lens)
-            if hit is not None:
-                return hit, o
-            ent = self._extra.get((win.win_id, o, t))
-            if ent is not None and ent[0] is other:
-                hit = ent[1].conflict_class(kind, opname, offs, lens)
-                if hit is not None:
-                    return hit, o
-        return None, origin
-
-    def _check_conflicts(self, win, origin, kind, opname, offs, lens, target,
-                         opdesc: "str | None" = None):
-        hit, other_origin = self._conflict_hit(
-            win, origin, kind, opname, offs, lens, target
-        )
-        if hit is None:
-            return
-        opdesc = opdesc or kind
-        vkind = (
-            ViolationKind.ACC_INTERLEAVE
-            if kind == "acc" and hit.startswith("acc")
-            else ViolationKind.CONFLICT
-        )
-        who = (
-            "in the same epoch"
-            if other_origin == origin
-            else f"in a concurrent epoch of origin {other_origin}"
-        )
-        lo = int(offs[0]) if len(offs) else 0
-        hi = int((offs + lens).max()) if len(offs) else 0
-        self._report(
-            ConflictViolationError, vkind,
-            origin, opdesc, target, win.win_id,
-            f"{opdesc} overlaps an earlier {hit} access {who}",
-            ranges=((lo, hi),),
-        )

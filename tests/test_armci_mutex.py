@@ -189,10 +189,10 @@ def test_rmw_unknown_op_raises():
 
 
 def test_rmw_mpi3_fast_path():
-    """With MPI-3 windows, RMW uses fetch_and_op — no mutex traffic."""
+    """On the mpi3 datapath, RMW uses fetch_and_op — no mutex traffic."""
 
     def main(comm):
-        a = Armci.init(comm, strict=True, mpi3=True)
+        a = Armci.init(comm, strict=True, datapath="mpi3")
         ptrs = a.malloc(8)
         got = [a.rmw(FETCH_AND_ADD_LONG, ptrs[0], 1) for _ in range(10)]
         allv = comm.allgather(got)

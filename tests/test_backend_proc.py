@@ -20,10 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.armci import Armci, ArmciConfig
+from repro.armci import Armci
 from repro.ga import GlobalArray, zero
 from repro.mpi import runtime as rt_mod
-from repro.mpi.errors import ArgumentError, CommError, InternalError
+from repro.mpi.errors import CommError, InternalError
 from repro.mpi.group import Group
 from repro.mpi.runtime import RankFailedError, Runtime
 from repro.mpi.window import LOCK_EXCLUSIVE, Win
@@ -135,7 +135,7 @@ def _patch_ops(shape):
 
 def _parity_program(comm, datapath, ops, shape, rmw_rounds):
     """The seeded workload both backends must agree on, byte for byte."""
-    armci = Armci.init(comm, mpi3=(datapath == "mpi3"), datapath=datapath)
+    armci = Armci.init(comm, datapath=datapath)
     ga = GlobalArray.create(armci, shape, "i8")
     zero(ga)
     for issuer, kind, lo, hi, seed, alpha in ops:
@@ -247,21 +247,78 @@ def test_proc_comm_intercomm_raises_typed():
     assert proc_spmd(2, body) == [True, True]
 
 
-def test_armci_config_backend_mismatch_rejected():
-    def body(comm):
-        with pytest.raises(ArgumentError, match="backend"):
-            Armci.init(comm, config=ArmciConfig(backend="proc"))
-        armci = Armci.init(comm, config=ArmciConfig(backend="thread"))
-        armci.finalize()
-        return True
+def _lock_discipline_body(comm):
+    """(error type, message) of each misuse of ``lock``, on either backend."""
+    from repro.mpi.errors import MPIError
 
-    out = Runtime(2).spmd(body)
-    assert out == [True, True]
+    win, _ = Win.allocate(comm, 64, mpi3=True)
+    comm.barrier()
+    seen = []
+
+    def attempt(*args):
+        try:
+            win.lock(*args)
+        except MPIError as exc:
+            seen.append((type(exc).__name__, str(exc)))
+
+    win.lock(comm.rank)
+    attempt((comm.rank + 1) % comm.size)  # nested: one lock per window
+    win.unlock(comm.rank)
+    win.lock_all()
+    attempt(comm.rank)  # inside a lock_all epoch
+    win.unlock_all()
+    attempt(comm.rank, "exclusive-ish")  # bad mode
+    attempt(comm.size)  # bad target
+    try:
+        win.unlock(comm.rank)  # never locked
+    except MPIError as exc:
+        seen.append((type(exc).__name__, str(exc)))
+    comm.barrier()
+    win.free()
+    return seen
 
 
-def test_armci_config_backend_validation():
-    with pytest.raises(ValueError, match="backend"):
-        ArmciConfig(backend="threads")
+def test_proc_lock_raises_the_same_typed_errors_as_the_thread_window():
+    """ProcWin keeps only the flock: the lock rules are Win's, stated once."""
+    threads = Runtime(2).spmd(_lock_discipline_body)
+    procs = proc_spmd(2, _lock_discipline_body)
+    assert procs == threads
+    assert [name for name, _ in procs[0]] == [
+        "RMASyncError", "RMASyncError", "ArgumentError", "RMARangeError",
+        "RMASyncError",
+    ]
+
+
+def test_inbox_write_lock_survives_a_sigkilled_holder():
+    """A rank killed mid-send must not wedge every later writer to that inbox."""
+    import multiprocessing
+    import tempfile
+
+    from repro.mpi.backend_proc import _FlockMutex
+
+    ctx = multiprocessing.get_context("fork")
+    with tempfile.TemporaryDirectory() as tmp:
+        lock = _FlockMutex(os.path.join(tmp, "w"))
+
+        def die_holding_it():
+            lock.acquire()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        def take_it(done):
+            lock.acquire()
+            lock.release()
+            done.set()
+
+        victim = ctx.Process(target=die_holding_it)
+        victim.start()
+        victim.join(timeout=30)
+        assert victim.exitcode == -signal.SIGKILL
+        done = ctx.Event()
+        survivor = ctx.Process(target=take_it, args=(done,), daemon=True)
+        survivor.start()
+        assert done.wait(timeout=30)
+        survivor.join(timeout=30)
+        assert not survivor.is_alive()
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,9 @@ def test_gather_empty(flavor):
         rt = _rt(comm, flavor)
         ga = GlobalArray.create(rt, (4,), "f8")
         assert gather(ga, np.zeros((0, 1), dtype=np.int64)).size == 0
+        # an empty *list* has no (n, ndim) shape; still nothing to move
+        scatter(ga, [], [])
+        scatter_acc(ga, [], np.ones(0))
         ga.sync()
         ga.destroy()
 

@@ -28,6 +28,7 @@ from repro.armci.strided import (
 )
 from repro.bench.hotpath import _BenchGmr
 from repro.mpi import datatypes as dt
+from repro.mpi.errors import ArgumentError
 
 from conftest import spmd
 
@@ -155,6 +156,62 @@ def test_strided_datatype_cache_hit_recommits_freed_entry():
         assert t2.segment_map().nsegments == 4
     finally:
         strided_datatype_cache_clear()
+
+
+def test_strided_datatype_is_keyed_by_element_type():
+    strided_datatype_cache_clear()
+    try:
+        as_bytes = strided_datatype((32,), (16, 4))
+        as_doubles = strided_datatype((32,), (16, 4), dt.DOUBLE)
+        assert as_doubles is not as_bytes
+        assert as_doubles is strided_datatype((32,), (16, 4), dt.DOUBLE)
+        assert as_doubles.base == np.dtype("f8")
+        mb, md = as_bytes.segment_map(), as_doubles.segment_map()
+        assert np.array_equal(md.offsets, mb.offsets)
+        assert np.array_equal(md.lengths, mb.lengths)
+        with pytest.raises(ArgumentError, match="not aligned to MPI_DOUBLE elements"):
+            strided_datatype((20,), (12, 4), dt.DOUBLE)
+    finally:
+        strided_datatype_cache_clear()
+
+
+def test_repeated_acc_s_hits_the_strided_memo(monkeypatch):
+    """acc_s derives its typed target layout once, not on every call."""
+    from repro.armci import strided
+
+    built = []
+    real = strided.strided_datatype_uncached
+
+    def counting(strides, count, elem=dt.BYTE):
+        built.append((tuple(strides), tuple(count), elem.name))
+        return real(strides, count, elem)
+
+    def main(comm):
+        a = Armci.init(comm)
+        ptrs = a.malloc(512)
+        a.barrier()
+        if a.my_id == 0:
+            src = np.ones((4, 4))
+            for _ in range(5):
+                a.acc_s(src, [32], ptrs[1], [64], [32, 4], scale=2.0)
+        a.barrier()
+        out = np.zeros((4, 8))
+        a.get(ptrs[1], out, 256)
+        a.free(ptrs[a.my_id])
+        return out
+
+    strided_datatype_cache_clear()
+    monkeypatch.setattr(strided, "strided_datatype_uncached", counting)
+    try:
+        out = spmd(2, main)[0]
+    finally:
+        strided_datatype_cache_clear()
+    assert np.array_equal(out[:, :4], np.full((4, 4), 10.0))
+    assert not out[:, 4:].any()
+    # one origin layout (bytes) and one target layout (doubles), built once
+    assert sorted(built) == [
+        ((32,), (32, 4), "MPI_BYTE"), ((64,), (32, 4), "MPI_DOUBLE"),
+    ]
 
 
 def test_iov_datatype_lru_is_bounded_and_keyed_by_displacements():

@@ -12,6 +12,9 @@ half).
 
 from __future__ import annotations
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -716,3 +719,233 @@ def test_staged_armci_workload_is_sanitizer_clean(run4):
     results = run4(body)
     assert sorted(t for _, t in results) == [0, 1, 2, 3]
     assert all(s == 8.0 for s, _ in results)
+
+
+# -- one checker: the window evaluates, the sanitizer reports ---------------------
+
+
+def run_plain(nproc, fn, *args):
+    """Run ``fn`` with no sanitizer at all (even under ``pytest --sanitize``)."""
+    rt = Runtime(nproc, watchdog_s=0.4)
+    rt.sanitizer = None
+    return rt.spmd(fn, *args)
+
+
+def _acc_interleave_relaxed(comm):
+    win, _ = Win.allocate(comm, 64, strict=False)
+    comm.barrier()
+    if comm.rank == 0:
+        win.lock(1)
+        win.accumulate(np.ones(4), 1, 0, op="MPI_SUM")
+        win.accumulate(np.ones(4), 1, 0, op="MPI_MAX")
+        win.unlock(1)
+    comm.barrier()
+
+
+def _local_alias_relaxed(comm):
+    win, local = Win.allocate(comm, 64, strict=False)
+    comm.barrier()
+    if comm.rank == 0:
+        win.lock(1)
+        win.put(local[:8], 1)
+        win.unlock(1)
+    comm.barrier()
+
+
+def _bare_local_relaxed(comm):
+    win, _ = Win.allocate(comm, 64, strict=False)
+    comm.barrier()
+    if comm.rank == 0:
+        win.local_view()  # repro: lint-ignore[local-load-store]
+    comm.barrier()
+
+
+#: kind -> (violating program, plain error the evaluating layer raises by
+#: itself or None for a sanitizer-only rule, str(violation) snapshot,
+#: the same misuse on a strict=False window or None if strictness is moot)
+RULES = {
+    ViolationKind.EPOCH: (
+        _epoch_violation, RMASyncError,
+        "RMA violation [epoch] (§III): rank 0 op put target 1 win 0: RMA "
+        "operation outside any access epoch",
+        None,
+    ),
+    ViolationKind.LOCK_NESTING: (
+        _nesting_violation, RMASyncError,
+        "RMA violation [lock-nesting] (§III, §V-E.1): rank 0 op lock target 1 "
+        "win 0: already holds a lock on target 0 of this window (one lock per "
+        "window per process)",
+        None,
+    ),
+    ViolationKind.LOCK_UNMATCHED: (
+        _unmatched_violation, RMASyncError,
+        "RMA violation [lock-unmatched] (§III): rank 0 op unlock target 1 win "
+        "0: unlock without a matching lock by this origin",
+        None,
+    ),
+    ViolationKind.LOCK_WHILE_DLA: (
+        _lock_while_dla_violation, RMASyncError,
+        "RMA violation [lock-while-dla] (§V-E): rank 0 op lock target 1 win 0: "
+        "lock attempt while a direct-local-access epoch is open on the same "
+        "window (the §V-C double-lock hazard)",
+        None,
+    ),
+    ViolationKind.CONFLICT: (
+        _conflict_violation, RMAConflictError,
+        "RMA violation [conflict] (§III): rank 0 op put target 1 win 0 bytes "
+        "[4,12): put overlaps an earlier put access in the same epoch",
+        _nonstrict_conflict,
+    ),
+    ViolationKind.ACC_INTERLEAVE: (
+        _acc_interleave_violation, RMAConflictError,
+        "RMA violation [acc-interleave] (§III): rank 0 op acc target 1 win 0 "
+        "bytes [0,32): acc overlaps an earlier acc(MPI_SUM) access in the same "
+        "epoch",
+        _acc_interleave_relaxed,
+    ),
+    ViolationKind.LOCAL_ALIAS: (
+        _local_alias_violation, None,
+        "RMA violation [local-alias] (§V-E.1): rank 0 op put target 1 win 0: "
+        "local buffer aliases this window's exposed memory on the origin; "
+        "accessing it needs a second lock on the same window (stage through a "
+        "private buffer instead)",
+        _local_alias_relaxed,
+    ),
+    ViolationKind.LOCAL_LOAD_STORE: (
+        _bare_local_violation, RMASyncError,
+        "RMA violation [local-load-store] (§III, §V-E): rank 0 op local_view "
+        "target 0 win 0: direct load/store of exposed memory without an "
+        "exclusive self-lock",
+        _bare_local_relaxed,
+    ),
+    ViolationKind.ACCESS_MODE: (
+        _mode_violation, ArgumentError,
+        "RMA violation [access-mode] (§VIII-A): rank 0 op put win 0: put on "
+        "GMR N violates declared access mode read_only",
+        None,
+    ),
+    ViolationKind.RANGE: (
+        _range_violation, RMARangeError,
+        "RMA violation [range] (§V-A): rank 0 op put target 1 win 0 bytes "
+        "[0,128): datatype footprint exceeds the 64-byte window region at the "
+        "target",
+        None,
+    ),
+    ViolationKind.DLA: (
+        _dla_nested_violation, RMASyncError,
+        "RMA violation [dla] (§V-E): rank 0 op access_begin win 0: nested "
+        "access_begin on GMR N: direct-access epochs do not nest",
+        None,
+    ),
+    ViolationKind.REQUEST: (
+        _request_violation, None,
+        "RMA violation [request] (§VIII-B): rank 0 op unlock target 1 win 0: 1 "
+        "request-based op(s) (rput/rget) never completed with wait/test before "
+        "the epoch closed",
+        None,
+    ),
+    ViolationKind.FLUSH: (
+        _flush_violation, RMASyncError,
+        "RMA violation [flush] (§VIII-B): rank 0 op flush target 1 win 0: flush "
+        "outside any passive-target epoch: nothing to complete",
+        None,
+    ),
+    ViolationKind.NB_PENDING: (
+        _nb_pending_violation, None,
+        "RMA violation [nb-pending] (§VIII-B): rank 0 op finalize target 1 win "
+        "0: 1 queued nonblocking op(s) never reached a completion point "
+        "(wait/wait_all/fence/barrier) before finalize",
+        None,
+    ),
+}
+
+
+def _snap(violation) -> str:
+    """``str(violation)`` with the process-global GMR id masked."""
+    return re.sub(r"GMR \d+", "GMR N", str(violation))
+
+
+def test_rules_table_covers_every_dynamic_kind():
+    from repro.sanitizer import LINT_ONLY_KINDS
+
+    assert set(RULES) == set(ViolationKind) - LINT_ONLY_KINDS
+
+
+@pytest.mark.parametrize("kind", list(RULES), ids=lambda k: k.value)
+def test_outcome_matrix(kind):
+    """Who raises what, per rule x {no sanitizer, raise, record} x strictness."""
+    program, plain_cls, snapshot, relaxed = RULES[kind]
+
+    # no sanitizer: the evaluating layer's own plain error, if it has one
+    if plain_cls is None:
+        run_plain(2, program)
+    else:
+        with pytest.raises(plain_cls) as ei:
+            run_plain(2, program)
+        assert not hasattr(ei.value, "violation")
+
+    # raise: the structured subclass, str(violation) byte for byte
+    with pytest.raises(plain_cls or Exception) as ei:
+        run_san(2, program)
+    assert ei.value.violation.kind is kind
+    assert _snap(ei.value.violation) == snapshot
+
+    # record: recorded exactly once, and the plain error still fires
+    rt = Runtime(2, watchdog_s=0.4)
+    san = rt.sanitizer = RmaSanitizer(mode="record")
+    if plain_cls is None:
+        rt.spmd(program)
+    else:
+        with pytest.raises(plain_cls) as ei:
+            rt.spmd(program)
+        assert not hasattr(ei.value, "violation")
+    assert [_snap(v) for v in san.violations if v.kind is kind] == [snapshot]
+
+    if relaxed is None:
+        return
+    # a relaxed window is exempt: silent unless check_nonstrict asks ...
+    run_plain(2, relaxed)
+    san, _ = run_san(2, relaxed)
+    assert san.violations == []
+    # ... and then only the sanitizer objects (no plain error in record mode)
+    with pytest.raises(Exception) as ei:
+        run_san(2, relaxed, check_nonstrict=True)
+    assert ei.value.violation.kind is kind
+    san, _ = run_san(2, relaxed, mode="record", check_nonstrict=True)
+    assert [v.kind for v in san.violations] == [kind]
+
+
+def test_one_conflict_search_per_candidate_epoch(monkeypatch):
+    """Under the sanitizer a strict put is conflict-checked once, not twice."""
+    from repro.mpi.window import _Epoch
+
+    searches = []
+    real = _Epoch.conflict_class
+
+    def counting(self, kind, opname, offs, lens):
+        searches.append((self.origin, self.target, kind))
+        return real(self, kind, opname, offs, lens)
+
+    def body(comm):
+        win, _ = Win.allocate(comm, 64)
+        comm.barrier()
+        win.lock(1, LOCK_SHARED)  # two concurrent epochs on target 1
+        comm.barrier()
+        if comm.rank == 0:
+            monkeypatch.setattr(_Epoch, "conflict_class", counting)
+            win.put(np.ones(8, dtype=np.uint8), 1)
+            monkeypatch.undo()
+        comm.barrier()
+        win.unlock(1)
+
+    san, _ = run_san(2, body)
+    assert san.violations == []
+    # the origin's own epoch and the one concurrent epoch: one search each
+    assert sorted(searches) == [(0, 1, "put"), (1, 1, "put")]
+
+
+def test_sanitizer_reads_no_window_privates():
+    import repro.sanitizer
+
+    for path in pathlib.Path(repro.sanitizer.__file__).parent.glob("*.py"):
+        assert not re.search(r"\bwin\._", path.read_text()), path.name
