@@ -671,9 +671,7 @@ class Armci:
         lock_mode = gmr.access_mode.lock_mode(kind)
         data, writeback = self._stage_strided_local(kind, local_view, origin_t, span)
         if kind == "acc":
-            data, origin_used = self._scaled_origin(
-                data, origin_t, scale, acc_dtype, spec
-            )
+            data, origin_used = self._scaled_origin(data, origin_t, scale, acc_dtype)
         else:
             origin_used = origin_t
         with self._op_epoch(gmr, win_rank, lock_mode):
@@ -739,17 +737,19 @@ class Armci:
                 gmr.win.unlock(my_rank)
 
     @staticmethod
-    def _scaled_origin(data, origin_t, scale, acc_dtype, spec):
-        """Scale the origin contribution without touching the user buffer.
+    def _scaled_origin(data, origin_t, scale, acc_dtype):
+        """The contiguous, typed, scaled contribution; never writes ``data``.
 
-        Packs the strided origin into a contiguous, typed, scaled copy;
-        the origin datatype then becomes trivially contiguous.
+        A contiguous origin packs to a view of ``data`` (the window copies
+        it if it aliases the target), so ``scale == 1`` costs no pass and
+        scaling costs one; a strided origin is scaled in its packed copy.
         """
-        packed = origin_t.pack(data).view(acc_dtype)
+        packed = origin_t.pack(data, copy=False).view(acc_dtype)
         if scale != 1.0:
-            packed = packed * acc_dtype.type(scale)
-        else:
-            packed = packed.copy()
+            is_view = np.may_share_memory(packed, data)
+            packed = np.multiply(
+                packed, acc_dtype.type(scale), out=None if is_view else packed
+            )
         return packed, None  # None origin datatype = contiguous
 
     # -- IOV operations (§VI-A) ------------------------------------------------------

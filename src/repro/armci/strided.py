@@ -201,31 +201,26 @@ def strided_datatype_uncached(
     ``free()`` the type.
     """
     sl = len(strides)
-    if sl == 0:
-        t = dt.contiguous(count[0], dt.BYTE)
-    elif _nests_evenly(strides, count):
-        sizes = [count[sl]]
-        for i in range(sl - 1, 0, -1):
-            sizes.append(strides[i] // strides[i - 1])
-        sizes.append(strides[0])
-        subsizes = [count[i] for i in range(sl, 0, -1)] + [count[0]]
-        starts = [0] * (sl + 1)
-        t = dt.subarray(sizes, subsizes, starts, dt.BYTE)
-    else:
-        disps = segment_displacements(strides, count)
-        t = dt.hindexed([count[0]] * len(disps), disps.tolist(), dt.BYTE)
-    t.commit()
-    if elem is dt.BYTE:
-        return t
-    # the same byte layout as whole ``elem`` blocks (accumulate's target type)
-    sm = t.segment_map()
-    if np.any(sm.offsets % elem.size) or np.any(sm.lengths % elem.size):
+    esz = elem.size
+    if count[0] % esz or any(s % esz and c > 1 for s, c in zip(strides, count[1:])):
         raise ArgumentError(
             f"accumulate layout is not aligned to {elem.name} elements"
         )
-    return dt.hindexed(
-        (sm.lengths // elem.size).tolist(), sm.offsets.tolist(), elem
-    ).commit()
+    row = count[0] // esz  # the contiguous run, in elements
+    if sl == 0:
+        t = dt.contiguous(row, elem)
+    elif _nests_evenly(strides, count) and strides[0] % esz == 0:
+        sizes = [count[sl]]
+        for i in range(sl - 1, 0, -1):
+            sizes.append(strides[i] // strides[i - 1])
+        sizes.append(strides[0] // esz)
+        subsizes = [count[i] for i in range(sl, 0, -1)] + [row]
+        starts = [0] * (sl + 1)
+        t = dt.subarray(sizes, subsizes, starts, elem)
+    else:
+        disps = segment_displacements(strides, count)
+        t = dt.hindexed([row] * len(disps), disps.tolist(), elem)
+    return t.commit()
 
 
 def strided_datatype(

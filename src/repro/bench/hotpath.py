@@ -12,6 +12,14 @@ module tracks them:
 ``strided_translation``
     memoised :func:`repro.armci.strided.strided_datatype` vs rebuilding
     and committing the subarray type per operation.
+``strided_translation_typed_miss``
+    a memo *miss* for accumulate's typed target layout (every
+    owner-straddling GA piece has a fresh row count): built directly as a
+    subarray of the element type vs re-deriving it from the byte layout
+    with one ``segment_map`` call per row.
+``acc_strided_512x512``
+    the window's accumulate kernel (one in-place pass over a typed 2-D
+    view) on a 512-row x 4 KiB ``f8`` tile vs a per-segment loop.
 ``conflict_check_contig``
     single-interval :class:`repro.mpi.window._IntervalSet` overlap query
     (bounding-box fast path) vs the pre-PR sorted-scan reference.
@@ -32,6 +40,7 @@ the shared ones in :mod:`repro.bench.registry`.
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -39,8 +48,9 @@ import numpy as np
 from ..armci import iov, strided
 from ..armci.gmr import GmrTable
 from ..mpi import datatypes as dt
+from ..mpi import ops as mpi_ops
 from ..mpi.group import UNDEFINED
-from ..mpi.window import _IntervalSet, _segments_overlap
+from ..mpi.window import Win, _IntervalSet, _segments_overlap
 from .harness import format_table
 
 #: acceptance floors: the vectorized datapath must beat the retained
@@ -49,6 +59,8 @@ MIN_SPEEDUP = {
     "pack_uniform_1024": 5.0,
     "unpack_uniform_1024": 5.0,
     "strided_translation": 2.0,
+    "strided_translation_typed_miss": 2.0,
+    "acc_strided_512x512": 1.2,
     "conflict_check_contig": 1.0,
     "gmr_lookup_hot": 1.0,
 }
@@ -86,6 +98,42 @@ def _wl_strided() -> tuple[Callable, Callable]:
     return (
         lambda: strided.strided_datatype(strides, count),
         lambda: strided.strided_datatype_uncached(strides, count),
+    )
+
+
+def _wl_strided_typed_miss() -> tuple[Callable, Callable]:
+    # one owner's share of a 512x512 f8 GA patch: 300 rows of 4 KiB
+    count, strides = (4096, 300), (16384,)
+
+    def per_row() -> dt.SegmentMap:
+        sm = strided.strided_datatype_uncached(strides, count).segment_map()
+        return dt._blocks_map(
+            (sm.lengths // 8).tolist(), sm.offsets.tolist(), [dt.DOUBLE] * sm.nsegments
+        ).coalesced()
+
+    return (
+        lambda: strided.strided_datatype_uncached(strides, count, dt.DOUBLE),
+        per_row,
+    )
+
+
+def _wl_acc_strided() -> tuple[Callable, Callable]:
+    rows, row_bytes, pitch = 512, 4096, 16384  # a 512x512 f8 tile of a 2048-wide array
+    base = np.dtype("f8")
+    buf = np.zeros(rows * pitch, dtype=np.uint8)
+    data = np.ones(rows * row_bytes // 8).view(np.uint8)
+    segmap = strided.strided_datatype((pitch,), (row_bytes, rows), dt.DOUBLE).segment_map()
+    win = SimpleNamespace(_buffers=[buf])  # all the kernel reads of its window
+
+    def per_segment() -> None:
+        pos = 0
+        for lo, hi in segmap.intervals():
+            mpi_ops.SUM.apply(buf[lo:hi].view(base), data[pos : pos + hi - lo].view(base))
+            pos += hi - lo
+
+    return (
+        lambda: Win._accumulate_target(win, 0, segmap, data, base, mpi_ops.SUM),
+        per_segment,
     )
 
 
@@ -159,6 +207,8 @@ WORKLOADS: dict[str, Callable[[], tuple[Callable, Callable]]] = {
     "pack_uniform_1024": _wl_pack,
     "unpack_uniform_1024": _wl_unpack,
     "strided_translation": _wl_strided,
+    "strided_translation_typed_miss": _wl_strided_typed_miss,
+    "acc_strided_512x512": _wl_acc_strided,
     "conflict_check_contig": _wl_conflict,
     "gmr_lookup_hot": _wl_gmr_lookup,
 }

@@ -256,7 +256,7 @@ BENCHES: "dict[str, Bench]" = {
         Bench(
             name="hotpath",
             help="vectorized-datapath microbenches (pack/unpack, strided "
-            "translation, conflict check, GMR lookup); 'baseline' is the "
+            "translation, accumulate, conflict check, GMR lookup); 'baseline' is the "
             "retained pre-vectorization reference implementation measured "
             "by the same suite in the same process",
             measure=hotpath.measure,

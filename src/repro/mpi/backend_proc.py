@@ -156,13 +156,15 @@ class _FlockMutex:
     holds it would block every later writer to that inbox forever — and
     with it the votes of the FT rounds that are meant to survive the kill.
     Each process flocks its own open file description (one inherited over
-    ``fork`` would be shared with the parent and exclude nobody).
+    ``fork`` would be shared with the parent and exclude nobody).  The
+    creating process opens its own eagerly: its queue feeder threads can
+    outlive the run's lock directory, the forked ranks' cannot (they are
+    joined before it is removed).
     """
 
     def __init__(self, path: str):
         self._path = path
-        self._pid = -1
-        self._file: Any = None
+        self._pid, self._file = os.getpid(), open(path, "ab")
 
     def acquire(self) -> None:
         if self._pid != os.getpid():

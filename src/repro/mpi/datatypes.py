@@ -122,7 +122,7 @@ class SegmentMap:
                 self._uniform = None
             else:
                 first = int(self.lengths[0])
-                if np.all(self.lengths == first):
+                if len(self.lengths) == 1 or np.all(self.lengths == first):
                     self._uniform = first
                 else:
                     self._uniform = None
@@ -145,7 +145,8 @@ class SegmentMap:
 
     def _arith_params(self) -> "tuple[int, int, int, int] | None":
         """``(start, step, seg_len, nsegments)`` when segments are uniform
-        and equally spaced with positive step, else None (memoised).
+        and equally spaced with positive step, else None (memoised).  A
+        single non-empty segment is the one-row case, ``step == seg_len``.
 
         Such maps are views with strides ``(step, 1)`` — the layout every
         vector/subarray type and GA tile produces — so gather/scatter can
@@ -153,17 +154,22 @@ class SegmentMap:
         """
         if self._arith is False:
             self._arith = None
-            L = self.uniform_seg_len
-            if L is not None and len(self.offsets) > 1 and L > 0:
-                step = int(self.offsets[1]) - int(self.offsets[0])
-                if step > 0 and bool(np.all(np.diff(self.offsets) == step)):
-                    self._arith = (int(self.offsets[0]), step, L, len(self.offsets))
+            L, n = self.uniform_seg_len, len(self.offsets)
+            if L:
+                step = int(self.offsets[1]) - int(self.offsets[0]) if n > 1 else L
+                if step > 0 and (n == 1 or bool(np.all(np.diff(self.offsets) == step))):
+                    self._arith = (int(self.offsets[0]), step, L, n)
         return self._arith
 
-    def _strided_view(self, buffer: np.ndarray) -> np.ndarray:
+    def _strided_view(self, buffer: np.ndarray, dtype=np.uint8) -> np.ndarray:
+        """The map's rows as a 2-D view of the byte ``buffer``, in ``dtype``
+        elements (offsets and lengths must be whole elements)."""
         start, step, L, n = self._arith_params()  # type: ignore[misc]
-        window = buffer[start : start + (n - 1) * step + L]
-        return np.lib.stride_tricks.as_strided(window, shape=(n, L), strides=(step, 1))
+        dtype = np.dtype(dtype)
+        window = buffer[start : start + (n - 1) * step + L].view(dtype)
+        return np.lib.stride_tricks.as_strided(
+            window, shape=(n, L // dtype.itemsize), strides=(step, dtype.itemsize)
+        )
 
     def flat_index(self) -> np.ndarray:
         """``int64`` array mapping wire position -> buffer byte offset.
@@ -257,8 +263,22 @@ class SegmentMap:
         return SegmentMap(new_offs, new_lens)
 
     def shifted(self, displacement_bytes: int) -> "SegmentMap":
-        """Return a copy displaced by ``displacement_bytes``."""
-        return SegmentMap(self.offsets + int(displacement_bytes), self.lengths)
+        """Return a copy displaced by ``displacement_bytes``.
+
+        The memos are computed on *this* map (long-lived: it is the
+        datatype's cached one) and carried over — translation changes only
+        where the arithmetic progression and the bounds start.
+        """
+        d = int(displacement_bytes)
+        new = SegmentMap.__new__(SegmentMap)
+        new.offsets, new.lengths, new._flat_idx = self.offsets + d, self.lengths, None
+        new._total, new._uniform = self._total, self.uniform_seg_len
+        new._self_overlap = self.overlaps_self()
+        arith = self._arith_params()
+        new._arith = arith and (arith[0] + d,) + arith[1:]
+        lo, hi = self.bounds()
+        new._bounds = (lo + d, hi + d)
+        return new
 
     def intervals(self) -> Iterable[tuple[int, int]]:
         """Yield ``(lo, hi)`` half-open byte intervals in traversal order."""
@@ -270,6 +290,8 @@ class SegmentMap:
         if self._self_overlap is None:
             if self.nsegments <= 1:
                 self._self_overlap = False
+            elif (arith := self._arith_params()) is not None:
+                self._self_overlap = arith[1] < arith[2]  # step < seg_len
             else:
                 order = np.argsort(self.offsets, kind="stable")
                 offs = self.offsets[order]
@@ -554,6 +576,21 @@ def indexed(
     return hindexed(blocklengths, disp_bytes, oldtype, _name="indexed")
 
 
+def _blocks_map(blocklengths, displacements_bytes, types) -> SegmentMap:
+    """``blocklengths[i]`` instances of ``types[i]`` at each byte displacement."""
+    parts_off: list[np.ndarray] = []
+    parts_len: list[np.ndarray] = []
+    for bl, disp, t in zip(blocklengths, displacements_bytes, types):
+        if bl == 0:
+            continue
+        block = t.segment_map(bl)
+        parts_off.append(block.offsets + disp)
+        parts_len.append(block.lengths)
+    if not parts_off:
+        return SegmentMap(np.empty(0, np.int64), np.empty(0, np.int64))
+    return SegmentMap(np.concatenate(parts_off), np.concatenate(parts_len))
+
+
 def hindexed(
     blocklengths: Sequence[int],
     displacements_bytes: Sequence[int],
@@ -569,17 +606,17 @@ def hindexed(
     displacements_bytes = [int(d) for d in displacements_bytes]
 
     def build() -> SegmentMap:
-        parts_off: list[np.ndarray] = []
-        parts_len: list[np.ndarray] = []
-        for bl, disp in zip(blocklengths, displacements_bytes):
-            if bl == 0:
-                continue
-            block = oldtype.segment_map(bl)
-            parts_off.append(block.offsets + disp)
-            parts_len.append(block.lengths)
-        if not parts_off:
-            return SegmentMap(np.empty(0, np.int64), np.empty(0, np.int64))
-        return SegmentMap(np.concatenate(parts_off), np.concatenate(parts_len))
+        if oldtype.is_predefined:
+            # a block of a predefined type is one segment: no per-block call
+            bl = np.array(blocklengths, dtype=np.int64)
+            keep = bl > 0
+            return SegmentMap(
+                np.array(displacements_bytes, dtype=np.int64)[keep],
+                bl[keep] * oldtype.size,
+            )
+        return _blocks_map(
+            blocklengths, displacements_bytes, [oldtype] * len(blocklengths)
+        )
 
     size = sum(blocklengths) * oldtype.size
     if blocklengths:
@@ -628,17 +665,7 @@ def struct_type(
     types = list(types)
 
     def build() -> SegmentMap:
-        parts_off: list[np.ndarray] = []
-        parts_len: list[np.ndarray] = []
-        for bl, disp, t in zip(blocklengths, displacements_bytes, types):
-            if bl == 0:
-                continue
-            block = t.segment_map(bl)
-            parts_off.append(block.offsets + disp)
-            parts_len.append(block.lengths)
-        if not parts_off:
-            return SegmentMap(np.empty(0, np.int64), np.empty(0, np.int64))
-        return SegmentMap(np.concatenate(parts_off), np.concatenate(parts_len))
+        return _blocks_map(blocklengths, displacements_bytes, types)
 
     size = sum(b * t.size for b, t in zip(blocklengths, types))
     extent = max(

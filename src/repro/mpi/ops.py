@@ -7,7 +7,9 @@ put.  ARMCI's double-precision accumulate (``ARMCI_ACC_DBL``, a scaled
 source data — which is exactly what the ARMCI-MPI layer does.
 
 Each op is a small value object wrapping a NumPy ufunc-style callable
-operating on (target_view, source_array) pairs.
+operating on (target_view, source_array) pairs.  Ops backed by a real
+ufunc update the target in place (``ufunc(t, s, out=t)``): accumulate
+is then one read-modify-write pass with no temporary.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ class Op:
     """A predefined MPI reduction operation.
 
     ``apply(target, source)`` combines ``source`` into ``target`` in
-    place; both are 1-D NumPy views of equal length and dtype.
+    place; both are NumPy views of equal shape and dtype.
     ``combine(a, b)`` is the pure (non-mutating) form used by the
     reduction-tree collectives.
     """
@@ -39,7 +41,10 @@ class Op:
             raise ArgumentError(
                 f"{self.name}: shape mismatch {target.shape} vs {source.shape}"
             )
-        target[...] = self._combine(target, source)
+        if isinstance(self._combine, np.ufunc):
+            self._combine(target, source, out=target)
+        else:
+            target[...] = self._combine(target, source)
 
     def combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self._combine(a, b)
@@ -55,8 +60,8 @@ def _logical(fn: Callable[[np.ndarray, np.ndarray], np.ndarray]):
     return wrapped
 
 
-SUM = Op("MPI_SUM", lambda a, b: a + b)
-PROD = Op("MPI_PROD", lambda a, b: a * b)
+SUM = Op("MPI_SUM", np.add)
+PROD = Op("MPI_PROD", np.multiply)
 MAX = Op("MPI_MAX", np.maximum)
 MIN = Op("MPI_MIN", np.minimum)
 LAND = Op("MPI_LAND", _logical(np.logical_and))

@@ -1147,39 +1147,47 @@ class Win:
         base: np.dtype,
         op: mpi_ops.Op,
     ) -> None:
+        """Combine ``data`` into the target's segments, element-wise.
+
+        One in-place read-modify-write pass over a typed 2-D view of the
+        rows whenever the map is arithmetic with ``step >= seg_len`` (every
+        subarray/vector type and GA tile; a contiguous target is the
+        one-row case).
+        """
+        if not segmap.total_bytes:
+            return
         buf = self._buffers[target_rank]
         itemsize = base.itemsize
         if itemsize > 1 and (
             np.any(segmap.offsets % itemsize) or np.any(segmap.lengths % itemsize)
         ):
+            lo, hi = next(
+                iv for iv in segmap.intervals() if iv[0] % itemsize or iv[1] % itemsize
+            )
+            raise ArgumentError(
+                f"accumulate segment [{lo},{hi}) not aligned to {base} elements"
+            )
+        src = data.view(base)
+        arith = segmap._arith_params()
+        if arith is not None and arith[1] >= arith[2]:
+            tview = segmap._strided_view(buf, base)
+            op.apply(tview, src.reshape(tview.shape))
+        elif not segmap.overlaps_self():
+            # irregular layout: gather-modify-scatter through an *element*
+            # index, safe because no target element appears twice in it
+            elems = dt.SegmentMap(segmap.offsets // itemsize, segmap.lengths // itemsize)
+            typed = buf[: segmap.bounds()[1]].view(base)
+            vals = elems.gather(typed)
+            op.apply(vals, src)
+            elems.scatter(typed, vals)
+        else:
+            # overlapping same-op accumulates must apply in traversal order
             pos = 0
             for off, ln in zip(segmap.offsets.tolist(), segmap.lengths.tolist()):
-                if off % itemsize or ln % itemsize:
-                    raise ArgumentError(
-                        f"accumulate segment [{off},{off + ln}) not aligned to "
-                        f"{base} elements"
-                    )
+                op.apply(
+                    buf[off : off + ln].view(base), data[pos : pos + ln].view(base)
+                )
                 pos += ln
-        if segmap.nsegments == 1:
-            off = int(segmap.offsets[0])
-            ln = int(segmap.lengths[0])
-            op.apply(buf[off : off + ln].view(base), data.view(base))
-            return
-        if not segmap.overlaps_self():
-            # gather-modify-scatter through the flat index: safe because
-            # no target byte appears twice in the index
-            idx = segmap.flat_index()
-            tview = buf[idx]
-            op.apply(tview.view(base), data.view(base))
-            buf[idx] = tview
-            return
-        # overlapping same-op accumulates must apply in traversal order
-        pos = 0
-        for off, ln in zip(segmap.offsets.tolist(), segmap.lengths.tolist()):
-            tview = buf[off : off + ln].view(base)
-            sview = data[pos : pos + ln].view(base)
-            op.apply(tview, sview)
-            pos += ln
 
     def _record_access(
         self,

@@ -16,6 +16,8 @@ from repro.armci import (
     strided_datatype,
     strided_to_iov,
 )
+from repro.armci.strided import strided_datatype_uncached
+from repro.mpi import datatypes as dt
 from repro.mpi.errors import ArgumentError
 
 from conftest import spmd
@@ -110,6 +112,55 @@ def test_strided_datatype_falls_back_to_hindexed():
     t = strided_datatype([20, 48], [8, 2, 2])
     assert "hindexed" in t.name
     assert t.segment_map().total_bytes == 8 * 4
+
+
+@pytest.mark.parametrize(
+    "strides, count",
+    [
+        ([], [64]),  # contiguous
+        ([64], [16, 4]),  # 2-D, nests (subarray)
+        ([64, 640], [16, 4, 5]),  # 3-level, nests
+        ([128, 1024, 8192], [64, 3, 2, 2]),  # 4-level, nests
+        ([24, 56], [8, 2, 2]),  # 56 % 24 != 0: hindexed fallback
+        ([16, 16 * 4 + 8], [16, 4, 3]),  # rows adjacent (coalesce), planes do not nest
+    ],
+)
+def test_typed_strided_layout_equals_the_byte_layout(strides, count):
+    """``elem=`` types the blocks (accumulate's target type), never moves them."""
+    as_bytes = strided_datatype_uncached(strides, count).segment_map()
+    typed_t = strided_datatype_uncached(strides, count, dt.DOUBLE)
+    typed = typed_t.segment_map()
+    assert typed_t.base == np.dtype("f8") and typed_t.size == as_bytes.total_bytes
+    assert typed.offsets.tolist() == as_bytes.offsets.tolist()
+    assert typed.lengths.tolist() == as_bytes.lengths.tolist()
+
+
+@pytest.mark.parametrize(
+    "strides, count",
+    [([], [12]), ([32], [12, 4]), ([20], [16, 4]), ([64, 100], [16, 2, 3])],
+)
+def test_typed_strided_layout_must_be_whole_elements(strides, count):
+    with pytest.raises(ArgumentError, match="not aligned to MPI_DOUBLE elements"):
+        strided_datatype_uncached(strides, count, dt.DOUBLE)
+    strided_datatype_uncached(strides, count)  # fine as bytes
+
+
+@pytest.mark.parametrize("strides", [[4096], [4096, 4096 * 300 + 8]])
+def test_typed_strided_miss_flattens_in_constant_calls(monkeypatch, strides):
+    """A memo miss must not cost one ``segment_map`` call per row (every
+    owner-straddling GA piece has a fresh row count, i.e. is a miss)."""
+    calls = []
+    real = dt.Datatype.segment_map
+
+    def counting(self, count=1):
+        calls.append(self.name)
+        return real(self, count)
+
+    monkeypatch.setattr(dt.Datatype, "segment_map", counting)
+    planes = [2] * (len(strides) - 1)
+    t = strided_datatype_uncached(strides, [2048, 300] + planes, dt.DOUBLE)
+    assert t.segment_map().nsegments == 300 * (planes or [1])[0]
+    assert len(calls) <= 3, calls
 
 
 @settings(max_examples=80, deadline=None)

@@ -191,6 +191,26 @@ def test_thread_proc_parity(datapath, ops, rmw_rounds):
     assert thread_out[0][1] == proc_out[0][1] == expected_rmw
 
 
+@pytest.mark.parametrize("datapath", ["mpi2", "mpi3"])
+def test_thread_proc_parity_straddling_scaled_acc(datapath):
+    """One ``ga.acc`` with ``alpha != 1`` whose patch straddles all four
+    owners (four strided pieces, each scaled at the origin and combined in
+    place at the target), twice over the same cells."""
+    shape = (10, 10)
+    ops = [(1, "acc", (2, 1), (9, 8), 11, 3), (2, "acc", (1, 2), (8, 9), 12, 2)]
+    thread_out = Runtime(NPROC, watchdog_s=2.0).spmd(
+        _parity_program, datapath, ops, shape, 1
+    )
+    proc_out = proc_spmd(NPROC, _parity_program, datapath, ops, shape, 1)
+    expect = np.zeros(shape, dtype=np.int64)
+    for _issuer, _kind, lo, hi, seed, alpha in ops:
+        patch = tuple(h - l for l, h in zip(lo, hi))
+        expect[lo[0] : hi[0], lo[1] : hi[1]] += alpha * np.random.default_rng(
+            seed
+        ).integers(0, 1000, size=patch, dtype=np.int64)
+    assert {b for b, _f in thread_out} == {b for b, _f in proc_out} == {expect.tobytes()}
+
+
 # ---------------------------------------------------------------------------
 # failure surfacing
 # ---------------------------------------------------------------------------
@@ -319,6 +339,47 @@ def test_inbox_write_lock_survives_a_sigkilled_holder():
         assert done.wait(timeout=30)
         survivor.join(timeout=30)
         assert not survivor.is_alive()
+
+
+def test_inbox_write_lock_outlives_its_lock_directory():
+    """The parent's queue feeder threads may still send (``rank_done``
+    announcements) after teardown removed the run's lock directory."""
+    import tempfile
+
+    from repro.mpi.backend_proc import _FlockMutex
+
+    with tempfile.TemporaryDirectory() as tmp:
+        lock = _FlockMutex(os.path.join(tmp, "inbox0.wlock"))
+    assert not os.path.exists(tmp)
+    lock.acquire()
+    lock.release()
+
+
+def test_short_proc_job_tears_down_silently():
+    """No feeder-thread traceback (or anything else) on stderr: rank 0
+    finishes first, so the parent announces it to a still-pending rank 1
+    right before teardown."""
+    import subprocess
+    import sys
+
+    script = (
+        "import time\n"
+        "from repro.mpi.runtime import Runtime\n"
+        "def body(comm):\n"
+        "    comm.barrier()\n"
+        "    time.sleep(0.02 * comm.rank)\n"
+        "    return comm.rank\n"
+        "for _ in range(5):\n"
+        "    assert Runtime(2, backend='proc').spmd(body, join_timeout=60.0) == [0, 1]\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 # ---------------------------------------------------------------------------

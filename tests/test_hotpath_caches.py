@@ -72,6 +72,47 @@ def test_recommit_after_free_rebuilds_segment_maps():
 
 
 # ---------------------------------------------------------------------------
+# SegmentMap.shifted(): translation-invariant memos travel with the copy
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "offsets, lengths",
+    [
+        ([0, 64, 128, 192], [32, 32, 32, 32]),  # arithmetic, disjoint rows
+        ([0, 8, 16], [24, 24, 24]),  # arithmetic, step < seg_len
+        ([40, 0, 100], [8, 16, 4]),  # irregular, not address-ordered
+        ([16], [48]),  # contiguous
+        ([], []),
+    ],
+)
+def test_shifted_map_answers_from_carried_memos(offsets, lengths):
+    """``Win._target_segmap`` shifts the datatype's cached map on every
+    put/get/acc: the copy must not rescan its offsets for what a
+    translation cannot change."""
+    fresh = dt.SegmentMap(np.array(offsets, np.int64) + 1000, np.array(lengths, np.int64))
+    expected = (
+        fresh.total_bytes, fresh.uniform_seg_len, fresh._arith_params(),
+        # (an empty map has no bytes to bound; the shifted copy says (d, d))
+        fresh.overlaps_self(), fresh.bounds() if offsets else (1000, 1000),
+    )
+    cached = dt.SegmentMap(np.array(offsets, np.int64), np.array(lengths, np.int64))
+    moved = cached.shifted(1000)
+    assert moved.offsets.tolist() == fresh.offsets.tolist()
+    moved.offsets = moved.lengths = None  # any rescan now raises
+    assert (
+        moved.total_bytes, moved.uniform_seg_len, moved._arith_params(),
+        moved.overlaps_self(), moved.bounds(),
+    ) == expected
+    # ... and the cached map kept them too: the next shift computes nothing
+    cached.offsets = cached.lengths = None
+    assert cached.overlaps_self() == expected[3]
+    assert cached._arith_params() == (
+        expected[2] and (expected[2][0] - 1000,) + expected[2][1:]
+    )
+
+
+# ---------------------------------------------------------------------------
 # GmrTable last-hit cache vs. free + re-malloc at a reused address
 # ---------------------------------------------------------------------------
 

@@ -668,6 +668,156 @@ def test_epoch_conflict_checker_matches_oracle(ops):
     assert observed["at"] == expected
 
 
+# ---------------------------------------------------------------------------
+# property test: Win.accumulate vs a per-element traversal-order reference
+# ---------------------------------------------------------------------------
+
+_ACC_REF = {
+    "MPI_SUM": lambda a, b: a + b,
+    "MPI_PROD": lambda a, b: a * b,
+    "MPI_MAX": max,
+    "MPI_MIN": min,
+    "MPI_BAND": lambda a, b: a & b,
+    "MPI_LXOR": lambda a, b: type(a)(bool(a) != bool(b)),
+    "MPI_REPLACE": lambda a, b: b,
+    "MPI_NO_OP": lambda a, b: a,
+}
+
+
+def _accumulate_reference(mem, segments, src, opname):
+    """Naive accumulate: one element at a time, in traversal order."""
+    fn, isz, pos = _ACC_REF[opname], src.dtype.itemsize, 0
+    for off, ln in segments:
+        for e in range(off, off + ln, isz):
+            cell = mem[e : e + isz].view(src.dtype)
+            cell[0] = fn(cell[0], src[pos])
+            pos += 1
+    assert pos == len(src)
+
+
+@st.composite
+def _acc_cases(draw):
+    """(dtype, op, layout name, byte segments, datatype builder, misalignment)."""
+    dtype = np.dtype(draw(st.sampled_from(["i4", "i8", "f4", "f8"])))
+    ops = sorted(_ACC_REF)
+    if dtype.kind == "f":
+        ops.remove("MPI_BAND")  # bitwise ops are undefined on floats
+    opname = draw(st.sampled_from(ops))
+    isz = dtype.itemsize
+    elem = mpi.datatypes.from_numpy_dtype(dtype)
+    layout = draw(st.sampled_from(
+        ["contiguous", "strided", "self-overlapping", "irregular"]
+    ))
+    if layout == "contiguous":
+        n = draw(st.integers(0, 12))
+        segments, build = [(0, n * isz)], None
+    elif layout in ("strided", "self-overlapping"):
+        rows, bl = draw(st.integers(2, 5)), draw(st.integers(2, 4))
+        step = (
+            draw(st.integers(bl, bl + 3)) if layout == "strided"
+            else draw(st.integers(1, bl - 1))
+        )
+        segments = [(r * step * isz, bl * isz) for r in range(rows)]
+        build = lambda: mpi.datatypes.hvector(rows, bl, step * isz, elem)  # noqa: E731
+    else:
+        # zero-length blocks, any traversal order; disjoint (laid out by
+        # gaps) or free to overlap (drawn displacements)
+        lens = draw(st.lists(st.integers(0, 3), min_size=2, max_size=6))
+        if draw(st.booleans()):
+            gaps = draw(st.lists(st.integers(0, 2), min_size=len(lens), max_size=len(lens)))
+            ends = np.cumsum(np.add(lens, gaps))
+            blocks = draw(st.permutations(list(zip(lens, (ends - lens).tolist()))))
+        else:
+            blocks = [(bl, draw(st.integers(0, 24))) for bl in lens]
+        segments = [(d * isz, bl * isz) for bl, d in blocks if bl]
+        build = lambda: mpi.datatypes.hindexed(  # noqa: E731
+            [bl for bl, _ in blocks], [d * isz for _, d in blocks], elem
+        )
+    return dtype, opname, segments, build, draw(st.integers(1, 7)), draw(st.integers(0, 4))
+
+
+def _misaligned_window_memory(nbytes, misalign):
+    """``nbytes`` of zeroed memory whose *address* is ``misalign`` mod 8."""
+    raw = np.zeros(nbytes + 16, dtype=np.uint8)
+    start = (misalign - raw.ctypes.data) % 8
+    return raw[start : start + nbytes]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_acc_cases(), seed=st.integers(0, 2**16))
+def test_accumulate_matches_per_element_reference(case, seed):
+    """Every layout class x op x element type, on window memory that is not
+    itemsize-aligned in absolute address: the in-place strided pass, the
+    element-index fallback and the traversal-order loop all equal a naive
+    per-element accumulate."""
+    dtype, opname, segments, build, misalign, disp = case
+    isz = dtype.itemsize
+    rng = np.random.default_rng(seed)
+    nelems = sum(ln for _, ln in segments) // isz
+    # small integers: exact in every dtype, no overflow after 5 overlapping PRODs
+    src = rng.integers(-3, 4, nelems).astype(dtype)
+    local = _misaligned_window_memory(40 * 8, misalign)
+    local.view(dtype)[:] = rng.integers(-3, 4, local.nbytes // isz).astype(dtype)
+    expect = local.copy()
+    _accumulate_reference(
+        expect, [(off + disp * isz, ln) for off, ln in segments], src, opname
+    )
+
+    def main(comm):
+        win = mpi.Win.create(comm, local)
+        t = build().commit() if build is not None else None
+        win.lock(0)
+        win.accumulate(src, 0, disp * isz, op=opname, target_datatype=t)
+        win.unlock(0)
+        win.free()
+
+    spmd(1, main)
+    assert local.tobytes() == expect.tobytes()
+
+
+def test_accumulate_origin_aliasing_the_target_reads_the_old_values():
+    """An origin inside the target's own exposed memory is snapshotted
+    first: the in-place pass must not read elements it already updated."""
+
+    def main(comm):
+        local = np.arange(12.0)
+        win = mpi.Win.create(comm, local)
+        t = mpi.vector(4, 2, 3, mpi.DOUBLE).commit()  # rows {0,1} {3,4} {6,7} {9,10}
+        win.lock(0)
+        win.accumulate(local[1:9], 0, 0, target_datatype=t)
+        win.unlock(0)
+        expect = np.arange(12.0)
+        expect[[0, 1, 3, 4, 6, 7, 9, 10]] += np.arange(1.0, 9.0)
+        np.testing.assert_array_equal(local, expect)
+        win.free()
+
+    spmd(1, main)
+
+
+@pytest.mark.parametrize(
+    "target_offset, blocklengths, disps",
+    [
+        (4, [1], [0]),  # displaced by half an element
+        (0, [2, 2], [0, 20]),  # second block starts mid-element
+    ],
+)
+def test_accumulate_misaligned_segment_raises(target_offset, blocklengths, disps):
+    def main(comm):
+        local = np.zeros(8)
+        win = mpi.Win.create(comm, local)
+        t = mpi.hindexed(blocklengths, disps, mpi.DOUBLE).commit()
+        win.lock(0)
+        with pytest.raises(mpi.ArgumentError, match="not aligned to float64 elements"):
+            win.accumulate(
+                np.ones(sum(blocklengths)), 0, target_offset, target_datatype=t
+            )
+        win.unlock(0)
+        assert not local.any()
+        win.free()
+
+    spmd(1, main)
+
+
 def test_get_origin_datatype_out_of_bounds_raises():
     """The origin layout must fit inside the origin buffer — silently
     clamped writes would be data loss."""
