@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-faults test-sanitize test-docs lint check
+.PHONY: test test-faults test-sanitize test-docs test-e2e lint check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -56,4 +56,9 @@ lint:
 test-docs:
 	$(PYTHON) -m pytest -x -q tests/test_docs.py
 
-check: lint test test-faults test-sanitize test-docs lint-smoke sanitize-smoke recover-smoke hotpath-smoke mpi3-smoke procs-smoke proc-recover-smoke traffic-smoke
+# Self-tests of the repo's benchmark (benchmarks/e2e, BENCHMARK.json):
+# outside tier-1's testpaths, so this is where they are kept green.
+test-e2e:
+	$(PYTHON) -m pytest benchmarks/e2e -q
+
+check: lint test test-faults test-sanitize test-docs test-e2e lint-smoke sanitize-smoke recover-smoke hotpath-smoke mpi3-smoke procs-smoke proc-recover-smoke traffic-smoke

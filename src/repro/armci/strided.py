@@ -267,34 +267,35 @@ def strided_datatype_cache_len() -> int:
     return len(_strided_dt_cache)
 
 
-def local_patch_view(arr: np.ndarray) -> tuple[np.ndarray, StridedSpec]:
-    """Describe an n-D NumPy array view as (base byte buffer, strided spec).
+def local_patch_view(arr: np.ndarray) -> "tuple[np.ndarray, list[int]] | None":
+    """An n-D array as ARMCI strided notation: ``(flat bytes, byte strides)``.
 
-    Convenience used by GA: a (possibly non-contiguous) row-major slice
-    of a larger array maps directly onto ARMCI strided notation with
-    ``count[0] = row bytes`` and byte strides taken from the view.
-    The returned spec uses the same strides for src and dst; callers
-    overwrite whichever side differs.
+    This is GA's one derivation of a strided local side: a row-major view
+    with a contiguous innermost dimension (a whole array, or a slice of a
+    larger one) is ``count[0] = row bytes`` at the view's own byte strides,
+    so a transfer can address it in place.  ``flat`` starts at the first
+    element; the strides are per dimension, outermost first (ARMCI's
+    vector is ``reversed(strides[:-1])``).  A stride that is never stepped
+    (a size-1 dimension, or any in an empty array) is reported canonically
+    whatever numpy stores for it (``x[None, :]`` has 0 there).  Any other
+    layout (Fortran order, negative, zero or non-unit inner strides) has no
+    such description: None.
     """
     if arr.ndim == 0:
-        raise ArgumentError("0-d arrays cannot be described as patches")
-    for earlier, later in zip(arr.strides, arr.strides[1:]):
-        if later > earlier:
-            raise ArgumentError("patch views must be row-major (C-order slices)")
-    if arr.strides[-1] != arr.itemsize:
-        raise ArgumentError("innermost dimension must be contiguous")
-    base = arr.base if arr.base is not None else arr
-    while base.base is not None:
-        base = base.base
-    count = [arr.shape[-1] * arr.itemsize] + list(reversed(arr.shape[:-1]))
-    strides = list(reversed(arr.strides[:-1]))
-    spec = StridedSpec.make(count, strides, strides)
-    if not base.flags["C_CONTIGUOUS"]:
-        raise ArgumentError("underlying buffer must be C-contiguous")
-    flat = base.reshape(-1).view(np.uint8)
-    offset = (
-        arr.__array_interface__["data"][0] - base.__array_interface__["data"][0]
-    )
-    if offset < 0:
-        raise ArgumentError("view starts before its base buffer")
-    return flat[offset:], spec
+        return None
+    item = need = arr.itemsize
+    strides: list[int] = []
+    for n, s in zip(reversed(arr.shape), reversed(arr.strides)):
+        if n == 1 or arr.size == 0:
+            s = need
+        elif s < need or (not strides and s != item):
+            return None
+        strides.append(s)
+        need = s * n
+    strides.reverse()
+    if arr.flags.c_contiguous:
+        flat = arr.reshape(-1).view(np.uint8)
+    else:
+        span = sum((n - 1) * s for n, s in zip(arr.shape, strides)) + item
+        flat = np.lib.stride_tricks.as_strided(arr.view(np.uint8), (span,), (1,))
+    return flat, strides

@@ -20,6 +20,14 @@ module tracks them:
 ``acc_strided_512x512``
     the window's accumulate kernel (one in-place pass over a typed 2-D
     view) on a 512-row x 4 KiB ``f8`` tile vs a per-segment loop.
+``get_strided_512x512``
+    the window's put/get kernel (``SegmentMap.copy_from``: one strided copy
+    straight into the origin buffer) on the same tile vs staging the
+    payload and scattering it.
+``strided_translation_rowcount_sweep``
+    one pass of memo *misses* over 600 row counts (owner-straddling
+    pieces): the closed-form four-integer layout vs the array-built
+    flatten of the same subarray.
 ``conflict_check_contig``
     single-interval :class:`repro.mpi.window._IntervalSet` overlap query
     (bounding-box fast path) vs the pre-PR sorted-scan reference.
@@ -61,6 +69,8 @@ MIN_SPEEDUP = {
     "strided_translation": 2.0,
     "strided_translation_typed_miss": 2.0,
     "acc_strided_512x512": 1.2,
+    "get_strided_512x512": 1.5,
+    "strided_translation_rowcount_sweep": 5.0,
     "conflict_check_contig": 1.0,
     "gmr_lookup_hot": 1.0,
 }
@@ -137,6 +147,39 @@ def _wl_acc_strided() -> tuple[Callable, Callable]:
     )
 
 
+def _wl_get_strided() -> tuple[Callable, Callable]:
+    rows, row_bytes, pitch = 512, 4096, 16384
+    buf = np.ones(rows * pitch, dtype=np.uint8)
+    out = np.zeros(rows * row_bytes, dtype=np.uint8)
+    tmap = strided.strided_datatype((pitch,), (row_bytes, rows)).segment_map()
+    omap = dt.SegmentMap.arithmetic(0, out.nbytes, out.nbytes, 1)
+    return (
+        lambda: omap.copy_from(out, tmap, buf),
+        lambda: omap.scatter(out, tmap.gather(buf)),
+    )
+
+
+def _wl_strided_rowcount_sweep() -> tuple[Callable, Callable]:
+    # one op = one pass over more distinct row counts than the memo holds,
+    # visited cyclically, so every translation is a miss.  The 3-D spelling
+    # has two outer dimensions, so it flattens the same rows through the
+    # array-building general path.
+    row_bytes, pitch = 4096, 16384
+    sweep = range(2, 1202, 2)
+    assert len(sweep) > strided.STRIDED_DATATYPE_CACHE_MAX
+
+    def closed_form() -> None:
+        for rows in sweep:
+            strided.strided_datatype((pitch,), (row_bytes, rows)).segment_map().shifted(64)
+
+    def array_built() -> None:
+        for rows in sweep:
+            t = dt.subarray([2, rows // 2, pitch], [2, rows // 2, row_bytes], [0, 0, 0], dt.BYTE)
+            t.commit().segment_map().shifted(64)
+
+    return closed_form, array_built
+
+
 def _wl_conflict() -> tuple[Callable, Callable]:
     iset = _IntervalSet()
     for i in range(512):
@@ -209,6 +252,8 @@ WORKLOADS: dict[str, Callable[[], tuple[Callable, Callable]]] = {
     "strided_translation": _wl_strided,
     "strided_translation_typed_miss": _wl_strided_typed_miss,
     "acc_strided_512x512": _wl_acc_strided,
+    "get_strided_512x512": _wl_get_strided,
+    "strided_translation_rowcount_sweep": _wl_strided_rowcount_sweep,
     "conflict_check_contig": _wl_conflict,
     "gmr_lookup_hot": _wl_gmr_lookup,
 }

@@ -20,11 +20,13 @@ the NWChem proxy runs the same science on both stacks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
 from ..armci.gmr import GlobalPtr
+from ..armci.strided import local_patch_view
 from ..mpi.errors import ArgumentError
 from .distribution import BlockDistribution, Patch
 
@@ -61,6 +63,13 @@ class GlobalArray:
         self.name = name
         self.chunk = None if chunk is None else tuple(int(c) for c in chunk)
         self._access_view: "np.ndarray | None" = None
+        #: per rank, the C-order byte strides of its local block
+        self._block_strides = []
+        for rank in range(dist.nproc):
+            shape, strides = dist.block(rank).shape, [self.dtype.itemsize] * len(self.shape)
+            for d in range(len(shape) - 2, -1, -1):
+                strides[d] = strides[d + 1] * max(shape[d + 1], 1)
+            self._block_strides.append(strides)
 
     # -- creation ------------------------------------------------------------------
     @classmethod
@@ -121,76 +130,56 @@ class GlobalArray:
             )
         return patch
 
-    def _owner_strided_args(self, piece) -> tuple[GlobalPtr, list[int]]:
-        """Remote base pointer and stride vector for one owner's share."""
-        block = self.dist.block(piece.rank)
-        bshape = block.shape
+    def _owner_pieces(self, patch: Patch, flat: np.ndarray, buf_strides: list):
+        """One strided ARMCI argument tuple per owner of ``patch`` (Fig. 2).
+
+        Yields ``(local, local_strides, remote_ptr, remote_strides, count)``:
+        the local side is the user's buffer itself — its ``flat`` bytes from
+        the piece's first element, at its own ``buf_strides`` — so the
+        transfer moves between that buffer and the window with no copy in
+        between.
+        """
+        loc_strides = list(reversed(buf_strides[:-1]))
         item = self.dtype.itemsize
-        # C-order byte strides of the owner's local block
-        strides = [item] * len(bshape)
-        for d in range(len(bshape) - 2, -1, -1):
-            strides[d] = strides[d + 1] * max(bshape[d + 1], 1)
-        offset = sum(
-            l * s for l, s in zip(piece.local_patch.lo, strides)
-        )
-        ptr = self.ptrs[piece.rank] + offset
-        # ARMCI stride vector: [innermost..outermost][:-1] reversed, minus
-        # the contiguous dimension
-        armci_strides = list(reversed(strides[:-1])) if len(bshape) > 1 else []
-        return ptr, armci_strides
-
-    @staticmethod
-    def _count_vector(shape: Sequence[int], item: int) -> list[int]:
-        """ARMCI count vector for a patch shape (count[0] in bytes)."""
-        return [shape[-1] * item] + list(reversed(shape[:-1]))
-
-    def _local_strides(self, request_shape: Sequence[int], item: int) -> list[int]:
-        strides = [item] * len(request_shape)
-        for d in range(len(request_shape) - 2, -1, -1):
-            strides[d] = strides[d + 1] * max(request_shape[d + 1], 1)
-        return list(reversed(strides[:-1])) if len(request_shape) > 1 else []
+        for piece in self.dist.locate(patch):
+            strides = self._block_strides[piece.rank]
+            ptr = self.ptrs[piece.rank] + sum(map(mul, piece.local_patch.lo, strides))
+            at = sum(map(mul, piece.request_patch.lo, buf_strides))
+            shape = piece.global_patch.shape
+            # ARMCI vectors run innermost-first; count[0] is in bytes
+            count = [shape[-1] * item] + list(reversed(shape[:-1]))
+            yield flat[at:], loc_strides, ptr, list(reversed(strides[:-1])), count
 
     # -- one-sided data access (GA_Put / GA_Get / GA_Acc) ------------------------------
     def put(self, lo: Sequence[int], hi: Sequence[int], data: np.ndarray) -> None:
         """One-sided put of ``data`` into the global patch ``[lo, hi)``."""
         patch = self._patch(lo, hi)
-        data = self._check_data(patch, data)
-        item = self.dtype.itemsize
-        buf = np.ascontiguousarray(data)
-        for piece in self.dist.locate(patch):
-            sub = np.ascontiguousarray(_subpatch(buf, piece.request_patch))
-            ptr, rem_strides = self._owner_strided_args(piece)
-            pshape = piece.global_patch.shape
-            self.runtime.put_s(
-                sub,
-                self._local_strides(pshape, item),
-                ptr,
-                rem_strides[: len(pshape) - 1],
-                self._count_vector(pshape, item),
-            )
+        _, flat, buf_strides = self._local_side(patch, data)
+        for src, src_strides, ptr, strides, count in self._owner_pieces(
+            patch, flat, buf_strides
+        ):
+            self.runtime.put_s(src, src_strides, ptr, strides, count)
 
     def get(
         self, lo: Sequence[int], hi: Sequence[int], out: "np.ndarray | None" = None
     ) -> np.ndarray:
-        """One-sided get of the global patch ``[lo, hi)``."""
+        """One-sided get of the global patch ``[lo, hi)``.
+
+        ``out`` is filled in place through its own strides when it is a
+        row-major view with a contiguous innermost dimension (e.g. a slice
+        of a larger array); any other layout is served through one
+        contiguous temporary.  A read-only ``out`` is an error.
+        """
         patch = self._patch(lo, hi)
         if out is None:
             out = np.empty(patch.shape, dtype=self.dtype)
-        else:
-            out = self._check_data(patch, out, writable=True)
-        item = self.dtype.itemsize
-        for piece in self.dist.locate(patch):
-            pshape = piece.global_patch.shape
-            sub = np.empty(pshape, dtype=self.dtype)
-            ptr, rem_strides = self._owner_strided_args(piece)
-            self.runtime.get_s(
-                ptr,
-                rem_strides[: len(pshape) - 1],
-                sub,
-                self._local_strides(pshape, item),
-                self._count_vector(pshape, item),
-            )
-            _subpatch_assign(out, piece.request_patch, sub)
+        buf, flat, buf_strides = self._local_side(patch, out, writable=True)
+        for dst, dst_strides, ptr, strides, count in self._owner_pieces(
+            patch, flat, buf_strides
+        ):
+            self.runtime.get_s(ptr, strides, dst, dst_strides, count)
+        if buf is not out:
+            out[...] = buf
         return out
 
     def acc(
@@ -202,24 +191,20 @@ class GlobalArray:
     ) -> None:
         """One-sided accumulate: ``GA[lo:hi) += alpha * data`` (GA_Acc)."""
         patch = self._patch(lo, hi)
-        data = self._check_data(patch, data)
-        item = self.dtype.itemsize
-        buf = np.ascontiguousarray(data)
-        for piece in self.dist.locate(patch):
-            sub = np.ascontiguousarray(_subpatch(buf, piece.request_patch))
-            ptr, rem_strides = self._owner_strided_args(piece)
-            pshape = piece.global_patch.shape
+        _, flat, buf_strides = self._local_side(patch, data)
+        for src, src_strides, ptr, strides, count in self._owner_pieces(
+            patch, flat, buf_strides
+        ):
             self.runtime.acc_s(
-                sub,
-                self._local_strides(pshape, item),
-                ptr,
-                rem_strides[: len(pshape) - 1],
-                self._count_vector(pshape, item),
-                scale=alpha,
-                dtype=self.dtype,
+                src, src_strides, ptr, strides, count, scale=alpha, dtype=self.dtype
             )
 
-    def _check_data(self, patch: Patch, data: np.ndarray, writable=False) -> np.ndarray:
+    def _local_side(self, patch: Patch, data: np.ndarray, writable=False):
+        """Validate a user buffer for ``patch``; returns ``(buf, flat,
+        strides)``: the array the transfer addresses and its one strided
+        description (:func:`local_patch_view`).  ``buf`` is ``data`` itself,
+        or a contiguous stand-in when its layout has no such description
+        (copied from it unless it is about to be overwritten)."""
         data = np.asarray(data)
         if data.dtype != self.dtype:
             raise ArgumentError(
@@ -229,7 +214,13 @@ class GlobalArray:
             raise ArgumentError(
                 f"{self.name}: data shape {data.shape} != patch shape {patch.shape}"
             )
-        return data
+        if writable and not data.flags.writeable:
+            raise ArgumentError(f"{self.name}: get(out=...) needs a writable array")
+        side = local_patch_view(data)
+        if side is None:
+            data = np.empty(patch.shape, self.dtype) if writable else np.array(data, order="C")
+            side = local_patch_view(data)
+        return (data, *side)
 
     # -- direct local access (GA_Access / GA_Release, §V-E) ------------------------------
     def access(self) -> np.ndarray:
@@ -310,7 +301,3 @@ class GlobalArray:
 
 def _subpatch(arr: np.ndarray, patch: Patch) -> np.ndarray:
     return arr[tuple(slice(l, h) for l, h in zip(patch.lo, patch.hi))]
-
-
-def _subpatch_assign(arr: np.ndarray, patch: Patch, value: np.ndarray) -> None:
-    arr[tuple(slice(l, h) for l, h in zip(patch.lo, patch.hi))] = value

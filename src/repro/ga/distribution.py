@@ -14,8 +14,11 @@ minimum-chunk hints.
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from operator import ge, sub
+from typing import Sequence
 
 from ..mpi.errors import ArgumentError
 
@@ -135,12 +138,30 @@ class BlockDistribution:
         nproc: int,
         chunk: "Sequence[int] | None" = None,
     ):
-        self.shape = tuple(int(s) for s in shape)
+        shape = tuple(int(s) for s in shape)
+        dims = grid_dims(nproc, shape, chunk)
+        self._install(shape, nproc, [
+            [block_bounds(extent, nb, b)[0] for b in range(nb)] + [extent]
+            for extent, nb in zip(shape, dims)
+        ])
+
+    def _install(self, shape: tuple, nproc: int, edges: "list[list[int]]") -> None:
+        """Adopt the grid given by per-dimension block edges (the start of
+        every block, then the extent) and tabulate each rank's block."""
+        self.shape = shape
         self.nproc = nproc
-        self.dims = grid_dims(nproc, self.shape, chunk)
+        self._edges = edges
+        self.dims = [len(e) - 1 for e in edges]
         self.grid_size = 1
         for d in self.dims:
             self.grid_size *= d
+        zeros = tuple(0 for _ in shape)
+        self._blocks = [Patch(zeros, zeros)] * nproc  # idle ranks own nothing
+        for rank, coords in enumerate(itertools.product(*map(range, self.dims))):
+            self._blocks[rank] = Patch(
+                tuple(e[c] for e, c in zip(edges, coords)),
+                tuple(e[c + 1] for e, c in zip(edges, coords)),
+            )
 
     # -- rank <-> grid coordinates -------------------------------------------------
     def grid_coords(self, rank: int) -> "tuple[int, ...] | None":
@@ -164,37 +185,22 @@ class BlockDistribution:
     # -- ownership ---------------------------------------------------------------------
     def block(self, rank: int) -> Patch:
         """The block ``[lo, hi)`` owned by ``rank`` (empty for idle ranks)."""
-        coords = self.grid_coords(rank)
-        if coords is None:
-            zeros = tuple(0 for _ in self.shape)
-            return Patch(zeros, zeros)
-        lo, hi = [], []
-        for extent, nb, c in zip(self.shape, self.dims, coords):
-            l, h = block_bounds(extent, nb, c)
-            lo.append(l)
-            hi.append(h)
-        return Patch(tuple(lo), tuple(hi))
+        return self._blocks[rank]
 
     def owner(self, index: Sequence[int]) -> int:
         """The rank owning element ``index``."""
         coords = []
-        for x, extent, nb in zip(index, self.shape, self.dims):
-            if not 0 <= x < extent:
+        for x, edges in zip(index, self._edges):
+            if not 0 <= x < edges[-1]:
                 raise ArgumentError(f"index {tuple(index)} outside shape {self.shape}")
-            base, rem = divmod(extent, nb)
-            # first `rem` blocks have size base+1
-            boundary = rem * (base + 1)
-            if x < boundary:
-                coords.append(x // (base + 1))
-            else:
-                coords.append(rem + (x - boundary) // base if base else nb - 1)
+            coords.append(bisect_right(edges, x, 0, len(edges) - 1) - 1)
         return self.rank_of_coords(coords)
 
-    def locate(self, patch: Patch) -> Iterator[OwnedPiece]:
+    def locate(self, patch: Patch) -> "list[OwnedPiece]":
         """All owners intersecting ``patch`` — NGA_Locate_region.
 
-        Yields one :class:`OwnedPiece` per owning process, the unit that
-        becomes one ARMCI strided operation (Fig. 2).
+        One :class:`OwnedPiece` per owning process, in rank order: the unit
+        that becomes one ARMCI strided operation (Fig. 2).
         """
         if len(patch.lo) != len(self.shape):
             raise ArgumentError(
@@ -203,42 +209,34 @@ class BlockDistribution:
         for l, h, extent in zip(patch.lo, patch.hi, self.shape):
             if l < 0 or h > extent:
                 raise ArgumentError(f"patch {patch} outside array shape {self.shape}")
+        pieces: "list[OwnedPiece]" = []
         if patch.empty:
-            return
+            return pieces
         # grid-coordinate range intersecting the patch per dimension
-        coord_ranges = []
-        for d, (extent, nb) in enumerate(zip(self.shape, self.dims)):
-            c_lo = self._coord_of(d, patch.lo[d])
-            c_hi = self._coord_of(d, patch.hi[d] - 1)
-            coord_ranges.append(range(c_lo, c_hi + 1))
-        # iterate the (small) sub-grid
-        def rec(d: int, coords: list[int]):
-            if d == len(coord_ranges):
-                rank = self.rank_of_coords(coords)
-                block = self.block(rank)
-                piece = patch.intersect(block)
-                if not piece.empty:
-                    yield OwnedPiece(
-                        rank=rank,
-                        global_patch=piece,
-                        local_patch=piece.shifted_into(block.lo),
-                        request_patch=piece.shifted_into(patch.lo),
-                    )
-                return
-            for c in coord_ranges[d]:
-                coords.append(c)
-                yield from rec(d + 1, coords)
-                coords.pop()
-
-        yield from rec(0, [])
-
-    def _coord_of(self, dim: int, x: int) -> int:
-        extent, nb = self.shape[dim], self.dims[dim]
-        base, rem = divmod(extent, nb)
-        boundary = rem * (base + 1)
-        if x < boundary:
-            return x // (base + 1)
-        return rem + ((x - boundary) // base if base else 0)
+        ranges = [
+            range(
+                bisect_right(e, l, 0, len(e) - 1) - 1,
+                bisect_right(e, h - 1, 0, len(e) - 1),
+            )
+            for e, l, h in zip(self._edges, patch.lo, patch.hi)
+        ]
+        plo, phi = patch.lo, patch.hi
+        for coords in itertools.product(*ranges):  # the (small) sub-grid
+            rank = 0
+            for c, d in zip(coords, self.dims):
+                rank = rank * d + c
+            blo = self._blocks[rank].lo
+            lo = tuple(map(max, plo, blo))
+            hi = tuple(map(min, phi, self._blocks[rank].hi))
+            if any(map(ge, lo, hi)):
+                continue  # an empty block
+            pieces.append(OwnedPiece(
+                rank=rank,
+                global_patch=Patch(lo, hi),
+                local_patch=Patch(tuple(map(sub, lo, blo)), tuple(map(sub, hi, blo))),
+                request_patch=Patch(tuple(map(sub, lo, plo)), tuple(map(sub, hi, plo))),
+            ))
+        return pieces
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BlockDistribution(shape={self.shape}, grid={self.dims})"

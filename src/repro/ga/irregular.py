@@ -10,11 +10,10 @@ owner / block interface), so every GA operation works unchanged.
 
 from __future__ import annotations
 
-import bisect
 from typing import Sequence
 
 from ..mpi.errors import ArgumentError
-from .distribution import BlockDistribution, Patch
+from .distribution import BlockDistribution
 
 
 class IrregularDistribution(BlockDistribution):
@@ -39,8 +38,7 @@ class IrregularDistribution(BlockDistribution):
                 f"need one boundary list per dimension: got {len(boundaries)} "
                 f"for a {len(shape)}-d array"
             )
-        self._bounds: list[list[int]] = []
-        dims = []
+        edges: list[list[int]] = []
         for d, (extent, marks) in enumerate(zip(shape, boundaries)):
             marks = [int(m) for m in marks]
             if not marks or marks[0] != 0:
@@ -52,51 +50,23 @@ class IrregularDistribution(BlockDistribution):
                     f"dim {d}: last boundary {marks[-1]} must lie inside "
                     f"extent {extent}"
                 )
-            self._bounds.append(marks)
-            dims.append(len(marks))
+            edges.append(marks + [extent])
         grid_size = 1
-        for n in dims:
-            grid_size *= n
+        for e in edges:
+            grid_size *= len(e) - 1
         if grid_size > nproc:
             raise ArgumentError(
-                f"irregular grid {dims} needs {grid_size} processes, "
-                f"only {nproc} available"
+                f"irregular grid {[len(e) - 1 for e in edges]} needs "
+                f"{grid_size} processes, only {nproc} available"
             )
         # Intentionally bypass BlockDistribution.__init__'s automatic
         # factorisation: we install the explicit grid instead.
-        self.shape = shape
-        self.nproc = nproc
-        self.dims = dims
-        self.grid_size = grid_size
-
-    # -- ownership overrides --------------------------------------------------
-    def block(self, rank: int) -> Patch:
-        coords = self.grid_coords(rank)
-        if coords is None:
-            zeros = tuple(0 for _ in self.shape)
-            return Patch(zeros, zeros)
-        lo, hi = [], []
-        for extent, marks, c in zip(self.shape, self._bounds, coords):
-            lo.append(marks[c])
-            hi.append(marks[c + 1] if c + 1 < len(marks) else extent)
-        return Patch(tuple(lo), tuple(hi))
-
-    def _coord_of(self, dim: int, x: int) -> int:
-        marks = self._bounds[dim]
-        if not 0 <= x < self.shape[dim]:
-            raise ArgumentError(
-                f"index {x} outside dimension {dim} extent {self.shape[dim]}"
-            )
-        return bisect.bisect_right(marks, x) - 1
-
-    def owner(self, index: Sequence[int]) -> int:
-        coords = [self._coord_of(d, int(x)) for d, x in enumerate(index)]
-        return self.rank_of_coords(coords)
+        self._install(shape, nproc, edges)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"IrregularDistribution(shape={self.shape}, "
-            f"bounds={self._bounds})"
+            f"bounds={[e[:-1] for e in self._edges]})"
         )
 
 

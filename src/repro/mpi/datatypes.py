@@ -81,6 +81,7 @@ class SegmentMap:
     __slots__ = (
         "offsets",
         "lengths",
+        "nsegments",
         "_total",
         "_uniform",
         "_flat_idx",
@@ -94,6 +95,7 @@ class SegmentMap:
         self.lengths = np.ascontiguousarray(lengths, dtype=np.int64)
         if self.offsets.shape != self.lengths.shape or self.offsets.ndim != 1:
             raise ArgumentError("SegmentMap arrays must be 1-D and equal length")
+        self.nsegments = len(self.offsets)
         self._total = int(self.lengths.sum())
         self._uniform: "int | None | bool" = False  # False = not yet computed
         self._flat_idx: "np.ndarray | None" = None
@@ -101,9 +103,40 @@ class SegmentMap:
         self._arith: "tuple[int, int, int, int] | None | bool" = False
         self._bounds: "tuple[int, int] | None" = None
 
-    @property
-    def nsegments(self) -> int:
-        return len(self.offsets)
+    @classmethod
+    def arithmetic(cls, start: int, step: int, seg_len: int, n: int) -> "SegmentMap":
+        """``n`` segments of ``seg_len`` bytes, ``step`` apart from ``start``,
+        in closed form: the coalesced map of those segments (back-to-back
+        rows are one segment) with every memo filled and no array built.
+
+        ``offsets``/``lengths`` materialise on first use.  Layouts that are
+        not an ascending progression of non-empty rows take the array form.
+        """
+        if n == 1 or step == seg_len:
+            seg_len *= n
+            step, n = seg_len, min(n, 1)
+        if n < 1 or seg_len < 1 or step < 1:
+            n = max(n, 0)
+            return cls(start + step * np.arange(n), np.full(n, seg_len)).coalesced()
+        return cls._closed_form(start, step, seg_len, n)
+
+    @classmethod
+    def _closed_form(cls, start: int, step: int, seg_len: int, n: int) -> "SegmentMap":
+        new = cls.__new__(cls)  # offsets/lengths stay unset: see __getattr__
+        new.nsegments, new._total, new._uniform = n, n * seg_len, seg_len
+        new._flat_idx, new._self_overlap = None, step < seg_len
+        new._arith = (start, step, seg_len, n)
+        new._bounds = (start, start + (n - 1) * step + seg_len)
+        return new
+
+    def __getattr__(self, name: str):
+        # reached only for the unset array slots of a closed-form map
+        if name not in ("offsets", "lengths"):
+            raise AttributeError(name)
+        start, step, seg_len, n = self._arith  # type: ignore[misc]
+        self.offsets = np.arange(start, start + step * n, step, dtype=np.int64)
+        self.lengths = np.full(n, seg_len, dtype=np.int64)
+        return getattr(self, name)
 
     @property
     def total_bytes(self) -> int:
@@ -161,15 +194,47 @@ class SegmentMap:
                     self._arith = (int(self.offsets[0]), step, L, n)
         return self._arith
 
-    def _strided_view(self, buffer: np.ndarray, dtype=np.uint8) -> np.ndarray:
+    def _strided_view(
+        self, buffer: np.ndarray, dtype=np.uint8, row: "int | None" = None
+    ) -> np.ndarray:
         """The map's rows as a 2-D view of the byte ``buffer``, in ``dtype``
-        elements (offsets and lengths must be whole elements)."""
+        elements (offsets and lengths must be whole elements).  ``row``
+        re-cuts a contiguous map (``step == seg_len``) into rows that long."""
         start, step, L, n = self._arith_params()  # type: ignore[misc]
-        dtype = np.dtype(dtype)
-        window = buffer[start : start + (n - 1) * step + L].view(dtype)
-        return np.lib.stride_tricks.as_strided(
-            window, shape=(n, L // dtype.itemsize), strides=(step, dtype.itemsize)
-        )
+        if row is not None and row != L:
+            n, step, L = n * L // row, row, row
+        item = np.dtype(dtype).itemsize
+        return np.ndarray((n, L // item), dtype, buffer, start, (step, item))
+
+    def copy_from(self, buffer: np.ndarray, src: "SegmentMap", src_buffer: np.ndarray) -> None:
+        """Set this map's bytes of ``buffer`` to ``src``'s bytes of
+        ``src_buffer`` (equal totals), as if gathered and then scattered.
+
+        One C-level strided copy when both maps are arithmetic with disjoint
+        rows of one length (a contiguous side is re-cut to the other's row
+        length), or one slice store when both are a single segment; numpy
+        resolves aliasing buffers as if the source were copied first.
+        Anything else packs and unpacks.
+        """
+        if self.nsegments == 1 == src.nsegments:  # every small op: skip the views
+            (lo, hi), (src_lo, src_hi) = self.bounds(), src.bounds()
+            buffer[lo:hi] = src_buffer[src_lo:src_hi]
+            return
+        a, b = self._arith_params(), src._arith_params()
+        if a is not None and b is not None and a[1] >= a[2] and b[1] >= b[2]:
+            # the shared row length; a contiguous side (step == seg_len) adopts
+            # the other's; two strided sides with different rows have none
+            row = a[2] if (a[2] == b[2] or b[1] == b[2]) else b[2] if a[1] == a[2] else 0
+            if row:
+                np.copyto(
+                    self._strided_view(buffer, row=row),
+                    src._strided_view(src_buffer, row=row),
+                )
+                return
+        data = src.gather(src_buffer, copy=False)
+        if data.base is not None and np.may_share_memory(data, buffer):
+            data = data.copy()
+        self.scatter(buffer, data)
 
     def flat_index(self) -> np.ndarray:
         """``int64`` array mapping wire position -> buffer byte offset.
@@ -207,12 +272,12 @@ class SegmentMap:
         view into ``buffer``; callers must consume it before mutating the
         source.
         """
-        n = len(self.offsets)
+        n = self.nsegments
         if n == 0:
             return np.empty(0, dtype=np.uint8)
         if n == 1:
-            off = int(self.offsets[0])
-            seg = buffer[off : off + int(self.lengths[0])]
+            lo, hi = self.bounds()
+            seg = buffer[lo:hi]
             return seg if not copy else seg.copy()
         if self._arith_params() is not None:
             return np.ascontiguousarray(self._strided_view(buffer)).reshape(-1)
@@ -225,12 +290,12 @@ class SegmentMap:
         are preserved: the fancy-indexed store is only used for
         non-self-overlapping maps.
         """
-        n = len(self.offsets)
+        n = self.nsegments
         if n == 0:
             return
         if n == 1:
-            off = int(self.offsets[0])
-            buffer[off : off + int(self.lengths[0])] = data
+            lo, hi = self.bounds()
+            buffer[lo:hi] = data
             return
         arith = self._arith_params()
         if arith is not None and arith[1] >= arith[2]:
@@ -248,6 +313,12 @@ class SegmentMap:
 
     def coalesced(self) -> "SegmentMap":
         """Merge segments that are adjacent in both traversal and address order."""
+        arith = self._arith_params()
+        if arith is not None:
+            # rows of a progression merge all together (back to back) or not at all
+            if arith[3] == 1 or arith[1] != arith[2]:
+                return self
+            return SegmentMap.arithmetic(*arith)
         if self.nsegments <= 1:
             return self
         offs, lens = self.offsets, self.lengths
@@ -270,12 +341,14 @@ class SegmentMap:
         where the arithmetic progression and the bounds start.
         """
         d = int(displacement_bytes)
+        arith = self._arith_params()
+        if arith is not None:
+            return SegmentMap._closed_form(arith[0] + d, *arith[1:])
         new = SegmentMap.__new__(SegmentMap)
         new.offsets, new.lengths, new._flat_idx = self.offsets + d, self.lengths, None
-        new._total, new._uniform = self._total, self.uniform_seg_len
+        new.nsegments, new._total = self.nsegments, self._total
+        new._uniform, new._arith = self.uniform_seg_len, None
         new._self_overlap = self.overlaps_self()
-        arith = self._arith_params()
-        new._arith = arith and (arith[0] + d,) + arith[1:]
         lo, hi = self.bounds()
         new._bounds = (lo + d, hi + d)
         return new
@@ -381,10 +454,14 @@ class Datatype:
         if cached is not None:
             return cached
         base = self._segmap
-        reps = np.arange(count, dtype=np.int64) * self.extent
-        offsets = (base.offsets[None, :] + reps[:, None]).reshape(-1)
-        lengths = np.tile(base.lengths, count)
-        segmap = SegmentMap(offsets, lengths).coalesced()
+        if base.nsegments == 1:
+            lo, hi = base.bounds()
+            segmap = SegmentMap.arithmetic(lo, self.extent, hi - lo, count)
+        else:
+            reps = np.arange(count, dtype=np.int64) * self.extent
+            offsets = (base.offsets[None, :] + reps[:, None]).reshape(-1)
+            lengths = np.tile(base.lengths, count)
+            segmap = SegmentMap(offsets, lengths).coalesced()
         if len(self._count_maps) >= self._COUNT_CACHE_MAX:
             self._count_maps.clear()
         self._count_maps[count] = segmap
@@ -475,7 +552,7 @@ class _Predefined(Datatype):
         return True
 
     def _flatten(self) -> SegmentMap:
-        return SegmentMap(np.array([0]), np.array([self.size]))
+        return SegmentMap.arithmetic(0, self.size, self.size, 1)
 
 
 BYTE = _Predefined("MPI_BYTE", "u1")
@@ -545,6 +622,9 @@ def hvector(count: int, blocklength: int, stride_bytes: int, oldtype: Datatype) 
 
     def build() -> SegmentMap:
         block = oldtype.segment_map(blocklength)
+        if block.nsegments == 1:
+            lo, hi = block.bounds()
+            return SegmentMap.arithmetic(lo, stride_bytes, hi - lo, count)
         reps = np.arange(count, dtype=np.int64) * stride_bytes
         offsets = (block.offsets[None, :] + reps[:, None]).reshape(-1)
         lengths = np.tile(block.lengths, count)
@@ -710,18 +790,20 @@ def subarray(
             )
 
     def build() -> SegmentMap:
-        ext = oldtype.extent
         # byte strides of the parent array, C order
-        strides = np.empty(ndims, dtype=np.int64)
-        strides[-1] = ext
+        strides = [oldtype.extent] * ndims
         for d in range(ndims - 2, -1, -1):
             strides[d] = strides[d + 1] * sizes[d + 1]
-        base_off = int(np.dot(strides, starts))
-        inner = oldtype.segment_map(subsizes[-1]) if subsizes[-1] else SegmentMap(
-            np.empty(0, np.int64), np.empty(0, np.int64)
-        )
-        if any(s == 0 for s in subsizes):
+        base_off = sum(s * st for s, st in zip(strides, starts))
+        if 0 in subsizes:
             return SegmentMap(np.empty(0, np.int64), np.empty(0, np.int64))
+        inner = oldtype.segment_map(subsizes[-1])
+        outer = [d for d in range(ndims - 1) if subsizes[d] > 1]
+        if inner.nsegments == 1 and len(outer) <= 1:
+            # rows along at most one dimension: an arithmetic progression
+            lo, hi = inner.bounds()
+            rows, step = (subsizes[outer[0]], strides[outer[0]]) if outer else (1, hi - lo)
+            return SegmentMap.arithmetic(base_off + lo, step, hi - lo, rows)
         # outer index grid over dims 0..ndims-2, vectorised via broadcasting
         if ndims == 1:
             outer_offsets = np.zeros(1, dtype=np.int64)

@@ -219,8 +219,9 @@ class _Epoch:
         self.puts = _IntervalSet()
         self.gets = _IntervalSet()
         self.accs: dict[str, _IntervalSet] = {}
-        #: (staged_bytes, user_byte_view, origin_segmap)
-        self.pending_gets: list[tuple[np.ndarray, np.ndarray, dt.SegmentMap]] = []
+        #: (user_byte_view, origin_segmap, source): the target's segment map,
+        #: read at completion — or the staged payload a fault injector saw
+        self.pending_gets: list[tuple] = []
         #: request-based ops issued in this epoch (MPI-3 rput/rget);
         #: closing the epoch with any of them incomplete is erroneous
         self.pending_reqs: list["_DoneRequest"] = []
@@ -836,23 +837,30 @@ class Win:
         origin_count: int = 1,
     ) -> None:
         """One-sided put (MPI_Put); completes at unlock."""
-        data = self._gather_origin(origin, origin_datatype, origin_count, target_rank)
+        view, omap = self._origin_segmap(origin, origin_datatype, origin_count, "put")
+        nbytes = omap.total_bytes
         segmap = self._target_segmap(
             origin, target_rank, target_offset, target_datatype, target_count,
-            len(data), kind="put",
+            nbytes, kind="put",
         )
         with self.runtime.cond:
             o = current_proc().rank
             epoch = self._require_epoch(o, target_rank, "put")
             self._record_access(epoch, "put", None, segmap, origin)
-            payload = self._fault_filter("put", data)
-            if payload is not None:
-                segmap.scatter(self._buffers[target_rank], payload)
+            buf = self._buffers[target_rank]
+            if self.runtime.faults is None:
+                segmap.copy_from(buf, omap, view)
+            else:  # the injector filters the packed payload
+                payload = self._fault_filter(
+                    "put", self._gather_origin(view, omap, target_rank)
+                )
+                if payload is not None:
+                    segmap.scatter(buf, payload)
             op_index = epoch.op_count
             epoch.op_count += 1
-            epoch.bytes_moved += len(data)
+            epoch.bytes_moved += nbytes
             self.runtime.notify_progress()
-        self._charge_op("put", len(data), segmap.nsegments, op_index)
+        self._charge_op("put", nbytes, segmap.nsegments, op_index)
 
     def get(
         self,
@@ -865,45 +873,30 @@ class Win:
         origin_count: int = 1,
     ) -> None:
         """One-sided get (MPI_Get); data lands in ``origin`` at unlock/flush."""
-        origin_view = _byte_view(origin)
-        if origin_datatype is None:
-            origin_segmap = dt.SegmentMap(
-                np.array([0], dtype=np.int64), np.array([origin_view.nbytes], dtype=np.int64)
-            )
-        else:
-            origin_segmap = origin_datatype.segment_map(origin_count)
-            if origin_segmap.nsegments:
-                lo, hi = origin_segmap.bounds()
-                if lo < 0 or hi > origin_view.nbytes:
-                    raise ArgumentError(
-                        f"get: origin datatype accesses [{lo},{hi}) outside "
-                        f"the {origin_view.nbytes}-byte origin buffer"
-                    )
+        view, omap = self._origin_segmap(origin, origin_datatype, origin_count, "get")
+        nbytes = omap.total_bytes
         segmap = self._target_segmap(
-            origin,
-            target_rank,
-            target_offset,
-            target_datatype,
-            target_count,
-            origin_segmap.total_bytes,
-            kind="get",
+            origin, target_rank, target_offset, target_datatype, target_count,
+            nbytes, kind="get",
         )
         with self.runtime.cond:
             o = current_proc().rank
             epoch = self._require_epoch(o, target_rank, "get")
             self._record_access(epoch, "get", None, segmap, origin)
-            # staged until unlock, so the gather must copy (gather() copies
-            # for every multi-segment map; copy=True forces it for one segment)
-            staged = segmap.gather(self._buffers[target_rank], copy=True)
-            nbytes = len(staged)
-            staged = self._fault_filter("get", staged)
-            if staged is not None:
-                epoch.pending_gets.append((staged, origin_view, origin_segmap))
+            # the target is read when the get completes, which is where MPI
+            # places it; an injector filters a payload staged now instead
+            source: "dt.SegmentMap | np.ndarray | None" = segmap
+            if self.runtime.faults is not None:
+                source = self._fault_filter(
+                    "get", segmap.gather(self._buffers[target_rank], copy=True)
+                )
+            if source is not None:
+                epoch.pending_gets.append((view, omap, source))
             op_index = epoch.op_count
             epoch.op_count += 1
             epoch.bytes_moved += nbytes
             self.runtime.notify_progress()
-        self._charge_op("get", origin_segmap.total_bytes, segmap.nsegments, op_index)
+        self._charge_op("get", nbytes, segmap.nsegments, op_index)
 
     def accumulate(
         self,
@@ -922,11 +915,12 @@ class Win:
         (or the origin array's dtype when no datatype is given).
         """
         op = mpi_ops.lookup(op)
-        data = self._gather_origin(origin, origin_datatype, origin_count, target_rank)
+        view, omap = self._origin_segmap(origin, origin_datatype, origin_count, "acc")
         segmap = self._target_segmap(
             origin, target_rank, target_offset, target_datatype, target_count,
-            len(data), kind="acc",
+            omap.total_bytes, kind="acc",
         )
+        data = self._gather_origin(view, omap, target_rank)
         base = (
             target_datatype.base
             if target_datatype is not None
@@ -1093,10 +1087,7 @@ class Win:
         self._check_target(target_rank)
         disp = target_offset * self._disp_units[target_rank]
         if target_datatype is None:
-            segmap = dt.SegmentMap(
-                np.array([disp], dtype=np.int64),
-                np.array([origin_nbytes], dtype=np.int64),
-            )
+            segmap = dt.SegmentMap.arithmetic(disp, origin_nbytes, origin_nbytes, 1)
         else:
             segmap = target_datatype.segment_map(target_count).shifted(disp)
             if segmap.total_bytes != origin_nbytes:
@@ -1113,30 +1104,30 @@ class Win:
                 )
         return segmap
 
+    def _origin_segmap(
+        self, origin: np.ndarray, origin_datatype: "dt.Datatype | None", count: int, kind: str
+    ) -> tuple[np.ndarray, dt.SegmentMap]:
+        """The origin buffer as bytes and the layout the op touches in it."""
+        view = _byte_view(origin)
+        if origin_datatype is None:
+            return view, dt.SegmentMap.arithmetic(0, view.nbytes, view.nbytes, 1)
+        segmap = origin_datatype.segment_map(count)
+        dt._check_bounds(segmap, view.nbytes, f"{kind}: origin {origin_datatype.name}")
+        return view, segmap
+
     def _gather_origin(
-        self,
-        origin: np.ndarray,
-        origin_datatype: "dt.Datatype | None",
-        count: int,
-        target_rank: "int | None" = None,
+        self, view: np.ndarray, omap: dt.SegmentMap, target_rank: int
     ) -> np.ndarray:
         """Serialise the origin contribution; zero-copy when possible.
 
-        Contiguous origins (no datatype, or a single-segment one) are
-        returned as views — the data is consumed before the call returns,
-        so no copy is needed *unless* the origin aliases the target's
-        exposed memory, where the scatter/accumulate loop could otherwise
-        read bytes it already wrote.
+        A contiguous origin is returned as a view — the data is consumed
+        before the call returns, so no copy is needed *unless* the origin
+        aliases the target's exposed memory, where the scatter/accumulate
+        loop could otherwise read bytes it already wrote.
         """
-        view = _byte_view(origin)
-        if origin_datatype is None:
-            data = view
-        else:
-            data = origin_datatype.pack(view, count, copy=False)
-        if target_rank is not None and data.base is not None:
-            self._check_target(target_rank)
-            if np.may_share_memory(data, self._buffers[target_rank]):
-                data = data.copy()
+        data = omap.gather(view, copy=False)
+        if data.base is not None and np.may_share_memory(data, self._buffers[target_rank]):
+            data = data.copy()
         return data
 
     def _accumulate_target(
@@ -1200,8 +1191,8 @@ class Win:
         """Apply the conflict-class rules to one put/get/acc, then record it."""
         if not self._checked():
             return
-        if segmap.nsegments <= 1:
-            # contiguous fast path: nothing to sort
+        if segmap.nsegments <= 1 or segmap._arith_params() is not None:
+            # contiguous or an ascending progression: nothing to sort
             offs, lens = segmap.offsets, segmap.lengths
         else:
             order = np.argsort(segmap.offsets, kind="stable")
@@ -1302,8 +1293,12 @@ class Win:
             )
 
     def _deliver_gets(self, epoch: _Epoch) -> None:
-        for staged, user_view, origin_segmap in epoch.pending_gets:
-            origin_segmap.scatter(user_view, staged)
+        buf = self._buffers[epoch.target]
+        for user_view, origin_segmap, source in epoch.pending_gets:
+            if isinstance(source, dt.SegmentMap):
+                origin_segmap.copy_from(user_view, source, buf)
+            else:
+                origin_segmap.scatter(user_view, source)
         epoch.pending_gets.clear()
 
     # -- modeled time --------------------------------------------------------------------

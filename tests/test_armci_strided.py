@@ -16,7 +16,13 @@ from repro.armci import (
     strided_datatype,
     strided_to_iov,
 )
-from repro.armci.strided import strided_datatype_uncached
+from repro.armci.strided import (
+    STRIDED_DATATYPE_CACHE_MAX,
+    local_patch_view,
+    strided_datatype_cache_clear,
+    strided_datatype_cache_len,
+    strided_datatype_uncached,
+)
 from repro.mpi import datatypes as dt
 from repro.mpi.errors import ArgumentError
 
@@ -161,6 +167,76 @@ def test_typed_strided_miss_flattens_in_constant_calls(monkeypatch, strides):
     t = strided_datatype_uncached(strides, [2048, 300] + planes, dt.DOUBLE)
     assert t.segment_map().nsegments == 300 * (planes or [1])[0]
     assert len(calls) <= 3, calls
+
+
+def _per_segment_layout(strides, count):
+    """The pre-closed-form build: one (offset, length) per Algorithm 1
+    segment, adjacent ones merged — what every translation must equal."""
+    merged = []
+    for d in algorithm1_iter(strides, count):
+        if merged and merged[-1][0] + merged[-1][1] == d:
+            merged[-1][1] += count[0]
+        else:
+            merged.append([d, count[0]])
+    return [tuple(m) for m in merged]
+
+
+def test_row_count_sweep_misses_build_no_arrays(monkeypatch):
+    """Every owner-straddling GA piece has a fresh row count, i.e. misses the
+    translation memo: a miss must be closed-form (at most 3 array
+    materialisations, here none until the layout is inspected) and still
+    equal the per-segment build, as bytes and typed."""
+    built = []
+    real = dt.SegmentMap.__getattr__
+
+    def counting(self, name):
+        built.append(name)
+        return real(self, name)
+
+    monkeypatch.setattr(dt.SegmentMap, "__getattr__", counting)
+    strided_datatype_cache_clear()
+    for rows in range(1, 601):  # > STRIDED_DATATYPE_CACHE_MAX distinct keys
+        for strides in ([16384], [4096]):  # a strided and a back-to-back side
+            before = len(built)
+            sm = strided_datatype(strides, [4096, rows]).segment_map().shifted(64)
+            typed = strided_datatype(strides, [4096, rows], dt.DOUBLE).segment_map()
+            assert (sm.nsegments, sm.total_bytes) == (typed.nsegments, typed.total_bytes)
+            assert len(built) - before <= 3, built[before:]
+            if rows % 97 == 0 or rows < 4:
+                expect = _per_segment_layout(strides, [4096, rows])
+                assert list(typed.intervals()) == [(o, o + n) for o, n in expect]
+                assert list(sm.intervals()) == [(o + 64, o + 64 + n) for o, n in expect]
+    assert strided_datatype_cache_len() <= STRIDED_DATATYPE_CACHE_MAX
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_local_patch_view_describes_the_array_or_declines(data):
+    """Whatever numpy view it is handed — unit dimensions with arbitrary
+    strides, empty arrays, slices, reversals, transposes — the result is
+    either None or bytes + strides that address exactly the array."""
+    ndim = data.draw(st.integers(1, 3))
+    shape = data.draw(st.lists(st.integers(0, 4), min_size=ndim, max_size=ndim))
+    arr = np.arange(int(np.prod([2 * n + 1 for n in shape])), dtype="f8")
+    arr = arr.reshape([2 * n + 1 for n in shape])
+    index = tuple(
+        data.draw(st.sampled_from([slice(0, n), slice(1, 2 * n, 2), slice(n, 0, -1), slice(1, n + 1)]))
+        for n in shape
+    )
+    arr = arr[index]
+    for _ in range(data.draw(st.integers(0, 2))):
+        arr = data.draw(st.sampled_from([arr.T, arr[None], arr[..., None], np.atleast_2d(arr)]))
+    side = local_patch_view(arr)
+    if side is None:
+        assert not arr.flags.c_contiguous
+        return
+    flat, strides = side
+    assert flat.dtype == np.uint8 and flat.ndim == 1 and len(strides) == arr.ndim
+    if arr.size:
+        assert np.shares_memory(flat, arr)
+        for idx in np.ndindex(*arr.shape):
+            at = sum(i * s for i, s in zip(idx, strides))
+            assert flat[at : at + 8].view("f8")[0] == arr[idx]
 
 
 @settings(max_examples=80, deadline=None)

@@ -211,6 +211,37 @@ def test_thread_proc_parity_straddling_scaled_acc(datapath):
     assert {b for b, _f in thread_out} == {b for b, _f in proc_out} == {expect.tobytes()}
 
 
+def _straddling_getput_program(comm, datapath):
+    """A put and a get that each span all four owners, addressing strided
+    slices of larger local arrays in place (one strided copy per owner)."""
+    armci = Armci.init(comm, datapath=datapath)
+    ga = GlobalArray.create(armci, (10, 10), "i8")
+    zero(ga)
+    src = np.arange(9 * 11, dtype=np.int64).reshape(9, 11)
+    if armci.my_id == 1:
+        ga.put((2, 1), (9, 8), src[1:8, 3:10])
+    ga.sync()
+    frame = np.full((8, 9), -1, dtype=np.int64)
+    ga.get((1, 2), (8, 9), out=frame[1:, 1:8])
+    ga.sync()
+    full = ga.get((0, 0), (10, 10))
+    ga.sync()
+    ga.destroy()
+    armci.finalize()
+    return frame.tobytes(), full.tobytes()
+
+
+@pytest.mark.parametrize("datapath", ["mpi2", "mpi3"])
+def test_thread_proc_parity_straddling_get_put(datapath):
+    thread_out = Runtime(NPROC, watchdog_s=2.0).spmd(_straddling_getput_program, datapath)
+    proc_out = proc_spmd(NPROC, _straddling_getput_program, datapath)
+    full = np.zeros((10, 10), dtype=np.int64)
+    full[2:9, 1:8] = np.arange(9 * 11, dtype=np.int64).reshape(9, 11)[1:8, 3:10]
+    frame = np.full((8, 9), -1, dtype=np.int64)
+    frame[1:, 1:8] = full[1:8, 2:9]
+    assert set(thread_out) == set(proc_out) == {(frame.tobytes(), full.tobytes())}
+
+
 # ---------------------------------------------------------------------------
 # failure surfacing
 # ---------------------------------------------------------------------------

@@ -350,3 +350,216 @@ def test_duplicate_array(flavor):
         a.destroy()
 
     spmd(3, main)
+
+
+# ---------------------------------------------------------------------------
+# transfers address the user's buffer in place: one strided piece per owner
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "shape, chunk, nproc",
+    [
+        ((12, 16), (12, 1), 2),   # column split: every piece is strided locally
+        ((12, 16), None, 4),      # 2x2 grid: 4 owners
+        ((6, 5, 8), None, 4),     # 3-D: non-arithmetic maps, the pack/unpack path
+    ],
+)
+def test_put_get_acc_match_numpy_across_owner_grids(flavor, shape, chunk, nproc):
+    def main(comm):
+        rt = _rt(comm, flavor)
+        ga = GlobalArray.create(rt, shape, "f8", chunk=chunk)
+        zero(ga)
+        lo = tuple(1 for _ in shape)
+        hi = tuple(s - 1 for s in shape)
+        inner = tuple(slice(l, h) for l, h in zip(lo, hi))
+        ref = np.zeros(shape)
+        rng = np.random.default_rng(5)
+        data = rng.integers(-9, 10, [h - l for l, h in zip(lo, hi)]).astype("f8")
+        if rt.my_id == 0:
+            assert len(list(ga.dist.locate(Patch(lo, hi)))) == nproc
+            ga.put(lo, hi, data)
+            ga.acc(lo, hi, data, alpha=2.0)
+        ref[inner] = 3.0 * data
+        ga.sync()
+        np.testing.assert_array_equal(ga.get(lo, hi), ref[inner])
+        np.testing.assert_array_equal(ga.get([0] * len(shape), shape), ref)
+        ga.sync()
+        ga.destroy()
+
+    spmd(nproc, main)
+
+
+def test_get_fills_a_strided_out_slice_in_place(flavor):
+    """``out=`` a row-major slice of a larger array is written through its
+    own strides — its neighbours are untouched — and is what is returned."""
+
+    def main(comm):
+        rt = _rt(comm, flavor)
+        ga = GlobalArray.create(rt, (8, 8), "f8")
+        ref = np.arange(64.0).reshape(8, 8)
+        if rt.my_id == 0:
+            ga.put((0, 0), (8, 8), ref)
+        ga.sync()
+        big = np.full((10, 12), -1.0)
+        out = big[2:8, 3:9]
+        assert ga.get((1, 1), (7, 7), out=out) is out
+        expect = np.full((10, 12), -1.0)
+        expect[2:8, 3:9] = ref[1:7, 1:7]
+        np.testing.assert_array_equal(big, expect)
+        ga.sync()
+        # the same slice as a put/acc source
+        if rt.my_id == 0:
+            ga.put((0, 0), (6, 6), out)
+            ga.acc((0, 0), (6, 6), out)
+        ga.sync()
+        np.testing.assert_array_equal(ga.get((0, 0), (6, 6)), 2 * ref[1:7, 1:7])
+        ga.sync()
+        ga.destroy()
+
+    spmd(4, main)
+
+
+@pytest.mark.parametrize(
+    "make_out",
+    [
+        lambda: np.zeros((6, 6), order="F"),   # Fortran order
+        lambda: np.zeros((6, 6))[::-1],        # negative outer stride
+        lambda: np.zeros((6, 12))[:, ::2],     # non-unit inner stride
+        lambda: np.zeros((6, 6)).T,            # transposed view
+    ],
+    ids=["fortran", "negative-stride", "inner-stride-2", "transposed"],
+)
+def test_layouts_without_a_strided_description_go_through_one_temporary(make_out):
+    def main(comm):
+        rt = Armci.init(comm)
+        ga = GlobalArray.create(rt, (8, 8), "f8")
+        ref = np.arange(64.0).reshape(8, 8)
+        if rt.my_id == 0:
+            ga.put((0, 0), (8, 8), ref)
+        ga.sync()
+        out = make_out()
+        assert ga.get((1, 1), (7, 7), out=out) is out
+        np.testing.assert_array_equal(out, ref[1:7, 1:7])
+        ga.sync()
+        if rt.my_id == 1:  # and as a source
+            src = make_out()
+            src[...] = ref[:6, :6] + 100
+            ga.put((2, 2), (8, 8), src)
+        ga.sync()
+        np.testing.assert_array_equal(ga.get((2, 2), (8, 8)), ref[:6, :6] + 100)
+        ga.sync()
+        ga.destroy()
+
+    spmd(4, main)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, view",
+    [
+        ((3, 0), (4, 8), lambda x: x[None, :]),               # strides (0, 8)
+        ((0, 3), (8, 4), lambda x: x[:, None]),               # strides (8, 0)
+        ((3, 0), (4, 8), np.atleast_2d),
+        ((0, 3), (8, 4), lambda x: x.reshape(1, 8).T),        # strides (8, 64)
+        ((0, 3), (8, 4), lambda x: np.stack([x, x], 1)[:, 0:1]),  # strides (16, 8)
+    ],
+    ids=["newaxis-row", "newaxis-col", "atleast_2d", "transposed-row", "sliced-col"],
+)
+def test_unit_dimensions_with_any_stride_are_addressed_in_place(flavor, lo, hi, view):
+    """A size-1 dimension's stride is never stepped, so numpy stores whatever
+    it likes there; such buffers are still C-contiguous and take no copy."""
+
+    def main(comm):
+        rt = _rt(comm, flavor)
+        ga = GlobalArray.create(rt, (8, 8), "f8")
+        zero(ga)
+        vals = np.arange(1.0, 9.0)
+        if rt.my_id == 0:
+            assert len(list(ga.dist.locate(Patch(lo, hi)))) == 2
+            ga.put(lo, hi, view(vals))
+            ga.acc(lo, hi, view(vals), alpha=2.0)
+        ga.sync()
+        line = np.zeros(8)
+        out = view(line)
+        assert ga.get(lo, hi, out=out) is out
+        np.testing.assert_array_equal(out, view(3 * vals))
+        if np.shares_memory(out, line):  # written through, not into a temporary
+            np.testing.assert_array_equal(line, 3 * vals)
+        ga.sync()
+        ga.destroy()
+
+    spmd(4, main)
+
+
+def test_empty_patches_move_nothing(flavor):
+    def main(comm):
+        rt = _rt(comm, flavor)
+        ga = GlobalArray.create(rt, (8, 8), "f8")
+        zero(ga)
+        for lo, hi in [((0, 0), (0, 4)), ((2, 2), (2, 2)), ((0, 0), (4, 0))]:
+            got = ga.get(lo, hi)
+            assert got.shape == tuple(h - l for l, h in zip(lo, hi))
+            ga.put(lo, hi, got)
+            ga.acc(lo, hi, np.zeros((8, 16))[: got.shape[0], : 2 * got.shape[1] : 2])
+        ga.sync()
+        assert not ga.get((0, 0), (8, 8)).any()
+        ga.sync()
+        ga.destroy()
+
+    spmd(4, main)
+
+
+def test_get_into_a_read_only_out_raises(flavor):
+    def main(comm):
+        rt = _rt(comm, flavor)
+        ga = GlobalArray.create(rt, (8, 8), "f8")
+        zero(ga)
+        out = np.ones((4, 4))
+        out.flags.writeable = False
+        with pytest.raises(ArgumentError, match="writable"):
+            ga.get((0, 0), (4, 4), out=out)
+        assert out.all()
+        ga.put((0, 0), (4, 4), out)  # a read-only *source* is fine
+        ga.sync()
+        ga.destroy()
+
+    spmd(2, main)
+
+
+def test_straddling_get_moves_the_payload_once(request):
+    """One copy, provably: a 512x512 get across two owners allocates nothing
+    payload-sized (no staged payload, no per-owner ``sub`` array) and the
+    datatype engine never packs it."""
+    import tracemalloc
+
+    if request.config.getoption("--faults"):
+        pytest.skip("an installed fault injector is handed the packed payload")
+
+    from repro.mpi import datatypes as dt
+
+    def main(comm):
+        rt = Armci.init(comm, datapath="mpi3")
+        ga = GlobalArray.create(rt, (2048, 2048), "f8")
+        ga.sync()
+        if rt.my_id == 0:
+            band = np.arange(2048.0 * 512).reshape(2048, 512)
+            ga.put((0, 0), (2048, 512), band)
+            out = np.empty((512, 512))
+            ga.get((700, 0), (1212, 512), out=out)  # warm the translation memo
+            packs = []
+            real = dt.SegmentMap.gather
+            dt.SegmentMap.gather = lambda self, *a, **kw: (packs.append(1), real(self, *a, **kw))[1]
+            tracemalloc.start()
+            try:
+                ga.get((800, 0), (1312, 512), out=out)  # rows 800..1311: both owners
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+                dt.SegmentMap.gather = real
+            np.testing.assert_array_equal(out, band[800:1312])
+            assert peak < 0.25 * out.nbytes, f"{peak} bytes allocated for a {out.nbytes}-byte get"
+            assert not packs
+        ga.sync()
+        ga.destroy()
+
+    spmd(2, main)

@@ -111,3 +111,78 @@ def test_irregular_matches_regular_results():
         return out["full"]
 
     np.testing.assert_array_equal(run(True), run(False))
+
+
+# ---------------------------------------------------------------------------
+# locate(): the tabulated/bisect form equals the recursive-generator oracle
+# ---------------------------------------------------------------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.ga import BlockDistribution, OwnedPiece, block_bounds  # noqa: E402
+
+
+def _locate_oracle(dist, patch, marks=None):
+    """``BlockDistribution.locate`` as it was before the block table: a
+    recursive walk of the grid coordinates whose blocks meet the patch,
+    with every block recomputed from first principles."""
+    if patch.empty:
+        return
+
+    def block(coords):
+        if marks is not None:  # an irregular grid: explicit block starts
+            lo = [m[c] for m, c in zip(marks, coords)]
+            hi = [m[c + 1] if c + 1 < len(m) else ext
+                  for m, c, ext in zip(marks, coords, dist.shape)]
+        else:
+            lo, hi = zip(*(block_bounds(ext, nb, c)
+                           for ext, nb, c in zip(dist.shape, dist.dims, coords)))
+        return Patch(tuple(lo), tuple(hi))
+
+    def rec(d, coords):
+        if d == len(dist.dims):
+            b = block(coords)
+            piece = patch.intersect(b)
+            if not piece.empty:
+                yield OwnedPiece(
+                    rank=dist.rank_of_coords(coords),
+                    global_patch=piece,
+                    local_patch=piece.shifted_into(b.lo),
+                    request_patch=piece.shifted_into(patch.lo),
+                )
+            return
+        for c in range(dist.dims[d]):
+            yield from rec(d + 1, coords + [c])
+
+    yield from rec(0, [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_locate_matches_the_recursive_oracle(data):
+    """Identical pieces in identical order, for regular grids (uneven
+    splits, idle ranks, extents smaller than the grid) and irregular ones."""
+    shape = tuple(data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)))
+    nproc = data.draw(st.integers(1, 8))
+    marks = None
+    if data.draw(st.booleans()):
+        dist = BlockDistribution(shape, nproc)
+    else:
+        marks, grid = [], 1
+        for ext in shape:
+            cuts = data.draw(st.lists(st.integers(1, max(ext - 1, 1)), max_size=2, unique=True))
+            m = [0] + sorted(c for c in cuts if c < ext)
+            if grid * len(m) > nproc:
+                m = [0]
+            grid *= len(m)
+            marks.append(m)
+        dist = IrregularDistribution(shape, nproc, marks)
+    lo = [data.draw(st.integers(0, s)) for s in shape]
+    hi = [data.draw(st.integers(l, s)) for l, s in zip(lo, shape)]
+    patch = Patch(tuple(lo), tuple(hi))
+    assert list(dist.locate(patch)) == list(_locate_oracle(dist, patch, marks))
+    for rank in range(nproc):
+        coords = dist.grid_coords(rank)
+        assert dist.block(rank).empty if coords is None else (
+            dist.owner(dist.block(rank).lo) == rank or dist.block(rank).empty)

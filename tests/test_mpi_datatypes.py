@@ -467,3 +467,83 @@ def test_zero_copy_single_segment_pack():
     assert view.base is not None and np.shares_memory(view, buf)
     copied = t.pack(buf)  # default stays a fresh array
     assert not np.shares_memory(copied, buf)
+
+
+# ---------------------------------------------------------------------------
+# SegmentMap.arithmetic: the closed form of a uniform progression
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start=st.integers(0, 40),
+    step=st.integers(-3, 12),
+    seg_len=st.integers(0, 8),
+    n=st.integers(0, 6),
+    shift=st.integers(0, 9),
+)
+def test_arithmetic_map_equals_the_coalesced_array_form(start, step, seg_len, n, shift):
+    """Four integers answer everything the per-segment arrays do — same
+    segments, same memos — for every progression, degenerate ones (empty,
+    zero-length, back-to-back, descending, self-overlapping) included."""
+    offsets = start + step * np.arange(n)
+    if n and offsets.min() < 0:
+        return
+    closed = dt.SegmentMap.arithmetic(start, step, seg_len, n)
+    arrays = dt.SegmentMap(offsets, np.full(n, seg_len)).coalesced()
+    for a, b in ((closed, arrays), (closed.shifted(shift), arrays.shifted(shift))):
+        assert (a.nsegments, a.total_bytes, a.uniform_seg_len) == (
+            b.nsegments, b.total_bytes, b.uniform_seg_len)
+        assert a.overlaps_self() == b.overlaps_self()
+        assert a._arith_params() == b._arith_params()
+        if a.nsegments:
+            assert a.bounds() == b.bounds()
+        assert list(a.intervals()) == list(b.intervals())
+    buf = (np.arange(120) % 251).astype(np.uint8)
+    assert closed.gather(buf).tobytes() == arrays.gather(buf).tobytes()
+
+
+def test_closed_form_types_build_no_arrays(monkeypatch):
+    """contiguous, vector and the 2-D subarray flatten and shift — and a
+    one-segment type replicates — without ever materialising
+    ``offsets``/``lengths``."""
+    def boom(self, name):
+        raise AssertionError(f"materialised {name}")
+
+    monkeypatch.setattr(dt.SegmentMap, "__getattr__", boom)
+    for t in (
+        dt.contiguous(300, dt.DOUBLE),
+        dt.vector(300, 4, 16, dt.DOUBLE),
+        dt.subarray([300, 2048], [300, 512], [0, 64], dt.DOUBLE),
+        dt.subarray([1, 300, 2048], [1, 300, 512], [0, 0, 0], dt.BYTE),
+    ):
+        sm = t.commit().segment_map().shifted(4096)
+        assert sm.total_bytes == t.size
+        assert sm.bounds()[0] >= 4096 and not sm.overlaps_self()
+    assert dt.DOUBLE.segment_map(512).bounds() == (0, 4096)
+    assert dt.contiguous(3, dt.INT).commit().segment_map(5).nsegments == 1
+
+
+@pytest.mark.parametrize("dst_rows, src_rows", [
+    ((4, 6, 10), (4, 6, 6)),     # both strided, same row length
+    ((4, 6, 10), (1, 24, 24)),   # contiguous source re-cut to the rows
+    ((1, 24, 24), (3, 8, 11)),   # contiguous destination re-cut
+    ((4, 6, 10), (3, 8, 11)),    # different row lengths: pack/unpack
+    ((1, 24, 24), (1, 24, 24)),  # contiguous both sides: one slice store
+    ((4, 6, 4), (4, 6, 9)),      # self-overlapping destination: traversal order
+])
+def test_copy_from_equals_gather_then_scatter(dst_rows, src_rows):
+    (n, L, step), (m, K, sstep) = dst_rows, src_rows
+    dst_map = dt.SegmentMap(5 + step * np.arange(n), np.full(n, L))
+    src_map = dt.SegmentMap(2 + sstep * np.arange(m), np.full(m, K))
+    src = (np.arange(80) * 7 % 251).astype(np.uint8)
+    got, expect = np.zeros(64, np.uint8), np.zeros(64, np.uint8)
+    dst_map.copy_from(got, src_map, src)
+    dst_map.scatter(expect, src_map.gather(src))
+    assert got.tobytes() == expect.tobytes()
+    # an aliasing source is read as if it had been copied first
+    arena = src[:64].copy()
+    expect = arena.copy()
+    dst_map.scatter(expect, src_map.gather(arena.copy()))
+    dst_map.copy_from(arena, src_map, arena)
+    assert arena.tobytes() == expect.tobytes()

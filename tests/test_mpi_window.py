@@ -839,6 +839,239 @@ def test_get_origin_datatype_out_of_bounds_raises():
 
 
 # ---------------------------------------------------------------------------
+# put/get copy kernel: one strided copy vs. a per-segment reference
+# ---------------------------------------------------------------------------
+
+
+def _transfer_reference(dst, dst_segments, src, src_segments):
+    """Naive put/get: snapshot the source segments in traversal order, then
+    store them segment by segment (later segments win where they overlap)."""
+    payload = np.concatenate(
+        [src[off : off + ln].copy() for off, ln in src_segments]
+        + [np.empty(0, np.uint8)]
+    )
+    pos = 0
+    for off, ln in dst_segments:
+        dst[off : off + ln] = payload[pos : pos + ln]
+        pos += ln
+    assert pos == len(payload)
+
+
+def _irregular_blocks(draw, lens):
+    """(length, displacement) blocks: any traversal order; disjoint (laid
+    out by gaps) or free to overlap (drawn displacements)."""
+    if draw(st.booleans()):
+        gaps = draw(st.lists(st.integers(0, 2), min_size=len(lens), max_size=len(lens)))
+        ends = np.cumsum(np.add(lens, gaps))
+        return draw(st.permutations(list(zip(lens, (ends - lens).tolist()))))
+    return [(bl, draw(st.integers(0, 24))) for bl in lens]
+
+
+@st.composite
+def _transfer_cases(draw):
+    """Byte layouts of one put/get: a target layout, then an origin layout
+    carrying the same number of bytes.  Each is (segments, type builder)."""
+    layout = draw(st.sampled_from(
+        ["contiguous", "strided", "self-overlapping", "irregular"]
+    ))
+    if layout == "contiguous":
+        target = [(0, draw(st.integers(0, 24)))], None
+    elif layout in ("strided", "self-overlapping"):
+        rows, bl = draw(st.integers(2, 5)), draw(st.integers(2, 6))
+        step = (
+            draw(st.integers(bl, bl + 3)) if layout == "strided"
+            else draw(st.integers(1, bl - 1))
+        )
+        target = (
+            [(r * step, bl) for r in range(rows)],
+            lambda: mpi.datatypes.hvector(rows, bl, step, mpi.BYTE),
+        )
+    else:  # zero-length blocks, permuted order
+        blocks = _irregular_blocks(
+            draw, draw(st.lists(st.integers(0, 3), min_size=2, max_size=6))
+        )
+        target = (
+            [(d, bl) for bl, d in blocks if bl],
+            lambda: mpi.datatypes.hindexed(
+                [bl for bl, _ in blocks], [d for _, d in blocks], mpi.BYTE
+            ),
+        )
+    total = sum(ln for _, ln in target[0])
+    divisors = [d for d in range(1, total + 1) if total % d == 0]
+    olayout = draw(st.sampled_from(
+        ["contiguous", "vector", "subarray", "irregular"] if total else ["contiguous"]
+    ))
+    if olayout == "contiguous":
+        origin = [(0, total)], None
+    elif olayout == "vector":
+        obl = draw(st.sampled_from(divisors))
+        ostep = obl + draw(st.integers(0, 3))
+        origin = (
+            [(r * ostep, obl) for r in range(total // obl)],
+            lambda: mpi.datatypes.hvector(total // obl, obl, ostep, mpi.BYTE),
+        )
+    elif olayout == "subarray":
+        obl = draw(st.sampled_from(divisors))
+        orows = total // obl
+        r0, c0 = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+        width = c0 + obl + draw(st.integers(0, 3))
+        origin = (
+            [((r0 + r) * width + c0, obl) for r in range(orows)],
+            lambda: mpi.datatypes.subarray(
+                [r0 + orows + 1, width], [orows, obl], [r0, c0], mpi.BYTE
+            ),
+        )
+    else:
+        cuts = sorted(draw(st.lists(st.integers(0, total), max_size=4)))
+        lens = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+        oblocks = _irregular_blocks(draw, lens)
+        origin = (
+            [(d, bl) for bl, d in oblocks if bl],
+            lambda: mpi.datatypes.hindexed(
+                [bl for bl, _ in oblocks], [d for _, d in oblocks], mpi.BYTE
+            ),
+        )
+    return target, origin
+
+
+def _overlapping(segments):
+    ordered = sorted(segments)
+    return any(a[0] + a[1] > b[0] for a, b in zip(ordered, ordered[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=_transfer_cases(),
+    kind=st.sampled_from(["put", "get"]),
+    misalign=st.integers(1, 7),
+    disp=st.integers(0, 4),
+    alias_at=st.none() | st.integers(0, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_put_get_match_per_segment_reference(case, kind, misalign, disp, alias_at, seed):
+    """Origin {contiguous, vector, subarray, irregular} x target {contiguous,
+    strided, self-overlapping, irregular}, on window memory misaligned in
+    absolute address, with the origin optionally *inside* the target's
+    exposed memory: the one-strided-copy kernel and the pack/unpack path
+    both equal a naive per-segment transfer."""
+    (tsegs, tbuild), (osegs, obuild) = case
+    tsegs = [(off + disp, ln) for off, ln in tsegs]
+    rng = np.random.default_rng(seed)
+    local = _misaligned_window_memory(400, misalign)
+    local[:] = rng.integers(0, 256, 400, dtype=np.uint8)
+    osize = max((off + ln for off, ln in osegs), default=0)
+    if obuild is not None:
+        osize += 3  # the origin buffer may extend past the layout
+    if alias_at is None:
+        obuf = rng.integers(0, 256, osize, dtype=np.uint8)
+        expect_local, expect_obuf = local.copy(), obuf.copy()
+    else:
+        obuf = local[alias_at : alias_at + osize]
+        expect_local = local.copy()
+        expect_obuf = expect_local[alias_at : alias_at + osize]
+    if kind == "put":
+        _transfer_reference(expect_local, tsegs, expect_obuf, osegs)
+    else:
+        _transfer_reference(expect_obuf, osegs, expect_local, tsegs)
+    # overlapping target segments within one put/get are a conflict on a
+    # strict window; the relaxed one keeps traversal-order semantics
+    strict = not _overlapping(tsegs)
+
+    def main(comm):
+        win = mpi.Win.create(comm, local, strict=strict)
+        tt = tbuild().commit() if tbuild is not None else None
+        ot = obuild().commit() if obuild is not None else None
+        win.lock(0)
+        getattr(win, kind)(obuf, 0, disp, target_datatype=tt, origin_datatype=ot)
+        win.unlock(0)
+        win.free()
+
+    spmd(1, main)
+    assert local.tobytes() == expect_local.tobytes()
+    assert obuf.tobytes() == expect_obuf.tobytes()
+
+
+def _strided_target(comm):
+    """A 2-rank mpi3 window of 12 doubles and a 4x2 vector layout on it."""
+    win, local = _win(comm, 12, mpi3=True)
+    if comm.rank == 0:
+        local[:] = np.arange(12.0)
+    comm.barrier()
+    return win, mpi.vector(4, 2, 3, mpi.DOUBLE).commit()
+
+
+_ROWS = [0, 1, 3, 4, 6, 7, 9, 10]  # the elements that layout selects
+
+
+def test_strided_get_completes_at_flush_under_lock_all_not_before():
+    def main(comm):
+        win, t = _strided_target(comm)
+        if comm.rank == 1:
+            out = np.zeros(8)
+            win.lock_all()
+            win.get(out, 0, target_datatype=t)
+            assert not out.any(), "get must not deliver before completion"
+            win.flush(0)
+            np.testing.assert_array_equal(out, np.arange(12.0)[_ROWS])
+            win.unlock_all()
+        comm.barrier()
+        win.free()
+
+    spmd(2, main)
+
+
+def test_strided_rget_completes_at_wait_not_before():
+    def main(comm):
+        win, t = _strided_target(comm)
+        if comm.rank == 1:
+            out = np.zeros(8)
+            win.lock(0, mpi.LOCK_SHARED)
+            req = win.rget(out, 0, target_datatype=t)
+            assert not out.any(), "rget must not deliver before wait()"
+            req.wait()
+            np.testing.assert_array_equal(out, np.arange(12.0)[_ROWS])
+            win.unlock(0)
+        comm.barrier()
+        win.free()
+
+    spmd(2, main)
+
+
+@pytest.mark.parametrize("kind", ["put", "get"])
+@pytest.mark.parametrize("mode", ["corrupt", "drop"])
+def test_fault_plan_still_filters_a_strided_payload(kind, mode):
+    """With an injector installed the transfer packs its payload so
+    ``filter_rma`` can see it: corrupt flips exactly one bit of a strided
+    put/get, drop leaves the destination untouched."""
+    from repro.faults import FaultInjector, FaultPlan
+
+    def main(comm):
+        local = np.zeros(12)
+        win = mpi.Win.create(comm, local)
+        t = mpi.vector(4, 2, 3, mpi.DOUBLE).commit()
+        src = np.arange(1.0, 9.0)
+        win.lock(0)
+        win.put(src, 0, target_datatype=t)  # op 0: the faulted op when kind == "put"
+        win.unlock(0)
+        out = np.zeros(8)
+        win.lock(0)
+        win.get(out, 0, target_datatype=t)  # op 1
+        win.unlock(0)
+        win.free()
+        return src, out
+
+    plan = getattr(FaultPlan(seed=3), mode)(0 if kind == "put" else 1)
+    rt = mpi.Runtime(1, watchdog_s=0.4)
+    FaultInjector(plan).begin_run(rt)
+    (src, out), = rt.spmd(main)
+    if mode == "drop":
+        assert not out.any()
+    else:
+        diff = np.bitwise_xor(src.view(np.uint8), out.view(np.uint8))
+        assert np.unpackbits(diff).sum() == 1
+
+
+# ---------------------------------------------------------------------------
 # _IntervalSet: compaction threshold and single-interval fast paths
 # ---------------------------------------------------------------------------
 
