@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import enum
 
+from ..mpi.window import LOCK_EXCLUSIVE, LOCK_SHARED
+
 __all__ = ["AccessMode"]
 
 
@@ -51,8 +53,6 @@ class AccessMode(enum.Enum):
 
     def lock_mode(self, opkind: str) -> str:
         """MPI lock type an operation should take under this mode."""
-        from ..mpi.window import LOCK_EXCLUSIVE, LOCK_SHARED
-
         if self is AccessMode.DEFAULT:
             return LOCK_EXCLUSIVE
         if opkind in ("rmw", "dla"):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +39,7 @@ from ..mpi import datatypes as dt
 from ..mpi.comm import Comm
 from ..mpi.errors import ArgumentError
 from ..mpi.window import Win
-from . import buffers, dla, iov, nbqueue, rmw, strided
+from . import dla, iov, nbqueue, rmw, strided
 from .access_modes import AccessMode
 from .config import DEFAULT_CONFIG, ArmciConfig
 from .gmr import GlobalPtr, Gmr, GmrTable
@@ -354,7 +354,7 @@ class Armci:
     def _gmr_mutex(self, gmr: Gmr) -> MutexSet:
         return self._gmr_mutexes[gmr.gmr_id]
 
-    # -- contiguous one-sided operations (§V-C, §V-F) ---------------------------------
+    # -- the one transfer path (§V-A, §V-E.1, §V-C, §VI) ------------------------------
     def _check_mode(self, gmr: Gmr, kind: str) -> None:
         """§VIII-A access-mode gate."""
         if gmr.access_mode.allows(kind):
@@ -371,17 +371,121 @@ class Armci:
             f"{gmr.access_mode.value} (§VIII-A)"
         )
 
-    def _target(self, ptr: GlobalPtr, kind: str) -> tuple[Gmr, int, int, str]:
+    def _target(self, ptr: GlobalPtr, kind: "str | None") -> tuple[Gmr, int, int]:
+        """§V-A: ``<proc, addr>`` -> ``(gmr, window rank, displacement)``.
+
+        ``kind`` is the operation the pointer is the *remote* side of and
+        is held to the GMR's access mode; a local side passes None.
+        """
         gmr = self.table.require(ptr)
-        self._check_mode(gmr, kind)
+        if kind is not None:
+            self._check_mode(gmr, kind)
         win_rank, disp = gmr.displacement(ptr)
-        return gmr, win_rank, disp, gmr.access_mode.lock_mode(kind)
+        return gmr, win_rank, disp
+
+    def _local_bytes(self, buf: "np.ndarray | GlobalPtr", nbytes: int) -> np.ndarray:
+        """Flat byte view of the ``nbytes`` a contiguous op's local side names."""
+        if isinstance(buf, GlobalPtr):
+            gmr, win_rank, disp = self._target(buf, None)
+            if win_rank != gmr.group.rank:
+                raise ArgumentError(
+                    f"{buf} is not local to the calling process (use put/get instead)"
+                )
+            view = gmr.win.exposed_buffer(win_rank)[disp:]
+            if view.nbytes < nbytes:
+                raise ArgumentError(f"{buf}+{nbytes}B runs past the local allocation")
+        else:
+            view = _as_flat_bytes(buf)
+            if view.nbytes < nbytes:
+                raise ArgumentError(
+                    f"local buffer of {view.nbytes}B is smaller than the "
+                    f"{nbytes}B transfer"
+                )
+        return view[:nbytes]
+
+    def _stage(self, kind: str, local: np.ndarray, origin_t: "dt.Datatype | None" = None):
+        """§V-E.1: ``(data, writeback)`` to communicate through in place of ``local``.
+
+        A local buffer that is itself global memory cannot be touched
+        inside the target's epoch: locking its window too is a double lock
+        (same window) or a deadlock-prone lock order (another one), and an
+        unlocked access conflicts with remote ones.  So it is staged —
+        put/acc copy it out under :meth:`_stage_epoch` first, and a get
+        lands in a temporary that ``writeback`` copies in afterwards,
+        touching only the bytes of layout ``origin_t`` (None = all of
+        ``local``).  A buffer that needs no staging — any other, or every
+        one under ``config.coherent_shortcut`` — comes back as itself.
+        """
+        if self.config.coherent_shortcut:
+            return local, None
+        gmr = self.table.find_local_buffer(self.my_id, local)
+        if gmr is None:
+            return local, None
+        my_rank = gmr.group.rank
+        if kind != "get":
+            with self._stage_epoch(gmr, my_rank):
+                temp = local.copy()
+            self.stats.staged_copies += 1
+            return temp, None
+        temp = np.zeros_like(local)
+
+        def writeback() -> None:
+            with self._stage_epoch(gmr, my_rank):
+                if origin_t is None:
+                    local[...] = temp
+                else:
+                    omap = origin_t.segment_map()
+                    omap.copy_from(local, omap, temp)
+            self.stats.staged_copies += 1
+
+        return temp, writeback
 
     @contextmanager
-    def _op_epoch(self, gmr: Gmr, win_rank: int, lock_mode: str):
+    def _stage_epoch(self, gmr: Gmr, my_rank: int):
+        """Self-access discipline for a §V-E.1 staging copy.
+
+        mpi2: the exclusive self-lock the paper prescribes.  mpi3: the
+        standing lock_all epoch already grants unified-model local
+        access; completing queued/outstanding ops to self with a flush
+        before touching the slab is all the ordering needed.
+        """
+        if self._flush_mode:
+            self._nbq.drain(gmr, my_rank)
+            gmr.win.flush(my_rank)
+            yield
+        else:
+            gmr.win.lock(my_rank, "exclusive")
+            try:
+                yield
+            finally:
+                gmr.win.unlock(my_rank)
+
+    @staticmethod
+    def _contribution(data, origin_t, scale, acc_dtype, snapshot=False) -> np.ndarray:
+        """An accumulate's contiguous, typed, scaled contribution (§V-F:
+        the origin scales, MPI sums); never writes ``data``.
+
+        A contiguous origin packs to a view of ``data`` (the window copies
+        it if it aliases the target), so ``scale == 1`` costs no pass and
+        scaling costs one; a noncontiguous origin is scaled in its packed
+        copy.  ``snapshot`` forces a private copy even when no scaling made
+        one (a queued op must not see later writes to the user's buffer).
+        """
+        packed = data if origin_t is None else origin_t.pack(data, copy=False)
+        packed = packed.view(acc_dtype)
+        if scale == 1.0 and not snapshot:
+            return packed
+        private = not np.may_share_memory(packed, data)  # pack already copied
+        if scale != 1.0:
+            return np.multiply(packed, acc_dtype.type(scale), out=packed if private else None)
+        return packed if private else packed.copy()
+
+    @contextmanager
+    def _op_epoch(self, gmr: Gmr, win_rank: int, kind: str):
         """Completion discipline for one blocking operation.
 
-        mpi2: the §V-C pattern — a lock/unlock epoch of its own.
+        mpi2: the §V-C pattern — a lock/unlock epoch of its own, shared
+        where the GMR's access mode (§VIII-A) permits ``kind`` to be.
         mpi3: drain queued nb ops to the target (per-location program
         order), issue into the GMR's standing ``lock_all`` epoch, and
         complete with a per-target ``flush``.
@@ -393,22 +497,61 @@ class Armci:
             finally:
                 gmr.win.flush(win_rank)
         else:
-            gmr.win.lock(win_rank, lock_mode)
+            gmr.win.lock(win_rank, gmr.access_mode.lock_mode(kind))
             try:
                 yield
             finally:
                 gmr.win.unlock(win_rank)
 
+    @staticmethod
+    def _issue(win: Win, kind, data, win_rank, disp, origin_t=None, target_t=None) -> None:
+        """The one place ARMCI-MPI calls MPI RMA on a GMR window (epoch NOT
+        managed); the datatypes default to contiguous bytes / elements."""
+        if kind == "put":
+            win.put(data, win_rank, disp, target_datatype=target_t, origin_datatype=origin_t)
+        elif kind == "get":
+            win.get(data, win_rank, disp, target_datatype=target_t, origin_datatype=origin_t)
+        else:
+            win.accumulate(
+                data, win_rank, disp, op="MPI_SUM",
+                target_datatype=target_t, origin_datatype=origin_t,
+            )
+
+    def _transfer(
+        self,
+        kind: str,
+        gmr: Gmr,
+        win_rank: int,
+        disp: int,
+        local: np.ndarray,
+        origin_t: "dt.Datatype | None" = None,
+        target_t: "dt.Datatype | None" = None,
+        scale: float = 1.0,
+        acc_dtype: "np.dtype | None" = None,
+    ) -> None:
+        """One blocking ARMCI data movement against a resolved target:
+        stage (§V-E.1) -> contribution -> epoch (§V-C) -> MPI RMA -> write-back.
+
+        §VI's methods differ only in the datatype pair (None = contiguous)
+        and in how many :meth:`_issue` calls share an epoch.
+        """
+        data, writeback = self._stage(kind, local, origin_t)
+        if kind == "acc":
+            data, origin_t = self._contribution(data, origin_t, scale, acc_dtype), None
+        with self._op_epoch(gmr, win_rank, kind):
+            self._issue(gmr.win, kind, data, win_rank, disp, origin_t, target_t)
+        if writeback is not None:
+            writeback()
+
+    # -- contiguous one-sided operations (§V-C, §V-F) ---------------------------------
     def put(
         self, src: "np.ndarray | GlobalPtr", dst: GlobalPtr, nbytes: "int | None" = None
     ) -> None:
         """Contiguous one-sided put; complete (locally and remotely) on return."""
         if nbytes is None:
             nbytes = _infer_nbytes(src)
-        gmr, win_rank, disp, lock_mode = self._target(dst, "put")
-        lb = buffers.resolve_local(self, src, nbytes, "out")
-        with self._op_epoch(gmr, win_rank, lock_mode):
-            gmr.win.put(lb.data, win_rank, disp)
+        gmr, win_rank, disp = self._target(dst, "put")
+        self._transfer("put", gmr, win_rank, disp, self._local_bytes(src, nbytes))
         self.stats.count("put", nbytes)
 
     def get(
@@ -417,11 +560,8 @@ class Armci:
         """Contiguous one-sided get; data is in ``dst`` on return."""
         if nbytes is None:
             nbytes = _infer_nbytes(dst)
-        gmr, win_rank, disp, lock_mode = self._target(src, "get")
-        lb = buffers.resolve_local(self, dst, nbytes, "in")
-        with self._op_epoch(gmr, win_rank, lock_mode):
-            gmr.win.get(lb.data, win_rank, disp)
-        lb.finish()
+        gmr, win_rank, disp = self._target(src, "get")
+        self._transfer("get", gmr, win_rank, disp, self._local_bytes(dst, nbytes))
         self.stats.count("get", nbytes)
 
     def acc(
@@ -438,37 +578,13 @@ class Armci:
         ``MPI_SUM`` accumulate, the mapping §V-F relies on.  Atomic
         element-wise with respect to other accumulates of the same type.
         """
-        (gmr, win_rank, disp, lock_mode), contrib, nbytes = self._acc_contribution(
-            src, dst, scale, nbytes, dtype, snapshot=False
+        dtype, nbytes = _acc_args(src, nbytes, dtype)
+        gmr, win_rank, disp = self._target(dst, "acc")
+        self._transfer(
+            "acc", gmr, win_rank, disp, self._local_bytes(src, nbytes),
+            scale=scale, acc_dtype=dtype,
         )
-        with self._op_epoch(gmr, win_rank, lock_mode):
-            gmr.win.accumulate(contrib, win_rank, disp, op="MPI_SUM")
         self.stats.count("acc", nbytes)
-
-    def _acc_contribution(self, src, dst: GlobalPtr, scale, nbytes, dtype, snapshot):
-        """Resolve an accumulate's target and its typed, scaled contribution.
-
-        ``snapshot`` forces a private copy even when no scaling made one
-        (a queued op must not see later writes to the user's buffer).
-        """
-        if dtype is None:
-            if isinstance(src, GlobalPtr):
-                raise ArgumentError("acc from a global pointer requires dtype=")
-            dtype = np.asarray(src).dtype
-        dtype = np.dtype(dtype)
-        if nbytes is None:
-            nbytes = _infer_nbytes(src)
-        if nbytes % dtype.itemsize:
-            raise ArgumentError(
-                f"acc of {nbytes} bytes is not a whole number of {dtype}"
-            )
-        target = self._target(dst, "acc")
-        contrib = buffers.resolve_local(self, src, nbytes, "out").data.view(dtype)
-        if scale != 1.0:
-            contrib = contrib * dtype.type(scale)
-        elif snapshot:
-            contrib = contrib.copy()
-        return target, contrib, nbytes
 
     # -- nonblocking variants ------------------------------------------------------
     def nb_put(self, src, dst: GlobalPtr, nbytes: "int | None" = None) -> NbHandle:
@@ -483,11 +599,13 @@ class Armci:
         if not self._flush_mode:
             self.put(src, dst, nbytes)
             return NbHandle(kind="put", target=dst.rank)
-        gmr, win_rank, disp, _ = self._target(dst, "put")
-        lb = buffers.resolve_local(self, src, nbytes, "out")
-        data = lb.data if lb.staged else lb.data.copy()
+        gmr, win_rank, disp = self._target(dst, "put")
+        local = self._local_bytes(src, nbytes)
+        data, _ = self._stage("put", local)
+        if data is local:  # not staged: snapshot it here
+            data = local.copy()
         self.stats.count("put", nbytes)
-        return self._nbq.enqueue("put", gmr, win_rank, disp, nbytes, data=data)
+        return self._nbq.enqueue("put", gmr, win_rank, disp, data)
 
     def nb_get(self, src: GlobalPtr, dst, nbytes: "int | None" = None) -> NbHandle:
         """Nonblocking get: the destination buffer is valid after wait().
@@ -501,17 +619,15 @@ class Armci:
         """
         if nbytes is None:
             nbytes = _infer_nbytes(dst)
-        gmr, win_rank, disp, lock_mode = self._target(src, "get")
-        lb = buffers.resolve_local(self, dst, nbytes, "in")
+        gmr, win_rank, disp = self._target(src, "get")
+        data, writeback = self._stage("get", self._local_bytes(dst, nbytes))
         if self._flush_mode:
             self.stats.count("get", nbytes)
-            return self._nbq.enqueue("get", gmr, win_rank, disp, nbytes, lb=lb)
-        with self._op_epoch(gmr, win_rank, lock_mode):
-            gmr.win.get(lb.data, win_rank, disp)
+            return self._nbq.enqueue("get", gmr, win_rank, disp, data, writeback)
+        with self._op_epoch(gmr, win_rank, "get"):
+            self._issue(gmr.win, "get", data, win_rank, disp)
         self.stats.count("get", nbytes)
-        if lb.writeback is None:
-            return NbHandle(kind="get", target=src.rank)
-        return NbHandle(finish=lb.finish, kind="get", target=src.rank)
+        return NbHandle(finish=writeback, kind="get", target=src.rank)
 
     def nb_acc(
         self, src, dst: GlobalPtr, scale: float = 1.0,
@@ -521,14 +637,12 @@ class Armci:
         if not self._flush_mode:
             self.acc(src, dst, scale, nbytes, dtype)
             return NbHandle(kind="acc", target=dst.rank)
-        (gmr, win_rank, disp, _), contrib, nbytes = self._acc_contribution(
-            src, dst, scale, nbytes, dtype, snapshot=True
-        )
+        dtype, nbytes = _acc_args(src, nbytes, dtype)
+        gmr, win_rank, disp = self._target(dst, "acc")
+        data, _ = self._stage("acc", self._local_bytes(src, nbytes))
+        contrib = self._contribution(data, None, scale, dtype, snapshot=True)
         self.stats.count("acc", nbytes)
-        return self._nbq.enqueue(
-            "acc", gmr, win_rank, disp, nbytes, data=contrib,
-            acc_dtype=contrib.dtype,
-        )
+        return self._nbq.enqueue("acc", gmr, win_rank, disp, contrib)
 
     @staticmethod
     def wait(handle: NbHandle) -> None:
@@ -650,6 +764,7 @@ class Armci:
                 f"local buffer of {local_view.nbytes}B cannot hold the "
                 f"{span}B strided footprint"
             )
+        local_view = local_view[:span]
         if self.config.strided_method == "iov":
             loc_disps = strided.segment_displacements(list(local_strides), list(count))
             rem_disps = strided.segment_displacements(list(remote_strides), list(count))
@@ -660,97 +775,16 @@ class Armci:
             )
             return
         # direct method: one subarray/hindexed datatype per side (§VI-C)
-        gmr = self.table.require(remote)
-        self._check_mode(gmr, kind)
-        win_rank, disp = gmr.displacement(remote)
+        gmr, win_rank, disp = self._target(remote, kind)
         origin_t = strided.strided_datatype(list(local_strides), list(count))
         target_t = strided.strided_datatype(
             list(remote_strides), list(count),
             dt.BYTE if kind != "acc" else dt.from_numpy_dtype(acc_dtype),
         )
-        lock_mode = gmr.access_mode.lock_mode(kind)
-        data, writeback = self._stage_strided_local(kind, local_view, origin_t, span)
-        if kind == "acc":
-            data, origin_used = self._scaled_origin(data, origin_t, scale, acc_dtype)
-        else:
-            origin_used = origin_t
-        with self._op_epoch(gmr, win_rank, lock_mode):
-            if kind == "put":
-                gmr.win.put(
-                    data, win_rank, disp,
-                    target_datatype=target_t, origin_datatype=origin_used,
-                )
-            elif kind == "get":
-                gmr.win.get(
-                    data, win_rank, disp,
-                    target_datatype=target_t, origin_datatype=origin_used,
-                )
-            else:
-                gmr.win.accumulate(
-                    data, win_rank, disp, op="MPI_SUM",
-                    target_datatype=target_t, origin_datatype=origin_used,
-                )
-        if writeback is not None:
-            writeback()
+        self._transfer(
+            kind, gmr, win_rank, disp, local_view, origin_t, target_t, scale, acc_dtype
+        )
         self.stats.count(kind, spec.total_bytes)
-
-    def _stage_strided_local(self, kind, local_view, origin_t, span):
-        """§V-E.1 staging for strided local buffers that alias a window."""
-        region = local_view[:span]
-        gmr = self.table.find_local_buffer(self.my_id, region)
-        if gmr is None or self.config.coherent_shortcut:
-            return region, None
-        my_rank = gmr.group.rank
-        if kind in ("put", "acc"):
-            with self._stage_epoch(gmr, my_rank):
-                temp = region.copy()
-            self.stats.staged_copies += 1
-            return temp, None
-        temp = np.zeros(span, dtype=np.uint8)
-
-        def writeback() -> None:
-            packed = origin_t.pack(temp)
-            with self._stage_epoch(gmr, my_rank):
-                origin_t.unpack(region, packed)
-            self.stats.staged_copies += 1
-
-        return temp, writeback
-
-    @contextmanager
-    def _stage_epoch(self, gmr: Gmr, my_rank: int):
-        """Self-access discipline for a §V-E.1 staging copy.
-
-        mpi2: the exclusive self-lock the paper prescribes.  mpi3: the
-        standing lock_all epoch already grants unified-model local
-        access; completing queued/outstanding ops to self with a flush
-        before touching the slab is all the ordering needed.
-        """
-        if self._flush_mode:
-            self._nbq.drain(gmr, my_rank)
-            gmr.win.flush(my_rank)
-            yield
-        else:
-            gmr.win.lock(my_rank, "exclusive")
-            try:
-                yield
-            finally:
-                gmr.win.unlock(my_rank)
-
-    @staticmethod
-    def _scaled_origin(data, origin_t, scale, acc_dtype):
-        """The contiguous, typed, scaled contribution; never writes ``data``.
-
-        A contiguous origin packs to a view of ``data`` (the window copies
-        it if it aliases the target), so ``scale == 1`` costs no pass and
-        scaling costs one; a strided origin is scaled in its packed copy.
-        """
-        packed = origin_t.pack(data, copy=False).view(acc_dtype)
-        if scale != 1.0:
-            is_view = np.may_share_memory(packed, data)
-            packed = np.multiply(
-                packed, acc_dtype.type(scale), out=None if is_view else packed
-            )
-        return packed, None  # None origin datatype = contiguous
 
     # -- IOV operations (§VI-A) ------------------------------------------------------
     def putv(
@@ -813,40 +847,30 @@ class Armci:
         acc_dtype: "np.dtype | None" = None,
         method: "str | None" = None,
     ) -> None:
-        loc_offsets = np.asarray(loc_offsets, dtype=np.int64)
-        rem_addrs = np.asarray(rem_addrs, dtype=np.int64)
-        data = local_view
-        writeback = None
-        alias_gmr = self.table.find_local_buffer(self.my_id, local_view)
-        if alias_gmr is not None and not self.config.coherent_shortcut:
-            my_rank = alias_gmr.group.rank
-            if kind in ("put", "acc"):
-                with self._stage_epoch(alias_gmr, my_rank):
-                    data = local_view.copy()
-                self.stats.staged_copies += 1
-            else:
-                data = np.zeros(local_view.nbytes, dtype=np.uint8)
-
-                def writeback() -> None:
-                    with self._stage_epoch(alias_gmr, my_rank):
-                        for off in loc_offsets.tolist():
-                            local_view[off : off + seg_bytes] = data[off : off + seg_bytes]
-                    self.stats.staged_copies += 1
-
-        if kind == "acc" and scale != 1.0:
-            data = data.copy()
-            for off in loc_offsets.tolist():
-                seg = data[off : off + seg_bytes].view(acc_dtype)
-                seg *= acc_dtype.type(scale)
-        req = iov.IovRequest(
-            kind=kind, local=data, loc_offsets=loc_offsets,
-            rank=rank, rem_addrs=rem_addrs, seg_bytes=seg_bytes,
-            acc_dtype=acc_dtype,
+        req = iov.IovRequest(  # validates the descriptor
+            kind=kind, local=local_view,
+            loc_offsets=np.asarray(loc_offsets, dtype=np.int64),
+            rank=rank, rem_addrs=np.asarray(rem_addrs, dtype=np.int64),
+            seg_bytes=seg_bytes, acc_dtype=acc_dtype,
         )
+        # the local layout: what a staged get writes back through and an
+        # accumulate packs through (a put is copied out whole, it needs none)
+        origin_t = (
+            None if kind == "put"
+            else iov._hindexed_cached(seg_bytes, req.loc_offsets, dt.BYTE)
+        )
+        data, writeback = self._stage(kind, local_view, origin_t)
+        if kind == "acc":
+            # packed: segment i of the contribution sits at i * seg_bytes
+            data = self._contribution(data, origin_t, scale, acc_dtype).view(np.uint8)
+            packed_at = seg_bytes * np.arange(req.nsegments, dtype=np.int64)
+            req = replace(req, local=data, loc_offsets=packed_at)
+        elif data is not local_view:
+            req = replace(req, local=data)
         iov.execute(self, req, method=method)
         if writeback is not None:
             writeback()
-        self.stats.count(kind, int(seg_bytes * len(loc_offsets)))
+        self.stats.count(kind, seg_bytes * req.nsegments)
 
     # -- synchronisation objects (§V-D) -------------------------------------------
     def create_mutexes(self, count: int) -> MutexSet:
@@ -904,6 +928,22 @@ def _infer_nbytes(buf) -> int:
     if isinstance(buf, GlobalPtr):
         raise ArgumentError("nbytes is required when the local side is a GlobalPtr")
     return int(np.asarray(buf).nbytes)
+
+
+def _acc_args(src, nbytes: "int | None", dtype) -> tuple[np.dtype, int]:
+    """A contiguous accumulate's element type and byte count, validated."""
+    if dtype is None:
+        if isinstance(src, GlobalPtr):
+            raise ArgumentError("acc from a global pointer requires dtype=")
+        dtype = np.asarray(src).dtype
+    dtype = np.dtype(dtype)
+    if nbytes is None:
+        nbytes = _infer_nbytes(src)
+    if nbytes % dtype.itemsize:
+        raise ArgumentError(
+            f"acc of {nbytes} bytes is not a whole number of {dtype}"
+        )
+    return dtype, nbytes
 
 
 def _as_flat_bytes(arr: np.ndarray) -> np.ndarray:

@@ -45,10 +45,6 @@ class ArmciConfig:
         concurrent access to shared data; setting this disables the
         global-buffer staging protocol of §V-E.1 (and requires a
         non-strict window).  Default off: the paper's portable mode.
-    shared_lock_for_reads:
-        Internal default for GMRs in the default access mode: every op
-        uses an exclusive epoch (the conservative §V-C discipline).
-        Access-mode hints (§VIII-A) override per-GMR.
     alignment:
         Byte alignment of ARMCI_Malloc'd slabs in the simulated
         per-process address space.

@@ -80,6 +80,12 @@ class IovRequest:
     def nsegments(self) -> int:
         return len(self.loc_offsets)
 
+    def segment(self, loc_off: int) -> np.ndarray:
+        """The local segment at ``loc_off``, as one contiguous RMA op wants
+        it (an accumulate takes its element type from the array)."""
+        seg = self.local[loc_off : loc_off + self.seg_bytes]
+        return seg if self.kind != "acc" else seg.view(self.acc_dtype)
+
 
 def execute(armci: "Armci", req: IovRequest, method: "str | None" = None) -> None:
     """Run one IOV operation with the configured (or given) method."""
@@ -100,27 +106,31 @@ def execute(armci: "Armci", req: IovRequest, method: "str | None" = None) -> Non
 
 
 # ---------------------------------------------------------------------------
-# GMR resolution
+# GMR resolution (§V-A for an address array; each hit passes the §VIII-A gate)
 # ---------------------------------------------------------------------------
 
 
-def _resolve_single_gmr(armci: "Armci", req: IovRequest) -> "Gmr | None":
-    """The one GMR containing every remote segment, or None if they span."""
-    from .gmr import GlobalPtr
-
-    first = armci.table.lookup(req.rank, int(req.rem_addrs[0]))
-    if first is None:
+def _lookup(armci: "Armci", req: IovRequest, addr: int) -> "tuple[Gmr, int, int]":
+    """(gmr, window rank, slab base) of one remote segment address."""
+    gmr = armci.table.lookup(req.rank, addr)
+    if gmr is None:
         raise ArgumentError(
-            f"IOV segment address {int(req.rem_addrs[0]):#x} on process "
-            f"{req.rank} is not in any GMR"
+            f"IOV segment address {addr:#x} on process {req.rank} "
+            "is not in any GMR"
         )
-    win_rank = first.win_rank_of_absolute(req.rank)
-    base = first.bases[win_rank]
-    size = first.sizes[win_rank]
+    armci._check_mode(gmr, req.kind)
+    win_rank = gmr.win_rank_of_absolute(req.rank)
+    return gmr, win_rank, gmr.bases[win_rank]
+
+
+def _resolve_single_gmr(armci: "Armci", req: IovRequest):
+    """``(gmr, win_rank, base)`` of the one GMR containing every remote
+    segment, or None if they span several."""
+    gmr, win_rank, base = _lookup(armci, req, int(req.rem_addrs[0]))
     lo = int(req.rem_addrs.min())
     hi = int(req.rem_addrs.max()) + req.seg_bytes
-    if lo >= base and hi <= base + size:
-        return first
+    if lo >= base and hi <= base + gmr.sizes[win_rank]:
+        return gmr, win_rank, base
     return None
 
 
@@ -128,14 +138,8 @@ def _resolve_per_segment(armci: "Armci", req: IovRequest):
     """(gmr, win_rank, displacement) per segment (conservative path)."""
     out = []
     for addr in req.rem_addrs.tolist():
-        gmr = armci.table.lookup(req.rank, addr)
-        if gmr is None:
-            raise ArgumentError(
-                f"IOV segment address {addr:#x} on process {req.rank} "
-                "is not in any GMR"
-            )
-        win_rank = gmr.win_rank_of_absolute(req.rank)
-        out.append((gmr, win_rank, addr - gmr.bases[win_rank]))
+        gmr, win_rank, base = _lookup(armci, req, addr)
+        out.append((gmr, win_rank, addr - base))
     return out
 
 
@@ -180,25 +184,6 @@ def _auto_select(armci: "Armci", req: IovRequest) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _one_segment(
-    armci: "Armci",
-    req: IovRequest,
-    win,
-    win_rank: int,
-    disp: int,
-    loc_off: int,
-) -> None:
-    """Issue one contiguous RMA op for segment ``i`` (epoch NOT managed)."""
-    n = req.seg_bytes
-    if req.kind == "put":
-        win.put(req.local[loc_off : loc_off + n], win_rank, disp)
-    elif req.kind == "get":
-        win.get(req.local[loc_off : loc_off + n], win_rank, disp)
-    else:
-        seg = req.local[loc_off : loc_off + n].view(req.acc_dtype)
-        win.accumulate(seg, win_rank, disp, op="MPI_SUM")
-
-
 def _conservative(armci: "Armci", req: IovRequest) -> None:
     """One op per segment, one epoch (or flush cycle) per op.
 
@@ -208,9 +193,8 @@ def _conservative(armci: "Armci", req: IovRequest) -> None:
     """
     resolved = _resolve_per_segment(armci, req)
     for (gmr, win_rank, disp), loc_off in zip(resolved, req.loc_offsets.tolist()):
-        lock_mode = gmr.access_mode.lock_mode(req.kind)
-        with armci._op_epoch(gmr, win_rank, lock_mode):
-            _one_segment(armci, req, gmr.win, win_rank, disp, loc_off)
+        with armci._op_epoch(gmr, win_rank, req.kind):
+            armci._issue(gmr.win, req.kind, req.segment(loc_off), win_rank, disp)
 
 
 def _batched(armci: "Armci", req: IovRequest) -> None:
@@ -219,17 +203,15 @@ def _batched(armci: "Armci", req: IovRequest) -> None:
     Under the mpi3 datapath each batch is issued into the standing
     lock_all epoch and completed by one per-target flush.
     """
-    gmr = _require_single_gmr(armci, req, "batched")
-    win_rank = gmr.win_rank_of_absolute(req.rank)
-    base = gmr.bases[win_rank]
-    disps = req.rem_addrs - base
+    gmr, win_rank, base = _require_single_gmr(armci, req, "batched")
+    disps = (req.rem_addrs - base).tolist()
+    loc_offs = req.loc_offsets.tolist()
     B = armci.config.iov_batch_size or req.nsegments
-    lock_mode = gmr.access_mode.lock_mode(req.kind)
     for start in range(0, req.nsegments, B):
-        with armci._op_epoch(gmr, win_rank, lock_mode):
+        with armci._op_epoch(gmr, win_rank, req.kind):
             for i in range(start, min(start + B, req.nsegments)):
-                _one_segment(
-                    armci, req, gmr.win, win_rank, int(disps[i]), int(req.loc_offsets[i])
+                armci._issue(
+                    gmr.win, req.kind, req.segment(loc_offs[i]), win_rank, disps[i]
                 )
 
 
@@ -268,47 +250,20 @@ def iov_datatype_cache_len() -> int:
 
 def _direct(armci: "Armci", req: IovRequest) -> None:
     """One RMA op with indexed datatypes describing both layouts (§VI-A)."""
-    gmr = _require_single_gmr(armci, req, "direct")
-    win_rank = gmr.win_rank_of_absolute(req.rank)
-    base = gmr.bases[win_rank]
-    n = req.seg_bytes
+    gmr, win_rank, base = _require_single_gmr(armci, req, "direct")
     elem = dt.BYTE if req.kind != "acc" else dt.from_numpy_dtype(req.acc_dtype)
-    if req.kind == "acc" and n % elem.size:
-        raise ArgumentError(
-            f"accumulate IOV: segment of {n} bytes is not a whole number of "
-            f"{elem.name} elements"
-        )
-    blocks = n // elem.size
-    target_t = _hindexed_cached(
-        blocks, np.asarray(req.rem_addrs - base, dtype=np.int64), elem
-    )
-    origin_t = _hindexed_cached(
-        blocks, np.asarray(req.loc_offsets, dtype=np.int64), elem
-    )
-    lock_mode = gmr.access_mode.lock_mode(req.kind)
-    with armci._op_epoch(gmr, win_rank, lock_mode):
-        if req.kind == "put":
-            gmr.win.put(
-                req.local, win_rank, 0,
-                target_datatype=target_t, origin_datatype=origin_t,
-            )
-        elif req.kind == "get":
-            gmr.win.get(
-                req.local, win_rank, 0,
-                target_datatype=target_t, origin_datatype=origin_t,
-            )
-        else:
-            gmr.win.accumulate(
-                req.local, win_rank, 0, op="MPI_SUM",
-                target_datatype=target_t, origin_datatype=origin_t,
-            )
+    blocks = req.seg_bytes // elem.size  # whole elements: IovRequest checked
+    target_t = _hindexed_cached(blocks, req.rem_addrs - base, elem)
+    origin_t = _hindexed_cached(blocks, req.loc_offsets, elem)
+    with armci._op_epoch(gmr, win_rank, req.kind):
+        armci._issue(gmr.win, req.kind, req.local, win_rank, 0, origin_t, target_t)
 
 
-def _require_single_gmr(armci: "Armci", req: IovRequest, method: str) -> "Gmr":
-    gmr = _resolve_single_gmr(armci, req)
-    if gmr is None:
+def _require_single_gmr(armci: "Armci", req: IovRequest, method: str):
+    single = _resolve_single_gmr(armci, req)
+    if single is None:
         raise ArgumentError(
             f"IOV {method} method requires all segments in one GMR; "
             "use method='conservative' or 'auto' (§VI-A)"
         )
-    return gmr
+    return single

@@ -42,7 +42,6 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .api import Armci, NbHandle
-    from .buffers import LocalBuffer
     from .gmr import Gmr
 
 
@@ -50,23 +49,29 @@ __all__ = ["NbQueue"]
 
 
 class _NbEntry:
-    """One queued (possibly merged) nonblocking operation."""
+    """One queued (possibly merged) nonblocking operation.
 
-    __slots__ = ("kind", "gmr", "win_rank", "disp", "nbytes", "data",
-                 "acc_dtype", "lb", "handles")
+    ``data`` is what :meth:`Armci._issue` will be handed: the snapshotted
+    put bytes, the typed accumulate contribution, or the buffer a get
+    lands in; ``writeback`` is the §V-E.1 copy-in a staged get owes after
+    the flush.
+    """
+
+    __slots__ = ("kind", "gmr", "win_rank", "disp", "data", "writeback", "handles")
 
     def __init__(self, kind: str, gmr: "Gmr", win_rank: int, disp: int,
-                 nbytes: int, data: "np.ndarray | None",
-                 acc_dtype: "np.dtype | None", lb: "LocalBuffer | None"):
+                 data: np.ndarray, writeback):
         self.kind = kind
         self.gmr = gmr
         self.win_rank = win_rank
         self.disp = disp
-        self.nbytes = nbytes
         self.data = data
-        self.acc_dtype = acc_dtype
-        self.lb = lb
+        self.writeback = writeback
         self.handles: list["NbHandle"] = []
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes
 
     def overlaps(self, disp: int, nbytes: int) -> bool:
         return disp < self.disp + self.nbytes and self.disp < disp + nbytes
@@ -109,16 +114,15 @@ class NbQueue:
         gmr: "Gmr",
         win_rank: int,
         disp: int,
-        nbytes: int,
-        data: "np.ndarray | None" = None,
-        acc_dtype: "np.dtype | None" = None,
-        lb: "LocalBuffer | None" = None,
+        data: np.ndarray,
+        writeback=None,
     ) -> "NbHandle":
         from .api import NbHandle
 
         armci = self._armci
         origin = armci.my_id
         target_abs = gmr.group.absolute_id(win_rank)
+        nbytes = data.nbytes
         if nbytes == 0:
             return NbHandle(kind=kind, target=target_abs)
         key = (origin, gmr.gmr_id, win_rank)
@@ -133,12 +137,12 @@ class NbQueue:
             target=target_abs,
             waiter=lambda: self.drain(gmr, win_rank, raise_errors=False),
         )
-        merged = self._try_merge(queue, kind, disp, nbytes, data, acc_dtype)
+        merged = self._try_merge(queue, kind, disp, data)
         if merged is not None:
             merged.handles.append(handle)
             self.coalesced += 1
         else:
-            entry = _NbEntry(kind, gmr, win_rank, disp, nbytes, data, acc_dtype, lb)
+            entry = _NbEntry(kind, gmr, win_rank, disp, data, writeback)
             entry.handles.append(handle)
             queue.append(entry)
         self._san_event("on_nb_enqueue", gmr, win_rank, kind)
@@ -146,7 +150,7 @@ class NbQueue:
             self.drain(gmr, win_rank, raise_errors=True)
         return handle
 
-    def _try_merge(self, queue, kind, disp, nbytes, data, acc_dtype) -> "_NbEntry | None":
+    def _try_merge(self, queue, kind, disp, data) -> "_NbEntry | None":
         """Merge into the queue tail when exactly adjacent; else None."""
         limit = self._armci.config.nb_coalesce_threshold
         if not queue or limit <= 0 or kind == "get":
@@ -154,13 +158,12 @@ class NbQueue:
         tail = queue[-1]
         if (
             tail.kind != kind
-            or tail.acc_dtype != acc_dtype
+            or tail.data.dtype != data.dtype  # acc: same element type
             or tail.disp + tail.nbytes != disp
-            or tail.nbytes + nbytes > limit
+            or tail.nbytes + data.nbytes > limit
         ):
             return None
         tail.data = np.concatenate([tail.data, data])
-        tail.nbytes += nbytes
         return tail
 
     # -- drain ---------------------------------------------------------------------
@@ -191,12 +194,7 @@ class NbQueue:
         issued: list[_NbEntry] = []
         for entry in queue:
             try:
-                if entry.kind == "put":
-                    win.put(entry.data, win_rank, entry.disp)
-                elif entry.kind == "acc":
-                    win.accumulate(entry.data, win_rank, entry.disp, op="MPI_SUM")
-                else:
-                    win.get(entry.lb.data, win_rank, entry.disp)
+                self._armci._issue(win, entry.kind, entry.data, win_rank, entry.disp)
             except Exception as exc:
                 for h in entry.handles:
                     h._fail(exc)
@@ -216,8 +214,8 @@ class NbQueue:
                     first_error = exc
         for entry in issued:
             try:
-                if entry.lb is not None:
-                    entry.lb.finish()
+                if entry.writeback is not None:
+                    entry.writeback()
             except Exception as exc:
                 for h in entry.handles:
                     h._fail(exc)

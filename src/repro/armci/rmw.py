@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..mpi.errors import ArgumentError
-from ..mpi.window import LOCK_EXCLUSIVE
 from .mutexes import MutexHolderFailed
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -89,19 +88,14 @@ def rmw_mutex_based(armci: "Armci", op: str, ptr: "GlobalPtr", value: int) -> in
         raise
     try:
         old = np.zeros(1, dtype=dtype)
-        # epoch 1: read
-        gmr.win.lock(win_rank, LOCK_EXCLUSIVE)
-        gmr.win.get(old, win_rank, disp)
-        gmr.win.unlock(win_rank)
-        # compute
+        with armci._op_epoch(gmr, win_rank, "rmw"):  # epoch 1: read
+            armci._issue(gmr.win, "get", old, win_rank, disp)
         if op in (FETCH_AND_ADD, FETCH_AND_ADD_LONG):
             new = old + dtype.type(value)
         else:
             new = np.array([value], dtype=dtype)
-        # epoch 2: write
-        gmr.win.lock(win_rank, LOCK_EXCLUSIVE)
-        gmr.win.put(new, win_rank, disp)
-        gmr.win.unlock(win_rank)
+        with armci._op_epoch(gmr, win_rank, "rmw"):  # epoch 2: write
+            armci._issue(gmr.win, "put", new, win_rank, disp)
     finally:
         mutex.unlock(0, host)
     armci.stats.rmw_ops += 1

@@ -24,14 +24,8 @@ from .array import GlobalArray
 def _element_addr(ga: GlobalArray, index: Sequence[int]) -> tuple[int, int]:
     """(owner rank, byte offset within the owner's block) of one element."""
     owner = ga.dist.owner(index)
-    block = ga.dist.block(owner)
-    bshape = block.shape
-    item = ga.dtype.itemsize
-    strides = [item] * len(bshape)
-    for d in range(len(bshape) - 2, -1, -1):
-        strides[d] = strides[d + 1] * max(bshape[d + 1], 1)
-    local = [x - lo for x, lo in zip(index, block.lo)]
-    return owner, sum(l * s for l, s in zip(local, strides))
+    lo, strides = ga.dist.block(owner).lo, ga._block_strides[owner]
+    return owner, sum((x - l) * s for x, l, s in zip(index, lo, strides))
 
 
 def _group_by_owner(ga: GlobalArray, subs: np.ndarray):

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..mpi.errors import ArgumentError
 from .array import GlobalArray
+from .periodic import patch_pieces
 
 
 class GhostArray:
@@ -87,52 +88,14 @@ class GhostArray:
         """
         self.ga.sync()
         block = self.ga.distribution()
-        w = self.width
-        ndim = self.ga.ndim
         # global index range the halo buffer covers (may run off the edges)
-        lo = [l - w for l in block.lo]
-        hi = [h + w for h in block.hi]
-        # split each dimension into in-range pieces (with wrap if periodic)
-        pieces_per_dim: list[list[tuple[int, int, int]]] = []
-        for d in range(ndim):
-            extent = self.ga.shape[d]
-            pieces = []  # (halo offset, global lo, length)
-            cursor = lo[d]
-            while cursor < hi[d]:
-                if cursor < 0:
-                    glob = cursor % extent if self.periodic else None
-                    length = min(-cursor, hi[d] - cursor)
-                elif cursor >= extent:
-                    glob = cursor % extent if self.periodic else None
-                    length = hi[d] - cursor
-                else:
-                    glob = cursor
-                    length = min(extent, hi[d]) - cursor
-                if glob is not None:
-                    # clip wrap pieces so they stay inside the array
-                    length = min(length, extent - glob)
-                pieces.append((cursor - lo[d], glob, length))
-                cursor += length
-            pieces_per_dim.append(pieces)
-
-        def rec(d: int, halo_idx: list, glob_lo: list, lengths: list):
-            if d == ndim:
-                sl = tuple(
-                    slice(h, h + n) for h, n in zip(halo_idx, lengths)
-                )
-                if any(g is None for g in glob_lo):
-                    self._halo[sl] = 0  # clamped boundary
-                    return
-                g_lo = tuple(glob_lo)
-                g_hi = tuple(g + n for g, n in zip(glob_lo, lengths))
-                self._halo[sl] = self.ga.get(g_lo, g_hi)
-                return
-            for off, glob, length in pieces_per_dim[d]:
-                if length <= 0:
-                    continue
-                rec(d + 1, halo_idx + [off], glob_lo + [glob], lengths + [length])
-
-        rec(0, [], [], [])
+        lo = [l - self.width for l in block.lo]
+        hi = [h + self.width for h in block.hi]
+        for sl, g_lo, g_hi in patch_pieces(self.ga.shape, lo, hi, wrap=self.periodic):
+            if g_lo is None:
+                self._halo[sl] = 0  # clamped boundary
+            else:
+                self.ga.get(g_lo, g_hi, out=self._halo[sl])
         self.ga.sync()
 
     def store_local(self, interior: "np.ndarray | None" = None) -> None:
@@ -144,7 +107,7 @@ class GhostArray:
                 f"interior shape {data.shape} != owned block {block.shape}"
             )
         if not block.empty:
-            self.ga.put(block.lo, block.hi, np.ascontiguousarray(data))
+            self.ga.put(block.lo, block.hi, data)
         self.ga.sync()
 
     def destroy(self) -> None:

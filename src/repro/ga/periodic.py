@@ -12,7 +12,8 @@ traffic underneath.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+import itertools
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -20,44 +21,54 @@ from ..mpi.errors import ArgumentError
 from .array import GlobalArray
 
 
-def _axis_pieces(lo: int, hi: int, extent: int) -> Iterator[tuple[int, int, int]]:
-    """Split [lo, hi) into in-range pieces: yields (out offset, global lo, len).
+def _axis_pieces(
+    lo: int, hi: int, extent: int, wrap: bool = True
+) -> Iterator[tuple[int, "int | None", int]]:
+    """Split [lo, hi) at the array edges: yields (offset from lo, global lo, len).
 
-    ``lo`` may be negative and ``hi`` may exceed ``extent``; the request
-    length must not exceed ``extent`` (one full wrap maximum, as in GA).
+    ``lo`` may be negative and ``hi`` may exceed ``extent``.  A stretch
+    off the edge wraps around, or with ``wrap=False`` is reported with a
+    global lo of None (a clamped boundary: nothing to fetch).
     """
-    if hi - lo > extent:
-        raise ArgumentError(
-            f"periodic patch of {hi - lo} exceeds the array extent {extent}"
-        )
     cursor = lo
     while cursor < hi:
         glob = cursor % extent
         length = min(hi - cursor, extent - glob)
-        yield cursor - lo, glob, length
+        yield cursor - lo, glob if wrap or 0 <= cursor < extent else None, length
         cursor += length
 
 
+def patch_pieces(shape: Sequence[int], lo: Sequence[int], hi: Sequence[int], wrap: bool = True):
+    """All in-range sub-patches of a request that runs off the edges of an
+    array of ``shape`` (cartesian product of the per-axis splits).
+
+    Yields ``(slices into the request, global lo, global hi)``; a piece
+    that is off a clamped edge (``wrap=False``) has ``None`` for both.
+    """
+    per_dim = [list(_axis_pieces(l, h, e, wrap)) for l, h, e in zip(lo, hi, shape)]
+    for combo in itertools.product(*per_dim):
+        offs, glob_lo, lengths = zip(*combo)
+        sl = tuple(slice(o, o + n) for o, n in zip(offs, lengths))
+        if None in glob_lo:
+            yield sl, None, None
+        else:
+            yield sl, glob_lo, tuple(g + n for g, n in zip(glob_lo, lengths))
+
+
 def _pieces(ga: GlobalArray, lo: Sequence[int], hi: Sequence[int]):
-    """All in-range sub-patches of a wrapped request (cartesian product)."""
+    """:func:`patch_pieces` of a periodic request, validated: the patch
+    must have the array's rank and at most one full wrap per dimension
+    (as in GA), so its pieces are disjoint."""
     lo = [int(x) for x in lo]
     hi = [int(x) for x in hi]
     if len(lo) != ga.ndim or len(hi) != ga.ndim:
         raise ArgumentError(f"{ga.name}: periodic patch rank mismatch")
-    per_dim = [
-        list(_axis_pieces(l, h, e)) for l, h, e in zip(lo, hi, ga.shape)
-    ]
-
-    def rec(d: int, out_lo: list, glob_lo: list, lengths: list):
-        if d == ga.ndim:
-            yield tuple(out_lo), tuple(glob_lo), tuple(lengths)
-            return
-        for off, glob, length in per_dim[d]:
-            yield from rec(
-                d + 1, out_lo + [off], glob_lo + [glob], lengths + [length]
+    for l, h, extent in zip(lo, hi, ga.shape):
+        if h - l > extent:
+            raise ArgumentError(
+                f"periodic patch of {h - l} exceeds the array extent {extent}"
             )
-
-    yield from rec(0, [], [], [])
+    return patch_pieces(ga.shape, lo, hi)
 
 
 def periodic_get(ga: GlobalArray, lo, hi, out: "np.ndarray | None" = None) -> np.ndarray:
@@ -67,10 +78,8 @@ def periodic_get(ga: GlobalArray, lo, hi, out: "np.ndarray | None" = None) -> np
         out = np.empty(shape, dtype=ga.dtype)
     elif tuple(out.shape) != shape:
         raise ArgumentError(f"{ga.name}: out shape {out.shape} != {shape}")
-    for out_lo, glob_lo, lengths in _pieces(ga, lo, hi):
-        glob_hi = tuple(g + n for g, n in zip(glob_lo, lengths))
-        sl = tuple(slice(o, o + n) for o, n in zip(out_lo, lengths))
-        out[sl] = ga.get(glob_lo, glob_hi)
+    for sl, glob_lo, glob_hi in _pieces(ga, lo, hi):
+        ga.get(glob_lo, glob_hi, out=out[sl])
     return out
 
 
@@ -80,10 +89,8 @@ def periodic_put(ga: GlobalArray, lo, hi, data: np.ndarray) -> None:
     shape = tuple(h - l for l, h in zip(lo, hi))
     if tuple(data.shape) != shape:
         raise ArgumentError(f"{ga.name}: data shape {data.shape} != {shape}")
-    for out_lo, glob_lo, lengths in _pieces(ga, lo, hi):
-        glob_hi = tuple(g + n for g, n in zip(glob_lo, lengths))
-        sl = tuple(slice(o, o + n) for o, n in zip(out_lo, lengths))
-        ga.put(glob_lo, glob_hi, np.ascontiguousarray(data[sl]))
+    for sl, glob_lo, glob_hi in _pieces(ga, lo, hi):
+        ga.put(glob_lo, glob_hi, data[sl])
 
 
 def periodic_acc(
@@ -99,7 +106,5 @@ def periodic_acc(
     shape = tuple(h - l for l, h in zip(lo, hi))
     if tuple(data.shape) != shape:
         raise ArgumentError(f"{ga.name}: data shape {data.shape} != {shape}")
-    for out_lo, glob_lo, lengths in _pieces(ga, lo, hi):
-        glob_hi = tuple(g + n for g, n in zip(glob_lo, lengths))
-        sl = tuple(slice(o, o + n) for o, n in zip(out_lo, lengths))
-        ga.acc(glob_lo, glob_hi, np.ascontiguousarray(data[sl]), alpha=alpha)
+    for sl, glob_lo, glob_hi in _pieces(ga, lo, hi):
+        ga.acc(glob_lo, glob_hi, data[sl], alpha=alpha)

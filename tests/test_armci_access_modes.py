@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.armci import AccessMode, Armci
+from repro.armci import AccessMode, Armci, ArmciConfig
 from repro.mpi.errors import ArgumentError
+from repro.mpi.runtime import Runtime
 from repro.mpi.window import LOCK_EXCLUSIVE, LOCK_SHARED
+from repro.sanitizer import RmaSanitizer
 
 from conftest import spmd
 
@@ -139,3 +141,85 @@ def test_mode_change_is_collective_barrier():
         a.free(ptrs[a.my_id])
 
     spmd(3, main)
+
+
+# ---------------------------------------------------------------------------
+# gate parity: every op family resolves its target through the same gate
+# ---------------------------------------------------------------------------
+
+_FORMS = [
+    "contiguous", "strided_direct", "strided_iov",
+    "v_conservative", "v_batched", "v_direct", "v_auto", "nb",
+]
+
+
+def _op(a, form, kind, ptr, buf):
+    """One ``kind`` of the 32 bytes of ``buf`` against ``ptr`` via ``form``."""
+    if form == "contiguous":
+        call = {"put": (a.put, buf, ptr), "get": (a.get, ptr, buf), "acc": (a.acc, buf, ptr)}
+    elif form.startswith("strided"):  # two 16-byte rows, dense on both sides
+        rows = ([16], [16, 2])
+        call = {
+            "put": (a.put_s, buf, [16], ptr, *rows),
+            "get": (a.get_s, ptr, [16], buf, *rows),
+            "acc": (a.acc_s, buf, [16], ptr, *rows),
+        }
+    elif form.startswith("v_"):
+        offs, addrs = [0, 16], [ptr, ptr + 16]
+        call = {
+            "put": (a.putv, buf, offs, addrs, 16, form[2:]),
+            "get": (a.getv, addrs, buf, offs, 16, form[2:]),
+            "acc": (a.accv, buf, offs, addrs, 16, 1.0, "f8", form[2:]),
+        }
+    else:
+        call = {
+            "put": (a.nb_put, buf, ptr), "get": (a.nb_get, ptr, buf), "acc": (a.nb_acc, buf, ptr),
+        }
+    fn, *args = call[kind]
+    handle = fn(*args)
+    if form == "nb":
+        a.wait(handle)
+
+
+@pytest.mark.parametrize("datapath", ["mpi2", "mpi3"])
+@pytest.mark.parametrize("form", _FORMS)
+@pytest.mark.parametrize("kind", ["put", "get", "acc"])
+@pytest.mark.parametrize("mode", [AccessMode.READ_ONLY, AccessMode.ACC_ONLY])
+def test_access_mode_gate_is_the_same_for_every_op_family(mode, kind, form, datapath):
+    """§VIII-A: a kind the mode forbids raises ArgumentError — whichever
+    API form issues it — reports exactly one ``access-mode`` violation and
+    moves no byte; a kind it allows completes with correct data."""
+    config = ArmciConfig(strided_method="iov" if form == "strided_iov" else "direct")
+    allowed = mode.allows(kind)
+    seen = {}
+
+    def main(comm):
+        a = Armci.init(comm, config, datapath=datapath)
+        ptrs = a.malloc(32)
+        if a.my_id == 0:
+            a.put(np.arange(4.0), ptrs[0])
+        a.barrier()
+        a.set_access_mode(ptrs[0], mode)
+        if a.my_id == 1:
+            seen["buf"] = np.full(4, 2.0)
+            if allowed:
+                _op(a, form, kind, ptrs[0], seen["buf"])
+            else:
+                with pytest.raises(ArgumentError):
+                    _op(a, form, kind, ptrs[0], seen["buf"])
+        a.barrier()
+        a.set_access_mode(ptrs[0], AccessMode.DEFAULT)
+        if a.my_id == 0:
+            seen["slab"] = np.zeros(4)
+            a.get(ptrs[0], seen["slab"])
+        a.barrier()
+        a.free(ptrs[a.my_id])
+
+    rt = Runtime(2, watchdog_s=0.4)
+    san = rt.sanitizer = RmaSanitizer(mode="record")
+    rt.spmd(main)
+    assert [v.kind.value for v in san.violations] == ([] if allowed else ["access-mode"])
+    fetched = np.arange(4.0) if allowed and kind == "get" else np.full(4, 2.0)
+    np.testing.assert_array_equal(seen["buf"], fetched)
+    added = 2.0 if allowed and kind == "acc" else 0.0
+    np.testing.assert_array_equal(seen["slab"], np.arange(4.0) + added)

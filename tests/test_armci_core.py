@@ -351,3 +351,47 @@ def test_coherent_shortcut_requires_nonstrict():
             Armci.init(comm, ArmciConfig(coherent_shortcut=True), strict=True)
 
     spmd(1, main)
+
+
+def test_one_transfer_path_structure():
+    """Structural guard (ROADMAP aim 2, one concept / one implementation):
+    in the modules that move ARMCI data, MPI RMA is called on a GMR window
+    only inside ``Armci._issue``, the §V-E.1 alias probe has one caller,
+    and the §VIII-A gate is one function reached only from target
+    resolution.  (``mutexes.py`` is exempt: its byte-vector window is not
+    a GMR — no staging, no access mode.)"""
+    import ast
+    import pathlib
+
+    import repro.armci
+
+    pkg = pathlib.Path(repro.armci.__file__).parent
+    assert not (pkg / "buffers.py").exists()
+
+    calls: dict[str, list[str]] = {}  # what is called -> the scopes calling it
+    gate_defs = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = scope + [child.name]
+                if child.name == "_check_mode":
+                    gate_defs.append(".".join(inner))
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                attr, receiver = child.func.attr, ast.unparse(child.func.value)
+                if attr in ("put", "get", "accumulate"):
+                    if receiver == "win" or receiver.endswith(".win"):
+                        calls.setdefault("window RMA", []).append(".".join(scope))
+                elif attr in ("find_local_buffer", "_check_mode"):
+                    calls.setdefault(attr, []).append(".".join(scope))
+            walk(child, inner)
+
+    for name in ("api", "iov", "nbqueue", "rmw", "dla"):
+        walk(ast.parse((pkg / f"{name}.py").read_text()), [name])
+
+    assert calls["window RMA"] == ["api.Armci._issue"] * 3  # put, get, accumulate
+    assert calls["find_local_buffer"] == ["api.Armci._stage"]
+    assert gate_defs == ["api.Armci._check_mode"]
+    # iov._lookup is what both IOV address-array resolvers resolve through
+    assert calls["_check_mode"] == ["api.Armci._target", "iov._lookup"]

@@ -286,3 +286,77 @@ def test_coherent_shortcut_skips_staging():
         a.free(ptrs[a.my_id])
 
     spmd(2, main)
+
+
+#: form -> the f8 elements of the 128-byte local slab the op addresses
+_STAGED_ELEMS = {"contiguous": [0, 1, 2, 3], "strided": [0, 1, 4, 5], "iov": [0, 1, 4, 5]}
+
+
+def _slab_op(a, form, kind, slab, ptr):
+    """``kind`` between 32 bytes of ``slab`` (the caller's own global
+    memory; two 16-byte segments 32 apart unless contiguous) and the
+    first 32 bytes at ``ptr``."""
+    if form == "contiguous":
+        call = {"put": (a.put, slab[:32], ptr), "get": (a.get, ptr, slab[:32]),
+                "acc": (a.acc, slab[:32].view("f8"), ptr)}
+    elif form == "strided":
+        call = {"put": (a.put_s, slab, [32], ptr, [16], [16, 2]),
+                "get": (a.get_s, ptr, [16], slab, [32], [16, 2]),
+                "acc": (a.acc_s, slab, [32], ptr, [16], [16, 2])}
+    else:
+        addrs = [ptr, ptr + 16]
+        call = {"put": (a.putv, slab, [0, 32], addrs, 16),
+                "get": (a.getv, addrs, slab, [0, 32], 16),
+                "acc": (a.accv, slab, [0, 32], addrs, 16)}
+    fn, *args = call[kind]
+    fn(*args)
+
+
+@pytest.mark.parametrize("shortcut", [False, True], ids=["staged", "coherent_shortcut"])
+@pytest.mark.parametrize("datapath", ["mpi2", "mpi3"])
+@pytest.mark.parametrize("kind", ["put", "get", "acc"])
+@pytest.mark.parametrize("form", sorted(_STAGED_ELEMS))
+def test_staging_matrix(form, kind, datapath, shortcut):
+    """§V-E.1 for every op family: with the local side a view of the
+    caller's own slab the data is right, a staged get leaves the bytes
+    between and after its segments alone, and exactly one staging copy is
+    counted per op (none under ``coherent_shortcut``)."""
+    elems = _STAGED_ELEMS[form]
+    remote = 100.0 + np.arange(4)
+
+    def main(comm):
+        a = Armci.init(
+            comm, ArmciConfig(coherent_shortcut=shortcut),
+            strict=not shortcut, datapath=datapath,
+        )
+        ptrs = a.malloc(128)
+        mine = a.access_begin(ptrs[a.my_id], 128, "f8")
+        mine.view(np.uint8)[:] = 0xEE
+        if a.my_id == 0 and kind != "get":
+            mine[elems] = np.arange(1.0, 5.0)
+        elif a.my_id == 1:
+            mine[:4] = remote
+        a.access_end(ptrs[a.my_id])
+        a.barrier()
+        if a.my_id == 0:
+            before = a.stats.staged_copies
+            _slab_op(a, form, kind, a.table.require(ptrs[0]).local_slab(), ptrs[1])
+            assert a.stats.staged_copies - before == (not shortcut)
+        a.barrier()
+        after = np.zeros(16)
+        a.get(ptrs[a.my_id], after)
+        untouched = np.ones(16, dtype=bool)  # per f8 element of the slab
+        if a.my_id == 0:
+            expect = remote if kind == "get" else np.arange(1.0, 5.0)
+            np.testing.assert_array_equal(after[elems], expect)
+            untouched[elems] = False
+        else:
+            expect = {"put": np.arange(1.0, 5.0), "get": remote,
+                      "acc": remote + np.arange(1.0, 5.0)}[kind]
+            np.testing.assert_array_equal(after[:4], expect)
+            untouched[:4] = False
+        assert (after[untouched].view(np.uint8) == 0xEE).all()
+        a.barrier()
+        a.free(ptrs[a.my_id])
+
+    spmd(2, main)

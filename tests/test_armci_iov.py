@@ -252,3 +252,53 @@ def test_accv_misaligned_segment_raises():
         a.free(ptrs[a.my_id])
 
     spmd(1, main)
+
+
+#: name -> (local byte offsets, target byte offsets, segment bytes)
+_ACCV_CASES = {
+    "repeated_local": ([0, 0, 8], [0, 8, 16], 8),
+    "overlapping_target": ([0, 16], [0, 8], 16),  # auto degrades to conservative
+    "aliases_own_slab": ([0, 16], [0, 32], 16),
+}
+
+
+@pytest.mark.parametrize("datapath", ["mpi2", "mpi3"])
+@pytest.mark.parametrize("method", ["auto", "conservative", "batched", "direct"])
+@pytest.mark.parametrize("case", sorted(_ACCV_CASES))
+def test_accv_scaled_matches_numpy_oracle(case, method, datapath):
+    """``scale != 1`` is applied once per listed segment — also when a local
+    segment is listed twice, targets overlap, or the local side is the
+    caller's own global memory — and never to the caller's array."""
+    loc_offs, tgt_offs, seg = _ACCV_CASES[case]
+    values = np.array([1.0, 10.0, 100.0, 1000.0])
+
+    def main(comm):
+        a = Armci.init(comm, datapath=datapath)
+        ptrs = a.malloc(64)
+        if a.my_id == 0:
+            local = values.copy()
+            if case == "aliases_own_slab":
+                view = a.access_begin(ptrs[0], 32, "f8")
+                view[:] = values
+                a.access_end(ptrs[0])
+                local = a.table.require(ptrs[0]).local_slab()[:32].view("f8")
+            a.accv(
+                local, loc_offs, [ptrs[1] + o for o in tgt_offs], seg,
+                scale=0.5, method=method,
+            )
+            assert local.tobytes() == values.tobytes()
+            assert a.stats.staged_copies == (case == "aliases_own_slab")
+            if case == "overlapping_target" and method == "auto":
+                assert list(a.stats.iov_ops) == ["conservative"]
+        a.barrier()
+        if a.my_id == 1:
+            got = np.zeros(8)
+            a.get(ptrs[1], got)
+            expect = np.zeros(8)
+            for lo, to in zip(loc_offs, tgt_offs):
+                expect[to // 8 : (to + seg) // 8] += 0.5 * values[lo // 8 : (lo + seg) // 8]
+            np.testing.assert_array_equal(got, expect)
+        a.barrier()
+        a.free(ptrs[a.my_id])
+
+    spmd(2, main)

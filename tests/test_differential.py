@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.armci import Armci, ArmciConfig
+from repro.armci_ds import DataServerArmci
 from repro.armci_native import NativeArmci
 from repro.ga import GlobalArray, gather, scatter_acc, zero
 
@@ -206,6 +207,39 @@ def test_concurrent_scatter_acc_all_runtimes():
     a, b = run("mpi"), run("native")
     np.testing.assert_array_equal(a, b)
     np.testing.assert_allclose(a, np.full(10, 0.25 * 5 * 4), rtol=1e-13)
+
+
+def test_accv_repeated_local_segment_all_three_stacks():
+    """A local segment listed twice contributes twice, scaled once each:
+    ARMCI-MPI agrees with the native and data-server stacks (and numpy)."""
+
+    def run(stack):
+        out = {}
+
+        def main(comm):
+            rt = stack.init(comm)
+            ptrs = rt.malloc(24)
+            if rt.my_id == 0:
+                rt.accv(
+                    np.array([1.0, 10.0]), [0, 0, 8],
+                    [ptrs[1] + o for o in (0, 8, 16)], 8, scale=2.0,
+                )
+            rt.barrier()
+            if rt.my_id == 1:
+                out["v"] = np.zeros(3)
+                rt.get(ptrs[1], out["v"])
+            rt.barrier()
+            rt.free(ptrs[rt.my_id])
+            if stack is DataServerArmci:
+                rt.shutdown()
+
+        spmd(2, main)
+        return out["v"]
+
+    mpi_res = run(Armci)
+    np.testing.assert_array_equal(mpi_res, [2.0, 2.0, 20.0])
+    np.testing.assert_array_equal(mpi_res, run(NativeArmci))
+    np.testing.assert_array_equal(mpi_res, run(DataServerArmci))
 
 
 def test_mixed_runtime_workload_stats_consistency():

@@ -563,3 +563,38 @@ def test_straddling_get_moves_the_payload_once(request):
         ga.destroy()
 
     spmd(2, main)
+
+
+def test_wrapped_periodic_get_fills_out_in_place(request):
+    """A periodic get addresses each wrapped piece's slice of ``out``
+    directly: nothing payload-sized is allocated beyond ``out`` itself."""
+    import tracemalloc
+
+    from repro.ga import periodic_get
+
+    if request.config.getoption("--faults"):
+        pytest.skip("an installed fault injector is handed the packed payload")
+
+    def main(comm):
+        rt = Armci.init(comm, datapath="mpi3")
+        ga = GlobalArray.create(rt, (512, 512), "f8")
+        ga.sync()
+        if rt.my_id == 0:
+            full = np.arange(512.0 * 512).reshape(512, 512)
+            ga.put((0, 0), (512, 512), full)
+            out = np.empty((256, 256))
+            periodic_get(ga, (-100, -100), (156, 156), out=out)  # warm the memos
+            out[:] = 0
+            tracemalloc.start()
+            try:
+                periodic_get(ga, (-100, -100), (156, 156), out=out)  # 4 pieces
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            idx = np.arange(-100, 156) % 512
+            np.testing.assert_array_equal(out, full[np.ix_(idx, idx)])
+            assert peak < 0.25 * out.nbytes, f"{peak} bytes allocated for a {out.nbytes}-byte get"
+        ga.sync()
+        ga.destroy()
+
+    spmd(2, main)
