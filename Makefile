@@ -40,7 +40,9 @@ lint:
 #   mpi3-smoke: deferred issue + per-target flush must beat eager per-op
 #     epochs by >= 2x, and coalescing must add >= 1.5x on top.
 #   procs-smoke: shared-memory-window throughput must scale >= 2x from 1
-#     to 4 ranks (wall-clock floor: skipped on hosts too small to scale).
+#     to 4 ranks (wall-clock floor: skipped on hosts too small to scale),
+#     and two ranks accumulating into one slab must keep mean/median op
+#     time <= 1.4 (lock waits cost what the holder holds; needs 2 CPUs).
 #   proc-recover-smoke: SIGKILL a rank mid-collective; survivors must
 #     finish a value-correct checkpoint restore on the shrunken grid and
 #     (wall-clock floor) detect the death inside the latency budget.

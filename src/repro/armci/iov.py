@@ -67,6 +67,14 @@ class IovRequest:
             )
         if self.seg_bytes < 0:
             raise ArgumentError(f"negative segment size {self.seg_bytes}")
+        if self.seg_bytes and len(self.loc_offsets):
+            lo, hi = int(self.loc_offsets.min()), int(self.loc_offsets.max())
+            if lo < 0 or hi + self.seg_bytes > self.local.nbytes:
+                # a slice would silently truncate (or wrap) such a segment
+                raise ArgumentError(
+                    f"IOV: a {self.seg_bytes}-byte local segment at offsets "
+                    f"{lo}..{hi} leaves the {self.local.nbytes}-byte local buffer"
+                )
         if self.kind == "acc":
             if self.acc_dtype is None:
                 raise ArgumentError("accumulate IOV requires acc_dtype")

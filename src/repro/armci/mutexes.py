@@ -14,6 +14,12 @@ by a byte vector ``B[0..nproc-1]`` in ``h``'s slice of an MPI window.
 
 The handoff message *is* the lock transfer: the dequeued process owns
 the mutex without touching the byte vector again.
+
+Behind the byte vectors each host's slice carries one aligned ``int32``
+per mutex, the *holder record* (0 = free, else holder's rank + 1): who
+to forward the mutex for when a rank dies.  It lives in the window so
+that every process — thread or forked — reads and writes the one copy,
+with a plain store, the moment ownership changes.
 """
 
 from __future__ import annotations
@@ -34,6 +40,11 @@ _HANDOFF_TAG_BASE = 800_000
 
 #: handoff payload marker: the previous holder died mid-critical-section
 _HOLDER_DIED = "MUTEX_HOLDER_DIED"
+
+
+def _cells_offset(count: int, nproc: int) -> int:
+    """Byte offset of a slice's holder records: past the vectors, 4-aligned."""
+    return -(-count * nproc // 4) * 4
 
 
 class MutexHolderFailed(TargetFailedError):
@@ -69,22 +80,28 @@ class MutexSet:
         self.count = count
         self._win = win
         self._destroyed = False
-        # Holder tracking for death recovery: (host, mutex) -> holder's
-        # comm rank.  Lives in runtime.shared keyed by the window id
-        # because each rank constructs its own MutexSet around the ONE
-        # shared window — state and the death hook must be per-window,
-        # not per-instance.
+        #: rank -> the indexed type of its lock/unlock epochs (one
+        #: instance may serve every rank thread, so keyed, built once each)
+        self._others_ts: "dict[int, dt.Datatype | None]" = {}
+        # each rank constructs its own MutexSet around the ONE shared
+        # window, so the death hook is per-window, not per-instance
         rt = comm.runtime
-        key = ("mutex_holders", win.win_id)
-        # the holders dict may predate this MutexSet (on the proc
-        # backend a peer's holder-note broadcast can create it first),
-        # so hook registration is tracked by a separate marker
         hooked = ("mutex_hooked", win.win_id)
         with rt.cond:
-            self._holders: dict[tuple[int, int], int] = rt.shared.setdefault(key, {})
             if hooked not in rt.shared:
                 rt.shared[hooked] = True
                 rt.add_death_hook(self._on_rank_death)
+
+    def _holder_cells(self, host: int) -> np.ndarray:
+        """``host``'s holder records, one ``int32`` per mutex (a live view)."""
+        off = _cells_offset(self.count, self.comm.size)
+        cells = self._win.exposed_buffer(host)[off : off + 4 * self.count]
+        return cells.view(np.int32)
+
+    def holder(self, host: int, mutex: int) -> "int | None":
+        """Rank currently on record as owning ``mutex`` on ``host``."""
+        cell = int(self._holder_cells(host)[mutex])
+        return cell - 1 if cell else None
 
     def _on_rank_death(self, world_rank: int) -> None:
         """Latham byte-vector repair for a failed rank (under runtime cond).
@@ -109,31 +126,32 @@ class MutexSet:
             for mutex in range(self.count):
                 vec[mutex * n + dead] = 0
         # 2. forward each mutex the dead rank held to its next waiter
-        for (host, mutex), holder in list(self._holders.items()):
-            if holder != dead:
-                continue
+        rt = self.comm.runtime
+        for host in range(n):
             vec = self._win.exposed_buffer(host)
-            base = mutex * n
-            for step in range(1, n):
-                j = (dead + step) % n
-                if vec[base + j]:
-                    self._holders[(host, mutex)] = j
-                    # on the proc backend this hook runs in EVERY
-                    # surviving process (each pump marks the death);
-                    # only the process hosting waiter j may inject the
-                    # handoff into its local p2p replica
-                    rt = self.comm.runtime
-                    dst_world = group.world_rank(j)
-                    if rt.local_ranks is None or dst_world in rt.local_ranks:
-                        self.comm._p2p.post_send(
-                            world_rank,
-                            dst_world,
-                            _HANDOFF_TAG_BASE + host * self.count + mutex,
-                            (_HOLDER_DIED, dead),
-                        )
-                    break
-            else:
-                del self._holders[(host, mutex)]
+            cells = self._holder_cells(host)
+            for mutex in np.flatnonzero(cells == dead + 1).tolist():
+                base = mutex * n
+                for step in range(1, n):
+                    j = (dead + step) % n
+                    if vec[base + j]:
+                        # on the proc backend this hook runs in EVERY
+                        # surviving process (each pump marks the death);
+                        # only the process hosting waiter j injects the
+                        # handoff into its local p2p replica — and moves
+                        # the shared record, so the others still find it
+                        dst_world = group.world_rank(j)
+                        if rt.local_ranks is None or dst_world in rt.local_ranks:
+                            cells[mutex] = j + 1
+                            self.comm._p2p.post_send(
+                                world_rank,
+                                dst_world,
+                                _HANDOFF_TAG_BASE + host * self.count + mutex,
+                                (_HOLDER_DIED, dead),
+                            )
+                        break
+                else:
+                    cells[mutex] = 0
 
     def reclaim(self) -> "list[tuple[int, int, int]]":
         """Reclaim ownership of every mutex whose holder has died.
@@ -158,10 +176,13 @@ class MutexSet:
             }
             if not dead:
                 return reclaimed
-            for (host, mutex), holder in sorted(self._holders.items()):
-                if holder in dead:
-                    del self._holders[(host, mutex)]
-                    reclaimed.append((host, mutex, holder))
+            for host in range(self.comm.size):
+                cells = self._holder_cells(host)
+                for mutex in np.flatnonzero(cells).tolist():
+                    holder = int(cells[mutex]) - 1
+                    if holder in dead:
+                        cells[mutex] = 0
+                        reclaimed.append((host, mutex, holder))
         return reclaimed
 
     @classmethod
@@ -171,7 +192,10 @@ class MutexSet:
             raise ArgumentError(f"negative mutex count {count}")
         # isolate handoff traffic from application messages
         mcomm = comm.dup()
-        local = np.zeros(count * comm.size, dtype=np.uint8)
+        # the byte vectors, then (4-aligned) the holder records
+        local = np.zeros(
+            _cells_offset(count, comm.size) + 4 * count, dtype=np.uint8
+        )
         win = Win.create(mcomm, local)
         return cls(mcomm, count, win)
 
@@ -192,25 +216,21 @@ class MutexSet:
 
     def _others_datatype(self, me: int) -> "dt.Datatype | None":
         """Indexed type covering B[0..nproc-1] except entry ``me``."""
-        n = self.comm.size
-        disps = [i for i in range(n) if i != me]
-        if not disps:
-            return None
-        return dt.indexed_block(1, disps, dt.BYTE).commit()
+        if me not in self._others_ts:
+            disps = [i for i in range(self.comm.size) if i != me]
+            self._others_ts[me] = (
+                dt.indexed_block(1, disps, dt.BYTE).commit() if disps else None
+            )
+        return self._others_ts[me]
 
     def _note_holder(self, host: int, mutex: int, holder: "int | None") -> None:
         """Record a holder change; must hold ``runtime.cond``.
 
-        Also publishes the change through the communicator's backend
-        hook (:meth:`~repro.mpi.comm.Comm._holder_note`): a no-op on the
-        thread backend, a peer broadcast on the proc backend so every
-        process's death hooks see remotely-made acquisitions.
+        One aligned store into ``host``'s slice of the mutex window —
+        the memory every process's death hook repairs the vectors in, so
+        survivors see an acquisition made in another process at once.
         """
-        if holder is None:
-            self._holders.pop((host, mutex), None)
-        else:
-            self._holders[(host, mutex)] = holder
-        self.comm._holder_note(self._win.win_id, host, mutex, holder)
+        self._holder_cells(host)[mutex] = 0 if holder is None else holder + 1
 
     def _await_handoff(self, req, mutex: int, host: int) -> None:
         """Wait for the handoff message with per-op timeout + bounded retry.

@@ -4,8 +4,9 @@ Retry-with-backoff used to be re-derived ad hoc wherever it was needed:
 lock acquisition (:meth:`~repro.mpi.runtime.Runtime.backoff`), the
 fault injector's transient-stall budget
 (:meth:`~repro.faults.injector.FaultInjector`), the proc backend's
-suspected-pid probing (:mod:`repro.mpi.backend_proc`), and the traffic
-harness's request retries (:mod:`repro.traffic`).  All four now share
+suspected-pid probing and contended-``flock`` wait
+(:mod:`repro.mpi.backend_proc`), and the traffic harness's request
+retries (:mod:`repro.traffic`).  All of them share
 :class:`BackoffPolicy` — a frozen description of one geometric backoff
 curve ``base * factor**attempt`` with an optional cap and optional
 seeded jitter.
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["BackoffPolicy", "LOCK_RETRY", "STALL_STEPS", "STALL_WAIT"]
+__all__ = ["BackoffPolicy", "FLOCK_WAIT", "LOCK_RETRY", "STALL_STEPS", "STALL_WAIT"]
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,12 @@ class BackoffPolicy:
         scale = 1.0
         if rng is not None and self.jitter < 1.0:
             scale = rng.uniform(self.jitter, 1.0)
-        raw = self.base * (scale * self.factor**attempt)
+        try:
+            raw = self.base * (scale * self.factor**attempt)
+        except OverflowError:
+            # an open-ended poll loop counts attempts without bound
+            # (2.0**1024 leaves the float range): far past any cap
+            raw = math.inf
         return raw if self.cap is None else min(raw, self.cap)
 
     def steps(self, attempt: int, rng=None) -> int:
@@ -103,3 +109,11 @@ STALL_STEPS = BackoffPolicy(base=1.0, factor=2.0, cap=None, jitter=1.0)
 #: the wall-clock twin of :data:`STALL_STEPS` for runs without a
 #: deterministic schedule: 2 ms base, doubled, capped at 50 ms
 STALL_WAIT = BackoffPolicy(base=0.002, factor=2.0, cap=0.05, jitter=1.0)
+
+#: re-probe intervals of a contended cross-process ``flock``
+#: (``ProcWin._acquire_flock``): the first re-probe comes well inside one
+#: scheduler quantum — a holder is typically done within a copy, tens to
+#: hundreds of microseconds — and seven doublings later the poll rate is
+#: the flat 2 ms it always was, so a long-held (or SIGSTOPped holder's)
+#: lock costs at most seven extra probes over the whole wait
+FLOCK_WAIT = BackoffPolicy(base=2e-5, factor=2.0, cap=0.002, jitter=1.0)

@@ -52,6 +52,9 @@ REGRESSION_FACTOR = 2.0
 #: something only where the ranks really run in parallel
 WALLCLOCK_MIN_CPUS = 4
 
+#: what two ranks cost each other shows as soon as both run at once
+CONTENTION_MIN_CPUS = 2
+
 OK, FAIL = "ok", "FAIL"
 
 
@@ -299,18 +302,28 @@ BENCHES: "dict[str, Bench]" = {
             help="proc-backend (one OS process per rank) aggregate put/get "
             "throughput over shared-memory windows (ARMCI mpi3 datapath, "
             f"ring workload, {procs_smoke.SLAB_BYTES // 1024} KiB slabs) for "
-            "1/2/4 ranks; absolute MB/s are machine-dependent trajectory "
-            "data, only the 1->4 rank scaling ratio is gated",
+            "1/2/4 ranks, and the op time of two ranks accumulating into "
+            "one slab; absolute MB/s and us are machine-dependent trajectory "
+            "data, only the 1->4 rank scaling ratio and the contended "
+            "accumulate's mean/median ratio are gated",
             measure=procs_smoke.measure,
             format=procs_smoke.format_results,
             baseline="BENCH_procs.json",
             units="wall_clock_MB_per_s",
-            header={"min_scaling": procs_smoke.MIN_SCALING},
+            header={
+                "min_scaling": procs_smoke.MIN_SCALING,
+                "max_acc_mean_over_median": procs_smoke.MAX_ACC_MEAN_OVER_MEDIAN,
+            },
             checks=(
                 Check(
                     "aggregate throughput scales >= min_scaling from 1 to 4 ranks",
                     procs_smoke.check_scaling,
                     min_cpus=WALLCLOCK_MIN_CPUS,
+                ),
+                Check(
+                    "contended accumulate mean/median <= max_acc_mean_over_median",
+                    procs_smoke.check_contended_acc,
+                    min_cpus=CONTENTION_MIN_CPUS,
                 ),
             ),
             spawns=True,

@@ -88,7 +88,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from ..backoff import BackoffPolicy
+from ..backoff import FLOCK_WAIT, BackoffPolicy
 from .backend import RuntimeBackend
 from .comm import Comm
 from .errors import (
@@ -173,6 +173,46 @@ class _FlockMutex:
 
     def release(self) -> None:
         fcntl.flock(self._file.fileno(), fcntl.LOCK_UN)
+
+
+class _LockFiles:
+    """One rank process's open window-lock files: a descriptor per lock
+    file instead of an ``open``/``close`` per acquisition.
+
+    Built after the fork, so every descriptor is this process's *own*
+    open file description (the property :class:`_FlockMutex` documents)
+    and the kernel still drops a dead rank's flocks.  A descriptor is
+    taken out of the cache while its flock is held and returned by
+    :meth:`release`, so whatever is cached is unheld and closing the
+    least recently used one to stay under :data:`BOUND` is always safe —
+    hundreds of live windows x targets cannot walk into ``RLIMIT_NOFILE``.
+    """
+
+    #: cached (= idle) descriptors per process, over all its windows
+    BOUND = 64
+
+    def __init__(self, lockdir: str):
+        self._dir = lockdir
+        #: (window token, target, kind) -> unheld descriptor, LRU first
+        self._idle: dict[tuple[str, int, str], int] = {}
+
+    def take(self, key: tuple[str, int, str]) -> int:
+        fd = self._idle.pop(key, None)
+        if fd is None:
+            path = os.path.join(self._dir, "%s.t%d.%s" % key)
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
+        return fd
+
+    def release(self, key: tuple[str, int, str], fd: int) -> None:
+        fcntl.flock(fd, fcntl.LOCK_UN)
+        self._idle[key] = fd
+        if len(self._idle) > self.BOUND:
+            os.close(self._idle.pop(next(iter(self._idle))))
+
+    def forget(self, token: str) -> None:
+        """Close every cached descriptor of one window (it was freed)."""
+        for key in [k for k in self._idle if k[0] == token]:
+            os.close(self._idle.pop(key))
 
 
 class ProcBackend(RuntimeBackend):
@@ -563,8 +603,8 @@ def _pump(backend: "_ProcChildBackend", runtime: "Runtime", inbox, stop) -> None
             msg = None
         while msg is not None:
             # apply every queued message before the liveness scan so
-            # ordered control traffic (rank_done, holder notes) lands
-            # before a probe could misread a silent slot
+            # ordered control traffic (rank_done) lands before a probe
+            # could misread a silent slot
             try:
                 backend.dispatch(runtime, msg)
             except BaseException as exc:  # noqa: BLE001 - pump must survive
@@ -593,7 +633,6 @@ class _ProcChildBackend(RuntimeBackend):
         self.rank = rank
         self.nproc = nproc
         self.inboxes = inboxes
-        self.lockdir = lockdir
         self.run_id = run_id
         self.runtime: "Runtime | None" = None
         #: ctx key -> P2PEngine replica (guarded by runtime.cond)
@@ -605,6 +644,8 @@ class _ProcChildBackend(RuntimeBackend):
         #: key + creation order, not the per-runtime ``win_id`` counter)
         self._win_seq: dict[Any, int] = {}
         self._windows: list["ProcWin"] = []
+        #: this process's descriptors of the windows' lock files
+        self._lock_files = _LockFiles(lockdir)
         #: ctx key -> local communicator replica (guarded by runtime.cond);
         #: lets the pump apply a peer's revoke / complete FT rounds
         self.comms: dict[Any, "ProcComm"] = {}
@@ -669,7 +710,7 @@ class _ProcChildBackend(RuntimeBackend):
         win = ProcWin(
             comm, buffers, units, strict=strict, mpi3=mpi3,
             segments=segments, creator_rank=me, token=token,
-            lockdir=self.lockdir,
+            lock_files=self._lock_files,
         )
         self._windows.append(win)
         return win
@@ -811,16 +852,6 @@ class _ProcChildBackend(RuntimeBackend):
                 self._declare_dead(runtime, dead, detail)
             elif sub == "rank_done":
                 self.done_ranks.add(msg[2])
-            elif sub == "mutex_holder":
-                _, _, win_id, host, mutex, holder = msg
-                with runtime.cond:
-                    holders = runtime.shared.setdefault(
-                        ("mutex_holders", win_id), {}
-                    )
-                    if holder is None:
-                        holders.pop((host, mutex), None)
-                    else:
-                        holders[(host, mutex)] = holder
         elif kind == "ft":
             sub = msg[1]
             if sub == "revoke":
@@ -1130,25 +1161,6 @@ class ProcComm(Comm):
             self.context_id + ("shrink", seq), self._backend,
         )
 
-    def _holder_note(
-        self, win_id: int, host: int, mutex: int, holder: "int | None"
-    ) -> None:
-        # mutex-holder tracking lives in per-process ``runtime.shared``
-        # replicas; broadcast each change so *survivors'* death hooks can
-        # see acquisitions made in other processes (win_id is consistent
-        # across replicas because window creation is collective)
-        rt = self.runtime
-        me = current_proc().rank
-        with rt.cond:
-            peers = [
-                w for w in self.group.members
-                if w != me and w not in rt.dead_ranks
-            ]
-        for w in peers:
-            self._backend.send_to(
-                w, ("ctl", "mutex_holder", win_id, host, mutex, holder)
-            )
-
     # -- unsupported surfaces --------------------------------------------------
     def create_intercomm(self, *args: Any, **kw: Any):
         raise CommError(f"Comm.create_intercomm {_THREAD_ONLY}")
@@ -1265,7 +1277,8 @@ class ProcWin(Win):
     Epoch bookkeeping (one-lock-per-window, epoch-required, strict
     conflict tracking) stays process-local in the inherited state; the
     *mutual exclusion* between processes comes from two families of
-    ``fcntl.flock`` files under the run's lock directory:
+    ``fcntl.flock`` files under the run's lock directory, held through
+    this process's :class:`_LockFiles` descriptors:
 
     * ``<token>.t<target>.lock`` — the passive-target epoch lock taken
       by :meth:`lock` (``LOCK_SH``/``LOCK_EX`` mirroring
@@ -1289,25 +1302,22 @@ class ProcWin(Win):
         segments: list,
         creator_rank: int,
         token: str,
-        lockdir: str,
+        lock_files: _LockFiles,
     ):
         super().__init__(comm, buffers, disp_units, strict=strict, mpi3=mpi3)
         self._segments = segments
         self._creator_rank = creator_rank
         self._token = token
-        self._lockdir = lockdir
-        #: target -> open epoch-lock file (this process holds its flock)
-        self._epoch_files: dict[int, Any] = {}
+        self._lock_files = lock_files
+        #: target -> the epoch lock this process holds, as
+        #: :meth:`_acquire_flock` returned it
+        self._epoch_held: dict[int, tuple] = {}
         self._released = False
 
     # -- flock plumbing ------------------------------------------------------
-    def _lockfile(self, target_rank: int, kind: str = "lock") -> str:
-        return os.path.join(
-            self._lockdir, f"{self._token}.t{target_rank}.{kind}"
-        )
-
-    def _acquire_flock(self, path: str, exclusive: bool, what: str = "flock"):
-        """Blocking-with-failure-checks flock acquisition.
+    def _acquire_flock(self, target_rank: int, kind: str, exclusive: bool) -> tuple:
+        """Blocking-with-failure-checks flock acquisition; returns the
+        ``(key, descriptor)`` pair that ``_LockFiles.release`` takes back.
 
         Polls nonblockingly so a survivor stuck behind a dead peer's
         lock still observes ``runtime.failed`` (set by the pump on a
@@ -1317,19 +1327,22 @@ class ProcWin(Win):
         path never blocks forever on a corpse; a *stalled* (SIGSTOPped)
         holder keeps its lock, and with ``op_timeout_s`` set the wait
         gives up with :class:`OpTimeoutError` instead of wedging.
+        Between probes it sleeps along :data:`~repro.backoff.FLOCK_WAIT`,
+        so a wait costs about what the holder holds, not a flat 2 ms.
         """
         rt = self.runtime
         deadline = (
             None if rt.op_timeout_s is None
             else time.monotonic() + rt.op_timeout_s
         )
-        f = open(path, "ab")
+        key = (self._token, target_rank, kind)
+        fd = self._lock_files.take(key)
         op = (fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH) | fcntl.LOCK_NB
         try:
-            while True:
+            for attempt in itertools.count():
                 try:
-                    fcntl.flock(f.fileno(), op)
-                    return f
+                    fcntl.flock(fd, op)
+                    return key, fd
                 except OSError:
                     pass
                 with rt.cond:
@@ -1339,29 +1352,22 @@ class ProcWin(Win):
                         )
                 if deadline is not None and time.monotonic() >= deadline:
                     raise OpTimeoutError(
-                        f"{what} timed out after {rt.op_timeout_s}s "
-                        "(holder stalled but alive?)"
+                        f"win {self.win_id} {kind} flock (target "
+                        f"{target_rank}) timed out after "
+                        f"{rt.op_timeout_s}s (holder stalled but alive?)"
                     )
-                time.sleep(0.002)
+                time.sleep(FLOCK_WAIT.delay(attempt))
         except BaseException:
-            f.close()
+            self._lock_files.release(key, fd)
             raise
-
-    @staticmethod
-    def _drop_flock(f) -> None:
-        fcntl.flock(f.fileno(), fcntl.LOCK_UN)
-        f.close()
 
     @contextmanager
     def _atomic_section(self, target_rank: int):
-        f = self._acquire_flock(
-            self._lockfile(target_rank, "atomic"), True,
-            what=f"win {self.win_id} atomic sublock (target {target_rank})",
-        )
+        held = self._acquire_flock(target_rank, "atomic", True)
         try:
             yield
         finally:
-            self._drop_flock(f)
+            self._lock_files.release(*held)
 
     # -- passive-target sync -------------------------------------------------
     def lock(self, target_rank: int, mode: str = LOCK_EXCLUSIVE) -> None:
@@ -1370,20 +1376,17 @@ class ProcWin(Win):
             origin, _ = self._lock_begin(target_rank, mode)
         # the cross-process exclusion, acquired without the giant lock so
         # the pump thread keeps running while we spin
-        f = self._acquire_flock(
-            self._lockfile(target_rank), mode == LOCK_EXCLUSIVE,
-            what=f"win {self.win_id} lock (target {target_rank})",
-        )
+        held = self._acquire_flock(target_rank, "lock", mode == LOCK_EXCLUSIVE)
         with rt.cond:
-            self._epoch_files[target_rank] = f
+            self._epoch_held[target_rank] = held
             self._open_epoch(origin, target_rank, mode)
 
     def unlock(self, target_rank: int) -> None:
         with self.runtime.cond:
             self._close_epoch(target_rank)
-            f = self._epoch_files.pop(target_rank, None)
-        if f is not None:
-            self._drop_flock(f)
+            held = self._epoch_held.pop(target_rank, None)
+        if held is not None:
+            self._lock_files.release(*held)
 
     # -- atomics -------------------------------------------------------------
     def accumulate(self, origin: np.ndarray, target_rank: int, *args, **kw):
@@ -1407,10 +1410,10 @@ class ProcWin(Win):
     def invalidate(self) -> None:
         super().invalidate()
         with self.runtime.cond:
-            files = list(self._epoch_files.values())
-            self._epoch_files.clear()
-        for f in files:
-            self._drop_flock(f)
+            held = list(self._epoch_held.values())
+            self._epoch_held.clear()
+        for lock in held:
+            self._lock_files.release(*lock)
         self._release_segments()
 
     def _release_segments(self) -> None:
@@ -1424,6 +1427,7 @@ class ProcWin(Win):
         if self._released:
             return
         self._released = True
+        self._lock_files.forget(self._token)
         self._buffers = [np.empty(0, dtype=np.uint8) for _ in self._buffers]
         segments, self._segments = self._segments, []
         for r, seg in enumerate(segments):

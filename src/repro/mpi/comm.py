@@ -336,18 +336,6 @@ class Comm:
         self._p2p.fail_all(exc)
         self.runtime.notify_progress()
 
-    def _holder_note(self, win_id: int, host: int, mutex: int, holder: "int | None") -> None:
-        """Backend hook: publish a mutex-holder tracking update.
-
-        ``armci.mutexes`` calls this whenever its holder table changes
-        (``holder`` is the new holding group rank, or ``None`` on a
-        release).  On the thread backend the table lives in
-        ``runtime.shared`` and is visible to every rank already, so this
-        is a no-op; the proc backend overrides it to broadcast the update
-        to peer processes, which is what lets a *survivor's* death hooks
-        see acquisitions made by a rank in another process.
-        """
-
     def _ft_seq(self, kind: str) -> int:
         """Next rendezvous sequence number for the calling member.
 

@@ -92,6 +92,15 @@ def _segments_overlap(
     return bool(np.any(has_candidate & (reach > a_off)))
 
 
+#: what every fresh :class:`_IntervalSet` starts from — shared, because a
+#: set is built per epoch and per flush: the empty coverage (replaced on
+#: compaction, never written) and the inverted bounding box
+_NO_COVERAGE = np.empty(0, dtype=np.int64)
+_NO_COVERAGE.setflags(write=False)
+_I64_MAX = int(np.iinfo(np.int64).max)
+_I64_MIN = int(np.iinfo(np.int64).min)
+
+
 class _IntervalSet:
     """Byte-coverage set with amortised-cheap overlap queries.
 
@@ -113,13 +122,12 @@ class _IntervalSet:
     _COMPACT_AT = INTERVAL_COMPACT_AT
 
     def __init__(self) -> None:
-        self._cov_off = np.empty(0, dtype=np.int64)
-        self._cov_len = np.empty(0, dtype=np.int64)
+        self._cov_off = self._cov_len = _NO_COVERAGE
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []
         self.count = 0
         #: bounding box over everything ever added (cheap O(1) reject)
-        self._lo = np.iinfo(np.int64).max
-        self._hi = np.iinfo(np.int64).min
+        self._lo = _I64_MAX
+        self._hi = _I64_MIN
 
     def add(self, offsets: np.ndarray, lengths: np.ndarray) -> None:
         if len(offsets) == 0:
@@ -229,9 +237,14 @@ class _Epoch:
         self.bytes_moved = 0
 
     def clear_accesses(self) -> None:
-        self.puts = _IntervalSet()
-        self.gets = _IntervalSet()
-        self.accs = {}
+        # only a set that recorded something needs replacing (a flush
+        # typically follows one op, i.e. one class of access)
+        if self.puts.count:
+            self.puts = _IntervalSet()
+        if self.gets.count:
+            self.gets = _IntervalSet()
+        if self.accs:
+            self.accs = {}
 
     def conflict_class(self, kind: str, opname: "str | None", offs, lens) -> "str | None":
         """Name of the first access class conflicting with the new op."""
@@ -252,7 +265,11 @@ class _Epoch:
         elif kind == "get":
             self.gets.add(offs, lens)
         else:
-            self.accs.setdefault(opname or "", _IntervalSet()).add(offs, lens)
+            name = opname or ""
+            cover = self.accs.get(name)
+            if cover is None:
+                cover = self.accs[name] = _IntervalSet()
+            cover.add(offs, lens)
 
 
 class _LockState:

@@ -302,3 +302,39 @@ def test_accv_scaled_matches_numpy_oracle(case, method, datapath):
         a.free(ptrs[a.my_id])
 
     spmd(2, main)
+
+
+@pytest.mark.parametrize("datapath", ["mpi2", "mpi3"])
+@pytest.mark.parametrize("method", ["auto", "conservative", "batched", "direct"])
+@pytest.mark.parametrize("kind", ["put", "get", "acc"])
+def test_local_segment_past_the_buffer_raises_on_every_method(kind, method, datapath):
+    """A local segment that leaves the buffer is an ``ArgumentError`` up
+    front — not a silently truncated slice on the per-segment methods —
+    and nothing moves on either side."""
+
+    def main(comm):
+        a = Armci.init(comm, datapath=datapath)
+        ptrs = a.malloc(32)
+        if a.my_id == 0:
+            seeded = np.arange(100, 132, dtype=np.uint8)
+            a.put(seeded, ptrs[1])
+            local = np.arange(12, dtype=np.uint8)  # second segment: 8..16 > 12
+            remote = [ptrs[1], ptrs[1] + 16]
+            with pytest.raises(ArgumentError, match="local segment"):
+                if kind == "put":
+                    a.putv(local, [0, 8], remote, 8, method=method)
+                elif kind == "get":
+                    a.getv(remote, local, [0, 8], 8, method=method)
+                else:
+                    a.accv(local, [0, 8], remote, 8, dtype="u1", method=method)
+            with pytest.raises(ArgumentError, match="local segment"):
+                a.putv(local, [-4, 0], remote, 8, method=method)
+            assert local.tolist() == list(range(12))
+            after = np.zeros(32, dtype=np.uint8)
+            a.get(ptrs[1], after)
+            assert after.tolist() == seeded.tolist()
+            assert not a.stats.iov_ops
+        a.barrier()
+        a.free(ptrs[a.my_id])
+
+    spmd(2, main)

@@ -224,3 +224,65 @@ def test_rmw_different_gmrs_do_not_interfere():
         a.free(p1[a.my_id])
 
     spmd(3, main)
+
+
+# ---------------------------------------------------------------------------
+# the §V-D holder record: one int32 per mutex in each host's window slice
+# ---------------------------------------------------------------------------
+
+
+def _holder_record_body(comm):
+    """What ranks 0 and 1 read from the record around a contended handoff
+    of mutex 1 hosted on rank 1 (ordering by p2p messages, never by waits
+    on the record itself: a read right after the message must be current)."""
+    import time
+
+    from repro.armci.mutexes import MutexSet
+
+    ms = MutexSet.create(comm, 2)
+    n, me, seen = comm.size, comm.rank, {}
+    if me == 0:
+        ms.lock(1, 1)
+        comm.send("locked", 1, tag=5)
+        queue = ms._win.exposed_buffer(1)
+        while not queue[1 * n + 1]:  # rank 1 enqueued behind us
+            time.sleep(0.0005)
+        ms.unlock(1, 1)
+        seen["after_handoff"] = ms.holder(1, 1)
+        comm.recv(source=1, tag=6)
+        seen["after_release"] = ms.holder(1, 1)
+    elif me == 1:
+        comm.recv(source=0, tag=5)
+        seen["after_lock"] = ms.holder(1, 1)
+        seen["untouched"] = [ms.holder(1, 0), ms.holder(0, 1), ms.holder(0, 0)]
+        ms.lock(1, 1)
+        seen["owner"] = ms.holder(1, 1)
+        ms.unlock(1, 1)
+        seen["after_release"] = ms.holder(1, 1)
+        comm.send("released", 0, tag=6)
+    comm.barrier()
+    # the byte vectors are where they always were; the records sit behind
+    # them, 4-aligned, and are all free again
+    slab = ms._win.exposed_buffer(me)
+    seen["slab"] = (slab.nbytes, slab.tolist() == [0] * slab.nbytes)
+    comm.barrier()
+    ms.destroy()
+    return seen
+
+
+@pytest.mark.parametrize("backend", ["thread", "proc"])
+def test_holder_record_is_current_on_every_rank(backend, request):
+    from repro.mpi.runtime import Runtime
+
+    if backend == "proc" and (
+        request.config.getoption("--sanitize") or request.config.getoption("--faults")
+    ):
+        pytest.skip("proc backend does not support ambient sanitizer/faults")
+    rt = Runtime(3, backend=backend)
+    r0, r1, r2 = rt.spmd(_holder_record_body, join_timeout=120.0)
+    assert r0 == {"after_handoff": 1, "after_release": None, "slab": (16, True)}
+    assert r1 == {
+        "after_lock": 0, "untouched": [None, None, None], "owner": 1,
+        "after_release": None, "slab": (16, True),
+    }
+    assert r2 == {"slab": (16, True)}  # 2 mutexes x 3 ranks -> 6, padded to 8, + 2 x 4

@@ -26,7 +26,7 @@ from repro.mpi import runtime as rt_mod
 from repro.mpi.errors import CommError, InternalError
 from repro.mpi.group import Group
 from repro.mpi.runtime import RankFailedError, Runtime
-from repro.mpi.window import LOCK_EXCLUSIVE, Win
+from repro.mpi.window import LOCK_EXCLUSIVE, LOCK_SHARED, Win
 
 NPROC = 4
 
@@ -338,6 +338,281 @@ def test_proc_lock_raises_the_same_typed_errors_as_the_thread_window():
         "RMASyncError", "RMASyncError", "ArgumentError", "RMARangeError",
         "RMASyncError",
     ]
+
+
+# ---------------------------------------------------------------------------
+# the contended flock wait and the cached lock descriptors
+# ---------------------------------------------------------------------------
+
+
+def _count_flock_probes():
+    """Count this rank process's nonblocking ``flock`` attempts (the probes
+    of ``ProcWin._acquire_flock``; the inbox write lock blocks instead)."""
+    import fcntl
+
+    probes = []
+    real = fcntl.flock
+
+    def flock(fd, op):
+        if op & fcntl.LOCK_NB:
+            probes.append(op)
+        return real(fd, op)
+
+    fcntl.flock = flock  # this forked rank only
+    return probes
+
+
+def _contended_sublock_body(comm, hold_s, rounds):
+    """Rank 0 holds target 0's atomic sublock for ``hold_s`` per round;
+    rank 1 starts acquiring as soon as it sees the round's flag in the
+    window.  Returns rank 1's (wait seconds, flock probes) per round."""
+    win, _ = Win.allocate(comm, 64, mpi3=True)
+    comm.barrier()
+    flags = win.exposed_buffer(0)[:16].view(np.int64)  # [holder's round, waiter's]
+    out = []
+    if comm.rank == 0:
+        for r in range(1, rounds + 1):
+            with win._atomic_section(0):
+                flags[0] = r
+                time.sleep(hold_s)
+            while flags[1] != r:
+                time.sleep(0.0002)
+    else:
+        probes = _count_flock_probes()
+        for r in range(1, rounds + 1):
+            while flags[0] != r:
+                os.sched_yield()
+            t0, n0 = time.perf_counter(), len(probes)
+            with win._atomic_section(0):
+                out.append((time.perf_counter() - t0, len(probes) - n0))
+            flags[1] = r
+    comm.barrier()
+    win.free()
+    return out
+
+
+def test_contended_flock_wait_costs_what_the_holder_holds():
+    """A 0.5 ms hold (a 2 MiB accumulate) is waited out in about that, not
+    in a 2 ms sleep quantum — and the short first re-probes stay few."""
+    from repro.backoff import FLOCK_WAIT
+
+    rounds = proc_spmd(2, _contended_sublock_body, 0.0005, 50)[1]
+    waits = sorted(w for w, _ in rounds)
+    assert waits[len(waits) // 2] <= 1.2e-3, waits
+    assert max(n for _, n in rounds) <= 8, rounds
+    # a long hold: after the curve reaches its cap the poll rate is the
+    # old flat one, so the extra CPU is bounded by the curve's length
+    long_rounds = proc_spmd(2, _contended_sublock_body, 0.05, 3)[1]
+    assert max(n for _, n in long_rounds) <= 0.05 / FLOCK_WAIT.cap + 8, long_rounds
+    assert min(w for w, _ in long_rounds) >= 0.04
+
+
+def _lost_holder_body(comm, sig):
+    """Rank 0 takes target 0's exclusive epoch lock — on a descriptor both
+    ranks already cached — and then stops or dies holding it."""
+    from repro.mpi.errors import OpTimeoutError
+
+    win, _ = Win.allocate(comm, 64)
+    for _ in range(2):
+        win.lock(0, LOCK_EXCLUSIVE)
+        win.unlock(0)
+    comm.barrier()
+    flags = win.exposed_buffer(0)[:16].view(np.int64)  # [holder's pid, rank 1 ready]
+    if comm.rank == 0:
+        # rank 0's barrier release to rank 1 leaves through a feeder
+        # thread: stopping before it is flushed would stop the message too
+        while not flags[1]:
+            time.sleep(0.001)
+        win.lock(0, LOCK_EXCLUSIVE)
+        flags[0] = os.getpid()
+        if sig == signal.SIGKILL:
+            time.sleep(0.03)  # die while rank 1 is already polling
+        os.kill(os.getpid(), sig)
+        win.unlock(0)  # SIGSTOP: resumed by rank 1's SIGCONT
+        outcome = "resumed"
+    else:
+        flags[1] = 1
+        while not flags[0]:
+            time.sleep(0.001)
+        if sig == signal.SIGSTOP:
+            time.sleep(0.02)  # let the stop land
+        t0 = time.monotonic()
+        try:
+            win.lock(0, LOCK_EXCLUSIVE)
+            outcome = ("acquired", time.monotonic() - t0)
+            win.unlock(0)
+        except OpTimeoutError:
+            outcome = ("timeout", time.monotonic() - t0)
+        finally:
+            if sig == signal.SIGSTOP:
+                os.kill(int(flags[0]), signal.SIGCONT)
+    if sig == signal.SIGSTOP:
+        win.lock(0, LOCK_EXCLUSIVE)  # usable again once the holder let go
+        win.unlock(0)
+        comm.barrier()
+        win.free()
+    return outcome
+
+
+def test_stalled_flock_holder_still_times_out_on_schedule():
+    from repro.backoff import FLOCK_WAIT
+
+    rt = Runtime(2, backend="proc", op_timeout_s=0.2)
+    resumed, (what, waited) = rt.spmd(
+        _lost_holder_body, signal.SIGSTOP, join_timeout=120.0
+    )
+    assert (resumed, what) == ("resumed", "timeout")
+    # the deadline is checked once per probe: at most one capped sleep late
+    # (+ scheduling slack on a loaded host)
+    assert 0.2 <= waited <= 0.2 + FLOCK_WAIT.cap + 0.05, waited
+
+
+def test_killed_flock_holders_cached_lock_is_inherited():
+    """The kernel drops a dead rank's flock because every process locks
+    its own open file description — also when that description is cached."""
+    dead, (what, waited) = proc_spmd(2, _lost_holder_body, signal.SIGKILL)
+    assert dead is None and what == "acquired"
+    assert waited < 5.0, waited
+
+
+def _count_lock_file_opens():
+    """Record the basename of every window lock file this rank opens."""
+    opened = []
+    real = os.open
+
+    def counting(path, *args, **kw):
+        if str(path).endswith((".lock", ".atomic")):
+            opened.append(os.path.basename(path))
+        return real(path, *args, **kw)
+
+    os.open = counting  # this forked rank only
+    return opened
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _descriptor_lifetime_body(comm):
+    opened = _count_lock_file_opens()
+    peer = (comm.rank + 1) % comm.size
+    one = np.ones(1, dtype=np.int64)
+    comm.barrier()
+    before = _open_fds()
+    win, _ = Win.allocate(comm, 64, mpi3=True)
+    allocated = _open_fds()
+    win.lock_all()
+    for _ in range(500):
+        win.accumulate(one, peer)
+    win.unlock_all()
+    for _ in range(500):
+        win.lock(peer, LOCK_EXCLUSIVE)
+        win.unlock(peer)
+    comm.barrier()
+    total = int(win.exposed_buffer(comm.rank)[:8].view(np.int64)[0])
+    cached = _open_fds() - allocated
+    win.free()
+    after_free = _open_fds() - before
+    # the forced teardown closes them too — a held epoch lock included
+    win2, _ = Win.allocate(comm, 64)
+    win2.lock(peer, LOCK_SHARED)  # repro: lint-ignore[lint-leak] invalidate() drops it
+    win2.accumulate(one, peer)
+    comm.barrier()
+    win2.invalidate()
+    after_invalidate = _open_fds() - before
+    return sorted(n.split(".", 2)[2] for n in opened), total, cached, (
+        after_free, after_invalidate
+    )
+
+
+def test_lock_files_are_opened_once_and_closed_with_their_window():
+    results = proc_spmd(2, _descriptor_lifetime_body)
+    for rank, (opened, total, cached, leaked) in enumerate(results):
+        peer = 1 - rank
+        # 1 000 acquisitions on the first window, two opens (then two more
+        # for the second window's pair)
+        assert opened == sorted([f"t{peer}.atomic", f"t{peer}.lock"] * 2)
+        assert total == 500
+        assert cached == 2  # the .lock and the .atomic of the one target used
+        assert leaked == (0, 0)
+
+
+def _many_windows_body(comm):
+    from repro.mpi.backend_proc import _LockFiles
+
+    # windows x targets x {lock, atomic} exceeds the cache bound
+    nwin = _LockFiles.BOUND // (2 * comm.size) + 4
+    before = _open_fds()
+    wins = [Win.allocate(comm, 16)[0] for _ in range(nwin)]
+    one = np.ones(1, dtype=np.int64)
+    comm.barrier()
+    baseline, peak, sweeps = _open_fds(), 0, 3
+    for _ in range(sweeps):
+        for win in wins:
+            for target in range(comm.size):
+                # a raw read-modify-write that only the epoch flock orders
+                win.lock(target, LOCK_EXCLUSIVE)
+                cell = win.exposed_buffer(target)[:8].view(np.int64)
+                seen = int(cell[0])
+                os.sched_yield()
+                cell[0] = seen + 1
+                win.unlock(target)
+                # and one that only the atomic sublock orders
+                win.lock(target, LOCK_SHARED)
+                win.accumulate(one, target, 8)
+                win.unlock(target)
+                peak = max(peak, _open_fds())
+    comm.barrier()
+    mine = [
+        win.exposed_buffer(comm.rank)[:16].view(np.int64).tolist() for win in wins
+    ]
+    comm.barrier()
+    for win in wins:
+        win.free()
+    return (
+        nwin * comm.size * 2, _LockFiles.BOUND, peak - baseline,
+        _open_fds() - before, mine == [[sweeps * comm.size] * 2] * nwin,
+    )
+
+
+def test_lock_file_cache_is_bounded_and_every_lock_stays_correct():
+    for paths, bound, peak, after_free, exact in proc_spmd(2, _many_windows_body):
+        assert paths > bound
+        assert peak <= bound + 1, (peak, bound)  # + the one being held
+        assert after_free == 0
+        assert exact, "lost update: a reopened lock file did not exclude"
+
+
+def _mutex_cycle_ctl_messages_body(comm):
+    from repro.armci.mutexes import MutexSet
+    from repro.mpi.backend_proc import _ProcChildBackend
+
+    ms = MutexSet.create(comm, 1)
+    comm.barrier()
+    ctl = []
+    real = _ProcChildBackend.send_to
+
+    def send_to(self, dst_world, msg):
+        if msg[0] == "ctl":
+            ctl.append(msg)
+        real(self, dst_world, msg)
+
+    _ProcChildBackend.send_to = send_to  # this forked rank only
+    for _ in range(5):
+        ms.lock(0, 0)
+        held_by = ms.holder(0, 0)
+        ms.unlock(0, 0)
+        assert held_by == comm.rank
+    _ProcChildBackend.send_to = real
+    comm.barrier()
+    ms.destroy()
+    return ctl
+
+
+def test_mutex_cycle_sends_no_control_messages():
+    """The holder record is a store into the mutex window, not a broadcast
+    (it was 2 x (n - 1) ``ctl`` messages per lock/unlock cycle)."""
+    assert proc_spmd(3, _mutex_cycle_ctl_messages_body) == [[], [], []]
 
 
 def test_inbox_write_lock_survives_a_sigkilled_holder():

@@ -403,15 +403,34 @@ def test_mpi3_check_both_floors_and_regression():
     assert verdict == "FAIL" and len(failures) == 2
 
 
+def _procs_results(scaling, acc_ratio=1.1):
+    return {
+        "scaling_1_to_4": scaling,
+        "contended_acc_np2": {"mean_over_median": acc_ratio},
+    }
+
+
 def test_procs_check_scaling_floor_and_skip():
-    assert _verdicts("procs", {"scaling_1_to_4": 2.0}) == [("ok", [])]
-    (verdict, failures), = _verdicts("procs", {"scaling_1_to_4": 1.99})
+    assert _verdicts("procs", _procs_results(2.0)) == [("ok", []), ("ok", [])]
+    (verdict, failures), _acc = _verdicts("procs", _procs_results(1.99))
     assert verdict == "FAIL" and "floor 2.0x" in failures[0]
     # the same bad ratio on a host that cannot scale is skipped, not ok
-    assert _verdicts("procs", {"scaling_1_to_4": 0.93}, cpus=1) == [
-        ("skipped(cpu_count=1<4)", [])
+    assert _verdicts("procs", _procs_results(0.93), cpus=1) == [
+        ("skipped(cpu_count=1<4)", []), ("skipped(cpu_count=1<2)", []),
     ]
-    assert _verdicts("procs", {"scaling_1_to_4": 0.93}, cpus=4)[0][0] == "FAIL"
+    assert _verdicts("procs", _procs_results(0.93), cpus=4)[0][0] == "FAIL"
+
+
+def test_procs_contended_accumulate_check_fires_on_two_cpus():
+    """The wall-clock check a 2-CPU host can enforce: ok or FAIL there,
+    while the 1->4 scaling floor beside it stays skipped."""
+    assert _verdicts("procs", _procs_results(1.8, 1.4), cpus=2) == [
+        ("skipped(cpu_count=2<4)", []), ("ok", []),
+    ]
+    _scaling, (verdict, failures) = _verdicts(
+        "procs", _procs_results(1.8, 1.84), cpus=2
+    )
+    assert verdict == "FAIL" and "1.84 (ceiling 1.4)" in failures[0]
 
 
 def _proc_recover_results(value_correct=True, worst=0.2):
@@ -499,7 +518,7 @@ def test_row_gates_fail_on_any_row_not_ok(name):
 
 def test_wall_clock_cpu_requirement_is_stated_once():
     wide = {c.min_cpus for b in ALL for c in b.checks if c.min_cpus > 1}
-    assert wide == {registry.WALLCLOCK_MIN_CPUS}
+    assert wide == {registry.WALLCLOCK_MIN_CPUS, registry.CONTENTION_MIN_CPUS}
     gated = {b.name for b in ALL for c in b.checks if c.min_cpus > 1}
     assert gated == {"procs", "proc-recover", "traffic"}
     assert {b.name for b in ALL if b.spawns} == gated

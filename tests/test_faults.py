@@ -223,7 +223,7 @@ def test_mutex_holder_death_forwards_structured_failure():
         if comm.rank == 0:
             with rt.cond:
                 rt.wait_for(
-                    lambda: ms._holders.get((0, 0)) == 1,
+                    lambda: ms.holder(0, 0) == 1,
                     what="rank 1 holds the mutex",
                 )
             try:
@@ -285,7 +285,7 @@ def test_watchdog_stays_quiet_while_a_timeout_retry_is_in_flight():
         else:
             with rt.cond:
                 rt.wait_for(
-                    lambda: ms._holders.get((0, 0)) == 0,
+                    lambda: ms.holder(0, 0) == 0,
                     what="rank 0 holds the mutex",
                 )
             try:
@@ -559,7 +559,7 @@ def test_mutex_reclaim_sweeps_dead_holders():
         if comm.rank == 1:
             with rt.cond:
                 rt.mark_dead(comm.world_rank(1))
-                ms._holders[(0, 0)] = 1  # plant: dead rank still on record
+                ms._note_holder(0, 0, 1)  # plant: dead rank still on record
             raise RankKilledError("holder dies")
         if comm.rank == 0:
             # Only rank 0 waits for the plant: reclaim() deletes the
@@ -568,7 +568,7 @@ def test_mutex_reclaim_sweeps_dead_holders():
                 try:
                     with rt.cond:
                         rt.wait_for(
-                            lambda: ms._holders.get((0, 0)) == 1,
+                            lambda: ms.holder(0, 0) == 1,
                             what="stale holder",
                         )
                     break
@@ -581,6 +581,92 @@ def test_mutex_reclaim_sweeps_dead_holders():
     rt.spmd(body)
     assert swept["got"] == [(0, 0, 1)]
     assert swept["again"] == []
+
+
+@pytest.mark.parametrize("victim", range(NPROC))
+def test_holder_record_agrees_with_the_dict_it_replaced(victim, monkeypatch):
+    """Reference model: the per-window ``{(host, mutex): holder}`` dict
+    ``MutexSet`` kept before the record moved into the mutex window, with
+    its death-repair and reclaim rules.  Over the seeded mutex recovery
+    scenario — kills sampled across the victim's fuzz points — the window
+    record reads the same after every lock, unlock, repair and sweep."""
+    shadows: dict[int, dict] = {}
+    mismatches: list = []
+    events = dict.fromkeys(("note", "death", "reclaim", "forwarded", "swept"), 0)
+    real = {
+        name: getattr(MutexSet, name)
+        for name in ("_note_holder", "_on_rank_death", "reclaim")
+    }
+
+    def agree(ms, event):
+        record = {
+            (host, mutex): ms.holder(host, mutex)
+            for host in range(ms.comm.size) for mutex in range(ms.count)
+        }
+        shadow = shadows.setdefault(ms._win.win_id, {})
+        held = {k: v for k, v in record.items() if v is not None}
+        if held != shadow:  # collected: a death hook's exception is swallowed
+            mismatches.append((event, held, dict(shadow)))
+        events[event] += 1
+
+    def note_holder(ms, host, mutex, holder):
+        shadow = shadows.setdefault(ms._win.win_id, {})
+        if holder is None:
+            shadow.pop((host, mutex), None)
+        else:
+            shadow[(host, mutex)] = holder
+        real["_note_holder"](ms, host, mutex, holder)
+        agree(ms, "note")
+
+    def on_rank_death(ms, world_rank):
+        real["_on_rank_death"](ms, world_rank)
+        group = ms.comm.group
+        if ms._destroyed or not group.contains_world(world_rank):
+            return
+        dead, n = group.rank_of_world(world_rank), ms.comm.size
+        shadow = shadows.setdefault(ms._win.win_id, {})
+        for (host, mutex), holder in list(shadow.items()):
+            if holder != dead:
+                continue
+            vec = ms._win.exposed_buffer(host)
+            waiters = [
+                j for j in ((dead + step) % n for step in range(1, n))
+                if vec[mutex * n + j]
+            ]
+            if waiters:
+                shadow[(host, mutex)] = waiters[0]
+                events["forwarded"] += 1
+            else:
+                del shadow[(host, mutex)]
+        agree(ms, "death")
+
+    def reclaim(ms):
+        swept = real["reclaim"](ms)
+        group, rt = ms.comm.group, ms.comm.runtime
+        dead = {group.rank_of_world(w) for w in rt.dead_ranks if group.contains_world(w)}
+        shadow = shadows.setdefault(ms._win.win_id, {})
+        expected = sorted((h, m, r) for (h, m), r in shadow.items() if r in dead)
+        for host, mutex, _ in expected:
+            del shadow[(host, mutex)]
+        if swept != expected:
+            mismatches.append(("swept", swept, expected))
+        events["swept"] += len(swept)
+        agree(ms, "reclaim")
+        return swept
+
+    monkeypatch.setattr(MutexSet, "_note_holder", note_holder)
+    monkeypatch.setattr(MutexSet, "_on_rank_death", on_rank_death)
+    monkeypatch.setattr(MutexSet, "reclaim", reclaim)
+    for point in range(0, _recover_fuzz_points("mutex")[victim], 2):
+        shadows.clear()  # window ids restart with every runtime
+        plan = FaultPlan(seed=SEED).kill(victim, point)
+        report = run_schedule(
+            RECOVER_SCENARIOS["mutex"], NPROC, SEED, sanitize=True, plan=plan
+        )
+        assert report.ok, (point, report.error)
+        assert not mismatches, (point, mismatches[:3])
+    assert events["note"] and events["death"] and events["reclaim"], events
+    assert events["forwarded"], "no kill caught a holder with a waiter queued"
 
 
 # -- transient stalls / retry-with-backoff -----------------------------------------

@@ -267,3 +267,65 @@ def test_iov_datatype_lru_is_bounded_and_keyed_by_displacements():
         assert iov_datatype_cache_len() <= IOV_DATATYPE_CACHE_MAX
     finally:
         iov_datatype_cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# per-op allocations that every workload paid
+# ---------------------------------------------------------------------------
+
+
+def test_flush_rebuilds_only_the_interval_sets_that_recorded():
+    """A fresh set shares the module's empty coverage; ``clear_accesses``
+    (one per flush) replaces a set only if something was added to it."""
+    from repro.mpi.window import _NO_COVERAGE, _Epoch, _IntervalSet
+
+    one = (np.array([8], dtype=np.int64), np.array([8], dtype=np.int64))
+    fresh = _IntervalSet()
+    assert fresh._cov_off is _NO_COVERAGE and fresh._cov_len is _NO_COVERAGE
+    assert not _NO_COVERAGE.flags.writeable
+    epoch = _Epoch(0, 1, "shared")
+    puts, gets, accs = epoch.puts, epoch.gets, epoch.accs
+    epoch.clear_accesses()
+    assert (epoch.puts, epoch.gets, epoch.accs) == (puts, gets, accs)
+    assert epoch.puts is puts and epoch.gets is gets and epoch.accs is accs
+    epoch.record("put", None, *one)
+    epoch.record("acc", "MPI_SUM", *one)
+    sum_cover = epoch.accs["MPI_SUM"]
+    epoch.record("acc", "MPI_SUM", *one)
+    assert epoch.accs["MPI_SUM"] is sum_cover and sum_cover.count == 2
+    epoch.clear_accesses()
+    assert epoch.puts is not puts and epoch.puts.count == 0
+    assert epoch.gets is gets
+    assert epoch.accs == {}
+    # the replaced set kept what it had recorded: nothing shared was written
+    assert puts.overlaps(*one) and not epoch.puts.overlaps(*one)
+    assert len(_NO_COVERAGE) == 0
+
+
+def test_mutex_epoch_datatype_is_built_once_per_rank(monkeypatch):
+    """lock/unlock/trylock reuse one committed ``indexed_block`` per rank."""
+    from repro.armci import mutexes
+
+    built = []
+    real = dt.indexed_block
+
+    def counting(blocklength, displacements, oldtype):
+        built.append(tuple(displacements))
+        return real(blocklength, displacements, oldtype)
+
+    monkeypatch.setattr(mutexes.dt, "indexed_block", counting)
+
+    def main(comm):
+        ms = mutexes.MutexSet.create(comm, 2)
+        for mutex in (0, 1):
+            for _ in range(3):
+                ms.lock(mutex, 0)
+                ms.unlock(mutex, 0)
+            if ms.trylock(mutex, 1):
+                ms.unlock(mutex, 1)
+        comm.barrier()
+        ms.destroy()
+
+    spmd(3, main)
+    # one MutexSet per rank thread, one build each — not one per call
+    assert sorted(built) == [(0, 1), (0, 2), (1, 2)]

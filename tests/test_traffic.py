@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.backoff import LOCK_RETRY, STALL_STEPS, BackoffPolicy
+from repro.backoff import FLOCK_WAIT, LOCK_RETRY, STALL_STEPS, BackoffPolicy
 from repro.faults.plan import FaultPlan
 from repro.faults.proc import sweep_stale_segments
 from repro.traffic import (
@@ -47,6 +47,17 @@ FAULTED = {"stencil": (12, 45), "worksteal": (18, 45), "bfs": (24, 45)}
 def test_backoff_curve_grows_geometrically_and_caps():
     pol = BackoffPolicy(base=1.0, factor=2.0, cap=8.0, jitter=1.0)
     assert [pol.delay(a) for a in range(5)] == [1.0, 2.0, 4.0, 8.0, 8.0]
+
+
+def test_flock_wait_curve_ends_at_the_flat_poll_cadence_for_any_attempt():
+    """Seven sub-cap re-probes (2.5 ms in all), then 2 ms for ever — also
+    past the attempt where ``2.0 ** attempt`` overflows a float (a lock
+    held for seconds is polled thousands of times)."""
+    curve = [FLOCK_WAIT.delay(a) for a in range(9)]
+    assert curve[0] == 2e-5 and curve[7:] == [0.002, 0.002]
+    assert all(b == 2 * a for a, b in zip(curve[:6], curve[1:7]))
+    assert sum(curve[:7]) < 0.003
+    assert FLOCK_WAIT.delay(1023) == FLOCK_WAIT.delay(5000) == 0.002
 
 
 def test_backoff_uncapped_and_steps_floor():
