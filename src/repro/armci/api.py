@@ -151,6 +151,32 @@ class NbHandle:
             raise self._error
 
 
+class _OpEpoch:
+    """The context manager behind :meth:`Armci._op_epoch` — a class, not a
+    generator: every blocking op opens one, and the generator protocol cost
+    more than the epoch's own bookkeeping."""
+
+    __slots__ = ("nbq", "gmr", "win_rank", "kind")
+
+    def __init__(self, armci: "Armci", gmr: Gmr, win_rank: int, kind: str):
+        #: the nb queue to drain first; None = mpi2, an epoch per op
+        self.nbq = armci._nbq if armci._flush_mode else None
+        self.gmr, self.win_rank, self.kind = gmr, win_rank, kind
+
+    def __enter__(self) -> None:
+        gmr = self.gmr
+        if self.nbq is not None:
+            self.nbq.drain(gmr, self.win_rank)
+        else:
+            gmr.win.lock(self.win_rank, gmr.access_mode.lock_mode(self.kind))
+
+    def __exit__(self, *exc) -> None:
+        if self.nbq is not None:
+            self.gmr.win.flush(self.win_rank)
+        else:
+            self.gmr.win.unlock(self.win_rank)
+
+
 #: datapath modes selectable at :meth:`Armci.init`
 DATAPATHS = ("mpi2", "mpi3")
 
@@ -480,9 +506,8 @@ class Armci:
             return np.multiply(packed, acc_dtype.type(scale), out=packed if private else None)
         return packed if private else packed.copy()
 
-    @contextmanager
-    def _op_epoch(self, gmr: Gmr, win_rank: int, kind: str):
-        """Completion discipline for one blocking operation.
+    def _op_epoch(self, gmr: Gmr, win_rank: int, kind: str) -> "_OpEpoch":
+        """Completion discipline for one blocking operation (a ``with`` block).
 
         mpi2: the §V-C pattern — a lock/unlock epoch of its own, shared
         where the GMR's access mode (§VIII-A) permits ``kind`` to be.
@@ -490,18 +515,7 @@ class Armci:
         order), issue into the GMR's standing ``lock_all`` epoch, and
         complete with a per-target ``flush``.
         """
-        if self._flush_mode:
-            self._nbq.drain(gmr, win_rank)
-            try:
-                yield
-            finally:
-                gmr.win.flush(win_rank)
-        else:
-            gmr.win.lock(win_rank, gmr.access_mode.lock_mode(kind))
-            try:
-                yield
-            finally:
-                gmr.win.unlock(win_rank)
+        return _OpEpoch(self, gmr, win_rank, kind)
 
     @staticmethod
     def _issue(win: Win, kind, data, win_rank, disp, origin_t=None, target_t=None) -> None:
@@ -752,39 +766,37 @@ class Armci:
         scale: float = 1.0,
         acc_dtype: "np.dtype | None" = None,
     ) -> None:
-        spec = strided.StridedSpec.make(
-            list(count), list(local_strides), list(remote_strides)
+        # step 0: the compiled descriptor — validation, sizes and (for the
+        # direct method) both datatypes, derived once per distinct descriptor
+        direct = self.config.strided_method != "iov"
+        local_strides, remote_strides, count = (
+            tuple(local_strides), tuple(remote_strides), tuple(count)
         )
-        if spec.total_bytes == 0:
+        total, span, origin_t, target_t = strided.compiled_strided_op(
+            local_strides, remote_strides, count, acc_dtype, direct
+        )
+        if total == 0:
             return
         local_view = _as_flat_bytes(local)
-        span = _strided_span(local_strides, count)
         if local_view.nbytes < span:
             raise ArgumentError(
                 f"local buffer of {local_view.nbytes}B cannot hold the "
                 f"{span}B strided footprint"
             )
         local_view = local_view[:span]
-        if self.config.strided_method == "iov":
-            loc_disps = strided.segment_displacements(list(local_strides), list(count))
-            rem_disps = strided.segment_displacements(list(remote_strides), list(count))
+        if not direct:
             self._iov_op(
-                kind, local_view, loc_disps,
-                remote.rank, remote.addr + rem_disps,
-                spec.seg_bytes, scale=scale, acc_dtype=acc_dtype,
+                kind, local_view, strided.segment_displacements(local_strides, count),
+                remote.rank, remote.addr + strided.segment_displacements(remote_strides, count),
+                count[0], scale=scale, acc_dtype=acc_dtype,
             )
             return
         # direct method: one subarray/hindexed datatype per side (§VI-C)
         gmr, win_rank, disp = self._target(remote, kind)
-        origin_t = strided.strided_datatype(list(local_strides), list(count))
-        target_t = strided.strided_datatype(
-            list(remote_strides), list(count),
-            dt.BYTE if kind != "acc" else dt.from_numpy_dtype(acc_dtype),
-        )
         self._transfer(
             kind, gmr, win_rank, disp, local_view, origin_t, target_t, scale, acc_dtype
         )
-        self.stats.count(kind, spec.total_bytes)
+        self.stats.count(kind, total)
 
     # -- IOV operations (§VI-A) ------------------------------------------------------
     def putv(
@@ -951,14 +963,6 @@ def _as_flat_bytes(arr: np.ndarray) -> np.ndarray:
     if not arr.flags["C_CONTIGUOUS"]:
         raise ArgumentError("ARMCI local buffers must be C-contiguous")
     return arr.reshape(-1).view(np.uint8)
-
-
-def _strided_span(strides: Sequence[int], count: Sequence[int]) -> int:
-    """Bytes from the base pointer to one past the furthest strided byte."""
-    far = 0
-    for i, s in enumerate(strides):
-        far += s * max(count[i + 1] - 1, 0)
-    return far + count[0]
 
 
 def _iov_remote(dst) -> tuple[int, np.ndarray]:

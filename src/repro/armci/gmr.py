@@ -180,6 +180,9 @@ class GmrTable:
         self._next_va: dict[int, int] = {}
         # absolute id -> most recently hit GMR (invalidated on unregister)
         self._hot: dict[int, Gmr] = {}
+        # absolute id -> [(slab, gmr)] of its non-empty slabs: what the
+        # §V-E.1 probe walks; dropped for a GMR's members when it comes or goes
+        self._slabs: dict[int, list[tuple[np.ndarray, Gmr]]] = {}
 
     # -- virtual address space -----------------------------------------------------
     def allocate_va(self, absolute_id: int, nbytes: int, alignment: int) -> int:
@@ -200,6 +203,7 @@ class GmrTable:
             absolute = gmr.group.absolute_id(r)
             entries = self._by_rank.setdefault(absolute, [])
             bisect.insort(entries, (base, gmr), key=lambda e: e[0])
+            self._slabs.pop(absolute, None)
         self._all.append(gmr)
 
     def unregister(self, gmr: Gmr) -> None:
@@ -210,6 +214,7 @@ class GmrTable:
             absolute = gmr.group.absolute_id(r)
             entries = self._by_rank.get(absolute, [])
             self._by_rank[absolute] = [e for e in entries if e[1] is not gmr]
+            self._slabs.pop(absolute, None)
         self._all.remove(gmr)
         # a stale hot entry must never resolve a reused address range
         for rank in [r for r, g in self._hot.items() if g is gmr]:
@@ -254,16 +259,30 @@ class GmrTable:
         This is the §V-E.1 check: a *local* communication buffer that is
         itself exposed in an MPI window must be staged, or ARMCI-MPI
         would need two simultaneous locks on one window (erroneous) or
-        two windows (deadlock-prone).
+        two windows (deadlock-prone).  Aliasing is a property of the
+        address, so every call probes ``arr`` itself (``np.shares_memory``,
+        exact); only which slabs this process exposes is tabulated.
         """
-        pool = self._all if gmrs is None else gmrs
-        for gmr in pool:
-            r = gmr.group.group_rank_of(absolute_id)
-            if r == UNDEFINED or gmr.sizes[r] == 0:
-                continue
-            if np.shares_memory(arr, gmr.win.exposed_buffer(r)):
+        if gmrs is not None:
+            slabs = self._local_slabs(absolute_id, gmrs)
+        else:
+            slabs = self._slabs.get(absolute_id)
+            if slabs is None:
+                slabs = self._slabs[absolute_id] = self._local_slabs(absolute_id, self.gmrs)
+        for slab, gmr in slabs:
+            if np.shares_memory(arr, slab):
                 return gmr
         return None
+
+    @staticmethod
+    def _local_slabs(absolute_id: int, gmrs: "Iterable[Gmr]") -> "list[tuple[np.ndarray, Gmr]]":
+        """``(slab, gmr)`` for every non-empty slab ``absolute_id`` exposes."""
+        slabs = []
+        for gmr in gmrs:
+            r = gmr.group.group_rank_of(absolute_id)
+            if r != UNDEFINED and gmr.sizes[r]:
+                slabs.append((gmr.win.exposed_buffer(r), gmr))
+        return slabs
 
     def check_consistent(self) -> None:
         """Assert table invariants (used by fault-injection tests).

@@ -34,6 +34,8 @@ class ArmciGroup:
     def __init__(self, comm: Comm, world: Comm):
         self.comm = comm
         self.world = world
+        #: absolute id -> group rank, tabulated once (several lookups per op)
+        self._rank_of = [comm.group.rank_of_world(w) for w in world.group.members]
 
     # -- identity ------------------------------------------------------------
     @property
@@ -57,8 +59,10 @@ class ArmciGroup:
 
     def group_rank_of(self, absolute_id: int) -> int:
         """Inverse translation; :data:`~repro.mpi.group.UNDEFINED` if absent."""
-        world_rank = self.world.group.world_rank(absolute_id)
-        return self.comm.group.rank_of_world(world_rank)
+        if 0 <= absolute_id < len(self._rank_of):
+            return self._rank_of[absolute_id]
+        # not an ARMCI id: the untabulated translation raises its RankError
+        return self.comm.group.rank_of_world(self.world.group.world_rank(absolute_id))
 
     def members_absolute(self) -> list[int]:
         """Absolute ids of all members, in group-rank order."""

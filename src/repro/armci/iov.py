@@ -100,14 +100,15 @@ def execute(armci: "Armci", req: IovRequest, method: "str | None" = None) -> Non
     if req.nsegments == 0 or req.seg_bytes == 0:
         return
     method = method or armci.config.iov_method
+    single = None  # the one GMR of the segments, where auto already resolved it
     if method == "auto":
-        method = _auto_select(armci, req)
+        method, single = _auto_select(armci, req)
     if method == "conservative":
         _conservative(armci, req)
     elif method == "batched":
         _batched(armci, req)
     elif method == "direct":
-        _direct(armci, req)
+        _direct(armci, req, single or _require_single_gmr(armci, req, "direct"))
     else:  # pragma: no cover - config validates
         raise ArgumentError(f"unknown IOV method {method!r}")
     armci.stats.count_iov(method, req.nsegments, req.seg_bytes)
@@ -179,12 +180,12 @@ def descriptor_is_safe(armci: "Armci", req: IovRequest) -> bool:
     return True
 
 
-def _auto_select(armci: "Armci", req: IovRequest) -> str:
-    if _resolve_single_gmr(armci, req) is None:
-        return "conservative"
-    if not descriptor_is_safe(armci, req):
-        return "conservative"
-    return "direct"
+def _auto_select(armci: "Armci", req: IovRequest):
+    """``(method, resolved single GMR or None)``: direct when it is safe."""
+    single = _resolve_single_gmr(armci, req)
+    if single is None or not descriptor_is_safe(armci, req):
+        return "conservative", None
+    return "direct", single
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +257,10 @@ def iov_datatype_cache_len() -> int:
     return len(_iov_dt_cache)
 
 
-def _direct(armci: "Armci", req: IovRequest) -> None:
-    """One RMA op with indexed datatypes describing both layouts (§VI-A)."""
-    gmr, win_rank, base = _require_single_gmr(armci, req, "direct")
+def _direct(armci: "Armci", req: IovRequest, single: "tuple[Gmr, int, int]") -> None:
+    """One RMA op with indexed datatypes describing both layouts (§VI-A);
+    ``single`` is the segments' resolved ``(gmr, window rank, slab base)``."""
+    gmr, win_rank, base = single
     elem = dt.BYTE if req.kind != "acc" else dt.from_numpy_dtype(req.acc_dtype)
     blocks = req.seg_bytes // elem.size  # whole elements: IovRequest checked
     target_t = _hindexed_cached(blocks, req.rem_addrs - base, elem)

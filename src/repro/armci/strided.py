@@ -180,15 +180,41 @@ def _nests_evenly(strides: Sequence[int], count: Sequence[int]) -> bool:
     return True
 
 
-#: bound on the committed-datatype memo below (entries, LRU eviction)
+#: bound on the translation memo below (entries, LRU eviction)
 STRIDED_DATATYPE_CACHE_MAX = 256
 
-#: (strides, count, element type) -> committed datatype.  GA issues long runs of
-#: strided operations over identically-shaped patches (every tile of a
-#: distributed array shares one stride/count signature), so the same
+#: The one memo of strided translations, in two forms.  GA issues long
+#: runs of strided operations over identically-shaped patches (every tile
+#: of a distributed array shares one stride/count signature), so the same
 #: translation is requested over and over; rebuilding and re-flattening
 #: the subarray/hindexed type per operation was a dominant hot spot.
-_strided_dt_cache: "OrderedDict[tuple, dt.Datatype]" = OrderedDict()
+#:
+#: * ``(strides, count, element type name)`` -> committed datatype: one
+#:   side's layout (:func:`strided_datatype`);
+#: * ``(local strides, remote strides, count, element dtype, direct)`` ->
+#:   a whole *compiled strided op* (:func:`compiled_strided_op`).
+#:
+#: Entries are pure functions of their keys — no GMR, window or address —
+#: so nothing here needs invalidating when an allocation is freed.
+_strided_dt_cache: "OrderedDict[tuple, dt.Datatype | tuple]" = OrderedDict()
+
+
+def _recall(key: tuple):
+    """The memoised value of ``key``, now the most recently used, or None."""
+    hit = _strided_dt_cache.get(key)
+    if hit is not None:
+        try:
+            _strided_dt_cache.move_to_end(key)
+        except KeyError:
+            pass  # another rank thread evicted it since the get; the value stands
+    return hit
+
+
+def _remember(key: tuple, value):
+    _strided_dt_cache[key] = value
+    if len(_strided_dt_cache) > STRIDED_DATATYPE_CACHE_MAX:
+        _strided_dt_cache.popitem(last=False)
+    return value
 
 
 def strided_datatype_uncached(
@@ -245,17 +271,49 @@ def strided_datatype(
     (a freed cache entry is transparently re-committed on the next hit).
     """
     key = (tuple(strides), tuple(count), elem.name)
-    hit = _strided_dt_cache.get(key)
+    hit = _recall(key)
     if hit is not None:
-        _strided_dt_cache.move_to_end(key)
         # a caller may have free()d the shared type; commit() restores the
         # segment map and is a no-op on a live entry
         return hit.commit()
-    built = strided_datatype_uncached(strides, count, elem)
-    _strided_dt_cache[key] = built
-    if len(_strided_dt_cache) > STRIDED_DATATYPE_CACHE_MAX:
-        _strided_dt_cache.popitem(last=False)
-    return built
+    return _remember(key, strided_datatype_uncached(strides, count, elem))
+
+
+def compiled_strided_op(
+    local_strides: "tuple[int, ...]",
+    remote_strides: "tuple[int, ...]",
+    count: "tuple[int, ...]",
+    acc_dtype: "np.dtype | None" = None,
+    direct: bool = True,
+) -> "tuple[int, int, dt.Datatype | None, dt.Datatype | None]":
+    """Everything about a strided put/get/acc that its descriptor alone
+    decides, derived once: ``(total bytes, local span, origin datatype,
+    target datatype)``.
+
+    The descriptor is validated here (:class:`StridedSpec`; an invalid one
+    raises every time, nothing is memoised for it); the span is the bytes
+    from the local base to one past the furthest strided byte; the
+    datatypes are :func:`strided_datatype` of each side — the target's in
+    ``acc_dtype`` elements for an accumulate — or None when the caller will
+    not use the direct method (``direct=False``: the IOV method builds its
+    own layouts).  A hit is one tuple hash; the arguments must be tuples.
+    """
+    key = (local_strides, remote_strides, count, acc_dtype, direct)
+    hit = _recall(key)
+    if hit is not None:
+        _, _, origin_t, target_t = hit
+        if origin_t is not None and not (origin_t.committed and target_t.committed):
+            origin_t.commit()  # the re-commit rule of strided_datatype
+            target_t.commit()
+        return hit
+    spec = StridedSpec(count, local_strides, remote_strides)
+    span = count[0] + sum(s * max(n - 1, 0) for s, n in zip(local_strides, count[1:]))
+    origin_t = target_t = None
+    if direct and spec.total_bytes:
+        elem = dt.BYTE if acc_dtype is None else dt.from_numpy_dtype(acc_dtype)
+        origin_t = strided_datatype(local_strides, count)
+        target_t = strided_datatype(remote_strides, count, elem)
+    return _remember(key, (spec.total_bytes, span, origin_t, target_t))
 
 
 def strided_datatype_cache_clear() -> None:

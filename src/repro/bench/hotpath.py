@@ -31,6 +31,15 @@ module tracks them:
 ``conflict_check_contig``
     single-interval :class:`repro.mpi.window._IntervalSet` overlap query
     (bounding-box fast path) vs the pre-PR sorted-scan reference.
+``conflict_footprint_disjoint``
+    recording one strided op's footprint (16 rows, a closed-form map) and
+    querying a disjoint one against it: answered from the maps' memoised
+    bounds vs materialising ``offsets``/``lengths`` to reduce them.
+``ga_patch_replay_16x16``
+    :meth:`repro.ga.GlobalArray._owner_pieces` for an owner-straddling
+    16x16 patch of a known class (the replayed plan) vs
+    :func:`owner_pieces_uncompiled`: ``dist.locate`` plus per-piece
+    argument construction on every op.
 ``gmr_lookup_hot``
     :class:`repro.armci.gmr.GmrTable` last-hit cache vs the bisect-only
     lookup.
@@ -54,7 +63,9 @@ from typing import Callable
 import numpy as np
 
 from ..armci import iov, strided
-from ..armci.gmr import GmrTable
+from ..armci.gmr import GlobalPtr, GmrTable
+from ..ga.array import GlobalArray
+from ..ga.distribution import BlockDistribution, Patch
 from ..mpi import datatypes as dt
 from ..mpi import ops as mpi_ops
 from ..mpi.group import UNDEFINED
@@ -72,6 +83,8 @@ MIN_SPEEDUP = {
     "get_strided_512x512": 1.5,
     "strided_translation_rowcount_sweep": 5.0,
     "conflict_check_contig": 1.0,
+    "conflict_footprint_disjoint": 2.0,
+    "ga_patch_replay_16x16": 2.0,
     "gmr_lookup_hot": 1.0,
 }
 
@@ -183,14 +196,12 @@ def _wl_strided_rowcount_sweep() -> tuple[Callable, Callable]:
 def _wl_conflict() -> tuple[Callable, Callable]:
     iset = _IntervalSet()
     for i in range(512):
-        iset.add(
-            np.array([i * 256], dtype=np.int64), np.array([128], dtype=np.int64)
-        )
+        iset.add(dt.SegmentMap.arithmetic(i * 256, 128, 128, 1))
     # a non-conflicting single-segment op past everything recorded
-    q_off = np.array([1 << 30], dtype=np.int64)
-    q_len = np.array([128], dtype=np.int64)
+    query = dt.SegmentMap.arithmetic(1 << 30, 128, 128, 1)
+    q_off, q_len = query.offsets, query.lengths
     cov_off, cov_len = iset._cov_off, iset._cov_len
-    pending = list(iset._pending)
+    pending = [(p.offsets, p.lengths) for p in iset._pending]
 
     def baseline() -> bool:
         # the pre-PR overlap query: sorted-scan against coverage, then an
@@ -205,7 +216,63 @@ def _wl_conflict() -> tuple[Callable, Callable]:
                 return True
         return False
 
-    return (lambda: iset.overlaps(q_off, q_len)), baseline
+    return (lambda: iset.overlaps(query)), baseline
+
+
+def _wl_conflict_footprint() -> tuple[Callable, Callable]:
+    # one GA piece on the wire: 16 rows of 128 B, 16 KiB apart, at a fresh
+    # displacement per op (Win._target_segmap shifts the datatype's map)
+    layout = strided.strided_datatype((16384,), (128, 16)).segment_map()
+    far = 64 * 16384
+
+    def from_bounds() -> bool:
+        iset = _IntervalSet()
+        iset.add(layout.shifted(0))
+        return iset.overlaps(layout.shifted(far))
+
+    def materialised() -> bool:
+        # what recording and querying reduced before: both maps' arrays
+        rec, query = layout.shifted(0), layout.shifted(far)
+        lo, hi = int(rec.offsets.min()), int((rec.offsets + rec.lengths).max())
+        q_lo = int(query.offsets.min())
+        q_hi = int((query.offsets + query.lengths).max())
+        return not (q_lo >= hi or q_hi <= lo)
+
+    return from_bounds, materialised
+
+
+def owner_pieces_uncompiled(ga: GlobalArray, patch: Patch, flat: np.ndarray, buf_strides):
+    """``GlobalArray._owner_pieces`` derived from scratch: ``dist.locate``
+    and one argument tuple built per piece.  The plan's oracle (the tests
+    hold every replayed tuple to it) and its benchmark baseline."""
+    item = ga.dtype.itemsize
+    for piece in ga.dist.locate(patch):
+        strides = ga._block_strides[piece.rank]
+        offset = sum(s * x for s, x in zip(strides, piece.local_patch.lo))
+        at = sum(s * x for s, x in zip(buf_strides, piece.request_patch.lo))
+        shape = piece.global_patch.shape
+        yield (
+            flat[at:],
+            tuple(reversed(buf_strides[:-1])),
+            ga.ptrs[piece.rank] + offset,
+            tuple(reversed(strides[:-1])),
+            (shape[-1] * item, *reversed(shape[:-1])),
+        )
+
+
+def _wl_ga_patch_replay() -> tuple[Callable, Callable]:
+    # the e2e small_* stream's straddling case: rows 1016..1031 of a
+    # 2048x2048 f8 array split between two row-block owners
+    shape, nproc = (2048, 2048), 2
+    dist = BlockDistribution(shape, nproc)
+    ptrs = [GlobalPtr(r, 0x1000) for r in range(nproc)]
+    ga = GlobalArray(None, shape, "f8", ptrs, dist, "bench")
+    patch = Patch((1016, 100), (1032, 116))
+    flat, buf_strides = strided.local_patch_view(np.zeros((16, 16)))
+    return (
+        lambda: list(ga._owner_pieces(patch, flat, buf_strides)),
+        lambda: list(owner_pieces_uncompiled(ga, patch, flat, buf_strides)),
+    )
 
 
 class _BenchGroup:
@@ -255,6 +322,8 @@ WORKLOADS: dict[str, Callable[[], tuple[Callable, Callable]]] = {
     "get_strided_512x512": _wl_get_strided,
     "strided_translation_rowcount_sweep": _wl_strided_rowcount_sweep,
     "conflict_check_contig": _wl_conflict,
+    "conflict_footprint_disjoint": _wl_conflict_footprint,
+    "ga_patch_replay_16x16": _wl_ga_patch_replay,
     "gmr_lookup_hot": _wl_gmr_lookup,
 }
 

@@ -259,7 +259,8 @@ BENCHES: "dict[str, Bench]" = {
         Bench(
             name="hotpath",
             help="vectorized-datapath microbenches (pack/unpack, strided "
-            "translation, accumulate, conflict check, GMR lookup); 'baseline' is the "
+            "translation, accumulate, conflict check and footprint, GA owner-plan "
+            "replay, GMR lookup); 'baseline' is the "
             "retained pre-vectorization reference implementation measured "
             "by the same suite in the same process",
             measure=hotpath.measure,

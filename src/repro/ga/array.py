@@ -19,8 +19,9 @@ the NWChem proxy runs the same science on both stacks.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +52,24 @@ class GaCheckpoint:
     chunk: "tuple | None" = None
 
 
+#: bound on a :class:`GlobalArray`'s table of owner plans (entries; the
+#: table is emptied when it fills — a plan is cheap to rebuild)
+OWNER_PLAN_MAX = 1024
+
+
+def patch_bounds(name: str, which: str, values) -> "tuple[int, ...]":
+    """The ``lo`` or ``hi`` of a patch as a tuple of ints.  Only integers
+    are indices (``operator.index``: numpy integers pass, floats and
+    strings do not — ``int()`` would silently truncate ``0.9`` to 0)."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        bad = next(x for x in values if not hasattr(x, "__index__"))
+        raise ArgumentError(
+            f"{name}: patch bound {which}={bad!r} is not an integer"
+        ) from None
+
+
 class GlobalArray:
     """A distributed shared n-D array in the Global Arrays model."""
 
@@ -63,6 +82,8 @@ class GlobalArray:
         self.name = name
         self.chunk = None if chunk is None else tuple(int(c) for c in chunk)
         self._access_view: "np.ndarray | None" = None
+        #: owner plans of the patch classes seen so far (see _owner_pieces)
+        self._plans: dict[tuple, tuple] = {}
         #: per rank, the C-order byte strides of its local block
         self._block_strides = []
         for rank in range(dist.nproc):
@@ -123,7 +144,7 @@ class GlobalArray:
 
     # -- patch addressing --------------------------------------------------------------
     def _patch(self, lo, hi) -> Patch:
-        patch = Patch(tuple(int(x) for x in lo), tuple(int(x) for x in hi))
+        patch = Patch(patch_bounds(self.name, "lo", lo), patch_bounds(self.name, "hi", hi))
         if len(patch.lo) != self.ndim:
             raise ArgumentError(
                 f"{self.name}: patch rank {len(patch.lo)} != array rank {self.ndim}"
@@ -138,17 +159,64 @@ class GlobalArray:
         the piece's first element, at its own ``buf_strides`` — so the
         transfer moves between that buffer and the window with no copy in
         between.
+
+        Everything but the remote address depends only on the patch's
+        *class* — the buffer strides and, per dimension, which blocks the
+        patch meets, its extent and where the block edges cut it — so it is
+        derived once per class (:meth:`_compile_plan`) and replayed: a patch
+        of a known class costs a ``bisect`` pair per dimension and, per
+        owner, ``base + sum(block stride * lo)``.
         """
-        loc_strides = list(reversed(buf_strides[:-1]))
+        lo = patch.lo
+        key = list(buf_strides)
+        for edges, l, h in zip(self.dist._edges, lo, patch.hi):
+            # blocks [first, last) meet [l, h); first == -1 or last past the
+            # grid exactly when the patch leaves the array (never compiled)
+            first, last = bisect_right(edges, l) - 1, bisect_left(edges, h)
+            key += (first, last, h - l)
+            if last - first > 1:
+                key += [cut - l for cut in edges[first + 1 : last]]
+        key = tuple(key)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._compile_plan(patch, buf_strides)
+            if len(self._plans) >= OWNER_PLAN_MAX:
+                self._plans.clear()
+            self._plans[key] = plan
+        for at, loc_strides, rem_strides, count, rank, addr, terms in plan:
+            for d, stride in terms:
+                addr += stride * lo[d]
+            yield flat[at:], loc_strides, GlobalPtr(rank, addr), rem_strides, count
+
+    def _compile_plan(self, patch: Patch, buf_strides: list) -> tuple:
+        """The owner plan of ``patch``'s class, from ``dist.locate(patch)`` —
+        the one owner decomposition.  Per owner: the constant ``put_s``
+        arguments ``(offset of the piece in the user's flat bytes, local
+        strides, remote strides, count)``, the owner's rank, and its remote
+        address as ``const + sum(stride * lo[d])`` over the dimensions ``d``
+        in which the piece starts where the patch does (elsewhere it starts
+        at its block's edge, offset 0)."""
+        loc_strides = tuple(reversed(buf_strides[:-1]))
         item = self.dtype.itemsize
+        plan = []
         for piece in self.dist.locate(patch):
-            strides = self._block_strides[piece.rank]
-            ptr = self.ptrs[piece.rank] + sum(map(mul, piece.local_patch.lo, strides))
-            at = sum(map(mul, piece.request_patch.lo, buf_strides))
+            base, strides = self.ptrs[piece.rank], self._block_strides[piece.rank]
+            addr = base.addr + sum(map(mul, piece.local_patch.lo, strides))
+            terms = tuple(
+                (d, stride) for d, stride in enumerate(strides) if not piece.request_patch.lo[d]
+            )
             shape = piece.global_patch.shape
-            # ARMCI vectors run innermost-first; count[0] is in bytes
-            count = [shape[-1] * item] + list(reversed(shape[:-1]))
-            yield flat[at:], loc_strides, ptr, list(reversed(strides[:-1])), count
+            plan.append((
+                sum(map(mul, piece.request_patch.lo, buf_strides)),
+                loc_strides,
+                tuple(reversed(strides[:-1])),
+                # ARMCI vectors run innermost-first; count[0] is in bytes
+                (shape[-1] * item, *reversed(shape[:-1])),
+                base.rank,
+                addr - sum(stride * patch.lo[d] for d, stride in terms),
+                terms,
+            ))
+        return tuple(plan)
 
     # -- one-sided data access (GA_Put / GA_Get / GA_Acc) ------------------------------
     def put(self, lo: Sequence[int], hi: Sequence[int], data: np.ndarray) -> None:

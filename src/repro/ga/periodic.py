@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..mpi.errors import ArgumentError
-from .array import GlobalArray
+from .array import GlobalArray, patch_bounds
 
 
 def _axis_pieces(
@@ -55,12 +55,11 @@ def patch_pieces(shape: Sequence[int], lo: Sequence[int], hi: Sequence[int], wra
             yield sl, glob_lo, tuple(g + n for g, n in zip(glob_lo, lengths))
 
 
-def _pieces(ga: GlobalArray, lo: Sequence[int], hi: Sequence[int]):
-    """:func:`patch_pieces` of a periodic request, validated: the patch
-    must have the array's rank and at most one full wrap per dimension
-    (as in GA), so its pieces are disjoint."""
-    lo = [int(x) for x in lo]
-    hi = [int(x) for x in hi]
+def _request(ga: GlobalArray, lo: Sequence[int], hi: Sequence[int]):
+    """A periodic request, validated: ``(shape, its patch_pieces)``.  The
+    bounds must be integers, the patch must have the array's rank and at
+    most one full wrap per dimension (as in GA), so its pieces are disjoint."""
+    lo, hi = patch_bounds(ga.name, "lo", lo), patch_bounds(ga.name, "hi", hi)
     if len(lo) != ga.ndim or len(hi) != ga.ndim:
         raise ArgumentError(f"{ga.name}: periodic patch rank mismatch")
     for l, h, extent in zip(lo, hi, ga.shape):
@@ -68,17 +67,17 @@ def _pieces(ga: GlobalArray, lo: Sequence[int], hi: Sequence[int]):
             raise ArgumentError(
                 f"periodic patch of {h - l} exceeds the array extent {extent}"
             )
-    return patch_pieces(ga.shape, lo, hi)
+    return tuple(h - l for l, h in zip(lo, hi)), patch_pieces(ga.shape, lo, hi)
 
 
 def periodic_get(ga: GlobalArray, lo, hi, out: "np.ndarray | None" = None) -> np.ndarray:
     """NGA_Periodic_get: fetch a patch with wrap-around indexing."""
-    shape = tuple(h - l for l, h in zip(lo, hi))
+    shape, pieces = _request(ga, lo, hi)
     if out is None:
         out = np.empty(shape, dtype=ga.dtype)
     elif tuple(out.shape) != shape:
         raise ArgumentError(f"{ga.name}: out shape {out.shape} != {shape}")
-    for sl, glob_lo, glob_hi in _pieces(ga, lo, hi):
+    for sl, glob_lo, glob_hi in pieces:
         ga.get(glob_lo, glob_hi, out=out[sl])
     return out
 
@@ -86,10 +85,10 @@ def periodic_get(ga: GlobalArray, lo, hi, out: "np.ndarray | None" = None) -> np
 def periodic_put(ga: GlobalArray, lo, hi, data: np.ndarray) -> None:
     """NGA_Periodic_put: store a patch with wrap-around indexing."""
     data = np.asarray(data)
-    shape = tuple(h - l for l, h in zip(lo, hi))
+    shape, pieces = _request(ga, lo, hi)
     if tuple(data.shape) != shape:
         raise ArgumentError(f"{ga.name}: data shape {data.shape} != {shape}")
-    for sl, glob_lo, glob_hi in _pieces(ga, lo, hi):
+    for sl, glob_lo, glob_hi in pieces:
         ga.put(glob_lo, glob_hi, data[sl])
 
 
@@ -103,8 +102,8 @@ def periodic_acc(
     atomically exactly like the non-periodic operation.
     """
     data = np.asarray(data)
-    shape = tuple(h - l for l, h in zip(lo, hi))
+    shape, pieces = _request(ga, lo, hi)
     if tuple(data.shape) != shape:
         raise ArgumentError(f"{ga.name}: data shape {data.shape} != {shape}")
-    for sl, glob_lo, glob_hi in _pieces(ga, lo, hi):
+    for sl, glob_lo, glob_hi in pieces:
         ga.acc(glob_lo, glob_hi, data[sl], alpha=alpha)

@@ -82,7 +82,6 @@ import threading
 import time
 import traceback
 import zlib
-from contextlib import contextmanager
 from multiprocessing import get_context, resource_tracker, shared_memory
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -1271,6 +1270,22 @@ class _ProcCollEngine:
 # windows
 # ---------------------------------------------------------------------------
 
+class _AtomicSection:
+    """The context manager behind :meth:`ProcWin._atomic_section` (a class:
+    every accumulate and atomic opens one, a generator costs twice as much)."""
+
+    __slots__ = ("win", "target_rank", "held")
+
+    def __init__(self, win: "ProcWin", target_rank: int):
+        self.win, self.target_rank = win, target_rank
+
+    def __enter__(self) -> None:
+        self.held = self.win._acquire_flock(self.target_rank, "atomic", True)
+
+    def __exit__(self, *exc) -> None:
+        self.win._lock_files.release(*self.held)
+
+
 class ProcWin(Win):
     """A window whose memory is shared-memory segments, locks are flocks.
 
@@ -1361,13 +1376,9 @@ class ProcWin(Win):
             self._lock_files.release(key, fd)
             raise
 
-    @contextmanager
-    def _atomic_section(self, target_rank: int):
-        held = self._acquire_flock(target_rank, "atomic", True)
-        try:
-            yield
-        finally:
-            self._lock_files.release(*held)
+    def _atomic_section(self, target_rank: int) -> "_AtomicSection":
+        """``with`` block holding ``target_rank``'s atomic sublock."""
+        return _AtomicSection(self, target_rank)
 
     # -- passive-target sync -------------------------------------------------
     def lock(self, target_rank: int, mode: str = LOCK_EXCLUSIVE) -> None:

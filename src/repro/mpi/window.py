@@ -111,10 +111,13 @@ class _IntervalSet:
     a naive check-against-every-previous-op scan would (the regime the
     batched IOV method hits with thousands of segments per epoch).
 
-    Single-interval additions and queries — the contiguous put/get/acc
-    mix that dominates Fig. 3 and the CCSD workload — take scalar fast
-    paths: a bounding-box reject plus unsorted vectorised compares, no
-    argsort or concatenation.
+    Additions and queries are *footprints*: the target
+    :class:`~repro.mpi.datatypes.SegmentMap` of the access itself.  Both
+    answer from its memoised ``bounds()`` — disjoint bounding boxes cannot
+    overlap, which is exact — so the closed-form map of a strided op is
+    never materialised into ``offsets``/``lengths`` unless two boxes meet
+    or the set compacts.  A single-interval query that does meet a box
+    takes unsorted vectorised compares, no argsort or concatenation.
     """
 
     __slots__ = ("_cov_off", "_cov_len", "_pending", "count", "_lo", "_hi")
@@ -123,31 +126,26 @@ class _IntervalSet:
 
     def __init__(self) -> None:
         self._cov_off = self._cov_len = _NO_COVERAGE
-        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+        self._pending: list[dt.SegmentMap] = []
         self.count = 0
         #: bounding box over everything ever added (cheap O(1) reject)
         self._lo = _I64_MAX
         self._hi = _I64_MIN
 
-    def add(self, offsets: np.ndarray, lengths: np.ndarray) -> None:
-        if len(offsets) == 0:
+    def add(self, fp: dt.SegmentMap) -> None:
+        if fp.nsegments == 0:
             return
-        if len(offsets) == 1:
-            off = int(offsets[0])
-            end = off + int(lengths[0])
-        else:
-            off = int(offsets.min())
-            end = int((offsets + lengths).max())
-        self._lo = min(self._lo, off)
-        self._hi = max(self._hi, end)
-        self._pending.append((offsets, lengths))
+        lo, hi = fp.bounds()
+        self._lo = min(self._lo, lo)
+        self._hi = max(self._hi, hi)
+        self._pending.append(fp)
         self.count += 1
         if len(self._pending) >= self._COMPACT_AT:
             self._compact()
 
     def _compact(self) -> None:
-        offs = np.concatenate([self._cov_off] + [p[0] for p in self._pending])
-        lens = np.concatenate([self._cov_len] + [p[1] for p in self._pending])
+        offs = np.concatenate([self._cov_off] + [p.offsets for p in self._pending])
+        lens = np.concatenate([self._cov_len] + [p.lengths for p in self._pending])
         order = np.argsort(offs, kind="stable")
         offs, lens = offs[order], lens[order]
         # merge into disjoint coverage
@@ -170,35 +168,31 @@ class _IntervalSet:
         self._cov_off, self._cov_len = o, l
         self._pending.clear()
 
-    def overlaps(self, offsets: np.ndarray, lengths: np.ndarray) -> bool:
-        if self.count == 0 or len(offsets) == 0:
+    def overlaps(self, fp: dt.SegmentMap) -> bool:
+        if self.count == 0 or fp.nsegments == 0:
             return False
-        # bounding-box reject: O(1) for the single-interval query
-        if len(offsets) == 1:
-            q_lo = int(offsets[0])
-            q_hi = q_lo + int(lengths[0])
-        else:
-            q_lo = int(offsets.min())
-            q_hi = int((offsets + lengths).max())
+        # disjoint bounding boxes cannot overlap: O(1), nothing materialised
+        q_lo, q_hi = fp.bounds()
         if q_lo >= self._hi or q_hi <= self._lo:
             return False
-        if len(offsets) == 1:
-            # scalar query: unsorted vectorised compare, no argsort needed
-            if len(self._cov_off) and bool(
-                np.any((self._cov_off < q_hi) & (self._cov_off + self._cov_len > q_lo))
-            ):
-                return True
-            for p_off, p_len in self._pending:
-                if bool(np.any((p_off < q_hi) & (p_off + p_len > q_lo))):
-                    return True
-            return False
-        if _segments_overlap(offsets, lengths, self._cov_off, self._cov_len):
+        single = fp.nsegments == 1
+
+        def meets(off: np.ndarray, length: np.ndarray, is_sorted: bool) -> bool:
+            if single:  # scalar query: unsorted vectorised compare, no argsort
+                return bool(np.any((off < q_hi) & (off + length > q_lo)))
+            if not is_sorted:
+                order = np.argsort(off, kind="stable")
+                off, length = off[order], length[order]
+            return _segments_overlap(fp.offsets, fp.lengths, off, length)
+
+        if len(self._cov_off) and meets(self._cov_off, self._cov_len, True):
             return True
-        for p_off, p_len in self._pending:
-            if len(p_off) > 1:
-                order = np.argsort(p_off, kind="stable")
-                p_off, p_len = p_off[order], p_len[order]
-            if _segments_overlap(offsets, lengths, p_off, p_len):
+        for p in self._pending:
+            p_lo, p_hi = p.bounds()
+            # only where the boxes meet are the segments themselves compared
+            if q_lo < p_hi and q_hi > p_lo and meets(
+                p.offsets, p.lengths, p.nsegments == 1 or p._arith_params() is not None
+            ):
                 return True
         return False
 
@@ -246,30 +240,33 @@ class _Epoch:
         if self.accs:
             self.accs = {}
 
-    def conflict_class(self, kind: str, opname: "str | None", offs, lens) -> "str | None":
-        """Name of the first access class conflicting with the new op."""
-        if kind != "get" and self.gets.overlaps(offs, lens):
+    def conflict_class(
+        self, kind: str, opname: "str | None", fp: dt.SegmentMap
+    ) -> "str | None":
+        """Name of the first access class conflicting with the new op,
+        whose target footprint is ``fp``."""
+        if kind != "get" and self.gets.overlaps(fp):
             return "get"
-        if self.puts.overlaps(offs, lens):
+        if self.puts.overlaps(fp):
             return "put"
         for name, cover in self.accs.items():
             if kind == "acc" and name == opname:
                 continue  # same-op accumulates may overlap (MPI-2 §11.7.1)
-            if cover.overlaps(offs, lens):
+            if cover.overlaps(fp):
                 return f"acc({name})"
         return None
 
-    def record(self, kind: str, opname: "str | None", offs, lens) -> None:
+    def record(self, kind: str, opname: "str | None", fp: dt.SegmentMap) -> None:
         if kind == "put":
-            self.puts.add(offs, lens)
+            self.puts.add(fp)
         elif kind == "get":
-            self.gets.add(offs, lens)
+            self.gets.add(fp)
         else:
             name = opname or ""
             cover = self.accs.get(name)
             if cover is None:
                 cover = self.accs[name] = _IntervalSet()
-            cover.add(offs, lens)
+            cover.add(fp)
 
 
 class _LockState:
@@ -307,6 +304,8 @@ class Win:
         #: per-window-rank byte views of the exposed memory
         self._buffers = buffers
         self._disp_units = disp_units
+        #: window rank -> world rank, tabulated once (several lookups per op)
+        self._world_of = comm.group.members
         self.strict = strict
         self.mpi3 = mpi3
         self._locks = [_LockState() for _ in range(comm.size)]
@@ -389,7 +388,9 @@ class Win:
             ls.queue[:] = [(o, m) for (o, m) in ls.queue if o != world_rank]
 
     def _target_world(self, target_rank: int) -> int:
-        return self.comm.group.world_rank(target_rank)
+        if 0 <= target_rank < len(self._world_of):
+            return self._world_of[target_rank]
+        return self.comm.group.world_rank(target_rank)  # its RankError
 
     def _fault_filter(self, kind: str, data: np.ndarray) -> "np.ndarray | None":
         """Consult the fault injector about one RMA payload.
@@ -1166,17 +1167,27 @@ class Win:
             return
         buf = self._buffers[target_rank]
         itemsize = base.itemsize
-        if itemsize > 1 and (
-            np.any(segmap.offsets % itemsize) or np.any(segmap.lengths % itemsize)
-        ):
-            lo, hi = next(
-                iv for iv in segmap.intervals() if iv[0] % itemsize or iv[1] % itemsize
-            )
-            raise ArgumentError(
-                f"accumulate segment [{lo},{hi}) not aligned to {base} elements"
-            )
-        src = data.view(base)
         arith = segmap._arith_params()
+        if itemsize > 1:
+            if arith is not None:
+                # every row of a progression is aligned iff the first one,
+                # the row length and (past one row) the step are
+                start, step, seg_len, n = arith
+                misaligned = (
+                    start % itemsize or seg_len % itemsize or (n > 1 and step % itemsize)
+                )
+            else:
+                misaligned = np.any(segmap.offsets % itemsize) or np.any(
+                    segmap.lengths % itemsize
+                )
+            if misaligned:
+                lo, hi = next(
+                    iv for iv in segmap.intervals() if iv[0] % itemsize or iv[1] % itemsize
+                )
+                raise ArgumentError(
+                    f"accumulate segment [{lo},{hi}) not aligned to {base} elements"
+                )
+        src = data.view(base)
         if arith is not None and arith[1] >= arith[2]:
             tview = segmap._strided_view(buf, base)
             op.apply(tview, src.reshape(tview.shape))
@@ -1208,13 +1219,6 @@ class Win:
         """Apply the conflict-class rules to one put/get/acc, then record it."""
         if not self._checked():
             return
-        if segmap.nsegments <= 1 or segmap._arith_params() is not None:
-            # contiguous or an ascending progression: nothing to sort
-            offs, lens = segmap.offsets, segmap.lengths
-        else:
-            order = np.argsort(segmap.offsets, kind="stable")
-            offs = segmap.offsets[order]
-            lens = segmap.lengths[order]
         if segmap.overlaps_self() and kind != "acc":
             msg = f"{kind} with self-overlapping target segments within one operation"
             self._violate(
@@ -1224,24 +1228,26 @@ class Win:
         san = self.runtime.sanitizer
         if san is not None:
             san.on_op(self, epoch.origin, kind, origin_buf, epoch.mode, epoch.target)
-        self._check_conflicts(epoch, kind, opname, offs, lens)
-        epoch.record(kind, opname, offs, lens)
+        # the footprint is the target map itself (see _IntervalSet)
+        self._check_conflicts(epoch, kind, opname, segmap)
+        epoch.record(kind, opname, segmap)
 
     def _check_conflicts(
-        self, epoch: _Epoch, kind: str, opname: "str | None", offs, lens
+        self, epoch: _Epoch, kind: str, opname: "str | None", fp: dt.SegmentMap
     ) -> None:
-        """Fail on the first earlier access the new one conflicts with.
+        """Fail on the first earlier access the new one (target footprint
+        ``fp``) conflicts with.
 
         Searched in the origin's own epoch, then in the concurrently open
         epochs of other origins on the same target (possible only under
         shared locks and fence epochs).
         """
         other = epoch
-        hit = epoch.conflict_class(kind, opname, offs, lens)
+        hit = epoch.conflict_class(kind, opname, fp)
         if hit is None:
             for (o, t), other in self._epochs.items():
                 if t == epoch.target and o != epoch.origin:
-                    hit = other.conflict_class(kind, opname, offs, lens)
+                    hit = other.conflict_class(kind, opname, fp)
                     if hit is not None:
                         break
             else:
@@ -1262,11 +1268,12 @@ class Win:
             who = f"in a concurrent epoch of origin {other.origin}"
         # the window has no rule of its own about atomics' footprints
         enforced = self.strict and opname != _RMW and hit != f"acc({_RMW})"
+        lo, hi = fp.bounds()
         self._violate(
             RMAConflictError(plain) if enforced else None,
             "acc-interleave" if kind == "acc" and hit.startswith("acc") else "conflict",
             desc, epoch.target, f"{desc} overlaps an earlier {hit} access {who}",
-            ((int(offs[0]), int((offs + lens).max())),),
+            ((int(lo), int(hi)),),
         )
 
     def _atomic_view(
@@ -1289,10 +1296,9 @@ class Win:
                 f"atomic access [{disp},{end})", _RMW, disp, end, target_rank
             )
         if self.runtime.sanitizer is not None and self._checked():
-            offs = np.array([disp], dtype=np.int64)
-            lens = np.array([datatype.size], dtype=np.int64)
-            self._check_conflicts(epoch, "acc", _RMW, offs, lens)
-            epoch.record("acc", _RMW, offs, lens)
+            fp = dt.SegmentMap.arithmetic(disp, datatype.size, datatype.size, 1)
+            self._check_conflicts(epoch, "acc", _RMW, fp)
+            epoch.record("acc", _RMW, fp)
         return buf[disp:end].view(datatype.base)
 
     def _audit_requests(self, epoch: _Epoch) -> None:

@@ -223,3 +223,97 @@ def test_access_mode_gate_is_the_same_for_every_op_family(mode, kind, form, data
     np.testing.assert_array_equal(seen["buf"], fetched)
     added = 2.0 if allowed and kind == "acc" else 0.0
     np.testing.assert_array_equal(seen["slab"], np.arange(4.0) + added)
+
+
+# ---------------------------------------------------------------------------
+# a warm GA patch class / compiled strided op still passes the gate per op
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("datapath", ["mpi2", "mpi3"])
+def test_the_gate_holds_for_a_warm_patch_class(datapath):
+    """Owner plans and compiled strided ops hold no GMR state: a mode set
+    *after* a class is warm is enforced on its very next op — one
+    ``access-mode`` violation per refused op, no byte moved, gets served."""
+    from repro.ga import GlobalArray
+
+    seen = {}
+
+    def main(comm):
+        a = Armci.init(comm, datapath=datapath)
+        ga = GlobalArray.create(a, (8, 8), "f8")
+        ref = np.arange(64.0).reshape(8, 8)
+        buf = np.full((2, 4), -1.0)
+        if a.my_id == 0:
+            ga.put((0, 0), (8, 8), ref)
+            for _ in range(2):  # warm: put, acc and get of the remote class
+                ga.put((5, 2), (7, 6), ref[5:7, 2:6])
+                ga.acc((5, 2), (7, 6), np.zeros((2, 4)))
+                ga.get((5, 2), (7, 6), out=buf)
+        a.barrier()
+        a.set_access_mode(ga.ptrs[1], AccessMode.READ_ONLY)
+        if a.my_id == 0:
+            with pytest.raises(ArgumentError, match="violates access mode read_only"):
+                ga.put((5, 2), (7, 6), np.ones((2, 4)))
+            with pytest.raises(ArgumentError, match="violates access mode read_only"):
+                ga.acc((5, 2), (7, 6), np.ones((2, 4)))
+            buf[...] = -1.0
+            ga.get((5, 2), (7, 6), out=buf)
+            seen["got"] = buf.copy()
+        a.barrier()
+        a.set_access_mode(ga.ptrs[1], AccessMode.DEFAULT)
+        seen[a.my_id] = ga.get((0, 0), (8, 8))
+        a.barrier()
+        ga.destroy()
+
+    rt = Runtime(2, watchdog_s=0.4)
+    san = rt.sanitizer = RmaSanitizer(mode="record")
+    rt.spmd(main)
+    assert [v.kind.value for v in san.violations] == ["access-mode"] * 2
+    ref = np.arange(64.0).reshape(8, 8)
+    np.testing.assert_array_equal(seen["got"], ref[5:7, 2:6])
+    np.testing.assert_array_equal(seen[0], ref)
+    np.testing.assert_array_equal(seen[1], ref)
+
+
+def test_the_iov_strided_method_still_takes_a_warm_class(monkeypatch):
+    """``strided_method="iov"`` compiles a descriptor too (validation and
+    sizes) but builds no datatype for it, and every op — first or repeated —
+    goes through ``_iov_op``."""
+    from repro.armci import strided
+    from repro.ga import GlobalArray
+
+    routed, built = [], []
+    real_iov, real_build = Armci._iov_op, strided.strided_datatype_uncached
+
+    def counting_iov(self, kind, *args, **kw):
+        routed.append(kind)
+        return real_iov(self, kind, *args, **kw)
+
+    def counting_build(*args, **kw):
+        built.append(args)
+        return real_build(*args, **kw)
+
+    def main(comm):
+        a = Armci.init(comm, ArmciConfig(strided_method="iov"))
+        ga = GlobalArray.create(a, (8, 8), "f8")
+        ref = np.arange(64.0).reshape(8, 8)
+        if a.my_id == 0:
+            ga.put((0, 0), (8, 8), ref)
+            routed.clear()
+            for _ in range(3):
+                ga.put((5, 2), (7, 6), ref[5:7, 2:6])
+                ga.acc((5, 2), (7, 6), np.zeros((2, 4)))
+                np.testing.assert_array_equal(ga.get((5, 2), (7, 6)), ref[5:7, 2:6])
+            assert routed == ["put", "acc", "get"] * 3
+        a.barrier()
+        ga.destroy()
+
+    strided.strided_datatype_cache_clear()
+    monkeypatch.setattr(Armci, "_iov_op", counting_iov)
+    monkeypatch.setattr(strided, "strided_datatype_uncached", counting_build)
+    try:
+        spmd(2, main)
+    finally:
+        strided.strided_datatype_cache_clear()
+    assert built == []

@@ -444,3 +444,113 @@ def test_zero_segment_strided_is_noop():
         a.free(ptrs[a.my_id])
 
     spmd(2, main)
+
+
+# ---------------------------------------------------------------------------
+# compiled strided ops: one derivation per descriptor, over the same LRU
+# ---------------------------------------------------------------------------
+
+from repro.armci.strided import compiled_strided_op  # noqa: E402
+
+
+def test_compiled_op_is_the_sizes_and_both_datatypes():
+    strided_datatype_cache_clear()
+    try:
+        total, span, origin_t, target_t = compiled_strided_op((32,), (64,), (16, 4))
+        assert (total, span) == (64, 3 * 32 + 16)
+        # the one-sided public form answers from the same memo, same objects
+        assert origin_t is strided_datatype((32,), (16, 4))
+        assert target_t is strided_datatype((64,), (16, 4))
+        assert compiled_strided_op((32,), (64,), (16, 4)) == (total, span, origin_t, target_t)
+        # an accumulate's target is typed; its origin stays bytes
+        acc = compiled_strided_op((32,), (64,), (16, 4), np.dtype("f8"))
+        assert acc[2] is origin_t and acc[3] is strided_datatype((64,), (16, 4), dt.DOUBLE)
+        # the IOV method asks for no datatypes, and gets none built
+        before = strided_datatype_cache_len()
+        assert compiled_strided_op((48,), (80,), (16, 4), None, False) == (64, 160, None, None)
+        assert strided_datatype_cache_len() == before + 1
+        # nothing to move: sizes only, whatever the method
+        assert compiled_strided_op((32,), (64,), (0, 4)) == (0, 96, None, None)
+        assert compiled_strided_op((32,), (64,), (16, 0)) == (0, 16, None, None)
+    finally:
+        strided_datatype_cache_clear()
+
+
+def test_compiled_op_hit_recommits_a_freed_datatype():
+    strided_datatype_cache_clear()
+    try:
+        _, _, origin_t, target_t = compiled_strided_op((32,), (64,), (16, 4))
+        target_t.free()  # a rogue caller frees the shared entry
+        again = compiled_strided_op((32,), (64,), (16, 4))
+        assert again[3] is target_t and target_t.committed and origin_t.committed
+        assert target_t.segment_map().nsegments == 4
+    finally:
+        strided_datatype_cache_clear()
+
+
+_BAD_DESCRIPTORS = [
+    # (local strides, remote strides, count), what StridedSpec says
+    (([-16], [16], [8, 2]), "negative strides"),
+    (([16], [16], [32, 2]), "exceeds innermost stride"),
+    (([16, 64], [16], [8, 2]), "stride arrays must have length 1"),
+    (([16], [16], [8, -2]), "negative count"),
+]
+
+
+@pytest.mark.parametrize("descriptor, message", _BAD_DESCRIPTORS)
+def test_an_invalid_descriptor_raises_every_time(descriptor, message):
+    """Validation moved to compile time must not turn into a cached success
+    (the second use slipping through) nor into a cached exception object
+    (one traceback growing with every raise)."""
+    local_strides, remote_strides, count = descriptor
+
+    def main(comm):
+        a = Armci.init(comm)
+        ptrs = a.malloc(256)
+        buf = np.zeros(32)
+        raised = []
+        for _ in range(3):
+            for op in (
+                lambda: a.put_s(buf, local_strides, ptrs[1], remote_strides, count),
+                lambda: a.get_s(ptrs[1], remote_strides, buf, local_strides, count),
+                lambda: a.acc_s(buf, local_strides, ptrs[1], remote_strides, count),
+            ):
+                with pytest.raises(ArgumentError, match=message) as ei:
+                    op()
+                raised.append(ei.value)
+        assert len({id(e) for e in raised}) == len(raised)
+        a.barrier()
+        out = np.ones(32)
+        a.get(ptrs[1], out)
+        assert not out.any()  # and nothing was ever written
+        a.barrier()
+        a.free(ptrs[a.my_id])
+
+    strided_datatype_cache_clear()
+    try:
+        spmd(2, main)
+        assert strided_datatype_cache_len() == 0  # nothing memoised for it
+    finally:
+        strided_datatype_cache_clear()
+
+
+def test_a_misaligned_accumulate_layout_raises_every_time():
+    """The typed target layout is built at compile time: its refusal, too,
+    is raised afresh on every use and leaves no compiled entry behind."""
+
+    def main(comm):
+        a = Armci.init(comm)
+        ptrs = a.malloc(256)
+        for _ in range(3):
+            with pytest.raises(ArgumentError, match="not aligned to MPI_DOUBLE elements"):
+                a.acc_s(np.zeros(8), [16], ptrs[1], [20], [12, 2])
+        # the same rows as bytes are fine, before and after
+        a.put_s(np.zeros(8), [16], ptrs[1], [20], [12, 2])
+        a.barrier()
+        a.free(ptrs[a.my_id])
+
+    strided_datatype_cache_clear()
+    try:
+        spmd(2, main)
+    finally:
+        strided_datatype_cache_clear()

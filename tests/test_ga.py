@@ -598,3 +598,302 @@ def test_wrapped_periodic_get_fills_out_in_place(request):
         ga.destroy()
 
     spmd(2, main)
+
+
+# ---------------------------------------------------------------------------
+# patch bounds are integers
+# ---------------------------------------------------------------------------
+
+
+def test_non_integer_patch_bounds_raise(flavor):
+    """``int(0.9)`` is 0: a float bound used to be truncated silently (and
+    would now key an owner plan).  Only integers — numpy's included — are
+    patch bounds, for the plain and the periodic operations alike."""
+    from repro.ga import periodic_acc, periodic_get, periodic_put
+
+    def main(comm):
+        rt = _rt(comm, flavor)
+        ga = GlobalArray.create(rt, (8, 8), "f8", name="A")
+        ref = np.arange(64.0).reshape(8, 8)
+        if rt.my_id == 0:
+            ga.put((0, 0), (8, 8), ref)
+        ga.sync()
+        data = np.ones((2, 2))
+        for lo, hi, bad in [
+            ((0.9, 0.9), (2.9, 2.9), "lo=0.9"),
+            ((0, 0), (2, 2.0), "hi=2.0"),
+            ((0, "1"), (2, 3), "lo='1'"),
+            ((0, 0), (np.float64(2), 2), "hi="),
+        ]:
+            for op in (
+                lambda: ga.get(lo, hi),
+                lambda: ga.put(lo, hi, data),
+                lambda: ga.acc(lo, hi, data),
+                lambda: periodic_get(ga, lo, hi),
+                lambda: periodic_put(ga, lo, hi, data),
+                lambda: periodic_acc(ga, lo, hi, data),
+            ):
+                with pytest.raises(ArgumentError, match="A: patch bound " + bad):
+                    op()
+        ga.sync()
+        # nothing was written, and numpy integers are as good as Python's
+        lo, hi = np.array([1, 2]), (np.int64(3), np.int32(4))
+        np.testing.assert_array_equal(ga.get(lo, hi), ref[1:3, 2:4])
+        np.testing.assert_array_equal(periodic_get(ga, lo, hi), ref[1:3, 2:4])
+        np.testing.assert_array_equal(ga.get((0, 0), (8, 8)), ref)
+        ga.sync()
+        ga.destroy()
+
+    spmd(2, main)
+
+
+# ---------------------------------------------------------------------------
+# owner plans: a patch class is decomposed once and replayed with an offset
+# ---------------------------------------------------------------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.armci.gmr import GlobalPtr  # noqa: E402
+from repro.armci.strided import local_patch_view  # noqa: E402
+from repro.bench.hotpath import owner_pieces_uncompiled  # noqa: E402
+from repro.ga import BlockDistribution  # noqa: E402
+
+#: (shape, nproc, chunk): a 2x1 and a 2x2 owner grid, and a 3-D one
+PLAN_GRIDS = [((12, 10), 2, (1, 10)), ((12, 10), 4, None), ((5, 6, 7), 4, None)]
+
+#: how the user's buffer holds a patch of ``shape``
+BUFFER_LAYOUTS = {
+    "contiguous": lambda shape: np.zeros(shape),
+    "slice": lambda shape: np.zeros([n + 3 for n in shape])[tuple(slice(1, n + 1) for n in shape)],
+    "newaxis": lambda shape: (
+        np.zeros(shape[1:])[None, ...] if shape[0] == 1 else np.zeros(shape)
+    ),
+}
+
+
+def offline_ga(dist, shape) -> GlobalArray:
+    """A GlobalArray with made-up base pointers: enough to derive arguments."""
+    ptrs = [GlobalPtr(r, 0x1000 + 0x100000 * r) for r in range(dist.nproc)]
+    return GlobalArray(None, shape, "f8", ptrs, dist, "offline")
+
+
+@st.composite
+def patches(draw, shape):
+    """A patch of an array of ``shape``: any in-range ``lo <= hi`` — inside
+    one block or across several, touching the edges, size 1, empty."""
+    lo = [draw(st.integers(0, n)) for n in shape]
+    hi = [draw(st.integers(l, n)) for l, n in zip(lo, shape)]
+    return Patch(tuple(lo), tuple(hi))
+
+
+def same_pieces(ga, patch, layout) -> int:
+    """Hold ``ga._owner_pieces`` to the pieces derived from ``dist.locate``
+    for this very patch, twice (cold, then certainly warm); returns their
+    number."""
+    buf = BUFFER_LAYOUTS[layout](patch.shape)
+    flat, buf_strides = local_patch_view(buf)
+    expected = list(owner_pieces_uncompiled(ga, patch, flat, buf_strides))
+    for _ in range(2):
+        got = list(ga._owner_pieces(patch, flat, buf_strides))
+        assert len(got) == len(expected)
+        for (g_loc, *g_rest), (e_loc, *e_rest) in zip(got, expected):
+            assert g_rest == e_rest  # strides, remote pointer, count
+            assert g_loc.nbytes == e_loc.nbytes and np.shares_memory(g_loc, e_loc) == bool(
+                e_loc.nbytes
+            )
+            if e_loc.nbytes:  # the same first byte of the user's buffer
+                assert g_loc.ctypes.data == e_loc.ctypes.data
+    return len(expected)
+
+
+@pytest.mark.parametrize("shape, nproc, chunk", PLAN_GRIDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_replayed_pieces_equal_the_ones_locate_derives(shape, nproc, chunk, data):
+    ga = offline_ga(BlockDistribution(shape, nproc, chunk), shape)
+    for _ in range(4):  # several classes share one table, some recur
+        patch = data.draw(patches(shape))
+        same_pieces(ga, patch, data.draw(st.sampled_from(sorted(BUFFER_LAYOUTS))))
+    assert len(ga._plans) <= 4 * len(BUFFER_LAYOUTS)
+
+
+def test_one_plan_serves_every_patch_of_its_class():
+    """Translating a patch inside the same blocks keeps its class: the whole
+    stream below compiles three plans (inside, straddling 2, straddling 4)."""
+    shape = (12, 10)
+    dist = BlockDistribution(shape, 4)  # blocks of 6x5
+    ga = offline_ga(dist, shape)
+    inside = [Patch((r, c), (r + 2, c + 2)) for r in range(4) for c in range(3)]
+    rows = [Patch((5, c), (7, c + 2)) for c in range(3)]  # cut at row 6
+    four = [Patch((5, 4), (7, 6))]
+    located = []
+    real = dist.locate
+    dist.locate = lambda patch: (located.append(patch), real(patch))[1]
+    for patch in inside + rows + four + inside:
+        npieces = same_pieces(ga, patch, "contiguous")
+        assert npieces == (1 if patch in inside else 2 if patch in rows else 4)
+    assert len(ga._plans) == 3
+    # (the oracle calls locate once per same_pieces; the plan three times in all)
+    assert len(located) == len(inside + rows + four + inside) + 3
+    # out-of-range patches are never compiled: locate refuses them every time
+    for lo, hi in [((-1, 0), (2, 2)), ((0, 0), (13, 2)), ((12, 0), (13, 0)), ((0, 11), (0, 11))]:
+        for _ in range(2):
+            with pytest.raises(ArgumentError, match="outside array shape"):
+                list(ga._owner_pieces(Patch(lo, hi), np.zeros(0, np.uint8), [80, 8]))
+    assert len(ga._plans) == 3
+    # ... whereas an empty patch on the array's far edge is a class of its own
+    assert list(ga._owner_pieces(Patch((12, 10), (12, 10)), np.zeros(0, np.uint8), [8, 8])) == []
+
+
+@pytest.mark.parametrize("shape, nproc, chunk", PLAN_GRIDS)
+def test_cold_and_warm_patch_ops_match_numpy(flavor, shape, nproc, chunk):
+    """put/acc/get of random patches — each issued twice, so once through a
+    fresh plan and once through its replay — against a numpy replica."""
+
+    def main(comm):
+        rt = _rt(comm, flavor)
+        ga = GlobalArray.create(rt, shape, "f8", chunk=chunk)
+        zero(ga)
+        ref = np.zeros(shape)
+        rng = np.random.default_rng(11)
+        for step in range(24):
+            lo = [int(rng.integers(0, n + 1)) for n in shape]
+            hi = [int(rng.integers(l, n + 1)) for l, n in zip(lo, shape)]
+            sl = tuple(slice(l, h) for l, h in zip(lo, hi))
+            layout = sorted(BUFFER_LAYOUTS)[step % len(BUFFER_LAYOUTS)]
+            buf = BUFFER_LAYOUTS[layout](ref[sl].shape)
+            buf[...] = rng.integers(-9, 10, buf.shape)
+            for _ in range(2):
+                if rt.my_id == step % nproc:
+                    if step % 2:
+                        ga.put(lo, hi, buf)
+                    else:
+                        ga.acc(lo, hi, buf, alpha=2.0)
+                if step % 2:
+                    ref[sl] = buf
+                else:
+                    ref[sl] += 2.0 * buf
+                ga.sync()
+                out = BUFFER_LAYOUTS[layout](ref[sl].shape)
+                assert ga.get(lo, hi, out=out) is out
+                np.testing.assert_array_equal(out, ref[sl])
+                ga.sync()
+        np.testing.assert_array_equal(ga.get([0] * len(shape), shape), ref)
+        ga.sync()
+        ga.destroy()
+
+    spmd(nproc, main)
+
+
+def test_a_warm_stream_derives_nothing(monkeypatch):
+    """Once every patch class and strided descriptor of a stream has been
+    seen, an op runs no owner decomposition, no strided translation and no
+    descriptor validation — while every piece still goes through
+    ``put_s/get_s/acc_s`` (the layer traces, tracers and the other ARMCI
+    stacks hook) and through the per-op target resolution."""
+    from repro.armci import strided
+    from repro.armci.gmr import GmrTable
+
+    counts = dict.fromkeys(
+        ["locate", "strided_datatype", "StridedSpec", "put_s", "get_s", "acc_s", "require"], 0
+    )
+
+    def counting(holder, attr, name):
+        real = getattr(holder, attr)
+
+        def wrapper(*args, **kw):
+            counts[name] += 1
+            return real(*args, **kw)
+
+        monkeypatch.setattr(holder, attr, wrapper)
+
+    def stream(ga, buf):
+        """Local, remote and straddling patches; returns the piece count."""
+        pieces = 0
+        for r, c, n in [(1, 1, 1), (9, 2, 1), (6, 3, 2), (2, 5, 1), (10, 0, 1), (7, 4, 2)]:
+            ga.put((r, c), (r + 3, c + 4), buf)
+            ga.acc((r, c), (r + 3, c + 4), buf)
+            ga.get((r, c), (r + 3, c + 4), out=buf)
+            pieces += 3 * n
+        return pieces
+
+    def main(comm):
+        rt = Armci.init(comm, datapath="mpi3")
+        ga = GlobalArray.create(rt, (16, 10), "f8", chunk=(1, 10))  # 2 row blocks
+        zero(ga)
+        if rt.my_id == 0:
+            buf = np.ones((3, 4))
+            stream(ga, buf)  # cold
+            counting(BlockDistribution, "locate", "locate")
+            counting(strided, "strided_datatype", "strided_datatype")
+            counting(strided.StridedSpec, "__post_init__", "StridedSpec")
+            counting(GmrTable, "require", "require")
+            for name in ("put_s", "get_s", "acc_s"):
+                counting(Armci, name, name)
+            pieces = stream(ga, buf)  # warm
+            monkeypatch.undo()
+            assert pieces == 24
+            assert counts == {
+                "locate": 0, "strided_datatype": 0, "StridedSpec": 0,
+                "put_s": 8, "get_s": 8, "acc_s": 8, "require": 24,
+            }
+        ga.sync()
+        ga.destroy()
+
+    strided.strided_datatype_cache_clear()
+    try:
+        spmd(2, main)
+    finally:
+        strided.strided_datatype_cache_clear()
+
+
+def test_a_warm_patch_class_still_resolves_its_target_every_op():
+    """Plans hold numbers, not GMRs: after ``destroy`` an op of a known
+    class fails in ``GmrTable.require`` exactly as an unknown one does."""
+
+    def main(comm):
+        rt = Armci.init(comm)
+        ga = GlobalArray.create(rt, (8, 8), "f8")
+        zero(ga)
+        buf = np.ones((2, 2))
+        ga.put((5, 5), (7, 7), buf)  # rank 3's block: warm
+        ga.get((5, 5), (7, 7), out=buf)
+        ga.sync()
+        ga.destroy()
+        for op in (
+            lambda: ga.put((5, 5), (7, 7), buf),
+            lambda: ga.get((5, 5), (7, 7), out=buf),
+            lambda: ga.acc((5, 5), (7, 7), buf),
+            lambda: ga.get((1, 1), (3, 3)),  # a class never seen
+        ):
+            with pytest.raises(ArgumentError, match="does not fall in any registered GMR"):
+                op()
+        rt.finalize()
+
+    spmd(4, main)
+
+
+def test_a_traced_runtime_sees_every_warm_piece():
+    """GA calls ``runtime.put_s/get_s/acc_s`` once per owner piece whether
+    or not the class is warm, so a wrapping runtime misses nothing."""
+    from repro.armci import TracingArmci
+
+    def main(comm):
+        tr = TracingArmci(Armci.init(comm))
+        ga = GlobalArray.create(tr, (8, 8), "f8")
+        zero(ga)
+        ga.sync()
+        if tr.my_id == 0:
+            buf = np.ones((4, 4))
+            before = len(tr.events)
+            for _ in range(3):  # the 4-owner class: cold once, then warm
+                ga.put((2, 2), (6, 6), buf)
+                ga.acc((2, 2), (6, 6), buf)
+                ga.get((2, 2), (6, 6), out=buf)
+            ops = [e.op for e in tr.events[before:] if e.rank == 0]
+            assert ops == (["put_s"] * 4 + ["acc_s"] * 4 + ["get_s"] * 4) * 3
+        ga.sync()
+        ga.destroy()
+
+    spmd(4, main)

@@ -186,3 +186,66 @@ def test_locate_matches_the_recursive_oracle(data):
         coords = dist.grid_coords(rank)
         assert dist.block(rank).empty if coords is None else (
             dist.owner(dist.block(rank).lo) == rank or dist.block(rank).empty)
+
+
+# ---------------------------------------------------------------------------
+# owner plans over explicit boundaries (see test_ga.py for the regular grids)
+# ---------------------------------------------------------------------------
+
+from test_ga import BUFFER_LAYOUTS, offline_ga, patches, same_pieces  # noqa: E402
+
+#: uneven 3x2 blocks: rows cut at 2 and 7, columns at 3
+IRREG_SHAPE, IRREG_MARKS = (9, 8), [[0, 2, 7], [0, 3]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_replayed_pieces_equal_the_ones_locate_derives_irregular(data):
+    """A plan's key is the block *indices* and cut positions, not block
+    sizes: uneven blocks (and the idle seventh rank) replay exactly."""
+    dist = IrregularDistribution(IRREG_SHAPE, 7, IRREG_MARKS)
+    ga = offline_ga(dist, IRREG_SHAPE)
+    for _ in range(4):
+        patch = data.draw(patches(IRREG_SHAPE))
+        same_pieces(ga, patch, data.draw(st.sampled_from(sorted(BUFFER_LAYOUTS))))
+
+
+def test_equal_shapes_in_unequal_blocks_are_distinct_classes():
+    """Two 2x2 patches, each inside one block, are *not* one class when
+    their blocks differ: the owner and its row pitch are part of the plan."""
+    dist = IrregularDistribution(IRREG_SHAPE, 6, IRREG_MARKS)
+    ga = offline_ga(dist, IRREG_SHAPE)
+    for lo in [(0, 0), (3, 0), (4, 1), (3, 4), (7, 5)]:
+        assert same_pieces(ga, Patch(lo, (lo[0] + 2, lo[1] + 2)), "contiguous") == 1
+    assert len(ga._plans) == 4  # (3,0) and (4,1) share block 2's plan
+
+
+@pytest.mark.parametrize("flavor", ["mpi", "native", "ds"])
+def test_irregular_cold_and_warm_patch_ops_match_numpy(flavor):
+    from repro.armci_ds import DataServerArmci
+
+    init = {"mpi": Armci.init, "native": NativeArmci.init, "ds": DataServerArmci.init}[flavor]
+
+    def main(comm):
+        rt = init(comm)
+        ga = create_irregular(rt, IRREG_SHAPE, IRREG_MARKS)
+        fill(ga, 0.0)
+        ref = np.zeros(IRREG_SHAPE)
+        rng = np.random.default_rng(3)
+        for step in range(20):
+            lo = [int(rng.integers(0, n + 1)) for n in IRREG_SHAPE]
+            hi = [int(rng.integers(l, n + 1)) for l, n in zip(lo, IRREG_SHAPE)]
+            sl = tuple(slice(l, h) for l, h in zip(lo, hi))
+            buf = rng.integers(-9, 10, ref[sl].shape).astype("f8")
+            for _ in range(2):  # through a fresh plan, then through its replay
+                if rt.my_id == step % rt.nproc:
+                    ga.acc(lo, hi, buf, alpha=-1.0) if step % 2 else ga.put(lo, hi, buf)
+                ref[sl] = ref[sl] - buf if step % 2 else buf
+                ga.sync()
+                np.testing.assert_array_equal(ga.get(lo, hi), ref[sl])
+                ga.sync()
+        np.testing.assert_array_equal(ga.get((0, 0), IRREG_SHAPE), ref)
+        ga.sync()
+        ga.destroy()
+
+    spmd(6, main)

@@ -279,7 +279,7 @@ def test_flush_rebuilds_only_the_interval_sets_that_recorded():
     (one per flush) replaces a set only if something was added to it."""
     from repro.mpi.window import _NO_COVERAGE, _Epoch, _IntervalSet
 
-    one = (np.array([8], dtype=np.int64), np.array([8], dtype=np.int64))
+    one = (dt.SegmentMap.arithmetic(8, 8, 8, 1),)  # the footprint argument
     fresh = _IntervalSet()
     assert fresh._cov_off is _NO_COVERAGE and fresh._cov_len is _NO_COVERAGE
     assert not _NO_COVERAGE.flags.writeable
@@ -329,3 +329,141 @@ def test_mutex_epoch_datatype_is_built_once_per_rank(monkeypatch):
     spmd(3, main)
     # one MutexSet per rank thread, one build each — not one per call
     assert sorted(built) == [(0, 1), (0, 2), (1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# owner plans / compiled strided ops: bounded, and right across an eviction
+# ---------------------------------------------------------------------------
+
+
+def test_plan_and_compiled_op_tables_stay_bounded_under_churn():
+    """5 000 random patch shapes: far more patch classes and strided
+    descriptors than either table holds.  Both stay at or under their bound
+    after every op, both evict, and the array still equals its replica."""
+    from repro.ga import GlobalArray
+    from repro.ga.array import OWNER_PLAN_MAX
+
+    seen = {}
+
+    def main(comm):
+        a = Armci.init(comm, datapath="mpi3")
+        ga = GlobalArray.create(a, (64, 48), "f8", chunk=(1, 48))  # two row blocks
+        a.barrier()
+        if a.my_id == 0:
+            ref = np.zeros((64, 48))
+            ga.put((0, 0), (64, 48), ref)
+            rng = np.random.default_rng(19)
+            plans_hi = plan_drops = 0
+            for i in range(5000):
+                r0, c0 = int(rng.integers(0, 64)), int(rng.integers(0, 48))
+                r1, c1 = int(rng.integers(r0, 65)), int(rng.integers(c0, 49))
+                data = rng.integers(-9, 10, (r1 - r0, c1 - c0)).astype("f8")
+                before = len(ga._plans)
+                ga.put((r0, c0), (r1, c1), data)
+                ref[r0:r1, c0:c1] = data
+                plan_drops += len(ga._plans) < before
+                plans_hi = max(plans_hi, len(ga._plans))
+                assert len(ga._plans) <= OWNER_PLAN_MAX
+                assert strided_datatype_cache_len() <= STRIDED_DATATYPE_CACHE_MAX
+                if i % 50 == 0:  # the same class again, now warm, read back
+                    np.testing.assert_array_equal(ga.get((r0, c0), (r1, c1)), data)
+            np.testing.assert_array_equal(ga.get((0, 0), (64, 48)), ref)
+            seen.update(plans_hi=plans_hi, plan_drops=plan_drops)
+        a.barrier()
+        ga.destroy()
+        a.finalize()
+
+    strided_datatype_cache_clear()
+    try:
+        spmd(2, main, watchdog_s=5.0)
+        assert strided_datatype_cache_len() == STRIDED_DATATYPE_CACHE_MAX  # it filled
+    finally:
+        strided_datatype_cache_clear()
+    assert seen["plans_hi"] == OWNER_PLAN_MAX and seen["plan_drops"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# window bookkeeping of a strided op never materialises its closed-form map
+# ---------------------------------------------------------------------------
+
+
+def test_disjoint_strided_stream_never_materialises_its_footprints(monkeypatch, request):
+    """Recording a put/get/acc, checking it against everything recorded —
+    in the origin's own epoch and in another origin's concurrent one — and
+    the accumulate alignment check all answer from the closed form: a
+    stream whose bounding boxes never meet builds no offsets/lengths array."""
+    from repro import mpi
+
+    if request.config.getoption("--faults"):
+        pytest.skip("an installed fault injector packs every payload")
+
+    def poisoned(self, name):
+        raise AssertionError(f"closed-form SegmentMap materialised .{name}")
+
+    rows = strided_datatype((64,), (16, 4))  # 4 rows of 16 B, 64 apart: box of 208 B
+    typed = strided_datatype((64,), (16, 4), dt.DOUBLE)
+
+    def main(comm):
+        win, local = mpi.Win.allocate(comm, 8192, mpi3=True)
+        comm.barrier()
+        win.lock_all()
+        comm.barrier()
+        if comm.rank == 0:
+            monkeypatch.setattr(dt.SegmentMap, "__getattr__", poisoned)
+        comm.barrier()
+        base = 4096 * comm.rank  # both origins target rank 1, 4 KiB apart
+        for i in range(3):  # unflushed: the sets keep growing, never compact
+            win.put(np.full(64, 1 + i, np.uint8), 1, base + 768 * i, target_datatype=rows)
+            win.get(np.zeros(64, np.uint8), 1, base + 768 * i + 256, target_datatype=rows)
+            win.accumulate(np.ones(8), 1, base + 768 * i + 512, target_datatype=typed)
+        win.flush(1)
+        comm.barrier()
+        if comm.rank == 0:
+            monkeypatch.undo()
+        comm.barrier()
+        win.unlock_all()
+        comm.barrier()
+        if comm.rank == 1:
+            tile = local.reshape(-1, 64)
+            assert (tile[0:4, :16] == 1).all() and (tile[64:68, :16] == 1).all()
+            assert (local[512:528].view("f8") == 1.0).all()
+        win.free()
+
+    spmd(2, main)
+
+
+def test_rank_threads_share_the_strided_memo_under_eviction():
+    """The strided memo is module-level, so on the thread backend every rank
+    thread recalls, stores and evicts in the same ``OrderedDict`` on every
+    op.  Four ranks on two cores, a 10 µs switch interval and more distinct
+    descriptors than the memo holds: every transfer must still round-trip
+    (an entry evicted between a hit's lookup and its LRU bump stays valid)
+    and the bound must hold."""
+    import sys
+
+    def main(comm):
+        a = Armci.init(comm, datapath="mpi3")
+        ptrs = a.malloc(64 * 1024)
+        a.barrier()
+        peer = (a.my_id + 1) % a.nproc
+        rng = np.random.default_rng([23, a.my_id])
+        for i in range(400):
+            rows, width = int(rng.integers(1, 40)), 8 * int(rng.integers(1, 9))
+            src = rng.integers(0, 255, (rows, width)).astype(np.uint8)
+            a.put_s(src, [width], ptrs[peer], [64 * 8], [width, rows])
+            out = np.zeros_like(src)
+            a.get_s(ptrs[peer], [64 * 8], out, [width], [width, rows])
+            assert np.array_equal(out, src), (a.my_id, i)
+            assert strided_datatype_cache_len() <= STRIDED_DATATYPE_CACHE_MAX + a.nproc
+        a.barrier()
+        a.free(ptrs[a.my_id])
+        a.finalize()
+
+    interval = sys.getswitchinterval()
+    strided_datatype_cache_clear()
+    sys.setswitchinterval(1e-5)
+    try:
+        spmd(4, main, watchdog_s=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+        strided_datatype_cache_clear()

@@ -1076,6 +1076,11 @@ def test_fault_plan_still_filters_a_strided_payload(kind, mode):
 # ---------------------------------------------------------------------------
 
 
+def _fp(offsets, lengths):
+    """A footprint as ``_IntervalSet`` takes it: the access's segment map."""
+    return mpi.datatypes.SegmentMap(np.array(offsets, np.int64), np.array(lengths, np.int64))
+
+
 def test_interval_set_compaction_threshold_is_named_constant():
     """The class compacts at the module constant (docstring/constant drift
     regression: the docstring used to claim 32 while the code used 8)."""
@@ -1085,13 +1090,12 @@ def test_interval_set_compaction_threshold_is_named_constant():
     assert "INTERVAL_COMPACT_AT" in _IntervalSet.__doc__
     assert "every 32" not in _IntervalSet.__doc__
 
-    one = np.array([5], dtype=np.int64)
     iset = _IntervalSet()
     for i in range(INTERVAL_COMPACT_AT - 1):
-        iset.add(np.array([i * 10], dtype=np.int64), one)
+        iset.add(_fp([i * 10], [5]))
     assert len(iset._pending) == INTERVAL_COMPACT_AT - 1
     assert len(iset._cov_off) == 0
-    iset.add(np.array([INTERVAL_COMPACT_AT * 10], dtype=np.int64), one)
+    iset.add(_fp([INTERVAL_COMPACT_AT * 10], [5]))
     assert len(iset._pending) == 0  # folded into the compacted coverage
     assert len(iset._cov_off) > 0
     assert iset.count == INTERVAL_COMPACT_AT
@@ -1103,12 +1107,10 @@ def test_interval_set_single_interval_queries():
     from repro.mpi.window import _IntervalSet
 
     iset = _IntervalSet()
-    iset.add(np.array([100], dtype=np.int64), np.array([50], dtype=np.int64))
+    iset.add(_fp([100], [50]))
 
     def q(off, ln):
-        return iset.overlaps(
-            np.array([off], dtype=np.int64), np.array([ln], dtype=np.int64)
-        )
+        return iset.overlaps(_fp([off], [ln]))
 
     assert not q(0, 100)    # ends exactly at the start
     assert not q(150, 10)   # begins exactly at the end
@@ -1117,8 +1119,7 @@ def test_interval_set_single_interval_queries():
     assert q(0, 1000)       # engulfing
     # after compaction the same answers must hold against the coverage array
     for i in range(20):
-        iset.add(np.array([1000 + 64 * i], dtype=np.int64),
-                 np.array([32], dtype=np.int64))
+        iset.add(_fp([1000 + 64 * i], [32]))
     assert not q(150, 10)
     assert q(100, 1)
     assert q(1000 + 64 * 7, 5)
@@ -1132,10 +1133,134 @@ def test_interval_set_multi_interval_query_against_pending():
 
     iset = _IntervalSet()
     # an unsorted pending batch (traversal order != address order)
-    iset.add(np.array([500, 100], dtype=np.int64),
-             np.array([10, 10], dtype=np.int64))
-    offs = np.array([700, 505], dtype=np.int64)
-    lens = np.array([5, 2], dtype=np.int64)
-    assert iset.overlaps(offs, lens)
-    assert not iset.overlaps(np.array([200, 600], dtype=np.int64),
-                             np.array([10, 10], dtype=np.int64))
+    iset.add(_fp([500, 100], [10, 10]))
+    assert iset.overlaps(_fp([700, 505], [5, 2]))
+    assert not iset.overlaps(_fp([200, 600], [10, 10]))
+
+
+# ---------------------------------------------------------------------------
+# footprints: conflicts are answered from bounding boxes first, then exactly
+# ---------------------------------------------------------------------------
+
+
+def _band(width=16):
+    """Four rows of ``width`` bytes, 64 apart: a column band of a 4x64 tile."""
+    return mpi.datatypes.hvector(4, width, 64, mpi.BYTE).commit()
+
+
+def _band_ops(win, target):
+    """Column bands [0,16), [16,32) and [32,48) of one row range: their
+    bounding boxes all meet, their segments interleave without touching."""
+    win.put(np.ones(64, np.uint8), target, 0, target_datatype=_band())
+    win.get(np.zeros(64, np.uint8), target, 16, target_datatype=_band())
+    win.accumulate(np.ones(64, np.uint8), target, 32, target_datatype=_band())
+    win.accumulate(np.ones(64, np.uint8), target, 32, target_datatype=_band())
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_interleaved_bands_conflict_only_where_segments_overlap(strict):
+    def main(comm):
+        win, _ = mpi.Win.allocate(comm, 256, strict=strict)
+        comm.barrier()
+        if comm.rank == 0:
+            win.lock(1)
+            _band_ops(win, 1)
+            narrow = _band(8)
+            win.put(np.ones(32, np.uint8), 1, 48, target_datatype=narrow)  # [48,56): free
+            for kind, call, disp in [
+                ("put", win.put, 4),          # columns [4,12): inside the put band
+                ("put", win.put, 20),         # ... inside the get band
+                ("get", win.get, 36),         # ... inside the accumulate band
+                ("put", win.put, 12),         # columns [12,20): both
+            ]:
+                if strict:
+                    with pytest.raises(RMAConflictError):
+                        call(np.ones(32, np.uint8), 1, disp, target_datatype=narrow)
+                else:
+                    call(np.ones(32, np.uint8), 1, disp, target_datatype=narrow)
+            win.get(np.zeros(32, np.uint8), 1, 20, target_datatype=narrow)  # get over get
+            win.unlock(1)
+        comm.barrier()
+        win.free()
+
+    spmd(2, main)
+
+
+def test_interleaved_bands_across_two_origins_shared_epochs():
+    """The records another origin's epoch holds are searched the same way."""
+
+    def main(comm):
+        win, local = mpi.Win.allocate(comm, 256)
+        comm.barrier()
+        if comm.rank < 2:
+            win.lock(2, mpi.LOCK_SHARED)
+        if comm.rank == 0:
+            _band_ops(win, 2)
+        comm.barrier()
+        if comm.rank == 1:
+            narrow = _band(8)
+            # rows of its own between origin 0's bands: boxes meet, no overlap
+            win.put(np.full(32, 7, np.uint8), 2, 48, target_datatype=narrow)
+            win.accumulate(np.ones(32, np.uint8), 2, 36, target_datatype=narrow)  # same op
+            with pytest.raises(RMAConflictError):
+                win.put(np.ones(32, np.uint8), 2, 4, target_datatype=narrow)
+            with pytest.raises(RMAConflictError):
+                win.put(np.ones(32, np.uint8), 2, 20, target_datatype=narrow)
+            with pytest.raises(RMAConflictError):
+                win.get(np.zeros(32, np.uint8), 2, 36, target_datatype=narrow)
+        comm.barrier()
+        if comm.rank < 2:
+            win.unlock(2)
+        comm.barrier()
+        if comm.rank == 2:
+            tile = local.reshape(4, 64)
+            assert (tile[:, 0:16] == 1).all() and (tile[:, 48:56] == 7).all()
+            assert (tile[:, 32:36] == 2).all() and (tile[:, 36:44] == 3).all()
+            assert not tile[:, 16:32].any() and not tile[:, 56:].any()
+        win.free()
+
+    spmd(3, main)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=st.integers(0, 40), step=st.integers(1, 40), seg_len=st.integers(1, 24),
+    n=st.integers(1, 5), itemsize=st.sampled_from([2, 4, 8]), closed=st.booleans(),
+)
+def test_accumulate_alignment_closed_form_equals_the_array_form(
+    start, step, seg_len, n, itemsize, closed
+):
+    """``_accumulate_target`` decides alignment of a progression from
+    ``(start, step, seg_len, n)``; the verdict — and the interval the error
+    names — must be the one the offsets/lengths arrays give.  ``n == 1`` keeps
+    whatever step it was built with, which must then not matter."""
+    from types import SimpleNamespace
+
+    from repro.mpi import ops as mpi_ops
+    from repro.mpi.datatypes import SegmentMap
+
+    offsets = start + step * np.arange(n)
+    lengths = np.full(n, seg_len)
+    if closed and step >= seg_len:
+        segmap = SegmentMap._closed_form(start, step, seg_len, n)
+    else:
+        segmap = SegmentMap(offsets, lengths)
+    base = np.dtype(f"i{itemsize}")
+    misaligned = [
+        (int(o), int(o + ln)) for o, ln in zip(offsets, lengths) if o % itemsize or ln % itemsize
+    ]
+    buf = np.zeros(int(offsets[-1]) + seg_len + 8, np.uint8)
+    data = np.ones(n * seg_len, np.uint8)
+    win = SimpleNamespace(_buffers=[buf])
+
+    def accumulate():
+        mpi.Win._accumulate_target(win, 0, segmap, data, base, mpi_ops.SUM)
+
+    if misaligned:
+        lo, hi = misaligned[0]
+        with pytest.raises(mpi.ArgumentError, match=rf"segment \[{lo},{hi}\) not aligned"):
+            accumulate()
+        assert not buf.any()
+    else:
+        accumulate()
+        assert buf.any()

@@ -922,9 +922,9 @@ def test_one_conflict_search_per_candidate_epoch(monkeypatch):
     searches = []
     real = _Epoch.conflict_class
 
-    def counting(self, kind, opname, offs, lens):
+    def counting(self, kind, opname, fp):
         searches.append((self.origin, self.target, kind))
-        return real(self, kind, opname, offs, lens)
+        return real(self, kind, opname, fp)
 
     def body(comm):
         win, _ = Win.allocate(comm, 64)
@@ -949,3 +949,75 @@ def test_sanitizer_reads_no_window_privates():
 
     for path in pathlib.Path(repro.sanitizer.__file__).parent.glob("*.py"):
         assert not re.search(r"\bwin\._", path.read_text()), path.name
+
+
+# -- conflict footprints: bounding boxes first, segments only where boxes meet ----
+
+
+def _bands(comm, strict, shared, overlap):
+    """Column bands of a 4-row tile (64-byte pitch) on the last rank: bytes
+    [0,16) of every row put, [16,32) got, then an 8-byte band put into the
+    free columns [32,40) or, with ``overlap``, at column 4 — inside the
+    first put's rows.  ``shared``: the second band comes from a second
+    origin's concurrent shared epoch."""
+    from repro.mpi import datatypes as dt
+
+    wide = dt.hvector(4, 16, 64, dt.BYTE).commit()
+    narrow = dt.hvector(4, 8, 64, dt.BYTE).commit()
+    target = comm.size - 1
+    win, _ = Win.allocate(comm, 256, strict=strict)
+    comm.barrier()
+    second = 1 if shared else 0
+    mode = LOCK_SHARED if shared else LOCK_EXCLUSIVE
+    if comm.rank in (0, second):
+        win.lock(target, mode)
+    if comm.rank == 0:
+        win.put(np.ones(64, dtype=np.uint8), target, 0, target_datatype=wide)
+        win.get(np.zeros(64, dtype=np.uint8), target, 16, target_datatype=wide)
+    comm.barrier()
+    if comm.rank == second:
+        win.put(
+            np.ones(32, dtype=np.uint8), target, 4 if overlap else 32, target_datatype=narrow
+        )
+    comm.barrier()
+    if comm.rank in (0, second):
+        win.unlock(target)
+    comm.barrier()
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["same-epoch", "two-origins"])
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "check_nonstrict"])
+def test_band_conflicts_are_exact_and_report_the_bounding_box(strict, shared):
+    """Interleaved bands whose boxes meet are clean; bands whose segments
+    overlap raise what they always raised — same plain message, same
+    violation text, footprint ``((lo, hi),)`` = the new op's bounding box."""
+    nproc = 3 if shared else 2
+    who = (
+        "in a concurrent epoch of origin 0" if shared else "in the same epoch"
+    )
+    origin = 1 if shared else 0
+    plain = (
+        f"put by origin 1 conflicts with concurrent put by origin 0 on target "
+        f"{nproc - 1} (both hold shared locks)"
+        if shared
+        else f"put conflicts with earlier put in the same epoch (origin 0 -> target {nproc - 1})"
+    )
+    san, _ = run_san(nproc, _bands, strict, shared, False, check_nonstrict=not strict)
+    assert san.violations == []
+    with pytest.raises(ConflictViolationError) as ei:
+        run_san(nproc, _bands, strict, shared, True, check_nonstrict=not strict)
+    v = ei.value.violation
+    assert v.kind is ViolationKind.CONFLICT and v.ranges == ((4, 204),)
+    assert str(v) == (
+        f"RMA violation [conflict] (§III): rank {origin} op put target {nproc - 1} "
+        f"win 0 bytes [4,204): put overlaps an earlier put access {who}"
+    )
+    if strict:
+        run_plain(nproc, _bands, strict, shared, False)
+        with pytest.raises(RMAConflictError) as ei:
+            run_plain(nproc, _bands, strict, shared, True)
+        assert str(ei.value) == "[MPI_ERR_RMA_CONFLICT] " + plain
+    else:  # a relaxed window is entitled to it
+        run_plain(nproc, _bands, strict, shared, True)
+        san, _ = run_san(nproc, _bands, strict, shared, True)
+        assert san.violations == []
