@@ -32,10 +32,6 @@ class ArmciConfig:
     iov_batch_size:
         B of the batched method; 0 means unlimited (the paper's
         default).
-    iov_checking:
-        Which overlap detector the auto method uses: ``"tree"``
-        (O(N log N), the paper's contribution) or ``"naive"``
-        (O(N²) baseline, kept for the ablation benchmark).
     strided_method:
         ``direct`` translates ARMCI strided notation into one MPI
         subarray datatype (§VI-C); ``iov`` converts to IOV form via
@@ -62,7 +58,6 @@ class ArmciConfig:
 
     iov_method: str = "auto"
     iov_batch_size: int = 0
-    iov_checking: str = "tree"
     strided_method: str = "direct"
     coherent_shortcut: bool = False
     alignment: int = 64
@@ -79,8 +74,6 @@ class ArmciConfig:
                 f"strided_method must be one of {STRIDED_METHODS}, "
                 f"got {self.strided_method!r}"
             )
-        if self.iov_checking not in ("tree", "naive"):
-            raise ValueError(f"iov_checking must be 'tree' or 'naive'")
         if self.iov_batch_size < 0:
             raise ValueError("iov_batch_size must be >= 0 (0 = unlimited)")
         if self.alignment < 1 or self.alignment & (self.alignment - 1):

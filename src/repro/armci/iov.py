@@ -37,8 +37,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..mpi import datatypes as dt
-from ..mpi.errors import ArgumentError
-from .conflict_tree import ConflictTree, any_overlap_naive
+from ..mpi.errors import ArgumentError, RMARangeError
+from .conflict_tree import ConflictTree
 
 if TYPE_CHECKING:  # pragma: no cover
     from .api import Armci
@@ -144,11 +144,18 @@ def _resolve_single_gmr(armci: "Armci", req: IovRequest):
 
 
 def _resolve_per_segment(armci: "Armci", req: IovRequest):
-    """(gmr, win_rank, displacement) per segment (conservative path)."""
+    """(gmr, win_rank, displacement) per segment (conservative path),
+    every segment range-checked before the first one is issued."""
     out = []
     for addr in req.rem_addrs.tolist():
         gmr, win_rank, base = _lookup(armci, req, addr)
-        out.append((gmr, win_rank, addr - base))
+        disp = addr - base
+        if disp + req.seg_bytes > gmr.sizes[win_rank]:
+            raise RMARangeError(
+                f"IOV segment [{addr:#x}, +{req.seg_bytes}) on process "
+                f"{req.rank} overruns its {gmr.sizes[win_rank]}-byte GMR slice"
+            )
+        out.append((gmr, win_rank, disp))
     return out
 
 
@@ -161,7 +168,7 @@ def _written_side_offsets(req: IovRequest) -> np.ndarray:
     return req.loc_offsets if req.kind == "get" else req.rem_addrs
 
 
-def descriptor_is_safe(armci: "Armci", req: IovRequest) -> bool:
+def descriptor_is_safe(req: IovRequest) -> bool:
     """True if the written-side segments are pairwise disjoint.
 
     Same-op accumulates may overlap under MPI, but a *single* datatype
@@ -170,9 +177,6 @@ def descriptor_is_safe(armci: "Armci", req: IovRequest) -> bool:
     """
     offs = _written_side_offsets(req)
     n = req.seg_bytes
-    if armci.config.iov_checking == "naive":
-        ranges = [(int(o), int(o) + n - 1) for o in offs.tolist()]
-        return not any_overlap_naive(ranges)
     tree = ConflictTree()
     for o in offs.tolist():
         if not tree.insert(int(o), int(o) + n - 1):
@@ -183,7 +187,7 @@ def descriptor_is_safe(armci: "Armci", req: IovRequest) -> bool:
 def _auto_select(armci: "Armci", req: IovRequest):
     """``(method, resolved single GMR or None)``: direct when it is safe."""
     single = _resolve_single_gmr(armci, req)
-    if single is None or not descriptor_is_safe(armci, req):
+    if single is None or not descriptor_is_safe(req):
         return "conservative", None
     return "direct", single
 

@@ -1,9 +1,9 @@
 """ARMCI over two-sided messaging: the data-server predecessor (§IX).
 
-A third, independent implementation of the ARMCI call surface, built the
-way the pre-RMA portable ARMCI was: per-node data-server threads
-servicing two-sided request/response traffic.  Exists to make §IX's
-comparison concrete — see :class:`DataServerArmci`.
+The native ARMCI engine (:class:`~repro.armci_native.NativeArmci`) run
+the way the pre-RMA portable ARMCI was: per-node data-server threads
+apply each operation on request/response traffic, with two-sided costs.
+Exists to make §IX's comparison concrete — see :class:`DataServerArmci`.
 """
 
 from .api import DataServerArmci

@@ -8,50 +8,38 @@ bottlenecking on the data server, and two-sided messaging overheads such
 as tag matching" — and contrasts it with the RMA-based design this
 paper contributes.
 
-This backend rebuilds that architecture for comparison: every rank owns
-a real server thread (not an SPMD rank) holding a request queue; one-
-sided operations become request/response exchanges with the target's
-server, which applies them to the slab memory.  The cost model charges
-two message latencies plus a shared-memory staging copy per operation,
-and the server serialises all requests against one slab — the §IX
-bottleneck, observable.
-
-The call surface matches what Global Arrays needs, so GA and the NWChem
-proxy run unchanged on this third stack (differential-tested against
-the other two).
+This backend rebuilds that architecture for comparison on top of the
+native engine (:class:`~repro.armci_native.NativeArmci`): every rank
+owns a real server thread (not an SPMD rank) holding a request queue.
+Each one-sided call becomes one request to the target's server carrying
+the staged payload; the server runs the inherited applier (resolution,
+range check, segment moves) and replies with the get data, the RMW's old
+value or the exception.  The cost model charges two message latencies
+plus a shared-memory staging copy per operation, and the server
+serialises all requests against one slab — the §IX bottleneck,
+observable.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import replace
 
 import numpy as np
 
-from ..armci.gmr import NULL_ADDR, GlobalPtr
-from ..armci.strided import StridedSpec, segment_displacements
+from ..armci_native.api import NativeArmci, _Op
 from ..mpi.comm import Comm
 from ..mpi.errors import ArgumentError
 from ..mpi.runtime import current_proc
 from ..simtime.netmodel import PathModel
 
-_VA_BASE = 0x1000
-
-
-@dataclass
-class _Request:
-    """One data-server request: segments against a single target rank."""
-
-    op: str  # "put" | "get" | "acc" | "rmw_add" | "rmw_swap"
-    offsets: list  # byte offsets within the target's slab space
-    seg_bytes: int
-    payload: "np.ndarray | None"  # put/acc data (concatenated segments)
-    scale: float = 1.0
-    dtype: "np.dtype | None" = None
-    value: int = 0  # rmw operand
-    reply: "queue.Queue" = field(default_factory=lambda: queue.Queue(maxsize=1))
+#: host memcpy rate through the node's shared segment (every transfer is
+#: staged — the server owns the memory)
+STAGING_RATE = 4.0e9
+#: the two-sided per-message cost (tag matching, request marshalling)
+#: §IX names
+MATCH_OVERHEAD = 1.5e-6
 
 
 class _DataServer(threading.Thread):
@@ -59,99 +47,29 @@ class _DataServer(threading.Thread):
 
     def __init__(self, rank: int, ds: "DataServerArmci"):
         super().__init__(name=f"armci-ds-server-{rank}", daemon=True)
-        self.rank = rank
         self.ds = ds
-        self.requests: "queue.Queue[_Request | None]" = queue.Queue()
+        self.requests: "queue.Queue[tuple[_Op, queue.Queue] | None]" = queue.Queue()
         self.served = 0
 
     def run(self) -> None:
-        while True:
-            req = self.requests.get()
-            if req is None:
-                return
+        while (req := self.requests.get()) is not None:
+            op, reply = req
             try:
-                result = self._apply(req)
+                result = self.ds._apply(op)
             except BaseException as exc:  # deliver errors to the client
                 result = exc
             self.served += 1
-            req.reply.put(result)
-
-    def _apply(self, req: _Request):
-        n = req.seg_bytes
-        out = None
-        if req.op == "get":
-            out = np.empty(n * len(req.offsets), dtype=np.uint8)
-        # slab access is still serialised by the runtime's giant lock so
-        # server threads and SPMD threads never race
-        with self.ds.world.runtime.cond:
-            for i, addr in enumerate(req.offsets):
-                slab, disp = self.ds._locate_addr(self.rank, addr)
-                if req.op == "put":
-                    slab[disp : disp + n] = req.payload[i * n : (i + 1) * n]
-                elif req.op == "get":
-                    out[i * n : (i + 1) * n] = slab[disp : disp + n]
-                elif req.op == "acc":
-                    tgt = slab[disp : disp + n].view(req.dtype)
-                    contrib = req.payload[i * n : (i + 1) * n].view(req.dtype)
-                    tgt += req.dtype.type(req.scale) * contrib
-                elif req.op in ("rmw_add", "rmw_swap"):
-                    cell = slab[disp : disp + 8].view(req.dtype)
-                    out = int(cell[0])
-                    cell[0] = out + req.value if req.op == "rmw_add" else req.value
-                else:  # pragma: no cover - requests are internal
-                    raise ArgumentError(f"unknown DS op {req.op!r}")
-            self.ds.world.runtime.notify_progress()
-        return out
+            reply.put(result)
 
 
-class _Region:
-    def __init__(self, slabs, bases):
-        self.slabs = slabs
-        self.bases = bases
+class DataServerArmci(NativeArmci):
+    """ARMCI on the data-server/two-sided design — the §IX predecessor."""
 
-
-class DataServerArmci:
-    """ARMCI on the data-server/two-sided design — the §IX predecessor.
-
-    ``staging_rate`` is the host memcpy rate through the node's shared
-    segment (every transfer is staged — the server owns the memory) and
-    ``match_overhead`` the two-sided per-message cost (tag matching,
-    request marshalling) §IX names.
-    """
-
-    def __init__(
-        self,
-        world: Comm,
-        path: "PathModel | None",
-        staging_rate: float = 4.0e9,
-        match_overhead: float = 1.5e-6,
-    ):
-        self.world = world
-        self.path = path
-        self.staging_rate = staging_rate
-        self.match_overhead = match_overhead
-        self.regions: list[_Region] = []
-        self._va: dict[int, int] = {}
+    def __init__(self, world: Comm, path: "PathModel | None"):
+        super().__init__(world, path)
         self.servers = [_DataServer(r, self) for r in range(world.size)]
         for s in self.servers:
             s.start()
-
-    @classmethod
-    def init(
-        cls,
-        comm: Comm,
-        path: "PathModel | None" = None,
-        staging_rate: float = 4.0e9,
-        match_overhead: float = 1.5e-6,
-    ) -> "DataServerArmci":
-        world = comm.dup()
-        with world.runtime.cond:
-            return world._coll.run(
-                world.rank,
-                "ds_armci_init",
-                None,
-                lambda _c: cls(world, path, staging_rate, match_overhead),
-            )
 
     def shutdown(self) -> None:
         """Collective: stop the server threads."""
@@ -161,205 +79,45 @@ class DataServerArmci:
                 s.requests.put(None)
         self.world.barrier()
 
-    @property
-    def my_id(self) -> int:
-        return self.world.rank
-
-    @property
-    def nproc(self) -> int:
-        return self.world.size
-
     # -- cost model ---------------------------------------------------------------
     def _charge(self, kind: str, nbytes: int, nsegments: int = 1) -> None:
         """Request + response message latencies, staging copy, service time."""
         if self.path is None:
             return
         p = self.path
-        t = 2 * p.latency + self.match_overhead  # request + response + matching
+        t = 2 * p.latency + MATCH_OVERHEAD  # request + response + matching
         t += nbytes / p.wire_bw(nbytes)
-        t += nbytes / self.staging_rate  # host copy through the shared segment
+        t += nbytes / STAGING_RATE  # host copy through the shared segment
         t += p.seg_overhead * max(nsegments, 1)  # per-request service cost
         if kind == "acc":
             t += nbytes / p.acc_rate
         current_proc().clock.advance(t, kind=f"ds:{kind}", nbytes=nbytes)
 
-    # -- memory ---------------------------------------------------------------------
-    def malloc(self, nbytes: int) -> list[GlobalPtr]:
-        if nbytes < 0:
-            raise ArgumentError(f"negative allocation {nbytes}")
-        slab = np.zeros(nbytes, dtype=np.uint8)
-        contrib = (self.world.rank, slab)
-
-        def build(contribs: dict) -> _Region:
-            slabs = [None] * self.world.size
-            bases = [NULL_ADDR] * self.world.size
-            for _, (rank, s) in contribs.items():
-                slabs[rank] = s
-                if s.nbytes:
-                    cursor = self._va.get(rank, _VA_BASE)
-                    bases[rank] = (cursor + 63) & ~63
-                    self._va[rank] = bases[rank] + s.nbytes
-            region = _Region(slabs, bases)
-            self.regions.append(region)
-            return region
-
-        with self.world.runtime.cond:
-            region = self.world._coll.run(self.world.rank, "ds_malloc", contrib, build)
-        return [GlobalPtr(r, region.bases[r]) for r in range(self.world.size)]
-
-    def free(self, ptr: "GlobalPtr | None") -> None:
-        vote = np.array(
-            [self.world.rank if ptr is not None and not ptr.is_null else -1],
-            dtype=np.int64,
-        )
-        leader = int(self.world.allreduce(vote, op="MPI_MAX")[0])
-        if leader < 0:
-            raise ArgumentError("DS free: all members passed NULL")
-        pair = (ptr.rank, ptr.addr) if self.world.rank == leader else None
-        rank, addr = self.world.bcast_obj(pair, root=leader)
-        region = self._find(rank, addr)
-
-        def drop(_c) -> None:
-            self.regions.remove(region)
-
-        with self.world.runtime.cond:
-            self.world._coll.run(self.world.rank, "ds_free", None, drop)
-
-    def _find(self, rank: int, addr: int) -> _Region:
-        for region in self.regions:
-            base = region.bases[rank]
-            slab = region.slabs[rank]
-            if base != NULL_ADDR and base <= addr < base + slab.nbytes:
-                return region
-        raise ArgumentError(f"address {addr:#x} on rank {rank}: no DS allocation")
-
-    def _locate_addr(self, rank: int, addr: int) -> tuple[np.ndarray, int]:
-        region = self._find(rank, addr)
-        return region.slabs[rank], addr - region.bases[rank]
-
-    def _locate(self, ptr: GlobalPtr) -> tuple[np.ndarray, int]:
-        """Local direct access used by GA_Access (coherent node memory)."""
-        return self._locate_addr(ptr.rank, ptr.addr)
-
-    # -- request plumbing ----------------------------------------------------------
-    def _submit(self, target: int, req: _Request):
-        self.servers[target].requests.put(req)
+    # -- where the applier runs: one request to the target's server -------------------
+    def _issue(self, op: _Op) -> "int | None":
+        """Stage ``op``'s segments contiguously, have the target's server
+        apply it, and scatter a get's reply into the caller's buffer."""
+        n, k = op.n, len(op.addrs)
+        staged = op
+        if op.kind != "rmw":
+            payload = np.empty(n * k, dtype=np.uint8)
+            if op.kind != "get":
+                for i, off in enumerate(op.offsets):
+                    payload[i * n : (i + 1) * n] = op.local[off : off + n]
+            staged = replace(op, local=payload, offsets=[i * n for i in range(k)])
+        reply: queue.Queue = queue.Queue(maxsize=1)
+        self.servers[op.rank].requests.put((staged, reply))
         # the reply queue blocks WITHOUT the runtime lock; server threads
         # are always live, so this cannot deadlock the SPMD watchdog
-        result = req.reply.get()
+        result = reply.get()
         if isinstance(result, BaseException):
             raise result
+        if op.kind == "get":
+            for i, off in enumerate(op.offsets):
+                op.local[off : off + n] = payload[i * n : (i + 1) * n]
         return result
 
-    # -- contiguous ops ----------------------------------------------------------------
-    def put(self, src: np.ndarray, dst: GlobalPtr, nbytes: "int | None" = None) -> None:
-        data = _bytes(src)
-        n = data.nbytes if nbytes is None else nbytes
-        self._submit(dst.rank, _Request("put", [dst.addr], n, data[:n].copy()))
-        self._charge("put", n)
-
-    def get(self, src: GlobalPtr, dst: np.ndarray, nbytes: "int | None" = None) -> None:
-        out = _bytes(dst)
-        n = out.nbytes if nbytes is None else nbytes
-        result = self._submit(src.rank, _Request("get", [src.addr], n, None))
-        out[:n] = result
-        self._charge("get", n)
-
-    def acc(
-        self, src: np.ndarray, dst: GlobalPtr, scale: float = 1.0,
-        nbytes: "int | None" = None, dtype: "np.dtype | str | None" = None,
-    ) -> None:
-        arr = np.asarray(src)
-        dtype = np.dtype(dtype) if dtype is not None else arr.dtype
-        data = _bytes(arr)
-        n = data.nbytes if nbytes is None else nbytes
-        self._submit(
-            dst.rank,
-            _Request("acc", [dst.addr], n, data[:n].copy(), scale=scale, dtype=dtype),
-        )
-        self._charge("acc", n)
-
-    # -- strided / IOV -----------------------------------------------------------------
-    def put_s(self, src, src_strides, dst: GlobalPtr, dst_strides, count) -> None:
-        self._strided("put", src, src_strides, dst, dst_strides, count)
-
-    def get_s(self, src: GlobalPtr, src_strides, dst, dst_strides, count) -> None:
-        self._strided("get", dst, dst_strides, src, src_strides, count)
-
-    def acc_s(self, src, src_strides, dst: GlobalPtr, dst_strides, count,
-              scale: float = 1.0, dtype="f8") -> None:
-        self._strided("acc", src, src_strides, dst, dst_strides, count,
-                      scale=scale, dtype=np.dtype(dtype))
-
-    def _strided(self, kind, local, local_strides, remote: GlobalPtr,
-                 remote_strides, count, scale: float = 1.0,
-                 dtype: "np.dtype | None" = None) -> None:
-        spec = StridedSpec.make(list(count), list(local_strides), list(remote_strides))
-        if spec.total_bytes == 0:
-            return
-        lview = _bytes(local)
-        ldisp = segment_displacements(list(local_strides), list(count)).tolist()
-        rdisp = segment_displacements(list(remote_strides), list(count)).tolist()
-        n = spec.seg_bytes
-        addrs = [remote.addr + d for d in rdisp]
-        if kind == "get":
-            result = self._submit(remote.rank, _Request("get", addrs, n, None))
-            for i, ld in enumerate(ldisp):
-                lview[ld : ld + n] = result[i * n : (i + 1) * n]
-        else:
-            payload = np.concatenate([lview[d : d + n] for d in ldisp])
-            self._submit(
-                remote.rank,
-                _Request(kind, addrs, n, payload, scale=scale, dtype=dtype),
-            )
-        self._charge(kind, spec.total_bytes, spec.num_segments)
-
-    def putv(self, local, loc_offsets: Sequence[int], dst, seg_bytes: int) -> None:
-        self._iov("put", local, loc_offsets, dst, seg_bytes)
-
-    def getv(self, src, local, loc_offsets: Sequence[int], seg_bytes: int) -> None:
-        self._iov("get", local, loc_offsets, src, seg_bytes)
-
-    def accv(self, local, loc_offsets: Sequence[int], dst, seg_bytes: int,
-             scale: float = 1.0, dtype="f8") -> None:
-        self._iov("acc", local, loc_offsets, dst, seg_bytes,
-                  scale=scale, dtype=np.dtype(dtype))
-
-    def _iov(self, kind, local, loc_offsets, remote, seg_bytes,
-             scale: float = 1.0, dtype: "np.dtype | None" = None) -> None:
-        ptrs = list(remote)
-        if not ptrs:
-            return
-        rank = ptrs[0].rank
-        if any(p.rank != rank for p in ptrs):
-            raise ArgumentError("DS IOV operations target a single process")
-        lview = _bytes(local)
-        n = seg_bytes
-        addrs = [p.addr for p in ptrs]
-        if kind == "get":
-            result = self._submit(rank, _Request("get", addrs, n, None))
-            for i, off in enumerate(loc_offsets):
-                lview[off : off + n] = result[i * n : (i + 1) * n]
-        else:
-            payload = np.concatenate([lview[o : o + n] for o in loc_offsets])
-            self._submit(
-                rank, _Request(kind, addrs, n, payload, scale=scale, dtype=dtype)
-            )
-        self._charge(kind, n * len(ptrs), len(ptrs))
-
     # -- synchronisation ----------------------------------------------------------------
-    def rmw(self, op: str, ptr: GlobalPtr, value: int) -> int:
-        from ..armci.rmw import rmw_dtype
-
-        dtype = rmw_dtype(op)
-        kind = "rmw_add" if op.startswith("fetch_and_add") else "rmw_swap"
-        old = self._submit(
-            ptr.rank, _Request(kind, [ptr.addr], dtype.itemsize, None,
-                               dtype=dtype, value=value)
-        )
-        self._charge("rmw", dtype.itemsize)
-        return old
-
     def fence(self, proc: int) -> None:
         if not 0 <= proc < self.nproc:
             raise ArgumentError(f"fence target {proc} out of range")
@@ -375,10 +133,3 @@ class DataServerArmci:
     def requests_served(self) -> list[int]:
         """Per-server service counts (the §IX bottleneck, observable)."""
         return [s.served for s in self.servers]
-
-
-def _bytes(arr) -> np.ndarray:
-    arr = np.asarray(arr)
-    if not arr.flags["C_CONTIGUOUS"]:
-        raise ArgumentError("DS ARMCI buffers must be C-contiguous")
-    return arr.reshape(-1).view(np.uint8)

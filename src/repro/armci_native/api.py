@@ -1,13 +1,22 @@
 """Simulated "native" ARMCI — the baseline the paper compares against.
 
-A second, independent implementation of the ARMCI surface used by GA,
-*not* built on MPI RMA: remote accesses go straight to the target's
-memory under the runtime's giant lock (the shared-memory simulation of
-RDMA), serialised only where the native runtime would serialise
-(host lock words for mutex/RMW service).  Its performance is charged
-through the platform's **native** :class:`~repro.simtime.netmodel.PathModel`
-— no epoch lock/unlock costs, vendor-tuned strided engines — which is
-what makes the Fig. 3/4/6 native-vs-MPI comparisons meaningful.
+An implementation of the ARMCI surface used by GA that is *not* built
+on MPI RMA: remote accesses go straight to the target's memory under
+the runtime's giant lock (the shared-memory simulation of RDMA),
+serialised only where the native runtime would serialise (host lock
+words for mutex/RMW service).  Its performance is charged through the
+platform's **native** :class:`~repro.simtime.netmodel.PathModel` — no
+epoch lock/unlock costs, vendor-tuned strided engines — which is what
+makes the Fig. 3/4/6 native-vs-MPI comparisons meaningful.
+
+Every call goes through one engine: it is decoded into an :class:`_Op`
+(equal-size segments between a local byte view and remote addresses on
+one process), issued (:meth:`NativeArmci._issue`) and charged once.  The
+issue step runs the one applier, :meth:`NativeArmci._apply`, which
+resolves every remote segment to its slab and range-checks all of them
+before any byte moves.  The §IX data-server stack
+(:class:`repro.armci_ds.DataServerArmci`) is this class with the applier
+run on the target's server thread instead of the caller's.
 
 It doubles as a differential-testing oracle: tests run identical
 workloads through :class:`repro.armci.Armci` and :class:`NativeArmci`
@@ -16,11 +25,14 @@ and require bit-identical results.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ..armci.api import _as_flat_bytes, _iov_remote
 from ..armci.gmr import NULL_ADDR, GlobalPtr
+from ..armci.rmw import rmw_dtype
 from ..armci.strided import StridedSpec, segment_displacements
 from ..mpi.comm import Comm
 from ..mpi.errors import ArgumentError
@@ -43,19 +55,55 @@ class NativeRegion:
         self.region_id = NativeRegion._next_id
         NativeRegion._next_id += 1
 
-    def locate(self, ptr: GlobalPtr) -> tuple[np.ndarray, int]:
-        base = self.bases[ptr.rank]
-        slab = self.slabs[ptr.rank]
-        if base == NULL_ADDR:
-            raise ArgumentError(f"{ptr}: zero-size native slice")
-        disp = ptr.addr - base
-        if not 0 <= disp <= slab.nbytes:
-            raise ArgumentError(f"{ptr} outside native region {self.region_id}")
-        return slab, disp
-
     def contains(self, rank: int, addr: int) -> bool:
         base = self.bases[rank]
         return base != NULL_ADDR and base <= addr < base + self.slabs[rank].nbytes
+
+
+@dataclass(frozen=True)
+class _Op:
+    """One decoded ARMCI call: ``n``-byte segments between ``local`` (at
+    ``offsets``) and ``addrs`` on process ``rank``.  ``local`` is the
+    put/acc source or the get destination; an RMW has one segment, the
+    cell, and no local side."""
+
+    kind: str  # "put" | "get" | "acc" | "rmw"
+    rank: int
+    addrs: list
+    local: "np.ndarray | None"
+    offsets: list
+    n: int
+    scale: float = 1.0
+    dtype: "np.dtype | None" = None  # acc element type / RMW cell type
+    rmw_op: str = ""
+    value: int = 0
+
+
+def _op(kind, rank, addrs, local, offsets, n, scale=1.0, dtype=None) -> _Op:
+    """Validate the local side of a put/get/acc and build its :class:`_Op`
+    (``n`` None: one segment, the whole local buffer)."""
+    local = _as_flat_bytes(local)
+    if n is None:
+        n = local.nbytes
+    offsets = [int(o) for o in offsets]
+    addrs = [int(a) for a in addrs]
+    if len(offsets) != len(addrs):
+        raise ArgumentError(
+            f"{len(offsets)} local vs {len(addrs)} remote segments"
+        )
+    if n < 0:
+        raise ArgumentError(f"negative segment size {n}")
+    for off in offsets:
+        if off < 0 or off + n > local.nbytes:
+            raise ArgumentError(
+                f"a {n}-byte local segment at offset {off} leaves the "
+                f"{local.nbytes}-byte local buffer"
+            )
+    if kind == "acc":
+        dtype = np.dtype(dtype)
+        if n % dtype.itemsize:
+            raise ArgumentError(f"acc of {n} bytes is not a whole number of {dtype}")
+    return _Op(kind, int(rank), addrs, local, offsets, n, scale, dtype)
 
 
 class NativeArmci:
@@ -142,33 +190,76 @@ class NativeArmci:
             self.world._coll.run(self.world.rank, "native_free", None, drop)
 
     def _find(self, rank: int, addr: int) -> NativeRegion:
-        for region in self.regions:
-            if region.contains(rank, addr):
-                return region
+        if 0 <= rank < self.nproc:
+            for region in self.regions:
+                if region.contains(rank, addr):
+                    return region
         raise ArgumentError(
             f"address {addr:#x} on process {rank} is not a native allocation"
         )
 
-    def _locate(self, ptr: GlobalPtr) -> tuple[np.ndarray, int]:
-        return self._find(ptr.rank, ptr.addr).locate(ptr)
+    def _resolve(self, rank: int, addrs: list, n: int) -> list:
+        """``(slab, displacement)`` of every ``n``-byte segment at ``addrs``
+        on ``rank``; ArgumentError unless each one fits in its slab."""
+        out = []
+        region = None
+        for addr in addrs:
+            if region is None or not region.contains(rank, addr):
+                region = self._find(rank, addr)
+            slab, disp = region.slabs[rank], addr - region.bases[rank]
+            if disp + n > slab.nbytes:
+                raise ArgumentError(
+                    f"{n} bytes at {addr:#x} on process {rank} overrun the "
+                    f"{slab.nbytes}-byte slice of native region {region.region_id}"
+                )
+            out.append((slab, disp))
+        return out
+
+    # -- the engine: issue a decoded op, apply it, charge it ---------------------------
+    def _run(self, op: _Op) -> "int | None":
+        if not op.addrs:
+            return None
+        result = self._issue(op)
+        self._charge(op.kind, op.n * len(op.addrs), len(op.addrs))
+        return result
+
+    def _issue(self, op: _Op) -> "int | None":
+        """Where the applier runs: native RDMA applies from the caller."""
+        return self._apply(op)
+
+    def _apply(self, op: _Op) -> "int | None":
+        """Resolve and range-check every segment, then move the bytes (or
+        update the RMW cell) under the runtime lock; returns the RMW's old
+        value."""
+        n, buf = op.n, op.local
+        with self.world.runtime.cond:
+            targets = self._resolve(op.rank, op.addrs, n)
+            old = None
+            if op.kind == "rmw":
+                ((slab, disp),) = targets
+                cell = slab[disp : disp + n].view(op.dtype)
+                old = int(cell[0])
+                if op.rmw_op.startswith("fetch_and_add"):
+                    cell[0] = old + op.value
+                else:
+                    cell[0] = op.value
+            for (slab, disp), off in zip(targets, op.offsets):
+                if op.kind == "put":
+                    slab[disp : disp + n] = buf[off : off + n]
+                elif op.kind == "get":
+                    buf[off : off + n] = slab[disp : disp + n]
+                else:
+                    tgt = slab[disp : disp + n].view(op.dtype)
+                    tgt += op.dtype.type(op.scale) * buf[off : off + n].view(op.dtype)
+            self.world.runtime.notify_progress()
+        return old
 
     # -- contiguous ops ------------------------------------------------------------------
     def put(self, src: np.ndarray, dst: GlobalPtr, nbytes: "int | None" = None) -> None:
-        data = _bytes(src)
-        n = data.nbytes if nbytes is None else nbytes
-        slab, disp = self._locate(dst)
-        with self.world.runtime.cond:
-            slab[disp : disp + n] = data[:n]
-            self.world.runtime.notify_progress()
-        self._charge("put", n)
+        self._run(_op("put", dst.rank, [dst.addr], src, [0], nbytes))
 
     def get(self, src: GlobalPtr, dst: np.ndarray, nbytes: "int | None" = None) -> None:
-        out = _bytes(dst)
-        n = out.nbytes if nbytes is None else nbytes
-        slab, disp = self._locate(src)
-        with self.world.runtime.cond:
-            out[:n] = slab[disp : disp + n]
-        self._charge("get", n)
+        self._run(_op("get", src.rank, [src.addr], dst, [0], nbytes))
 
     def acc(
         self,
@@ -179,16 +270,8 @@ class NativeArmci:
         dtype: "np.dtype | str | None" = None,
     ) -> None:
         arr = np.asarray(src)
-        dtype = np.dtype(dtype) if dtype is not None else arr.dtype
-        data = _bytes(arr)
-        n = data.nbytes if nbytes is None else nbytes
-        slab, disp = self._locate(dst)
-        with self.world.runtime.cond:
-            target = slab[disp : disp + n].view(dtype)
-            contrib = data[:n].view(dtype)
-            target += dtype.type(scale) * contrib
-            self.world.runtime.notify_progress()
-        self._charge("acc", n)
+        self._run(_op("acc", dst.rank, [dst.addr], arr, [0], nbytes, scale,
+                      arr.dtype if dtype is None else dtype))
 
     # -- strided ops (vendor-tuned engine: one charged operation) -------------------------
     def put_s(self, src, src_strides, dst: GlobalPtr, dst_strides, count) -> None:
@@ -202,31 +285,20 @@ class NativeArmci:
         scale: float = 1.0, dtype="f8",
     ) -> None:
         self._strided("acc", src, src_strides, dst, dst_strides, count,
-                      scale=scale, dtype=np.dtype(dtype))
+                      scale=scale, dtype=dtype)
 
     def _strided(
         self, kind, local, local_strides, remote: GlobalPtr, remote_strides, count,
-        scale: float = 1.0, dtype: "np.dtype | None" = None,
+        scale: float = 1.0, dtype=None,
     ) -> None:
         spec = StridedSpec.make(list(count), list(local_strides), list(remote_strides))
-        if spec.total_bytes == 0:
-            return
-        lview = _bytes(local)
-        ldisp = segment_displacements(list(local_strides), list(count))
-        rdisp = segment_displacements(list(remote_strides), list(count))
-        slab, base = self._locate(remote)
-        n = spec.seg_bytes
-        with self.world.runtime.cond:
-            for ld, rd in zip(ldisp.tolist(), rdisp.tolist()):
-                if kind == "put":
-                    slab[base + rd : base + rd + n] = lview[ld : ld + n]
-                elif kind == "get":
-                    lview[ld : ld + n] = slab[base + rd : base + rd + n]
-                else:
-                    tgt = slab[base + rd : base + rd + n].view(dtype)
-                    tgt += dtype.type(scale) * lview[ld : ld + n].view(dtype)
-            self.world.runtime.notify_progress()
-        self._charge(kind, spec.total_bytes, spec.num_segments)
+        ldisp, rdisp = [], []
+        if spec.total_bytes:
+            ldisp = segment_displacements(list(local_strides), list(count)).tolist()
+            rdisp = segment_displacements(list(remote_strides), list(count)).tolist()
+        addrs = [remote.addr + d for d in rdisp]
+        self._run(_op(kind, remote.rank, addrs, local, ldisp, spec.seg_bytes,
+                      scale, dtype))
 
     # -- IOV ---------------------------------------------------------------------------
     def putv(self, local, loc_offsets: Sequence[int], dst, seg_bytes: int) -> None:
@@ -239,46 +311,42 @@ class NativeArmci:
         self, local, loc_offsets: Sequence[int], dst, seg_bytes: int,
         scale: float = 1.0, dtype="f8",
     ) -> None:
-        self._iov("acc", local, loc_offsets, dst, seg_bytes,
-                  scale=scale, dtype=np.dtype(dtype))
+        self._iov("acc", local, loc_offsets, dst, seg_bytes, scale=scale, dtype=dtype)
 
     def _iov(self, kind, local, loc_offsets, remote, seg_bytes,
-             scale: float = 1.0, dtype: "np.dtype | None" = None) -> None:
-        lview = _bytes(local)
-        ptrs = list(remote)
-        if not ptrs:
-            return
-        n = seg_bytes
-        with self.world.runtime.cond:
-            for off, ptr in zip(loc_offsets, ptrs):
-                slab, disp = self._locate(ptr)
-                if kind == "put":
-                    slab[disp : disp + n] = lview[off : off + n]
-                elif kind == "get":
-                    lview[off : off + n] = slab[disp : disp + n]
-                else:
-                    tgt = slab[disp : disp + n].view(dtype)
-                    tgt += dtype.type(scale) * lview[off : off + n].view(dtype)
-            self.world.runtime.notify_progress()
-        self._charge(kind, n * len(ptrs), len(ptrs))
+             scale: float = 1.0, dtype=None) -> None:
+        rank, addrs = _iov_remote(remote)
+        self._run(_op(kind, rank, addrs, local, loc_offsets, seg_bytes,
+                      scale, dtype))
+
+    # -- direct local access -----------------------------------------------------------
+    def access_begin(
+        self, ptr: GlobalPtr, nbytes: int, dtype: "np.dtype | str" = np.uint8
+    ) -> np.ndarray:
+        """A range-checked view of ``nbytes`` of the caller's own slab.
+        No epoch: native memory is coherent."""
+        if ptr.rank != self.my_id:
+            raise ArgumentError(
+                f"access_begin: pointer targets process {ptr.rank}, not the "
+                f"calling process {self.my_id}"
+            )
+        dtype = np.dtype(dtype)
+        if nbytes % dtype.itemsize:
+            raise ArgumentError(
+                f"access_begin: {nbytes} bytes is not a whole number of {dtype}"
+            )
+        ((slab, disp),) = self._resolve(ptr.rank, [ptr.addr], nbytes)
+        return slab[disp : disp + nbytes].view(dtype)
+
+    def access_end(self, ptr: GlobalPtr) -> None:
+        """Nothing to publish: stores through the view are already visible."""
 
     # -- synchronisation -----------------------------------------------------------------
     def rmw(self, op: str, ptr: GlobalPtr, value: int) -> int:
         """Native RMW: serviced atomically by the target's CHT."""
-        from ..armci.rmw import rmw_dtype
-
         dtype = rmw_dtype(op)
-        slab, disp = self._locate(ptr)
-        with self.world.runtime.cond:
-            cell = slab[disp : disp + dtype.itemsize].view(dtype)
-            old = int(cell[0])
-            if op.startswith("fetch_and_add"):
-                cell[0] = old + value
-            else:
-                cell[0] = value
-            self.world.runtime.notify_progress()
-        self._charge("rmw", dtype.itemsize)
-        return old
+        return self._run(_Op("rmw", ptr.rank, [ptr.addr], None, [], dtype.itemsize,
+                             dtype=dtype, rmw_op=op, value=value))
 
     def lock(self, lock_id: int, host: int) -> None:
         self.locks.acquire(lock_id, host)
@@ -303,10 +371,3 @@ class NativeArmci:
     def barrier(self) -> None:
         self.fence_all()
         self.world.barrier()
-
-
-def _bytes(arr) -> np.ndarray:
-    arr = np.asarray(arr)
-    if not arr.flags["C_CONTIGUOUS"]:
-        raise ArgumentError("native ARMCI buffers must be C-contiguous")
-    return arr.reshape(-1).view(np.uint8)

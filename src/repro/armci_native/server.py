@@ -5,12 +5,13 @@ with a communication helper thread (CHT) per node; the two-sided-MPI
 fallback ARMCI shipped for years ran a *data server* process per node
 that serviced read/write requests against node-shared memory.
 
-In this substrate, remote memory access is structurally asynchronous
-(the origin thread performs the access under the runtime's giant lock),
-so the server exists as (a) the host-side lock table that serialises
-native exclusive operations, and (b) the accounting point where the
-CHT's costs (a consumed core, per-request service overhead) are charged
-by the performance model.
+In this substrate, native remote memory access is structurally
+asynchronous (the origin thread runs the applier under the runtime's
+giant lock), so this module holds only the host-side lock table that
+serialises native exclusive operations; the CHT's costs are charged by
+the performance model.  The data-server design is
+:class:`repro.armci_ds.DataServerArmci`: the same engine, its applier
+run on a real server thread per rank.
 """
 
 from __future__ import annotations

@@ -298,12 +298,7 @@ class GlobalArray:
         block = self.distribution()
         ptr = self.ptrs[self.runtime.my_id]
         nbytes = block.size * self.dtype.itemsize
-        if hasattr(self.runtime, "access_begin"):
-            flat = self.runtime.access_begin(ptr, nbytes, self.dtype)
-        else:  # native runtime: coherent direct access
-            slab, disp = self.runtime._locate(ptr)
-            flat = slab[disp : disp + nbytes].view(self.dtype)
-        view = flat.reshape(block.shape)
+        view = self.runtime.access_begin(ptr, nbytes, self.dtype).reshape(block.shape)
         self._access_view = view
         return view
 
@@ -312,8 +307,7 @@ class GlobalArray:
         if self._access_view is None:
             raise ArgumentError(f"{self.name}: release() without access()")
         self._access_view = None
-        if hasattr(self.runtime, "access_end"):
-            self.runtime.access_end(self.ptrs[self.runtime.my_id])
+        self.runtime.access_end(self.ptrs[self.runtime.my_id])
 
     # -- checkpoint / restore (survivor-restart support) --------------------------------
     def checkpoint(self) -> GaCheckpoint:

@@ -185,3 +185,57 @@ def test_ds_modeled_cost_includes_two_message_latency():
         ds.shutdown()
 
     rt.spmd(main)
+
+
+def test_data_server_is_native_with_a_server():
+    """Structural guard (ROADMAP aim 2, one concept / one implementation):
+    the §IX stack is the native engine with its applier run on the target's
+    server thread — it defines none of the ARMCI surface itself — and GA
+    reaches every runtime through the same public calls."""
+    import pathlib
+
+    import repro.ga
+
+    assert issubclass(DataServerArmci, NativeArmci)
+    surface = {
+        "malloc", "free", "put", "get", "acc", "put_s", "get_s", "acc_s",
+        "putv", "getv", "accv", "rmw", "_find", "_locate",
+    }
+    assert not surface & set(vars(DataServerArmci))
+    for path in pathlib.Path(repro.ga.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "hasattr(self.runtime" not in text, path.name
+        assert "runtime._locate" not in text, path.name
+
+
+@pytest.mark.parametrize("stack", [NativeArmci, DataServerArmci],
+                         ids=lambda s: s.__name__)
+def test_ga_direct_access_on_baselines(stack):
+    """GA_Access/GA_Release on both baselines: stores through the view are
+    what a remote get reads, a nested access() is refused, and
+    checkpoint/restore (which writes through access()) round-trips."""
+
+    def main(comm):
+        rt = stack.init(comm)
+        ga = GlobalArray.create(rt, (6, 4), name="A")
+        view = ga.access()
+        with pytest.raises(ArgumentError):
+            ga.access()
+        view[...] = 10.0 * (rt.my_id + 1)
+        ga.release()
+        ga.sync()
+        full = ga.get((0, 0), (6, 4))
+        expect = np.zeros((6, 4))
+        for r in range(rt.nproc):
+            block = ga.distribution(r)
+            expect[tuple(slice(l, h) for l, h in zip(block.lo, block.hi))] = 10.0 * (r + 1)
+        np.testing.assert_array_equal(full, expect)
+        back = GlobalArray.restore(rt, ga.checkpoint(), name="B")
+        np.testing.assert_array_equal(back.get((0, 0), (6, 4)), expect)
+        back.sync()
+        back.destroy()
+        ga.destroy()
+        if stack is DataServerArmci:
+            rt.shutdown()
+
+    spmd(3, main)

@@ -145,21 +145,6 @@ def test_auto_uses_direct_when_safe():
     spmd(2, main)
 
 
-def test_naive_checking_config():
-    def main(comm):
-        a = Armci.init(comm, ArmciConfig(iov_method="auto", iov_checking="naive"))
-        ptrs = a.malloc(64)
-        a.putv(
-            np.zeros(32, dtype=np.uint8), [0, 16],
-            [ptrs[a.my_id], ptrs[a.my_id] + 8], 16,
-        )
-        a.barrier()
-        assert "conservative" in a.stats.iov_ops
-        a.free(ptrs[a.my_id])
-
-    spmd(1, main)
-
-
 def test_direct_method_rejects_multi_gmr():
     def main(comm):
         a = Armci.init(comm, ArmciConfig(iov_method="direct"))

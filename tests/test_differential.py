@@ -19,6 +19,7 @@ from repro.armci import Armci, ArmciConfig
 from repro.armci_ds import DataServerArmci
 from repro.armci_native import NativeArmci
 from repro.ga import GlobalArray, gather, scatter_acc, zero
+from repro.mpi.errors import ArgumentError, RMARangeError
 
 from conftest import spmd
 
@@ -240,6 +241,95 @@ def test_accv_repeated_local_segment_all_three_stacks():
     np.testing.assert_array_equal(mpi_res, [2.0, 2.0, 20.0])
     np.testing.assert_array_equal(mpi_res, run(NativeArmci))
     np.testing.assert_array_equal(mpi_res, run(DataServerArmci))
+
+
+_STACKS = [Armci, NativeArmci, DataServerArmci]
+
+
+def _on_two_ranks(stack, body) -> dict:
+    """Run ``body(rt, ptrs, out)`` on rank 0 of a 2-rank ``stack`` whose
+    64-byte slices start out holding 0..63; ``out["slabs"]`` receives both
+    slices as they are afterwards."""
+    out = {}
+
+    def main(comm):
+        rt = stack.init(comm)
+        ptrs = rt.malloc(64)
+        rt.put(np.arange(64, dtype=np.uint8), ptrs[rt.my_id])
+        rt.barrier()
+        if rt.my_id == 0:
+            body(rt, ptrs, out)
+        rt.barrier()
+        mine = np.zeros(64, dtype=np.uint8)
+        rt.get(ptrs[rt.my_id], mine)
+        slabs = comm.gather(mine, root=0)
+        if rt.my_id == 0:
+            out["slabs"] = slabs
+        rt.barrier()
+        rt.free(ptrs[rt.my_id])
+        if stack is DataServerArmci:
+            rt.shutdown()
+
+    spmd(2, main)
+    return out
+
+
+#: ops into a 64-byte slice, each with a segment past its end:
+#: (local buffer bytes, call(rt, remote pointer, local buffer))
+_OUT_OF_RANGE = {
+    "put": (128, lambda rt, p, buf: rt.put(buf, p)),
+    "get": (128, lambda rt, p, buf: rt.get(p, buf)),
+    "acc": (128, lambda rt, p, buf: rt.acc(buf.view("f8"), p)),
+    "put_s": (64, lambda rt, p, buf: rt.put_s(buf, [16], p + 16, [32], [16, 4])),
+    "putv": (48, lambda rt, p, buf: rt.putv(
+        buf, [0, 16, 32], [p, p + 24, p + 56], 16)),
+    "getv": (48, lambda rt, p, buf: rt.getv(
+        [p, p + 24, p + 56], buf, [0, 16, 32], 16)),
+    "accv": (48, lambda rt, p, buf: rt.accv(
+        buf.view("f8"), [0, 16, 32], [p, p + 24, p + 56], 16)),
+}
+
+
+@pytest.mark.parametrize("stack", _STACKS, ids=lambda s: s.__name__)
+@pytest.mark.parametrize("row", list(_OUT_OF_RANGE))
+def test_out_of_range_op_moves_no_byte(row, stack):
+    """Every stack range-checks all segments before any byte moves: the
+    baselines raise ArgumentError, ARMCI-MPI the window's RMARangeError,
+    and neither the target slice nor a get's local buffer changes."""
+    nbytes, call = _OUT_OF_RANGE[row]
+    expected = RMARangeError if stack is Armci else ArgumentError
+
+    def body(rt, ptrs, out):
+        out["buf"] = np.full(nbytes, 0x40, dtype=np.uint8)
+        with pytest.raises(expected):
+            call(rt, ptrs[1], out["buf"])
+
+    out = _on_two_ranks(stack, body)
+    np.testing.assert_array_equal(out["buf"], np.full(nbytes, 0x40, dtype=np.uint8))
+    for slab in out["slabs"]:
+        np.testing.assert_array_equal(slab, np.arange(64, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("stack", _STACKS, ids=lambda s: s.__name__)
+def test_iov_remote_forms_agree(stack):
+    """The ``(rank, addrs)`` remote form works on every stack and equals
+    numpy; pointers to two processes are refused before any byte moves."""
+
+    def body(rt, ptrs, out):
+        base = ptrs[1].addr
+        rt.putv(np.full(16, 7, dtype=np.uint8), [0, 8], (1, [base + 8, base + 40]), 8)
+        out["got"] = np.zeros(16, dtype=np.uint8)
+        rt.getv((1, [base + 8, base + 48]), out["got"], [0, 8], 8)
+        with pytest.raises(ArgumentError):
+            rt.putv(np.full(16, 9, dtype=np.uint8), [0, 8],
+                    [ptrs[0] + 16, ptrs[1] + 16], 8)
+
+    out = _on_two_ranks(stack, body)
+    expect = np.arange(64, dtype=np.uint8)
+    expect[8:16] = expect[40:48] = 7
+    np.testing.assert_array_equal(out["slabs"][1], expect)
+    np.testing.assert_array_equal(out["slabs"][0], np.arange(64, dtype=np.uint8))
+    np.testing.assert_array_equal(out["got"], np.concatenate([expect[8:16], expect[48:56]]))
 
 
 def test_mixed_runtime_workload_stats_consistency():
