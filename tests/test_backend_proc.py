@@ -391,19 +391,40 @@ def _contended_sublock_body(comm, hold_s, rounds):
     return out
 
 
+def _curve_probes(wait):
+    """The most non-blocking probes a wait of ``wait`` seconds can make on
+    the :data:`~repro.backoff.FLOCK_WAIT` curve.  Probe ``j`` comes no
+    earlier than the sum ``S_j`` of the first ``j`` delays (a sleep never
+    ends early), and every probe but the last found the lock held, so the
+    second-to-last one came before the wait ended: ``S_{n-2} < wait``."""
+    from repro.backoff import FLOCK_WAIT
+
+    j, slept = 0, 0.0
+    while slept < wait:
+        slept += FLOCK_WAIT.delay(j)
+        j += 1
+    return j + 1
+
+
 def test_contended_flock_wait_costs_what_the_holder_holds():
     """A 0.5 ms hold (a 2 MiB accumulate) is waited out in about that, not
-    in a 2 ms sleep quantum — and the short first re-probes stay few."""
+    in a 2 ms sleep quantum — and the short first re-probes stay few.
+
+    The probe counts are held to the curve for the wait each round really
+    saw: a holder descheduled in its sleep holds longer than asked, and
+    its waiter rightly probes more."""
     from repro.backoff import FLOCK_WAIT
 
     rounds = proc_spmd(2, _contended_sublock_body, 0.0005, 50)[1]
     waits = sorted(w for w, _ in rounds)
     assert waits[len(waits) // 2] <= 1.2e-3, waits
-    assert max(n for _, n in rounds) <= 8, rounds
+    assert _curve_probes(1.2e-3) <= 8  # a wait of about the hold: few probes
+    assert all(n <= _curve_probes(w) for w, n in rounds), rounds
     # a long hold: after the curve reaches its cap the poll rate is the
     # old flat one, so the extra CPU is bounded by the curve's length
+    assert _curve_probes(0.05) <= 0.05 / FLOCK_WAIT.cap + 8
     long_rounds = proc_spmd(2, _contended_sublock_body, 0.05, 3)[1]
-    assert max(n for _, n in long_rounds) <= 0.05 / FLOCK_WAIT.cap + 8, long_rounds
+    assert all(n <= _curve_probes(w) for w, n in long_rounds), long_rounds
     assert min(w for w, _ in long_rounds) >= 0.04
 
 
@@ -497,6 +518,11 @@ def _descriptor_lifetime_body(comm):
     opened = _count_lock_file_opens()
     peer = (comm.rank + 1) % comm.size
     one = np.ones(1, dtype=np.int64)
+    # a rank's first send to an inbox swaps the write-lock file inherited
+    # over the fork for one of its own, on the queue's feeder thread; the
+    # second barrier cannot end before the peer has received the first
+    # one's message, so that swap is done before the count starts
+    comm.barrier()
     comm.barrier()
     before = _open_fds()
     win, _ = Win.allocate(comm, 64, mpi3=True)
