@@ -51,13 +51,14 @@ and puts/gets are true cross-process memory traffic.  The moving parts:
   registries) build a consistent per-process replica — contributions
   are inserted in rank order to keep replicas deterministic.
 * **Windows** (:class:`ProcWin`): each rank's exposure is copied into a
-  shared-memory segment all peers attach; passive-target ``lock`` maps
-  onto ``fcntl.flock`` range locks (shared/exclusive), and the atomic
-  ops (``accumulate``/``fetch_and_op``/``compare_and_swap``) take a
-  separate per-target *atomic sublock* file so they are atomic across
-  processes even inside shared epochs (MPI-3 ``lock_all`` takes no
-  cross-process lock at all — like real MPI, conflicting plain put/put
-  is the user's race, atomics are the runtime's job).
+  shared-memory segment all peers attach; the window's one lock
+  primitive is an ``fcntl.flock`` per target (shared/exclusive), so
+  ``lock`` takes one and MPI-3 ``lock_all`` a shared one on every
+  target, and the atomic ops (``accumulate``/``fetch_and_op``/
+  ``compare_and_swap``) take a separate per-target *atomic sublock*
+  file so they are atomic across processes even inside shared epochs
+  (like real MPI, conflicting plain put/put under shared locks is the
+  user's race, atomics are the runtime's job).
 
 What the proc backend does **not** support — by design, raising typed
 errors rather than misbehaving: the deterministic scheduler and fuzzer,
@@ -83,7 +84,7 @@ import time
 import traceback
 import zlib
 from multiprocessing import get_context, resource_tracker, shared_memory
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -104,9 +105,6 @@ from .group import Group
 from .p2p import ANY_SOURCE, P2PEngine, Request
 from .runtime import RankFailedError, Runtime, _tls, current_proc
 from .window import LOCK_EXCLUSIVE, Win, _local_exposure_view
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 __all__ = ["ProcBackend", "ProcComm", "ProcWin"]
 
@@ -1289,22 +1287,28 @@ class _AtomicSection:
 class ProcWin(Win):
     """A window whose memory is shared-memory segments, locks are flocks.
 
-    Epoch bookkeeping (one-lock-per-window, epoch-required, strict
-    conflict tracking) stays process-local in the inherited state; the
-    *mutual exclusion* between processes comes from two families of
-    ``fcntl.flock`` files under the run's lock directory, held through
-    this process's :class:`_LockFiles` descriptors:
+    Every rule and all epoch bookkeeping are :class:`Win`'s, kept
+    process-local; this class supplies only where the memory lives and
+    what a lock is.  The *mutual exclusion* between processes comes from
+    two families of ``fcntl.flock`` files under the run's lock directory,
+    held through this process's :class:`_LockFiles` descriptors:
 
-    * ``<token>.t<target>.lock`` — the passive-target epoch lock taken
-      by :meth:`lock` (``LOCK_SH``/``LOCK_EX`` mirroring
-      shared/exclusive); :meth:`lock_all` deliberately takes none
-      (MPI-3 shared epochs don't exclude anyone).
-    * ``<token>.t<target>.atomic`` — a short-lived exclusive sublock
-      wrapped around accumulate/fetch_and_op/compare_and_swap so
-      atomics are atomic across processes even inside shared epochs.
-      Ordering is always epoch-lock → atomic-sublock, so the two
-      families cannot deadlock.
+    * ``<token>.t<target>.lock`` — the passive-target epoch lock, taken
+      by :meth:`_acquire` (``LOCK_SH``/``LOCK_EX`` mirroring
+      shared/exclusive) for ``lock`` and, shared, on every target for
+      ``lock_all``, like ``MPI_Win_lock_all``.
+    * ``<token>.t<target>.atomic`` — the :meth:`_atomic_section`, a
+      short-lived exclusive sublock around accumulate/fetch_and_op/
+      compare_and_swap so atomics are atomic across processes even inside
+      shared epochs.  Ordering is always epoch-lock → atomic-sublock, so
+      the two families cannot deadlock.
     """
+
+    # Win's own functions, not overrides: named here only because the e2e
+    # benchmark's span tracer (benchmarks/e2e/spans.py) wraps them by
+    # looking them up in this class's namespace
+    lock, unlock = Win.lock, Win.unlock
+    accumulate, fetch_and_op = Win.accumulate, Win.fetch_and_op
 
     def __init__(
         self,
@@ -1324,26 +1328,24 @@ class ProcWin(Win):
         self._creator_rank = creator_rank
         self._token = token
         self._lock_files = lock_files
-        #: target -> the epoch lock this process holds, as
-        #: :meth:`_acquire_flock` returned it
-        self._epoch_held: dict[int, tuple] = {}
         self._released = False
 
-    # -- flock plumbing ------------------------------------------------------
+    # -- the lock primitive --------------------------------------------------
     def _acquire_flock(self, target_rank: int, kind: str, exclusive: bool) -> tuple:
         """Blocking-with-failure-checks flock acquisition; returns the
         ``(key, descriptor)`` pair that ``_LockFiles.release`` takes back.
 
-        Polls nonblockingly so a survivor stuck behind a dead peer's
-        lock still observes ``runtime.failed`` (set by the pump on a
-        ``rank_dead`` control message or a heartbeat verdict) and raises
-        the typed error.  A *dead* holder's flock self-reclaims — the
-        kernel releases flocks when the holding process dies — so this
-        path never blocks forever on a corpse; a *stalled* (SIGSTOPped)
-        holder keeps its lock, and with ``op_timeout_s`` set the wait
-        gives up with :class:`OpTimeoutError` instead of wedging.
-        Between probes it sleeps along :data:`~repro.backoff.FLOCK_WAIT`,
-        so a wait costs about what the holder holds, not a flat 2 ms.
+        Probes nonblockingly under ``runtime.cond`` (entered here, whether
+        or not the caller holds it) and sleeps in ``runtime.cond.wait``,
+        which lets go of it for the pump thread.  A survivor stuck behind
+        a dead peer's lock still observes ``runtime.failed`` (set by the
+        pump on a ``rank_dead`` message or a heartbeat verdict) and raises
+        the typed error.  A *dead* holder's flock self-reclaims (the
+        kernel drops it); a *stalled* (SIGSTOPped) holder keeps it, and
+        with ``op_timeout_s`` set the wait gives up with
+        :class:`OpTimeoutError`.  Probes come along
+        :data:`~repro.backoff.FLOCK_WAIT`, so a wait costs about what the
+        holder holds, not a flat 2 ms.
         """
         rt = self.runtime
         deadline = (
@@ -1353,64 +1355,43 @@ class ProcWin(Win):
         key = (self._token, target_rank, kind)
         fd = self._lock_files.take(key)
         op = (fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH) | fcntl.LOCK_NB
-        try:
-            for attempt in itertools.count():
-                try:
-                    fcntl.flock(fd, op)
-                    return key, fd
-                except OSError:
-                    pass
-                with rt.cond:
+        with rt.cond:
+            try:
+                for attempt in itertools.count():
+                    try:
+                        fcntl.flock(fd, op)
+                        return key, fd
+                    except OSError:
+                        pass
                     if rt.failed is not None:
                         raise RankFailedError(
                             f"rank failed elsewhere: {rt.failed!r}"
                         )
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise OpTimeoutError(
-                        f"win {self.win_id} {kind} flock (target "
-                        f"{target_rank}) timed out after "
-                        f"{rt.op_timeout_s}s (holder stalled but alive?)"
-                    )
-                time.sleep(FLOCK_WAIT.delay(attempt))
-        except BaseException:
-            self._lock_files.release(key, fd)
-            raise
+                    now = time.monotonic()
+                    if deadline is not None and now >= deadline:
+                        raise OpTimeoutError(
+                            f"win {self.win_id} {kind} flock (target "
+                            f"{target_rank}) timed out after "
+                            f"{rt.op_timeout_s}s (holder stalled but alive?)"
+                        )
+                    # a progress notification wakes the wait early; the
+                    # next probe still comes on the curve
+                    wake = now + FLOCK_WAIT.delay(attempt)
+                    while (left := wake - time.monotonic()) > 0:
+                        rt.cond.wait(left)
+            except BaseException:
+                self._lock_files.release(key, fd)
+                raise
+
+    def _acquire(self, origin: int, target_rank: int, mode: str) -> tuple:
+        return self._acquire_flock(target_rank, "lock", mode == LOCK_EXCLUSIVE)
+
+    def _release(self, epoch) -> None:
+        self._lock_files.release(*epoch.lock)
 
     def _atomic_section(self, target_rank: int) -> "_AtomicSection":
         """``with`` block holding ``target_rank``'s atomic sublock."""
         return _AtomicSection(self, target_rank)
-
-    # -- passive-target sync -------------------------------------------------
-    def lock(self, target_rank: int, mode: str = LOCK_EXCLUSIVE) -> None:
-        rt = self.runtime
-        with rt.cond:
-            origin, _ = self._lock_begin(target_rank, mode)
-        # the cross-process exclusion, acquired without the giant lock so
-        # the pump thread keeps running while we spin
-        held = self._acquire_flock(target_rank, "lock", mode == LOCK_EXCLUSIVE)
-        with rt.cond:
-            self._epoch_held[target_rank] = held
-            self._open_epoch(origin, target_rank, mode)
-
-    def unlock(self, target_rank: int) -> None:
-        with self.runtime.cond:
-            self._close_epoch(target_rank)
-            held = self._epoch_held.pop(target_rank, None)
-        if held is not None:
-            self._lock_files.release(*held)
-
-    # -- atomics -------------------------------------------------------------
-    def accumulate(self, origin: np.ndarray, target_rank: int, *args, **kw):
-        with self._atomic_section(target_rank):
-            return super().accumulate(origin, target_rank, *args, **kw)
-
-    def fetch_and_op(self, value, target_rank: int, *args, **kw):
-        with self._atomic_section(target_rank):
-            return super().fetch_and_op(value, target_rank, *args, **kw)
-
-    def compare_and_swap(self, compare, value, target_rank: int, *args, **kw):
-        with self._atomic_section(target_rank):
-            return super().compare_and_swap(compare, value, target_rank, *args, **kw)
 
     # -- teardown ------------------------------------------------------------
     def free_with(self, on_free) -> Any:
@@ -1420,11 +1401,6 @@ class ProcWin(Win):
 
     def invalidate(self) -> None:
         super().invalidate()
-        with self.runtime.cond:
-            held = list(self._epoch_held.values())
-            self._epoch_held.clear()
-        for lock in held:
-            self._lock_files.release(*lock)
         self._release_segments()
 
     def _release_segments(self) -> None:

@@ -32,6 +32,7 @@ these features, and the ablation benchmark quantifies their benefit.
 
 from __future__ import annotations
 
+import contextlib
 from typing import Any
 
 import numpy as np
@@ -60,6 +61,14 @@ __all__ = [
 
 LOCK_SHARED = "shared"
 LOCK_EXCLUSIVE = "exclusive"
+
+#: an origin's epoch record (``Win._open``) holds the target of its
+#: ``lock``, or one of these for the window-wide epochs
+_LOCK_ALL = "lock_all"
+_FENCE = "fence"
+_EPOCH_NAMES = {_LOCK_ALL: "a lock_all epoch", _FENCE: "an active-target fence epoch"}
+
+_NO_SECTION = contextlib.nullcontext()  # Win._atomic_section
 
 _NOTHING_TO_FLUSH = "%s outside any passive-target epoch: nothing to complete"
 #: access class of the MPI-3 atomics' footprints, tracked only for a sanitizer
@@ -211,12 +220,15 @@ class _Epoch:
         "pending_reqs",
         "op_count",
         "bytes_moved",
+        "lock",
     )
 
     def __init__(self, origin: int, target: int, mode: str):
         self.origin = origin
         self.target = target
         self.mode = mode
+        #: what ``Win._acquire`` returned, for ``Win._release``
+        self.lock: Any = None
         #: per-class byte coverage used for conflict detection
         self.puts = _IntervalSet()
         self.gets = _IntervalSet()
@@ -311,12 +323,9 @@ class Win:
         self._locks = [_LockState() for _ in range(comm.size)]
         #: (origin_world, target_rank) -> open epoch
         self._epochs: dict[tuple[int, int], _Epoch] = {}
-        #: origin_world -> target currently locked (enforces one lock/window rule)
-        self._held: dict[int, int] = {}
-        #: origins in a lock_all epoch (MPI-3)
-        self._lock_all: set[int] = set()
-        #: active-target state: ranks currently inside a fence epoch
-        self._fence_members: set[int] = set()
+        #: origin_world -> the epoch it is in: the target of its ``lock``
+        #: (the one-lock-per-window rule), ``_LOCK_ALL`` or ``_FENCE``
+        self._open: dict[int, "int | str"] = {}
         self._freed = False
         # per-runtime ids (not process-global) so a replayed run labels
         # its windows identically — violation text feeds the fuzz digest
@@ -376,14 +385,8 @@ class Win:
         waiters can be granted instead of deadlocking.
         """
         for key in [k for k in self._epochs if k[0] == world_rank]:
-            del self._epochs[key]
-            ls = self._locks[key[1]]
-            ls.holders.discard(world_rank)
-            if not ls.holders:
-                ls.mode = None
-        self._held.pop(world_rank, None)
-        self._lock_all.discard(world_rank)
-        self._fence_members.discard(world_rank)
+            self._drop_epoch(key)
+        self._open.pop(world_rank, None)
         for ls in self._locks:
             ls.queue[:] = [(o, m) for (o, m) in ls.queue if o != world_rank]
 
@@ -456,7 +459,7 @@ class Win:
             rank = self.comm.rank
 
             def finish(_c):
-                if self._epochs or self._held or self._fence_members:
+                if self._epochs or self._open:
                     raise RMASyncError("Win.free with access epochs still open")
                 result = on_free() if on_free is not None else None
                 self._freed = True
@@ -480,13 +483,10 @@ class Win:
             if self._freed:
                 return
             self._freed = True
-            self._epochs.clear()
-            self._held.clear()
-            self._lock_all.clear()
-            self._fence_members.clear()
+            for key in list(self._epochs):
+                self._drop_epoch(key)  # every holder has its epoch
+            self._open.clear()
             for ls in self._locks:
-                ls.mode = None
-                ls.holders.clear()
                 ls.queue.clear()
             self.runtime.notify_progress()
 
@@ -501,141 +501,170 @@ class Win:
         return self.comm.group
 
     # -- passive-target synchronisation ---------------------------------------------
-    def _lock_begin(self, target_rank: int, mode: str) -> tuple[int, int]:
-        """Argument and precondition checks of :meth:`lock`.
+    def _check_nesting(self, origin: int, op: str, target_rank: int) -> None:
+        """The one nesting rule of ``lock``, ``lock_all`` and ``fence_sync``,
+        against the origin's epoch record (``runtime.cond`` held): one lock
+        per window per process (MPI-2), and passive and active epochs do
+        not overlap — successive fences are how fence epochs end."""
+        rec = self._open.get(origin)
+        if rec is None or (op == "fence_sync" and rec == _FENCE):
+            return
+        epoch = _EPOCH_NAMES.get(rec)  # None: a lock on target ``rec``
+        if op == "fence_sync":
+            plain = detail = (
+                "MPI_Win_fence while holding a passive-target lock: active "
+                "and passive epochs may not overlap"
+            )
+        elif op == "lock" and epoch is None:
+            plain = (
+                f"origin {origin} already holds a lock on target {rec} of "
+                "this window (MPI-2 allows one lock per window per process)"
+            )
+            detail = (
+                f"already holds a lock on target {rec} of this window (one "
+                "lock per window per process)"
+            )
+        elif op == "lock":
+            plain = detail = f"lock() inside {epoch}"
+        elif rec == _FENCE:  # not a rule the window enforces by itself
+            plain, detail = None, f"lock_all inside {epoch}"
+        else:
+            plain = "lock_all while already in an epoch"
+            detail = f"lock_all while already in {epoch}" if epoch else (
+                f"lock_all while holding a lock on target {rec} of this window"
+            )
+        self._violate(
+            RMASyncError(plain) if plain else None,
+            "lock-nesting", op, target_rank, detail,
+        )
 
-        Shared by every backend (called with ``runtime.cond`` held): only
-        *how the lock is then acquired* differs between them.  Returns
-        the origin and the target as world ranks.
-        """
+    def _acquire(self, origin: int, target_rank: int, mode: str) -> Any:
+        """Take ``target_rank``'s lock for ``origin`` (``runtime.cond`` held;
+        waiting lets go of it).  With :meth:`_release` the only lock code a
+        backend supplies — here the FIFO grant of the target's
+        :class:`_LockState`.  Returns what :meth:`_release` gets back."""
+        rt = self.runtime
+        ls = self._locks[target_rank]
+        target_world = self._target_world(target_rank)
+        queued_alive = target_world not in rt.dead_ranks
+
+        def grantable() -> bool:
+            if not ls.queue or ls.queue[0][0] != origin:
+                return False
+            if ls.mode is None:
+                return True
+            return ls.mode == LOCK_SHARED and mode == LOCK_SHARED
+
+        # bounded-retry acquisition: on a per-op timeout, withdraw the
+        # queued request, back off (seeded), and re-enqueue — so a rank
+        # starved by a stuck peer fails with a typed OpTimeoutError
+        # after op_retries attempts instead of hanging forever.
+        attempt = 0
+        while True:
+            ls.queue.append((origin, mode))
+            try:
+                rt.wait_for(
+                    grantable,
+                    timeout_s=rt.op_timeout_s,
+                    what=f"win {self.win_id} lock(target={target_rank})",
+                )
+            except OpTimeoutError:
+                ls.queue.remove((origin, mode))
+                rt.notify_progress()
+                if attempt >= rt.op_retries:
+                    raise
+                rt.backoff(attempt)
+                attempt += 1
+                continue
+            break
+        if queued_alive and target_world in rt.dead_ranks:
+            # the target died while we were queued: typed failure, not
+            # a grant on a corpse
+            ls.queue.remove((origin, mode))
+            rt.notify_progress()
+            raise TargetFailedError(
+                f"lock: target rank {target_rank} of win {self.win_id} "
+                "failed while the request was queued"
+            )
+        ls.queue.pop(0)
+        ls.mode = mode
+        ls.holders.add(origin)
+        return None
+
+    def _release(self, epoch: _Epoch) -> None:
+        """Give back the lock :meth:`_acquire` took for ``epoch``
+        (``runtime.cond`` held)."""
+        ls = self._locks[epoch.target]
+        ls.holders.discard(epoch.origin)
+        if not ls.holders:
+            ls.mode = None
+
+    def _open_epoch(self, origin: int, target_rank: int, mode: str) -> None:
+        """Acquire ``target_rank``'s lock for ``origin`` and record the
+        epoch in one step for the death hook (``runtime.cond`` held)."""
+        epoch = _Epoch(origin, target_rank, mode)
+        epoch.lock = self._acquire(origin, target_rank, mode)
+        self._epochs[(origin, target_rank)] = epoch
+
+    def _drop_epoch(self, key: tuple[int, int]) -> None:
+        """Forget an epoch, giving back its lock if it holds one."""
+        epoch = self._epochs.pop(key, None)
+        if epoch is not None and epoch.mode != _FENCE:
+            self._release(epoch)
+
+    def _close_epoch(self, origin: int, target_rank: int) -> None:
+        """Complete one lock epoch and give its lock back (``runtime.cond``
+        held); ``unlock`` and ``unlock_all`` close every epoch this way."""
+        epoch = self._epochs[(origin, target_rank)]
+        if epoch.pending_reqs:
+            self._audit_requests(epoch)
+        self._deliver_gets(epoch)  # before the lock goes: MPI reads here
+        self._drop_epoch((origin, target_rank))
+
+    def lock(self, target_rank: int, mode: str = LOCK_EXCLUSIVE) -> None:
+        """Begin a passive-target access epoch (MPI_Win_lock)."""
         if mode not in (LOCK_SHARED, LOCK_EXCLUSIVE):
             raise ArgumentError(f"unknown lock mode {mode!r}")
         self._check_target(target_rank)
         rt = self.runtime
         origin = current_proc().rank
-        if self.comm.group.rank_of_world(origin) < 0:
-            raise WinError(
-                f"world rank {origin} is not in this window's group and "
-                "cannot open an access epoch on it"
-            )
-        self._check_alive()
-        rt.check_self_alive()
-        if origin in self._held:
-            held = self._held[origin]
-            self._violate(
-                RMASyncError(
-                    f"origin {origin} already holds a lock on target {held} "
-                    "of this window (MPI-2 allows one lock per window per "
-                    "process)"
-                ),
-                "lock-nesting", "lock", target_rank,
-                f"already holds a lock on target {held} of this window (one "
-                "lock per window per process)",
-            )
-        if origin in self._lock_all or origin in self._fence_members:
-            msg = "lock() inside " + (
-                "a lock_all epoch" if origin in self._lock_all
-                else "an active-target fence epoch"
-            )
-            self._violate(RMASyncError(msg), "lock-nesting", "lock", target_rank, msg)
-        target_world = self._target_world(target_rank)
-        if target_world in rt.dead_ranks:
-            raise TargetFailedError(
-                f"lock: target rank {target_rank} of win {self.win_id} has failed"
-            )
-        return origin, target_world
-
-    def _open_epoch(self, origin: int, target_rank: int, mode: str) -> None:
-        """Bookkeeping of a granted lock (``runtime.cond`` held)."""
-        ls = self._locks[target_rank]
-        ls.mode = mode
-        ls.holders.add(origin)
-        self._held[origin] = target_rank
-        self._epochs[(origin, target_rank)] = _Epoch(origin, target_rank, mode)
-        self.runtime.notify_progress()
-
-    def _close_epoch(self, target_rank: int) -> None:
-        """Checks and bookkeeping of :meth:`unlock` (``runtime.cond`` held)."""
-        self._check_target(target_rank)
-        origin = current_proc().rank
-        self._check_alive()
-        self.runtime.check_self_alive()
-        epoch = self._epochs.get((origin, target_rank))
-        if epoch is None or self._held.get(origin) != target_rank:
-            self._violate(
-                RMASyncError(
-                    f"unlock({target_rank}) without a matching lock by origin {origin}"
-                ),
-                "lock-unmatched", "unlock", target_rank,
-                "unlock without a matching lock by this origin",
-            )
-        if epoch.pending_reqs:
-            self._audit_requests(epoch)
-        del self._epochs[(origin, target_rank)]
-        self._deliver_gets(epoch)
-        del self._held[origin]
-        self._release(origin, target_rank)
-        self.runtime.notify_progress()
-
-    def _release(self, origin: int, target_rank: int) -> None:
-        ls = self._locks[target_rank]
-        ls.holders.discard(origin)
-        if not ls.holders:
-            ls.mode = None
-
-    def lock(self, target_rank: int, mode: str = LOCK_EXCLUSIVE) -> None:
-        """Begin a passive-target access epoch (MPI_Win_lock)."""
-        rt = self.runtime
         with rt.cond:
-            origin, target_world = self._lock_begin(target_rank, mode)
-            ls = self._locks[target_rank]
-
-            def grantable() -> bool:
-                if not ls.queue or ls.queue[0][0] != origin:
-                    return False
-                if ls.mode is None:
-                    return True
-                return ls.mode == LOCK_SHARED and mode == LOCK_SHARED
-
-            # bounded-retry acquisition: on a per-op timeout, withdraw the
-            # queued request, back off (seeded), and re-enqueue — so a rank
-            # starved by a stuck peer fails with a typed OpTimeoutError
-            # after op_retries attempts instead of hanging forever.
-            attempt = 0
-            while True:
-                ls.queue.append((origin, mode))
-                try:
-                    rt.wait_for(
-                        grantable,
-                        timeout_s=rt.op_timeout_s,
-                        what=f"win {self.win_id} lock(target={target_rank})",
-                    )
-                except OpTimeoutError:
-                    ls.queue.remove((origin, mode))
-                    rt.notify_progress()
-                    if attempt >= rt.op_retries:
-                        raise
-                    rt.backoff(attempt)
-                    attempt += 1
-                    continue
-                break
-            if target_world in rt.dead_ranks:
-                # the target died while we were queued: typed failure, not
-                # a grant on a corpse
-                ls.queue.remove((origin, mode))
-                rt.notify_progress()
-                raise TargetFailedError(
-                    f"lock: target rank {target_rank} of win {self.win_id} "
-                    "failed while the request was queued"
+            if self.comm.group.rank_of_world(origin) < 0:
+                raise WinError(
+                    f"world rank {origin} is not in this window's group and "
+                    "cannot open an access epoch on it"
                 )
-            ls.queue.pop(0)
+            self._check_alive()
+            rt.check_self_alive()
+            self._check_nesting(origin, "lock", target_rank)
+            if self._target_world(target_rank) in rt.dead_ranks:
+                raise TargetFailedError(
+                    f"lock: target rank {target_rank} of win {self.win_id} has failed"
+                )
             self._open_epoch(origin, target_rank, mode)
+            self._open[origin] = target_rank
+            rt.notify_progress()
         self._charge_sync("lock")
 
     def unlock(self, target_rank: int) -> None:
         """End the access epoch; completes all ops locally and remotely."""
-        with self.runtime.cond:
-            self._close_epoch(target_rank)
+        self._check_target(target_rank)
+        rt = self.runtime
+        origin = current_proc().rank
+        with rt.cond:
+            self._check_alive()
+            rt.check_self_alive()
+            if self._open.get(origin) != target_rank:
+                self._violate(
+                    RMASyncError(
+                        f"unlock({target_rank}) without a matching lock by origin {origin}"
+                    ),
+                    "lock-unmatched", "unlock", target_rank,
+                    "unlock without a matching lock by this origin",
+                )
+            self._close_epoch(origin, target_rank)
+            del self._open[origin]
+            rt.notify_progress()
         self._charge_sync("unlock")
 
     # -- active-target synchronisation (MPI_Win_fence) --------------------------------
@@ -658,35 +687,31 @@ class Win:
         origin = current_proc().rank
         with rt.cond:
             self._check_alive()
-            if origin in self._held or origin in self._lock_all:
-                raise RMASyncError(
-                    "MPI_Win_fence while holding a passive-target lock: "
-                    "active and passive epochs may not overlap"
-                )
+            self._check_nesting(origin, "fence_sync", -1)
 
         def close(_contrib) -> None:
             # complete the previous fence epoch: deliver gets, drop accesses
             for (o, _t), epoch in list(self._epochs.items()):
-                if epoch.mode == "fence":
+                if epoch.mode == _FENCE:
                     self._deliver_gets(epoch)
                     del self._epochs[(o, _t)]
-            self._fence_members.clear()
-            if not end:
-                self._fence_members.update(
-                    self.comm.group.world_rank(r) for r in range(self.comm.size)
-                )
+            for w in self._world_of:
+                if end:
+                    self._open.pop(w, None)
+                else:
+                    self._open[w] = _FENCE
 
         with rt.cond:
             self.comm._coll.run(self.comm.rank, "win_fence", None, close)
         self._charge_sync("fence")
 
     def _fence_epoch(self, origin: int, target_rank: int) -> "_Epoch | None":
-        if origin not in self._fence_members:
+        if self._open.get(origin) != _FENCE:
             return None
         key = (origin, target_rank)
         epoch = self._epochs.get(key)
         if epoch is None:
-            epoch = _Epoch(origin, target_rank, "fence")
+            epoch = _Epoch(origin, target_rank, _FENCE)
             self._epochs[key] = epoch
         return epoch
 
@@ -699,64 +724,64 @@ class Win:
             )
 
     def lock_all(self) -> None:
-        """Open a shared epoch on every target at once (MPI-3)."""
+        """Open a shared epoch on every target at once (MPI-3): a shared
+        lock on each target in turn, acquired as :meth:`lock` acquires."""
         self._require_mpi3("lock_all")
         rt = self.runtime
         origin = current_proc().rank
         with rt.cond:
-            if origin in self._held or origin in self._lock_all:
-                self._violate(
-                    RMASyncError("lock_all while already in an epoch"),
-                    "lock-nesting", "lock_all", -1,
-                    "lock_all while already in a lock_all epoch"
-                    if origin in self._lock_all
-                    else f"lock_all while holding a lock on target "
-                    f"{self._held[origin]} of this window",
-                )
-            if origin in self._fence_members:
-                # not a rule the window enforces by itself
-                self._violate(
-                    None, "lock-nesting", "lock_all", -1,
-                    "lock_all inside an active-target fence epoch",
-                )
-            # acquire shared on all targets via the same FIFO discipline
-            for t in range(self.comm.size):
-                ls = self._locks[t]
-                ls.queue.append((origin, LOCK_SHARED))
-
-                def grantable(ls=ls) -> bool:
-                    if not ls.queue or ls.queue[0][0] != origin:
-                        return False
-                    return ls.mode in (None, LOCK_SHARED)
-
-                rt.wait_for(grantable)
-                ls.queue.pop(0)
-                ls.mode = LOCK_SHARED
-                ls.holders.add(origin)
-                self._epochs[(origin, t)] = _Epoch(origin, t, LOCK_SHARED)
-            self._lock_all.add(origin)
+            self._check_nesting(origin, "lock_all", -1)
+            granted = 0
+            try:
+                for t in range(self.comm.size):
+                    self._open_epoch(origin, t, LOCK_SHARED)
+                    granted += 1
+            except BaseException:
+                # a target that never granted: give back those that did
+                for t in range(granted):
+                    self._drop_epoch((origin, t))
+                rt.notify_progress()
+                raise
+            self._open[origin] = _LOCK_ALL
             rt.notify_progress()
         self._charge_sync("lock_all")
 
     def unlock_all(self) -> None:
+        """Close the :meth:`lock_all` epoch: :meth:`unlock` on every target."""
         self._require_mpi3("unlock_all")
         rt = self.runtime
         origin = current_proc().rank
         with rt.cond:
-            if origin not in self._lock_all:
+            if self._open.get(origin) != _LOCK_ALL:
                 self._violate(
                     RMASyncError("unlock_all without lock_all"),
                     "lock-unmatched", "unlock_all", -1,
                     "unlock_all without a lock_all epoch open",
                 )
             for t in range(self.comm.size):
-                self._audit_requests(self._epochs[(origin, t)])
-            for t in range(self.comm.size):
-                self._deliver_gets(self._epochs.pop((origin, t)))
-                self._release(origin, t)
-            self._lock_all.discard(origin)
+                self._close_epoch(origin, t)
+            del self._open[origin]
             rt.notify_progress()
         self._charge_sync("unlock_all")
+
+    def _flush(self, origin: int, target_rank: int) -> None:
+        """Complete ``origin``'s ops at ``target_rank`` and keep the epoch
+        (``runtime.cond`` held); ``flush`` and ``flush_all`` both end here."""
+        # the completion call is where a dead target's loss surfaces
+        # (mirrors _require_epoch)
+        if self._target_world(target_rank) in self.runtime.dead_ranks:
+            raise TargetFailedError(
+                f"flush({target_rank}) on failed target of win {self.win_id}"
+            )
+        epoch = self._epochs.get((origin, target_rank))
+        if epoch is None:
+            self._violate(
+                RMASyncError(f"flush({target_rank}) outside an epoch"),
+                "flush", "flush", target_rank, _NOTHING_TO_FLUSH % "flush",
+            )
+        self._deliver_gets(epoch)
+        # flushed ops no longer conflict with later ops of this epoch
+        epoch.clear_accesses()
 
     def flush(self, target_rank: int) -> None:
         """Complete outstanding ops at the target without closing the epoch."""
@@ -764,42 +789,38 @@ class Win:
         origin = current_proc().rank
         with self.runtime.cond:
             # death first: a killed caller's epochs were already revoked
-            # by the death hook, and the completion call is where a dead
-            # target's loss surfaces (mirrors _require_epoch)
+            # by the death hook
             self.runtime.check_self_alive()
-            if self._target_world(target_rank) in self.runtime.dead_ranks:
-                raise TargetFailedError(
-                    f"flush({target_rank}) on failed target of win "
-                    f"{self.win_id}"
-                )
-            epoch = self._epochs.get((origin, target_rank))
-            if epoch is None:
-                self._violate(
-                    RMASyncError(f"flush({target_rank}) outside an epoch"),
-                    "flush", "flush", target_rank, _NOTHING_TO_FLUSH % "flush",
-                )
-            self._deliver_gets(epoch)
-            # flushed ops no longer conflict with later ops of this epoch
-            epoch.clear_accesses()
+            self._flush(origin, target_rank)
             self.runtime.notify_progress()
         self._charge_sync("flush")
 
     def flush_all(self) -> None:
+        """:meth:`flush` towards every target the origin has an epoch on."""
         self._require_mpi3("flush_all")
         origin = current_proc().rank
         with self.runtime.cond:
             self.runtime.check_self_alive()
-            mine = [e for (o, _t), e in self._epochs.items() if o == origin]
+            mine = [t for (o, t) in self._epochs if o == origin]
             if not mine:
                 # a no-op for the window; only a sanitizer objects
                 self._violate(
                     None, "flush", "flush_all", -1, _NOTHING_TO_FLUSH % "flush_all"
                 )
-            for epoch in mine:
-                self._deliver_gets(epoch)
-                epoch.clear_accesses()
+            for t in mine:
+                self._flush(origin, t)
             self.runtime.notify_progress()
         self._charge_sync("flush")
+
+    def _atomic_section(self, target_rank: int) -> Any:
+        """Context entered with ``runtime.cond`` held around the body of
+        ``accumulate``, ``fetch_and_op`` and ``compare_and_swap``.
+
+        The one hook a backend supplies to make them atomic in shared
+        epochs; here ``runtime.cond`` already serialises every rank, so
+        it is one shared no-op.
+        """
+        return _NO_SECTION
 
     def fetch_and_op(
         self,
@@ -813,7 +834,7 @@ class Win:
         self._require_mpi3("fetch_and_op")
         op = mpi_ops.lookup(op)
         origin = current_proc().rank
-        with self.runtime.cond:
+        with self.runtime.cond, self._atomic_section(target_rank):
             buf = self._atomic_view(origin, target_rank, target_offset, datatype)
             old = buf[0].item()
             if op is not mpi_ops.NO_OP:
@@ -834,7 +855,7 @@ class Win:
         """Atomic CAS on one element (MPI-3 MPI_Compare_and_swap)."""
         self._require_mpi3("compare_and_swap")
         origin = current_proc().rank
-        with self.runtime.cond:
+        with self.runtime.cond, self._atomic_section(target_rank):
             buf = self._atomic_view(origin, target_rank, target_offset, datatype)
             old = buf[0].item()
             if old == compare:
@@ -946,7 +967,7 @@ class Win:
         )
         if base == np.dtype("V") or base.itemsize == 0:
             raise ArgumentError("accumulate: cannot infer element type")
-        with self.runtime.cond:
+        with self.runtime.cond, self._atomic_section(target_rank):
             o = current_proc().rank
             epoch = self._require_epoch(o, target_rank, "acc")
             self._record_access(epoch, "acc", op.name, segmap, origin)
@@ -1021,7 +1042,7 @@ class Win:
             with self.runtime.cond:
                 epoch = self._epochs.get((origin, me))
                 ok = epoch is not None and epoch.mode == LOCK_EXCLUSIVE
-                if not ok and origin in self._lock_all:
+                if not ok and self._open.get(origin) == _LOCK_ALL:
                     ok = True  # MPI-3 unified-model relaxation
                 if not ok:
                     self._violate(

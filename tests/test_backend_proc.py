@@ -298,32 +298,42 @@ def test_proc_comm_intercomm_raises_typed():
     assert proc_spmd(2, body) == [True, True]
 
 
-def _lock_discipline_body(comm):
-    """(error type, message) of each misuse of ``lock``, on either backend."""
+def _lock_discipline_body(comm, rows="lock"):
+    """(error type, message) of each misuse of ``lock`` — or, with
+    ``rows="lock_all"``, of ``lock_all``/``unlock_all``/``fence_sync`` — on
+    either backend."""
     from repro.mpi.errors import MPIError
 
     win, _ = Win.allocate(comm, 64, mpi3=True)
     comm.barrier()
     seen = []
 
-    def attempt(*args):
+    def attempt(call, *args):
         try:
-            win.lock(*args)
+            call(*args)
         except MPIError as exc:
             seen.append((type(exc).__name__, str(exc)))
 
-    win.lock(comm.rank)
-    attempt((comm.rank + 1) % comm.size)  # nested: one lock per window
-    win.unlock(comm.rank)
-    win.lock_all()
-    attempt(comm.rank)  # inside a lock_all epoch
-    win.unlock_all()
-    attempt(comm.rank, "exclusive-ish")  # bad mode
-    attempt(comm.size)  # bad target
-    try:
-        win.unlock(comm.rank)  # never locked
-    except MPIError as exc:
-        seen.append((type(exc).__name__, str(exc)))
+    if rows == "lock":
+        win.lock(comm.rank)
+        attempt(win.lock, (comm.rank + 1) % comm.size)  # nested: one lock per window
+        win.unlock(comm.rank)
+        win.lock_all()
+        attempt(win.lock, comm.rank)  # inside a lock_all epoch
+        win.unlock_all()
+        attempt(win.lock, comm.rank, "exclusive-ish")  # bad mode
+        attempt(win.lock, comm.size)  # bad target
+        attempt(win.unlock, comm.rank)  # never locked
+    else:
+        win.lock_all()
+        attempt(win.lock_all)  # nested lock_all
+        attempt(win.lock, comm.rank)  # lock inside lock_all
+        win.unlock_all()
+        win.lock(comm.rank)
+        attempt(win.lock_all)  # lock_all inside lock
+        attempt(win.fence_sync)  # an active epoch inside a passive one
+        win.unlock(comm.rank)
+        attempt(win.unlock_all)  # never lock_all-ed
     comm.barrier()
     win.free()
     return seen
@@ -338,6 +348,85 @@ def test_proc_lock_raises_the_same_typed_errors_as_the_thread_window():
         "RMASyncError", "RMASyncError", "ArgumentError", "RMARangeError",
         "RMASyncError",
     ]
+
+
+def test_proc_lock_all_raises_the_same_typed_errors_as_the_thread_window():
+    """One nesting check against one epoch record, on both backends."""
+    threads = Runtime(2).spmd(_lock_discipline_body, "lock_all")
+    procs = proc_spmd(2, _lock_discipline_body, "lock_all")
+    assert procs == threads
+    assert [name for name, _ in procs[0]] == ["RMASyncError"] * 5
+
+
+def _lock_all_behind_exclusive_body(comm):
+    """Rank 1 holds its own target exclusively; rank 0's ``lock`` and
+    ``lock_all`` wait behind it.  ``lock_all`` is granted target 0 first, so
+    its timeout must give that back: rank 1 then locks target 0."""
+    from repro.mpi.errors import MPIError
+
+    win, _ = Win.allocate(comm, 64, mpi3=True)
+    comm.barrier()
+    seen = []
+
+    def attempt(name, call, *args):
+        try:
+            call(*args)
+        except MPIError as exc:
+            seen.append((name, type(exc).__name__))
+
+    if comm.rank == 1:
+        win.lock(1, LOCK_EXCLUSIVE)
+    comm.barrier()
+    if comm.rank == 0:
+        attempt("lock", win.lock, 1, LOCK_SHARED)
+        attempt("lock_all", win.lock_all)
+    comm.barrier()
+    if comm.rank == 1:
+        win.unlock(1)
+        win.lock(0, LOCK_EXCLUSIVE)  # an OpTimeoutError here fails the run
+        seen.append(("lock after the timeout", "granted"))
+        win.unlock(0)
+    comm.barrier()
+    win.free()
+    return seen
+
+
+def test_lock_all_behind_an_exclusive_holder_times_out_like_lock():
+    """``lock_all`` acquires every target as ``lock`` does, so it honours
+    ``op_timeout_s`` on threads and waits on the holder's flock on procs."""
+    kw = dict(op_timeout_s=0.2, op_retries=0)
+    threads = Runtime(2, **kw).spmd(_lock_all_behind_exclusive_body)
+    procs = Runtime(2, backend="proc", **kw).spmd(
+        _lock_all_behind_exclusive_body, join_timeout=120.0
+    )
+    assert procs == threads == [
+        [("lock", "OpTimeoutError"), ("lock_all", "OpTimeoutError")],
+        [("lock after the timeout", "granted")],
+    ]
+
+
+def test_procwin_is_memory_and_locks():
+    """Structural guard (ROADMAP aim 2, one concept / one implementation):
+    ProcWin supplies where window memory lives and the lock primitive —
+    every synchronisation call and atomic is Win's — and the window tracks
+    which epoch an origin is in with one record."""
+    from repro.mpi.backend_proc import ProcWin
+
+    calls = (
+        "lock", "unlock", "lock_all", "unlock_all",
+        "accumulate", "fetch_and_op", "compare_and_swap",
+    )
+    # a name ProcWin re-exports for the e2e span tracer is Win's function
+    assert [c for c in calls if vars(ProcWin).get(c, vars(Win)[c]) is not vars(Win)[c]] == []
+    assert {"_acquire", "_release", "_atomic_section"} <= set(vars(ProcWin))
+
+    def body(comm):
+        win, _ = Win.allocate(comm, 8)
+        retired = [a for a in ("_held", "_lock_all", "_fence_members") if hasattr(win, a)]
+        win.free()
+        return retired
+
+    assert Runtime(1).spmd(body) == [[]]
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +644,13 @@ def test_lock_files_are_opened_once_and_closed_with_their_window():
     results = proc_spmd(2, _descriptor_lifetime_body)
     for rank, (opened, total, cached, leaked) in enumerate(results):
         peer = 1 - rank
-        # 1 000 acquisitions on the first window, two opens (then two more
-        # for the second window's pair)
-        assert opened == sorted([f"t{peer}.atomic", f"t{peer}.lock"] * 2)
+        # 1 000 acquisitions on the first window, three opens — lock_all
+        # locks the own target too — then two more for the second window's pair
+        assert opened == sorted(
+            [f"t{peer}.atomic", f"t{peer}.lock"] * 2 + [f"t{rank}.lock"]
+        )
         assert total == 500
-        assert cached == 2  # the .lock and the .atomic of the one target used
+        assert cached == 3  # the two .lock files lock_all held, the peer's .atomic
         assert leaked == (0, 0)
 
 

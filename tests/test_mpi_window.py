@@ -569,6 +569,38 @@ def test_mpi3_lock_all_and_flush_all():
     spmd(3, main)
 
 
+def test_flush_and_flush_all_towards_a_failed_target_both_raise():
+    """``flush_all`` is ``flush`` on each of the origin's epochs, so a get
+    pending to a failed target fails both the same way — ``flush_all`` does
+    not complete it from the dead rank's memory."""
+    from repro.mpi.errors import RankKilledError, TargetFailedError
+
+    rt = mpi.Runtime(2, watchdog_s=2.0)
+
+    def main(comm):
+        win, local = _win(comm, 1, mpi3=True)
+        local[:] = 7.0
+        comm.barrier()
+        if comm.rank == 1:
+            comm.barrier()  # rank 0's get is pending
+            with rt.cond:
+                rt.mark_dead(comm.world_rank(1))
+            raise RankKilledError("rank 1 dies")
+        win.lock_all()
+        out = np.zeros(1)
+        win.get(out, 1)
+        comm.barrier()
+        with rt.cond:
+            rt.wait_for(lambda: rt.dead_ranks, what="death observed")
+        with pytest.raises(TargetFailedError, match=r"flush\(1\)"):
+            win.flush(1)
+        with pytest.raises(TargetFailedError, match=r"flush\(1\)"):
+            win.flush_all()
+        return out[0]
+
+    assert rt.spmd(main) == [0.0, None]
+
+
 def test_mpi3_rget_request_delivery():
     def main(comm):
         win, local = _win(comm, 2, mpi3=True)

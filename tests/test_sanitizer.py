@@ -582,6 +582,42 @@ def test_unlock_all_unmatched_violation_detected():
     assert v.op == "unlock_all"
 
 
+def _fence_in_passive_epoch_violation(comm, opener):
+    win, _ = Win.allocate(comm, 64, mpi3=True)
+    comm.barrier()
+    if comm.rank == 0:
+        if opener == "lock":
+            win.lock(0)  # repro: lint-ignore[lint-leak] — the fence aborts the run
+        else:
+            win.lock_all()  # repro: lint-ignore[lint-leak] — the fence aborts the run
+        win.fence_sync()  # active inside passive  # repro: lint-ignore[lock-nesting]
+
+
+@pytest.mark.parametrize("opener", ["lock", "lock_all"])
+def test_fence_inside_passive_epoch_violation_detected(opener):
+    v = expect_violation(
+        SyncViolationError, ViolationKind.LOCK_NESTING, RMASyncError,
+        2, _fence_in_passive_epoch_violation, opener,
+    )
+    assert v.rank == 0 and v.op == "fence_sync" and v.target == -1
+
+
+@pytest.mark.parametrize("opener", ["lock", "lock_all"])
+def test_fence_inside_passive_epoch_recorded_in_record_mode(opener):
+    """Record mode keeps the plain error, class and message, and records
+    the finding the static linter reports for the same misuse."""
+    rt = Runtime(2, watchdog_s=0.4)
+    rt.sanitizer = RmaSanitizer(mode="record")
+    with pytest.raises(RMASyncError) as ei:
+        rt.spmd(_fence_in_passive_epoch_violation, opener)
+    assert type(ei.value) is RMASyncError
+    assert str(ei.value) == (
+        "[MPI_ERR_RMA_SYNC] MPI_Win_fence while holding a passive-target "
+        "lock: active and passive epochs may not overlap"
+    )
+    assert [v.kind for v in rt.sanitizer.violations] == [ViolationKind.LOCK_NESTING]
+
+
 def test_request_pending_recorded_in_record_mode():
     san, _ = run_san(2, _request_violation, mode="record")
     kinds = [v.kind for v in san.violations]
