@@ -31,6 +31,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +39,7 @@ import numpy as np
 from ..mpi import datatypes as dt
 from ..mpi.comm import Comm
 from ..mpi.errors import ArgumentError
+from ..mpi.runtime import current_proc
 from ..mpi.window import Win
 from . import dla, iov, nbqueue, rmw, strided
 from .access_modes import AccessMode
@@ -151,32 +153,6 @@ class NbHandle:
             raise self._error
 
 
-class _OpEpoch:
-    """The context manager behind :meth:`Armci._op_epoch` — a class, not a
-    generator: every blocking op opens one, and the generator protocol cost
-    more than the epoch's own bookkeeping."""
-
-    __slots__ = ("nbq", "gmr", "win_rank", "kind")
-
-    def __init__(self, armci: "Armci", gmr: Gmr, win_rank: int, kind: str):
-        #: the nb queue to drain first; None = mpi2, an epoch per op
-        self.nbq = armci._nbq if armci._flush_mode else None
-        self.gmr, self.win_rank, self.kind = gmr, win_rank, kind
-
-    def __enter__(self) -> None:
-        gmr = self.gmr
-        if self.nbq is not None:
-            self.nbq.drain(gmr, self.win_rank)
-        else:
-            gmr.win.lock(self.win_rank, gmr.access_mode.lock_mode(self.kind))
-
-    def __exit__(self, *exc) -> None:
-        if self.nbq is not None:
-            self.gmr.win.flush(self.win_rank)
-        else:
-            self.gmr.win.unlock(self.win_rank)
-
-
 #: datapath modes selectable at :meth:`Armci.init`
 DATAPATHS = ("mpi2", "mpi3")
 
@@ -201,6 +177,10 @@ class Armci:
         #: "mpi2" = one epoch per op (§V-C); "mpi3" = standing lock_all
         #: per GMR with per-target flush completion and the nb queue
         self.datapath = datapath
+        #: internal name of ``mpi3``: ops complete by flush, not unlock
+        self._flush_mode = datapath == "mpi3"
+        #: world rank -> absolute ARMCI id, tabulated once (read on every op)
+        self._id_of_world = {w: i for i, w in enumerate(world.group.members)}
         self.table = GmrTable()
         self.world_group = ArmciGroup(world, world)
         self.stats = ArmciStats()
@@ -212,9 +192,7 @@ class Armci:
     @property
     def mpi3(self) -> bool:
         """Whether the windows expose the MPI-3 surface (lock_all/flush/fetch_op)."""
-        return self.datapath == "mpi3"
-
-    _flush_mode = mpi3  # internal name: ops complete by flush, not unlock
+        return self._flush_mode
 
     # -- lifecycle -----------------------------------------------------------------
     @classmethod
@@ -268,7 +246,8 @@ class Armci:
     @property
     def my_id(self) -> int:
         """Absolute ARMCI id of the calling process."""
-        return self.world.rank
+        me = self._id_of_world.get(current_proc().rank)
+        return self.world.rank if me is None else me  # (a non-member: its error)
 
     @property
     def nproc(self) -> int:
@@ -404,8 +383,8 @@ class Armci:
         is held to the GMR's access mode; a local side passes None.
         """
         gmr = self.table.require(ptr)
-        if kind is not None:
-            self._check_mode(gmr, kind)
+        if kind is not None and gmr.access_mode is not AccessMode.DEFAULT:
+            self._check_mode(gmr, kind)  # (DEFAULT promises nothing: any op goes)
         win_rank, disp = gmr.displacement(ptr)
         return gmr, win_rank, disp
 
@@ -506,16 +485,29 @@ class Armci:
             return np.multiply(packed, acc_dtype.type(scale), out=packed if private else None)
         return packed if private else packed.copy()
 
-    def _op_epoch(self, gmr: Gmr, win_rank: int, kind: str) -> "_OpEpoch":
-        """Completion discipline for one blocking operation (a ``with`` block).
+    def _in_epoch(self, gmr: Gmr, win_rank: int, kind: str, issue, *args) -> None:
+        """Step 4, the completion discipline of one blocking operation:
+        ``issue(*args)`` — its :meth:`_issue` calls — complete on return.
 
         mpi2: the §V-C pattern — a lock/unlock epoch of its own, shared
         where the GMR's access mode (§VIII-A) permits ``kind`` to be.
         mpi3: drain queued nb ops to the target (per-location program
-        order), issue into the GMR's standing ``lock_all`` epoch, and
-        complete with a per-target ``flush``.
+        order; at once while none are queued), issue into the GMR's
+        standing ``lock_all`` epoch, and complete with a per-target
+        ``flush``.
         """
-        return _OpEpoch(self, gmr, win_rank, kind)
+        win = gmr.win
+        if self._flush_mode:
+            self._nbq.drain(gmr, win_rank)
+        else:
+            win.lock(win_rank, gmr.access_mode.lock_mode(kind))
+        try:
+            issue(*args)
+        finally:
+            if self._flush_mode:
+                win.flush(win_rank)
+            else:
+                win.unlock(win_rank)
 
     @staticmethod
     def _issue(win: Win, kind, data, win_rank, disp, origin_t=None, target_t=None) -> None:
@@ -550,10 +542,14 @@ class Armci:
         and in how many :meth:`_issue` calls share an epoch.
         """
         data, writeback = self._stage(kind, local, origin_t)
-        if kind == "acc":
+        if kind == "acc" and (scale != 1.0 or target_t is None):
+            # (unscaled into a typed target layout, the window packs the
+            # origin through origin_t itself: no second pass over it here)
             data, origin_t = self._contribution(data, origin_t, scale, acc_dtype), None
-        with self._op_epoch(gmr, win_rank, kind):
-            self._issue(gmr.win, kind, data, win_rank, disp, origin_t, target_t)
+        self._in_epoch(
+            gmr, win_rank, kind,
+            self._issue, gmr.win, kind, data, win_rank, disp, origin_t, target_t,
+        )
         if writeback is not None:
             writeback()
 
@@ -638,8 +634,7 @@ class Armci:
         if self._flush_mode:
             self.stats.count("get", nbytes)
             return self._nbq.enqueue("get", gmr, win_rank, disp, data, writeback)
-        with self._op_epoch(gmr, win_rank, "get"):
-            self._issue(gmr.win, "get", data, win_rank, disp)
+        self._in_epoch(gmr, win_rank, "get", self._issue, gmr.win, "get", data, win_rank, disp)
         self.stats.count("get", nbytes)
         return NbHandle(finish=writeback, kind="get", target=src.rank)
 
@@ -958,11 +953,8 @@ def _acc_args(src, nbytes: "int | None", dtype) -> tuple[np.dtype, int]:
     return dtype, nbytes
 
 
-def _as_flat_bytes(arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr)
-    if not arr.flags["C_CONTIGUOUS"]:
-        raise ArgumentError("ARMCI local buffers must be C-contiguous")
-    return arr.reshape(-1).view(np.uint8)
+#: a local buffer as flat bytes (GA's strided local side already is)
+_as_flat_bytes = partial(dt.flat_bytes, not_contiguous="ARMCI local buffers must be C-contiguous")
 
 
 def _iov_remote(dst) -> tuple[int, np.ndarray]:

@@ -104,7 +104,8 @@ class Gmr:
         return r
 
     def displacement(self, ptr: GlobalPtr) -> tuple[int, int]:
-        """Translate a global pointer to ``(window rank, byte displacement)``."""
+        """Translate a global pointer to ``(window rank, byte displacement)``:
+        the one rank translation of an op's target (§V-A)."""
         win_rank = self.win_rank_of_absolute(ptr.rank)
         base = self.bases[win_rank]
         if base == NULL_ADDR:
@@ -165,12 +166,13 @@ class GmrTable:
     balanced lookup structure.
 
     On top of the bisect, the table remembers the **last-hit GMR per
-    process**: ARMCI traffic is bursty — long op runs against one
-    allocation (every segment of an IOV or strided transfer resolves to
-    the same GMR) — so the hot entry answers most lookups with a single
-    bounds check.  Hot entries are dropped on :meth:`unregister`, so a
-    freed allocation can never serve a lookup even if a later allocation
-    reuses its virtual address range.
+    process** with that process's slab range: ARMCI traffic is bursty —
+    long op runs against one allocation (every segment of an IOV or
+    strided transfer resolves to the same GMR) — so the hot entry answers
+    most lookups with a single bounds check and no rank translation.  Hot
+    entries are dropped on :meth:`unregister`, so a freed allocation can
+    never serve a lookup even if a later allocation reuses its virtual
+    address range.
     """
 
     def __init__(self) -> None:
@@ -178,8 +180,9 @@ class GmrTable:
         self._by_rank: dict[int, list[tuple[int, Gmr]]] = {}
         self._all: list[Gmr] = []
         self._next_va: dict[int, int] = {}
-        # absolute id -> most recently hit GMR (invalidated on unregister)
-        self._hot: dict[int, Gmr] = {}
+        # absolute id -> (most recently hit GMR, its slab's [lo, hi) on that
+        # process) (invalidated on unregister)
+        self._hot: dict[int, tuple[Gmr, int, int]] = {}
         # absolute id -> [(slab, gmr)] of its non-empty slabs: what the
         # §V-E.1 probe walks; dropped for a GMR's members when it comes or goes
         self._slabs: dict[int, list[tuple[np.ndarray, Gmr]]] = {}
@@ -217,7 +220,7 @@ class GmrTable:
             self._slabs.pop(absolute, None)
         self._all.remove(gmr)
         # a stale hot entry must never resolve a reused address range
-        for rank in [r for r, g in self._hot.items() if g is gmr]:
+        for rank in [r for r, hot in self._hot.items() if hot[0] is gmr]:
             del self._hot[rank]
 
     # -- lookup -----------------------------------------------------------------------
@@ -226,8 +229,8 @@ class GmrTable:
         if addr == NULL_ADDR:
             return None
         hot = self._hot.get(absolute_id)
-        if hot is not None and hot.contains(absolute_id, addr):
-            return hot
+        if hot is not None and hot[1] <= addr < hot[2]:
+            return hot[0]
         return self._lookup_bisect(absolute_id, addr)
 
     def _lookup_bisect(self, absolute_id: int, addr: int) -> "Gmr | None":
@@ -238,7 +241,8 @@ class GmrTable:
             return None
         base, gmr = entries[i]
         if gmr.contains(absolute_id, addr):
-            self._hot[absolute_id] = gmr
+            size = gmr.sizes[gmr.group.group_rank_of(absolute_id)]
+            self._hot[absolute_id] = (gmr, base, base + size)
             return gmr
         return None
 
@@ -246,7 +250,7 @@ class GmrTable:
         return self.lookup(ptr.rank, ptr.addr)
 
     def require(self, ptr: GlobalPtr) -> Gmr:
-        gmr = self.lookup_ptr(ptr)
+        gmr = self.lookup(ptr.rank, ptr.addr)
         if gmr is None:
             raise ArgumentError(f"{ptr} does not fall in any registered GMR")
         return gmr
@@ -305,7 +309,7 @@ class GmrTable:
                     f"rank {absolute} entry {base:#x} refers to "
                     f"unregistered GMR {gmr.gmr_id}"
                 )
-        for rank, gmr in self._hot.items():
+        for rank, (gmr, _lo, _hi) in self._hot.items():
             assert id(gmr) in live, (
                 f"hot entry for rank {rank} refers to unregistered "
                 f"GMR {gmr.gmr_id}"

@@ -206,8 +206,10 @@ def _conservative(armci: "Armci", req: IovRequest) -> None:
     """
     resolved = _resolve_per_segment(armci, req)
     for (gmr, win_rank, disp), loc_off in zip(resolved, req.loc_offsets.tolist()):
-        with armci._op_epoch(gmr, win_rank, req.kind):
-            armci._issue(gmr.win, req.kind, req.segment(loc_off), win_rank, disp)
+        armci._in_epoch(
+            gmr, win_rank, req.kind,
+            armci._issue, gmr.win, req.kind, req.segment(loc_off), win_rank, disp,
+        )
 
 
 def _batched(armci: "Armci", req: IovRequest) -> None:
@@ -220,12 +222,13 @@ def _batched(armci: "Armci", req: IovRequest) -> None:
     disps = (req.rem_addrs - base).tolist()
     loc_offs = req.loc_offsets.tolist()
     B = armci.config.iov_batch_size or req.nsegments
+
+    def issue_batch(start: int) -> None:
+        for i in range(start, min(start + B, req.nsegments)):
+            armci._issue(gmr.win, req.kind, req.segment(loc_offs[i]), win_rank, disps[i])
+
     for start in range(0, req.nsegments, B):
-        with armci._op_epoch(gmr, win_rank, req.kind):
-            for i in range(start, min(start + B, req.nsegments)):
-                armci._issue(
-                    gmr.win, req.kind, req.segment(loc_offs[i]), win_rank, disps[i]
-                )
+        armci._in_epoch(gmr, win_rank, req.kind, issue_batch, start)
 
 
 #: bound on the direct-method layout memo below (entries, LRU eviction)
@@ -269,8 +272,10 @@ def _direct(armci: "Armci", req: IovRequest, single: "tuple[Gmr, int, int]") -> 
     blocks = req.seg_bytes // elem.size  # whole elements: IovRequest checked
     target_t = _hindexed_cached(blocks, req.rem_addrs - base, elem)
     origin_t = _hindexed_cached(blocks, req.loc_offsets, elem)
-    with armci._op_epoch(gmr, win_rank, req.kind):
-        armci._issue(gmr.win, req.kind, req.local, win_rank, 0, origin_t, target_t)
+    armci._in_epoch(
+        gmr, win_rank, req.kind,
+        armci._issue, gmr.win, req.kind, req.local, win_rank, 0, origin_t, target_t,
+    )
 
 
 def _require_single_gmr(armci: "Armci", req: IovRequest, method: str):

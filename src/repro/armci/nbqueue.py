@@ -183,6 +183,8 @@ class NbQueue:
 
     def drain(self, gmr: "Gmr", win_rank: int, raise_errors: bool = True) -> None:
         """Issue and flush-complete every queued op for one target."""
+        if not self._queues:  # nothing queued by any rank
+            return
         origin = self._armci.my_id
         key = (origin, gmr.gmr_id, win_rank)
         queue = self._queues.pop(key, None)

@@ -88,14 +88,14 @@ def rmw_mutex_based(armci: "Armci", op: str, ptr: "GlobalPtr", value: int) -> in
         raise
     try:
         old = np.zeros(1, dtype=dtype)
-        with armci._op_epoch(gmr, win_rank, "rmw"):  # epoch 1: read
-            armci._issue(gmr.win, "get", old, win_rank, disp)
+        # epoch 1: read
+        armci._in_epoch(gmr, win_rank, "rmw", armci._issue, gmr.win, "get", old, win_rank, disp)
         if op in (FETCH_AND_ADD, FETCH_AND_ADD_LONG):
             new = old + dtype.type(value)
         else:
             new = np.array([value], dtype=dtype)
-        with armci._op_epoch(gmr, win_rank, "rmw"):  # epoch 2: write
-            armci._issue(gmr.win, "put", new, win_rank, disp)
+        # epoch 2: write
+        armci._in_epoch(gmr, win_rank, "rmw", armci._issue, gmr.win, "put", new, win_rank, disp)
     finally:
         mutex.unlock(0, host)
     armci.stats.rmw_ops += 1

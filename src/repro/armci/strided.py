@@ -294,17 +294,21 @@ def compiled_strided_op(
     raises every time, nothing is memoised for it); the span is the bytes
     from the local base to one past the furthest strided byte; the
     datatypes are :func:`strided_datatype` of each side — the target's in
-    ``acc_dtype`` elements for an accumulate — or None when the caller will
-    not use the direct method (``direct=False``: the IOV method builds its
-    own layouts).  A hit is one tuple hash; the arguments must be tuples.
+    ``acc_dtype`` elements for an accumulate; the origin's None when the
+    local side is contiguous, whose bytes the window then takes as they
+    are — or both None when the caller will not use the direct method
+    (``direct=False``: the IOV method builds its own layouts).  A hit is
+    one tuple hash; the arguments must be tuples.
     """
     key = (local_strides, remote_strides, count, acc_dtype, direct)
     hit = _recall(key)
     if hit is not None:
         _, _, origin_t, target_t = hit
-        if origin_t is not None and not (origin_t.committed and target_t.committed):
-            origin_t.commit()  # the re-commit rule of strided_datatype
+        # the re-commit rule of strided_datatype
+        if target_t is not None and not target_t.committed:
             target_t.commit()
+        if origin_t is not None and not origin_t.committed:
+            origin_t.commit()
         return hit
     spec = StridedSpec(count, local_strides, remote_strides)
     span = count[0] + sum(s * max(n - 1, 0) for s, n in zip(local_strides, count[1:]))
@@ -313,6 +317,9 @@ def compiled_strided_op(
         elem = dt.BYTE if acc_dtype is None else dt.from_numpy_dtype(acc_dtype)
         origin_t = strided_datatype(local_strides, count)
         target_t = strided_datatype(remote_strides, count, elem)
+        omap = origin_t.segment_map()
+        if omap.nsegments == 1 and omap.bounds()[0] == 0:
+            origin_t = None
     return _remember(key, (spec.total_bytes, span, origin_t, target_t))
 
 

@@ -7,8 +7,8 @@ module tracks them:
 
 ``pack_uniform_1024`` / ``unpack_uniform_1024``
     vectorised gather/scatter of 1024 uniform 64-byte segments vs the
-    retained per-segment reference loop
-    (:func:`repro.mpi.datatypes.pack_reference`).
+    per-segment reference loop kept here (:func:`pack_reference` /
+    :func:`unpack_reference`, also the property tests' oracle).
 ``strided_translation``
     memoised :func:`repro.armci.strided.strided_datatype` vs rebuilding
     and committing the subarray type per operation.
@@ -68,6 +68,7 @@ from ..ga.array import GlobalArray
 from ..ga.distribution import BlockDistribution, Patch
 from ..mpi import datatypes as dt
 from ..mpi import ops as mpi_ops
+from ..mpi.errors import ArgumentError
 from ..mpi.group import UNDEFINED
 from ..mpi.window import Win, _IntervalSet, _segments_overlap
 from .harness import format_table
@@ -94,11 +95,44 @@ MIN_SPEEDUP = {
 # ---------------------------------------------------------------------------
 
 
+def pack_reference(datatype: dt.Datatype, buffer: np.ndarray, count: int = 1) -> np.ndarray:
+    """Naive per-segment pack (pre-vectorization reference implementation).
+
+    The semantic oracle: property tests assert the vectorised
+    :meth:`~repro.mpi.datatypes.Datatype.pack` is byte-identical, and
+    ``pack_uniform_1024`` uses it as its baseline.
+    """
+    segmap = datatype.segment_map(count)
+    dt._check_bounds(segmap, len(buffer), datatype.name)
+    out = np.empty(segmap.total_bytes, dtype=np.uint8)
+    pos = 0
+    for off, ln in zip(segmap.offsets.tolist(), segmap.lengths.tolist()):
+        out[pos : pos + ln] = buffer[off : off + ln]
+        pos += ln
+    return out
+
+
+def unpack_reference(
+    datatype: dt.Datatype, buffer: np.ndarray, data: np.ndarray, count: int = 1
+) -> None:
+    """Naive per-segment unpack (pre-vectorization reference implementation)."""
+    segmap = datatype.segment_map(count)
+    dt._check_bounds(segmap, len(buffer), datatype.name)
+    if len(data) != segmap.total_bytes:
+        raise ArgumentError(
+            f"{datatype.name}: unpack got {len(data)} bytes, needs {segmap.total_bytes}"
+        )
+    pos = 0
+    for off, ln in zip(segmap.offsets.tolist(), segmap.lengths.tolist()):
+        buffer[off : off + ln] = data[pos : pos + ln]
+        pos += ln
+
+
 def _wl_pack() -> tuple[Callable, Callable]:
     nseg, seg, stride = 1024, 64, 128
     t = dt.hindexed([seg] * nseg, [i * stride for i in range(nseg)], dt.BYTE).commit()
     buf = (np.arange(nseg * stride, dtype=np.int64) % 251).astype(np.uint8)
-    return (lambda: t.pack(buf)), (lambda: dt.pack_reference(t, buf))
+    return (lambda: t.pack(buf)), (lambda: pack_reference(t, buf))
 
 
 def _wl_unpack() -> tuple[Callable, Callable]:
@@ -108,7 +142,7 @@ def _wl_unpack() -> tuple[Callable, Callable]:
     data = (np.arange(nseg * seg, dtype=np.int64) % 251).astype(np.uint8)
     return (
         lambda: t.unpack(buf, data),
-        lambda: dt.unpack_reference(t, buf, data),
+        lambda: unpack_reference(t, buf, data),
     )
 
 
@@ -221,7 +255,7 @@ def _wl_conflict() -> tuple[Callable, Callable]:
 
 def _wl_conflict_footprint() -> tuple[Callable, Callable]:
     # one GA piece on the wire: 16 rows of 128 B, 16 KiB apart, at a fresh
-    # displacement per op (Win._target_segmap shifts the datatype's map)
+    # displacement per op (Win._op_maps shifts the datatype's map)
     layout = strided.strided_datatype((16384,), (128, 16)).segment_map()
     far = 64 * 16384
 

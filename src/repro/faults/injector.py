@@ -135,7 +135,7 @@ class FaultInjector:
                             sched.forced_yield(rank, kind)
                     else:
                         # wall-clock mode: a bounded sleep models the stall
-                        runtime.cond.wait(timeout=0.002 * s.steps)
+                        runtime.sleep(0.002 * s.steps)
 
     def _transient_stall(self, runtime, rank: int, idx: int, kind: str, s) -> None:
         """Retry-with-backoff through a transient stall (bounded attempts).
@@ -158,7 +158,7 @@ class FaultInjector:
                         sched.forced_yield(rank, kind)
                 else:
                     # wall-clock mode: deterministic exponential backoff
-                    runtime.cond.wait(timeout=STALL_WAIT.delay(attempt))
+                    runtime.sleep(STALL_WAIT.delay(attempt))
             remaining -= burst
             if remaining <= 0:
                 with runtime.cond:

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import index, mul
+from itertools import repeat
+from operator import index, mul, sub
 from typing import Sequence
 
 import numpy as np
@@ -57,14 +58,19 @@ class GaCheckpoint:
 OWNER_PLAN_MAX = 1024
 
 
-def patch_bounds(name: str, which: str, values) -> "tuple[int, ...]":
-    """The ``lo`` or ``hi`` of a patch as a tuple of ints.  Only integers
-    are indices (``operator.index``: numpy integers pass, floats and
-    strings do not — ``int()`` would silently truncate ``0.9`` to 0)."""
+def patch_bounds(name: str, lo, hi) -> "tuple[tuple[int, ...], tuple[int, ...]]":
+    """A patch's ``lo`` and ``hi`` as tuples of ints.  Only integers are
+    indices (``operator.index``: numpy integers pass, floats and strings
+    do not — ``int()`` would silently truncate ``0.9`` to 0)."""
     try:
-        return tuple(map(index, values))
+        return tuple(map(index, lo)), tuple(map(index, hi))
     except TypeError:
-        bad = next(x for x in values if not hasattr(x, "__index__"))
+        which, bad = next(
+            (which, x)
+            for which, values in (("lo", lo), ("hi", hi))
+            for x in values
+            if not hasattr(x, "__index__")
+        )
         raise ArgumentError(
             f"{name}: patch bound {which}={bad!r} is not an integer"
         ) from None
@@ -143,18 +149,42 @@ class GlobalArray:
         return self.dist.owner(index)
 
     # -- patch addressing --------------------------------------------------------------
-    def _patch(self, lo, hi) -> Patch:
-        patch = Patch(patch_bounds(self.name, "lo", lo), patch_bounds(self.name, "hi", hi))
-        if len(patch.lo) != self.ndim:
+    def _request(self, lo, hi, data: "np.ndarray | None", writable: bool = False):
+        """Validate a patch and the user's buffer for it: ``(patch, buf,
+        flat, strides)``, where ``buf`` is the array the transfer addresses
+        and ``(flat, strides)`` its one strided description
+        (:func:`local_patch_view`).  ``buf`` is ``data`` itself, a fresh
+        array when a get has no ``out`` (``data`` None), or a contiguous
+        stand-in when its layout has no such description (copied from it
+        unless it is about to be overwritten)."""
+        patch = Patch(*patch_bounds(self.name, lo, hi))
+        if len(patch.lo) != len(self.shape):
             raise ArgumentError(
                 f"{self.name}: patch rank {len(patch.lo)} != array rank {self.ndim}"
             )
-        return patch
+        if data is None:
+            data = np.empty(patch.shape, dtype=self.dtype)
+        data = np.asarray(data)
+        if data.dtype != self.dtype:
+            raise ArgumentError(
+                f"{self.name}: data dtype {data.dtype} != array dtype {self.dtype}"
+            )
+        if tuple(data.shape) != patch.shape:
+            raise ArgumentError(
+                f"{self.name}: data shape {data.shape} != patch shape {patch.shape}"
+            )
+        if writable and not data.flags.writeable:
+            raise ArgumentError(f"{self.name}: get(out=...) needs a writable array")
+        side = local_patch_view(data)
+        if side is None:
+            data = np.empty(patch.shape, self.dtype) if writable else np.array(data, order="C")
+            side = local_patch_view(data)
+        return (patch, data, *side)
 
-    def _owner_pieces(self, patch: Patch, flat: np.ndarray, buf_strides: list):
+    def _owner_pieces(self, patch: Patch, flat: np.ndarray, buf_strides: list) -> list:
         """One strided ARMCI argument tuple per owner of ``patch`` (Fig. 2).
 
-        Yields ``(local, local_strides, remote_ptr, remote_strides, count)``:
+        A list of ``(local, local_strides, remote_ptr, remote_strides, count)``:
         the local side is the user's buffer itself — its ``flat`` bytes from
         the piece's first element, at its own ``buf_strides`` — so the
         transfer moves between that buffer and the window with no copy in
@@ -175,7 +205,7 @@ class GlobalArray:
             first, last = bisect_right(edges, l) - 1, bisect_left(edges, h)
             key += (first, last, h - l)
             if last - first > 1:
-                key += [cut - l for cut in edges[first + 1 : last]]
+                key += map(sub, edges[first + 1 : last], repeat(l))
         key = tuple(key)
         plan = self._plans.get(key)
         if plan is None:
@@ -183,10 +213,12 @@ class GlobalArray:
             if len(self._plans) >= OWNER_PLAN_MAX:
                 self._plans.clear()
             self._plans[key] = plan
+        pieces = []
         for at, loc_strides, rem_strides, count, rank, addr, terms in plan:
             for d, stride in terms:
                 addr += stride * lo[d]
-            yield flat[at:], loc_strides, GlobalPtr(rank, addr), rem_strides, count
+            pieces.append((flat[at:], loc_strides, GlobalPtr(rank, addr), rem_strides, count))
+        return pieces
 
     def _compile_plan(self, patch: Patch, buf_strides: list) -> tuple:
         """The owner plan of ``patch``'s class, from ``dist.locate(patch)`` —
@@ -221,8 +253,7 @@ class GlobalArray:
     # -- one-sided data access (GA_Put / GA_Get / GA_Acc) ------------------------------
     def put(self, lo: Sequence[int], hi: Sequence[int], data: np.ndarray) -> None:
         """One-sided put of ``data`` into the global patch ``[lo, hi)``."""
-        patch = self._patch(lo, hi)
-        _, flat, buf_strides = self._local_side(patch, data)
+        patch, _, flat, buf_strides = self._request(lo, hi, data)
         for src, src_strides, ptr, strides, count in self._owner_pieces(
             patch, flat, buf_strides
         ):
@@ -238,14 +269,13 @@ class GlobalArray:
         of a larger array); any other layout is served through one
         contiguous temporary.  A read-only ``out`` is an error.
         """
-        patch = self._patch(lo, hi)
-        if out is None:
-            out = np.empty(patch.shape, dtype=self.dtype)
-        buf, flat, buf_strides = self._local_side(patch, out, writable=True)
+        patch, buf, flat, buf_strides = self._request(lo, hi, out, writable=True)
         for dst, dst_strides, ptr, strides, count in self._owner_pieces(
             patch, flat, buf_strides
         ):
             self.runtime.get_s(ptr, strides, dst, dst_strides, count)
+        if out is None:
+            return buf
         if buf is not out:
             out[...] = buf
         return out
@@ -258,37 +288,13 @@ class GlobalArray:
         alpha: float = 1.0,
     ) -> None:
         """One-sided accumulate: ``GA[lo:hi) += alpha * data`` (GA_Acc)."""
-        patch = self._patch(lo, hi)
-        _, flat, buf_strides = self._local_side(patch, data)
+        patch, _, flat, buf_strides = self._request(lo, hi, data)
         for src, src_strides, ptr, strides, count in self._owner_pieces(
             patch, flat, buf_strides
         ):
             self.runtime.acc_s(
                 src, src_strides, ptr, strides, count, scale=alpha, dtype=self.dtype
             )
-
-    def _local_side(self, patch: Patch, data: np.ndarray, writable=False):
-        """Validate a user buffer for ``patch``; returns ``(buf, flat,
-        strides)``: the array the transfer addresses and its one strided
-        description (:func:`local_patch_view`).  ``buf`` is ``data`` itself,
-        or a contiguous stand-in when its layout has no such description
-        (copied from it unless it is about to be overwritten)."""
-        data = np.asarray(data)
-        if data.dtype != self.dtype:
-            raise ArgumentError(
-                f"{self.name}: data dtype {data.dtype} != array dtype {self.dtype}"
-            )
-        if tuple(data.shape) != patch.shape:
-            raise ArgumentError(
-                f"{self.name}: data shape {data.shape} != patch shape {patch.shape}"
-            )
-        if writable and not data.flags.writeable:
-            raise ArgumentError(f"{self.name}: get(out=...) needs a writable array")
-        side = local_patch_view(data)
-        if side is None:
-            data = np.empty(patch.shape, self.dtype) if writable else np.array(data, order="C")
-            side = local_patch_view(data)
-        return (data, *side)
 
     # -- direct local access (GA_Access / GA_Release, §V-E) ------------------------------
     def access(self) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import ge, sub
 from typing import Sequence
 
@@ -76,23 +76,22 @@ def block_bounds(extent: int, nblocks: int, b: int) -> tuple[int, int]:
     return lo, hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Patch:
     """An n-D index patch ``[lo, hi)`` (half-open on every dimension)."""
 
     lo: tuple[int, ...]
     hi: tuple[int, ...]
+    #: extent per dimension, derived once (every GA op reads it)
+    shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.lo) != len(self.hi):
             raise ArgumentError(f"patch rank mismatch: {self.lo} vs {self.hi}")
-        for l, h in zip(self.lo, self.hi):
-            if l > h:
-                raise ArgumentError(f"inverted patch {self.lo}..{self.hi}")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(h - l for l, h in zip(self.lo, self.hi))
+        shape = tuple(map(sub, self.hi, self.lo))
+        if shape and min(shape) < 0:
+            raise ArgumentError(f"inverted patch {self.lo}..{self.hi}")
+        object.__setattr__(self, "shape", shape)
 
     @property
     def size(self) -> int:

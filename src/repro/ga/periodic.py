@@ -59,7 +59,7 @@ def _request(ga: GlobalArray, lo: Sequence[int], hi: Sequence[int]):
     """A periodic request, validated: ``(shape, its patch_pieces)``.  The
     bounds must be integers, the patch must have the array's rank and at
     most one full wrap per dimension (as in GA), so its pieces are disjoint."""
-    lo, hi = patch_bounds(ga.name, "lo", lo), patch_bounds(ga.name, "hi", hi)
+    lo, hi = patch_bounds(ga.name, lo, hi)
     if len(lo) != ga.ndim or len(hi) != ga.ndim:
         raise ArgumentError(f"{ga.name}: periodic patch rank mismatch")
     for l, h, extent in zip(lo, hi, ga.shape):

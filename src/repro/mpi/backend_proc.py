@@ -1336,8 +1336,8 @@ class ProcWin(Win):
         ``(key, descriptor)`` pair that ``_LockFiles.release`` takes back.
 
         Probes nonblockingly under ``runtime.cond`` (entered here, whether
-        or not the caller holds it) and sleeps in ``runtime.cond.wait``,
-        which lets go of it for the pump thread.  A survivor stuck behind
+        or not the caller holds it) and sleeps in ``runtime.sleep`` (a wait
+        on the condition), which lets go of it for the pump thread.  A survivor stuck behind
         a dead peer's lock still observes ``runtime.failed`` (set by the
         pump on a ``rank_dead`` message or a heartbeat verdict) and raises
         the typed error.  A *dead* holder's flock self-reclaims (the
@@ -1355,7 +1355,7 @@ class ProcWin(Win):
         key = (self._token, target_rank, kind)
         fd = self._lock_files.take(key)
         op = (fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH) | fcntl.LOCK_NB
-        with rt.cond:
+        with rt.giant_lock:
             try:
                 for attempt in itertools.count():
                     try:
@@ -1378,7 +1378,7 @@ class ProcWin(Win):
                     # next probe still comes on the curve
                     wake = now + FLOCK_WAIT.delay(attempt)
                     while (left := wake - time.monotonic()) > 0:
-                        rt.cond.wait(left)
+                        rt.sleep(left)
             except BaseException:
                 self._lock_files.release(key, fd)
                 raise

@@ -53,9 +53,34 @@ __all__ = [
     "struct_type",
     "subarray",
     "SegmentMap",
-    "pack_reference",
-    "unpack_reference",
+    "flat_bytes",
 ]
+
+
+_BYTE = np.dtype(np.uint8)
+
+
+def flat_bytes(arr, not_contiguous: str) -> np.ndarray:
+    """``arr``'s memory as a flat ``uint8`` view; ``not_contiguous`` is the
+    message of the :class:`ArgumentError` raised when it is not
+    C-contiguous.  The one flattening of a communication buffer: the
+    window's origin and every ARMCI local side go through it, and a flat
+    contiguous array (what ARMCI hands the window) is viewed as it is."""
+    if type(arr) is np.ndarray and arr.ndim == 1 and arr.strides[0] == arr.itemsize:
+        return arr if arr.dtype is _BYTE else arr.view(_BYTE)
+    arr = np.asarray(arr)
+    if not arr.flags["C_CONTIGUOUS"]:
+        raise ArgumentError(not_contiguous)
+    return arr.reshape(-1).view(_BYTE)
+
+
+def _rows(buffer: np.ndarray, start: int, step: int, seg_len: int, n: int, dtype=_BYTE):
+    """``n`` rows of ``seg_len`` bytes, ``step`` apart from byte ``start`` of
+    ``buffer``, as one 2-D view in ``dtype`` elements (offsets and lengths
+    must be whole elements): how every arithmetic map is copied,
+    scattered and accumulated in place, without an index array."""
+    item = dtype.itemsize
+    return np.ndarray((n, seg_len // item), dtype, buffer, start, (step, item))
 
 
 #: flat gather/scatter index matrices are memoised on the segment map only
@@ -82,7 +107,7 @@ class SegmentMap:
         "offsets",
         "lengths",
         "nsegments",
-        "_total",
+        "total_bytes",
         "_uniform",
         "_flat_idx",
         "_self_overlap",
@@ -96,7 +121,8 @@ class SegmentMap:
         if self.offsets.shape != self.lengths.shape or self.offsets.ndim != 1:
             raise ArgumentError("SegmentMap arrays must be 1-D and equal length")
         self.nsegments = len(self.offsets)
-        self._total = int(self.lengths.sum())
+        #: data bytes the map covers (its wire size)
+        self.total_bytes = int(self.lengths.sum())
         self._uniform: "int | None | bool" = False  # False = not yet computed
         self._flat_idx: "np.ndarray | None" = None
         self._self_overlap: "bool | None" = None
@@ -123,7 +149,7 @@ class SegmentMap:
     @classmethod
     def _closed_form(cls, start: int, step: int, seg_len: int, n: int) -> "SegmentMap":
         new = cls.__new__(cls)  # offsets/lengths stay unset: see __getattr__
-        new.nsegments, new._total, new._uniform = n, n * seg_len, seg_len
+        new.nsegments, new.total_bytes, new._uniform = n, n * seg_len, seg_len
         new._flat_idx, new._self_overlap = None, step < seg_len
         new._arith = (start, step, seg_len, n)
         new._bounds = (start, start + (n - 1) * step + seg_len)
@@ -137,10 +163,6 @@ class SegmentMap:
         self.offsets = np.arange(start, start + step * n, step, dtype=np.int64)
         self.lengths = np.full(n, seg_len, dtype=np.int64)
         return getattr(self, name)
-
-    @property
-    def total_bytes(self) -> int:
-        return self._total
 
     @property
     def uniform_seg_len(self) -> "int | None":
@@ -194,18 +216,6 @@ class SegmentMap:
                     self._arith = (int(self.offsets[0]), step, L, n)
         return self._arith
 
-    def _strided_view(
-        self, buffer: np.ndarray, dtype=np.uint8, row: "int | None" = None
-    ) -> np.ndarray:
-        """The map's rows as a 2-D view of the byte ``buffer``, in ``dtype``
-        elements (offsets and lengths must be whole elements).  ``row``
-        re-cuts a contiguous map (``step == seg_len``) into rows that long."""
-        start, step, L, n = self._arith_params()  # type: ignore[misc]
-        if row is not None and row != L:
-            n, step, L = n * L // row, row, row
-        item = np.dtype(dtype).itemsize
-        return np.ndarray((n, L // item), dtype, buffer, start, (step, item))
-
     def copy_from(self, buffer: np.ndarray, src: "SegmentMap", src_buffer: np.ndarray) -> None:
         """Set this map's bytes of ``buffer`` to ``src``'s bytes of
         ``src_buffer`` (equal totals), as if gathered and then scattered.
@@ -224,11 +234,17 @@ class SegmentMap:
         if a is not None and b is not None and a[1] >= a[2] and b[1] >= b[2]:
             # the shared row length; a contiguous side (step == seg_len) adopts
             # the other's; two strided sides with different rows have none
-            row = a[2] if (a[2] == b[2] or b[1] == b[2]) else b[2] if a[1] == a[2] else 0
+            (start, step, L, n), (s_start, s_step, s_L, s_n) = a, b
+            row = L if (L == s_L or s_step == s_L) else s_L if step == L else 0
             if row:
+                # a contiguous side re-cut into rows of that length
+                if L != row:
+                    n, step = n * L // row, row
+                if s_L != row:
+                    s_n, s_step = s_n * s_L // row, row
                 np.copyto(
-                    self._strided_view(buffer, row=row),
-                    src._strided_view(src_buffer, row=row),
+                    _rows(buffer, start, step, row, n),
+                    _rows(src_buffer, s_start, s_step, row, s_n),
                 )
                 return
         data = src.gather(src_buffer, copy=False)
@@ -252,16 +268,16 @@ class SegmentMap:
             idx = (
                 self.offsets[:, None] + np.arange(L, dtype=np.int64)[None, :]
             ).reshape(-1)
-        elif self._total == 0:
+        elif self.total_bytes == 0:
             idx = np.empty(0, dtype=np.int64)
         else:
             # general case: repeat each segment start over its length and
             # add the intra-segment position
             starts = np.repeat(self.offsets, self.lengths)
             cum = np.concatenate(([0], np.cumsum(self.lengths)[:-1]))
-            within = np.arange(self._total, dtype=np.int64) - np.repeat(cum, self.lengths)
+            within = np.arange(self.total_bytes, dtype=np.int64) - np.repeat(cum, self.lengths)
             idx = starts + within
-        if self._total <= _INDEX_CACHE_MAX_BYTES:
+        if self.total_bytes <= _INDEX_CACHE_MAX_BYTES:
             self._flat_idx = idx
         return idx
 
@@ -279,8 +295,9 @@ class SegmentMap:
             lo, hi = self.bounds()
             seg = buffer[lo:hi]
             return seg if not copy else seg.copy()
-        if self._arith_params() is not None:
-            return np.ascontiguousarray(self._strided_view(buffer)).reshape(-1)
+        arith = self._arith_params()
+        if arith is not None:
+            return np.ascontiguousarray(_rows(buffer, *arith)).reshape(-1)
         return buffer[self.flat_index()]
 
     def scatter(self, buffer: np.ndarray, data: np.ndarray) -> None:
@@ -301,7 +318,7 @@ class SegmentMap:
         if arith is not None and arith[1] >= arith[2]:
             # step >= segment length: rows are disjoint, one strided store
             _, _, L, nseg = arith
-            self._strided_view(buffer)[...] = data.reshape(nseg, L)
+            _rows(buffer, *arith)[...] = data.reshape(nseg, L)
             return
         if not self.overlaps_self():
             buffer[self.flat_index()] = data
@@ -346,7 +363,7 @@ class SegmentMap:
             return SegmentMap._closed_form(arith[0] + d, *arith[1:])
         new = SegmentMap.__new__(SegmentMap)
         new.offsets, new.lengths, new._flat_idx = self.offsets + d, self.lengths, None
-        new.nsegments, new._total = self.nsegments, self._total
+        new.nsegments, new.total_bytes = self.nsegments, self.total_bytes
         new._uniform, new._arith = self.uniform_seg_len, None
         new._self_overlap = self.overlaps_self()
         lo, hi = self.bounds()
@@ -492,39 +509,6 @@ class Datatype:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Datatype {self.name} size={self.size} extent={self.extent}>"
-
-
-def pack_reference(datatype: "Datatype", buffer: np.ndarray, count: int = 1) -> np.ndarray:
-    """Naive per-segment pack (pre-vectorization reference implementation).
-
-    Retained as the semantic oracle: property tests assert the vectorised
-    :meth:`Datatype.pack` is byte-identical, and the hot-path benchmark
-    suite uses it as the pre-PR baseline.
-    """
-    segmap = datatype.segment_map(count)
-    _check_bounds(segmap, len(buffer), datatype.name)
-    out = np.empty(segmap.total_bytes, dtype=np.uint8)
-    pos = 0
-    for off, ln in zip(segmap.offsets.tolist(), segmap.lengths.tolist()):
-        out[pos : pos + ln] = buffer[off : off + ln]
-        pos += ln
-    return out
-
-
-def unpack_reference(
-    datatype: "Datatype", buffer: np.ndarray, data: np.ndarray, count: int = 1
-) -> None:
-    """Naive per-segment unpack (pre-vectorization reference implementation)."""
-    segmap = datatype.segment_map(count)
-    _check_bounds(segmap, len(buffer), datatype.name)
-    if len(data) != segmap.total_bytes:
-        raise ArgumentError(
-            f"{datatype.name}: unpack got {len(data)} bytes, needs {segmap.total_bytes}"
-        )
-    pos = 0
-    for off, ln in zip(segmap.offsets.tolist(), segmap.lengths.tolist()):
-        buffer[off : off + ln] = data[pos : pos + ln]
-        pos += ln
 
 
 def _check_bounds(segmap: SegmentMap, buflen: int, name: str) -> None:

@@ -314,7 +314,7 @@ class DeterministicSchedule:
                 )
             # the timeout is a lost-wakeup safety net only; scheduling
             # decisions never depend on it, so determinism is preserved
-            rt.cond.wait(timeout=1.0)
+            rt.sleep(1.0)
 
 
 #: native ARMCI: helper thread consumes a share of a core, fully async

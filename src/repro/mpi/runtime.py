@@ -198,7 +198,12 @@ class Runtime:
         self.seed = seed
         self.backend = resolve_backend(backend)
         self._backoff_rng = random.Random(0x5DEECE66D ^ (seed << 16))
-        self.cond = threading.Condition()
+        #: the giant lock itself: ``with rt.giant_lock`` is ``with rt.cond``
+        #: without the condition's Python-level enter/exit
+        self.giant_lock = threading.RLock()
+        self.cond = threading.Condition(self.giant_lock)
+        #: how many ranks (and helper threads) are in :meth:`sleep` right now
+        self._sleepers = 0
         self.procs = [Proc(r, self) for r in range(nproc)]
         self.progress_counter = 0
         #: optional simtime timing policy consulted by communication layers
@@ -235,10 +240,24 @@ class Runtime:
     def notify_progress(self) -> None:
         """Record a state change and wake all sleeping ranks.
 
-        Must be called with :attr:`cond` held.
+        Must be called with :attr:`cond` held.  With nobody asleep there is
+        nobody to wake (the common case of a data op), so the condition's
+        ``notify_all`` is not entered.
         """
         self.progress_counter += 1
-        self.cond.notify_all()
+        if self._sleepers:
+            self.cond.notify_all()
+
+    def sleep(self, timeout: float) -> bool:
+        """``cond.wait(timeout)``, counted so that :meth:`notify_progress`
+        knows whether anyone is asleep: every wait on :attr:`cond` goes
+        through here.  Must be called with :attr:`cond` held (which guards
+        the count); returns False on timeout."""
+        self._sleepers += 1
+        try:
+            return self.cond.wait(timeout)
+        finally:
+            self._sleepers -= 1
 
     def wait_for(
         self,
@@ -292,7 +311,7 @@ class Runtime:
             if deadline is not None:
                 wait_s = min(wait_s, max(deadline - time.monotonic(), 0.001))
             try:
-                timed_out = not self.cond.wait(timeout=wait_s)
+                timed_out = not self.sleep(wait_s)
             finally:
                 proc.blocked = False
             # The watchdog verdict is only valid after a *full* watchdog
@@ -451,7 +470,7 @@ class Runtime:
         """
         delay = LOCK_RETRY.delay(attempt, self._backoff_rng)
         if self.schedule is None:
-            self.cond.wait(timeout=delay)
+            self.sleep(delay)
         return delay
 
     def fuzz_point(self, kind: str) -> None:

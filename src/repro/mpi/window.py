@@ -32,7 +32,6 @@ these features, and the ablation benchmark quantifies their benefit.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Any
 
 import numpy as np
@@ -50,7 +49,7 @@ from .errors import (
     TargetFailedError,
     WinError,
 )
-from .runtime import current_proc
+from .runtime import _tls, current_proc
 
 __all__ = [
     "Win",
@@ -68,7 +67,8 @@ _LOCK_ALL = "lock_all"
 _FENCE = "fence"
 _EPOCH_NAMES = {_LOCK_ALL: "a lock_all epoch", _FENCE: "an active-target fence epoch"}
 
-_NO_SECTION = contextlib.nullcontext()  # Win._atomic_section
+_VOID = np.dtype("V")
+_NOT_CONTIGUOUS = "RMA buffers must be C-contiguous; pass np.ascontiguousarray(...)"
 
 _NOTHING_TO_FLUSH = "%s outside any passive-target epoch: nothing to complete"
 #: access class of the MPI-3 atomics' footprints, tracked only for a sanitizer
@@ -221,6 +221,7 @@ class _Epoch:
         "op_count",
         "bytes_moved",
         "lock",
+        "recorded",
     )
 
     def __init__(self, origin: int, target: int, mode: str):
@@ -233,6 +234,8 @@ class _Epoch:
         self.puts = _IntervalSet()
         self.gets = _IntervalSet()
         self.accs: dict[str, _IntervalSet] = {}
+        #: accesses recorded since the last flush: none, nothing to conflict with
+        self.recorded = 0
         #: (user_byte_view, origin_segmap, source): the target's segment map,
         #: read at completion — or the staged payload a fault injector saw
         self.pending_gets: list[tuple] = []
@@ -242,21 +245,13 @@ class _Epoch:
         self.op_count = 0
         self.bytes_moved = 0
 
-    def clear_accesses(self) -> None:
-        # only a set that recorded something needs replacing (a flush
-        # typically follows one op, i.e. one class of access)
-        if self.puts.count:
-            self.puts = _IntervalSet()
-        if self.gets.count:
-            self.gets = _IntervalSet()
-        if self.accs:
-            self.accs = {}
-
     def conflict_class(
         self, kind: str, opname: "str | None", fp: dt.SegmentMap
     ) -> "str | None":
         """Name of the first access class conflicting with the new op,
         whose target footprint is ``fp``."""
+        if not self.recorded:  # nothing since the last flush
+            return None
         if kind != "get" and self.gets.overlaps(fp):
             return "get"
         if self.puts.overlaps(fp):
@@ -268,17 +263,20 @@ class _Epoch:
                 return f"acc({name})"
         return None
 
-    def record(self, kind: str, opname: "str | None", fp: dt.SegmentMap) -> None:
-        if kind == "put":
-            self.puts.add(fp)
-        elif kind == "get":
-            self.gets.add(fp)
-        else:
-            name = opname or ""
-            cover = self.accs.get(name)
-            if cover is None:
-                cover = self.accs[name] = _IntervalSet()
-            cover.add(fp)
+
+class _WorldRanks(dict):
+    """Window rank -> world rank, tabulated once (an op and its flush each
+    look their target up); a rank outside the window is not in the table,
+    and looking it up raises the group's :class:`RankError`."""
+
+    __slots__ = ("_group",)
+
+    def __init__(self, group) -> None:
+        super().__init__(enumerate(group.members))
+        self._group = group
+
+    def __missing__(self, rank: int) -> int:
+        return self._group.world_rank(rank)  # raises
 
 
 class _LockState:
@@ -316,8 +314,7 @@ class Win:
         #: per-window-rank byte views of the exposed memory
         self._buffers = buffers
         self._disp_units = disp_units
-        #: window rank -> world rank, tabulated once (several lookups per op)
-        self._world_of = comm.group.members
+        self._world_of = _WorldRanks(comm.group)
         self.strict = strict
         self.mpi3 = mpi3
         self._locks = [_LockState() for _ in range(comm.size)]
@@ -389,11 +386,6 @@ class Win:
         self._open.pop(world_rank, None)
         for ls in self._locks:
             ls.queue[:] = [(o, m) for (o, m) in ls.queue if o != world_rank]
-
-    def _target_world(self, target_rank: int) -> int:
-        if 0 <= target_rank < len(self._world_of):
-            return self._world_of[target_rank]
-        return self.comm.group.world_rank(target_rank)  # its RankError
 
     def _fault_filter(self, kind: str, data: np.ndarray) -> "np.ndarray | None":
         """Consult the fault injector about one RMA payload.
@@ -545,7 +537,7 @@ class Win:
         :class:`_LockState`.  Returns what :meth:`_release` gets back."""
         rt = self.runtime
         ls = self._locks[target_rank]
-        target_world = self._target_world(target_rank)
+        target_world = self._world_of[target_rank]
         queued_alive = target_world not in rt.dead_ranks
 
         def grantable() -> bool:
@@ -637,7 +629,7 @@ class Win:
             self._check_alive()
             rt.check_self_alive()
             self._check_nesting(origin, "lock", target_rank)
-            if self._target_world(target_rank) in rt.dead_ranks:
+            if self._world_of[target_rank] in rt.dead_ranks:
                 raise TargetFailedError(
                     f"lock: target rank {target_rank} of win {self.win_id} has failed"
                 )
@@ -695,7 +687,7 @@ class Win:
                 if epoch.mode == _FENCE:
                     self._deliver_gets(epoch)
                     del self._epochs[(o, _t)]
-            for w in self._world_of:
+            for w in self._world_of.values():
                 if end:
                     self._open.pop(w, None)
                 else:
@@ -768,8 +760,7 @@ class Win:
         """Complete ``origin``'s ops at ``target_rank`` and keep the epoch
         (``runtime.cond`` held); ``flush`` and ``flush_all`` both end here."""
         # the completion call is where a dead target's loss surfaces
-        # (mirrors _require_epoch)
-        if self._target_world(target_rank) in self.runtime.dead_ranks:
+        if self._world_of[target_rank] in self.runtime.dead_ranks:
             raise TargetFailedError(
                 f"flush({target_rank}) on failed target of win {self.win_id}"
             )
@@ -779,20 +770,31 @@ class Win:
                 RMASyncError(f"flush({target_rank}) outside an epoch"),
                 "flush", "flush", target_rank, _NOTHING_TO_FLUSH % "flush",
             )
-        self._deliver_gets(epoch)
-        # flushed ops no longer conflict with later ops of this epoch
-        epoch.clear_accesses()
+        if epoch.pending_gets:
+            self._deliver_gets(epoch)
+        if epoch.recorded:
+            # flushed ops no longer conflict with later ops of this epoch;
+            # only a set that recorded something is replaced (a flush
+            # typically follows one op, i.e. one class of access)
+            if epoch.puts.count:
+                epoch.puts = _IntervalSet()
+            if epoch.gets.count:
+                epoch.gets = _IntervalSet()
+            epoch.accs = {}
+            epoch.recorded = 0
 
     def flush(self, target_rank: int) -> None:
         """Complete outstanding ops at the target without closing the epoch."""
         self._require_mpi3("flush")
-        origin = current_proc().rank
-        with self.runtime.cond:
+        proc = getattr(_tls, "proc", None) or current_proc()  # (see _require_epoch)
+        rt = self.runtime
+        with rt.giant_lock:
             # death first: a killed caller's epochs were already revoked
             # by the death hook
-            self.runtime.check_self_alive()
-            self._flush(origin, target_rank)
-            self.runtime.notify_progress()
+            if proc.dead:
+                rt.check_self_alive()
+            self._flush(proc.rank, target_rank)
+            rt.notify_progress()
         self._charge_sync("flush")
 
     def flush_all(self) -> None:
@@ -818,9 +820,9 @@ class Win:
 
         The one hook a backend supplies to make them atomic in shared
         epochs; here ``runtime.cond`` already serialises every rank, so
-        it is one shared no-op.
+        the section is its (reentrant) lock, taken once more.
         """
-        return _NO_SECTION
+        return self.runtime.giant_lock
 
     def fetch_and_op(
         self,
@@ -833,9 +835,8 @@ class Win:
         """Atomic read-modify-write on one element (MPI-3 MPI_Fetch_and_op)."""
         self._require_mpi3("fetch_and_op")
         op = mpi_ops.lookup(op)
-        origin = current_proc().rank
         with self.runtime.cond, self._atomic_section(target_rank):
-            buf = self._atomic_view(origin, target_rank, target_offset, datatype)
+            buf = self._atomic_view(target_rank, target_offset, datatype)
             old = buf[0].item()
             if op is not mpi_ops.NO_OP:
                 src = np.array([value], dtype=datatype.base)
@@ -854,9 +855,8 @@ class Win:
     ) -> "int | float":
         """Atomic CAS on one element (MPI-3 MPI_Compare_and_swap)."""
         self._require_mpi3("compare_and_swap")
-        origin = current_proc().rank
         with self.runtime.cond, self._atomic_section(target_rank):
-            buf = self._atomic_view(origin, target_rank, target_offset, datatype)
+            buf = self._atomic_view(target_rank, target_offset, datatype)
             old = buf[0].item()
             if old == compare:
                 buf[0] = value
@@ -876,18 +876,16 @@ class Win:
         origin_count: int = 1,
     ) -> None:
         """One-sided put (MPI_Put); completes at unlock."""
-        view, omap = self._origin_segmap(origin, origin_datatype, origin_count, "put")
-        nbytes = omap.total_bytes
-        segmap = self._target_segmap(
-            origin, target_rank, target_offset, target_datatype, target_count,
-            nbytes, kind="put",
+        view, omap, segmap, nbytes = self._op_maps(
+            "put", origin, origin_datatype, origin_count,
+            target_rank, target_offset, target_datatype, target_count,
         )
-        with self.runtime.cond:
-            o = current_proc().rank
-            epoch = self._require_epoch(o, target_rank, "put")
+        rt = self.runtime
+        with rt.giant_lock:
+            epoch = self._require_epoch(target_rank, "put")
             self._record_access(epoch, "put", None, segmap, origin)
             buf = self._buffers[target_rank]
-            if self.runtime.faults is None:
+            if rt.faults is None:
                 segmap.copy_from(buf, omap, view)
             else:  # the injector filters the packed payload
                 payload = self._fault_filter(
@@ -898,7 +896,7 @@ class Win:
             op_index = epoch.op_count
             epoch.op_count += 1
             epoch.bytes_moved += nbytes
-            self.runtime.notify_progress()
+            rt.notify_progress()
         self._charge_op("put", nbytes, segmap.nsegments, op_index)
 
     def get(
@@ -912,20 +910,18 @@ class Win:
         origin_count: int = 1,
     ) -> None:
         """One-sided get (MPI_Get); data lands in ``origin`` at unlock/flush."""
-        view, omap = self._origin_segmap(origin, origin_datatype, origin_count, "get")
-        nbytes = omap.total_bytes
-        segmap = self._target_segmap(
-            origin, target_rank, target_offset, target_datatype, target_count,
-            nbytes, kind="get",
+        view, omap, segmap, nbytes = self._op_maps(
+            "get", origin, origin_datatype, origin_count,
+            target_rank, target_offset, target_datatype, target_count,
         )
-        with self.runtime.cond:
-            o = current_proc().rank
-            epoch = self._require_epoch(o, target_rank, "get")
+        rt = self.runtime
+        with rt.giant_lock:
+            epoch = self._require_epoch(target_rank, "get")
             self._record_access(epoch, "get", None, segmap, origin)
             # the target is read when the get completes, which is where MPI
             # places it; an injector filters a payload staged now instead
             source: "dt.SegmentMap | np.ndarray | None" = segmap
-            if self.runtime.faults is not None:
+            if rt.faults is not None:
                 source = self._fault_filter(
                     "get", segmap.gather(self._buffers[target_rank], copy=True)
                 )
@@ -934,7 +930,7 @@ class Win:
             op_index = epoch.op_count
             epoch.op_count += 1
             epoch.bytes_moved += nbytes
-            self.runtime.notify_progress()
+            rt.notify_progress()
         self._charge_op("get", nbytes, segmap.nsegments, op_index)
 
     def accumulate(
@@ -951,34 +947,36 @@ class Win:
         """One-sided accumulate (MPI_Accumulate) with a predefined op.
 
         Element type is taken from the datatype's predefined leaf type
-        (or the origin array's dtype when no datatype is given).
+        (or the origin array's dtype when no datatype is given).  An
+        accumulate that is rejected — its element type, or target segments
+        that are not whole elements — records and counts nothing.
         """
         op = mpi_ops.lookup(op)
-        view, omap = self._origin_segmap(origin, origin_datatype, origin_count, "acc")
-        segmap = self._target_segmap(
-            origin, target_rank, target_offset, target_datatype, target_count,
-            omap.total_bytes, kind="acc",
+        view, omap, segmap, nbytes = self._op_maps(
+            "acc", origin, origin_datatype, origin_count,
+            target_rank, target_offset, target_datatype, target_count,
         )
-        data = self._gather_origin(view, omap, target_rank)
         base = (
             target_datatype.base
             if target_datatype is not None
             else np.asarray(origin).dtype
         )
-        if base == np.dtype("V") or base.itemsize == 0:
+        if base == _VOID or base.itemsize == 0:
             raise ArgumentError("accumulate: cannot infer element type")
-        with self.runtime.cond, self._atomic_section(target_rank):
-            o = current_proc().rank
-            epoch = self._require_epoch(o, target_rank, "acc")
+        data = self._gather_origin(view, omap, target_rank)
+        rt = self.runtime
+        with rt.giant_lock, self._atomic_section(target_rank):
+            epoch = self._require_epoch(target_rank, "acc")
+            _check_acc_alignment(segmap, base)
             self._record_access(epoch, "acc", op.name, segmap, origin)
             payload = self._fault_filter("acc", data)
             if payload is not None:
-                self._accumulate_target(target_rank, segmap, payload, base, op)
+                _accumulate_into(self._buffers[target_rank], segmap, payload, base, op)
             op_index = epoch.op_count
             epoch.op_count += 1
-            epoch.bytes_moved += len(data)
-            self.runtime.notify_progress()
-        self._charge_op("acc", len(data), segmap.nsegments, op_index)
+            epoch.bytes_moved += nbytes
+            rt.notify_progress()
+        self._charge_op("acc", nbytes, segmap.nsegments, op_index)
 
     def rput(self, origin: np.ndarray, target_rank: int, *args: Any, **kw: Any):
         """Request-based put (MPI-3); completion of the request = local done."""
@@ -1077,9 +1075,9 @@ class Win:
             )
 
     def _check_target(self, target_rank: int) -> None:
-        if not 0 <= target_rank < self.comm.size:
+        if not 0 <= target_rank < len(self._world_of):
             raise RMARangeError(
-                f"target rank {target_rank} not in [0, {self.comm.size})"
+                f"target rank {target_rank} not in [0, {len(self._world_of)})"
             )
 
     def _out_of_range(self, what: str, op: str, lo: int, hi: int, target_rank: int):
@@ -1094,16 +1092,24 @@ class Win:
             ((lo, hi),),
         )
 
-    def _require_epoch(self, origin_world: int, target_rank: int, op: str) -> _Epoch:
-        self.runtime.check_self_alive()
-        if self._target_world(target_rank) in self.runtime.dead_ranks:
+    def _require_epoch(self, target_rank: int, op: str) -> _Epoch:
+        """The calling origin's epoch on ``target_rank`` (``runtime.cond``
+        held): where a data op learns who is calling, once, and that both
+        ends are alive."""
+        rt = self.runtime
+        # current_proc() only to raise its error outside an SPMD region
+        proc = getattr(_tls, "proc", None) or current_proc()
+        if proc.dead:
+            rt.check_self_alive()
+        if self._world_of[target_rank] in rt.dead_ranks:
             raise TargetFailedError(
                 f"RMA operation on failed target rank {target_rank} "
                 f"of win {self.win_id}"
             )
-        epoch = self._epochs.get((origin_world, target_rank))
+        origin = proc.rank
+        epoch = self._epochs.get((origin, target_rank))
         if epoch is None:
-            epoch = self._fence_epoch(origin_world, target_rank)
+            epoch = self._fence_epoch(origin, target_rank)
         if epoch is None:
             self._violate(
                 RMASyncError(
@@ -1113,46 +1119,47 @@ class Win:
             )
         return epoch
 
-    def _target_segmap(
+    def _op_maps(
         self,
+        kind: str,
         origin: np.ndarray,
+        origin_datatype: "dt.Datatype | None",
+        origin_count: int,
         target_rank: int,
         target_offset: int,
         target_datatype: "dt.Datatype | None",
         target_count: int,
-        origin_nbytes: int,
-        kind: str = "op",
-    ) -> dt.SegmentMap:
+    ) -> "tuple[np.ndarray, dt.SegmentMap, dt.SegmentMap, int]":
+        """What a put/get/acc derives from its arguments, each fact once and
+        before any window state is touched: the origin as bytes, the layout
+        the op touches there, the target footprint (checked against the
+        target's memory) and the byte count, ``(view, omap, segmap, nbytes)``."""
+        view = dt.flat_bytes(origin, _NOT_CONTIGUOUS)
+        if origin_datatype is None:
+            nbytes = view.nbytes
+            omap = dt.SegmentMap.arithmetic(0, nbytes, nbytes, 1)
+        else:
+            omap = origin_datatype.segment_map(origin_count)
+            nbytes = omap.total_bytes
+            dt._check_bounds(omap, view.nbytes, f"{kind}: origin {origin_datatype.name}")
         self._check_target(target_rank)
         disp = target_offset * self._disp_units[target_rank]
         if target_datatype is None:
-            segmap = dt.SegmentMap.arithmetic(disp, origin_nbytes, origin_nbytes, 1)
+            segmap = dt.SegmentMap.arithmetic(disp, nbytes, nbytes, 1)
         else:
             segmap = target_datatype.segment_map(target_count).shifted(disp)
-            if segmap.total_bytes != origin_nbytes:
+            if segmap.total_bytes != nbytes:
                 raise ArgumentError(
-                    f"origin data {origin_nbytes}B != target datatype "
+                    f"origin data {nbytes}B != target datatype "
                     f"{segmap.total_bytes}B"
                 )
-        buf = self._buffers[target_rank]
         if segmap.nsegments:
             lo, hi = segmap.bounds()
-            if lo < 0 or hi > buf.nbytes:
+            if lo < 0 or hi > self._buffers[target_rank].nbytes:
                 self._out_of_range(
                     f"access [{lo},{hi})", kind, int(lo), int(hi), target_rank
                 )
-        return segmap
-
-    def _origin_segmap(
-        self, origin: np.ndarray, origin_datatype: "dt.Datatype | None", count: int, kind: str
-    ) -> tuple[np.ndarray, dt.SegmentMap]:
-        """The origin buffer as bytes and the layout the op touches in it."""
-        view = _byte_view(origin)
-        if origin_datatype is None:
-            return view, dt.SegmentMap.arithmetic(0, view.nbytes, view.nbytes, 1)
-        segmap = origin_datatype.segment_map(count)
-        dt._check_bounds(segmap, view.nbytes, f"{kind}: origin {origin_datatype.name}")
-        return view, segmap
+        return view, omap, segmap, nbytes
 
     def _gather_origin(
         self, view: np.ndarray, omap: dt.SegmentMap, target_rank: int
@@ -1177,57 +1184,10 @@ class Win:
         base: np.dtype,
         op: mpi_ops.Op,
     ) -> None:
-        """Combine ``data`` into the target's segments, element-wise.
-
-        One in-place read-modify-write pass over a typed 2-D view of the
-        rows whenever the map is arithmetic with ``step >= seg_len`` (every
-        subarray/vector type and GA tile; a contiguous target is the
-        one-row case).
-        """
-        if not segmap.total_bytes:
-            return
-        buf = self._buffers[target_rank]
-        itemsize = base.itemsize
-        arith = segmap._arith_params()
-        if itemsize > 1:
-            if arith is not None:
-                # every row of a progression is aligned iff the first one,
-                # the row length and (past one row) the step are
-                start, step, seg_len, n = arith
-                misaligned = (
-                    start % itemsize or seg_len % itemsize or (n > 1 and step % itemsize)
-                )
-            else:
-                misaligned = np.any(segmap.offsets % itemsize) or np.any(
-                    segmap.lengths % itemsize
-                )
-            if misaligned:
-                lo, hi = next(
-                    iv for iv in segmap.intervals() if iv[0] % itemsize or iv[1] % itemsize
-                )
-                raise ArgumentError(
-                    f"accumulate segment [{lo},{hi}) not aligned to {base} elements"
-                )
-        src = data.view(base)
-        if arith is not None and arith[1] >= arith[2]:
-            tview = segmap._strided_view(buf, base)
-            op.apply(tview, src.reshape(tview.shape))
-        elif not segmap.overlaps_self():
-            # irregular layout: gather-modify-scatter through an *element*
-            # index, safe because no target element appears twice in it
-            elems = dt.SegmentMap(segmap.offsets // itemsize, segmap.lengths // itemsize)
-            typed = buf[: segmap.bounds()[1]].view(base)
-            vals = elems.gather(typed)
-            op.apply(vals, src)
-            elems.scatter(typed, vals)
-        else:
-            # overlapping same-op accumulates must apply in traversal order
-            pos = 0
-            for off, ln in zip(segmap.offsets.tolist(), segmap.lengths.tolist()):
-                op.apply(
-                    buf[off : off + ln].view(base), data[pos : pos + ln].view(base)
-                )
-                pos += ln
+        """Combine ``data`` into the target's segments, element-wise, after
+        checking they are whole ``base`` elements (see :func:`_accumulate_into`)."""
+        _check_acc_alignment(segmap, base)
+        _accumulate_into(self._buffers[target_rank], segmap, data, base, op)
 
     def _record_access(
         self,
@@ -1240,7 +1200,7 @@ class Win:
         """Apply the conflict-class rules to one put/get/acc, then record it."""
         if not self._checked():
             return
-        if segmap.overlaps_self() and kind != "acc":
+        if kind != "acc" and segmap.overlaps_self():
             msg = f"{kind} with self-overlapping target segments within one operation"
             self._violate(
                 RMAConflictError(msg) if self.strict else None,
@@ -1250,14 +1210,13 @@ class Win:
         if san is not None:
             san.on_op(self, epoch.origin, kind, origin_buf, epoch.mode, epoch.target)
         # the footprint is the target map itself (see _IntervalSet)
-        self._check_conflicts(epoch, kind, opname, segmap)
-        epoch.record(kind, opname, segmap)
+        self._admit(epoch, kind, opname, segmap)
 
-    def _check_conflicts(
+    def _admit(
         self, epoch: _Epoch, kind: str, opname: "str | None", fp: dt.SegmentMap
     ) -> None:
         """Fail on the first earlier access the new one (target footprint
-        ``fp``) conflicts with.
+        ``fp``) conflicts with, then record it in ``epoch``.
 
         Searched in the origin's own epoch, then in the concurrently open
         epochs of other origins on the same target (possible only under
@@ -1266,39 +1225,50 @@ class Win:
         other = epoch
         hit = epoch.conflict_class(kind, opname, fp)
         if hit is None:
+            target, origin = epoch.target, epoch.origin
             for (o, t), other in self._epochs.items():
-                if t == epoch.target and o != epoch.origin:
+                if t == target and o != origin:
                     hit = other.conflict_class(kind, opname, fp)
                     if hit is not None:
                         break
+        if hit is not None:
+            desc = _RMW if opname == _RMW else kind
+            if other is epoch:
+                plain = (
+                    f"{kind} conflicts with earlier {hit} in the same epoch "
+                    f"(origin {epoch.origin} -> target {epoch.target})"
+                )
+                who = "in the same epoch"
             else:
-                return
-        desc = _RMW if opname == _RMW else kind
-        if other is epoch:
-            plain = (
-                f"{kind} conflicts with earlier {hit} in the same epoch "
-                f"(origin {epoch.origin} -> target {epoch.target})"
+                plain = (
+                    f"{kind} by origin {epoch.origin} conflicts with concurrent "
+                    f"{hit} by origin {other.origin} on target {epoch.target} "
+                    "(both hold shared locks)"
+                )
+                who = f"in a concurrent epoch of origin {other.origin}"
+            # the window has no rule of its own about atomics' footprints
+            enforced = self.strict and opname != _RMW and hit != f"acc({_RMW})"
+            lo, hi = fp.bounds()
+            self._violate(
+                RMAConflictError(plain) if enforced else None,
+                "acc-interleave" if kind == "acc" and hit.startswith("acc") else "conflict",
+                desc, epoch.target, f"{desc} overlaps an earlier {hit} access {who}",
+                ((int(lo), int(hi)),),
             )
-            who = "in the same epoch"
+        epoch.recorded += 1
+        if kind == "put":
+            epoch.puts.add(fp)
+        elif kind == "get":
+            epoch.gets.add(fp)
         else:
-            plain = (
-                f"{kind} by origin {epoch.origin} conflicts with concurrent "
-                f"{hit} by origin {other.origin} on target {epoch.target} "
-                "(both hold shared locks)"
-            )
-            who = f"in a concurrent epoch of origin {other.origin}"
-        # the window has no rule of its own about atomics' footprints
-        enforced = self.strict and opname != _RMW and hit != f"acc({_RMW})"
-        lo, hi = fp.bounds()
-        self._violate(
-            RMAConflictError(plain) if enforced else None,
-            "acc-interleave" if kind == "acc" and hit.startswith("acc") else "conflict",
-            desc, epoch.target, f"{desc} overlaps an earlier {hit} access {who}",
-            ((int(lo), int(hi)),),
-        )
+            name = opname or ""
+            cover = epoch.accs.get(name)
+            if cover is None:
+                cover = epoch.accs[name] = _IntervalSet()
+            cover.add(fp)
 
     def _atomic_view(
-        self, origin: int, target_rank: int, target_offset: int, datatype: dt.Datatype
+        self, target_rank: int, target_offset: int, datatype: dt.Datatype
     ) -> np.ndarray:
         """The element an MPI-3 atomic operates on, after the rule checks.
 
@@ -1308,7 +1278,7 @@ class Win:
         class — mixed atomics on one counter are clean, an atomic racing
         a put/get in the same epoch is not.
         """
-        epoch = self._require_epoch(origin, target_rank, _RMW)
+        epoch = self._require_epoch(target_rank, _RMW)
         disp = target_offset * self._disp_units[target_rank]
         end = disp + datatype.size
         buf = self._buffers[target_rank]
@@ -1318,8 +1288,7 @@ class Win:
             )
         if self.runtime.sanitizer is not None and self._checked():
             fp = dt.SegmentMap.arithmetic(disp, datatype.size, datatype.size, 1)
-            self._check_conflicts(epoch, "acc", _RMW, fp)
-            epoch.record("acc", _RMW, fp)
+            self._admit(epoch, "acc", _RMW, fp)
         return buf[disp:end].view(datatype.base)
 
     def _audit_requests(self, epoch: _Epoch) -> None:
@@ -1346,17 +1315,22 @@ class Win:
         epoch.pending_gets.clear()
 
     # -- modeled time --------------------------------------------------------------------
+    # (a fuzz point is only reached with a schedule or fault injector installed)
     def _charge_sync(self, kind: str) -> None:
-        if self.runtime.timing is not None:
-            cost = self.runtime.timing.rma_sync_cost(kind)
+        rt = self.runtime
+        if rt.timing is not None:
+            cost = rt.timing.rma_sync_cost(kind)
             current_proc().clock.advance(cost, kind=f"rma:{kind}")
-        self.runtime.fuzz_point(f"rma:{kind}")
+        if rt.schedule is not None or rt.faults is not None:
+            rt.fuzz_point(f"rma:{kind}")
 
     def _charge_op(self, kind: str, nbytes: int, nsegments: int, op_index: int = 0) -> None:
-        if self.runtime.timing is not None:
-            cost = self.runtime.timing.rma_op_cost(kind, nbytes, nsegments, op_index)
+        rt = self.runtime
+        if rt.timing is not None:
+            cost = rt.timing.rma_op_cost(kind, nbytes, nsegments, op_index)
             current_proc().clock.advance(cost, kind=f"rma:{kind}", nbytes=nbytes)
-        self.runtime.fuzz_point(f"rma:{kind}")
+        if rt.schedule is not None or rt.faults is not None:
+            rt.fuzz_point(f"rma:{kind}")
 
 
 class _DoneRequest:
@@ -1382,14 +1356,63 @@ class _DoneRequest:
         return None
 
 
-def _byte_view(arr: np.ndarray) -> np.ndarray:
-    """Flat uint8 view of an array (must be contiguous)."""
-    arr = np.asarray(arr)
-    if not arr.flags["C_CONTIGUOUS"]:
-        raise ArgumentError(
-            "RMA buffers must be C-contiguous; pass np.ascontiguousarray(...)"
+def _check_acc_alignment(segmap: dt.SegmentMap, base: np.dtype) -> None:
+    """An accumulate's target segments must be whole ``base`` elements.
+
+    Every row of a progression is aligned iff the first one, the row
+    length and (past one row) the step are, so an arithmetic map is
+    decided from its four integers; the error names the first misaligned
+    interval either way.
+    """
+    itemsize = base.itemsize
+    if itemsize <= 1 or not segmap.total_bytes:
+        return
+    arith = segmap._arith_params()
+    if arith is not None:
+        start, step, seg_len, n = arith
+        misaligned = start % itemsize or seg_len % itemsize or (n > 1 and step % itemsize)
+    else:
+        misaligned = np.any(segmap.offsets % itemsize) or np.any(segmap.lengths % itemsize)
+    if misaligned:
+        lo, hi = next(
+            iv for iv in segmap.intervals() if iv[0] % itemsize or iv[1] % itemsize
         )
-    return arr.reshape(-1).view(np.uint8)
+        raise ArgumentError(
+            f"accumulate segment [{lo},{hi}) not aligned to {base} elements"
+        )
+
+
+def _accumulate_into(
+    buf: np.ndarray, segmap: dt.SegmentMap, data: np.ndarray, base: np.dtype, op: mpi_ops.Op
+) -> None:
+    """Combine ``data`` into ``segmap``'s (aligned) bytes of ``buf``, element-wise.
+
+    One in-place read-modify-write pass over a typed 2-D view of the rows
+    whenever the map is arithmetic with ``step >= seg_len`` (every
+    subarray/vector type and GA tile; a contiguous target is the one-row
+    case).
+    """
+    if not segmap.total_bytes:
+        return
+    itemsize = base.itemsize
+    arith = segmap._arith_params()
+    if arith is not None and arith[1] >= arith[2]:
+        tview = dt._rows(buf, *arith, base)
+        op.apply(tview, data.view(base).reshape(tview.shape))
+    elif not segmap.overlaps_self():
+        # irregular layout: gather-modify-scatter through an *element*
+        # index, safe because no target element appears twice in it
+        elems = dt.SegmentMap(segmap.offsets // itemsize, segmap.lengths // itemsize)
+        typed = buf[: segmap.bounds()[1]].view(base)
+        vals = elems.gather(typed)
+        op.apply(vals, data.view(base))
+        elems.scatter(typed, vals)
+    else:
+        # overlapping same-op accumulates must apply in traversal order
+        pos = 0
+        for off, ln in zip(segmap.offsets.tolist(), segmap.lengths.tolist()):
+            op.apply(buf[off : off + ln].view(base), data[pos : pos + ln].view(base))
+            pos += ln
 
 
 def _local_exposure_view(local: "np.ndarray | None") -> np.ndarray:

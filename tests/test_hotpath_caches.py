@@ -9,10 +9,14 @@ stay bounded under churn.
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from repro.armci import Armci
+from repro.armci.access_modes import AccessMode
 from repro.armci.gmr import GmrTable
 from repro.armci.iov import (
     IOV_DATATYPE_CACHE_MAX,
@@ -28,7 +32,13 @@ from repro.armci.strided import (
 )
 from repro.bench.hotpath import _BenchGmr
 from repro.mpi import datatypes as dt
-from repro.mpi.errors import ArgumentError
+from repro.mpi.errors import (
+    ArgumentError,
+    RankKilledError,
+    RMARangeError,
+    TargetFailedError,
+)
+from repro.mpi.runtime import Runtime
 
 from conftest import spmd
 
@@ -87,7 +97,7 @@ def test_recommit_after_free_rebuilds_segment_maps():
     ],
 )
 def test_shifted_map_answers_from_carried_memos(offsets, lengths):
-    """``Win._target_segmap`` shifts the datatype's cached map on every
+    """``Win._op_maps`` shifts the datatype's cached map on every
     put/get/acc: the copy must not rescan its offsets for what a
     translation cannot change."""
     fresh = dt.SegmentMap(np.array(offsets, np.int64) + 1000, np.array(lengths, np.int64))
@@ -275,30 +285,40 @@ def test_iov_datatype_lru_is_bounded_and_keyed_by_displacements():
 
 
 def test_flush_rebuilds_only_the_interval_sets_that_recorded():
-    """A fresh set shares the module's empty coverage; ``clear_accesses``
-    (one per flush) replaces a set only if something was added to it."""
-    from repro.mpi.window import _NO_COVERAGE, _Epoch, _IntervalSet
+    """A fresh set shares the module's empty coverage; a flush replaces a
+    set only if something was added to it since the last one."""
+    from repro import mpi
+    from repro.mpi.window import _NO_COVERAGE, _IntervalSet
 
-    one = (dt.SegmentMap.arithmetic(8, 8, 8, 1),)  # the footprint argument
     fresh = _IntervalSet()
     assert fresh._cov_off is _NO_COVERAGE and fresh._cov_len is _NO_COVERAGE
     assert not _NO_COVERAGE.flags.writeable
-    epoch = _Epoch(0, 1, "shared")
-    puts, gets, accs = epoch.puts, epoch.gets, epoch.accs
-    epoch.clear_accesses()
-    assert (epoch.puts, epoch.gets, epoch.accs) == (puts, gets, accs)
-    assert epoch.puts is puts and epoch.gets is gets and epoch.accs is accs
-    epoch.record("put", None, *one)
-    epoch.record("acc", "MPI_SUM", *one)
-    sum_cover = epoch.accs["MPI_SUM"]
-    epoch.record("acc", "MPI_SUM", *one)
-    assert epoch.accs["MPI_SUM"] is sum_cover and sum_cover.count == 2
-    epoch.clear_accesses()
-    assert epoch.puts is not puts and epoch.puts.count == 0
-    assert epoch.gets is gets
-    assert epoch.accs == {}
-    # the replaced set kept what it had recorded: nothing shared was written
-    assert puts.overlaps(*one) and not epoch.puts.overlaps(*one)
+    footprint = dt.SegmentMap.arithmetic(8, 8, 8, 1)
+
+    def main(comm):
+        win, _ = mpi.Win.allocate(comm, 64, mpi3=True)
+        win.lock_all()
+        if comm.rank == 0:
+            epoch = win._epochs[(comm.world_rank(0), 1)]
+            puts, gets, accs = epoch.puts, epoch.gets, epoch.accs
+            win.flush(1)
+            assert epoch.puts is puts and epoch.gets is gets and epoch.accs is accs
+            win.put(np.zeros(8, np.uint8), 1, 8)
+            win.accumulate(np.ones(1), 1, 16)
+            sum_cover = epoch.accs["MPI_SUM"]
+            win.accumulate(np.ones(1), 1, 16)
+            assert epoch.accs["MPI_SUM"] is sum_cover and sum_cover.count == 2
+            win.flush(1)
+            assert epoch.puts is not puts and epoch.puts.count == 0
+            assert epoch.gets is gets
+            assert epoch.accs == {}
+            # the replaced set kept what it had recorded: nothing shared was written
+            assert puts.overlaps(footprint) and not epoch.puts.overlaps(footprint)
+        comm.barrier()
+        win.unlock_all()
+        win.free()
+
+    spmd(2, main)
     assert len(_NO_COVERAGE) == 0
 
 
@@ -467,3 +487,222 @@ def test_rank_threads_share_the_strided_memo_under_eviction():
     finally:
         sys.setswitchinterval(interval)
         strided_datatype_cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# the blocking patch op: a call budget, and every check still on its path
+# ---------------------------------------------------------------------------
+
+
+def _repro_calls(op) -> int:
+    """Python calls into ``repro.*`` made by the third (warm) ``op()``."""
+    op()
+    op()
+    calls = 0
+
+    def profile(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("repro."):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        op()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _call_budget_body(comm):
+    from repro.ga import GlobalArray
+
+    a = Armci.init(comm, datapath="mpi3")
+    ga = GlobalArray.create(a, (2048, 2048), "f8")  # row blocks 0..1023 | 1024..2047
+    a.barrier()
+    counts = {}
+    if a.my_id == 0:
+        out, data = np.empty((16, 16)), np.ones((16, 16))
+        ops = {
+            "get": lambda: ga.get((1500, 10), (1516, 26), out=out),
+            "put": lambda: ga.put((1500, 10), (1516, 26), data),
+            "acc": lambda: ga.acc((1500, 10), (1516, 26), data),
+            "straddling put": lambda: ga.put((1016, 10), (1032, 26), data),
+        }
+        counts = {name: _repro_calls(op) for name, op in ops.items()}
+    a.barrier()
+    ga.destroy()
+    a.finalize()
+    return counts
+
+
+#: ``repro.*`` calls of each warm op before the blocking path was reworked
+#: to establish each fact about an owner piece once (same runtime and ops)
+_CALLS_BEFORE = {"get": 105, "put": 107, "acc": 118, "straddling put": 201}
+
+
+def test_blocking_patch_op_call_budget():
+    """A warm 16x16 ``ga.get/put/acc`` (one remote owner) and an
+    owner-straddling ``ga.put`` on the mpi3 datapath stay at or under 60 %
+    of the calls they made before: the count is deterministic and
+    host-independent, so the path cannot quietly grow back.  A plain
+    runtime (no ambient sanitizer or injector) is what is budgeted."""
+    rt = Runtime(2, watchdog_s=5.0, apply_hooks=False)
+    counts = rt.spmd(_call_budget_body)[0]
+    over = {
+        name: (counts[name], before)
+        for name, before in _CALLS_BEFORE.items()
+        if counts[name] > 0.6 * before
+    }
+    assert not over, f"over budget (calls, calls before): {over}"
+
+
+@contextmanager
+def _in_epoch(a, win, target):
+    """An access epoch on ``target``: the standing one, completed by a flush
+    (mpi3), or a lock of its own (mpi2)."""
+    if a.mpi3:
+        yield
+        win.flush(target)
+    else:
+        win.lock(target, "exclusive")
+        try:
+            yield
+        finally:
+            win.unlock(target)
+
+
+def _check_noncontiguous_origin(a):
+    """``Win.put`` refuses a non-C-contiguous origin."""
+    ptrs = a.malloc(64)
+    win = a.table.require(ptrs[0]).win
+    if a.my_id == 0:
+        with _in_epoch(a, win, 1), pytest.raises(
+            ArgumentError, match=r"RMA buffers must be C-contiguous"
+        ):
+            win.put(np.zeros((4, 4))[:, ::2], 1, 0)
+    a.barrier()
+    a.free(ptrs[a.my_id])
+
+
+def _check_2d_origin_is_byte_exact(a):
+    """``Win.put`` of a 2-D ``f8`` origin moves exactly its bytes."""
+    ptrs = a.malloc(128)
+    win = a.table.require(ptrs[0]).win
+    if a.my_id == 0:
+        with _in_epoch(a, win, 1):
+            win.put(np.arange(8.0).reshape(2, 4), 1, 8)
+        got = np.zeros(128, np.uint8)
+        a.get(ptrs[1], got, 128)
+        np.testing.assert_array_equal(got[8:72].view("f8"), np.arange(8.0))
+        assert not got[:8].any() and not got[72:].any()
+    a.barrier()
+    a.free(ptrs[a.my_id])
+
+
+def _check_strided_footprint_leaves_slab(a):
+    """``put_s`` whose remote footprint runs past the target's slab."""
+    ptrs = a.malloc(256)
+    if a.my_id == 0:
+        with pytest.raises(
+            RMARangeError, match=r"access \[200,296\) outside window of 256B at target 1"
+        ):
+            a.put_s(np.zeros(64, np.uint8), [32], ptrs[1] + 200, [64], [32, 2])
+    a.barrier()
+    a.free(ptrs[a.my_id])
+
+
+def _check_access_mode(a):
+    """A put into a GMR whose §VIII-A access mode forbids puts."""
+    ptrs = a.malloc(64)
+    a.set_access_mode(ptrs[a.my_id], AccessMode.READ_ONLY)
+    if a.my_id == 0:
+        with pytest.raises(
+            ArgumentError, match=r"put on GMR \d+ violates access mode read_only \(§VIII-A\)"
+        ):
+            a.put(np.zeros(4), ptrs[1])
+    a.barrier()
+    a.set_access_mode(ptrs[a.my_id], AccessMode.DEFAULT)
+    a.free(ptrs[a.my_id])
+
+
+def _check_put_from_access_view(a):
+    """``ga.put`` from a ``ga.access()`` view: §V-E.1 stages it, once."""
+    from repro.ga import GlobalArray
+
+    ga = GlobalArray.create(a, (8, 4), "f8")  # rows 0..3 on rank 0, 4..7 on rank 1
+    if a.my_id == 0:
+        view = ga.access()
+        view[...] = np.arange(16.0).reshape(4, 4)
+        ga.release()
+        before = a.stats.staged_copies
+        ga.put((4, 0), (6, 4), view[:2])
+        assert a.stats.staged_copies == before + 1
+        np.testing.assert_array_equal(ga.get((4, 0), (6, 4)), np.arange(8.0).reshape(2, 4))
+    a.barrier()
+    ga.destroy()
+
+
+def _check_freed_gmr(a):
+    """An op on a pointer into a freed allocation."""
+    ptrs = a.malloc(64)
+    a.barrier()
+    a.free(ptrs[a.my_id])
+    if a.my_id == 0:
+        with pytest.raises(ArgumentError, match=r"does not fall in any registered GMR"):
+            a.put(np.zeros(1), ptrs[1])
+
+
+#: the checks a blocking op makes on its way down, one row each
+_PATH_CHECKS = [
+    _check_noncontiguous_origin,
+    _check_2d_origin_is_byte_exact,
+    _check_strided_footprint_leaves_slab,
+    _check_access_mode,
+    _check_put_from_access_view,
+    _check_freed_gmr,
+]
+
+
+def _path_checks_body(comm, datapath):
+    a = Armci.init(comm, datapath=datapath)
+    for check in _PATH_CHECKS:
+        check(a)
+        a.barrier()
+    a.finalize()
+
+
+#: what an op towards a rank marked dead raises, per datapath: mpi2's own
+#: epoch refuses the lock; under mpi3 the op's completing flush reports it
+_DEAD_TARGET = {
+    "mpi2": r"lock: target rank 1 of win \d+ has failed",
+    "mpi3": r"flush\(1\) on failed target of win \d+",
+}
+
+
+def _dead_target_body(comm, datapath):
+    a = Armci.init(comm, datapath=datapath)
+    ptrs = a.malloc(64)  # repro: lint-ignore[lint-leak] — no collective free past a death
+    a.barrier()
+    rt = comm.runtime
+    if a.my_id == 1:
+        with rt.cond:
+            rt.mark_dead(comm.world_rank(1))
+        raise RankKilledError("rank 1 dies")
+    with rt.cond:
+        rt.wait_for(lambda: rt.dead_ranks, what="death observed")
+    with pytest.raises(TargetFailedError, match=_DEAD_TARGET[datapath]):
+        a.put(np.zeros(1), ptrs[1])
+
+
+@pytest.mark.parametrize("datapath", ["mpi2", "mpi3"])
+@pytest.mark.parametrize("backend", ["thread", "proc"])
+def test_every_check_fires_through_the_blocking_path(backend, datapath):
+    """Each row of :data:`_PATH_CHECKS` — and, on threads, an op towards a
+    dead rank — gives the error class and message it always gave, on both
+    backends and both datapaths (plain runtimes: procs take no ambient
+    sanitizer or injector)."""
+    Runtime(2, backend=backend, watchdog_s=5.0, apply_hooks=False).spmd(
+        _path_checks_body, datapath
+    )
+    if backend == "thread":
+        Runtime(2, watchdog_s=5.0, apply_hooks=False).spmd(_dead_target_body, datapath)

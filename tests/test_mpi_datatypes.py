@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.hotpath import pack_reference, unpack_reference
 from repro.mpi import datatypes as dt
 from repro.mpi.errors import ArgumentError, DatatypeError
 
@@ -371,7 +372,7 @@ def _reference_equivalence(t: dt.Datatype, count: int, seed: int) -> None:
     buf = rng.integers(0, 256, size=max(hi, 1), dtype=np.uint8)
     # pack: gather out of a scrambled buffer
     np.testing.assert_array_equal(
-        t.pack(buf, count), dt.pack_reference(t, buf, count)
+        t.pack(buf, count), pack_reference(t, buf, count)
     )
     # unpack: scatter random wire bytes into two identically-scrambled
     # buffers; the whole buffer must match, including untouched gaps and
@@ -380,7 +381,7 @@ def _reference_equivalence(t: dt.Datatype, count: int, seed: int) -> None:
     out_vec = buf.copy()
     out_ref = buf.copy()
     t.unpack(out_vec, data, count)
-    dt.unpack_reference(t, out_ref, data, count)
+    unpack_reference(t, out_ref, data, count)
     np.testing.assert_array_equal(out_vec, out_ref)
 
 
@@ -438,11 +439,11 @@ def test_uniform_arithmetic_gather_scatter_fast_path():
     sm = t.segment_map()
     assert sm.uniform_seg_len == 8
     buf = (np.arange(100 * 32, dtype=np.int64) % 256).astype(np.uint8)
-    np.testing.assert_array_equal(t.pack(buf), dt.pack_reference(t, buf))
+    np.testing.assert_array_equal(t.pack(buf), pack_reference(t, buf))
     data = np.arange(800, dtype=np.int64).astype(np.uint8)
     a, b = buf.copy(), buf.copy()
     t.unpack(a, data)
-    dt.unpack_reference(t, b, data)
+    unpack_reference(t, b, data)
     np.testing.assert_array_equal(a, b)
 
 
@@ -456,7 +457,7 @@ def test_overlapping_arithmetic_unpack_preserves_traversal_order():
     buf_ref = np.zeros(64, dtype=np.uint8)
     data = np.arange(80, dtype=np.int64).astype(np.uint8)
     t.unpack(buf_vec, data)
-    dt.unpack_reference(t, buf_ref, data)
+    unpack_reference(t, buf_ref, data)
     np.testing.assert_array_equal(buf_vec, buf_ref)
 
 

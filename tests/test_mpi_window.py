@@ -1296,3 +1296,37 @@ def test_accumulate_alignment_closed_form_equals_the_array_form(
     else:
         accumulate()
         assert buf.any()
+
+
+# ---------------------------------------------------------------------------
+# a rejected accumulate leaves nothing behind
+# ---------------------------------------------------------------------------
+
+
+def _rejected_accumulate_body(comm):
+    win, _ = mpi.Win.allocate(comm, 64, mpi3=True)
+    comm.barrier()
+    if comm.rank == 0:
+        win.lock(1, "exclusive")
+        with pytest.raises(mpi.ArgumentError, match=r"segment \[3,19\) not aligned to float64"):
+            win.accumulate(np.ones(2), 1, 3)  # f8 elements at byte 3
+        # no footprint was recorded, so [0, 8) conflicts with nothing
+        win.put(np.full(8, 5, np.uint8), 1, 0)
+        win.unlock(1)
+    comm.barrier()
+    if comm.rank == 1:
+        win.lock(1, "exclusive")
+        got = win.local_view().copy()
+        win.unlock(1)
+        assert (got[:8] == 5).all() and not got[8:].any()
+    comm.barrier()
+    win.free()
+
+
+@pytest.mark.parametrize("backend", ["thread", "proc"])
+def test_rejected_accumulate_records_and_counts_nothing(backend):
+    """The element-alignment check runs before the access is recorded, so an
+    accumulate that raises cannot make a later op of the epoch conflict.
+    (A plain runtime: no ambient sanitizer or injector, which procs reject.)"""
+    rt = mpi.Runtime(2, backend=backend, watchdog_s=5.0, apply_hooks=False)
+    rt.spmd(_rejected_accumulate_body)
