@@ -57,7 +57,6 @@ the shared ones in :mod:`repro.bench.registry`.
 from __future__ import annotations
 
 import time
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -70,7 +69,12 @@ from ..mpi import datatypes as dt
 from ..mpi import ops as mpi_ops
 from ..mpi.errors import ArgumentError
 from ..mpi.group import UNDEFINED
-from ..mpi.window import Win, _IntervalSet, _segments_overlap
+from ..mpi.window import (
+    _accumulate_into,
+    _check_acc_alignment,
+    _IntervalSet,
+    _segments_overlap,
+)
 from .harness import format_table
 
 #: acceptance floors: the vectorized datapath must beat the retained
@@ -180,18 +184,17 @@ def _wl_acc_strided() -> tuple[Callable, Callable]:
     buf = np.zeros(rows * pitch, dtype=np.uint8)
     data = np.ones(rows * row_bytes // 8).view(np.uint8)
     segmap = strided.strided_datatype((pitch,), (row_bytes, rows), dt.DOUBLE).segment_map()
-    win = SimpleNamespace(_buffers=[buf])  # all the kernel reads of its window
-
     def per_segment() -> None:
         pos = 0
         for lo, hi in segmap.intervals():
             mpi_ops.SUM.apply(buf[lo:hi].view(base), data[pos : pos + hi - lo].view(base))
             pos += hi - lo
 
-    return (
-        lambda: Win._accumulate_target(win, 0, segmap, data, base, mpi_ops.SUM),
-        per_segment,
-    )
+    def checked_kernel() -> None:  # what Win.accumulate runs per target
+        _check_acc_alignment(segmap, base)
+        _accumulate_into(buf, segmap, data, base, mpi_ops.SUM)
+
+    return checked_kernel, per_segment
 
 
 def _wl_get_strided() -> tuple[Callable, Callable]:

@@ -9,7 +9,9 @@ declaring the host it needs as ``min_cpus``.  The baseline writer and
 loader, the ``environment`` block and the gate runner (:func:`run_gate`)
 exist once, here; :mod:`repro.bench.cli`, the Makefile's ``%-smoke``
 rule and ``docs/benchmarks.md`` are driven by or tested against this
-table, so a new gate costs one entry.
+table, so a new gate costs one entry.  An entry names its module's
+functions and constants without importing it: the module is imported
+when the entry runs, so ``python -m repro.bench fig3`` loads none.
 
 A gate ends in one line ``<NAME> SMOKE: <verdict>``.  ``ok``: every
 check ran and passed.  ``FAIL`` (exit 1): unreadable baseline, the
@@ -23,6 +25,7 @@ measured where it could not be gated says so.
 from __future__ import annotations
 
 import glob
+import importlib
 import json
 import multiprocessing
 import os
@@ -30,14 +33,10 @@ import pathlib
 import platform
 import tempfile
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from . import gates, hotpath, mpi3_smoke, procs_smoke, sanitize_ablation
-from . import proc_recover_smoke as precover
-from . import traffic_smoke as traffic
 
 #: the committed baselines live in the repo's benchmarks/ directory
 BASELINE_DIR = pathlib.Path(__file__).resolve().parents[3] / "benchmarks"
@@ -99,11 +98,16 @@ class Bench:
     #: file name under benchmarks/, or None for a gate with no baseline
     baseline: "str | None" = None
     units: str = ""
-    #: extra top-level keys of the baseline JSON (floors, seeds, ...)
-    header: dict = field(default_factory=dict)
+    #: extra top-level keys of the baseline JSON (floors, seeds, ...),
+    #: built when asked for (:attr:`header`)
+    header_of: Callable[[], dict] = dict
     checks: "tuple[Check, ...]" = ()
     #: forks rank processes: the gate also fails on anything left behind
     spawns: bool = False
+
+    @property
+    def header(self) -> dict:
+        return self.header_of()
 
     @property
     def alias(self) -> str:
@@ -247,10 +251,42 @@ def run_gate(bench: Bench, path: "str | os.PathLike | None" = None) -> "tuple[st
     return verdict, "\n".join(lines)
 
 
-def _row_gate(name: str, help: str, measure, check: str) -> Bench:
+def _module(name: str):
+    """``repro.bench.<name>``, imported on first use."""
+    return importlib.import_module(f"{__package__}.{name}")
+
+
+def _lazy(module: str, attr: str) -> Callable:
+    """A function of ``repro.bench.<module>`` that imports it when called."""
+
+    def call(*args):
+        return getattr(_module(module), attr)(*args)
+
+    call.__name__ = attr
+    return call
+
+
+def _consts(module: str, **names: str) -> Callable[[], dict]:
+    """A :attr:`Bench.header_of`: header key -> constant of ``module``."""
+    return lambda: {k: getattr(_module(module), v) for k, v in names.items()}
+
+
+def _traffic_header() -> dict:
+    traffic = _module("traffic_smoke")
+    return {
+        "seed": traffic.SEED,
+        "nproc": traffic.NPROC,
+        "offered_sweep": list(traffic.OFFERED_SWEEP),
+        "thread_kill": {"victim": traffic.VICTIM, "point": traffic.KILL_POINT},
+        "proc_kill_fraction": traffic.PROC_KILL_FRACTION,
+        "goodput_floor": traffic.GOODPUT_FLOOR,
+    }
+
+
+def _row_gate(name: str, help: str, measure: str, check: str) -> Bench:
     """A :mod:`repro.bench.gates` entry: rows in, any row not ok fails."""
-    return Bench(name, help, measure, gates.format_rows,
-                 checks=(Check(check, gates.check_rows),))
+    return Bench(name, help, _lazy("gates", measure), _lazy("gates", "format_rows"),
+                 checks=(Check(check, _lazy("gates", "check_rows")),))
 
 
 BENCHES: "dict[str, Bench]" = {
@@ -263,16 +299,18 @@ BENCHES: "dict[str, Bench]" = {
             "replay, GMR lookup); 'baseline' is the "
             "retained pre-vectorization reference implementation measured "
             "by the same suite in the same process",
-            measure=hotpath.measure,
-            format=hotpath.format_results,
+            measure=_lazy("hotpath", "measure"),
+            format=_lazy("hotpath", "format_results"),
             baseline="BENCH_hotpath.json",
             units="seconds_per_op",
-            header={"min_speedup": hotpath.MIN_SPEEDUP},
+            header_of=_consts("hotpath", min_speedup="MIN_SPEEDUP"),
             checks=(
                 Check(
                     "no speedup below its floor (min_speedup) or regressed >2x",
                     speedup_floors(
-                        lambda name: {"speedup": hotpath.MIN_SPEEDUP.get(name, 1.0)}
+                        lambda name: {
+                            "speedup": _module("hotpath").MIN_SPEEDUP.get(name, 1.0)
+                        }
                     ),
                 ),
             ),
@@ -282,19 +320,18 @@ BENCHES: "dict[str, Bench]" = {
             help="MPI-3 flush-datapath benches on the simulated clock: eager "
             "per-op epochs (mpi2) vs deferred issue + per-target flush "
             "(mpi3), with and without adjacency coalescing",
-            measure=mpi3_smoke.measure,
-            format=mpi3_smoke.format_results,
+            measure=_lazy("mpi3_smoke", "measure"),
+            format=_lazy("mpi3_smoke", "format_results"),
             baseline="BENCH_mpi3_datapath.json",
             units="modeled_seconds_per_op",
-            header={
-                "platform_model": mpi3_smoke.PLATFORM_KEY,
-                "min_speedup": mpi3_smoke.MIN_SPEEDUP,
-            },
+            header_of=_consts(
+                "mpi3_smoke", platform_model="PLATFORM_KEY", min_speedup="MIN_SPEEDUP"
+            ),
             checks=(
                 Check(
                     "flush-datapath and coalescing speedups hold their "
                     "floors (min_speedup) and did not regress >2x",
-                    speedup_floors(lambda _name: mpi3_smoke.MIN_SPEEDUP),
+                    speedup_floors(lambda _name: _module("mpi3_smoke").MIN_SPEEDUP),
                 ),
             ),
         ),
@@ -302,28 +339,28 @@ BENCHES: "dict[str, Bench]" = {
             name="procs",
             help="proc-backend (one OS process per rank) aggregate put/get "
             "throughput over shared-memory windows (ARMCI mpi3 datapath, "
-            f"ring workload, {procs_smoke.SLAB_BYTES // 1024} KiB slabs) for "
-            "1/2/4 ranks, and the op time of two ranks accumulating into "
+            "ring workload over fixed-size slabs) for 1/2/4 ranks, and the op time of two ranks accumulating into "
             "one slab; absolute MB/s and us are machine-dependent trajectory "
             "data, only the 1->4 rank scaling ratio and the contended "
             "accumulate's mean/median ratio are gated",
-            measure=procs_smoke.measure,
-            format=procs_smoke.format_results,
+            measure=_lazy("procs_smoke", "measure"),
+            format=_lazy("procs_smoke", "format_results"),
             baseline="BENCH_procs.json",
             units="wall_clock_MB_per_s",
-            header={
-                "min_scaling": procs_smoke.MIN_SCALING,
-                "max_acc_mean_over_median": procs_smoke.MAX_ACC_MEAN_OVER_MEDIAN,
-            },
+            header_of=_consts(
+                "procs_smoke",
+                min_scaling="MIN_SCALING",
+                max_acc_mean_over_median="MAX_ACC_MEAN_OVER_MEDIAN",
+            ),
             checks=(
                 Check(
                     "aggregate throughput scales >= min_scaling from 1 to 4 ranks",
-                    procs_smoke.check_scaling,
+                    _lazy("procs_smoke", "check_scaling"),
                     min_cpus=WALLCLOCK_MIN_CPUS,
                 ),
                 Check(
                     "contended accumulate mean/median <= max_acc_mean_over_median",
-                    procs_smoke.check_contended_acc,
+                    _lazy("procs_smoke", "check_contended_acc"),
                     min_cpus=CONTENTION_MIN_CPUS,
                 ),
             ),
@@ -331,32 +368,33 @@ BENCHES: "dict[str, Bench]" = {
         ),
         Bench(
             name="proc-recover",
-            help=f"proc-backend survivor restart: SIGKILL rank {precover.VICTIM} "
-            f"of {precover.NPROC} mid-collective (seed {precover.SEED}), measure "
-            "survivor-observed detection latency (marker-file monotonic "
+            help="proc-backend survivor restart: SIGKILL one rank "
+            "mid-collective (victim, rank count and seed are in the baseline "
+            "header), measure survivor-observed detection latency (marker-file monotonic "
             "stamp to first typed failure error) and recover+restore wall "
             "time per heartbeat interval; absolute seconds are machine-"
             "dependent trajectory data",
-            measure=precover.measure,
-            format=precover.format_results,
+            measure=_lazy("proc_recover_smoke", "measure"),
+            format=_lazy("proc_recover_smoke", "format_results"),
             baseline="BENCH_proc_recover.json",
             units="wall_clock_seconds",
-            header={
-                "seed": precover.SEED,
-                "nproc": precover.NPROC,
-                "victim": precover.VICTIM,
-                "join_timeout_s": precover.JOIN_TIMEOUT_S,
-                "detect_budget_s": precover.DETECT_BUDGET_S,
-            },
+            header_of=_consts(
+                "proc_recover_smoke",
+                seed="SEED",
+                nproc="NPROC",
+                victim="VICTIM",
+                join_timeout_s="JOIN_TIMEOUT_S",
+                detect_budget_s="DETECT_BUDGET_S",
+            ),
             checks=(
                 Check(
                     "restore value-correct on the shrunken grid",
-                    precover.check_value_correct,
+                    _lazy("proc_recover_smoke", "check_value_correct"),
                 ),
                 Check(
                     "survivors detect the death inside detect_budget_s, an "
                     "order of magnitude before the join_timeout_s backstop",
-                    precover.check_detect_budget,
+                    _lazy("proc_recover_smoke", "check_detect_budget"),
                     min_cpus=WALLCLOCK_MIN_CPUS,
                 ),
             ),
@@ -369,28 +407,21 @@ BENCHES: "dict[str, Bench]" = {
             "workload on the deterministic thread backend; the same "
             "workloads with a seeded mid-traffic kill; and a proc-backend "
             "fault-free vs SIGKILL degradation pair",
-            measure=traffic.measure,
-            format=traffic.format_results,
+            measure=_lazy("traffic_smoke", "measure"),
+            format=_lazy("traffic_smoke", "format_results"),
             baseline="BENCH_traffic.json",
             units="virtual_ticks (latency/goodput), wall_clock_seconds (proc)",
-            header={
-                "seed": traffic.SEED,
-                "nproc": traffic.NPROC,
-                "offered_sweep": list(traffic.OFFERED_SWEEP),
-                "thread_kill": {"victim": traffic.VICTIM, "point": traffic.KILL_POINT},
-                "proc_kill_fraction": traffic.PROC_KILL_FRACTION,
-                "goodput_floor": traffic.GOODPUT_FLOOR,
-            },
+            header_of=_traffic_header,
             checks=(
                 Check(
                     "all oracles verified; faulted runs recover and replay "
                     "bit-identically",
-                    traffic.check_correctness,
+                    _lazy("traffic_smoke", "check_correctness"),
                 ),
                 Check(
                     "proc SIGKILL run recovers with goodput >= goodput_floor x "
                     "fault-free",
-                    traffic.check_degradation,
+                    _lazy("traffic_smoke", "check_degradation"),
                     min_cpus=WALLCLOCK_MIN_CPUS,
                 ),
             ),
@@ -400,13 +431,13 @@ BENCHES: "dict[str, Bench]" = {
             "sanitize",
             "fuzzed-schedule RMA sanitizer gate over the mutex and RMW "
             "protocols (<60 s)",
-            gates.measure_sanitize,
+            "measure_sanitize",
             "no RMA violation, exact counters, identical replay",
         ),
         _row_gate(
             "recover",
             "rank-death recovery gate over every recovery scenario (<60 s)",
-            gates.measure_recover,
+            "measure_recover",
             "every scenario completes value-correct on the shrunken world "
             "and replays bit-identically",
         ),
@@ -414,7 +445,7 @@ BENCHES: "dict[str, Bench]" = {
             "lint",
             "whole-repo static RMA/ARMCI sweep plus corpus sensitivity "
             "check (seconds)",
-            gates.measure_lint,
+            "measure_lint",
             "repo lints clean inside the budget; every bad corpus snippet "
             "still fires",
         ),
@@ -425,11 +456,11 @@ BENCHES: "dict[str, Bench]" = {
             "plumbing, separately and combined; overhead factors are "
             "relative to the bare schedule in the same process (a report, "
             "no floor)",
-            measure=sanitize_ablation.measure,
-            format=sanitize_ablation.format_results,
+            measure=_lazy("sanitize_ablation", "measure"),
+            format=_lazy("sanitize_ablation", "format_results"),
             baseline="BENCH_sanitize_ablation.json",
             units="wall_seconds_per_spmd_run",
-            header={"nproc": sanitize_ablation.NPROC},
+            header_of=_consts("sanitize_ablation", nproc="NPROC"),
         ),
     )
 }

@@ -58,28 +58,31 @@ STALE_SEGMENT_S = 600.0
 
 
 def sweep_stale_segments(
-    stale_after_s: float = STALE_SEGMENT_S,
+    stale_after_s: "float | None" = STALE_SEGMENT_S,
     shm_dir: "str | os.PathLike" = "/dev/shm",
+    pattern: str = "repro-*",
 ) -> "list[str]":
     """Unlink orphaned ``repro-*`` shared-memory segments; idempotent.
 
-    The proc backend's own teardown sweep only covers segments of *its*
-    run id; a SIGKILLed traffic-harness worker from an earlier run (or
-    a run whose parent itself died) leaves segments no live process
-    will ever reclaim.  This sweeps any ``repro-*`` segment whose mtime
-    is older than ``stale_after_s`` — age-gating keeps concurrent live
-    runs safe, since their windows and heartbeat leases are touched far
-    more often than that.  Returns the names removed; calling it twice
-    is a no-op the second time (nothing matches, nothing raises).
+    The proc backend's own teardown sweeps the segments of *its* run id
+    (``pattern``, ``stale_after_s=None``: any age); a SIGKILLed
+    traffic-harness worker from an earlier run (or a run whose parent
+    itself died) leaves segments no live process will ever reclaim.
+    This sweeps any ``repro-*`` segment whose mtime is older than
+    ``stale_after_s`` — age-gating keeps concurrent live runs safe,
+    since their windows and heartbeat leases are touched far more often
+    than that.  Returns the names removed; calling it twice is a no-op
+    the second time (nothing matches, nothing raises).
     """
     shm = pathlib.Path(shm_dir)
     if not shm.is_dir():  # pragma: no cover - non-Linux shm layout
         return []
     removed: list[str] = []
-    cutoff = time.time() - stale_after_s
-    for seg in shm.glob("repro-*"):
+    for seg in shm.glob(pattern):
         try:
-            if seg.stat().st_mtime > cutoff:
+            if stale_after_s is not None and (
+                seg.stat().st_mtime > time.time() - stale_after_s
+            ):
                 continue
         except OSError:  # concurrently unlinked — already swept
             continue

@@ -6,8 +6,9 @@ forked child process, window memory lives in
 ``MPI_Win_allocate_shared`` analogue from Hammond et al., PAPERS.md),
 and puts/gets are true cross-process memory traffic.  The moving parts:
 
-* **Parent** (:class:`ProcBackend`): forks the children, then runs a
-  monitor loop — collecting per-rank results, broadcasting a
+* **Parent** (:class:`ProcBackend`): creates one inbox pipe per rank and
+  a result pipe (:mod:`repro.mpi.mailbox`), forks the children, then
+  runs a monitor loop — collecting per-rank results, broadcasting a
   ``rank_dead`` control message when a child exits abnormally (so
   survivors raise :class:`~repro.mpi.runtime.RankFailedError`, the
   cross-process analogue of ``mark_dead``), driving an optional
@@ -19,7 +20,7 @@ and puts/gets are true cross-process memory traffic.  The moving parts:
   *replica* (``apply_hooks=False`` — ambient sanitizer/fuzzer/fault
   hooks must not silently duplicate into processes they cannot
   observe), a :class:`ProcComm` world, and a pump thread that drains
-  this rank's inbox queue into the local p2p engines.
+  this rank's inbox pipe into the local p2p engines.
 * **Failure detection**: every child re-stamps a per-rank *heartbeat
   lease* (pid + monotonic timestamp) in a parent-created shared-memory
   segment from its pump thread; peers whose lease goes stale past
@@ -29,7 +30,7 @@ and puts/gets are true cross-process memory traffic.  The moving parts:
   SIGKILLed one is detected by survivors themselves, well before the
   parent's ``join_timeout`` backstop and independent of the parent.
 * **Fault tolerance** (ULFM surface): ``revoke``/``agree``/``shrink``
-  run over the inbox queues.  Agreement is coordinator-based — votes go
+  run over the inbox pipes.  Agreement is coordinator-based — votes go
   to the lowest live member, whose pump collects them and broadcasts
   the result in ascending rank order; participants that see their
   coordinator die re-send their vote to the next-lowest live rank, and
@@ -38,9 +39,10 @@ and puts/gets are true cross-process memory traffic.  The moving parts:
   divergent outcomes.  ``Runtime.failure_ack`` clears the peer-death
   poisoning in each surviving process, which is what lets
   ``repro.recover`` rebuild in place.
-* **Messaging** (:class:`ProcComm`): sends put pickled payloads on the
-  destination's inbox queue; the destination's pump injects them into
-  the matching :class:`~repro.mpi.p2p.P2PEngine` replica.  Context ids
+* **Messaging** (:class:`ProcComm`): a send pickles the payload and
+  writes it, from the sender's thread, as one frame to the destination's
+  inbox pipe; the destination's pump injects it into the matching
+  :class:`~repro.mpi.p2p.P2PEngine` replica.  Context ids
   are *structural tuples* (``("w",)``, parent + ``("dup", seq)``, …)
   because integer context counters diverge across processes when
   communicators are created on subgroups.
@@ -74,21 +76,20 @@ from __future__ import annotations
 import fcntl
 import itertools
 import os
-import pathlib
-import pickle
-import queue as _queue
 import shutil
 import tempfile
 import threading
 import time
 import traceback
 import zlib
-from multiprocessing import get_context, resource_tracker, shared_memory
+from multiprocessing import connection, get_context, resource_tracker, shared_memory
 from typing import Any, Callable
 
 import numpy as np
 
 from ..backoff import FLOCK_WAIT, BackoffPolicy
+from ..faults.proc import sweep_stale_segments
+from . import mailbox
 from .backend import RuntimeBackend
 from .comm import Comm
 from .errors import (
@@ -145,44 +146,18 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
 # parent side
 # ---------------------------------------------------------------------------
 
-class _FlockMutex:
-    """Cross-process mutex that the kernel releases when its holder dies.
-
-    Stands in for the write lock of a ``multiprocessing.Queue`` inbox: the
-    stock one is a semaphore, so a rank SIGKILLed while its feeder thread
-    holds it would block every later writer to that inbox forever — and
-    with it the votes of the FT rounds that are meant to survive the kill.
-    Each process flocks its own open file description (one inherited over
-    ``fork`` would be shared with the parent and exclude nobody).  The
-    creating process opens its own eagerly: its queue feeder threads can
-    outlive the run's lock directory, the forked ranks' cannot (they are
-    joined before it is removed).
-    """
-
-    def __init__(self, path: str):
-        self._path = path
-        self._pid, self._file = os.getpid(), open(path, "ab")
-
-    def acquire(self) -> None:
-        if self._pid != os.getpid():
-            self._pid, self._file = os.getpid(), open(self._path, "ab")
-        fcntl.flock(self._file.fileno(), fcntl.LOCK_EX)
-
-    def release(self) -> None:
-        fcntl.flock(self._file.fileno(), fcntl.LOCK_UN)
-
-
 class _LockFiles:
     """One rank process's open window-lock files: a descriptor per lock
     file instead of an ``open``/``close`` per acquisition.
 
     Built after the fork, so every descriptor is this process's *own*
-    open file description (the property :class:`_FlockMutex` documents)
-    and the kernel still drops a dead rank's flocks.  A descriptor is
-    taken out of the cache while its flock is held and returned by
-    :meth:`release`, so whatever is cached is unheld and closing the
-    least recently used one to stay under :data:`BOUND` is always safe —
-    hundreds of live windows x targets cannot walk into ``RLIMIT_NOFILE``.
+    open file description (one inherited over ``fork`` would be shared
+    with the parent and exclude nobody) and the kernel still drops a dead
+    rank's flocks.  A descriptor is taken out of the cache while its
+    flock is held and returned by :meth:`release`, so whatever is cached
+    is unheld and closing the least recently used one to stay under
+    :data:`BOUND` is always safe — hundreds of live windows x targets
+    cannot walk into ``RLIMIT_NOFILE``.
     """
 
     #: cached (= idle) descriptors per process, over all its windows
@@ -240,11 +215,11 @@ class ProcBackend(RuntimeBackend):
             injector = runtime.faults
         nproc = runtime.nproc
         ctx = get_context("fork")
-        inboxes = [ctx.Queue() for _ in range(nproc)]
-        result_q = ctx.Queue()
         lockdir = tempfile.mkdtemp(prefix="repro-proc-")
-        for r, q in enumerate(inboxes):
-            q._wlock = _FlockMutex(os.path.join(lockdir, f"inbox{r}.wlock"))
+        # one inbox pipe per rank, then the result channel to this process
+        pipes = [os.pipe2(os.O_NONBLOCK | os.O_CLOEXEC) for _ in range(nproc + 1)]
+        ends = {fd for pair in pipes for fd in pair}
+        outbox = None
         run_id = f"{os.getpid()}x{next(self._run_counter)}"
         # per-rank heartbeat leases: nproc slots of (pid, monotonic_ns),
         # created zeroed here so every child can attach before its peers
@@ -266,7 +241,7 @@ class ProcBackend(RuntimeBackend):
         children = [
             ctx.Process(
                 target=_child_main,
-                args=(r, cfg, fn, args, inboxes, result_q, lockdir, run_id),
+                args=(r, cfg, fn, args, pipes, lockdir, run_id),
                 name=f"rank-{r}",
                 daemon=True,
             )
@@ -275,10 +250,17 @@ class ProcBackend(RuntimeBackend):
         try:
             for p in children:
                 p.start()
+            # keep the inboxes' write ends and the results' read end: a
+            # dead rank's inbox then has no reader, and writes to it fail
+            for fd in [r for r, _ in pipes[:nproc]] + [pipes[nproc][1]]:
+                os.close(fd)
+                ends.discard(fd)
+            outbox = mailbox.Outbox([w for _, w in pipes[:nproc]], lockdir)
             if injector is not None:
                 injector.start(children)
             results, errors, died = self._monitor(
-                children, inboxes, result_q, join_timeout, injector
+                children, outbox, mailbox.Inbox(pipes[nproc][0]),
+                join_timeout, injector,
             )
         finally:
             if injector is not None:
@@ -298,8 +280,10 @@ class ProcBackend(RuntimeBackend):
                 if p.is_alive():  # ignored SIGTERM (wedged/stopped): escalate
                     p.kill()
                     p.join(timeout=join_grace)
-            for q in inboxes:
-                q.cancel_join_thread()
+            if outbox is not None:
+                outbox.close()
+            for fd in ends:
+                os.close(fd)
             shutil.rmtree(lockdir, ignore_errors=True)
             try:
                 hb_seg.close()
@@ -314,7 +298,7 @@ class ProcBackend(RuntimeBackend):
             # killed children never ran their unlink paths: sweep every
             # segment of this run so an abnormal exit leaks nothing and
             # the resource tracker has nothing to warn about
-            self._sweep_segments(run_id)
+            sweep_stale_segments(None, pattern=f"repro-{run_id}-*")
         # error precedence mirrors the thread backend: the original
         # failure (any non-secondary exception) outranks the
         # RankFailedError/TargetFailedError echoes it caused elsewhere —
@@ -347,104 +331,80 @@ class ProcBackend(RuntimeBackend):
             raise errors[min(errors)]
         return [results[r] for r in range(nproc)]
 
-    @staticmethod
-    def _sweep_segments(run_id: str) -> None:
-        """Unlink every leftover shared-memory segment of this run.
-
-        Normal exits already unlinked everything (creators unlink their
-        windows, the parent unlinks the heartbeat segment); this sweep
-        covers ranks that were SIGKILLed before their cleanup ran.  The
-        resource tracker is told first so it doesn't warn about leaked
-        segments at interpreter shutdown.
-        """
-        shm = pathlib.Path("/dev/shm")
-        if not shm.is_dir():  # pragma: no cover - non-Linux shm layout
-            return
-        for seg in shm.glob(f"repro-{run_id}-*"):
-            try:
-                # register first (idempotent): peers' attach-time
-                # unregisters may have already emptied the tracker's
-                # entry, and unregistering a missing name makes the
-                # tracker process print a KeyError traceback
-                resource_tracker.register(f"/{seg.name}", "shared_memory")
-                resource_tracker.unregister(f"/{seg.name}", "shared_memory")
-            except Exception:  # pragma: no cover - tracker gone at exit
-                pass
-            try:
-                seg.unlink()
-            except OSError:  # pragma: no cover - concurrent unlink
-                pass
-
     def _monitor(
         self,
         children: list,
-        inboxes: list,
-        result_q,
+        outbox: mailbox.Outbox,
+        inbox: mailbox.Inbox,
         join_timeout: float,
         injector=None,
     ) -> tuple[dict[int, Any], dict[int, BaseException], dict[int, "int | None"]]:
-        """Drain results, detect silent deaths, broadcast ``rank_dead``."""
-        nproc = len(children)
+        """Collect results, detect silent deaths, broadcast ``rank_dead``.
+
+        Sleeps until a result arrives or a pending child exits; with a
+        fault injector (it fires from here), for at most 50 ms at a time.
+        """
         results: dict[int, Any] = {}
         errors: dict[int, BaseException] = {}
         died: dict[int, "int | None"] = {}
-        pending = set(range(nproc))
+        pending = set(range(len(children)))
         deadline = time.monotonic() + join_timeout
 
+        def give_up(dst: int, since: float) -> None:
+            # a child's full inbox: keep the injector firing, and give up
+            # at the deadlock backstop
+            if injector is not None:
+                injector.poll(children)
+            if time.monotonic() > deadline:
+                raise ProgressDeadlockError(
+                    f"rank {dst} stopped reading its inbox within join_timeout="
+                    f"{join_timeout}s (proc-backend deadlock backstop)"
+                )
+
         def announce(rank: int, detail: str) -> None:
-            for other in range(nproc):
-                if other != rank and other in pending:
-                    inboxes[other].put(("ctl", "rank_dead", rank, detail))
-
-        def announce_done(rank: int) -> None:
-            # backstop for the child's own rank_done broadcast: a
-            # finished rank stops heartbeating, and survivors must not
-            # mistake its exit for a death
-            for other in range(nproc):
-                if other != rank and other in pending:
-                    inboxes[other].put(("ctl", "rank_done", rank))
-
-        def drain(block_s: float) -> None:
-            try:
-                while True:
-                    rank, status, payload = result_q.get(timeout=block_s)
-                    block_s = 0.0
-                    pending.discard(rank)
-                    if status == "ok":
-                        results[rank] = payload
-                        announce_done(rank)
-                        continue
-                    exc = (
-                        payload
-                        if isinstance(payload, BaseException)
-                        else InternalError(f"rank {rank} failed: {payload}")
-                    )
-                    errors[rank] = exc
-                    # a raised child is as dead to its peers as a killed
-                    # one: it exits without serving further collectives
-                    announce(rank, f"raised {type(exc).__name__}")
-            except _queue.Empty:
-                pass
+            pending.discard(rank)
+            frame = mailbox.encode(("ctl", "rank_dead", rank, detail))
+            for other in pending:
+                try:
+                    outbox.write(other, frame, 0.05, give_up)
+                except BrokenPipeError:
+                    pass  # exited too: its own verdict comes next
 
         while pending:
-            if time.monotonic() > deadline:
+            now = time.monotonic()
+            if now > deadline:
                 raise ProgressDeadlockError(
                     f"rank processes {sorted(pending)} did not finish within "
                     f"join_timeout={join_timeout}s (proc-backend deadlock backstop)"
                 )
             if injector is not None:
                 injector.poll(children)
-            drain(0.05)
+            watch = [children[r].sentinel for r in pending]
+            connection.wait(
+                watch if inbox.eof else [*watch, inbox.fd],
+                deadline - now if injector is None else 0.05,
+            )
+            # a child has written its whole result before it exits, so
+            # read the pipe after noting which children stopped
             stopped = [r for r in pending if not children[r].is_alive()]
-            if stopped:
-                # a racing result may still sit in the queue's pipe buffer;
-                # give it a grace period before declaring a silent death
-                drain(0.25)
-                for r in stopped:
-                    if r in pending:
-                        pending.discard(r)
-                        died[r] = children[r].exitcode
-                        announce(r, f"exit code {children[r].exitcode}")
+            for rank, status, payload in inbox.read():
+                if status == "ok":
+                    pending.discard(rank)
+                    results[rank] = payload
+                    continue
+                exc = (
+                    payload
+                    if isinstance(payload, BaseException)
+                    else InternalError(f"rank {rank} failed: {payload}")
+                )
+                errors[rank] = exc
+                # a raised child is as dead to its peers as a killed
+                # one: it exits without serving further collectives
+                announce(rank, f"raised {type(exc).__name__}")
+            for r in stopped:
+                if r in pending:
+                    died[r] = children[r].exitcode
+                    announce(r, f"exit code {children[r].exitcode}")
         return results, errors, died
 
     def make_world(self, runtime: "Runtime") -> "Comm":
@@ -496,8 +456,7 @@ def _child_main(
     cfg: tuple,
     fn: Callable[..., Any],
     args: tuple,
-    inboxes: list,
-    result_q,
+    pipes: list[tuple[int, int]],
     lockdir: str,
     run_id: str,
 ) -> None:
@@ -505,9 +464,14 @@ def _child_main(
         nproc, watchdog_s, op_timeout_s, op_retries, seed,
         heartbeat_s, suspect_after, delays,
     ) = cfg
+    # read only this rank's inbox: then a dead rank's inbox has no reader,
+    # and writing to it fails at once
+    for i, (r, _) in enumerate(pipes):
+        if i != rank:
+            os.close(r)
     backend = _ProcChildBackend(
-        rank, nproc, inboxes, lockdir, run_id,
-        heartbeat_s=heartbeat_s, suspect_after=suspect_after,
+        rank, nproc, mailbox.Outbox([w for _, w in pipes], lockdir), lockdir,
+        run_id, heartbeat_s=heartbeat_s, suspect_after=suspect_after,
     )
     runtime = Runtime(
         nproc,
@@ -531,7 +495,7 @@ def _child_main(
     _tls.proc = runtime.procs[rank]
     stop = threading.Event()
     pump = threading.Thread(
-        target=_pump, args=(backend, runtime, inboxes[rank], stop),
+        target=_pump, args=(backend, runtime, mailbox.Inbox(pipes[rank][0]), stop),
         name=f"pump-{rank}", daemon=True,
     )
     pump.start()
@@ -552,11 +516,9 @@ def _child_main(
         status, payload = "err", exc
     finally:
         try:
-            pickle.dumps(payload)
+            frame = mailbox.encode((rank, status, payload))
         except Exception:
-            # the queue's feeder thread pickles asynchronously; an
-            # unpicklable result would be dropped silently, so degrade
-            # to a description here
+            # an unpicklable result: degrade to a description
             if status == "ok":
                 status = "err"
                 payload = (
@@ -565,6 +527,7 @@ def _child_main(
                 )
             else:
                 payload = f"{type(payload).__name__}: {payload}"
+            frame = mailbox.encode((rank, status, payload))
         # clean up BEFORE reporting: once the result is posted the
         # parent may consider this child done and terminate stragglers,
         # which must not race the shared-memory unlinks
@@ -577,29 +540,35 @@ def _child_main(
         for other in range(nproc):
             if other != rank:
                 try:
-                    inboxes[other].put(("ctl", "rank_done", rank))
-                except Exception:  # pragma: no cover - peer queue torn down
+                    backend.send_to(other, ("ctl", "rank_done", rank))
+                except Exception:  # the peer is gone
                     pass
-        result_q.put((rank, status, payload))
+        # the parent reads until every rank reported: wait as long as it takes
+        backend.outbox.write(nproc, frame, backend._tick)
 
 
-def _pump(backend: "_ProcChildBackend", runtime: "Runtime", inbox, stop) -> None:
-    """Drain this rank's inbox into the local replicas; police liveness.
+def _pump(
+    backend: "_ProcChildBackend", runtime: "Runtime", inbox: mailbox.Inbox, stop
+) -> None:
+    """Drain this rank's inbox pipe into the local replicas; police liveness.
 
-    Besides routing p2p/control/fault-tolerance messages, each loop
-    iteration re-stamps this rank's heartbeat lease and scans the peers'
+    Each loop iteration waits on the pipe for at most a heartbeat tick
+    and routes the p2p/control/fault-tolerance messages that arrived; it
+    then re-stamps this rank's heartbeat lease and scans the peers'
     leases — the pump is the per-rank progress/liveness thread the
     async-progress designs in PAPERS.md argue for, so detection keeps
     working while the application thread is blocked (or never blocks).
     """
-    poll_s = min(0.05, max(backend.heartbeat_s, 0.005))
     while not stop.is_set():
+        msgs = []
         try:
-            msg = inbox.get(timeout=poll_s)
-        except _queue.Empty:
-            msg = None
-        while msg is not None:
-            # apply every queued message before the liveness scan so
+            if inbox.wait(backend._tick):
+                msgs = inbox.read()
+        except BaseException as exc:  # noqa: BLE001 - pump must survive
+            with runtime.cond:
+                runtime.death_hook_errors.append(exc)
+        for msg in msgs:
+            # apply every arrived message before the liveness scan so
             # ordered control traffic (rank_done) lands before a probe
             # could misread a silent slot
             try:
@@ -607,10 +576,6 @@ def _pump(backend: "_ProcChildBackend", runtime: "Runtime", inbox, stop) -> None
             except BaseException as exc:  # noqa: BLE001 - pump must survive
                 with runtime.cond:
                     runtime.death_hook_errors.append(exc)
-            try:
-                msg = inbox.get_nowait()
-            except _queue.Empty:
-                msg = None
         try:
             backend.heartbeat_tick(runtime)
         except BaseException as exc:  # noqa: BLE001 - pump must survive
@@ -624,12 +589,13 @@ class _ProcChildBackend(RuntimeBackend):
     name = "proc"
 
     def __init__(
-        self, rank: int, nproc: int, inboxes: list, lockdir: str, run_id: str,
-        heartbeat_s: float = 0.05, suspect_after: float = 1.0,
+        self, rank: int, nproc: int, outbox: mailbox.Outbox, lockdir: str,
+        run_id: str, heartbeat_s: float = 0.05, suspect_after: float = 1.0,
     ):
         self.rank = rank
         self.nproc = nproc
-        self.inboxes = inboxes
+        #: the write ends of every rank's inbox, then of the result channel
+        self.outbox = outbox
         self.run_id = run_id
         self.runtime: "Runtime | None" = None
         #: ctx key -> P2PEngine replica (guarded by runtime.cond)
@@ -658,6 +624,8 @@ class _ProcChildBackend(RuntimeBackend):
         # -- heartbeat lease state (pump thread only) --
         self.heartbeat_s = heartbeat_s
         self.suspect_after = suspect_after
+        #: the pump's longest wait on its inbox, and a sender's on a full pipe
+        self._tick = min(0.05, max(heartbeat_s, 0.005))
         self.hb_view: "np.ndarray | None" = None
         self._hb_seg = None
         self._beat_ns = max(int(heartbeat_s * 1e9), 1_000_000)
@@ -724,7 +692,54 @@ class _ProcChildBackend(RuntimeBackend):
             engine.post_send(src, dst, tag, payload)
 
     def send_to(self, dst_world: int, msg: tuple) -> None:
-        self.inboxes[dst_world].put(msg)
+        """Write ``msg`` to rank ``dst_world``'s inbox: a data send.
+
+        While the pipe is full it waits like any blocking call: it gives
+        up, before the frame's first byte only, once ``runtime.failed`` is
+        set (:class:`RankFailedError`) or once the pipe has taken nothing
+        for ``op_timeout_s`` (:class:`OpTimeoutError`).
+        """
+        rt = self.runtime
+
+        def give_up(dst: int, since: float) -> None:
+            if rt.failed is not None:
+                raise RankFailedError(f"rank failed elsewhere: {rt.failed!r}")
+            if rt.op_timeout_s is not None and time.monotonic() - since >= rt.op_timeout_s:
+                raise OpTimeoutError(
+                    f"send to rank {dst} timed out after {rt.op_timeout_s}s "
+                    "(inbox full, reader stalled but alive?)"
+                )
+
+        self._write(dst_world, msg, give_up)
+
+    def send_ctl(self, dst_world: int, msg: tuple, timeout_s: "float | None" = None) -> None:
+        """Write a fault-tolerance message (vote, result, revoke) to rank
+        ``dst_world``'s inbox.
+
+        These run while peers die, so ``runtime.failed`` does not end the
+        wait for room: only the reader's exit (:class:`TargetFailedError`)
+        does, or, with ``timeout_s``, that long without room before the
+        frame's first byte (:class:`OpTimeoutError`).
+        """
+        def give_up(dst: int, since: float) -> None:
+            if timeout_s is not None and time.monotonic() - since >= timeout_s:
+                raise OpTimeoutError(
+                    f"{msg[1]} to rank {dst} timed out after {timeout_s}s"
+                )
+
+        self._write(dst_world, msg, give_up)
+
+    def _write(self, dst_world: int, msg: tuple, give_up: Callable) -> None:
+        """Write ``msg`` as one frame from this thread, with ``runtime.cond``
+        let go: collectives and the pump's FT results send under it, and a
+        send waiting for room must not stop this process's pump."""
+        with self.runtime.released():
+            try:
+                self.outbox.write(dst_world, mailbox.encode(msg), self._tick, give_up)
+            except BrokenPipeError:
+                raise TargetFailedError(
+                    f"send to failed rank {dst_world}: its inbox has no reader"
+                ) from None
 
     def _win_token(self, comm: "Comm") -> str:
         """Deterministic cross-process window identity.
@@ -911,7 +926,10 @@ class _ProcChildBackend(RuntimeBackend):
             self.ft_results[key] = value
             self.runtime.notify_progress()
         else:
-            self.send_to(voter, ("ft", "result", key, value))
+            try:
+                self.send_ctl(voter, ("ft", "result", key, value))
+            except TargetFailedError:
+                pass  # a dead voter needs no result
 
     def _ft_result(self, runtime: "Runtime", key: Any, value: Any) -> None:
         self.ft_results[key] = value
@@ -927,7 +945,7 @@ class _ProcChildBackend(RuntimeBackend):
 # ---------------------------------------------------------------------------
 
 class ProcComm(Comm):
-    """Per-process communicator replica routing p2p through OS queues.
+    """Per-process communicator replica routing p2p through inbox pipes.
 
     ``context_id`` is a structural tuple, identical on every member
     process because communicator-management calls are collective and
@@ -972,10 +990,8 @@ class ProcComm(Comm):
                 raise TargetFailedError(
                     f"send to failed rank {dest} (world {dst_world})"
                 )
-        if isinstance(payload, np.ndarray):
-            # snapshot: the sender may mutate its buffer after an eager
-            # send returns (thread backend copies in post_send)
-            payload = np.ascontiguousarray(payload).copy()
+        # pickled into the pipe before this returns: the sender may reuse
+        # its buffer at once
         self._backend.send_to(
             dst_world, ("p2p", self.context_id, me, dst_world, tag, payload)
         )
@@ -1054,12 +1070,15 @@ class ProcComm(Comm):
         if already:
             return
         for w in peers:
-            self._backend.send_to(w, ("ft", "revoke", self.context_id))
+            try:
+                self._backend.send_ctl(w, ("ft", "revoke", self.context_id))
+            except TargetFailedError:
+                pass  # a dead peer has nothing to revoke
 
     def _ft_round(self, kind: str, contribution: Any) -> tuple[int, Any]:
         """One fault-tolerant decision round; returns ``(seq, value)``.
 
-        Coordinator-based consensus over the inbox queues: every member
+        Coordinator-based consensus over the inbox pipes: every member
         sends its contribution to the lowest live member, whose *pump*
         collects votes and broadcasts the decided value (see
         ``_ProcChildBackend._ft_try_complete`` for why a coordinator
@@ -1095,14 +1114,6 @@ class ProcComm(Comm):
                     return seq, backend.ft_results[key]
                 live = [w for w in members if w not in rt.dead_ranks]
                 coord = min(live) if live else me
-                if coord != voted_to:
-                    voted_to = coord
-                    if coord == me:
-                        backend._ft_vote(rt, key, me, contribution)
-                    else:
-                        backend.send_to(
-                            coord, ("ft", "vote", key, me, contribution)
-                        )
 
                 def moved() -> bool:
                     if key in backend.ft_results:
@@ -1111,6 +1122,17 @@ class ProcComm(Comm):
                     return (min(live_now) if live_now else me) != voted_to
 
                 try:
+                    if coord != voted_to:
+                        voted_to = coord
+                        if coord == me:
+                            backend._ft_vote(rt, key, me, contribution)
+                        else:
+                            # a wedged coordinator's full pipe counts
+                            # against the round's timeout
+                            backend.send_ctl(
+                                coord, ("ft", "vote", key, me, contribution),
+                                timeout,
+                            )
                     rt.wait_for(
                         moved, timeout_s=timeout, what=f"{kind} (ft round)"
                     )
@@ -1232,8 +1254,11 @@ class _ProcCollEngine:
             for r in range(1, size):
                 self._send(self.comm.group.world_rank(r), seq, (kind, blob))
         else:
-            self._send(root_world, seq, (rank, kind, contribution))
+            # post the receive first: the send lets go of runtime.cond, and
+            # a revoke landing meanwhile fails posted receives (but drops
+            # a result that arrived unmatched)
             req = self._p2p.post_recv(me_world, root_world, seq, None)
+            self._send(root_world, seq, (rank, kind, contribution))
             rt.wait_for(lambda: req._done, what=f"collective {kind} (result)")
             if req._error is not None:
                 raise req._error

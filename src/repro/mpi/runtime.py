@@ -30,6 +30,7 @@ Design notes
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 import threading
@@ -258,6 +259,30 @@ class Runtime:
             return self.cond.wait(timeout)
         finally:
             self._sleepers -= 1
+
+    @contextlib.contextmanager
+    def released(self):
+        """Let go of :attr:`cond` for a ``with`` block, at every level of
+        recursion this thread holds it (none is fine), and take it back
+        after.
+
+        For a blocking step that must not stop the process's other threads,
+        such as a write to a full pipe.  Like :meth:`sleep`, it lets them
+        change what the lock guards: the caller re-checks afterwards
+        whatever it checked before.
+        """
+        depth = 0
+        try:
+            while True:  # an RLock raises once this thread holds it no more
+                self.giant_lock.release()
+                depth += 1
+        except RuntimeError:
+            pass
+        try:
+            yield
+        finally:
+            for _ in range(depth):
+                self.giant_lock.acquire()
 
     def wait_for(
         self,

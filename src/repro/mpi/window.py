@@ -1176,19 +1176,6 @@ class Win:
             data = data.copy()
         return data
 
-    def _accumulate_target(
-        self,
-        target_rank: int,
-        segmap: dt.SegmentMap,
-        data: np.ndarray,
-        base: np.dtype,
-        op: mpi_ops.Op,
-    ) -> None:
-        """Combine ``data`` into the target's segments, element-wise, after
-        checking they are whole ``base`` elements (see :func:`_accumulate_into`)."""
-        _check_acc_alignment(segmap, base)
-        _accumulate_into(self._buffers[target_rank], segmap, data, base, op)
-
     def _record_access(
         self,
         epoch: _Epoch,

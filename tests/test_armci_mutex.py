@@ -249,6 +249,7 @@ def _holder_record_body(comm):
             time.sleep(0.0005)
         ms.unlock(1, 1)
         seen["after_handoff"] = ms.holder(1, 1)
+        comm.send("read", 1, tag=7)  # rank 1 releases only after this read
         comm.recv(source=1, tag=6)
         seen["after_release"] = ms.holder(1, 1)
     elif me == 1:
@@ -257,6 +258,7 @@ def _holder_record_body(comm):
         seen["untouched"] = [ms.holder(1, 0), ms.holder(0, 1), ms.holder(0, 0)]
         ms.lock(1, 1)
         seen["owner"] = ms.holder(1, 1)
+        comm.recv(source=0, tag=7)
         ms.unlock(1, 1)
         seen["after_release"] = ms.holder(1, 1)
         comm.send("released", 0, tag=6)

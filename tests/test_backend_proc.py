@@ -436,7 +436,7 @@ def test_procwin_is_memory_and_locks():
 
 def _count_flock_probes():
     """Count this rank process's nonblocking ``flock`` attempts (the probes
-    of ``ProcWin._acquire_flock``; the inbox write lock blocks instead)."""
+    of ``ProcWin._acquire_flock``; an inbox write lock blocks instead)."""
     import fcntl
 
     probes = []
@@ -529,8 +529,8 @@ def _lost_holder_body(comm, sig):
     comm.barrier()
     flags = win.exposed_buffer(0)[:16].view(np.int64)  # [holder's pid, rank 1 ready]
     if comm.rank == 0:
-        # rank 0's barrier release to rank 1 leaves through a feeder
-        # thread: stopping before it is flushed would stop the message too
+        # wait until rank 1 is past the barrier before stopping, so the
+        # stop cannot land while rank 1 still waits on a message from here
         while not flags[1]:
             time.sleep(0.001)
         win.lock(0, LOCK_EXCLUSIVE)
@@ -607,10 +607,9 @@ def _descriptor_lifetime_body(comm):
     opened = _count_lock_file_opens()
     peer = (comm.rank + 1) % comm.size
     one = np.ones(1, dtype=np.int64)
-    # a rank's first send to an inbox swaps the write-lock file inherited
-    # over the fork for one of its own, on the queue's feeder thread; the
-    # second barrier cannot end before the peer has received the first
-    # one's message, so that swap is done before the count starts
+    # every descriptor of the inbox pipes and their write locks is open
+    # from rank start on; the two barriers leave both ranks with nothing
+    # in flight when the count starts
     comm.barrier()
     comm.barrier()
     before = _open_fds()
@@ -737,51 +736,49 @@ def test_inbox_write_lock_survives_a_sigkilled_holder():
     import multiprocessing
     import tempfile
 
-    from repro.mpi.backend_proc import _FlockMutex
+    from repro.mpi import mailbox
 
     ctx = multiprocessing.get_context("fork")
-    with tempfile.TemporaryDirectory() as tmp:
-        lock = _FlockMutex(os.path.join(tmp, "w"))
+    r, w = os.pipe2(os.O_NONBLOCK)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
 
-        def die_holding_it():
-            lock.acquire()
-            os.kill(os.getpid(), signal.SIGKILL)
+            def send_forever():
+                # nobody reads: the frame stops part-way, its lock held
+                mailbox.Outbox([w], tmp).write(0, b"x" * (1 << 22), 0.05)
 
-        def take_it(done):
-            lock.acquire()
-            lock.release()
-            done.set()
+            def send_after(done):
+                mailbox.Outbox([w], tmp).write(0, mailbox.encode("after"), 0.05)
+                done.set()
 
-        victim = ctx.Process(target=die_holding_it)
-        victim.start()
-        victim.join(timeout=30)
-        assert victim.exitcode == -signal.SIGKILL
-        done = ctx.Event()
-        survivor = ctx.Process(target=take_it, args=(done,), daemon=True)
-        survivor.start()
-        assert done.wait(timeout=30)
-        survivor.join(timeout=30)
-        assert not survivor.is_alive()
-
-
-def test_inbox_write_lock_outlives_its_lock_directory():
-    """The parent's queue feeder threads may still send (``rank_done``
-    announcements) after teardown removed the run's lock directory."""
-    import tempfile
-
-    from repro.mpi.backend_proc import _FlockMutex
-
-    with tempfile.TemporaryDirectory() as tmp:
-        lock = _FlockMutex(os.path.join(tmp, "inbox0.wlock"))
-    assert not os.path.exists(tmp)
-    lock.acquire()
-    lock.release()
+            victim = ctx.Process(target=send_forever)
+            victim.start()
+            deadline = time.monotonic() + 30
+            while mailbox.wait_writable(w, 0.01):  # until the pipe is full
+                assert time.monotonic() < deadline
+            time.sleep(0.05)
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=30)
+            assert victim.exitcode == -signal.SIGKILL
+            while True:  # drop the victim's partial frame
+                try:
+                    os.read(r, 1 << 16)
+                except BlockingIOError:
+                    break
+            done = ctx.Event()
+            survivor = ctx.Process(target=send_after, args=(done,), daemon=True)
+            survivor.start()
+            assert done.wait(timeout=30)
+            survivor.join(timeout=30)
+            assert not survivor.is_alive()
+    finally:
+        os.close(r)
+        os.close(w)
 
 
 def test_short_proc_job_tears_down_silently():
-    """No feeder-thread traceback (or anything else) on stderr: rank 0
-    finishes first, so the parent announces it to a still-pending rank 1
-    right before teardown."""
+    """Nothing on stderr: rank 0 finishes first, so rank 1 writes its
+    ``rank_done`` to the inbox of a rank that may have exited already."""
     import subprocess
     import sys
 
@@ -803,6 +800,294 @@ def test_short_proc_job_tears_down_silently():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+# ---------------------------------------------------------------------------
+# the inbox pipes
+# ---------------------------------------------------------------------------
+
+_BIG = 1 << 19  # int64 elements: 4 MiB, many times a pipe's capacity
+
+
+def _big_exchange_body(comm):
+    mine = np.arange(_BIG, dtype=np.int64) * (comm.rank + 1)
+    gathered = comm.allgather(mine)
+    peer = 1 - comm.rank
+    req = comm.irecv(source=peer, tag=7)
+    comm.send(mine, peer, tag=7)  # both ranks at once: both pipes full
+    got = req.wait().payload
+    return (
+        [np.array_equal(g, np.arange(_BIG, dtype=np.int64) * (r + 1))
+         for r, g in enumerate(gathered)],
+        np.array_equal(got, np.arange(_BIG, dtype=np.int64) * (peer + 1)),
+        got.flags.writeable,
+    )
+
+
+def test_large_frames_arrive_exact_both_ways():
+    for gathered, exchanged, writeable in proc_spmd(2, _big_exchange_body):
+        assert gathered == [True, True]
+        assert exchanged and writeable
+
+
+def _hold_pump_on_first_message(comm, until):
+    """Make this rank's pump stop reading its inbox at the next message it
+    dispatches, until ``until()`` is true (or 10 s passed).  Returns an
+    event set once the pump is held, and a list that then gets whether
+    ``until()`` ended the hold."""
+    import threading
+
+    backend = comm._backend
+    real = backend.dispatch
+    held, released = threading.Event(), []
+
+    def dispatch(runtime, msg):
+        if not held.is_set():
+            held.set()
+            deadline = time.monotonic() + 10.0
+            while not until() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            released.append(until())
+        real(runtime, msg)
+
+    backend.dispatch = dispatch  # this forked rank only
+    return held, released
+
+
+def _send_to_dying_reader_body(comm):
+    from repro.mpi.errors import TargetFailedError
+
+    comm.barrier()
+    if comm.rank == 1:
+        held, _ = _hold_pump_on_first_message(comm, lambda: False)
+        comm.send("ready", 0, tag=3)
+        held.wait(30.0)
+        time.sleep(0.2)  # rank 0's send has filled the pipe by now
+        os.kill(os.getpid(), signal.SIGKILL)
+    comm.recv(source=1, tag=3)
+    comm.send("hold", 1, tag=4)
+    t0 = time.monotonic()
+    try:
+        comm.send(np.zeros(1 << 21, dtype=np.int64), 1, tag=1)  # 16 MiB
+        outcome = "sent"
+    except (TargetFailedError, RankFailedError) as exc:
+        outcome = type(exc).__name__
+    return outcome, time.monotonic() - t0
+
+
+def test_send_to_a_full_inbox_whose_reader_dies_fails_fast():
+    """The sender waits on a full pipe whose only reader is then SIGKILLed:
+    it raises within the failure detector's budget, not at join_timeout."""
+    rt = Runtime(2, backend="proc")
+    (outcome, waited), dead = rt.spmd(_send_to_dying_reader_body, join_timeout=120.0)
+    assert dead is None
+    assert outcome in ("TargetFailedError", "RankFailedError")
+    assert waited < 0.2 + rt.suspect_after + 1.0, waited
+
+
+def _collective_send_on_full_pipe_body(comm):
+    import threading
+
+    win, _ = Win.allocate(comm, 64)
+    # [rank 1 is entering the allgather, rank 1's pump delivered the ping,
+    #  rank 0's pump holds at its next message]
+    flags = win.exposed_buffer(0)[:24].view(np.int64)
+    big = np.arange(_BIG, dtype=np.int64) + comm.rank
+    comm.barrier()
+    if comm.rank == 0:
+        _, released = _hold_pump_on_first_message(comm, lambda: bool(flags[1]))
+        flags[2] = 1
+        while not flags[0]:
+            time.sleep(0.001)
+        time.sleep(0.2)  # rank 1's collective send is waiting on our full pipe
+        comm.send("ping", 1, tag=5)
+        comm.recv(source=1, tag=4)
+        delivered_first = released == [True]
+    else:
+        while not flags[2]:
+            time.sleep(0.001)
+        req = comm.irecv(source=0, tag=5)
+        seen = []
+
+        def watch():
+            while not req._done:
+                time.sleep(0.001)
+            seen.append(time.monotonic())
+            flags[1] = 1
+
+        watcher = threading.Thread(target=watch, daemon=True)
+        watcher.start()
+        comm.send("hold", 0, tag=4)  # rank 0's pump stops reading here
+        flags[0] = 1
+    gathered = comm.allgather(big)
+    if comm.rank == 1:
+        returned = time.monotonic()
+        watcher.join(30.0)
+        delivered_first = bool(seen) and seen[0] < returned
+        assert req.wait().payload == "ping"
+    comm.barrier()
+    win.free()
+    exact = all(
+        np.array_equal(g, np.arange(_BIG, dtype=np.int64) + r)
+        for r, g in enumerate(gathered)
+    )
+    return delivered_first, exact
+
+
+def test_collective_send_on_a_full_pipe_leaves_the_pump_dispatching():
+    """Rank 1's allgather contribution waits on rank 0's full pipe with
+    ``runtime.cond`` held by the collective; rank 1's pump still delivers
+    a message meanwhile, because the waiting send lets go of it.  Rank 0
+    stops reading until rank 1 has that message, so a pump that could
+    not deliver it would leave rank 0 to give up waiting after 10 s."""
+    assert proc_spmd(2, _collective_send_on_full_pipe_body) == [(True, True)] * 2
+
+
+def _stopped_reader_body(comm):
+    import threading
+
+    from repro.mpi.errors import OpTimeoutError
+
+    pids = comm.allgather(os.getpid())
+    big = np.arange(_BIG, dtype=np.int64)
+    if comm.rank == 1:
+        first = comm.recv(source=0, tag=1)[0]
+        last = comm.recv(source=0, tag=3)[0]
+        k = comm.recv(source=0, tag=4)[0]
+        small = [comm.recv(source=0, tag=2)[0] for _ in range(k)]
+        return np.array_equal(first, big), np.array_equal(last, big + 1), small == list(range(k))
+    os.kill(pids[1], signal.SIGSTOP)
+    resume = threading.Timer(1.0, os.kill, (pids[1], signal.SIGCONT))
+    t0 = time.monotonic()
+    resume.start()
+    comm.send(big, 1, tag=1)  # 4 MiB: stops part-way until the reader resumes
+    started_frame_s = time.monotonic() - t0
+    resume.join(30.0)
+    os.kill(pids[1], signal.SIGSTOP)
+    k, timed_out = 0, False
+    try:
+        while k < 200_000:  # small frames until the pipe is full
+            comm.send(k, 1, tag=2)
+            k += 1
+    except OpTimeoutError:
+        timed_out = True
+    os.kill(pids[1], signal.SIGCONT)
+    comm.send(big + 1, 1, tag=3)
+    comm.send(k, 1, tag=4)
+    return started_frame_s, k, timed_out
+
+
+def test_a_send_to_a_stopped_reader_times_out_only_between_frames():
+    """``op_timeout_s`` abandons a send only before its frame's first byte
+    is in the pipe.  Rank 1 is SIGSTOPped: a 4 MiB send to it waits past
+    ``op_timeout_s`` until rank 1 resumes, then small sends fill the pipe
+    until one times out.  Every message, the one sent after the timeout
+    included, then arrives intact and in order."""
+    rt = Runtime(2, backend="proc", op_timeout_s=0.3)
+    (started_frame_s, k, timed_out), exact = rt.spmd(_stopped_reader_body, join_timeout=120.0)
+    assert started_frame_s >= 0.9, started_frame_s
+    assert timed_out and 0 < k < 200_000
+    assert exact == (True, True, True)
+
+
+def _ft_result_to_a_full_pipe_body(comm):
+    from repro.mpi import mailbox
+
+    win, _ = Win.allocate(comm, 64)
+    # [rank 1's pipe is full, rank 2 votes, rank 1 decided, rank 2 decided]
+    flags = win.exposed_buffer(0)[:32].view(np.int64)
+    comm.barrier()
+    if comm.rank == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    while 3 not in comm.runtime.dead_ranks:  # the parent's word is in
+        time.sleep(0.001)
+    if comm.rank == 1:
+        seen = []
+
+        def until():  # hold the pump until 1.5 s after rank 2 voted
+            if flags[1] and not seen:
+                seen.append(time.monotonic())
+            return bool(seen) and time.monotonic() - seen[0] > 1.5
+
+        _hold_pump_on_first_message(comm, until)
+    elif comm.rank == 2:
+
+        class Full(Exception):
+            pass
+
+        def full(dst, since):
+            raise Full
+
+        # whole frames for a context rank 1 never builds (they get
+        # stashed), the last ones too small to leave room for a result
+        for size in (1000, 0):
+            frame = mailbox.encode(("p2p", ("flood",), 2, 1, 0, b"x" * size))
+            try:
+                while True:
+                    comm._backend.outbox.write(1, frame, 0.01, full)
+            except Full:
+                pass
+        flags[0] = 1
+    while not flags[0]:
+        time.sleep(0.001)
+    if comm.rank == 2:
+        time.sleep(0.3)  # ranks 0 and 1 vote first: rank 2's vote decides
+        flags[1] = 1
+    t0 = time.monotonic()
+    value = comm.agree(1)
+    waited = time.monotonic() - t0
+    if comm.rank == 0:  # the pump's broadcast outlasts rank 0's own agree
+        deadline = time.monotonic() + 30.0
+        while not (flags[2] and flags[3]) and time.monotonic() < deadline:
+            time.sleep(0.001)
+    else:
+        flags[1 + comm.rank] = 1
+    return value, waited, len(comm.runtime.death_hook_errors)
+
+
+def test_ft_result_broadcast_waits_out_a_full_voter_pipe():
+    """With rank 3 dead, rank 2's vote completes an ``agree`` on the
+    coordinator's pump while voter 1's pipe is full and its pump held for
+    1.5 s, longer than ``op_timeout_s``.  The result to rank 1 waits for
+    room instead of giving up, which would leave an error in the
+    coordinator's ``death_hook_errors`` and end the broadcast before
+    rank 2."""
+    rt = Runtime(4, backend="proc", op_timeout_s=1.0)
+    out = rt.spmd(_ft_result_to_a_full_pipe_body, join_timeout=120.0)
+    assert out[3] is None
+    for value, waited, hook_errors in out[:3]:
+        assert value == 1
+        assert waited < 5.0, waited
+        assert hook_errors == 0
+
+
+def test_back_to_back_jobs_leak_no_descriptor_or_lock_directory(monkeypatch):
+    """Both ends of every inbox pipe and of the result channel, and the
+    write-lock files, are closed when ``spmd`` returns, and its lock
+    directory is gone."""
+    import gc
+    import tempfile
+
+    def body(comm):
+        comm.barrier()
+        return comm.rank
+
+    Runtime(2, backend="proc").spmd(body, join_timeout=60.0)  # warm-up
+    made, real_mkdtemp = [], tempfile.mkdtemp
+
+    def mkdtemp(*args, **kw):
+        made.append(real_mkdtemp(*args, **kw))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+    gc.collect()
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(20):
+        assert Runtime(2, backend="proc").spmd(body, join_timeout=60.0) == [0, 1]
+    gc.collect()
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert len(made) == 20 and all("repro-proc-" in d for d in made)
+    assert not [d for d in made if os.path.exists(d)]
 
 
 # ---------------------------------------------------------------------------
@@ -978,8 +1263,8 @@ def _kill_matrix_body(comm, kind, victim):
     ckpt = None
     try:
         # the kill can land while a survivor is still inside the
-        # checkpoint's closing barrier (the victim's last broadcast dies
-        # in its queue feeder thread), so the checkpoint is fallible too
+        # checkpoint's closing barrier (before the victim sent its part of
+        # it), so the checkpoint is fallible too
         ckpt = ga.checkpoint()
         _risky_phase(comm, armci, ga, kind, victim)
         flag = 1

@@ -1262,14 +1262,13 @@ def test_interleaved_bands_across_two_origins_shared_epochs():
 def test_accumulate_alignment_closed_form_equals_the_array_form(
     start, step, seg_len, n, itemsize, closed
 ):
-    """``_accumulate_target`` decides alignment of a progression from
+    """``_check_acc_alignment`` decides alignment of a progression from
     ``(start, step, seg_len, n)``; the verdict — and the interval the error
     names — must be the one the offsets/lengths arrays give.  ``n == 1`` keeps
     whatever step it was built with, which must then not matter."""
-    from types import SimpleNamespace
-
     from repro.mpi import ops as mpi_ops
     from repro.mpi.datatypes import SegmentMap
+    from repro.mpi.window import _accumulate_into, _check_acc_alignment
 
     offsets = start + step * np.arange(n)
     lengths = np.full(n, seg_len)
@@ -1283,10 +1282,9 @@ def test_accumulate_alignment_closed_form_equals_the_array_form(
     ]
     buf = np.zeros(int(offsets[-1]) + seg_len + 8, np.uint8)
     data = np.ones(n * seg_len, np.uint8)
-    win = SimpleNamespace(_buffers=[buf])
-
-    def accumulate():
-        mpi.Win._accumulate_target(win, 0, segmap, data, base, mpi_ops.SUM)
+    def accumulate():  # what Win.accumulate runs per target
+        _check_acc_alignment(segmap, base)
+        _accumulate_into(buf, segmap, data, base, mpi_ops.SUM)
 
     if misaligned:
         lo, hi = misaligned[0]
