@@ -487,40 +487,49 @@ class Armci:
 
     def _in_epoch(self, gmr: Gmr, win_rank: int, kind: str, issue, *args) -> None:
         """Step 4, the completion discipline of one blocking operation:
-        ``issue(*args)`` — its :meth:`_issue` calls — complete on return.
+        ``issue(*args)`` — its :meth:`_issue` calls — complete on return
+        (``issue`` takes ``flush=True`` to complete them itself).
 
         mpi2: the §V-C pattern — a lock/unlock epoch of its own, shared
         where the GMR's access mode (§VIII-A) permits ``kind`` to be.
         mpi3: drain queued nb ops to the target (per-location program
-        order; at once while none are queued), issue into the GMR's
-        standing ``lock_all`` epoch, and complete with a per-target
-        ``flush``.
+        order; at once while none are queued), then ``issue(*args,
+        flush=True)`` into the GMR's standing ``lock_all`` epoch: the op
+        completes itself as a per-target ``flush`` would (one window
+        transaction, see ``Win._fuses``).
         """
-        win = gmr.win
         if self._flush_mode:
             self._nbq.drain(gmr, win_rank)
-        else:
-            win.lock(win_rank, gmr.access_mode.lock_mode(kind))
+            issue(*args, flush=True)
+            return
+        win = gmr.win
+        win.lock(win_rank, gmr.access_mode.lock_mode(kind))
         try:
             issue(*args)
         finally:
-            if self._flush_mode:
-                win.flush(win_rank)
-            else:
-                win.unlock(win_rank)
+            win.unlock(win_rank)
 
     @staticmethod
-    def _issue(win: Win, kind, data, win_rank, disp, origin_t=None, target_t=None) -> None:
+    def _issue(
+        win: Win, kind, data, win_rank, disp, origin_t=None, target_t=None, flush=False
+    ) -> None:
         """The one place ARMCI-MPI calls MPI RMA on a GMR window (epoch NOT
-        managed); the datatypes default to contiguous bytes / elements."""
+        managed; ``flush``: the op completes before returning); the
+        datatypes default to contiguous bytes / elements."""
         if kind == "put":
-            win.put(data, win_rank, disp, target_datatype=target_t, origin_datatype=origin_t)
+            win.put(
+                data, win_rank, disp, target_datatype=target_t,
+                origin_datatype=origin_t, flush=flush,
+            )
         elif kind == "get":
-            win.get(data, win_rank, disp, target_datatype=target_t, origin_datatype=origin_t)
+            win.get(
+                data, win_rank, disp, target_datatype=target_t,
+                origin_datatype=origin_t, flush=flush,
+            )
         else:
             win.accumulate(
                 data, win_rank, disp, op="MPI_SUM",
-                target_datatype=target_t, origin_datatype=origin_t,
+                target_datatype=target_t, origin_datatype=origin_t, flush=flush,
             )
 
     def _transfer(

@@ -223,9 +223,13 @@ def _batched(armci: "Armci", req: IovRequest) -> None:
     loc_offs = req.loc_offsets.tolist()
     B = armci.config.iov_batch_size or req.nsegments
 
-    def issue_batch(start: int) -> None:
-        for i in range(start, min(start + B, req.nsegments)):
-            armci._issue(gmr.win, req.kind, req.segment(loc_offs[i]), win_rank, disps[i])
+    def issue_batch(start: int, flush: bool = False) -> None:
+        try:
+            for i in range(start, min(start + B, req.nsegments)):
+                armci._issue(gmr.win, req.kind, req.segment(loc_offs[i]), win_rank, disps[i])
+        finally:
+            if flush:
+                gmr.win.flush(win_rank)
 
     for start in range(0, req.nsegments, B):
         armci._in_epoch(gmr, win_rank, req.kind, issue_batch, start)

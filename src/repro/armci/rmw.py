@@ -106,9 +106,10 @@ def rmw_flush(armci: "Armci", op: str, ptr: "GlobalPtr", value: int) -> int:
     """MPI-3 datapath RMW: fetch_and_op in the standing lock_all epoch.
 
     No mutex and no epoch of its own — the GMR's lock_all epoch (opened
-    at allocation) hosts the atomic, and one per-target flush completes
-    it.  This is the single-op protocol the paper's §V-D mutex design
-    exists to approximate under MPI-2.
+    at allocation) hosts the atomic, which completes itself as a
+    per-target flush would (``flush=True``).  This is the single-op
+    protocol the paper's §V-D mutex design exists to approximate under
+    MPI-2.
     """
     from ..mpi import datatypes as dt
 
@@ -119,9 +120,6 @@ def rmw_flush(armci: "Armci", op: str, ptr: "GlobalPtr", value: int) -> int:
     # per-location program order vs queued nb ops on this target
     armci._nbq.drain(gmr, win_rank)
     mpi_op = "MPI_SUM" if op in (FETCH_AND_ADD, FETCH_AND_ADD_LONG) else "MPI_REPLACE"
-    try:
-        old = gmr.win.fetch_and_op(value, win_rank, disp, mpi_t, op=mpi_op)
-    finally:
-        gmr.win.flush(win_rank)
+    old = gmr.win.fetch_and_op(value, win_rank, disp, mpi_t, op=mpi_op, flush=True)
     armci.stats.rmw_ops += 1
     return int(old)

@@ -217,10 +217,10 @@ class Runtime:
         self.shared: dict[Any, Any] = {}
         #: optional RMA sanitizer (``repro.sanitizer``) consulted by windows
         self.sanitizer = None
-        #: optional deterministic schedule (``repro.mpi.progress``)
-        self.schedule = None
-        #: optional fault injector (``repro.faults``) consulted at fuzz points
-        self.faults = None
+        self._schedule = self._faults = None
+        #: whether a fuzz point can run here: true while a schedule or a
+        #: fault injector is installed (kept by their setters)
+        self.fuzzing = False
         #: world ranks that have failed (fault injection / injected death)
         self.dead_ranks: set[int] = set()
         #: true once the runtime concluded no progress is possible *because*
@@ -236,6 +236,26 @@ class Runtime:
         if apply_hooks:
             for hook in RUNTIME_CREATION_HOOKS:
                 hook(self)
+
+    @property
+    def schedule(self):
+        """Optional deterministic schedule (``repro.mpi.progress``)."""
+        return self._schedule
+
+    @schedule.setter
+    def schedule(self, schedule) -> None:
+        self._schedule = schedule
+        self.fuzzing = schedule is not None or self._faults is not None
+
+    @property
+    def faults(self):
+        """Optional fault injector (``repro.faults``) consulted at fuzz points."""
+        return self._faults
+
+    @faults.setter
+    def faults(self, faults) -> None:
+        self._faults = faults
+        self.fuzzing = faults is not None or self._schedule is not None
 
     # -- scheduling -----------------------------------------------------------
     def notify_progress(self) -> None:
@@ -508,10 +528,9 @@ class Runtime:
         fault injector (``repro.faults``) is also consulted here — this
         is where a plan kills or stalls a rank.
         """
-        sched = self.schedule
-        faults = self.faults
-        if sched is None and faults is None:
+        if not self.fuzzing:
             return
+        sched, faults = self._schedule, self._faults
         proc = getattr(_tls, "proc", None)
         if proc is None:
             return  # helper threads are not scheduled ranks

@@ -16,10 +16,13 @@ design (§III, §V):
   except accumulate-vs-accumulate with the same op, which MPI permits.
   Real MPI may silently corrupt data in these cases; we detect eagerly so
   tests can prove ARMCI-MPI never triggers them.
-* **Get results are delivered at unlock.**  Within an epoch all ops are
-  logically concurrent; a get's data lands in the user buffer only when
-  the epoch closes, so code that peeks earlier observes stale bytes —
-  deliberately, to flush out completion-semantics bugs.
+* **Get results are delivered at completion.**  Within an epoch all ops
+  are logically concurrent; a get's data lands in the user buffer only
+  when the get completes — at ``unlock``, ``flush`` or request ``wait`` —
+  so code that peeks earlier observes stale bytes, deliberately, to flush
+  out completion-semantics bugs.  A put/get/accumulate/fetch_and_op
+  issued with ``flush=True`` completes before it returns, as if
+  ``flush(target)`` followed it, so its get lands in the buffer at once.
 * **Local load/store** of exposed memory requires an exclusive self-lock
   when strict checking is on (the public/private window-copy rule of
   §III that motivated the ARMCI DLA extension).
@@ -759,17 +762,19 @@ class Win:
     def _flush(self, origin: int, target_rank: int) -> None:
         """Complete ``origin``'s ops at ``target_rank`` and keep the epoch
         (``runtime.cond`` held); ``flush`` and ``flush_all`` both end here."""
-        # the completion call is where a dead target's loss surfaces
         if self._world_of[target_rank] in self.runtime.dead_ranks:
-            raise TargetFailedError(
-                f"flush({target_rank}) on failed target of win {self.win_id}"
-            )
+            self._target_failed(target_rank, True)
         epoch = self._epochs.get((origin, target_rank))
         if epoch is None:
             self._violate(
                 RMASyncError(f"flush({target_rank}) outside an epoch"),
                 "flush", "flush", target_rank, _NOTHING_TO_FLUSH % "flush",
             )
+        self._complete(epoch)
+
+    def _complete(self, epoch: _Epoch) -> None:
+        """Complete ``epoch``'s ops at its target and keep the epoch
+        (``runtime.cond`` held): what a flush does once it found it."""
         if epoch.pending_gets:
             self._deliver_gets(epoch)
         if epoch.recorded:
@@ -814,6 +819,23 @@ class Win:
             self.runtime.notify_progress()
         self._charge_sync("flush")
 
+    def _fuses(self, flush: bool) -> bool:
+        """Whether an op that completes itself (``flush=True``) runs as one
+        section with its flush — the one place this is decided.
+
+        No other origin runs inside one section, so none can observe the
+        op's footprint: a fused op is checked against every rule, but its
+        footprint is not recorded.  With a schedule or fault injector
+        installed (:attr:`Runtime.fuzzing`) the op and a :meth:`flush`
+        stay two sections with a fuzz point between them, so the fuzzer
+        can still run another origin there.
+        """
+        if not flush:
+            return False
+        if not self.mpi3:
+            self._require_mpi3("flush")
+        return not self.runtime.fuzzing
+
     def _atomic_section(self, target_rank: int) -> Any:
         """Context entered with ``runtime.cond`` held around the body of
         ``accumulate``, ``fetch_and_op`` and ``compare_and_swap``.
@@ -831,18 +853,31 @@ class Win:
         target_offset: int,
         datatype: dt.Datatype = dt.LONG,
         op="MPI_SUM",
+        *,
+        flush: bool = False,
     ) -> "int | float":
-        """Atomic read-modify-write on one element (MPI-3 MPI_Fetch_and_op)."""
+        """Atomic read-modify-write on one element (MPI-3 MPI_Fetch_and_op);
+        ``flush=True`` completes it at the target before returning."""
         self._require_mpi3("fetch_and_op")
-        op = mpi_ops.lookup(op)
-        with self.runtime.cond, self._atomic_section(target_rank):
-            buf = self._atomic_view(target_rank, target_offset, datatype)
-            old = buf[0].item()
-            if op is not mpi_ops.NO_OP:
-                src = np.array([value], dtype=datatype.base)
-                op.apply(buf, src)
-            self.runtime.notify_progress()
-        self._charge_op("rmw", datatype.size, 1)
+        fused = self._fuses(flush)
+        rt = self.runtime
+        try:
+            op = mpi_ops.lookup(op)
+            with rt.giant_lock, self._atomic_section(target_rank):
+                epoch, buf = self._atomic_view(target_rank, target_offset, datatype, fused)
+                old = buf[0].item()
+                if op is not mpi_ops.NO_OP:
+                    src = np.array([value], dtype=datatype.base)
+                    op.apply(buf, src)
+                if fused:
+                    self._complete(epoch)
+                rt.notify_progress()
+            self._charge_op("rmw", datatype.size, 1)
+        finally:
+            if flush and not fused:
+                self.flush(target_rank)
+        if fused:
+            self._charge_sync("flush")
         return old
 
     def compare_and_swap(
@@ -856,7 +891,7 @@ class Win:
         """Atomic CAS on one element (MPI-3 MPI_Compare_and_swap)."""
         self._require_mpi3("compare_and_swap")
         with self.runtime.cond, self._atomic_section(target_rank):
-            buf = self._atomic_view(target_rank, target_offset, datatype)
+            _, buf = self._atomic_view(target_rank, target_offset, datatype)
             old = buf[0].item()
             if old == compare:
                 buf[0] = value
@@ -874,30 +909,42 @@ class Win:
         target_count: int = 1,
         origin_datatype: "dt.Datatype | None" = None,
         origin_count: int = 1,
+        *,
+        flush: bool = False,
     ) -> None:
-        """One-sided put (MPI_Put); completes at unlock."""
-        view, omap, segmap, nbytes = self._op_maps(
-            "put", origin, origin_datatype, origin_count,
-            target_rank, target_offset, target_datatype, target_count,
-        )
+        """One-sided put (MPI_Put); completes at unlock or flush, or before
+        it returns with ``flush=True`` (see :meth:`_fuses`)."""
+        fused = self._fuses(flush)
         rt = self.runtime
-        with rt.giant_lock:
-            epoch = self._require_epoch(target_rank, "put")
-            self._record_access(epoch, "put", None, segmap, origin)
-            buf = self._buffers[target_rank]
-            if rt.faults is None:
-                segmap.copy_from(buf, omap, view)
-            else:  # the injector filters the packed payload
-                payload = self._fault_filter(
-                    "put", self._gather_origin(view, omap, target_rank)
-                )
-                if payload is not None:
-                    segmap.scatter(buf, payload)
-            op_index = epoch.op_count
-            epoch.op_count += 1
-            epoch.bytes_moved += nbytes
-            rt.notify_progress()
-        self._charge_op("put", nbytes, segmap.nsegments, op_index)
+        try:
+            view, omap, segmap, nbytes = self._op_maps(
+                "put", origin, origin_datatype, origin_count,
+                target_rank, target_offset, target_datatype, target_count,
+            )
+            with rt.giant_lock:
+                epoch = self._require_epoch(target_rank, "put", fused)
+                self._record_access(epoch, "put", None, segmap, origin, not fused)
+                buf = self._buffers[target_rank]
+                if fused or rt.faults is None:  # (fused: no injector)
+                    segmap.copy_from(buf, omap, view)
+                else:  # the injector filters the packed payload
+                    payload = self._fault_filter(
+                        "put", self._gather_origin(view, omap, target_rank)
+                    )
+                    if payload is not None:
+                        segmap.scatter(buf, payload)
+                op_index = epoch.op_count
+                epoch.op_count += 1
+                epoch.bytes_moved += nbytes
+                if fused:
+                    self._complete(epoch)
+                rt.notify_progress()
+            self._charge_op("put", nbytes, segmap.nsegments, op_index)
+        finally:
+            if flush and not fused:
+                self.flush(target_rank)
+        if fused:
+            self._charge_sync("flush")
 
     def get(
         self,
@@ -908,30 +955,46 @@ class Win:
         target_count: int = 1,
         origin_datatype: "dt.Datatype | None" = None,
         origin_count: int = 1,
+        *,
+        flush: bool = False,
     ) -> None:
-        """One-sided get (MPI_Get); data lands in ``origin`` at unlock/flush."""
-        view, omap, segmap, nbytes = self._op_maps(
-            "get", origin, origin_datatype, origin_count,
-            target_rank, target_offset, target_datatype, target_count,
-        )
+        """One-sided get (MPI_Get); data lands in ``origin`` when the get
+        completes: at unlock/flush/request wait, or before it returns with
+        ``flush=True`` (see :meth:`_fuses`)."""
+        fused = self._fuses(flush)
         rt = self.runtime
-        with rt.giant_lock:
-            epoch = self._require_epoch(target_rank, "get")
-            self._record_access(epoch, "get", None, segmap, origin)
-            # the target is read when the get completes, which is where MPI
-            # places it; an injector filters a payload staged now instead
-            source: "dt.SegmentMap | np.ndarray | None" = segmap
-            if rt.faults is not None:
-                source = self._fault_filter(
-                    "get", segmap.gather(self._buffers[target_rank], copy=True)
-                )
-            if source is not None:
-                epoch.pending_gets.append((view, omap, source))
-            op_index = epoch.op_count
-            epoch.op_count += 1
-            epoch.bytes_moved += nbytes
-            rt.notify_progress()
-        self._charge_op("get", nbytes, segmap.nsegments, op_index)
+        try:
+            view, omap, segmap, nbytes = self._op_maps(
+                "get", origin, origin_datatype, origin_count,
+                target_rank, target_offset, target_datatype, target_count,
+            )
+            with rt.giant_lock:
+                epoch = self._require_epoch(target_rank, "get", fused)
+                self._record_access(epoch, "get", None, segmap, origin, not fused)
+                # the target is read when the get completes, which is where
+                # MPI places it; an injector filters a payload staged now
+                if fused:
+                    omap.copy_from(view, segmap, self._buffers[target_rank])
+                else:
+                    source: "dt.SegmentMap | np.ndarray | None" = segmap
+                    if rt.faults is not None:
+                        source = self._fault_filter(
+                            "get", segmap.gather(self._buffers[target_rank], copy=True)
+                        )
+                    if source is not None:
+                        epoch.pending_gets.append((view, omap, source))
+                op_index = epoch.op_count
+                epoch.op_count += 1
+                epoch.bytes_moved += nbytes
+                if fused:
+                    self._complete(epoch)
+                rt.notify_progress()
+            self._charge_op("get", nbytes, segmap.nsegments, op_index)
+        finally:
+            if flush and not fused:
+                self.flush(target_rank)
+        if fused:
+            self._charge_sync("flush")
 
     def accumulate(
         self,
@@ -943,40 +1006,52 @@ class Win:
         target_count: int = 1,
         origin_datatype: "dt.Datatype | None" = None,
         origin_count: int = 1,
+        *,
+        flush: bool = False,
     ) -> None:
-        """One-sided accumulate (MPI_Accumulate) with a predefined op.
+        """One-sided accumulate (MPI_Accumulate) with a predefined op;
+        ``flush=True`` completes it before returning (see :meth:`_fuses`).
 
         Element type is taken from the datatype's predefined leaf type
         (or the origin array's dtype when no datatype is given).  An
         accumulate that is rejected — its element type, or target segments
         that are not whole elements — records and counts nothing.
         """
-        op = mpi_ops.lookup(op)
-        view, omap, segmap, nbytes = self._op_maps(
-            "acc", origin, origin_datatype, origin_count,
-            target_rank, target_offset, target_datatype, target_count,
-        )
-        base = (
-            target_datatype.base
-            if target_datatype is not None
-            else np.asarray(origin).dtype
-        )
-        if base == _VOID or base.itemsize == 0:
-            raise ArgumentError("accumulate: cannot infer element type")
-        data = self._gather_origin(view, omap, target_rank)
+        fused = self._fuses(flush)
         rt = self.runtime
-        with rt.giant_lock, self._atomic_section(target_rank):
-            epoch = self._require_epoch(target_rank, "acc")
-            _check_acc_alignment(segmap, base)
-            self._record_access(epoch, "acc", op.name, segmap, origin)
-            payload = self._fault_filter("acc", data)
-            if payload is not None:
-                _accumulate_into(self._buffers[target_rank], segmap, payload, base, op)
-            op_index = epoch.op_count
-            epoch.op_count += 1
-            epoch.bytes_moved += nbytes
-            rt.notify_progress()
-        self._charge_op("acc", nbytes, segmap.nsegments, op_index)
+        try:
+            op = mpi_ops.lookup(op)
+            view, omap, segmap, nbytes = self._op_maps(
+                "acc", origin, origin_datatype, origin_count,
+                target_rank, target_offset, target_datatype, target_count,
+            )
+            base = (
+                target_datatype.base
+                if target_datatype is not None
+                else np.asarray(origin).dtype
+            )
+            if base == _VOID or base.itemsize == 0:
+                raise ArgumentError("accumulate: cannot infer element type")
+            data = self._gather_origin(view, omap, target_rank)
+            with rt.giant_lock, self._atomic_section(target_rank):
+                epoch = self._require_epoch(target_rank, "acc", fused)
+                _check_acc_alignment(segmap, base)
+                self._record_access(epoch, "acc", op.name, segmap, origin, not fused)
+                payload = data if fused else self._fault_filter("acc", data)
+                if payload is not None:
+                    _accumulate_into(self._buffers[target_rank], segmap, payload, base, op)
+                op_index = epoch.op_count
+                epoch.op_count += 1
+                epoch.bytes_moved += nbytes
+                if fused:
+                    self._complete(epoch)
+                rt.notify_progress()
+            self._charge_op("acc", nbytes, segmap.nsegments, op_index)
+        finally:
+            if flush and not fused:
+                self.flush(target_rank)
+        if fused:
+            self._charge_sync("flush")
 
     def rput(self, origin: np.ndarray, target_rank: int, *args: Any, **kw: Any):
         """Request-based put (MPI-3); completion of the request = local done."""
@@ -1092,20 +1167,27 @@ class Win:
             ((lo, hi),),
         )
 
-    def _require_epoch(self, target_rank: int, op: str) -> _Epoch:
+    def _target_failed(self, target_rank: int, flush: bool) -> None:
+        """Raise the loss of a failed target.  The completion call is where
+        it surfaces, so an op that completes itself reports it as its flush
+        does."""
+        raise TargetFailedError(
+            f"flush({target_rank}) on failed target of win {self.win_id}"
+            if flush
+            else f"RMA operation on failed target rank {target_rank} of win {self.win_id}"
+        )
+
+    def _require_epoch(self, target_rank: int, op: str, flush: bool = False) -> _Epoch:
         """The calling origin's epoch on ``target_rank`` (``runtime.cond``
         held): where a data op learns who is calling, once, and that both
-        ends are alive."""
+        ends are alive (``flush``: the op completes itself)."""
         rt = self.runtime
         # current_proc() only to raise its error outside an SPMD region
         proc = getattr(_tls, "proc", None) or current_proc()
         if proc.dead:
             rt.check_self_alive()
         if self._world_of[target_rank] in rt.dead_ranks:
-            raise TargetFailedError(
-                f"RMA operation on failed target rank {target_rank} "
-                f"of win {self.win_id}"
-            )
+            self._target_failed(target_rank, flush)
         origin = proc.rank
         epoch = self._epochs.get((origin, target_rank))
         if epoch is None:
@@ -1183,8 +1265,10 @@ class Win:
         opname: "str | None",
         segmap: dt.SegmentMap,
         origin_buf: np.ndarray,
+        record: bool = True,
     ) -> None:
-        """Apply the conflict-class rules to one put/get/acc, then record it."""
+        """Apply the conflict-class rules to one put/get/acc, then record it
+        unless ``record`` is false (an op fused with its flush)."""
         if not self._checked():
             return
         if kind != "acc" and segmap.overlaps_self():
@@ -1197,13 +1281,19 @@ class Win:
         if san is not None:
             san.on_op(self, epoch.origin, kind, origin_buf, epoch.mode, epoch.target)
         # the footprint is the target map itself (see _IntervalSet)
-        self._admit(epoch, kind, opname, segmap)
+        self._admit(epoch, kind, opname, segmap, record)
 
     def _admit(
-        self, epoch: _Epoch, kind: str, opname: "str | None", fp: dt.SegmentMap
+        self,
+        epoch: _Epoch,
+        kind: str,
+        opname: "str | None",
+        fp: dt.SegmentMap,
+        record: bool = True,
     ) -> None:
         """Fail on the first earlier access the new one (target footprint
-        ``fp``) conflicts with, then record it in ``epoch``.
+        ``fp``) conflicts with, then record it in ``epoch`` unless
+        ``record`` is false.
 
         Searched in the origin's own epoch, then in the concurrently open
         epochs of other origins on the same target (possible only under
@@ -1242,6 +1332,8 @@ class Win:
                 desc, epoch.target, f"{desc} overlaps an earlier {hit} access {who}",
                 ((int(lo), int(hi)),),
             )
+        if not record:
+            return
         epoch.recorded += 1
         if kind == "put":
             epoch.puts.add(fp)
@@ -1255,9 +1347,11 @@ class Win:
             cover.add(fp)
 
     def _atomic_view(
-        self, target_rank: int, target_offset: int, datatype: dt.Datatype
-    ) -> np.ndarray:
-        """The element an MPI-3 atomic operates on, after the rule checks.
+        self, target_rank: int, target_offset: int, datatype: dt.Datatype,
+        flush: bool = False,
+    ) -> "tuple[_Epoch, np.ndarray]":
+        """The epoch of an MPI-3 atomic and the element it operates on,
+        after the rule checks (``flush``: the atomic completes itself).
 
         The window treats atomics as self-contained and never
         conflict-checks them; only when a sanitizer is installed is their
@@ -1265,7 +1359,7 @@ class Win:
         class — mixed atomics on one counter are clean, an atomic racing
         a put/get in the same epoch is not.
         """
-        epoch = self._require_epoch(target_rank, _RMW)
+        epoch = self._require_epoch(target_rank, _RMW, flush)
         disp = target_offset * self._disp_units[target_rank]
         end = disp + datatype.size
         buf = self._buffers[target_rank]
@@ -1275,8 +1369,8 @@ class Win:
             )
         if self.runtime.sanitizer is not None and self._checked():
             fp = dt.SegmentMap.arithmetic(disp, datatype.size, datatype.size, 1)
-            self._admit(epoch, "acc", _RMW, fp)
-        return buf[disp:end].view(datatype.base)
+            self._admit(epoch, "acc", _RMW, fp, not flush)
+        return epoch, buf[disp:end].view(datatype.base)
 
     def _audit_requests(self, epoch: _Epoch) -> None:
         """A closing epoch must leave no request-based op unwaited.
@@ -1302,13 +1396,12 @@ class Win:
         epoch.pending_gets.clear()
 
     # -- modeled time --------------------------------------------------------------------
-    # (a fuzz point is only reached with a schedule or fault injector installed)
     def _charge_sync(self, kind: str) -> None:
         rt = self.runtime
         if rt.timing is not None:
             cost = rt.timing.rma_sync_cost(kind)
             current_proc().clock.advance(cost, kind=f"rma:{kind}")
-        if rt.schedule is not None or rt.faults is not None:
+        if rt.fuzzing:
             rt.fuzz_point(f"rma:{kind}")
 
     def _charge_op(self, kind: str, nbytes: int, nsegments: int, op_index: int = 0) -> None:
@@ -1316,7 +1409,7 @@ class Win:
         if rt.timing is not None:
             cost = rt.timing.rma_op_cost(kind, nbytes, nsegments, op_index)
             current_proc().clock.advance(cost, kind=f"rma:{kind}", nbytes=nbytes)
-        if rt.schedule is not None or rt.faults is not None:
+        if rt.fuzzing:
             rt.fuzz_point(f"rma:{kind}")
 
 

@@ -10,6 +10,7 @@ stay bounded under churn.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -494,16 +495,17 @@ def test_rank_threads_share_the_strided_memo_under_eviction():
 # ---------------------------------------------------------------------------
 
 
-def _repro_calls(op) -> int:
-    """Python calls into ``repro.*`` made by the third (warm) ``op()``."""
+def _repro_calls(op) -> "Counter[str]":
+    """Python calls into ``repro.*`` made by the third (warm) ``op()``, per
+    function (``module.name``)."""
     op()
     op()
-    calls = 0
+    calls: "Counter[str]" = Counter()
 
     def profile(frame, event, _arg):
-        nonlocal calls
-        if event == "call" and frame.f_globals.get("__name__", "").startswith("repro."):
-            calls += 1
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith("repro."):
+            calls[f"{module}.{frame.f_code.co_name}"] += 1
 
     sys.setprofile(profile)
     try:
@@ -535,25 +537,30 @@ def _call_budget_body(comm):
     return counts
 
 
-#: ``repro.*`` calls of each warm op before the blocking path was reworked
-#: to establish each fact about an owner piece once (same runtime and ops)
-_CALLS_BEFORE = {"get": 105, "put": 107, "acc": 118, "straddling put": 201}
+#: ``repro.*`` calls each warm op may make.  It made 105/107/118/201 before
+#: the blocking path established each fact about an owner piece once, and
+#: 62/61/67/115 before an owner piece became one window transaction (the
+#: op completing itself instead of a following ``Win.flush``)
+_CALL_BUDGET = {"get": 56, "put": 56, "acc": 61, "straddling put": 105}
 
 
 def test_blocking_patch_op_call_budget():
     """A warm 16x16 ``ga.get/put/acc`` (one remote owner) and an
-    owner-straddling ``ga.put`` on the mpi3 datapath stay at or under 60 %
-    of the calls they made before: the count is deterministic and
+    owner-straddling ``ga.put`` on the mpi3 datapath stay within their call
+    budget, and none calls ``Win.flush``: the count is deterministic and
     host-independent, so the path cannot quietly grow back.  A plain
     runtime (no ambient sanitizer or injector) is what is budgeted."""
     rt = Runtime(2, watchdog_s=5.0, apply_hooks=False)
-    counts = rt.spmd(_call_budget_body)[0]
+    calls = rt.spmd(_call_budget_body)[0]
     over = {
-        name: (counts[name], before)
-        for name, before in _CALLS_BEFORE.items()
-        if counts[name] > 0.6 * before
+        name: (calls[name].total(), budget)
+        for name, budget in _CALL_BUDGET.items()
+        if calls[name].total() > budget
     }
-    assert not over, f"over budget (calls, calls before): {over}"
+    assert not over, f"over budget (calls, budget): {over}"
+    flush = "repro.mpi.window.flush"  # Win.flush
+    flushes = {name: c[flush] for name, c in calls.items() if c[flush]}
+    assert not flushes, f"a blocking piece called Win.flush: {flushes}"
 
 
 @contextmanager

@@ -13,7 +13,10 @@ import numpy as np
 import pytest
 
 from repro.armci import Armci, ArmciConfig
-from repro.mpi.errors import ArgumentError
+from repro.mpi.errors import ArgumentError, RMAConflictError
+from repro.mpi.progress import DeterministicSchedule
+from repro.mpi.runtime import Runtime
+from repro.sanitizer.fuzz import fuzz_schedules
 
 from conftest import spmd
 
@@ -480,3 +483,93 @@ def test_mpi3_datapath_implies_mpi3_windows():
         assert a._flush_mode is False
 
     spmd(2, main2)
+
+
+# ---------------------------------------------------------------------------
+# a blocking op is one window transaction: it records no footprint, yet is
+# still checked against every footprint another origin left recorded
+# ---------------------------------------------------------------------------
+
+
+def test_blocking_put_still_conflicts_with_another_origins_unflushed_put():
+    """Origin 1 leaves a put unflushed in its ``lock_all`` epoch on target 0.
+    Origin 0's blocking put over those bytes fails with the cross-origin
+    conflict text, and one beside them goes through."""
+
+    def main(comm):
+        a = Armci.init(comm, datapath="mpi3")
+        ptrs = a.malloc(64)
+        gmr = a.table.require(ptrs[0])
+        win_rank, disp = gmr.displacement(ptrs[0])
+        a.barrier()
+        if a.my_id == 1:
+            gmr.win.put(np.ones(16, np.uint8), win_rank, disp)  # not flushed
+        a.barrier()
+        if a.my_id == 0:
+            with pytest.raises(
+                RMAConflictError,
+                match=r"\] put by origin 0 conflicts with concurrent put by origin 1 "
+                r"on target 0 \(both hold shared locks\)$",
+            ):
+                a.put(np.zeros(8, np.uint8), ptrs[0] + 8)
+            a.put(np.full(8, 2, np.uint8), ptrs[0] + 32)
+        a.barrier()
+        if a.my_id == 1:
+            gmr.win.flush(win_rank)
+        a.barrier()
+        if a.my_id == 0:
+            got = _local_bytes(a, ptrs[0], 64)
+            assert (got[:16] == 1).all() and (got[32:40] == 2).all()
+            assert not got[16:32].any() and not got[40:].any()
+        a.barrier()
+        a.free(ptrs[a.my_id])
+        a.finalize()
+
+    Runtime(2, watchdog_s=2.0, apply_hooks=False).spmd(main)
+
+
+def _overlapping_blocking_puts(comm):
+    """Origins 0 and 1 each put the same 16 bytes of rank 2's slab."""
+    a = Armci.init(comm, datapath="mpi3")
+    ptrs = a.malloc(64 if a.my_id == 2 else 0)
+    a.barrier()
+    if a.my_id < 2:
+        a.put(np.full(16, a.my_id + 1, np.uint8), ptrs[2])
+    a.barrier()
+    a.free(ptrs[a.my_id])
+    a.finalize()
+    return "ok"
+
+
+def test_fuzzer_still_finds_the_race_between_blocking_puts():
+    """Under a schedule an op and its flush stay two sections with a fuzz
+    point between them, so some seeds interleave the other origin's put
+    there and fail with the conflict, and others pass."""
+    reports = fuzz_schedules(_overlapping_blocking_puts, 3, nschedules=24)
+    failing = [r for r in reports if not r.ok]
+    assert failing, "no seed interleaved the two blocking puts"
+    assert [r for r in reports if r.ok], "every seed failed"
+    assert all("conflict" in r.error.lower() for r in failing)
+
+
+def test_scheduled_blocking_put_yields_before_its_flush():
+    """A scheduled run's fuzz-point trace still shows ``rma:put`` and then
+    ``rma:flush`` for one blocking put (a coin that always preempts)."""
+    rt = Runtime(2)
+    sched = DeterministicSchedule(0, switch_prob=1.0)
+    sched.begin_run(rt)
+
+    def main(comm):
+        a = Armci.init(comm, datapath="mpi3")
+        ptrs = a.malloc(16)
+        a.barrier()
+        if a.my_id == 0:
+            a.put(np.ones(16, np.uint8), ptrs[1])
+        a.barrier()
+        a.free(ptrs[a.my_id])
+        a.finalize()
+
+    rt.spmd(main)
+    kinds = [ev[2] for ev in sched.trace if ev[:2] == ("yield", 0)]
+    at = kinds.index("rma:put")
+    assert kinds[at + 1] == "rma:flush", kinds

@@ -512,6 +512,59 @@ def test_mpi3_flush_completes_get_mid_epoch():
     spmd(2, main)
 
 
+def test_mpi3_op_with_flush_completes_before_returning():
+    """``flush=True`` completes an op as a following ``flush`` would: a get
+    has landed (and so has an earlier pending one), and an earlier
+    unflushed put is no longer a conflict for a later op of the epoch."""
+
+    def main(comm):
+        win, local = _win(comm, 4, mpi3=True)
+        if comm.rank == 0:
+            local[:] = 3.0
+        comm.barrier()
+        if comm.rank == 1:
+            win.lock_all()
+            early, out = np.zeros(4), np.zeros(4)
+            win.get(early, 0)
+            win.get(out, 0, flush=True)
+            assert np.all(out == 3.0) and np.all(early == 3.0)
+            win.put(np.full(2, 5.0), 0, flush=True)
+            win.accumulate(np.ones(2), 0, flush=True)
+            assert win.fetch_and_op(1.0, 0, 8, mpi.DOUBLE, flush=True) == 6.0
+            win.get(out, 0, flush=True)
+            assert out.tolist() == [6.0, 7.0, 3.0, 3.0]
+            for completes in (
+                lambda: win.put(np.ones(1), 0, 0, flush=True),
+                lambda: win.get(np.zeros(1), 0, 0, flush=True),
+                lambda: win.accumulate(np.ones(1), 0, 0, flush=True),
+                lambda: win.fetch_and_op(1.0, 0, 0, mpi.DOUBLE, flush=True),
+            ):
+                win.put(np.zeros(1), 0, 24)  # unflushed
+                completes()
+                win.get(out[:1], 0, 24, flush=True)  # overlaps it: no conflict
+            win.put(np.zeros(1), 0, 24)
+            with pytest.raises(RMAConflictError, match="in the same epoch"):
+                win.get(out[:1], 0, 24, flush=True)  # the unflushed put is checked
+            win.unlock_all()
+        comm.barrier()
+        win.free()
+
+    spmd(2, main)
+
+
+def test_op_with_flush_needs_mpi3_before_it_moves_data():
+    def main(comm):
+        win, local = _win(comm, 2)
+        win.lock(0)
+        with pytest.raises(WinError, match="flush requires MPI-3"):
+            win.put(np.ones(2), 0, flush=True)
+        win.unlock(0)
+        assert not local.any()
+        win.free()
+
+    spmd(1, main)
+
+
 def test_mpi3_fetch_and_op_atomic_counter():
     def main(comm):
         win, local = _win(comm, 0, mpi3=True)
