@@ -8,7 +8,7 @@ shortcut) as a plain dataclass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 #: IOV transfer methods of §VI-A.
 IOV_METHODS = ("auto", "conservative", "batched", "direct")
@@ -82,10 +82,6 @@ class ArmciConfig:
             raise ValueError("nb_coalesce_threshold must be >= 0 (0 = no merging)")
         if self.nb_max_pending < 1:
             raise ValueError("nb_max_pending must be >= 1")
-
-    def with_(self, **kw) -> "ArmciConfig":
-        """Copy with overrides (benches sweep methods this way)."""
-        return replace(self, **kw)
 
 
 DEFAULT_CONFIG = ArmciConfig()

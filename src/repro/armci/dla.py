@@ -63,9 +63,6 @@ class DlaState:
             )
         self._open.discard((rank, gmr.gmr_id))
 
-    def is_open(self, rank: int, gmr_id: int) -> bool:
-        return (rank, gmr_id) in self._open
-
 
 def _violate(rank: int, gmr: "Gmr", op: str, plain: str, detail: str) -> None:
     san = gmr.win.runtime.sanitizer

@@ -141,10 +141,10 @@ def _recursive_create(world: Comm, members: list[int], tag_seed: int) -> Comm:
             from ..mpi.group import Group
 
             with world.runtime.cond:
-                cid = world.runtime.alloc_context_id() if me == sub[0] else None
-            # context ids are only meaningful within one comm's members;
-            # a singleton never exchanges messages, so a private id is fine
-            return Comm(world.runtime, Group([sub[0]]), cid or 0)
+                # a singleton never exchanges messages: any id unique in
+                # this process will do
+                cid = ("self", world.runtime.alloc_context_id())
+                return Comm(world.runtime, Group([me]), cid)
         mid = len(sub) // 2
         left, right = sub[:mid], sub[mid:]
         if me in left:

@@ -141,7 +141,7 @@ class MutexSet:
                         # handoff into its local p2p replica — and moves
                         # the shared record, so the others still find it
                         dst_world = group.world_rank(j)
-                        if rt.local_ranks is None or dst_world in rt.local_ranks:
+                        if rt.hosts(dst_world):
                             cells[mutex] = j + 1
                             self.comm._p2p.post_send(
                                 world_rank,

@@ -49,9 +49,6 @@ class Series:
         self.x.append(x)
         self.y.append(y)
 
-    def as_rows(self) -> Iterable[tuple]:
-        return zip(self.x, self.y)
-
 
 def format_table(
     title: str,

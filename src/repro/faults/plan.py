@@ -93,9 +93,6 @@ class Delay:
             )
 
 
-_SPEC_TYPES = {"kill": Kill, "stall": Stall, "corrupt": Corrupt, "delay": Delay}
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """An immutable, seeded fault scenario.

@@ -83,9 +83,7 @@ class ThreadBackend(RuntimeBackend):
         from .comm import Comm
         from .group import Group
 
-        with runtime.cond:
-            cid = runtime.alloc_context_id()
-        return Comm(runtime, Group(range(runtime.nproc)), cid)
+        return Comm(runtime, Group(range(runtime.nproc)), ("w",))
 
     def spmd(
         self,

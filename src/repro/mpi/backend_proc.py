@@ -30,22 +30,20 @@ and puts/gets are true cross-process memory traffic.  The moving parts:
   SIGKILLed one is detected by survivors themselves, well before the
   parent's ``join_timeout`` backstop and independent of the parent.
 * **Fault tolerance** (ULFM surface): ``revoke``/``agree``/``shrink``
-  run over the inbox pipes.  Agreement is coordinator-based — votes go
-  to the lowest live member, whose pump collects them and broadcasts
-  the result in ascending rank order; participants that see their
-  coordinator die re-send their vote to the next-lowest live rank, and
-  any rank that already holds a round's result answers re-votes with
-  the *same* value, so a coordinator dying mid-broadcast cannot produce
-  divergent outcomes.  ``Runtime.failure_ack`` clears the peer-death
-  poisoning in each surviving process, which is what lets
-  ``repro.recover`` rebuild in place.
+  are :class:`~repro.mpi.comm.Comm`'s, the same code as on threads.
+  What this backend adds is that a peer is in another process: a
+  revoke, a vote to a remote coordinator and a result to a remote voter
+  travel as ``("ft", ...)`` messages (:meth:`_ProcChildBackend.send_ctl`),
+  and the pump hands them to the process's communicator registry
+  (``runtime.registry``), which decides the rounds this process
+  coordinates.  ``Runtime.failure_ack`` clears the peer-death poisoning
+  in each surviving process, which is what lets ``repro.recover``
+  rebuild in place.
 * **Messaging** (:class:`ProcComm`): a send pickles the payload and
   writes it, from the sender's thread, as one frame to the destination's
-  inbox pipe; the destination's pump injects it into the matching
-  :class:`~repro.mpi.p2p.P2PEngine` replica.  Context ids
-  are *structural tuples* (``("w",)``, parent + ``("dup", seq)``, …)
-  because integer context counters diverge across processes when
-  communicators are created on subgroups.
+  inbox pipe; the destination's pump injects it into the
+  :class:`~repro.mpi.p2p.P2PEngine` replica registered under the
+  message's context id (the structural tuple both backends use).
 * **Collectives** (:class:`_ProcCollEngine`): gather-to-root /
   broadcast over a reserved p2p engine; every process then runs the
   ``compute`` step on the full contribution dict, so collectives that
@@ -93,7 +91,6 @@ from . import mailbox
 from .backend import RuntimeBackend
 from .comm import Comm
 from .errors import (
-    ArgumentError,
     CommError,
     CommRevokedError,
     InternalError,
@@ -112,11 +109,6 @@ __all__ = ["ProcBackend", "ProcComm", "ProcWin"]
 #: every operation the thread backend supports but this one rejects
 #: carries this hint in its error message
 _THREAD_ONLY = "is thread-backend only (see docs/backends.md); use backend='thread'"
-
-#: per-round wait bound for ``agree``/``shrink`` when the runtime has no
-#: ``op_timeout_s``: a live-but-wedged coordinator must not hang a
-#: fault-tolerance primitive until ``join_timeout``
-_FT_ROUND_TIMEOUT_S = 5.0
 
 _ATTACH_LOCK = threading.Lock()
 
@@ -493,6 +485,9 @@ def _child_main(
     except Exception:  # pragma: no cover - no shm: parent monitor still detects
         backend.hb_view = None
     _tls.proc = runtime.procs[rank]
+    # built before the pump starts: a peer's revoke or vote is applied to
+    # the registry that comes with the world
+    world = Comm._world(runtime)
     stop = threading.Event()
     pump = threading.Thread(
         target=_pump, args=(backend, runtime, mailbox.Inbox(pipes[rank][0]), stop),
@@ -505,7 +500,6 @@ def _child_main(
             # injected startup delay (repro.faults.proc); the pump is
             # already heartbeating, so peers see a slow rank, not a dead one
             time.sleep(delays[rank])
-        world = Comm._world(runtime)
         payload = fn(world, *args)
     except BaseException as exc:  # noqa: BLE001 - marshalled to the parent
         # pickling drops __traceback__; carry the formatted one as a note
@@ -609,16 +603,6 @@ class _ProcChildBackend(RuntimeBackend):
         self._windows: list["ProcWin"] = []
         #: this process's descriptors of the windows' lock files
         self._lock_files = _LockFiles(lockdir)
-        #: ctx key -> local communicator replica (guarded by runtime.cond);
-        #: lets the pump apply a peer's revoke / complete FT rounds
-        self.comms: dict[Any, "ProcComm"] = {}
-        #: ctx keys revoked before their replica was constructed here
-        self.revoked_ctx: set[Any] = set()
-        #: (ctx, kind, seq) -> coordinator-side round state
-        #: {"votes": {world: contrib}, "value": result-or-None}
-        self.ft_rounds: dict[Any, dict] = {}
-        #: (ctx, kind, seq) -> decided result, participant side
-        self.ft_results: dict[Any, Any] = {}
         #: ranks that announced a *clean* finish (stop heartbeating them)
         self.done_ranks: set[int] = set()
         # -- heartbeat lease state (pump thread only) --
@@ -644,7 +628,7 @@ class _ProcChildBackend(RuntimeBackend):
         raise InternalError("nested spmd inside a proc-backend rank")
 
     def make_world(self, runtime: "Runtime") -> "Comm":
-        return ProcComm(runtime, Group(range(self.nproc)), ("w",), self)
+        return ProcComm(runtime, Group(range(self.nproc)), ("w",))
 
     def win_create(self, comm, local, disp_unit, strict, mpi3):
         view = _local_exposure_view(local)
@@ -825,7 +809,8 @@ class _ProcChildBackend(RuntimeBackend):
             )
 
     def _declare_dead(self, runtime: "Runtime", dead: int, detail: str) -> None:
-        """Local death verdict: mark, poison, and re-drive open FT rounds."""
+        """Local death verdict: mark (the death hooks repair, and re-drive
+        the open ``agree``/``shrink`` rounds) and poison."""
         with runtime.cond:
             if dead == self.rank or dead in runtime.dead_ranks:
                 return
@@ -834,10 +819,6 @@ class _ProcChildBackend(RuntimeBackend):
                 runtime.failed = RankFailedError(
                     f"rank {dead} process died ({detail})"
                 )
-            # the death may make us coordinator of an open round, or
-            # remove the last missing vote
-            for key in list(self.ft_rounds):
-                self._ft_try_complete(runtime, key)
             runtime.notify_progress()
 
     # -- pump dispatch -------------------------------------------------------
@@ -865,113 +846,33 @@ class _ProcChildBackend(RuntimeBackend):
             elif sub == "rank_done":
                 self.done_ranks.add(msg[2])
         elif kind == "ft":
-            sub = msg[1]
-            if sub == "revoke":
-                _, _, ctx_key = msg
-                with runtime.cond:
-                    self.revoked_ctx.add(ctx_key)
-                    comm = self.comms.get(ctx_key)
-                    if comm is not None:
-                        comm._apply_revoke()
-            elif sub == "vote":
-                _, _, key, voter, contrib = msg
-                with runtime.cond:
-                    self._ft_vote(runtime, key, voter, contrib)
-            elif sub == "result":
-                _, _, key, value = msg
-                with runtime.cond:
-                    self._ft_result(runtime, key, value)
-
-    # -- fault-tolerant consensus (coordinator side, under runtime.cond) ----
-    def _ft_vote(self, runtime: "Runtime", key: Any, voter: int, contrib: Any) -> None:
-        state = self.ft_rounds.setdefault(key, {"votes": {}, "value": None})
-        if state["value"] is not None:
-            # a re-vote after the round closed (the voter never heard a
-            # coordinator that died mid-broadcast): answer directly with
-            # the SAME value so outcomes cannot diverge
-            self._ft_send_result(voter, key, state["value"])
-            return
-        state["votes"][voter] = contrib
-        self._ft_try_complete(runtime, key)
-
-    def _ft_try_complete(self, runtime: "Runtime", key: Any) -> None:
-        state = self.ft_rounds.get(key)
-        if state is None or state["value"] is not None:
-            return
-        ctx_key, kind, _seq = key
-        comm = self.comms.get(ctx_key)
-        if comm is None:
-            return
-        live = [w for w in comm.group.members if w not in runtime.dead_ranks]
-        if not live or min(live) != self.rank:
-            return  # not (or no longer) the coordinator
-        if any(w not in state["votes"] for w in live):
-            return
-        if kind == "agree":
-            value = -1  # AND identity (all ones)
-            for w in live:
-                value &= int(state["votes"][w])
-        else:  # shrink: the surviving membership, world-rank ordered
-            value = tuple(sorted(live))
-        state["value"] = value
-        # ascending broadcast order is a correctness invariant: if this
-        # coordinator dies partway, the new coordinator (next-lowest
-        # live rank) is in the already-notified prefix and answers
-        # re-votes from ``state["value"]``
-        for w in live:
-            self._ft_send_result(w, key, value)
-
-    def _ft_send_result(self, voter: int, key: Any, value: Any) -> None:
-        if voter == self.rank:
-            self.ft_results[key] = value
-            self.runtime.notify_progress()
-        else:
-            try:
-                self.send_ctl(voter, ("ft", "result", key, value))
-            except TargetFailedError:
-                pass  # a dead voter needs no result
-
-    def _ft_result(self, runtime: "Runtime", key: Any, value: Any) -> None:
-        self.ft_results[key] = value
-        # mirror into the coordinator-side cache: if the deciding
-        # coordinator died after a partial broadcast, re-votes get routed
-        # here and must be answered with the decided value
-        self.ft_rounds.setdefault(key, {"votes": {}, "value": None})["value"] = value
-        runtime.notify_progress()
-
+            registry = runtime.registry
+            with runtime.cond:
+                if msg[1] == "revoke":
+                    registry.revoke(msg[2])
+                elif msg[1] == "vote":
+                    registry.vote(*msg[2:])
+                elif msg[1] == "result":
+                    registry.decided(*msg[2:])
 
 # ---------------------------------------------------------------------------
 # communicators
 # ---------------------------------------------------------------------------
 
 class ProcComm(Comm):
-    """Per-process communicator replica routing p2p through inbox pipes.
+    """Per-process communicator replica: :class:`Comm` whose p2p and
+    collectives run over the inbox pipes.
 
-    ``context_id`` is a structural tuple, identical on every member
-    process because communicator-management calls are collective and
-    each replica advances the same sub-creation counter in lockstep.
+    Everything else — ``dup``/``split``/``create``, ``revoke``/``agree``/
+    ``shrink`` — is :class:`Comm`'s, run on this process's replica.
     """
 
-    def __init__(
-        self,
-        runtime: "Runtime",
-        group: Group,
-        ctx_key: tuple,
-        backend: _ProcChildBackend,
-    ):
+    def __init__(self, runtime: "Runtime", group: Group, ctx_key: tuple):
         super().__init__(runtime, group, ctx_key)
-        self._backend = backend
+        self._backend: _ProcChildBackend = runtime.backend
         with runtime.cond:
-            backend.register_engine(ctx_key, self._p2p)
+            self._backend.register_engine(ctx_key, self._p2p)
         self._coll = _ProcCollEngine(self)
-        #: ordinal of the next derived communicator (advances identically
-        #: on every member because dup/split/create are collective)
-        self._sub_seq = 0
-        with runtime.cond:
-            backend.comms[ctx_key] = self
-            if ctx_key in backend.revoked_ctx:
-                # a peer revoked this context before our replica existed
-                self._apply_revoke()
 
     # -- p2p -----------------------------------------------------------------
     def send(self, payload: Any, dest: int, tag: int = 0) -> None:
@@ -1003,183 +904,6 @@ class ProcComm(Comm):
             req._finish(None)
         return req
 
-    # -- management ----------------------------------------------------------
-    def _next_sub_seq(self) -> int:
-        with self.runtime.cond:
-            seq = self._sub_seq
-            self._sub_seq += 1
-        return seq
-
-    def dup(self) -> "Comm":
-        seq = self._next_sub_seq()
-        self.barrier()  # collective, like the thread backend's rendezvous
-        return ProcComm(
-            self.runtime, self.group, self.context_id + ("dup", seq),
-            self._backend,
-        )
-
-    def split(self, color: int, key: int = 0) -> "Comm | None":
-        seq = self._next_sub_seq()
-        me_world = self.group.world_rank(self.rank)
-        contribs = self.allgather((color, key, me_world))
-        if color < 0:
-            return None
-        members = sorted(
-            (k, r, w) for r, (c, k, w) in enumerate(contribs) if c == color
-        )
-        grp = Group(w for _k, _r, w in members)
-        return ProcComm(
-            self.runtime, grp, self.context_id + ("split", seq, color),
-            self._backend,
-        )
-
-    def create(self, group: Group) -> "Comm | None":
-        for w in group:
-            if not self.group.contains_world(w):
-                raise ArgumentError(f"create: world rank {w} not in parent {self}")
-        seq = self._next_sub_seq()
-        self.barrier()  # create is collective over the parent
-        if not group.contains_world(current_proc().rank):
-            return None
-        return ProcComm(
-            self.runtime, group, self.context_id + ("create", seq),
-            self._backend,
-        )
-
-    # -- fault tolerance (cross-process ULFM surface) --------------------------
-    def revoke(self) -> None:
-        """Revoke this communicator on every member process.
-
-        Applies locally first (poisoning in-flight operations on this
-        replica), then broadcasts an ``("ft", "revoke", ctx)`` control
-        message to every live peer; their pumps apply it to their
-        replicas — or record the context so a replica constructed later
-        is born revoked.  Idempotent; non-collective, as ULFM requires.
-        """
-        rt = self.runtime
-        rt.check_self_alive()
-        me = current_proc().rank
-        with rt.cond:
-            already = self._revoked
-            self._apply_revoke()
-            self._backend.revoked_ctx.add(self.context_id)
-            peers = [
-                w for w in self.group.members
-                if w != me and w not in rt.dead_ranks
-            ]
-        if already:
-            return
-        for w in peers:
-            try:
-                self._backend.send_ctl(w, ("ft", "revoke", self.context_id))
-            except TargetFailedError:
-                pass  # a dead peer has nothing to revoke
-
-    def _ft_round(self, kind: str, contribution: Any) -> tuple[int, Any]:
-        """One fault-tolerant decision round; returns ``(seq, value)``.
-
-        Coordinator-based consensus over the inbox pipes: every member
-        sends its contribution to the lowest live member, whose *pump*
-        collects votes and broadcasts the decided value (see
-        ``_ProcChildBackend._ft_try_complete`` for why a coordinator
-        dying mid-broadcast cannot cause divergence).  The participant
-        side here tolerates every failure mode the round can see:
-
-        * a member dies → ``failure_ack`` clears the local poisoning and
-          the completion predicate re-evaluates the coordinator;
-        * the *coordinator* dies → the vote is re-sent to the next
-          lowest live rank (which either decides fresh or answers from
-          the already-decided value);
-        * a live-but-wedged coordinator → per-round timeout and re-vote,
-          bounded by ``op_retries``.
-        """
-        rt = self.runtime
-        rt.check_self_alive()
-        rt.failure_ack()
-        backend = self._backend
-        me = current_proc().rank
-        with rt.cond:
-            seq = self._ft_seq(kind)
-        key = (self.context_id, kind, seq)
-        members = list(self.group.members)
-        timeout = (
-            rt.op_timeout_s if rt.op_timeout_s is not None
-            else _FT_ROUND_TIMEOUT_S
-        )
-        attempts = 0
-        voted_to: "int | None" = None
-        while True:
-            with rt.cond:
-                if key in backend.ft_results:
-                    return seq, backend.ft_results[key]
-                live = [w for w in members if w not in rt.dead_ranks]
-                coord = min(live) if live else me
-
-                def moved() -> bool:
-                    if key in backend.ft_results:
-                        return True
-                    live_now = [w for w in members if w not in rt.dead_ranks]
-                    return (min(live_now) if live_now else me) != voted_to
-
-                try:
-                    if coord != voted_to:
-                        voted_to = coord
-                        if coord == me:
-                            backend._ft_vote(rt, key, me, contribution)
-                        else:
-                            # a wedged coordinator's full pipe counts
-                            # against the round's timeout
-                            backend.send_ctl(
-                                coord, ("ft", "vote", key, me, contribution),
-                                timeout,
-                            )
-                    rt.wait_for(
-                        moved, timeout_s=timeout, what=f"{kind} (ft round)"
-                    )
-                except (RankFailedError, TargetFailedError):
-                    pass  # acknowledge below; coordinator re-evaluated
-                except OpTimeoutError:
-                    attempts += 1
-                    if attempts > rt.op_retries:
-                        raise
-                    voted_to = None  # re-send the vote
-            rt.failure_ack()
-            with rt.cond:
-                if rt.failed is not None and not isinstance(
-                    rt.failed, RankFailedError
-                ):
-                    # a local hard failure, not a peer death: surface it
-                    raise RankFailedError(
-                        f"rank failed elsewhere: {rt.failed!r}"
-                    )
-
-    def agree(self, flag: int = 1) -> int:
-        """Fault-tolerant agreement (ULFM ``MPIX_Comm_agree``): bitwise
-        AND of the live members' ``flag`` contributions, decided by the
-        coordinator round in :meth:`_ft_round`.  Completes with dead (or
-        dying) members and on a revoked communicator."""
-        _seq, value = self._ft_round("agree", int(flag))
-        return int(value)
-
-    def shrink(self) -> "Comm":
-        """Re-form a communicator of the survivors (ULFM
-        ``MPIX_Comm_shrink``).
-
-        The coordinator round decides the surviving membership (a
-        world-rank-ordered tuple, identical on every participant); each
-        process then constructs its replica under the structural context
-        key ``parent + ("shrink", seq)``, so windows created on the new
-        communicator get fresh shared-memory tokens.  As in ULFM, a
-        member dying *concurrently* with the decision may survive into
-        the returned membership — the next operation on the new
-        communicator then fails over and the application shrinks again.
-        """
-        seq, live = self._ft_round("shrink", 1)
-        return ProcComm(
-            self.runtime, Group(live),
-            self.context_id + ("shrink", seq), self._backend,
-        )
-
     # -- unsupported surfaces --------------------------------------------------
     def create_intercomm(self, *args: Any, **kw: Any):
         raise CommError(f"Comm.create_intercomm {_THREAD_ONLY}")
@@ -1192,7 +916,7 @@ class _ProcCollEngine:
     called with the giant (process-local) lock held; returns
     ``compute(contribs)`` where ``contribs`` maps comm rank ->
     contribution.  *Every* process runs ``compute`` — object-building
-    collectives (``comm_dup``, ``armci_malloc``, ``win_free``) construct
+    collectives (``armci_malloc``, ``win_free``) construct
     per-process replicas, which is exactly what a distributed runtime
     needs.  Contributions are inserted in rank order so dict-iteration
     dependent computes stay deterministic across processes.

@@ -19,7 +19,6 @@ meaningful.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable
 
 import numpy as np
@@ -328,8 +327,3 @@ def _prefix(
 def _check_root(comm, root: int) -> None:
     if not 0 <= root < comm.size:
         raise RankError(f"root {root} not in [0, {comm.size})")
-
-
-def log2_rounds(p: int) -> int:
-    """Rounds of a binomial-tree collective on ``p`` ranks."""
-    return max(1, math.ceil(math.log2(max(p, 2))))

@@ -1,10 +1,14 @@
 """Communicators: intra- and inter-communicators over the simulated runtime.
 
-One :class:`Comm` object is shared by all of its member rank-threads;
+One :class:`Comm` object is shared by all of its member rank-threads
+(on the proc backend each rank process holds its own replica);
 ``comm.rank`` resolves through the calling thread's :class:`Proc`.  The
 communicator carries
 
-* a context id (isolating p2p matching between communicators, as in MPI),
+* a context id isolating p2p matching between communicators, as in MPI:
+  a structural tuple — ``("w",)`` for the world, the parent's plus
+  ``(kind, seq[, color])`` for a derived communicator — so every
+  process names a communicator alike,
 * a :class:`~repro.mpi.group.Group` of world ranks,
 * a :class:`~repro.mpi.p2p.P2PEngine` and a collective engine.
 
@@ -17,36 +21,58 @@ leaders with ``create_intercomm`` over a bridge communicator, and
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Sequence
 
 import numpy as np
 
 from . import collectives as coll
-from .errors import ArgumentError, CommError, CommRevokedError, RankError
+from .errors import (
+    ArgumentError,
+    CommError,
+    CommRevokedError,
+    OpTimeoutError,
+    RankError,
+    RankKilledError,
+    TargetFailedError,
+)
 from .group import UNDEFINED, Group
 from .p2p import ANY_SOURCE, ANY_TAG, P2PEngine, Request, Status, _ObjStatus
-from .runtime import Runtime, current_proc
+from .runtime import RankFailedError, Runtime, current_proc
+
+#: per-round wait bound for ``agree``/``shrink`` while the coordinator is
+#: in another process and the runtime has no ``op_timeout_s``: a
+#: live-but-wedged coordinator must not hang a fault-tolerance primitive
+#: until ``join_timeout``
+_FT_ROUND_TIMEOUT_S = 5.0
 
 
 class Comm:
     """An intracommunicator (shared object; rank resolved per thread)."""
 
-    def __init__(self, runtime: Runtime, group: Group, context_id: int):
+    def __init__(self, runtime: Runtime, group: Group, context_id: tuple):
         self.runtime = runtime
         self.group = group
         self.context_id = context_id
         self._p2p = P2PEngine(runtime, context_id)
         self._coll = coll.CollectiveEngine(self)
-        #: set by :meth:`revoke`; poisons every op except ``agree``/``shrink``
-        self._revoked = False
         #: per-(kind, world rank) sequence numbers matching successive
-        #: fault-tolerant rendezvous (``agree``/``shrink``) across members
+        #: derivations and fault-tolerant rounds across members
         self._ft_counters: dict = {}
+        with runtime.giant_lock:
+            registry = runtime.registry
+            registry.comms[context_id] = self
+            #: set by :meth:`revoke`; poisons every op except
+            #: ``agree``/``shrink``.  A peer may have revoked the context
+            #: before this replica was built.
+            self._revoked = context_id in registry.revoked
 
     # -- construction -----------------------------------------------------------
     @classmethod
     def _world(cls, runtime: Runtime) -> "Comm":
-        """World communicator for ``runtime`` (backend decides the flavour)."""
+        """World communicator for ``runtime`` (backend decides the
+        flavour); a new world starts a new communicator registry."""
+        runtime.registry = _Registry(runtime)
         return runtime.backend.make_world(runtime)
 
     # -- identity ---------------------------------------------------------------
@@ -231,38 +257,53 @@ class Comm:
             return coll.exscan(self, self.rank, send, op)
 
     # -- communicator management -----------------------------------------------------
+    #
+    # A derived communicator's context id is its parent's plus
+    # ``(kind, seq[, color])``: members derive in the same order, so the
+    # id is the same in every process without a counter shared between
+    # them.  The collective carries only plain data (the new groups);
+    # each member then asks :meth:`_derive` for the communicator, which
+    # on threads is the one object all members share and on procs this
+    # process's replica.
+
+    def _derive(self, group: Group, key: tuple) -> "Comm":
+        """This process's communicator for context ``key``, built by the
+        first member here to ask.  Must hold ``runtime.cond``."""
+        comm = self.runtime.registry.comms.get(key)
+        if comm is None:
+            comm = type(self)(self.runtime, group, key)
+        return comm
+
     def dup(self) -> "Comm":
         """Collective duplicate with a fresh context id."""
         with self.runtime.cond:
             rank = self.rank
-
-            def make(_contrib):
-                return Comm(self.runtime, self.group, self.runtime.alloc_context_id())
-
-            return self._coll.run(rank, "comm_dup", None, make)
+            key = self.context_id + ("dup", self._ft_seq("dup"))
+            self._coll.run(rank, "comm_dup", None, lambda _c: None)
+            return self._derive(self.group, key)
 
     def split(self, color: int, key: int = 0) -> "Comm | None":
         """Collective split; ``color < 0`` (MPI_UNDEFINED) opts out."""
         with self.runtime.cond:
             rank = self.rank
+            seq = self._ft_seq("split")
 
-            def make(contrib: dict[int, tuple[int, int, int]]):
-                by_color: dict[int, list[tuple[int, int, int]]] = {}
+            def by_color(contrib: dict[int, tuple[int, int, int]]) -> dict[int, Group]:
+                members: dict[int, list[tuple[int, int, int]]] = {}
                 for r in range(self.size):
                     c, k, w = contrib[r]
                     if c >= 0:
-                        by_color.setdefault(c, []).append((k, r, w))
-                comms: dict[int, Comm] = {}
-                for c, members in by_color.items():
-                    members.sort()
-                    grp = Group(w for _k, _r, w in members)
-                    comms[c] = Comm(self.runtime, grp, self.runtime.alloc_context_id())
-                return comms
+                        members.setdefault(c, []).append((k, r, w))
+                return {
+                    c: Group(w for _k, _r, w in sorted(ms)) for c, ms in members.items()
+                }
 
-            comms = self._coll.run(
-                rank, "comm_split", (color, key, self.group.world_rank(rank)), make
+            groups = self._coll.run(
+                rank, "comm_split", (color, key, self.group.world_rank(rank)), by_color
             )
-            return comms.get(color) if color >= 0 else None
+            if color < 0:
+                return None
+            return self._derive(groups[color], self.context_id + ("split", seq, color))
 
     def create(self, group: Group) -> "Comm | None":
         """Collective over the parent; returns a comm for members of ``group``."""
@@ -271,12 +312,11 @@ class Comm:
                 raise ArgumentError(f"create: world rank {w} not in parent {self}")
         with self.runtime.cond:
             rank = self.rank
-
-            def make(_contrib):
-                return Comm(self.runtime, group, self.runtime.alloc_context_id())
-
-            newcomm = self._coll.run(rank, "comm_create", None, make)
-            return newcomm if group.contains_world(self.group.world_rank(rank)) else None
+            key = self.context_id + ("create", self._ft_seq("create"))
+            self._coll.run(rank, "comm_create", None, lambda _c: None)
+            if not group.contains_world(self.group.world_rank(rank)):
+                return None
+            return self._derive(group, key)
 
     # -- fault tolerance (ULFM analogues) --------------------------------------
     #
@@ -287,11 +327,13 @@ class Comm:
     # communicator with :class:`CommRevokedError`, and ``agree``/``shrink``
     # are the only operations guaranteed to complete with dead (or
     # revoked) members — which is exactly what recovery code needs to
-    # rendezvous and rebuild.  They deliberately do *not* go through
-    # :class:`~repro.mpi.collectives.CollectiveEngine` (whose contexts are
-    # poisoned by dead members); instead they use a survivor-only
-    # rendezvous in ``runtime.shared`` whose completion predicate is
-    # re-evaluated as ranks die, modeled on :meth:`Intercomm.merge`.
+    # rendezvous and rebuild.  They deliberately do *not* go through the
+    # collective engine (whose contexts are poisoned by dead members):
+    # ``agree``/``shrink`` are a coordinator round (:meth:`_ft_round`)
+    # whose state lives in ``runtime.registry``, decided by the lowest
+    # live member and re-driven as members die.  Where a member runs in
+    # another process (the proc backend), the votes, results and revokes
+    # travel as ``("ft", ...)`` messages over its inbox.
 
     def failure_ack(self) -> None:
         """Acknowledge all currently-known member failures (ULFM
@@ -313,20 +355,33 @@ class Comm:
         operation on this communicator fails with
         :class:`CommRevokedError` on every member, as does every future
         operation except :meth:`agree` and :meth:`shrink`.  Idempotent.
+        Applied here first, then sent to each live member in another
+        process, whose pump applies it to its replica (or records it, so
+        a replica built later is born revoked).
         """
         rt = self.runtime
         rt.check_self_alive()
         rt.fuzz_point("ft:revoke")
         with rt.cond:
+            if self._revoked:
+                return
             self._apply_revoke()
+            peers = [
+                w for w in self.group.members
+                if not rt.hosts(w) and w not in rt.dead_ranks
+            ]
+        for w in peers:
+            try:
+                rt.backend.send_ctl(w, ("ft", "revoke", self.context_id))
+            except TargetFailedError:
+                pass  # a dead peer has nothing to revoke
 
     def _apply_revoke(self) -> None:
         """Mark this communicator revoked and poison in-flight operations.
 
         Must be called with ``runtime.cond`` held.  Idempotent.  Shared
-        by the thread-backend :meth:`revoke` (where every member sees the
-        same object) and the proc backend's pump thread (which applies a
-        peer's revoke to the local replica).
+        by :meth:`revoke` and the proc backend's pump thread (which
+        applies a peer's revoke to the local replica).
         """
         if self._revoked:
             return
@@ -337,9 +392,9 @@ class Comm:
         self.runtime.notify_progress()
 
     def _ft_seq(self, kind: str) -> int:
-        """Next rendezvous sequence number for the calling member.
+        """Next sequence number of ``kind`` for the calling member.
 
-        Each member's *n*-th ``agree`` (or ``shrink``) matches every other
+        Each member's *n*-th ``dup`` (or ``agree``, …) matches every other
         member's *n*-th — the same per-rank counter device the collective
         engine uses for context matching.  Must hold ``runtime.cond``.
         """
@@ -348,95 +403,108 @@ class Comm:
         self._ft_counters[(kind, me)] = idx + 1
         return idx
 
+    def _ft_round(self, kind: str, contribution: Any) -> tuple[int, Any]:
+        """One fault-tolerant decision round; returns ``(seq, value)``.
+
+        Every member votes to the coordinator, the lowest live member: a
+        vote to a coordinator in this process is applied directly, one to
+        a remote coordinator is sent to it.  The coordinator decides once
+        every live vote is in (:meth:`_Registry.vote`).  The member side
+        here tolerates every failure the round can see:
+
+        * a member dies → the death hook re-evaluates the round, and a
+          peer-death poisoning is acknowledged and the wait resumed;
+        * the *coordinator* dies → the vote goes again to the next
+          lowest live member (which decides fresh or answers from the
+          value it was already sent);
+        * a remote coordinator is alive but wedged → per-round timeout
+          (``op_timeout_s``, else 5 s) and re-vote, bounded by
+          ``op_retries``.  A coordinator in this process needs no
+          timeout: its decision runs in whichever thread brings the last
+          vote or death.
+        """
+        rt = self.runtime
+        rt.check_self_alive()
+        rt.fuzz_point("ft:" + kind)
+        rt.failure_ack()
+        reg = rt.registry
+        me = current_proc().rank
+        with rt.cond:
+            seq = self._ft_seq(kind)
+        key = (self.context_id, kind, seq)
+        timeout = (
+            rt.op_timeout_s if rt.op_timeout_s is not None else _FT_ROUND_TIMEOUT_S
+        )
+
+        def coordinator() -> int:
+            live = [w for w in self.group.members if w not in rt.dead_ranks]
+            return min(live) if live else me
+
+        attempts = 0
+        voted_to: "int | None" = None
+        while True:
+            with rt.cond:
+                try:
+                    while key not in reg.results:
+                        coord = coordinator()
+                        if coord != voted_to:
+                            voted_to = coord
+                            if rt.hosts(coord):
+                                reg.vote(key, me, contribution)
+                            else:
+                                # a wedged coordinator's full pipe counts
+                                # against the round's timeout
+                                rt.backend.send_ctl(
+                                    coord, ("ft", "vote", key, me, contribution),
+                                    timeout,
+                                )
+                        rt.wait_for(
+                            lambda: key in reg.results or coordinator() != voted_to,
+                            timeout_s=None if rt.hosts(coord) else timeout,
+                            what=f"{kind} (ft round)",
+                        )
+                    return seq, reg.results[key]
+                except RankKilledError:
+                    raise
+                except (RankFailedError, TargetFailedError):
+                    pass  # acknowledge below; coordinator re-evaluated
+                except OpTimeoutError:
+                    attempts += 1
+                    if attempts > rt.op_retries:
+                        raise
+                    voted_to = None  # re-send the vote
+            rt.failure_ack()
+            with rt.cond:
+                if rt.failed is not None and not isinstance(rt.failed, RankFailedError):
+                    # a local hard failure, not a peer death: surface it
+                    raise RankFailedError(f"rank failed elsewhere: {rt.failed!r}")
+
     def agree(self, flag: int = 1) -> int:
         """Fault-tolerant agreement (ULFM ``MPIX_Comm_agree``).
 
         Returns the bitwise AND of the ``flag`` contributions of all
         *live* members.  Completes even when members are dead or die
-        mid-operation: the completion predicate is re-evaluated each time
-        a member dies, so a contribution that will never arrive stops
-        being waited for.  Acknowledges known failures on entry.
+        mid-operation, and on a revoked communicator.  Acknowledges
+        known failures on entry.
         """
-        rt = self.runtime
-        rt.check_self_alive()
-        rt.fuzz_point("ft:agree")
-        rt.failure_ack()
-        with rt.cond:
-            me = current_proc().rank
-            key = ("ft_agree", self.context_id, self._ft_seq("agree"))
-            state = rt.shared.get(key)
-            if state is None:
-                state = {"contrib": {}, "value": None, "done": False, "departed": 0}
-                rt.shared[key] = state
-            state["contrib"][me] = int(flag)
-            rt.notify_progress()
-            members = list(self.group.members)
-
-            def complete() -> bool:
-                if state["done"]:
-                    return True
-                live = [w for w in members if w not in rt.dead_ranks]
-                if live and all(w in state["contrib"] for w in live):
-                    value = -1  # AND identity (all ones)
-                    for w in live:
-                        value &= state["contrib"][w]
-                    state["value"] = value
-                    state["done"] = True
-                    rt.notify_progress()
-                    return True
-                return False
-
-            rt.wait_for(complete, what="agree")
-            value: int = state["value"]
-            state["departed"] += 1
-            live_now = [w for w in members if w not in rt.dead_ranks]
-            if state["departed"] >= len(live_now):
-                rt.shared.pop(key, None)
-            return value
+        return int(self._ft_round("agree", int(flag))[1])
 
     def shrink(self) -> "Comm":
         """Re-form a communicator of the survivors (ULFM
         ``MPIX_Comm_shrink``).
 
-        Collective over the *live* members only.  Returns a new
-        communicator containing every surviving member, densely re-ranked
-        in world-rank order (rank ``i`` of the new communicator is the
-        ``i``-th smallest surviving world rank).  Acknowledges known
+        Collective over the *live* members only.  The round decides the
+        surviving membership; the new communicator (context
+        ``parent + ("shrink", seq)``) is densely re-ranked in world-rank
+        order (rank ``i`` is the ``i``-th smallest surviving world rank).
+        As in ULFM, a member dying *concurrently* with the decision may
+        survive into it — the next operation on the new communicator then
+        fails over and the application shrinks again.  Acknowledges known
         failures on entry; works on a revoked communicator.
         """
-        rt = self.runtime
-        rt.check_self_alive()
-        rt.fuzz_point("ft:shrink")
-        rt.failure_ack()
-        with rt.cond:
-            me = current_proc().rank
-            key = ("ft_shrink", self.context_id, self._ft_seq("shrink"))
-            state = rt.shared.get(key)
-            if state is None:
-                state = {"arrived": set(), "comm": None, "departed": 0}
-                rt.shared[key] = state
-            state["arrived"].add(me)
-            rt.notify_progress()
-            members = list(self.group.members)
-
-            def complete() -> bool:
-                if state["comm"] is not None:
-                    return True
-                live = [w for w in members if w not in rt.dead_ranks]
-                if live and set(live) <= state["arrived"]:
-                    state["comm"] = Comm(
-                        rt, Group(sorted(live)), rt.alloc_context_id()
-                    )
-                    rt.notify_progress()
-                    return True
-                return False
-
-            rt.wait_for(complete, what="shrink")
-            newcomm: Comm = state["comm"]
-            state["departed"] += 1
-            if state["departed"] >= newcomm.size:
-                rt.shared.pop(key, None)
-            return newcomm
+        seq, live = self._ft_round("shrink", None)
+        with self.runtime.cond:
+            return self._derive(Group(live), self.context_id + ("shrink", seq))
 
     # -- intercommunicators --------------------------------------------------------
     def create_intercomm(
@@ -477,6 +545,108 @@ class Comm:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Comm size={self.size} ctx={self.context_id}>"
+
+
+class _Registry:
+    """This process's communicators by context id, and the ``agree``/
+    ``shrink`` rounds decided here.
+
+    One per world (:meth:`Comm._world` installs it as
+    ``runtime.registry``); guarded by ``runtime.cond``.  On threads every
+    member uses the one registry, so a derivation yields the one object
+    all members share and every round is decided in-process.  On procs
+    each rank process has its own: the replicas of that process, and the
+    rounds whose coordinator runs there (or whose result arrived there).
+    """
+
+    def __init__(self, runtime: Runtime):
+        self.runtime = runtime
+        #: context id -> communicator (weak: a freed communicator leaves)
+        self.comms: "weakref.WeakValueDictionary[tuple, Comm]" = (
+            weakref.WeakValueDictionary()
+        )
+        #: context ids a peer revoked; a replica built later is born revoked
+        self.revoked: set[tuple] = set()
+        #: (ctx, kind, seq) -> coordinator-side state
+        #: {"votes": {world rank: contribution}, "value": result-or-None}
+        self.rounds: dict[tuple, dict] = {}
+        #: (ctx, kind, seq) -> decided value, for the voters hosted here
+        self.results: dict[tuple, Any] = {}
+        runtime.add_death_hook(self._on_death)
+
+    def _on_death(self, _world_rank: int) -> None:
+        # the death may make this process coordinator of an open round,
+        # or remove the last missing vote
+        for key in list(self.rounds):
+            self._try_complete(key)
+
+    def revoke(self, ctx: tuple) -> None:
+        """Apply a peer's revoke of ``ctx`` (proc pump)."""
+        self.revoked.add(ctx)
+        comm = self.comms.get(ctx)
+        if comm is not None:
+            comm._apply_revoke()
+
+    def vote(self, key: tuple, voter: int, contribution: Any) -> None:
+        """Record ``voter``'s vote in round ``key``; decide if it was the last."""
+        state = self.rounds.setdefault(key, {"votes": {}, "value": None})
+        if state["value"] is not None:
+            # a re-vote after the round closed (the voter never heard a
+            # coordinator that died mid-broadcast): answer directly with
+            # the SAME value so outcomes cannot diverge
+            self._send_result(voter, key, state["value"])
+            return
+        state["votes"][voter] = contribution
+        self.runtime.notify_progress()
+        self._try_complete(key)
+
+    def decided(self, key: tuple, value: Any) -> None:
+        """A remote coordinator's result for round ``key`` arrived (proc pump)."""
+        self.results[key] = value
+        # mirror into the coordinator-side state: if the deciding
+        # coordinator died after a partial broadcast, re-votes get routed
+        # here and must be answered with the decided value
+        self.rounds.setdefault(key, {"votes": {}, "value": None})["value"] = value
+        self.runtime.notify_progress()
+
+    def _try_complete(self, key: tuple) -> None:
+        state = self.rounds.get(key)
+        if state is None or state["value"] is not None:
+            return
+        ctx, kind, _seq = key
+        comm = self.comms.get(ctx)
+        if comm is None:
+            return
+        rt = self.runtime
+        live = sorted(w for w in comm.group.members if w not in rt.dead_ranks)
+        if not live or not rt.hosts(live[0]):
+            return  # not (or no longer) the coordinator
+        if any(w not in state["votes"] for w in live):
+            return
+        if kind == "agree":
+            value = -1  # AND identity (all ones)
+            for w in live:
+                value &= int(state["votes"][w])
+        else:  # shrink: the surviving membership, world-rank ordered
+            value = tuple(live)
+        state["value"] = value
+        # ascending broadcast order is a correctness invariant: if this
+        # coordinator dies partway, the new coordinator (next-lowest
+        # live rank) is in the already-notified prefix and answers
+        # re-votes from ``state["value"]``
+        for w in live:
+            self._send_result(w, key, value)
+
+    def _send_result(self, voter: int, key: tuple, value: Any) -> None:
+        rt = self.runtime
+        if rt.hosts(voter):
+            self.results[key] = value
+            rt.notify_progress()
+            return
+        try:
+            rt.backend.send_ctl(voter, ("ft", "result", key, value))
+        except TargetFailedError:
+            pass  # a dead voter needs no result
 
 
 class Intercomm:
@@ -559,7 +729,9 @@ class Intercomm:
                 members = (
                     list(local_first[0].members) + list(local_first[1].members)
                 )
-                state["result"] = Comm(rt, Group(members), rt.alloc_context_id())
+                state["result"] = Comm(
+                    rt, Group(members), ("merge", rt.alloc_context_id())
+                )
                 rt.notify_progress()
             else:
                 rt.wait_for(lambda: state["result"] is not None)

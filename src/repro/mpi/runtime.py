@@ -215,6 +215,9 @@ class Runtime:
         #: registry used by collective-matching and window creation;
         #: maps arbitrary keys to in-flight collective state.
         self.shared: dict[Any, Any] = {}
+        #: this run's communicators by context id and its agree/shrink
+        #: rounds (``repro.mpi.comm._Registry``), installed with the world
+        self.registry: Any = None
         #: optional RMA sanitizer (``repro.sanitizer``) consulted by windows
         self.sanitizer = None
         self._schedule = self._faults = None
@@ -382,9 +385,16 @@ class Runtime:
         return all(p.blocked or p.finished for p in self.procs if p is not current_proc())
 
     def alloc_context_id(self) -> int:
-        """Unique id for a new communicator (must hold :attr:`cond`)."""
+        """Unique number for a context id no derivation names: an
+        intercommunicator's, or a merged or singleton communicator's
+        (must hold :attr:`cond`)."""
         self._next_context_id += 1
         return self._next_context_id
+
+    def hosts(self, world_rank: int) -> bool:
+        """True if ``world_rank`` runs in this OS process (every rank does
+        on threads; only the child's own rank on procs)."""
+        return self.local_ranks is None or world_rank in self.local_ranks
 
     # -- fault handling --------------------------------------------------------
     def mark_dead(self, world_rank: int) -> None:

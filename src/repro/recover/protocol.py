@@ -106,13 +106,7 @@ def _local_parties(comm) -> int:
     rendezvous bookkeeping in ``runtime.shared`` must only wait for
     those.
     """
-    rt = comm.runtime
-    if rt.local_ranks is None:
-        return comm.size
-    return sum(
-        1 for r in range(comm.size)
-        if comm.group.world_rank(r) in rt.local_ranks
-    )
+    return sum(1 for w in comm.group.members if comm.runtime.hosts(w))
 
 
 def recover(armci: Armci, *, rebuild: bool = True) -> "tuple[Armci, RecoveryReport]":

@@ -77,9 +77,6 @@ class SimClock:
         self.now = 0.0
         self._log.clear()
 
-    def enable_log(self, limit: int = 100_000) -> None:
-        self._log_limit = limit
-
     @property
     def events(self) -> list[TimedEvent]:
         return list(self._log)

@@ -57,10 +57,6 @@ class Platform:
     def cores_per_node(self) -> int:
         return self.sockets_per_node * self.cores_per_socket
 
-    @property
-    def total_cores(self) -> int:
-        return self.nodes * self.cores_per_node
-
     def table2_row(self) -> tuple[str, str, str, str, str, str]:
         """This platform formatted as its Table II row."""
         return (

@@ -429,6 +429,18 @@ def test_procwin_is_memory_and_locks():
     assert Runtime(1).spmd(body) == [[]]
 
 
+def test_proccomm_is_its_transport():
+    """Structural guard (ROADMAP aim 2, one concept / one implementation):
+    communicator management and the ULFM surface are Comm's alone, and
+    the round state lives once, in the communicator registry."""
+    from repro.mpi.backend_proc import ProcComm, _ProcChildBackend
+
+    ops = {"dup", "split", "create", "revoke", "agree", "shrink"}
+    assert ops & set(vars(ProcComm)) == set()
+    backend = _ProcChildBackend(0, 1, None, "", "guard")
+    assert {"ft_rounds", "ft_results"} & set(vars(backend)) == set()
+
+
 # ---------------------------------------------------------------------------
 # the contended flock wait and the cached lock descriptors
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from repro.mpi.errors import (
 )
 from repro.mpi.progress import DeterministicSchedule
 from repro.mpi.runtime import Runtime
-from repro.sanitizer.fuzz import run_schedule
+from repro.sanitizer.fuzz import fuzz_schedules, run_schedule
 
 NPROC = 3
 SEED = 2012
@@ -345,10 +345,14 @@ def test_ft_failure_ack_and_get_acked():
     assert results[0] == results[1] == "ok"
 
 
-def test_ft_revoke_poisons_operations_with_a_typed_error():
+@pytest.mark.parametrize("backend", ["thread", "proc"])
+def test_ft_revoke_poisons_operations_with_a_typed_error(backend):
     """After any member revokes, every other member's operation fails with
-    :class:`CommRevokedError` — but ``agree`` and ``shrink`` still work."""
-    rt = Runtime(NPROC, watchdog_s=2.0)
+    :class:`CommRevokedError` — but ``agree`` and ``shrink`` still work.
+    (Procs reject an ambient sanitizer or injector, so they get none.)"""
+    rt = Runtime(
+        NPROC, watchdog_s=2.0, backend=backend, apply_hooks=backend == "thread"
+    )
 
     def body(comm):
         if comm.rank == 0:
@@ -362,7 +366,7 @@ def test_ft_revoke_poisons_operations_with_a_typed_error():
         new.barrier()
         return "ok"
 
-    assert rt.spmd(body) == ["ok"] * NPROC
+    assert rt.spmd(body, join_timeout=120.0) == ["ok"] * NPROC
 
 
 def test_ft_shrink_densely_reranks_survivors():
@@ -383,6 +387,45 @@ def test_ft_shrink_densely_reranks_survivors():
         return new.rank
 
     assert rt.spmd(body) == [0, None, 1, 2]
+
+
+def _coordinator_dies_mid_agree(comm):
+    """Rank 0 — the lowest live rank, hence the coordinator — votes 0 in
+    ``agree`` and is marked dead before ranks 1-3 vote."""
+    rt = comm.runtime
+    if comm.rank == 0:
+        comm.agree(0)  # raises RankKilledError once marked dead
+        raise AssertionError("the dead coordinator's agree returned")
+    with rt.cond:
+        if comm.rank == 1:
+            rounds = rt.registry.rounds
+            rt.wait_for(
+                lambda: any(0 in r["votes"] for r in rounds.values()),
+                what="rank 0's vote",
+            )
+            rt.mark_dead(0)
+        else:
+            rt.wait_for(lambda: 0 in rt.dead_ranks, what="rank 0's death")
+    value = comm.agree(0b1111 ^ (1 << comm.rank))
+    new = comm.shrink()
+    new.barrier()
+    return value, new.rank, new.size
+
+
+# the survivors' flags 0b1101 & 0b1011 & 0b0111; the dead vote (0) is dropped
+_COORDINATOR_DIES = [None, (1, 0, 3), (1, 1, 3), (1, 2, 3)]
+
+
+def test_ft_agree_fails_over_when_the_coordinator_dies():
+    assert Runtime(4, watchdog_s=2.0).spmd(_coordinator_dies_mid_agree) == (
+        _COORDINATOR_DIES
+    )
+
+
+def test_ft_agree_coordinator_failover_under_fuzzed_schedules():
+    reports = fuzz_schedules(_coordinator_dies_mid_agree, 4, nschedules=16)
+    assert [r.error for r in reports if not r.ok] == []
+    assert all(r.results == _COORDINATOR_DIES for r in reports)
 
 
 # -- the recover matrix ------------------------------------------------------------

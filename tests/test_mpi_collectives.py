@@ -7,8 +7,22 @@ import pytest
 
 from repro import mpi
 from repro.mpi.errors import ArgumentError, InternalError, RankError
+from repro.mpi.runtime import Runtime
 
 from conftest import spmd
+
+#: communicator management is one implementation (``Comm``) on both
+#: backends, so its tests run on both
+BACKENDS = ["thread", "proc"]
+
+
+def spmd_on(backend, nproc, fn):
+    """:func:`spmd` on ``backend``: one forked process per rank for
+    ``proc``, with no ambient sanitizer or injector (procs reject both)."""
+    if backend == "thread":
+        return spmd(nproc, fn)
+    rt = Runtime(nproc, backend="proc", apply_hooks=False)
+    return rt.spmd(fn, join_timeout=120.0)
 
 
 def test_barrier_all_ranks():
@@ -159,6 +173,24 @@ def test_mismatched_collectives_raise():
         spmd(2, main)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("derive", ["dup", "create"])
+def test_derivation_cannot_match_another_collective(backend, derive):
+    """A ``dup``/``create`` is a collective of its own kind: against a
+    ``barrier`` it raises, as any mismatched pair does, instead of handing
+    rank 0 a communicator rank 1 never built."""
+
+    def main(comm):
+        if comm.rank == 0:
+            new = comm.dup() if derive == "dup" else comm.create(comm.group)
+            return derive, new.context_id
+        comm.barrier()
+        return "barrier", None
+
+    with pytest.raises(InternalError, match="collective mismatch"):
+        spmd_on(backend, 2, main)
+
+
 def test_invalid_root_raises():
     def main(comm):
         with pytest.raises(RankError):
@@ -172,7 +204,8 @@ def test_invalid_root_raises():
 # ---------------------------------------------------------------------------
 
 
-def test_dup_isolates_p2p():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_dup_isolates_p2p(backend):
     def main(comm):
         dup = comm.dup()
         assert dup.context_id != comm.context_id
@@ -185,10 +218,11 @@ def test_dup_isolates_p2p():
             obj, _ = comm.recv(source=0, tag=1)
             assert obj == "on-comm"
 
-    spmd(2, main)
+    spmd_on(backend, 2, main)
 
 
-def test_split_by_parity():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_split_by_parity(backend):
     def main(comm):
         sub = comm.split(color=comm.rank % 2, key=-comm.rank)
         assert sub.size == 2
@@ -200,10 +234,11 @@ def test_split_by_parity():
         total = sub.allreduce(np.array([comm.rank]))
         assert total[0] == sum(expected_world)
 
-    spmd(4, main)
+    spmd_on(backend, 4, main)
 
 
-def test_split_undefined_color():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_split_undefined_color(backend):
     def main(comm):
         sub = comm.split(color=0 if comm.rank == 0 else -1)
         if comm.rank == 0:
@@ -211,10 +246,11 @@ def test_split_undefined_color():
         else:
             assert sub is None
 
-    spmd(3, main)
+    spmd_on(backend, 3, main)
 
 
-def test_comm_create_subgroup():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_comm_create_subgroup(backend):
     def main(comm):
         grp = comm.group.incl([1, 2])
         sub = comm.create(grp)
@@ -225,7 +261,7 @@ def test_comm_create_subgroup():
         else:
             assert sub is None
 
-    spmd(4, main)
+    spmd_on(backend, 4, main)
 
 
 def test_rank_outside_subcomm_raises():
