@@ -491,7 +491,10 @@ class Armci:
         (``issue`` takes ``flush=True`` to complete them itself).
 
         mpi2: the §V-C pattern — a lock/unlock epoch of its own, shared
-        where the GMR's access mode (§VIII-A) permits ``kind`` to be.
+        where the GMR's access mode (§VIII-A) permits ``kind`` to be.  One
+        :meth:`_issue` call (``issue`` is it) takes its epoch along,
+        ``lock=mode``: lock, op and unlock are one window transaction
+        (see ``Win._fuses``); several calls share a ``lock``/``unlock``.
         mpi3: drain queued nb ops to the target (per-location program
         order; at once while none are queued), then ``issue(*args,
         flush=True)`` into the GMR's standing ``lock_all`` epoch: the op
@@ -502,8 +505,12 @@ class Armci:
             self._nbq.drain(gmr, win_rank)
             issue(*args, flush=True)
             return
+        mode = gmr.access_mode.lock_mode(kind)
+        if issue is self._issue:
+            issue(*args, lock=mode)
+            return
         win = gmr.win
-        win.lock(win_rank, gmr.access_mode.lock_mode(kind))
+        win.lock(win_rank, mode)
         try:
             issue(*args)
         finally:
@@ -511,25 +518,27 @@ class Armci:
 
     @staticmethod
     def _issue(
-        win: Win, kind, data, win_rank, disp, origin_t=None, target_t=None, flush=False
+        win: Win, kind, data, win_rank, disp, origin_t=None, target_t=None,
+        flush=False, lock=None,
     ) -> None:
         """The one place ARMCI-MPI calls MPI RMA on a GMR window (epoch NOT
-        managed; ``flush``: the op completes before returning); the
-        datatypes default to contiguous bytes / elements."""
+        managed, unless ``lock`` names the mode of one of its own;
+        ``flush``: the op completes before returning); the datatypes
+        default to contiguous bytes / elements."""
         if kind == "put":
             win.put(
                 data, win_rank, disp, target_datatype=target_t,
-                origin_datatype=origin_t, flush=flush,
+                origin_datatype=origin_t, flush=flush, lock=lock,
             )
         elif kind == "get":
             win.get(
                 data, win_rank, disp, target_datatype=target_t,
-                origin_datatype=origin_t, flush=flush,
+                origin_datatype=origin_t, flush=flush, lock=lock,
             )
         else:
             win.accumulate(
                 data, win_rank, disp, op="MPI_SUM",
-                target_datatype=target_t, origin_datatype=origin_t, flush=flush,
+                target_datatype=target_t, origin_datatype=origin_t, flush=flush, lock=lock,
             )
 
     def _transfer(

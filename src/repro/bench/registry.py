@@ -207,11 +207,15 @@ def load_baseline(bench: Bench, path: "str | os.PathLike | None" = None) -> dict
 
 
 def _leftovers() -> "set[str]":
-    """What a finished proc-backend run must not leave behind."""
+    """What a finished proc-backend run of this process must not leave
+    behind: the segments and lock directories named after its runs
+    (``repro-<pid>x<n>-…``, ``repro-proc-<pid>x…``) and its children —
+    never another process's, which may be running beside it."""
     tmp = tempfile.gettempdir()
+    mine = f"{os.getpid()}x"
     return {
-        *glob.glob("/dev/shm/repro-*"),
-        *glob.glob(os.path.join(tmp, "repro-proc-*")),
+        *glob.glob(f"/dev/shm/repro-{mine}*"),
+        *glob.glob(os.path.join(tmp, f"repro-proc-{mine}*")),
         *(f"child process {p.pid}" for p in multiprocessing.active_children()),
     }
 

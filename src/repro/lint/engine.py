@@ -48,6 +48,16 @@ _LEAKABLE = {
 }
 
 
+def _in_own_epoch(call: ast.Call) -> bool:
+    """Whether a put/get/accumulate names a ``lock=`` mode: it runs in an
+    epoch of its own, as ``lock``; the op; ``unlock`` would."""
+    return any(
+        kw.arg == "lock"
+        and not (isinstance(kw.value, ast.Constant) and kw.value.value is None)
+        for kw in call.keywords
+    )
+
+
 class _Block:
     """Result of executing a statement block."""
 
@@ -814,7 +824,14 @@ class FunctionAnalyzer:
             return None
         if m in WIN_OP_METHODS:
             arg_bindings = self.scan_args(call, st, escape=False)
-            if not esc and not self._epoch_on(wid, st.may):
+            if _in_own_epoch(call):  # lock=mode: lock, the op and unlock
+                if not esc and self._epoch_on(wid, st.must):
+                    self.emit(
+                        call, ViolationKind.LOCK_NESTING,
+                        f"'{m}' with lock= while an epoch is already open on "
+                        "this window (MPI-2 allows one lock per window per process)",
+                    )
+            elif not esc and not self._epoch_on(wid, st.may):
                 self.emit(
                     call, ViolationKind.EPOCH,
                     f"'{m}' outside any access epoch on this window "

@@ -207,12 +207,14 @@ class ProcBackend(RuntimeBackend):
             injector = runtime.faults
         nproc = runtime.nproc
         ctx = get_context("fork")
-        lockdir = tempfile.mkdtemp(prefix="repro-proc-")
+        run_id = f"{os.getpid()}x{next(self._run_counter)}"
+        # named after the run, as its segments are, so a leak check can
+        # tell this process's leftovers from a concurrent run's
+        lockdir = tempfile.mkdtemp(prefix=f"repro-proc-{run_id}-")
         # one inbox pipe per rank, then the result channel to this process
         pipes = [os.pipe2(os.O_NONBLOCK | os.O_CLOEXEC) for _ in range(nproc + 1)]
         ends = {fd for pair in pipes for fd in pair}
         outbox = None
-        run_id = f"{os.getpid()}x{next(self._run_counter)}"
         # per-rank heartbeat leases: nproc slots of (pid, monotonic_ns),
         # created zeroed here so every child can attach before its peers
         # have written anything

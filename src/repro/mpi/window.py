@@ -23,6 +23,11 @@ design (§III, §V):
   out completion-semantics bugs.  A put/get/accumulate/fetch_and_op
   issued with ``flush=True`` completes before it returns, as if
   ``flush(target)`` followed it, so its get lands in the buffer at once.
+  A put/get/accumulate issued with ``lock=LOCK_SHARED|LOCK_EXCLUSIVE``
+  runs in an epoch of its own, as ``lock(target, mode)``, the op and
+  ``unlock(target)`` would (the MPI-2 pattern of §V-C); it completes
+  before it returns too.  Both are one window transaction on a plain
+  runtime (see ``Win._fuses``).
 * **Local load/store** of exposed memory requires an exclusive self-lock
   when strict checking is on (the public/private window-copy rule of
   §III that motivated the ARMCI DLA extension).
@@ -537,9 +542,19 @@ class Win:
         """Take ``target_rank``'s lock for ``origin`` (``runtime.cond`` held;
         waiting lets go of it).  With :meth:`_release` the only lock code a
         backend supplies — here the FIFO grant of the target's
-        :class:`_LockState`.  Returns what :meth:`_release` gets back."""
+        :class:`_LockState`.  Returns what :meth:`_release` gets back.
+
+        A free lock (no queue, a compatible mode) is granted without
+        queueing, once the raises a wait makes before it first tests its
+        predicate have been made; anything else waits its turn.
+        """
         rt = self.runtime
         ls = self._locks[target_rank]
+        if not ls.queue and (ls.mode is None or ls.mode == mode == LOCK_SHARED):
+            rt.wait_for(_granted)
+            ls.mode = mode
+            ls.holders.add(origin)
+            return None
         target_world = self._world_of[target_rank]
         queued_alive = target_world not in rt.dead_ranks
 
@@ -618,28 +633,66 @@ class Win:
 
     def lock(self, target_rank: int, mode: str = LOCK_EXCLUSIVE) -> None:
         """Begin a passive-target access epoch (MPI_Win_lock)."""
-        if mode not in (LOCK_SHARED, LOCK_EXCLUSIVE):
-            raise ArgumentError(f"unknown lock mode {mode!r}")
+        _check_lock_mode(mode)
         self._check_target(target_rank)
         rt = self.runtime
-        origin = current_proc().rank
         with rt.cond:
-            if self.comm.group.rank_of_world(origin) < 0:
-                raise WinError(
-                    f"world rank {origin} is not in this window's group and "
-                    "cannot open an access epoch on it"
-                )
-            self._check_alive()
-            rt.check_self_alive()
-            self._check_nesting(origin, "lock", target_rank)
-            if self._world_of[target_rank] in rt.dead_ranks:
-                raise TargetFailedError(
-                    f"lock: target rank {target_rank} of win {self.win_id} has failed"
-                )
-            self._open_epoch(origin, target_rank, mode)
-            self._open[origin] = target_rank
+            self._begin(current_proc().rank, target_rank, mode)
             rt.notify_progress()
         self._charge_sync("lock")
+
+    def _begin(self, origin: int, target_rank: int, mode: str) -> None:
+        """The section of :meth:`lock` (``runtime.cond`` held): its rules,
+        then the lock, recorded as ``origin``'s epoch and its one lock."""
+        rt = self.runtime
+        if self.comm.group.rank_of_world(origin) < 0:
+            raise WinError(
+                f"world rank {origin} is not in this window's group and "
+                "cannot open an access epoch on it"
+            )
+        self._check_alive()
+        rt.check_self_alive()
+        self._check_nesting(origin, "lock", target_rank)
+        if self._world_of[target_rank] in rt.dead_ranks:
+            raise TargetFailedError(
+                f"lock: target rank {target_rank} of win {self.win_id} has failed"
+            )
+        self._open_epoch(origin, target_rank, mode)
+        self._open[origin] = target_rank
+
+    def _own_lock(self, target_rank: int, mode: str, fused: bool) -> None:
+        """Open the epoch of an op issued with ``lock=mode``: :meth:`lock`
+        itself or, fused (see :meth:`_fuses`), its section — left holding
+        ``runtime.giant_lock`` for the op, until :meth:`_own_unlock`."""
+        if not fused:
+            self.lock(target_rank, mode)
+            return
+        self._check_target(target_rank)
+        rt = self.runtime
+        rt.giant_lock.acquire()
+        try:
+            self._begin(current_proc().rank, target_rank, mode)
+        except BaseException:
+            rt.giant_lock.release()
+            raise
+        self._charge_sync("lock")
+
+    def _own_unlock(self, target_rank: int, fused: bool) -> None:
+        """Close what :meth:`_own_lock` opened: :meth:`unlock` itself or,
+        fused, the epoch — nothing in it is pending, a get has landed — and
+        with it the section."""
+        if not fused:
+            self.unlock(target_rank)
+            return
+        rt = self.runtime
+        origin = current_proc().rank
+        try:
+            self._drop_epoch((origin, target_rank))
+            self._open.pop(origin, None)  # (gone if the origin was killed)
+            rt.notify_progress()
+        finally:
+            rt.giant_lock.release()
+        self._charge_sync("unlock")
 
     def unlock(self, target_rank: int) -> None:
         """End the access epoch; completes all ops locally and remotely."""
@@ -819,20 +872,31 @@ class Win:
             self.runtime.notify_progress()
         self._charge_sync("flush")
 
-    def _fuses(self, flush: bool) -> bool:
-        """Whether an op that completes itself (``flush=True``) runs as one
-        section with its flush — the one place this is decided.
+    def _fuses(self, flush: bool, lock: "str | None" = None) -> bool:
+        """Whether an op that completes itself runs as one section with its
+        synchronisation — the one place this is decided.  ``flush=True``:
+        the op and a following :meth:`flush`.  ``lock=mode``: the op in an
+        epoch of its own, ``lock(target, mode)``, the op and
+        ``unlock(target)``.
 
         No other origin runs inside one section, so none can observe the
         op's footprint: a fused op is checked against every rule, but its
         footprint is not recorded.  With a schedule or fault injector
-        installed (:attr:`Runtime.fuzzing`) the op and a :meth:`flush`
-        stay two sections with a fuzz point between them, so the fuzzer
-        can still run another origin there.
+        installed (:attr:`Runtime.fuzzing`) the op and its flush, or its
+        lock, the op and its unlock, stay separate sections with fuzz
+        points between them, so the fuzzer can still run another origin
+        there.
         """
-        if not flush:
+        if lock is not None:
+            if flush:
+                raise ArgumentError(
+                    "flush=True with lock=: an op in an epoch of its own "
+                    "completes at its unlock"
+                )
+            _check_lock_mode(lock)
+        elif not flush:
             return False
-        if not self.mpi3:
+        elif not self.mpi3:
             self._require_mpi3("flush")
         return not self.runtime.fuzzing
 
@@ -911,18 +975,22 @@ class Win:
         origin_count: int = 1,
         *,
         flush: bool = False,
+        lock: "str | None" = None,
     ) -> None:
         """One-sided put (MPI_Put); completes at unlock or flush, or before
-        it returns with ``flush=True`` (see :meth:`_fuses`)."""
-        fused = self._fuses(flush)
+        it returns with ``flush=True`` or in an epoch of its own with
+        ``lock=LOCK_SHARED|LOCK_EXCLUSIVE`` (see :meth:`_fuses`)."""
+        fused = self._fuses(flush, lock)
         rt = self.runtime
+        if lock is not None:
+            self._own_lock(target_rank, lock, fused)
         try:
             view, omap, segmap, nbytes = self._op_maps(
                 "put", origin, origin_datatype, origin_count,
                 target_rank, target_offset, target_datatype, target_count,
             )
             with rt.giant_lock:
-                epoch = self._require_epoch(target_rank, "put", fused)
+                epoch = self._require_epoch(target_rank, "put", fused and flush)
                 self._record_access(epoch, "put", None, segmap, origin, not fused)
                 buf = self._buffers[target_rank]
                 if fused or rt.faults is None:  # (fused: no injector)
@@ -936,14 +1004,17 @@ class Win:
                 op_index = epoch.op_count
                 epoch.op_count += 1
                 epoch.bytes_moved += nbytes
-                if fused:
+                if fused and flush:
                     self._complete(epoch)
-                rt.notify_progress()
+                if not (fused and lock):  # (else the unlock's ends the section)
+                    rt.notify_progress()
             self._charge_op("put", nbytes, segmap.nsegments, op_index)
         finally:
-            if flush and not fused:
+            if lock is not None:
+                self._own_unlock(target_rank, fused)
+            elif flush and not fused:
                 self.flush(target_rank)
-        if fused:
+        if fused and flush:
             self._charge_sync("flush")
 
     def get(
@@ -957,19 +1028,22 @@ class Win:
         origin_count: int = 1,
         *,
         flush: bool = False,
+        lock: "str | None" = None,
     ) -> None:
         """One-sided get (MPI_Get); data lands in ``origin`` when the get
         completes: at unlock/flush/request wait, or before it returns with
-        ``flush=True`` (see :meth:`_fuses`)."""
-        fused = self._fuses(flush)
+        ``flush=True`` or ``lock=mode`` (see :meth:`_fuses`)."""
+        fused = self._fuses(flush, lock)
         rt = self.runtime
+        if lock is not None:
+            self._own_lock(target_rank, lock, fused)
         try:
             view, omap, segmap, nbytes = self._op_maps(
                 "get", origin, origin_datatype, origin_count,
                 target_rank, target_offset, target_datatype, target_count,
             )
             with rt.giant_lock:
-                epoch = self._require_epoch(target_rank, "get", fused)
+                epoch = self._require_epoch(target_rank, "get", fused and flush)
                 self._record_access(epoch, "get", None, segmap, origin, not fused)
                 # the target is read when the get completes, which is where
                 # MPI places it; an injector filters a payload staged now
@@ -986,14 +1060,17 @@ class Win:
                 op_index = epoch.op_count
                 epoch.op_count += 1
                 epoch.bytes_moved += nbytes
-                if fused:
+                if fused and flush:
                     self._complete(epoch)
-                rt.notify_progress()
+                if not (fused and lock):  # (else the unlock's ends the section)
+                    rt.notify_progress()
             self._charge_op("get", nbytes, segmap.nsegments, op_index)
         finally:
-            if flush and not fused:
+            if lock is not None:
+                self._own_unlock(target_rank, fused)
+            elif flush and not fused:
                 self.flush(target_rank)
-        if fused:
+        if fused and flush:
             self._charge_sync("flush")
 
     def accumulate(
@@ -1008,17 +1085,21 @@ class Win:
         origin_count: int = 1,
         *,
         flush: bool = False,
+        lock: "str | None" = None,
     ) -> None:
         """One-sided accumulate (MPI_Accumulate) with a predefined op;
-        ``flush=True`` completes it before returning (see :meth:`_fuses`).
+        ``flush=True`` completes it before returning, ``lock=mode`` runs it
+        in an epoch of its own (see :meth:`_fuses`).
 
         Element type is taken from the datatype's predefined leaf type
         (or the origin array's dtype when no datatype is given).  An
         accumulate that is rejected — its element type, or target segments
         that are not whole elements — records and counts nothing.
         """
-        fused = self._fuses(flush)
+        fused = self._fuses(flush, lock)
         rt = self.runtime
+        if lock is not None:
+            self._own_lock(target_rank, lock, fused)
         try:
             op = mpi_ops.lookup(op)
             view, omap, segmap, nbytes = self._op_maps(
@@ -1034,7 +1115,7 @@ class Win:
                 raise ArgumentError("accumulate: cannot infer element type")
             data = self._gather_origin(view, omap, target_rank)
             with rt.giant_lock, self._atomic_section(target_rank):
-                epoch = self._require_epoch(target_rank, "acc", fused)
+                epoch = self._require_epoch(target_rank, "acc", fused and flush)
                 _check_acc_alignment(segmap, base)
                 self._record_access(epoch, "acc", op.name, segmap, origin, not fused)
                 payload = data if fused else self._fault_filter("acc", data)
@@ -1043,14 +1124,17 @@ class Win:
                 op_index = epoch.op_count
                 epoch.op_count += 1
                 epoch.bytes_moved += nbytes
-                if fused:
+                if fused and flush:
                     self._complete(epoch)
-                rt.notify_progress()
+                if not (fused and lock):  # (else the unlock's ends the section)
+                    rt.notify_progress()
             self._charge_op("acc", nbytes, segmap.nsegments, op_index)
         finally:
-            if flush and not fused:
+            if lock is not None:
+                self._own_unlock(target_rank, fused)
+            elif flush and not fused:
                 self.flush(target_rank)
-        if fused:
+        if fused and flush:
             self._charge_sync("flush")
 
     def rput(self, origin: np.ndarray, target_rank: int, *args: Any, **kw: Any):
@@ -1434,6 +1518,16 @@ class _DoneRequest:
     def wait(self) -> None:
         self.completed = True
         return None
+
+
+def _check_lock_mode(mode: str) -> None:
+    if mode not in (LOCK_SHARED, LOCK_EXCLUSIVE):
+        raise ArgumentError(f"unknown lock mode {mode!r}")
+
+
+def _granted() -> bool:
+    """The wait predicate of a free lock (see ``Win._acquire``)."""
+    return True
 
 
 def _check_acc_alignment(segmap: dt.SegmentMap, base: np.dtype) -> None:

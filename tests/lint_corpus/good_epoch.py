@@ -1,4 +1,4 @@
-from repro.mpi import Win
+from repro.mpi import LOCK_SHARED, Win
 
 
 def body(comm, buf):
@@ -7,3 +7,4 @@ def body(comm, buf):
     win.lock(1)
     win.put(buf, 1)
     win.unlock(1)
+    win.get(buf, 1, lock=LOCK_SHARED)  # an epoch of its own

@@ -310,20 +310,23 @@ def test_usable_cpus_respects_affinity_not_just_cpu_count(monkeypatch):
 
 
 def test_gate_fails_on_leftovers_of_a_spawning_bench(tmp_path, monkeypatch):
+    import os
+
     monkeypatch.setattr(registry.tempfile, "gettempdir", lambda: str(tmp_path))
+    leaked = tmp_path / f"repro-proc-{os.getpid()}x7-leaked"
 
     def leaky(fast):
-        (tmp_path / "repro-proc-leaked").mkdir()
+        leaked.mkdir()
         return {"x": 1}
 
     bench, path = _gate_bench(tmp_path, measure=leaky, spawns=True)
-    (tmp_path / "repro-proc-already-there").mkdir()
+    (tmp_path / f"repro-proc-{os.getpid()}x6-already-there").mkdir()
     verdict, report = registry.run_gate(bench, path)
     assert verdict == registry.FAIL
-    assert "left behind" in report and "repro-proc-leaked" in report
+    assert "left behind" in report and leaked.name in report
     assert "already-there" not in report
     # only entries that declare they spawn processes pay for the snapshot
-    (tmp_path / "repro-proc-leaked").rmdir()
+    leaked.rmdir()
     assert registry.run_gate(dataclasses.replace(bench, spawns=False), path)[0] == "ok"
 
 
@@ -333,7 +336,7 @@ def test_leftovers_sees_shm_segments_and_children():
     import time
 
     before = registry._leftovers()
-    seg = f"/dev/shm/repro-test-{os.getpid()}"
+    seg = f"/dev/shm/repro-{os.getpid()}x0-test"
     child = multiprocessing.get_context("spawn").Process(target=time.sleep, args=(30,))
     child.start()
     try:
@@ -346,6 +349,24 @@ def test_leftovers_sees_shm_segments_and_children():
         os.unlink(seg)
     assert not child.is_alive()
     assert registry._leftovers() == before
+
+
+def test_leftovers_blame_only_this_process(tmp_path, monkeypatch):
+    """Another process's segments and lock directories (a run beside this
+    one) are not this process's leftovers."""
+    import os
+
+    monkeypatch.setattr(registry.tempfile, "gettempdir", lambda: str(tmp_path))
+    before = registry._leftovers()
+    other = f"{os.getpid() + 1}x0"
+    seg = f"/dev/shm/repro-{other}-test"
+    (tmp_path / f"repro-proc-{other}-lock").mkdir()
+    try:
+        with open(seg, "w"):
+            pass
+        assert registry._leftovers() == before
+    finally:
+        os.unlink(seg)
 
 
 # ---------------------------------------------------------------------------

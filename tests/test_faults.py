@@ -781,6 +781,9 @@ def test_gmr_table_consistency_check_catches_a_planted_tear():
         armci = Armci.init(comm)
         ptrs = armci.malloc(64)
         armci.table.check_consistent()  # clean table passes
+        # both ranks' clean checks precede the plant (on threads they
+        # share one table)
+        comm.barrier()
         if comm.rank == 0:
             entry = armci.table._all[0]
             entry.freed = True  # plant: a freed GMR still registered

@@ -515,10 +515,10 @@ def _repro_calls(op) -> "Counter[str]":
     return calls
 
 
-def _call_budget_body(comm):
+def _call_budget_body(comm, datapath="mpi3"):
     from repro.ga import GlobalArray
 
-    a = Armci.init(comm, datapath="mpi3")
+    a = Armci.init(comm, datapath=datapath)
     ga = GlobalArray.create(a, (2048, 2048), "f8")  # row blocks 0..1023 | 1024..2047
     a.barrier()
     counts = {}
@@ -561,6 +561,29 @@ def test_blocking_patch_op_call_budget():
     flush = "repro.mpi.window.flush"  # Win.flush
     flushes = {name: c[flush] for name, c in calls.items() if c[flush]}
     assert not flushes, f"a blocking piece called Win.flush: {flushes}"
+
+
+#: the same on the mpi2 datapath.  It made 86/86/93/165 while an owner
+#: piece was ``Win.lock``, the op and ``Win.unlock`` (three window
+#: sections) instead of one op with ``lock=``
+_CALL_BUDGET_MPI2 = {"get": 77, "put": 77, "acc": 82, "straddling put": 147}
+
+
+def test_blocking_patch_op_call_budget_mpi2():
+    """The mpi2 twin of :func:`test_blocking_patch_op_call_budget` on
+    threads: each owner piece runs in an epoch of its own as one window
+    transaction, so none calls ``Win.lock`` or ``Win.unlock``."""
+    rt = Runtime(2, watchdog_s=5.0, apply_hooks=False)
+    calls = rt.spmd(_call_budget_body, "mpi2")[0]
+    over = {
+        name: (calls[name].total(), budget)
+        for name, budget in _CALL_BUDGET_MPI2.items()
+        if calls[name].total() > budget
+    }
+    assert not over, f"over budget (calls, budget): {over}"
+    sync = ("repro.mpi.window.lock", "repro.mpi.window.unlock")  # Win.lock/unlock
+    locks = {name: [c[f] for f in sync] for name, c in calls.items() if any(c[f] for f in sync)}
+    assert not locks, f"a blocking piece called Win.lock/Win.unlock: {locks}"
 
 
 @contextmanager

@@ -12,6 +12,7 @@ import pytest
 
 from repro import mpi
 from repro.mpi.errors import (
+    ArgumentError,
     RMAConflictError,
     RMARangeError,
     RMASyncError,
@@ -681,6 +682,296 @@ def test_freed_window_rejects_ops():
             win.lock(0)
 
     spmd(2, main)
+
+
+# ---------------------------------------------------------------------------
+# an op in an epoch of its own (``lock=``): lock, op and unlock in one call
+# ---------------------------------------------------------------------------
+
+
+def _op(win, kind, target, **kw):
+    """One small ``kind`` op towards ``target``'s first two doubles."""
+    if kind == "put":
+        win.put(np.ones(2), target, 0, **kw)
+    elif kind == "get":
+        win.get(np.zeros(2), target, 0, **kw)
+    else:
+        win.accumulate(np.ones(2), target, 0, **kw)
+
+
+def _three_calls(win, kind, target, mode):
+    """What ``lock=mode`` stands for: ``lock``, the op, ``unlock``."""
+    win.lock(target, mode)
+    try:
+        _op(win, kind, target)
+    finally:
+        win.unlock(target)
+
+
+def _raises_alike(win, kind, target, mode):
+    """The op with ``lock=mode`` raises what the three calls raise, with
+    the same text; returns the error."""
+    with pytest.raises(Exception) as three:
+        _three_calls(win, kind, target, mode)
+    with pytest.raises(three.type) as one:
+        _op(win, kind, target, lock=mode)
+    assert str(one.value) == str(three.value)
+    return one.value
+
+
+def _no_epoch_of(win, comm):
+    origin = comm.world_rank(comm.rank)
+    return origin not in win._open and not [k for k in win._epochs if k[0] == origin]
+
+
+def _runtime(backend):
+    # procs take no ambient sanitizer or injector
+    return mpi.Runtime(2, backend=backend, watchdog_s=5.0, apply_hooks=backend == "thread")
+
+
+def _own_epoch_body(comm):
+    win = mpi.Win.create(comm, np.full(4, comm.rank + 1.0))
+    peer = 1 - comm.rank
+    out = np.zeros(4)
+    win.get(out, peer, lock=mpi.LOCK_SHARED)
+    landed = out.tolist() == [peer + 1.0] * 4
+    clean = _no_epoch_of(win, comm)
+    comm.barrier()
+    if comm.rank == 0:
+        win.put(np.full(2, 5.0), 1, 0, lock=mpi.LOCK_EXCLUSIVE)
+        win.accumulate(np.ones(2), 1, 8, lock=mpi.LOCK_EXCLUSIVE)
+        clean = clean and _no_epoch_of(win, comm)
+        win.get(out, 1, lock=mpi.LOCK_SHARED)
+    comm.barrier()
+    win.free()
+    return landed, clean, out.tolist()
+
+
+@pytest.mark.parametrize("backend", ["thread", "proc"])
+def test_op_with_lock_is_an_epoch_of_its_own(backend):
+    """``lock=mode`` runs the op in an epoch of its own: on return no epoch
+    is open and a get's data is in the origin, without an unlock call."""
+    got = _runtime(backend).spmd(_own_epoch_body, join_timeout=60.0)
+    assert [landed and clean for landed, clean, _ in got] == [True, True]
+    assert got[0][2] == [5.0, 6.0, 3.0, 2.0]
+
+
+def _own_epoch_errors_body(comm):
+    from repro.armci import Armci
+
+    a = Armci.init(comm)
+    ptrs = a.malloc(32)
+    win = a.table.require(ptrs[0]).win
+    me, peer = a.my_id, 1 - a.my_id
+    for kind in ("put", "get", "acc"):
+        err = _raises_alike(win, kind, peer, "bogus")
+        assert isinstance(err, ArgumentError) and "unknown lock mode" in str(err)
+        win.lock(me, mpi.LOCK_SHARED)  # a second lock on the window
+        try:
+            err = _raises_alike(win, kind, peer, mpi.LOCK_EXCLUSIVE)
+            assert isinstance(err, RMASyncError) and "already holds a lock" in str(err)
+        finally:
+            win.unlock(me)
+        with pytest.raises(ArgumentError, match="completes at its unlock"):
+            _op(win, kind, peer, lock=mpi.LOCK_EXCLUSIVE, flush=True)
+    a.access_begin(ptrs[me], 32)  # holds the exclusive self-lock
+    try:
+        for kind in ("put", "get", "acc"):
+            # (a sanitizer names this one lock-while-dla)
+            assert isinstance(_raises_alike(win, kind, peer, mpi.LOCK_SHARED), RMASyncError)
+    finally:
+        a.access_end(ptrs[me])
+    assert _no_epoch_of(win, comm)
+    a.barrier()
+    a.free(ptrs[me])
+    for kind in ("put", "get", "acc"):
+        err = _raises_alike(win, kind, peer, mpi.LOCK_EXCLUSIVE)
+        assert isinstance(err, WinError) and "freed window" in str(err)
+    a.finalize()
+    return True
+
+
+@pytest.mark.parametrize("backend", ["thread", "proc"])
+def test_op_with_lock_raises_what_lock_op_unlock_raise(backend):
+    """Each rule an op in its own epoch meets gives the error, text and
+    all, that ``lock``; op; ``unlock`` gives: an unknown mode, a second
+    lock on the window (also the self-lock ``access_begin`` holds), a
+    freed window."""
+    assert _runtime(backend).spmd(_own_epoch_errors_body, join_timeout=60.0) == [
+        True, True,
+    ]
+
+
+def _own_epoch_dead_target_body(comm, backend):
+    import os
+    import signal
+    import time
+
+    from repro.mpi.errors import RankKilledError, TargetFailedError
+
+    win, _ = _win(comm, 4)  # repro: lint-ignore[lint-leak] — no collective free past a death
+    comm.barrier()
+    rt = comm.runtime
+    if comm.rank == 1:
+        if backend == "proc":
+            os.kill(os.getpid(), signal.SIGKILL)
+        with rt.cond:
+            rt.mark_dead(comm.world_rank(1))
+        raise RankKilledError("rank 1 dies")
+    deadline = time.monotonic() + 30.0
+    while not rt.dead_ranks:  # observed: marked here, or the pump's report
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    for kind in ("put", "get", "acc"):
+        err = _raises_alike(win, kind, 1, mpi.LOCK_EXCLUSIVE)
+        assert isinstance(err, TargetFailedError) and "has failed" in str(err)
+    return _no_epoch_of(win, comm)
+
+
+@pytest.mark.parametrize("backend", ["thread", "proc"])
+def test_op_with_lock_towards_a_dead_target_raises_as_lock_does(backend):
+    got = _runtime(backend).spmd(
+        _own_epoch_dead_target_body, backend, join_timeout=60.0
+    )
+    assert got == [True, None]
+
+
+def test_op_with_lock_on_a_failed_runtime_or_killed_caller_raises_as_lock_does():
+    """The free-lock grant still makes the raises of a wait: with
+    ``runtime.failed`` set an op in its own epoch raises ``RankFailedError``
+    (a killed caller ``RankKilledError``), as ``lock`` does, and leaves no
+    epoch or held lock behind."""
+    from repro.mpi.errors import RankKilledError
+    from repro.mpi.runtime import RankFailedError, current_proc
+
+    def main(comm):
+        win, _ = _win(comm, 4)
+        rt, proc = comm.runtime, current_proc()
+        for kind in ("put", "get", "acc"):
+            rt.failed = RankFailedError("rank 9 failed")
+            try:
+                assert isinstance(
+                    _raises_alike(win, kind, 0, mpi.LOCK_EXCLUSIVE), RankFailedError
+                )
+            finally:
+                rt.failed = None
+            proc.dead = True
+            try:
+                assert isinstance(
+                    _raises_alike(win, kind, 0, mpi.LOCK_SHARED), RankKilledError
+                )
+            finally:
+                proc.dead = False
+            assert _no_epoch_of(win, comm) and not win._locks[0].holders
+            _op(win, kind, 0, lock=mpi.LOCK_EXCLUSIVE)  # the lock is free again
+        win.free()
+
+    spmd(1, main)
+
+
+@pytest.mark.parametrize(
+    "condition", ["killed caller", "runtime failed", "dead stall", "deadlock"]
+)
+def test_free_lock_grant_makes_the_raises_of_a_wait_first(condition):
+    """``Win._acquire`` grants a free lock without queueing, but only past
+    the raises ``Runtime.wait_for`` makes before it tests its predicate;
+    a raise leaves the lock free and unqueued."""
+    from repro.mpi.errors import (
+        ProgressDeadlockError,
+        RankKilledError,
+        TargetFailedError,
+    )
+    from repro.mpi.runtime import RankFailedError, current_proc
+
+    expected = {
+        "killed caller": RankKilledError,
+        "runtime failed": RankFailedError,
+        "dead stall": TargetFailedError,
+        "deadlock": ProgressDeadlockError,
+    }[condition]
+
+    def main(comm):
+        win, _ = _win(comm, 4)
+        rt = comm.runtime
+        if comm.rank == 0:
+            proc, ls = current_proc(), win._locks[1]
+            with rt.cond:  # nobody else observes the planted condition
+                if condition == "killed caller":
+                    proc.dead = True
+                elif condition == "runtime failed":
+                    rt.failed = RankFailedError("rank 1 failed")
+                elif condition == "dead stall":
+                    rt.dead_ranks.add(1)
+                    rt._dead_stall = True
+                else:
+                    rt._deadlocked = True
+                try:
+                    with pytest.raises(expected) as raised:
+                        win._acquire(proc.rank, 1, mpi.LOCK_EXCLUSIVE)
+                finally:
+                    proc.dead, rt.failed = False, None
+                    rt._dead_stall = rt._deadlocked = False
+                    rt.dead_ranks.discard(1)
+                assert type(raised.value) is expected
+                assert ls.mode is None and not ls.holders and not ls.queue
+        comm.barrier()
+        win.free()
+
+    spmd(2, main)
+
+
+def test_op_with_lock_keeps_its_fuzz_points_under_a_schedule():
+    """Under a schedule an ARMCI mpi2 put stays three sections: with every
+    coin landing on a switch, its fuzz points are lock, put, unlock."""
+    from repro.armci import Armci
+    from repro.mpi.progress import DeterministicSchedule
+
+    rt = mpi.Runtime(2, seed=5, watchdog_s=5.0)
+    sched = DeterministicSchedule(5, switch_prob=1.0)
+    sched.begin_run(rt)
+
+    def main(comm):
+        a = Armci.init(comm)
+        ptrs = a.malloc(64)
+        if a.my_id == 0:
+            a.put(np.ones(4), ptrs[1])
+        a.barrier()
+        a.free(ptrs[a.my_id])
+        a.finalize()
+
+    rt.spmd(main)
+    rma = [ev[2] for ev in sched.trace if ev[0] == "yield" and ev[2].startswith("rma:")]
+    assert rma == ["rma:lock", "rma:put", "rma:unlock"]
+
+
+def test_op_with_lock_charges_modeled_time_as_lock_op_unlock():
+    """A fused op in its own epoch advances the simulated clock by what
+    ``lock``; op; ``unlock`` charge, in the same order."""
+    from repro.mpi.runtime import current_proc
+    from repro.simtime import INFINIBAND, MPITimingPolicy
+
+    rt = mpi.Runtime(1)
+    rt.timing = MPITimingPolicy(INFINIBAND.mpi)
+
+    def main(comm):
+        win, _ = _win(comm, 64)
+        clock, charged = current_proc().clock, []
+        clock.add_jitter(lambda kind, seconds: charged.append((kind, seconds)) or 0.0)
+        got = {}
+        for kind in ("put", "get", "acc"):
+            for form in ("three calls", "lock="):
+                charged.clear()
+                clock.now = 0.0
+                if form == "lock=":
+                    _op(win, kind, 0, lock=mpi.LOCK_EXCLUSIVE)
+                else:
+                    _three_calls(win, kind, 0, mpi.LOCK_EXCLUSIVE)
+                got[kind, form] = (clock.now, list(charged))
+            assert got[kind, "lock="] == got[kind, "three calls"]
+            assert [k for k, _ in charged] == ["rma:lock", f"rma:{kind}", "rma:unlock"]
+        win.free()
+
+    rt.spmd(main)
 
 
 # ---------------------------------------------------------------------------
