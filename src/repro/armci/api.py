@@ -408,7 +408,9 @@ class Armci:
                 )
         return view[:nbytes]
 
-    def _stage(self, kind: str, local: np.ndarray, origin_t: "dt.Datatype | None" = None):
+    def _stage(
+        self, kind: str, local: np.ndarray, origin_t: "dt.Datatype | None" = None, count: int = 1
+    ):
         """§V-E.1: ``(data, writeback)`` to communicate through in place of ``local``.
 
         A local buffer that is itself global memory cannot be touched
@@ -417,9 +419,10 @@ class Armci:
         unlocked access conflicts with remote ones.  So it is staged —
         put/acc copy it out under :meth:`_stage_epoch` first, and a get
         lands in a temporary that ``writeback`` copies in afterwards,
-        touching only the bytes of layout ``origin_t`` (None = all of
-        ``local``).  A buffer that needs no staging — any other, or every
-        one under ``config.coherent_shortcut`` — comes back as itself.
+        touching only the bytes of ``count`` instances of layout
+        ``origin_t`` (None = all of ``local``).  A buffer that needs no
+        staging — any other, or every one under ``config.coherent_shortcut``
+        — comes back as itself.
         """
         if self.config.coherent_shortcut:
             return local, None
@@ -439,7 +442,7 @@ class Armci:
                 if origin_t is None:
                     local[...] = temp
                 else:
-                    omap = origin_t.segment_map()
+                    omap = origin_t.segment_map(count)
                     omap.copy_from(local, omap, temp)
             self.stats.staged_copies += 1
 
@@ -466,9 +469,10 @@ class Armci:
                 gmr.win.unlock(my_rank)
 
     @staticmethod
-    def _contribution(data, origin_t, scale, acc_dtype, snapshot=False) -> np.ndarray:
+    def _contribution(data, origin_t, scale, acc_dtype, snapshot=False, count=1) -> np.ndarray:
         """An accumulate's contiguous, typed, scaled contribution (§V-F:
-        the origin scales, MPI sums); never writes ``data``.
+        the origin scales, MPI sums) from ``count`` instances of
+        ``origin_t``; never writes ``data``.
 
         A contiguous origin packs to a view of ``data`` (the window copies
         it if it aliases the target), so ``scale == 1`` costs no pass and
@@ -476,7 +480,7 @@ class Armci:
         copy.  ``snapshot`` forces a private copy even when no scaling made
         one (a queued op must not see later writes to the user's buffer).
         """
-        packed = data if origin_t is None else origin_t.pack(data, copy=False)
+        packed = data if origin_t is None else origin_t.pack(data, count, copy=False)
         packed = packed.view(acc_dtype)
         if scale == 1.0 and not snapshot:
             return packed
@@ -518,27 +522,24 @@ class Armci:
 
     @staticmethod
     def _issue(
-        win: Win, kind, data, win_rank, disp, origin_t=None, target_t=None,
+        win: Win, kind, data, win_rank, disp, origin_t=None, target_t=None, count=1,
         flush=False, lock=None,
     ) -> None:
         """The one place ARMCI-MPI calls MPI RMA on a GMR window (epoch NOT
         managed, unless ``lock`` names the mode of one of its own;
         ``flush``: the op completes before returning); the datatypes
-        default to contiguous bytes / elements."""
+        default to contiguous bytes / elements, and ``count`` instances of
+        each side's move (a strided op's outermost count).  The arguments
+        are positional, in the window's (target datatype, target count,
+        origin datatype, origin count) order: this is every op's call."""
         if kind == "put":
-            win.put(
-                data, win_rank, disp, target_datatype=target_t,
-                origin_datatype=origin_t, flush=flush, lock=lock,
-            )
+            win.put(data, win_rank, disp, target_t, count, origin_t, count, flush=flush, lock=lock)
         elif kind == "get":
-            win.get(
-                data, win_rank, disp, target_datatype=target_t,
-                origin_datatype=origin_t, flush=flush, lock=lock,
-            )
+            win.get(data, win_rank, disp, target_t, count, origin_t, count, flush=flush, lock=lock)
         else:
             win.accumulate(
-                data, win_rank, disp, op="MPI_SUM",
-                target_datatype=target_t, origin_datatype=origin_t, flush=flush, lock=lock,
+                data, win_rank, disp, "MPI_SUM", target_t, count, origin_t, count,
+                flush=flush, lock=lock,
             )
 
     def _transfer(
@@ -552,21 +553,24 @@ class Armci:
         target_t: "dt.Datatype | None" = None,
         scale: float = 1.0,
         acc_dtype: "np.dtype | None" = None,
+        count: int = 1,
     ) -> None:
         """One blocking ARMCI data movement against a resolved target:
         stage (§V-E.1) -> contribution -> epoch (§V-C) -> MPI RMA -> write-back.
 
-        §VI's methods differ only in the datatype pair (None = contiguous)
-        and in how many :meth:`_issue` calls share an epoch.
+        §VI's methods differ only in the datatype pair (None = contiguous),
+        moved ``count`` times, and in how many :meth:`_issue` calls share
+        an epoch.
         """
-        data, writeback = self._stage(kind, local, origin_t)
+        data, writeback = self._stage(kind, local, origin_t, count)
         if kind == "acc" and (scale != 1.0 or target_t is None):
             # (unscaled into a typed target layout, the window packs the
             # origin through origin_t itself: no second pass over it here)
-            data, origin_t = self._contribution(data, origin_t, scale, acc_dtype), None
+            data = self._contribution(data, origin_t, scale, acc_dtype, count=count)
+            origin_t = None
         self._in_epoch(
             gmr, win_rank, kind,
-            self._issue, gmr.win, kind, data, win_rank, disp, origin_t, target_t,
+            self._issue, gmr.win, kind, data, win_rank, disp, origin_t, target_t, count,
         )
         if writeback is not None:
             writeback()
@@ -780,12 +784,13 @@ class Armci:
         acc_dtype: "np.dtype | None" = None,
     ) -> None:
         # step 0: the compiled descriptor — validation, sizes and (for the
-        # direct method) both datatypes, derived once per distinct descriptor
+        # direct method) both sides' outer-unit datatypes, derived once per
+        # patch width; the outermost count n is the MPI count
         direct = self.config.strided_method != "iov"
         local_strides, remote_strides, count = (
             tuple(local_strides), tuple(remote_strides), tuple(count)
         )
-        total, span, origin_t, target_t = strided.compiled_strided_op(
+        total, span, origin_t, target_t, n = strided.compiled_strided_op(
             local_strides, remote_strides, count, acc_dtype, direct
         )
         if total == 0:
@@ -804,10 +809,10 @@ class Armci:
                 count[0], scale=scale, acc_dtype=acc_dtype,
             )
             return
-        # direct method: one subarray/hindexed datatype per side (§VI-C)
+        # direct method: one op, n outer units of one datatype per side (§VI-C)
         gmr, win_rank, disp = self._target(remote, kind)
         self._transfer(
-            kind, gmr, win_rank, disp, local_view, origin_t, target_t, scale, acc_dtype
+            kind, gmr, win_rank, disp, local_view, origin_t, target_t, scale, acc_dtype, n
         )
         self.stats.count(kind, total)
 

@@ -27,6 +27,13 @@ Two translations are implemented, as in the paper:
    true for GA-generated patches; otherwise we fall back to an
    hindexed datatype — still a single MPI operation, so it remains the
    *direct* method.
+
+   An operation (:func:`compiled_strided_op`) hands MPI the outermost
+   count as the op's count, the way MPI says "n rows": each side's
+   datatype is the translation of the inner levels, resized to the
+   outermost stride (``MPI_Type_create_resized``), so one compiled op
+   serves every height of a patch width and a one-row unit replicates
+   in closed form.
 """
 
 from __future__ import annotations
@@ -191,8 +198,9 @@ STRIDED_DATATYPE_CACHE_MAX = 256
 #:
 #: * ``(strides, count, element type name)`` -> committed datatype: one
 #:   side's layout (:func:`strided_datatype`);
-#: * ``(local strides, remote strides, count, element dtype, direct)`` ->
-#:   a whole *compiled strided op* (:func:`compiled_strided_op`).
+#: * ``(local strides, remote strides, count[:-1], element dtype, direct)``
+#:   -> a whole *compiled strided op* (:func:`compiled_strided_op`), one per
+#:   patch width: the outermost count is the op's MPI count.
 #:
 #: Entries are pure functions of their keys — no GMR, window or address —
 #: so nothing here needs invalidating when an allocation is freed.
@@ -285,42 +293,91 @@ def compiled_strided_op(
     count: "tuple[int, ...]",
     acc_dtype: "np.dtype | None" = None,
     direct: bool = True,
-) -> "tuple[int, int, dt.Datatype | None, dt.Datatype | None]":
-    """Everything about a strided put/get/acc that its descriptor alone
-    decides, derived once: ``(total bytes, local span, origin datatype,
-    target datatype)``.
+) -> "tuple[int, int, dt.Datatype | None, dt.Datatype | None, int]":
+    """Everything about a strided put/get/acc that its descriptor decides:
+    ``(total bytes, local span, origin datatype, target datatype, n)``.
 
-    The descriptor is validated here (:class:`StridedSpec`; an invalid one
-    raises every time, nothing is memoised for it); the span is the bytes
-    from the local base to one past the furthest strided byte; the
-    datatypes are :func:`strided_datatype` of each side — the target's in
-    ``acc_dtype`` elements for an accumulate; the origin's None when the
-    local side is contiguous, whose bytes the window then takes as they
-    are — or both None when the caller will not use the direct method
-    (``direct=False``: the IOV method builds its own layouts).  A hit is
-    one tuple hash; the arguments must be tuples.
+    The outermost count is the MPI count, as MPI says "n rows": each side's
+    datatype is one *outer unit* — :func:`strided_datatype` of the inner
+    levels, resized to the outermost stride — that the op replicates
+    ``n = count[-1]`` times (a contiguous descriptor is its own unit,
+    ``n = 1``).  So the memo holds one entry per patch *width*, keyed on
+    ``(local strides, remote strides, count[:-1], acc dtype, direct)``
+    (``count[0]`` itself for a 2-level count), and every height of it
+    hits; a hit is one tuple hash and the arithmetic for ``total`` and
+    ``span``.  The arguments must be tuples.
+
+    The descriptor is validated (:class:`StridedSpec`) on a miss, and on
+    every use whose ``n`` the entry does not vouch for — a negative one, or
+    past one row over an outer stride that is not whole accumulate
+    elements — so an invalid descriptor raises every time and memoises
+    nothing; nor does one that moves no bytes.  The span is the bytes from
+    the local base to one past the furthest strided byte.  The target type
+    is in ``acc_dtype`` elements for an accumulate; the origin type is None
+    when the local side is contiguous (its unit is one segment at 0 as
+    long as the outermost stride), whose bytes the window then takes as
+    they are — and both are None when the caller will not use the direct
+    method (``direct=False``: the IOV method builds its own layouts).
     """
-    key = (local_strides, remote_strides, count, acc_dtype, direct)
-    hit = _recall(key)
-    if hit is not None:
-        _, _, origin_t, target_t = hit
-        # the re-commit rule of strided_datatype
-        if target_t is not None and not target_t.committed:
-            target_t.commit()
-        if origin_t is not None and not origin_t.committed:
-            origin_t.commit()
-        return hit
+    # (a descriptor whose strides do not match its count misses, and raises)
+    if len(count) == 2:  # GA's 2-D pieces: count[:-1] is one int, kept unboxed
+        key, n = (local_strides, remote_strides, count[0], acc_dtype, direct), count[1]
+    elif local_strides:
+        key, n = (local_strides, remote_strides, count[:-1], acc_dtype, direct), count[-1]
+    else:
+        key, n = (local_strides, remote_strides, count, acc_dtype, direct), 1
+    hit = _strided_dt_cache.get(key)  # _recall, inline: this is every strided op
+    if hit is None or n < 1 or (n > 1 and hit[5]):
+        return _compile(key, local_strides, remote_strides, count, acc_dtype, direct)
+    try:
+        _strided_dt_cache.move_to_end(key)
+    except KeyError:
+        pass  # (see _recall)
+    unit_bytes, unit_span, outer, origin_t, target_t, _ = hit
+    # the re-commit rule of strided_datatype
+    if target_t is not None and not target_t.committed:
+        target_t.commit()
+    if origin_t is not None and not origin_t.committed:
+        origin_t.commit()
+    return unit_bytes * n, unit_span + outer * (n - 1), origin_t, target_t, n
+
+
+def _compile(key, local_strides, remote_strides, count, acc_dtype, direct):
+    """The miss (and validation) path of :func:`compiled_strided_op`: the
+    memo entry is ``(unit bytes, unit span, local outermost stride, origin
+    type, target type, outer stride misaligned for the accumulate)``."""
     spec = StridedSpec(count, local_strides, remote_strides)
-    span = count[0] + sum(s * max(n - 1, 0) for s, n in zip(local_strides, count[1:]))
+    nested = len(count) > 1
+    unit, n = (count[:-1], count[-1]) if nested else (count, 1)
+    unit_span = unit[0] + sum(s * max(c - 1, 0) for s, c in zip(local_strides, unit[1:]))
+    outer = local_strides[-1] if nested else unit_span
+    span = unit_span + outer * max(n - 1, 0)
+    if not spec.total_bytes:
+        return 0, span, None, None, n
     origin_t = target_t = None
-    if direct and spec.total_bytes:
+    misaligned = False
+    if direct:
         elem = dt.BYTE if acc_dtype is None else dt.from_numpy_dtype(acc_dtype)
-        origin_t = strided_datatype(local_strides, count)
-        target_t = strided_datatype(remote_strides, count, elem)
+        misaligned = nested and remote_strides[-1] % elem.size != 0
+        if misaligned and n > 1:
+            raise ArgumentError(f"accumulate layout is not aligned to {elem.name} elements")
+        origin_t = _outer_unit(local_strides, unit, dt.BYTE)
+        target_t = _outer_unit(remote_strides, unit, elem)
         omap = origin_t.segment_map()
-        if omap.nsegments == 1 and omap.bounds()[0] == 0:
+        if omap.nsegments == 1 and omap.bounds() == (0, outer):
             origin_t = None
-    return _remember(key, (spec.total_bytes, span, origin_t, target_t))
+    _remember(
+        key, (spec.total_bytes // n, unit_span, outer, origin_t, target_t, misaligned)
+    )
+    return spec.total_bytes, span, origin_t, target_t, n
+
+
+def _outer_unit(strides, unit, elem: dt.Datatype) -> dt.Datatype:
+    """One side's outer unit: the inner levels' layout (the hindexed
+    fallback included), resized to the outermost stride."""
+    if not strides:  # a contiguous descriptor is its own unit
+        return strided_datatype(strides, unit, elem)
+    return dt.resized(strided_datatype(strides[:-1], unit, elem), strides[-1]).commit()
 
 
 def strided_datatype_cache_clear() -> None:

@@ -9,7 +9,8 @@ implements a working datatype engine:
 * predefined types (``BYTE``, ``INT``, ``LONG``, ``FLOAT``, ``DOUBLE`` …)
   backed by NumPy dtypes;
 * constructors: ``contiguous``, ``vector``/``hvector``,
-  ``indexed``/``hindexed``/``indexed_block``, and ``subarray`` (C order);
+  ``indexed``/``hindexed``/``indexed_block``, ``subarray`` (C order) and
+  ``resized``;
 * ``commit()``/``free()`` bookkeeping (uncommitted types are erroneous in
   communication, as in MPI);
 * **flattening** to a canonical ``(offsets, lengths)`` byte-segment map
@@ -52,6 +53,7 @@ __all__ = [
     "indexed_block",
     "struct_type",
     "subarray",
+    "resized",
     "SegmentMap",
     "flat_bytes",
 ]
@@ -817,4 +819,25 @@ def subarray(
         total * oldtype.extent,
         oldtype.base,
         build,
+    )
+
+
+def resized(oldtype: Datatype, extent: int) -> Datatype:
+    """``MPI_Type_create_resized`` with a lower bound of 0 (every type here
+    starts at 0): ``oldtype``'s bytes at ``extent``, the stride by which
+    ``count > 1`` replicates it.
+
+    This is how "``n`` rows" reaches MPI as a count rather than a datatype
+    of ``n`` rows: a single-segment ``oldtype`` replicates in closed form.
+    Committing it commits ``oldtype`` too, so a freed ``oldtype`` does not
+    strand it (MPI keeps a derived type valid past its parts' free).
+    """
+    if extent < 0:
+        raise ArgumentError(f"resized: negative extent {extent}")
+
+    def build() -> SegmentMap:
+        return oldtype.commit().segment_map()
+
+    return _Derived(
+        f"resized({oldtype.name},{extent})", oldtype.size, extent, oldtype.base, build
     )

@@ -453,25 +453,49 @@ def test_zero_segment_strided_is_noop():
 from repro.armci.strided import compiled_strided_op  # noqa: E402
 
 
+def _intervals(t, count=1):
+    return list(t.segment_map(count).intervals())
+
+
 def test_compiled_op_is_the_sizes_and_both_datatypes():
     strided_datatype_cache_clear()
     try:
-        total, span, origin_t, target_t = compiled_strided_op((32,), (64,), (16, 4))
-        assert (total, span) == (64, 3 * 32 + 16)
-        # the one-sided public form answers from the same memo, same objects
-        assert origin_t is strided_datatype((32,), (16, 4))
-        assert target_t is strided_datatype((64,), (16, 4))
-        assert compiled_strided_op((32,), (64,), (16, 4)) == (total, span, origin_t, target_t)
+        total, span, origin_t, target_t, n = compiled_strided_op((32,), (64,), (16, 4))
+        assert (total, span, n) == (64, 3 * 32 + 16, 4)
+        assert strided_datatype_cache_len() == 2  # the op, and the row both sides share
+        # each side is one row resized to its stride; the op moves n of them,
+        # the layout the whole-count translation describes
+        assert (origin_t.size, origin_t.extent, target_t.size, target_t.extent) == (16, 32, 16, 64)
+        assert _intervals(origin_t, 4) == _intervals(strided_datatype((32,), (16, 4)))
+        assert _intervals(target_t, 4) == _intervals(strided_datatype((64,), (16, 4)))
+        entries = strided_datatype_cache_len()
+        # one entry per width: every height answers from it, with the same objects
+        for rows in (4, 1, 7, 300):
+            assert compiled_strided_op((32,), (64,), (16, rows)) == (
+                16 * rows, 32 * (rows - 1) + 16, origin_t, target_t, rows
+            )
+        assert strided_datatype_cache_len() == entries
         # an accumulate's target is typed; its origin stays bytes
         acc = compiled_strided_op((32,), (64,), (16, 4), np.dtype("f8"))
-        assert acc[2] is origin_t and acc[3] is strided_datatype((64,), (16, 4), dt.DOUBLE)
+        assert acc[2] is not origin_t and _intervals(acc[2]) == _intervals(origin_t)
+        assert acc[3].base == np.dtype("f8") and origin_t.base == np.dtype("u1")
+        assert _intervals(acc[3], 4) == _intervals(strided_datatype((64,), (16, 4), dt.DOUBLE))
+        # a contiguous local side has no origin type, at any height
+        for rows in (5, 1):
+            assert compiled_strided_op((16,), (64,), (16, rows))[2] is None
+        # nor has a contiguous descriptor, whose count is its own unit
+        whole = compiled_strided_op((), (), (48,))
+        assert whole[:3] + whole[4:] == (48, 48, None, 1) and _intervals(whole[3]) == [(0, 48)]
         # the IOV method asks for no datatypes, and gets none built
         before = strided_datatype_cache_len()
-        assert compiled_strided_op((48,), (80,), (16, 4), None, False) == (64, 160, None, None)
+        assert compiled_strided_op((48,), (80,), (16, 4), None, False) == (64, 160, None, None, 4)
         assert strided_datatype_cache_len() == before + 1
-        # nothing to move: sizes only, whatever the method
-        assert compiled_strided_op((32,), (64,), (0, 4)) == (0, 96, None, None)
-        assert compiled_strided_op((32,), (64,), (16, 0)) == (0, 16, None, None)
+        # nothing to move: sizes only, whatever the method, and nothing memoised
+        before = strided_datatype_cache_len()
+        assert compiled_strided_op((32,), (64,), (0, 4)) == (0, 96, None, None, 4)
+        assert compiled_strided_op((40,), (72,), (16, 0)) == (0, 16, None, None, 0)
+        assert compiled_strided_op((32,), (64,), (16, 0))[:2] == (0, 16)
+        assert strided_datatype_cache_len() == before
     finally:
         strided_datatype_cache_clear()
 
@@ -479,11 +503,16 @@ def test_compiled_op_is_the_sizes_and_both_datatypes():
 def test_compiled_op_hit_recommits_a_freed_datatype():
     strided_datatype_cache_clear()
     try:
-        _, _, origin_t, target_t = compiled_strided_op((32,), (64,), (16, 4))
-        target_t.free()  # a rogue caller frees the shared entry
-        again = compiled_strided_op((32,), (64,), (16, 4))
-        assert again[3] is target_t and target_t.committed and origin_t.committed
-        assert target_t.segment_map().nsegments == 4
+        _, _, origin_t, target_t, _ = compiled_strided_op((32,), (64,), (16, 4))
+        # rogue callers free the shared entries: the op's types and the row
+        target_t.free()
+        origin_t.free()
+        strided_datatype((), (16,)).free()
+        again = compiled_strided_op((32,), (64,), (16, 9))
+        assert again[2:4] == (origin_t, target_t)
+        assert target_t.committed and origin_t.committed
+        assert _intervals(target_t, 9) == [(64 * i, 64 * i + 16) for i in range(9)]
+        assert _intervals(origin_t, 9) == [(32 * i, 32 * i + 16) for i in range(9)]
     finally:
         strided_datatype_cache_clear()
 
@@ -554,3 +583,171 @@ def test_a_misaligned_accumulate_layout_raises_every_time():
         spmd(2, main)
     finally:
         strided_datatype_cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# the outermost count is the MPI count: raw descriptors through the one path
+# ---------------------------------------------------------------------------
+
+
+def _replay(buf, strides, count, data=None):
+    """Algorithm 1's segments of ``buf`` (bytes): read them, or write ``data``."""
+    segs = [slice(d, d + count[0]) for d in algorithm1_iter(strides, count)]
+    if data is None:
+        return np.concatenate([buf[s] for s in segs]) if segs else buf[:0]
+    pos = 0
+    for s in segs:
+        buf[s] = data[pos : pos + count[0]]
+        pos += count[0]
+
+
+@pytest.mark.parametrize(
+    "local_strides, remote_strides, counts",
+    [
+        # 3-D, nesting: 2 rows of 16 B per plane, planes of every count
+        ([40, 96], [64, 256], [[16, 2, n] for n in (1, 3, 2, 4)]),
+        # inner strides that do not nest (56 % 24): the hindexed unit, resized
+        ([24, 56], [32, 104], [[8, 2, n] for n in (3, 1, 5)]),
+        # an outer stride that does not nest over back-to-back rows
+        ([16, 40], [16, 72], [[16, 2, n] for n in (2, 4, 1)]),
+    ],
+)
+def test_raw_descriptors_move_algorithm1_bytes_at_every_outer_count(
+    local_strides, remote_strides, counts
+):
+    """put_s/get_s/acc_s of descriptors sharing one compiled op (same inner
+    levels, outer counts varying) equal an Algorithm 1 replay on both
+    sides; the remote bytes between the segments are never written."""
+
+    def main(comm):
+        a = Armci.init(comm)
+        ptrs = a.malloc(1024)
+        a.barrier()
+        if a.my_id == 0:
+            rng = np.random.default_rng(3)
+            ref = np.zeros(1024, np.uint8)
+            for count in counts:
+                src = rng.integers(0, 250, 512).astype(np.uint8)
+                a.put_s(src, local_strides, ptrs[1] + 8, remote_strides, count)
+                _replay(ref[8:], remote_strides, count, _replay(src, local_strides, count))
+                vals = rng.integers(-9, 10, 64).astype("f8")
+                a.acc_s(vals, local_strides, ptrs[1] + 8, remote_strides, count, dtype="f8")
+                got = np.zeros(1024, np.uint8)
+                a.get(ptrs[1], got)
+                typed = _replay(ref[8:], remote_strides, count).view("f8")
+                typed = typed + _replay(vals.view(np.uint8), local_strides, count).view("f8")
+                _replay(ref[8:], remote_strides, count, typed.view(np.uint8))
+                assert got.tobytes() == ref.tobytes(), count
+                back = np.full(512, 7, np.uint8)
+                expect = back.copy()
+                a.get_s(ptrs[1] + 8, remote_strides, back, local_strides, count)
+                _replay(expect, local_strides, count, _replay(ref[8:], remote_strides, count))
+                assert back.tobytes() == expect.tobytes(), count
+        a.barrier()
+        a.free(ptrs[a.my_id])
+
+    strided_datatype_cache_clear()
+    try:
+        spmd(2, main)
+    finally:
+        strided_datatype_cache_clear()
+
+
+def test_a_misaligned_outer_stride_refuses_only_what_it_always_refused():
+    """An accumulate whose outermost remote stride is not whole elements is
+    refused past one row, with the text a whole-count layout gave, on every
+    call — also once the width's compiled op is warm from a one-row
+    accumulate, which stays legal — and as bytes it is fine."""
+
+    def main(comm):
+        a = Armci.init(comm)
+        ptrs = a.malloc(256)
+        vals = np.ones(8)
+        if a.my_id == 0:
+            for _ in range(3):
+                a.acc_s(vals, [16], ptrs[1], [36], [16, 1])  # one row: no outer step
+                for rows in (2, 3):
+                    with pytest.raises(ArgumentError, match="not aligned to MPI_DOUBLE elements"):
+                        a.acc_s(vals, [16], ptrs[1], [36], [16, rows])
+            got = np.zeros(256, np.uint8)
+            a.get(ptrs[1], got)
+            assert got[:16].view("f8").tolist() == [3.0, 3.0] and not got[16:].any()
+            a.put_s(vals, [16], ptrs[1], [36], [16, 3])
+            a.get(ptrs[1], got)
+            assert [got[36 * r : 36 * r + 16].view("f8").tolist() for r in range(3)] == [
+                [1.0, 1.0]
+            ] * 3
+        a.barrier()
+        a.free(ptrs[a.my_id])
+
+    strided_datatype_cache_clear()
+    try:
+        spmd(2, main)
+    finally:
+        strided_datatype_cache_clear()
+
+
+def test_a_negative_outer_count_raises_every_time_on_a_warm_width():
+    """A width whose compiled op is warm still validates each count it is
+    not sure of: a negative outermost count raises StridedSpec's text on
+    every call and memoises nothing."""
+
+    def main(comm):
+        a = Armci.init(comm)
+        ptrs = a.malloc(256)
+        buf = np.zeros(32)
+        a.put_s(buf, [16], ptrs[1], [32], [8, 4])
+        a.acc_s(buf, [16], ptrs[1], [32], [8, 4])
+        a.barrier()
+        entries = strided_datatype_cache_len()
+        raised = []
+        for _ in range(3):
+            for op in (
+                lambda: a.put_s(buf, [16], ptrs[1], [32], [8, -2]),
+                lambda: a.get_s(ptrs[1], [32], buf, [16], [8, -2]),
+                lambda: a.acc_s(buf, [16], ptrs[1], [32], [8, -2]),
+            ):
+                with pytest.raises(ArgumentError, match=r"negative count: \(8, -2\)") as ei:
+                    op()
+                raised.append(ei.value)
+        assert len({id(e) for e in raised}) == len(raised)
+        a.barrier()
+        assert strided_datatype_cache_len() == entries
+        a.barrier()
+        a.free(ptrs[a.my_id])
+
+    strided_datatype_cache_clear()
+    try:
+        spmd(2, main)
+    finally:
+        strided_datatype_cache_clear()
+
+
+def test_a_staged_strided_get_writes_back_only_its_rows():
+    """§V-E.1: a get_s into a local buffer inside this rank's own window
+    lands in a temporary and is written back through the origin unit
+    ``n`` times — every row, and not the bytes between them."""
+
+    def main(comm):
+        a = Armci.init(comm)
+        ptrs = a.malloc(512)
+        me, peer = a.my_id, 1 - a.my_id
+        view = a.access_begin(ptrs[me], 512, "u1")
+        view[:] = 100 + me
+        a.access_end(ptrs[me])
+        a.barrier()
+        if me == 0:
+            slab = a.table.require(ptrs[0]).local_slab()
+            before = a.stats.staged_copies
+            a.get_s(ptrs[1], [64], slab[8:], [48], [16, 5])
+            assert a.stats.staged_copies > before
+            got = np.zeros(512, np.uint8)
+            a.get(ptrs[0], got)
+            rows = np.zeros(512, bool)
+            for r in range(5):
+                rows[8 + 48 * r : 8 + 48 * r + 16] = True
+            assert (got[rows] == 101).all() and (got[~rows] == 100).all()
+        a.barrier()
+        a.free(ptrs[me])
+
+    spmd(2, main)

@@ -1467,7 +1467,9 @@ def test_proc_rejects_thread_style_fault_plans():
 
 def test_proc_abnormal_exit_leaves_no_shm_segments():
     """SIGKILLed children never run their unlink paths; the parent's
-    teardown sweep must leave /dev/shm exactly as it found it."""
+    teardown sweep must leave no segment of this process's runs behind
+    (``repro-<pid>x<n>-…``, the names ``bench.registry._leftovers`` checks:
+    a suite running beside this one owns the others)."""
     shm = pathlib.Path("/dev/shm")
     if not shm.is_dir():
         pytest.skip("no /dev/shm on this platform")
@@ -1487,7 +1489,8 @@ def test_proc_abnormal_exit_leaves_no_shm_segments():
             comm.failure_ack()
         return ga.shape
 
-    before = set(shm.glob("repro-*"))
+    mine = f"repro-{os.getpid()}x*"
+    before = set(shm.glob(mine))
     proc_spmd(NPROC, body)
-    leftover = set(shm.glob("repro-*")) - before
+    leftover = set(shm.glob(mine)) - before
     assert not leftover, sorted(p.name for p in leftover)

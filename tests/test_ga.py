@@ -786,6 +786,64 @@ def test_cold_and_warm_patch_ops_match_numpy(flavor, shape, nproc, chunk):
     spmd(nproc, main)
 
 
+#: the row count of every owner-straddling patch below: cut at rows 1..P-1
+STRADDLE_P = 32
+
+
+@pytest.mark.parametrize("datapath", ["mpi2", "mpi3"])
+@pytest.mark.parametrize("backend", ["thread", "proc"])
+@pytest.mark.parametrize(
+    "shape, lo, hi",
+    [
+        ((2 * STRADDLE_P, 12), (0, 2), (STRADDLE_P, 9)),  # 2-D: one-row units
+        ((2 * STRADDLE_P, 4, 6), (0, 1, 1), (STRADDLE_P, 4, 5)),  # 3-D: two stride levels
+    ],
+)
+def test_every_cut_of_a_straddling_patch_matches_numpy(backend, datapath, shape, lo, hi):
+    """A ``P``-row patch cut by the owner boundary at each row 1..P-1: the
+    pieces' heights travel as the MPI count over one compiled op per width.
+    put and acc from a slice of a wider buffer, and get into one, equal a
+    numpy replay, and the buffer's bytes around the slice are untouched."""
+    from repro.mpi.runtime import Runtime
+
+    P = STRADDLE_P
+
+    def main(comm):
+        a = Armci.init(comm, datapath=datapath)
+        ga = GlobalArray.create(a, shape, "f8", chunk=(1, *shape[1:]))  # 2 row blocks
+        zero(ga)
+        ref = np.zeros(shape)
+        rng = np.random.default_rng(P)
+        for cut in range(1, P):
+            plo, phi = (P - cut, *lo[1:]), (2 * P - cut, *hi[1:])
+            assert len(list(ga.dist.locate(Patch(plo, phi)))) == 2
+            sl = tuple(slice(l, h) for l, h in zip(plo, phi))
+            pshape = ref[sl].shape
+            wide = np.zeros([n + 2 for n in pshape])
+            inner = tuple(slice(1, n + 1) for n in pshape)
+            data, more = (rng.integers(-9, 10, pshape).astype("f8") for _ in range(2))
+            if a.my_id == cut % 2:
+                wide[inner] = data
+                ga.put(plo, phi, wide[inner])
+                wide[inner] = more
+                ga.acc(plo, phi, wide[inner], alpha=2.0)
+            ref[sl] = data + 2.0 * more
+            ga.sync()
+            out = np.full([n + 2 for n in pshape], -1.0)
+            ga.get(plo, phi, out=out[inner])
+            np.testing.assert_array_equal(out[inner], ref[sl])
+            out[inner] = -1.0
+            assert (out == -1.0).all()
+            ga.sync()
+        np.testing.assert_array_equal(ga.get((0,) * len(shape), shape), ref)
+        ga.sync()
+        ga.destroy()
+        a.finalize()
+
+    # (the ambient sanitizer and injector are thread-backend only)
+    Runtime(2, backend=backend, watchdog_s=10.0, apply_hooks=backend == "thread").spmd(main)
+
+
 def test_a_warm_stream_derives_nothing(monkeypatch):
     """Once every patch class and strided descriptor of a stream has been
     seen, an op runs no owner decomposition, no strided translation and no

@@ -228,7 +228,9 @@ def test_strided_datatype_is_keyed_by_element_type():
 
 
 def test_repeated_acc_s_hits_the_strided_memo(monkeypatch):
-    """acc_s derives its typed target layout once, not on every call."""
+    """acc_s derives its typed target layout once per patch width, not on
+    every call nor for every height: the unit layout (one row) is built
+    once per side and the row count travels as the MPI count."""
     from repro.armci import strided
 
     built = []
@@ -244,8 +246,8 @@ def test_repeated_acc_s_hits_the_strided_memo(monkeypatch):
         a.barrier()
         if a.my_id == 0:
             src = np.ones((4, 4))
-            for _ in range(5):
-                a.acc_s(src, [32], ptrs[1], [64], [32, 4], scale=2.0)
+            for rows in (4, 3, 2, 1, 4):
+                a.acc_s(src, [32], ptrs[1], [64], [32, rows], scale=2.0)
         a.barrier()
         out = np.zeros((4, 8))
         a.get(ptrs[1], out, 256)
@@ -258,12 +260,59 @@ def test_repeated_acc_s_hits_the_strided_memo(monkeypatch):
         out = spmd(2, main)[0]
     finally:
         strided_datatype_cache_clear()
-    assert np.array_equal(out[:, :4], np.full((4, 4), 10.0))
+    # row r was in every call with more than r rows
+    assert np.array_equal(out[:, :4], np.repeat([[10.0], [8.0], [6.0], [4.0]], 4, axis=1))
     assert not out[:, 4:].any()
-    # one origin layout (bytes) and one target layout (doubles), built once
-    assert sorted(built) == [
-        ((32,), (32, 4), "MPI_BYTE"), ((64,), (32, 4), "MPI_DOUBLE"),
-    ]
+    # one origin row (bytes) and one target row (doubles), built once
+    assert sorted(built) == [((), (32,), "MPI_BYTE"), ((), (32,), "MPI_DOUBLE")]
+
+
+def test_a_height_sweep_of_a_warm_width_builds_no_datatype(monkeypatch):
+    """The compiled strided op is one per patch width: once one straddling
+    put, get and acc of a width has run, every other cut of a straddling
+    patch of that width — every pair of piece heights — builds no datatype
+    and adds no memo entry."""
+    from repro.armci import strided
+    from repro.ga import GlobalArray
+
+    built = []
+    real = strided.strided_datatype_uncached
+
+    def counting(strides, count, elem=dt.BYTE):
+        built.append((tuple(strides), tuple(count), elem.name))
+        return real(strides, count, elem)
+
+    def main(comm):
+        a = Armci.init(comm, datapath="mpi3")
+        ga = GlobalArray.create(a, (128, 40), "f8", chunk=(1, 40))  # row blocks at 64
+        a.barrier()
+        sizes = {}
+        if a.my_id == 0:
+            data, out = np.ones((64, 16)), np.empty((64, 16))
+            ga.put((32, 4), (96, 20), data)
+            ga.get((32, 4), (96, 20), out=out)
+            ga.acc((32, 4), (96, 20), data)
+            sizes["warm"] = (len(built), strided_datatype_cache_len())
+            for cut in range(1, 64):  # piece heights (cut, 64 - cut)
+                lo, hi = (64 - cut, 4), (128 - cut, 20)
+                ga.put(lo, hi, data)
+                ga.get(lo, hi, out=out)
+                ga.acc(lo, hi, data)
+            sizes["swept"] = (len(built), strided_datatype_cache_len())
+        a.barrier()
+        ga.destroy()
+        a.finalize()
+        return sizes
+
+    strided_datatype_cache_clear()
+    monkeypatch.setattr(strided, "strided_datatype_uncached", counting)
+    try:
+        sizes = spmd(2, main, watchdog_s=5.0)[0]
+    finally:
+        strided_datatype_cache_clear()
+    # the warm ops built one row per element type, nothing per height
+    assert sorted(built) == [((), (128,), "MPI_BYTE"), ((), (128,), "MPI_DOUBLE")]
+    assert sizes["swept"] == sizes["warm"]
 
 
 def test_iov_datatype_lru_is_bounded_and_keyed_by_displacements():
@@ -358,9 +407,10 @@ def test_mutex_epoch_datatype_is_built_once_per_rank(monkeypatch):
 
 
 def test_plan_and_compiled_op_tables_stay_bounded_under_churn():
-    """5 000 random patch shapes: far more patch classes and strided
-    descriptors than either table holds.  Both stay at or under their bound
-    after every op, both evict, and the array still equals its replica."""
+    """5 000 random patch shapes: far more patch classes and patch widths
+    (a compiled strided op is one per width, whatever the height) than
+    either table holds.  Both stay at or under their bound after every op,
+    both evict, and the array still equals its replica."""
     from repro.ga import GlobalArray
     from repro.ga.array import OWNER_PLAN_MAX
 
@@ -368,16 +418,17 @@ def test_plan_and_compiled_op_tables_stay_bounded_under_churn():
 
     def main(comm):
         a = Armci.init(comm, datapath="mpi3")
-        ga = GlobalArray.create(a, (64, 48), "f8", chunk=(1, 48))  # two row blocks
+        # two row blocks, wide enough for more widths than the memo holds
+        ga = GlobalArray.create(a, (64, 320), "f8", chunk=(1, 320))
         a.barrier()
         if a.my_id == 0:
-            ref = np.zeros((64, 48))
-            ga.put((0, 0), (64, 48), ref)
+            ref = np.zeros((64, 320))
+            ga.put((0, 0), (64, 320), ref)
             rng = np.random.default_rng(19)
             plans_hi = plan_drops = 0
             for i in range(5000):
-                r0, c0 = int(rng.integers(0, 64)), int(rng.integers(0, 48))
-                r1, c1 = int(rng.integers(r0, 65)), int(rng.integers(c0, 49))
+                r0, c0 = int(rng.integers(0, 64)), int(rng.integers(0, 320))
+                r1, c1 = int(rng.integers(r0, 65)), int(rng.integers(c0, 321))
                 data = rng.integers(-9, 10, (r1 - r0, c1 - c0)).astype("f8")
                 before = len(ga._plans)
                 ga.put((r0, c0), (r1, c1), data)
@@ -388,7 +439,7 @@ def test_plan_and_compiled_op_tables_stay_bounded_under_churn():
                 assert strided_datatype_cache_len() <= STRIDED_DATATYPE_CACHE_MAX
                 if i % 50 == 0:  # the same class again, now warm, read back
                     np.testing.assert_array_equal(ga.get((r0, c0), (r1, c1)), data)
-            np.testing.assert_array_equal(ga.get((0, 0), (64, 48)), ref)
+            np.testing.assert_array_equal(ga.get((0, 0), (64, 320)), ref)
             seen.update(plans_hi=plans_hi, plan_drops=plan_drops)
         a.barrier()
         ga.destroy()
@@ -456,8 +507,8 @@ def test_disjoint_strided_stream_never_materialises_its_footprints(monkeypatch, 
 def test_rank_threads_share_the_strided_memo_under_eviction():
     """The strided memo is module-level, so on the thread backend every rank
     thread recalls, stores and evicts in the same ``OrderedDict`` on every
-    op.  Four ranks on two cores, a 10 µs switch interval and more distinct
-    descriptors than the memo holds: every transfer must still round-trip
+    op.  Four ranks on two cores, a 10 µs switch interval and more patch
+    widths than the memo holds: every transfer must still round-trip
     (an entry evicted between a hit's lookup and its LRU bump stays valid)
     and the bound must hold."""
     import sys
@@ -469,7 +520,7 @@ def test_rank_threads_share_the_strided_memo_under_eviction():
         peer = (a.my_id + 1) % a.nproc
         rng = np.random.default_rng([23, a.my_id])
         for i in range(400):
-            rows, width = int(rng.integers(1, 40)), 8 * int(rng.integers(1, 9))
+            rows, width = int(rng.integers(1, 40)), int(rng.integers(1, 513))
             src = rng.integers(0, 255, (rows, width)).astype(np.uint8)
             a.put_s(src, [width], ptrs[peer], [64 * 8], [width, rows])
             out = np.zeros_like(src)
@@ -524,11 +575,20 @@ def _call_budget_body(comm, datapath="mpi3"):
     counts = {}
     if a.my_id == 0:
         out, data = np.empty((16, 16)), np.ones((16, 16))
+        # the k-th straddling put cuts at row 8 + k: pieces of heights the
+        # strided memo has not seen by the profiled third call, whose owner
+        # plan is made warm first (GA's table, not the one budgeted here)
+        cold = [((1016 - k, 10), (1032 - k, 26)) for k in range(3)]
+        for lo, hi in cold:
+            patch, _, flat, strides = ga._request(lo, hi, data)
+            ga._owner_pieces(patch, flat, strides)
+        cold_puts = iter(cold)
         ops = {
             "get": lambda: ga.get((1500, 10), (1516, 26), out=out),
             "put": lambda: ga.put((1500, 10), (1516, 26), data),
             "acc": lambda: ga.acc((1500, 10), (1516, 26), data),
             "straddling put": lambda: ga.put((1016, 10), (1032, 26), data),
+            "cold-height straddling put": lambda: ga.put(*next(cold_puts), data),
         }
         counts = {name: _repro_calls(op) for name, op in ops.items()}
     a.barrier()
@@ -538,19 +598,28 @@ def _call_budget_body(comm, datapath="mpi3"):
 
 
 #: ``repro.*`` calls each warm op may make.  It made 105/107/118/201 before
-#: the blocking path established each fact about an owner piece once, and
+#: the blocking path established each fact about an owner piece once,
 #: 62/61/67/115 before an owner piece became one window transaction (the
-#: op completing itself instead of a following ``Win.flush``)
-_CALL_BUDGET = {"get": 56, "put": 56, "acc": 61, "straddling put": 105}
+#: op completing itself instead of a following ``Win.flush``), and
+#: 56/56/61/105 before the compiled strided op's lookup was inlined.  A
+#: straddling put whose piece heights are new hits the compiled op (one per
+#: patch width; the row count is the MPI count) and pays only each piece's
+#: closed-form count map, three calls (it made 253 while the memo was keyed
+#: on the whole count and every new height rebuilt both datatypes)
+_CALL_BUDGET = {
+    "get": 55, "put": 55, "acc": 60, "straddling put": 103, "cold-height straddling put": 109,
+}
 
 
 def test_blocking_patch_op_call_budget():
     """A warm 16x16 ``ga.get/put/acc`` (one remote owner) and an
-    owner-straddling ``ga.put`` on the mpi3 datapath stay within their call
-    budget, and none calls ``Win.flush``: the count is deterministic and
-    host-independent, so the path cannot quietly grow back.  A plain
-    runtime (no ambient sanitizer or injector) is what is budgeted."""
+    owner-straddling ``ga.put``, warm and at piece heights not seen before,
+    on the mpi3 datapath stay within their call budget, and none calls
+    ``Win.flush``: the count is deterministic and host-independent, so the
+    path cannot quietly grow back.  A plain runtime (no ambient sanitizer
+    or injector) is what is budgeted."""
     rt = Runtime(2, watchdog_s=5.0, apply_hooks=False)
+    strided_datatype_cache_clear()
     calls = rt.spmd(_call_budget_body)[0]
     over = {
         name: (calls[name].total(), budget)
@@ -565,8 +634,12 @@ def test_blocking_patch_op_call_budget():
 
 #: the same on the mpi2 datapath.  It made 86/86/93/165 while an owner
 #: piece was ``Win.lock``, the op and ``Win.unlock`` (three window
-#: sections) instead of one op with ``lock=``
-_CALL_BUDGET_MPI2 = {"get": 77, "put": 77, "acc": 82, "straddling put": 147}
+#: sections) instead of one op with ``lock=``, 77/77/82/147 before the
+#: lookup was inlined, and 295 for the cold-height put while the strided
+#: memo was keyed on the whole count
+_CALL_BUDGET_MPI2 = {
+    "get": 76, "put": 76, "acc": 81, "straddling put": 145, "cold-height straddling put": 151,
+}
 
 
 def test_blocking_patch_op_call_budget_mpi2():
@@ -574,6 +647,7 @@ def test_blocking_patch_op_call_budget_mpi2():
     threads: each owner piece runs in an epoch of its own as one window
     transaction, so none calls ``Win.lock`` or ``Win.unlock``."""
     rt = Runtime(2, watchdog_s=5.0, apply_hooks=False)
+    strided_datatype_cache_clear()
     calls = rt.spmd(_call_budget_body, "mpi2")[0]
     over = {
         name: (calls[name].total(), budget)

@@ -548,3 +548,92 @@ def test_copy_from_equals_gather_then_scatter(dst_rows, src_rows):
     dst_map.scatter(expect, src_map.gather(arena.copy()))
     dst_map.copy_from(arena, src_map, arena)
     assert arena.tobytes() == expect.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# resized (MPI_Type_create_resized): the unit a count replicates
+# ---------------------------------------------------------------------------
+
+
+def test_resized_keeps_size_and_base_and_sets_the_extent():
+    row = dt.contiguous(4, dt.DOUBLE).commit()
+    t = dt.resized(row, 96).commit()
+    assert (t.size, t.extent, t.base) == (32, 96, np.dtype("f8"))
+    assert list(t.segment_map().intervals()) == [(0, 32)]
+    # the extent is what replication steps by, not the old type's
+    assert list(t.segment_map(3).intervals()) == [(0, 32), (96, 128), (192, 224)]
+    assert row.extent == 32 and list(row.segment_map(3).intervals()) == [(0, 96)]
+
+
+def test_resized_single_segment_replicates_in_closed_form(monkeypatch):
+    """n rows of a one-segment unit are the arithmetic map: no array."""
+    t = dt.resized(dt.contiguous(512, dt.DOUBLE).commit(), 16384).commit()
+
+    def boom(self, name):
+        raise AssertionError(f"materialised {name}")
+
+    monkeypatch.setattr(dt.SegmentMap, "__getattr__", boom)
+    for n in (1, 2, 511, 4096):
+        sm = t.segment_map(n).shifted(64)
+        assert sm._arith_params() == (64, 16384 if n > 1 else 4096, 4096, n)
+        assert (sm.total_bytes, sm.bounds()) == (4096 * n, (64, 64 + 16384 * (n - 1) + 4096))
+    # rows as long as the extent are one contiguous segment
+    back_to_back = dt.resized(dt.contiguous(4, dt.DOUBLE).commit(), 32).commit()
+    assert back_to_back.segment_map(300).nsegments == 1
+
+
+def test_resized_multi_segment_replicates_the_arrays():
+    unit = dt.vector(2, 1, 3, dt.INT).commit()  # [0,4) [12,16): extent 16
+    t = dt.resized(unit, 40).commit()
+    sm = t.segment_map(3)
+    assert sm.offsets.tolist() == [0, 12, 40, 52, 80, 92]
+    assert sm.lengths.tolist() == [4] * 6
+    # adjacent replicas coalesce where they touch
+    touching = dt.resized(dt.hindexed([1, 1], [0, 8], dt.INT).commit(), 12).commit()
+    assert list(touching.segment_map(2).intervals()) == [(0, 4), (8, 16), (20, 24)]
+
+
+def test_resized_pack_unpack_roundtrip():
+    t = dt.resized(dt.vector(2, 2, 5, dt.SHORT).commit(), 24).commit()
+    buf = (np.arange(96) % 251).astype(np.uint8)
+    packed = t.pack(buf, 4)
+    expect = np.concatenate([
+        buf[24 * i + o : 24 * i + o + 4] for i in range(4) for o in (0, 10)
+    ])
+    assert packed.tobytes() == expect.tobytes()
+    out = np.zeros_like(buf)
+    t.unpack(out, packed, 4)
+    mask = np.zeros(96, bool)
+    mask[t.segment_map(4).flat_index()] = True
+    assert (out[mask] == buf[mask]).all() and not out[~mask].any()
+    with pytest.raises(ArgumentError, match=r"access \[0, 110\) outside buffer of 96 bytes"):
+        t.pack(buf, 5)
+
+
+def test_resized_free_then_recommit():
+    unit = dt.contiguous(3, dt.INT).commit()
+    t = dt.resized(unit, 20).commit()
+    before = list(t.segment_map(4).intervals())
+    t.free()
+    unit.free()  # its parts may be freed too, as in MPI
+    with pytest.raises(DatatypeError, match="used before commit"):
+        t.segment_map(4)
+    t.commit()
+    assert list(t.segment_map(4).intervals()) == before
+    assert unit.committed
+
+
+def test_resized_negative_extent_is_an_argument_error():
+    with pytest.raises(ArgumentError, match="resized: negative extent -8"):
+        dt.resized(dt.DOUBLE, -8)
+
+
+def test_accumulate_alignment_of_a_resized_double_unit():
+    from repro.mpi.window import _check_acc_alignment
+
+    row = dt.contiguous(2, dt.DOUBLE).commit()
+    _check_acc_alignment(dt.resized(row, 24).commit().segment_map(3).shifted(8), row.base)
+    with pytest.raises(
+        ArgumentError, match=r"accumulate segment \[20,36\) not aligned to float64 elements"
+    ):
+        _check_acc_alignment(dt.resized(row, 20).commit().segment_map(3), row.base)
