@@ -110,8 +110,8 @@ STALL_STEPS = BackoffPolicy(base=1.0, factor=2.0, cap=None, jitter=1.0)
 #: deterministic schedule: 2 ms base, doubled, capped at 50 ms
 STALL_WAIT = BackoffPolicy(base=0.002, factor=2.0, cap=0.05, jitter=1.0)
 
-#: re-probe intervals of a contended cross-process ``flock``
-#: (``ProcWin._acquire_flock``): the first re-probe comes well inside one
+#: re-probe intervals of a contended cross-process ``flock`` or atomic
+#: reservation (``ProcWin._wait``): the first re-probe comes well inside one
 #: scheduler quantum — a holder is typically done within a copy, tens to
 #: hundreds of microseconds — and seven doublings later the poll rate is
 #: the flat 2 ms it always was, so a long-held (or SIGSTOPped holder's)

@@ -11,8 +11,11 @@ rank's elapsed time), and the gate is the scaling ratio from 1 to 4
 ranks.
 
 A second row measures what two ranks cost *each other*: both produce
-and accumulate slabs into rank 0's memory, so an operation regularly
-meets the target's atomic sublock held by the peer.  Its gate is the
+and accumulate slabs into the same bytes of rank 0's memory, so an
+operation regularly meets the peer's reservation of its footprint held.
+The two footprints are the same slab, so the row measures *overlapping*
+footprints only (accumulates on disjoint bytes of one target do not
+wait for each other at all).  Its gate is the
 ratio of the mean to the median operation time
 (:func:`check_contended_acc`): a wait that costs what the holder holds
 keeps the two close, a wait that oversleeps (the flat 2 ms poll this
@@ -90,8 +93,8 @@ def _contended_acc_body(comm, nbytes: int, nreps: int) -> "list[float]":
     Between two accumulates a rank *produces* its next contribution
     (:data:`PRODUCE_PASSES` local passes over a slab, untimed — the
     stand-in for the DGEMM tile an NWChem-style accumulate carries, ~4x
-    the accumulate itself), so the sublock is free most of the time and
-    an operation that meets it held waits for one holder.  Back-to-back
+    the accumulate itself), so the peer's reservation is free most of the
+    time and an operation that meets it held waits for one holder.  Back-to-back
     accumulates would measure something else: ``flock`` polling is not
     a fair queue, a saturated lock goes to whoever released it last, and
     mean/median reads ~2 however short a single wait is.

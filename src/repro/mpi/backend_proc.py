@@ -55,10 +55,11 @@ and puts/gets are true cross-process memory traffic.  The moving parts:
   primitive is an ``fcntl.flock`` per target (shared/exclusive), so
   ``lock`` takes one and MPI-3 ``lock_all`` a shared one on every
   target, and the atomic ops (``accumulate``/``fetch_and_op``/
-  ``compare_and_swap``) take a separate per-target *atomic sublock*
-  file so they are atomic across processes even inside shared epochs
-  (like real MPI, conflicting plain put/put under shared locks is the
-  user's race, atomics are the runtime's job).
+  ``compare_and_swap``) *reserve their byte footprint* in a per-target
+  table so they are atomic across processes even inside shared epochs,
+  while ones on disjoint bytes run at the same time (like real MPI,
+  conflicting plain put/put under shared locks is the user's race,
+  atomics are the runtime's job).
 
 What the proc backend does **not** support — by design, raising typed
 errors rather than misbehaving: the deterministic scheduler and fuzzer,
@@ -75,6 +76,7 @@ import fcntl
 import itertools
 import os
 import shutil
+import struct
 import tempfile
 import threading
 import time
@@ -90,6 +92,7 @@ from ..faults.proc import sweep_stale_segments
 from . import mailbox
 from .backend import RuntimeBackend
 from .comm import Comm
+from .datatypes import SegmentMap
 from .errors import (
     CommError,
     CommRevokedError,
@@ -167,8 +170,11 @@ class _LockFiles:
             fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
         return fd
 
-    def release(self, key: tuple[str, int, str], fd: int) -> None:
-        fcntl.flock(fd, fcntl.LOCK_UN)
+    def release(self, key: tuple[str, int, str], fd: int, held: bool = True) -> None:
+        """Cache a descriptor, unlocking it first if it ``held`` its flock
+        (``held=False``: its nonblocking probe failed)."""
+        if held:
+            fcntl.flock(fd, fcntl.LOCK_UN)
         self._idle[key] = fd
         if len(self._idle) > self.BOUND:
             os.close(self._idle.pop(next(iter(self._idle))))
@@ -636,9 +642,10 @@ class _ProcChildBackend(RuntimeBackend):
         view = _local_exposure_view(local)
         token = self._win_token(comm)
         me = comm.rank
+        # the exposed bytes, then the footprint table (zeroed: all free)
         own = shared_memory.SharedMemory(
             name=self._segment_name(token, me), create=True,
-            size=max(1, view.nbytes),
+            size=_table_offset(view.nbytes) + comm.size * _SLOT.size,
         )
         if view.nbytes:
             np.ndarray((view.nbytes,), dtype=np.uint8, buffer=own.buf)[:] = view
@@ -646,6 +653,7 @@ class _ProcChildBackend(RuntimeBackend):
         # exists before any peer attaches
         contribs = comm.allgather((view.nbytes, disp_unit))
         buffers: list[np.ndarray] = []
+        tables: list[tuple[memoryview, int]] = []
         units: list[int] = []
         segments: list[shared_memory.SharedMemory] = []
         for r in range(comm.size):
@@ -656,11 +664,12 @@ class _ProcChildBackend(RuntimeBackend):
                 # attach untracked so only the creator unlinks
                 seg = _attach_untracked(self._segment_name(token, r))
             buffers.append(np.ndarray((nbytes,), dtype=np.uint8, buffer=seg.buf))
+            tables.append((seg.buf, _table_offset(nbytes)))
             units.append(unit)
             segments.append(seg)
         win = ProcWin(
             comm, buffers, units, strict=strict, mpi3=mpi3,
-            segments=segments, creator_rank=me, token=token,
+            segments=segments, tables=tables, creator_rank=me, token=token,
             lock_files=self._lock_files,
         )
         self._windows.append(win)
@@ -1019,20 +1028,81 @@ class _ProcCollEngine:
 # windows
 # ---------------------------------------------------------------------------
 
-class _AtomicSection:
+#: one slot of a target's footprint table, the last footprint its origin
+#: reserved there: its bounding box ``[lo, hi)`` (a quick test that
+#: mostly settles disjointness), then its ``(step, seg_len, n)`` rows
+#: from ``lo`` (all zero: none reserved yet)
+_SLOT = struct.Struct("5q")
+
+
+def _table_offset(nbytes: int) -> int:
+    """Where a target's footprint table starts in its segment: after the
+    exposed bytes, 8-byte aligned."""
+    return -(-nbytes // 8) * 8
+
+
+def _footprint_slot(fp: "SegmentMap") -> "tuple | None":
+    """The slot an atomic op with target footprint ``fp`` reserves — its
+    arithmetic progression, or its bounding box as one row when it is
+    none — or None for a zero-byte op, which reserves nothing."""
+    if not fp.total_bytes:
+        return None
+    lo, hi = fp.bounds()
+    arith = fp._arith_params()
+    return (lo, hi) + (arith[1:] if arith else (hi - lo, hi - lo, 1))
+
+
+def _slots_overlap(a: tuple, b: tuple) -> bool:
+    """Whether two footprint slots may share a byte.
+
+    Exact when either is one row or both share a step (every GA piece of
+    one array); otherwise the bounding boxes decide, which errs only
+    towards "overlap" (as does reserving the bounding box of a footprint
+    that is no progression).  Row ``i`` of ``a`` meets row ``j`` of ``b``
+    iff ``-seg_len_b < d + k*step < seg_len_a`` with ``d = lo_b - lo_a``
+    and ``k = j - i``, so the footprints meet iff that window of ``k``
+    meets ``[1 - n_a, n_b - 1]``.
+    """
+    a0, a1, sa, la, na = a
+    b0, b1, sb, lb, nb = b
+    if b0 >= a1 or a0 >= b1:
+        return False
+    if na > 1 and nb > 1 and sa != sb:
+        return True
+    step = sa if na > 1 else sb
+    d = b0 - a0
+    return max(1 - na, -((lb + d - 1) // step)) <= min(nb - 1, (la - d - 1) // step)
+
+
+def _try_flock(fd: int, op: int) -> "bool | None":
+    """One nonblocking ``flock``: True if granted, None if held elsewhere."""
+    try:
+        fcntl.flock(fd, op)
+    except OSError:
+        return None
+    return True
+
+
+class _Reservation:
     """The context manager behind :meth:`ProcWin._atomic_section` (a class:
     every accumulate and atomic opens one, a generator costs twice as much)."""
 
-    __slots__ = ("win", "target_rank", "held")
+    __slots__ = ("win", "target_rank", "slot", "held")
 
-    def __init__(self, win: "ProcWin", target_rank: int):
+    def __init__(self, win: "ProcWin", target_rank: int, footprint: "SegmentMap"):
         self.win, self.target_rank = win, target_rank
+        self.slot = _footprint_slot(footprint)
 
     def __enter__(self) -> None:
-        self.held = self.win._acquire_flock(self.target_rank, "atomic", True)
+        win, target, slot = self.win, self.target_rank, self.slot
+        self.held = slot and (
+            win._try_reserve(target, slot)
+            or win._wait(lambda: win._try_reserve(target, slot), "atomic reservation", target)
+        )
 
     def __exit__(self, *exc) -> None:
-        self.win._lock_files.release(*self.held)
+        if self.held is not None:
+            self.win._lock_files.release(*self.held)
 
 
 class ProcWin(Win):
@@ -1041,18 +1111,26 @@ class ProcWin(Win):
     Every rule and all epoch bookkeeping are :class:`Win`'s, kept
     process-local; this class supplies only where the memory lives and
     what a lock is.  The *mutual exclusion* between processes comes from
-    two families of ``fcntl.flock`` files under the run's lock directory,
-    held through this process's :class:`_LockFiles` descriptors:
+    three families of ``fcntl.flock`` files under the run's lock
+    directory, held through this process's :class:`_LockFiles`
+    descriptors and always taken in the order ``.lock`` → ``.atomic`` →
+    busy, so they cannot deadlock:
 
     * ``<token>.t<target>.lock`` — the passive-target epoch lock, taken
       by :meth:`_acquire` (``LOCK_SH``/``LOCK_EX`` mirroring
       shared/exclusive) for ``lock`` and, shared, on every target for
       ``lock_all``, like ``MPI_Win_lock_all``.
-    * ``<token>.t<target>.atomic`` — the :meth:`_atomic_section`, a
-      short-lived exclusive sublock around accumulate/fetch_and_op/
-      compare_and_swap so atomics are atomic across processes even inside
-      shared epochs.  Ordering is always epoch-lock → atomic-sublock, so
-      the two families cannot deadlock.
+    * ``<token>.t<target>.atomic`` — guards the target's *footprint
+      table* (one :data:`_SLOT` per origin, after the exposed bytes of
+      its segment) for the few syscalls it takes to reserve a footprint.
+    * ``<token>.t<target>.busy<origin>`` — held by ``origin`` while it
+      runs the read-modify-write of an accumulate/fetch_and_op/
+      compare_and_swap whose footprint its slot records.
+
+    So atomics are atomic across processes even inside shared epochs
+    (like real MPI, conflicting plain put/put under shared locks is the
+    user's race, atomics are the runtime's job), and ones with disjoint
+    footprints run at the same time: see :meth:`_atomic_section`.
     """
 
     # Win's own functions, not overrides: named here only because the e2e
@@ -1070,6 +1148,7 @@ class ProcWin(Win):
         mpi3: bool = False,
         *,
         segments: list,
+        tables: "list[tuple[memoryview, int]]",
         creator_rank: int,
         token: str,
         lock_files: _LockFiles,
@@ -1080,21 +1159,35 @@ class ProcWin(Win):
         self._token = token
         self._lock_files = lock_files
         self._released = False
+        me, size = creator_rank, _SLOT.size
+        #: per target, what a reservation there touches: the ``.atomic``
+        #: and own busy lock keys, the segment's bytes, the own slot's
+        #: offset and every other origin's ``(rank, slot offset)``
+        self._tables = [
+            (
+                (token, t, "atomic"), (token, t, "busy%d" % me), buf, table + me * size,
+                [(r, table + r * size) for r in range(len(tables)) if r != me],
+            )
+            for t, (buf, table) in enumerate(tables)
+        ]
 
     # -- the lock primitive --------------------------------------------------
-    def _acquire_flock(self, target_rank: int, kind: str, exclusive: bool) -> tuple:
-        """Blocking-with-failure-checks flock acquisition; returns the
-        ``(key, descriptor)`` pair that ``_LockFiles.release`` takes back.
+    def _wait(self, attempt: Callable[[], Any], what: str, target_rank: int) -> Any:
+        """Repeat ``attempt`` — a nonblocking probe that returns a result,
+        or None while what it waits for is held elsewhere — until it
+        succeeds, and return its result.  Called after a first attempt
+        failed, so a free lock never pays for the loop.
 
-        Probes nonblockingly under ``runtime.cond`` (entered here, whether
-        or not the caller holds it) and sleeps in ``runtime.sleep`` (a wait
-        on the condition), which lets go of it for the pump thread.  A survivor stuck behind
-        a dead peer's lock still observes ``runtime.failed`` (set by the
-        pump on a ``rank_dead`` message or a heartbeat verdict) and raises
-        the typed error.  A *dead* holder's flock self-reclaims (the
-        kernel drops it); a *stalled* (SIGSTOPped) holder keeps it, and
-        with ``op_timeout_s`` set the wait gives up with
-        :class:`OpTimeoutError`.  Probes come along
+        Waits under ``runtime.cond`` (entered here, whether or not the
+        caller holds it) and sleeps in ``runtime.sleep`` (a wait on the
+        condition), which lets go of it for the pump thread.  A survivor
+        stuck behind a dead peer's lock still observes ``runtime.failed``
+        (set by the pump on a ``rank_dead`` message or a heartbeat
+        verdict) and raises :class:`RankFailedError`.  A *dead* holder's
+        flock self-reclaims (the kernel drops it); a *stalled*
+        (SIGSTOPped) holder keeps it, and with ``op_timeout_s`` set the
+        wait gives up with :class:`OpTimeoutError` — one deadline for the
+        whole wait, however many attempts it makes.  Attempts come along
         :data:`~repro.backoff.FLOCK_WAIT`, so a wait costs about what the
         holder holds, not a flat 2 ms.
         """
@@ -1103,46 +1196,107 @@ class ProcWin(Win):
             None if rt.op_timeout_s is None
             else time.monotonic() + rt.op_timeout_s
         )
-        key = (self._token, target_rank, kind)
-        fd = self._lock_files.take(key)
-        op = (fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH) | fcntl.LOCK_NB
         with rt.giant_lock:
-            try:
-                for attempt in itertools.count():
-                    try:
-                        fcntl.flock(fd, op)
-                        return key, fd
-                    except OSError:
-                        pass
-                    if rt.failed is not None:
-                        raise RankFailedError(
-                            f"rank failed elsewhere: {rt.failed!r}"
-                        )
-                    now = time.monotonic()
-                    if deadline is not None and now >= deadline:
-                        raise OpTimeoutError(
-                            f"win {self.win_id} {kind} flock (target "
-                            f"{target_rank}) timed out after "
-                            f"{rt.op_timeout_s}s (holder stalled but alive?)"
-                        )
-                    # a progress notification wakes the wait early; the
-                    # next probe still comes on the curve
-                    wake = now + FLOCK_WAIT.delay(attempt)
-                    while (left := wake - time.monotonic()) > 0:
-                        rt.sleep(left)
-            except BaseException:
-                self._lock_files.release(key, fd)
-                raise
+            for n in itertools.count():
+                if rt.failed is not None:
+                    raise RankFailedError(f"rank failed elsewhere: {rt.failed!r}")
+                now = time.monotonic()
+                if deadline is not None and now >= deadline:
+                    raise OpTimeoutError(
+                        f"win {self.win_id} {what} (target {target_rank}) "
+                        f"timed out after {rt.op_timeout_s}s (holder "
+                        "stalled but alive?)"
+                    )
+                # a progress notification wakes the wait early; the
+                # next attempt still comes on the curve
+                wake = now + FLOCK_WAIT.delay(n)
+                while (left := wake - time.monotonic()) > 0:
+                    rt.sleep(left)
+                result = attempt()
+                if result is not None:
+                    return result
 
     def _acquire(self, origin: int, target_rank: int, mode: str) -> tuple:
-        return self._acquire_flock(target_rank, "lock", mode == LOCK_EXCLUSIVE)
+        """Take ``target_rank``'s epoch flock; returns the ``(key,
+        descriptor)`` pair that ``_LockFiles.release`` takes back."""
+        key = (self._token, target_rank, "lock")
+        fd = self._lock_files.take(key)
+        op = (fcntl.LOCK_EX if mode == LOCK_EXCLUSIVE else fcntl.LOCK_SH) | fcntl.LOCK_NB
+        try:
+            _try_flock(fd, op) or self._wait(
+                lambda: _try_flock(fd, op), "lock flock", target_rank
+            )
+        except BaseException:
+            self._lock_files.release(key, fd)
+            raise
+        return key, fd
 
     def _release(self, epoch) -> None:
         self._lock_files.release(*epoch.lock)
 
-    def _atomic_section(self, target_rank: int) -> "_AtomicSection":
-        """``with`` block holding ``target_rank``'s atomic sublock."""
-        return _AtomicSection(self, target_rank)
+    def _atomic_section(self, target_rank: int, footprint: "SegmentMap") -> "_Reservation":
+        """``with`` block in which this origin holds a reservation of the
+        ``footprint`` bytes of ``target_rank``'s memory.
+
+        Entering reserves — inside the origin's epoch, so the locks are
+        taken in the order ``.lock`` → ``.atomic`` → busy — under the
+        target's ``.atomic`` flock: if the slot of another origin
+        overlaps (:func:`_slots_overlap`) and that origin's busy flock is
+        held — probed without blocking — it lets ``.atomic`` go and
+        tries again along the one deadline of
+        :meth:`_wait`; otherwise it writes its own slot, takes its own
+        busy flock and lets ``.atomic`` go.  The read-modify-write then
+        runs outside any shared lock, and leaving is a single
+        ``flock(LOCK_UN)`` of the busy file: releasing through the kernel
+        lock, not a store to shared memory, is what orders the RMW before
+        a later reserver's read on every architecture.  A slot is never
+        cleared: a finished — or dead, the kernel drops its flocks —
+        origin's slot reads as free because its busy flock is.  A
+        zero-byte footprint reserves nothing.
+        """
+        return _Reservation(self, target_rank, footprint)
+
+    def _try_reserve(self, target_rank: int, slot: tuple) -> "tuple | None":
+        """One attempt of :meth:`_atomic_section`: the held busy flock's
+        ``(key, descriptor)``, or None when ``.atomic`` or an overlapping
+        reservation is held elsewhere."""
+        files = self._lock_files
+        akey, bkey, buf, mine, peers = self._tables[target_rank]
+        afd = files.take(akey)
+        try:
+            fcntl.flock(afd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError:
+            files.release(akey, afd, held=False)
+            return None
+        try:
+            lo, hi = slot[0], slot[1]
+            for origin, theirs in peers:
+                other = _SLOT.unpack_from(buf, theirs)
+                if (
+                    other[0] < hi and lo < other[1]  # the bounding boxes first
+                    and _slots_overlap(slot, other)
+                    and self._busy(target_rank, origin)
+                ):
+                    return None
+            _SLOT.pack_into(buf, mine, *slot)
+            bfd = files.take(bkey)
+            # granted at once: a peer probes it only under .atomic
+            fcntl.flock(bfd, fcntl.LOCK_EX)
+            return bkey, bfd
+        finally:
+            files.release(akey, afd)
+
+    def _busy(self, target_rank: int, origin: int) -> bool:
+        """Whether ``origin`` holds its busy flock on ``target_rank``: a
+        nonblocking shared probe, let go at once."""
+        files = self._lock_files
+        key = (self._token, target_rank, "busy%d" % origin)
+        fd = files.take(key)
+        if _try_flock(fd, fcntl.LOCK_SH | fcntl.LOCK_NB):
+            files.release(key, fd)
+            return False
+        files.release(key, fd, held=False)
+        return True
 
     # -- teardown ------------------------------------------------------------
     def free_with(self, on_free) -> Any:
@@ -1167,6 +1321,7 @@ class ProcWin(Win):
         self._released = True
         self._lock_files.forget(self._token)
         self._buffers = [np.empty(0, dtype=np.uint8) for _ in self._buffers]
+        self._tables = []
         segments, self._segments = self._segments, []
         for r, seg in enumerate(segments):
             if r == self._creator_rank:

@@ -900,13 +900,16 @@ class Win:
             self._require_mpi3("flush")
         return not self.runtime.fuzzing
 
-    def _atomic_section(self, target_rank: int) -> Any:
-        """Context entered with ``runtime.cond`` held around the body of
-        ``accumulate``, ``fetch_and_op`` and ``compare_and_swap``.
+    def _atomic_section(self, target_rank: int, footprint: dt.SegmentMap) -> Any:
+        """Context entered with ``runtime.cond`` held around the
+        read-modify-write of ``accumulate``, ``fetch_and_op`` and
+        ``compare_and_swap``, once every rule check has passed;
+        ``footprint`` is the op's target bytes.
 
         The one hook a backend supplies to make them atomic in shared
         epochs; here ``runtime.cond`` already serialises every rank, so
-        the section is its (reentrant) lock, taken once more.
+        the section is its (reentrant) lock, taken once more, and the
+        footprint is not needed (the proc backend reserves it).
         """
         return self.runtime.giant_lock
 
@@ -927,12 +930,12 @@ class Win:
         rt = self.runtime
         try:
             op = mpi_ops.lookup(op)
-            with rt.giant_lock, self._atomic_section(target_rank):
-                epoch, buf = self._atomic_view(target_rank, target_offset, datatype, fused)
-                old = buf[0].item()
-                if op is not mpi_ops.NO_OP:
-                    src = np.array([value], dtype=datatype.base)
-                    op.apply(buf, src)
+            with rt.giant_lock:
+                epoch, fp, buf = self._atomic_view(target_rank, target_offset, datatype, fused)
+                with self._atomic_section(target_rank, fp):
+                    old = buf[0].item()
+                    if op is not mpi_ops.NO_OP:
+                        op.apply(buf, np.array([value], dtype=datatype.base))
                 if fused:
                     self._complete(epoch)
                 rt.notify_progress()
@@ -954,11 +957,12 @@ class Win:
     ) -> "int | float":
         """Atomic CAS on one element (MPI-3 MPI_Compare_and_swap)."""
         self._require_mpi3("compare_and_swap")
-        with self.runtime.cond, self._atomic_section(target_rank):
-            _, buf = self._atomic_view(target_rank, target_offset, datatype)
-            old = buf[0].item()
-            if old == compare:
-                buf[0] = value
+        with self.runtime.cond:
+            _, fp, buf = self._atomic_view(target_rank, target_offset, datatype)
+            with self._atomic_section(target_rank, fp):
+                old = buf[0].item()
+                if old == compare:
+                    buf[0] = value
             self.runtime.notify_progress()
         self._charge_op("rmw", datatype.size, 1)
         return old
@@ -1114,13 +1118,14 @@ class Win:
             if base == _VOID or base.itemsize == 0:
                 raise ArgumentError("accumulate: cannot infer element type")
             data = self._gather_origin(view, omap, target_rank)
-            with rt.giant_lock, self._atomic_section(target_rank):
+            with rt.giant_lock:
                 epoch = self._require_epoch(target_rank, "acc", fused and flush)
                 _check_acc_alignment(segmap, base)
                 self._record_access(epoch, "acc", op.name, segmap, origin, not fused)
                 payload = data if fused else self._fault_filter("acc", data)
                 if payload is not None:
-                    _accumulate_into(self._buffers[target_rank], segmap, payload, base, op)
+                    with self._atomic_section(target_rank, segmap):
+                        _accumulate_into(self._buffers[target_rank], segmap, payload, base, op)
                 op_index = epoch.op_count
                 epoch.op_count += 1
                 epoch.bytes_moved += nbytes
@@ -1433,9 +1438,10 @@ class Win:
     def _atomic_view(
         self, target_rank: int, target_offset: int, datatype: dt.Datatype,
         flush: bool = False,
-    ) -> "tuple[_Epoch, np.ndarray]":
-        """The epoch of an MPI-3 atomic and the element it operates on,
-        after the rule checks (``flush``: the atomic completes itself).
+    ) -> "tuple[_Epoch, dt.SegmentMap, np.ndarray]":
+        """The epoch of an MPI-3 atomic, its footprint and the element it
+        operates on, after the rule checks (``flush``: the atomic
+        completes itself).
 
         The window treats atomics as self-contained and never
         conflict-checks them; only when a sanitizer is installed is their
@@ -1451,10 +1457,10 @@ class Win:
             self._out_of_range(
                 f"atomic access [{disp},{end})", _RMW, disp, end, target_rank
             )
+        fp = dt.SegmentMap.arithmetic(disp, datatype.size, datatype.size, 1)
         if self.runtime.sanitizer is not None and self._checked():
-            fp = dt.SegmentMap.arithmetic(disp, datatype.size, datatype.size, 1)
             self._admit(epoch, "acc", _RMW, fp, not flush)
-        return epoch, buf[disp:end].view(datatype.base)
+        return epoch, fp, buf[disp:end].view(datatype.base)
 
     def _audit_requests(self, epoch: _Epoch) -> None:
         """A closing epoch must leave no request-based op unwaited.

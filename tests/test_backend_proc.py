@@ -442,20 +442,106 @@ def test_proccomm_is_its_transport():
 
 
 # ---------------------------------------------------------------------------
+# the footprint overlap predicate of the atomic reservations
+# ---------------------------------------------------------------------------
+
+
+def _bytes_of(fp):
+    return {b for lo, hi in fp.intervals() for b in range(lo, hi)}
+
+
+_arith = st.tuples(
+    st.integers(0, 96), st.integers(1, 24), st.integers(0, 24), st.integers(0, 6)
+)
+
+
+@st.composite
+def _footprint_pairs(draw):
+    """Two target footprints: arithmetic progressions (``n`` 0 or 1 too,
+    zero-length rows, rows that overlap themselves), a second one that
+    shares the first's step and touches or straddles a row end, or one
+    that is no progression at all."""
+    from repro.mpi.datatypes import SegmentMap
+
+    start, step, seg_len, n = a = draw(_arith)
+    kind = draw(st.sampled_from(["arith", "same step", "irregular"]))
+    if kind == "arith":
+        b = draw(_arith)
+    elif kind == "same step":
+        b_len = draw(st.integers(1, 24))
+        edge = draw(st.sampled_from([start + seg_len, start - b_len]))
+        b = (max(edge + draw(st.integers(-2, 2)), 0), step, b_len, draw(st.integers(1, 6)))
+    if kind == "irregular":
+        offs = draw(st.lists(st.integers(0, 160), min_size=1, max_size=5))
+        lens = draw(st.lists(st.integers(1, 12), min_size=len(offs), max_size=len(offs)))
+        return SegmentMap.arithmetic(*a), SegmentMap(np.array(offs), np.array(lens))
+    return SegmentMap.arithmetic(*a), SegmentMap.arithmetic(*b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_footprint_pairs())
+def test_footprint_overlap_predicate_matches_the_bytes(pair):
+    """Never a false negative; exact for single segments and equal steps
+    (every GA piece of one array); a zero-byte op reserves nothing."""
+    from repro.mpi.backend_proc import _footprint_slot, _slots_overlap
+
+    a, b = pair
+    sa, sb = _footprint_slot(a), _footprint_slot(b)
+    assert (sa is None) == (a.total_bytes == 0) and (sb is None) == (b.total_bytes == 0)
+    if sa is None or sb is None:
+        return
+    meet = bool(_bytes_of(a) & _bytes_of(b))
+    got = _slots_overlap(sa, sb)
+    assert got == _slots_overlap(sb, sa)
+    assert got or not meet, (sa, sb)
+    pa, pb = a._arith_params(), b._arith_params()
+    if pa and pb and (pa[3] == 1 or pb[3] == 1 or pa[1] == pb[1]):
+        assert got == meet, (sa, sb)
+
+
+def test_footprint_overlap_predicate_examples():
+    from repro.mpi.backend_proc import _footprint_slot, _slots_overlap
+    from repro.mpi.datatypes import SegmentMap
+
+    def overlap(a, b):
+        return _slots_overlap(
+            _footprint_slot(SegmentMap.arithmetic(*a)),
+            _footprint_slot(SegmentMap.arithmetic(*b)),
+        )
+
+    # interleaved columns of one matrix: touching ends do not meet
+    assert not overlap((0, 10, 4, 3), (4, 10, 6, 3))
+    assert overlap((0, 10, 4, 3), (3, 10, 6, 3))
+    # a single segment in the gap between two rows, and across one
+    assert not overlap((0, 10, 4, 3), (14, 6, 6, 1))
+    assert overlap((0, 10, 4, 3), (13, 6, 6, 1))
+    # unequal steps fall back to the bounding boxes: a conservative yes
+    assert overlap((0, 10, 4, 3), (4, 12, 2, 2))
+    assert _footprint_slot(SegmentMap.arithmetic(8, 8, 8, 0)) is None
+    # a footprint that is no progression reserves its bounding box
+    irregular = SegmentMap(np.array([8, 40, 16]), np.array([4, 4, 4]))
+    assert _footprint_slot(irregular) == (8, 44, 36, 36, 1)
+    # an all-zero slot (none reserved yet) meets nothing
+    assert not _slots_overlap((0, 0, 0, 0, 0), (0, 8, 8, 8, 1))
+    assert not _slots_overlap((0, 8, 8, 8, 1), (0, 0, 0, 0, 0))
+
+
+# ---------------------------------------------------------------------------
 # the contended flock wait and the cached lock descriptors
 # ---------------------------------------------------------------------------
 
 
 def _count_flock_probes():
-    """Count this rank process's nonblocking ``flock`` attempts (the probes
-    of ``ProcWin._acquire_flock``; an inbox write lock blocks instead)."""
+    """Count this rank process's exclusive nonblocking ``flock`` attempts:
+    one per attempt of an atomic op's reservation (on the target's
+    ``.atomic`` file; a busy probe is shared, an inbox write lock blocks)."""
     import fcntl
 
     probes = []
     real = fcntl.flock
 
     def flock(fd, op):
-        if op & fcntl.LOCK_NB:
+        if op == fcntl.LOCK_EX | fcntl.LOCK_NB:
             probes.append(op)
         return real(fd, op)
 
@@ -463,30 +549,54 @@ def _count_flock_probes():
     return probes
 
 
-def _contended_sublock_body(comm, hold_s, rounds):
-    """Rank 0 holds target 0's atomic sublock for ``hold_s`` per round;
-    rank 1 starts acquiring as soon as it sees the round's flag in the
-    window.  Returns rank 1's (wait seconds, flock probes) per round."""
-    win, _ = Win.allocate(comm, 64, mpi3=True)
+#: the footprint rank 0 reserves in the contended rounds: columns 0-3 of
+#: an 8 x 16 float64 matrix at byte 64 of target 0 (rows 128 B apart)
+_HELD = (64, 128, 32, 8)
+#: rank 1's target bytes, at the same row step: columns 2-5 (meet
+#: ``_HELD``), columns 4-7 (touch its ends only), one element of column 0
+#: of row 3 (inside it) and of column 8 (outside)
+_OVERLAPPING, _DISJOINT = 64 + 16, 64 + 32
+_INSIDE, _OUTSIDE = 64 + 3 * 128, 64 + 64
+
+
+def _contended_sublock_body(comm, hold_s, rounds, op, target_offset):
+    """Rank 0 holds a reservation of ``_HELD`` on target 0 for ``hold_s``
+    per round; rank 1 starts ``op`` at byte ``target_offset`` of target 0
+    as soon as it sees the round's flag in the window — an accumulate of
+    8 x 4 float64 at the row step (``"acc"``), or a ``"fetch_and_op"`` or
+    ``"compare_and_swap"`` of one element.  Returns rank 1's (seconds,
+    reservation attempts) per op."""
+    from repro.mpi import datatypes as dt
+
+    win, _ = Win.allocate(comm, 64 + 8 * 128, mpi3=True)
+    win.lock_all()
     comm.barrier()
     flags = win.exposed_buffer(0)[:16].view(np.int64)  # [holder's round, waiter's]
     out = []
     if comm.rank == 0:
+        held = dt.SegmentMap.arithmetic(*_HELD)
         for r in range(1, rounds + 1):
-            with win._atomic_section(0):
+            with win._atomic_section(0, held):
                 flags[0] = r
                 time.sleep(hold_s)
             while flags[1] != r:
                 time.sleep(0.0002)
     else:
         probes = _count_flock_probes()
+        cols, ones = dt.vector(8, 4, 16, dt.DOUBLE).commit(), np.ones(32)
         for r in range(1, rounds + 1):
             while flags[0] != r:
                 os.sched_yield()
             t0, n0 = time.perf_counter(), len(probes)
-            with win._atomic_section(0):
-                out.append((time.perf_counter() - t0, len(probes) - n0))
+            if op == "acc":
+                win.accumulate(ones, 0, target_offset, target_datatype=cols, flush=True)
+            elif op == "fetch_and_op":
+                win.fetch_and_op(1, 0, target_offset, flush=True)
+            else:
+                win.compare_and_swap(0, 1, 0, target_offset)
+            out.append((time.perf_counter() - t0, len(probes) - n0))
             flags[1] = r
+    win.unlock_all()
     comm.barrier()
     win.free()
     return out
@@ -508,15 +618,16 @@ def _curve_probes(wait):
 
 
 def test_contended_flock_wait_costs_what_the_holder_holds():
-    """A 0.5 ms hold (a 2 MiB accumulate) is waited out in about that, not
-    in a 2 ms sleep quantum — and the short first re-probes stay few.
+    """A 0.5 ms hold (a 2 MiB accumulate) of an overlapping footprint is
+    waited out in about that, not in a 2 ms sleep quantum — and the short
+    first re-probes stay few.
 
     The probe counts are held to the curve for the wait each round really
     saw: a holder descheduled in its sleep holds longer than asked, and
     its waiter rightly probes more."""
     from repro.backoff import FLOCK_WAIT
 
-    rounds = proc_spmd(2, _contended_sublock_body, 0.0005, 50)[1]
+    rounds = proc_spmd(2, _contended_sublock_body, 0.0005, 50, "acc", _OVERLAPPING)[1]
     waits = sorted(w for w, _ in rounds)
     assert waits[len(waits) // 2] <= 1.2e-3, waits
     assert _curve_probes(1.2e-3) <= 8  # a wait of about the hold: few probes
@@ -524,9 +635,81 @@ def test_contended_flock_wait_costs_what_the_holder_holds():
     # a long hold: after the curve reaches its cap the poll rate is the
     # old flat one, so the extra CPU is bounded by the curve's length
     assert _curve_probes(0.05) <= 0.05 / FLOCK_WAIT.cap + 8
-    long_rounds = proc_spmd(2, _contended_sublock_body, 0.05, 3)[1]
+    long_rounds = proc_spmd(2, _contended_sublock_body, 0.05, 3, "acc", _OVERLAPPING)[1]
     assert all(n <= _curve_probes(w) for w, n in long_rounds), long_rounds
     assert min(w for w, _ in long_rounds) >= 0.04
+
+
+def test_a_disjoint_accumulate_runs_during_a_held_reservation():
+    """Footprints that only interleave (same rows, other columns; the ends
+    touch) do not exclude each other: the accumulate is done in one
+    attempt, long before the holder lets go of its 0.2 s hold."""
+    rounds = proc_spmd(2, _contended_sublock_body, 0.2, 3, "acc", _DISJOINT)[1]
+    assert all(w < 0.05 and n == 1 for w, n in rounds), rounds
+
+
+@pytest.mark.parametrize("op", ["fetch_and_op", "compare_and_swap"])
+def test_an_atomic_waits_only_inside_an_accumulates_footprint(op):
+    inside = proc_spmd(2, _contended_sublock_body, 0.2, 2, op, _INSIDE)[1]
+    assert min(w for w, _ in inside) >= 0.15, inside
+    outside = proc_spmd(2, _contended_sublock_body, 0.2, 2, op, _OUTSIDE)[1]
+    assert all(w < 0.05 and n == 1 for w, n in outside), outside
+
+
+#: ranks of the stress test: more than the 2-CPU reference host has cores
+_STRESS_NPROC, _STRESS_ROWS = 3, 16
+#: 8 columns per rank of its own, then a band of 16 every rank writes
+_STRESS_COLS = 8 * _STRESS_NPROC + 16
+
+
+def _footprint_stress_body(comm, rounds):
+    """Every rank interleaves strided accumulates — into 8 columns of its
+    own and into a band all of them write — with ``fetch_and_op`` on one
+    counter, all into target 0 inside ``lock_all``.  Returns the target's
+    matrix (rank 0), the counter values this rank fetched and its
+    accumulates as ``(row, col, width, value)``."""
+    from repro.mpi import datatypes as dt
+
+    rows, cols, shared = _STRESS_ROWS, _STRESS_COLS, 8 * comm.size
+    win, _ = Win.allocate(comm, 8 + rows * cols * 8, mpi3=True)
+    rng = np.random.default_rng([11, comm.rank])
+    win.lock_all()
+    comm.barrier()
+    fetched, accs = [], []
+    for i in range(rounds):
+        width = int(rng.integers(1, 9))
+        if i % 2:
+            col = shared + int(rng.integers(0, 17 - width))
+        else:
+            col = 8 * comm.rank + int(rng.integers(0, 9 - width))
+        row = int(rng.integers(0, rows - 3))
+        win.accumulate(
+            np.full(4 * width, float(i + 1)), 0, 8 + (row * cols + col) * 8,
+            target_datatype=dt.vector(4, width, cols, dt.DOUBLE).commit(),
+        )
+        accs.append((row, col, width, float(i + 1)))
+        fetched.append(win.fetch_and_op(1, 0, 0))
+    win.unlock_all()
+    comm.barrier()
+    matrix = win.exposed_buffer(0)[8:].view(np.float64).copy() if comm.rank == 0 else None
+    comm.barrier()
+    win.free()
+    return matrix, fetched, accs
+
+
+def test_overlapping_and_disjoint_atomics_sum_exactly_as_on_threads():
+    rounds, n = 300, _STRESS_NPROC
+    threads = Runtime(n, watchdog_s=5.0).spmd(_footprint_stress_body, rounds)
+    procs = proc_spmd(n, _footprint_stress_body, rounds)
+    expect = np.zeros((_STRESS_ROWS, _STRESS_COLS))
+    for _m, _f, accs in threads:
+        for row, col, width, value in accs:
+            expect[row : row + 4, col : col + width] += value
+    for out in (threads, procs):
+        # every fetch saw a distinct count: no increment lost or doubled
+        assert sorted(f for _m, fetched, _a in out for f in fetched) == list(range(n * rounds))
+        assert [accs for _m, _f, accs in out] == [accs for _m, _f, accs in threads]
+        np.testing.assert_array_equal(out[0][0].reshape(expect.shape), expect)
 
 
 def _lost_holder_body(comm, sig):
@@ -603,7 +786,7 @@ def _count_lock_file_opens():
     real = os.open
 
     def counting(path, *args, **kw):
-        if str(path).endswith((".lock", ".atomic")):
+        if str(path).endswith((".lock", ".atomic")) or ".busy" in str(path):
             opened.append(os.path.basename(path))
         return real(path, *args, **kw)
 
@@ -655,20 +838,25 @@ def test_lock_files_are_opened_once_and_closed_with_their_window():
     results = proc_spmd(2, _descriptor_lifetime_body)
     for rank, (opened, total, cached, leaked) in enumerate(results):
         peer = 1 - rank
-        # 1 000 acquisitions on the first window, three opens — lock_all
-        # locks the own target too — then two more for the second window's pair
+        # 1 000 acquisitions on the first window, four opens — lock_all
+        # locks the own target too, and an accumulate reserves through the
+        # target's .atomic and this origin's own busy file there — then
+        # three more for the second window's
         assert opened == sorted(
-            [f"t{peer}.atomic", f"t{peer}.lock"] * 2 + [f"t{rank}.lock"]
+            [f"t{peer}.atomic", f"t{peer}.busy{rank}", f"t{peer}.lock"] * 2
+            + [f"t{rank}.lock"]
         )
         assert total == 500
-        assert cached == 3  # the two .lock files lock_all held, the peer's .atomic
+        # the two .lock files lock_all held, the peer's .atomic and busy file
+        assert cached == 4
         assert leaked == (0, 0)
 
 
 def _many_windows_body(comm):
     from repro.mpi.backend_proc import _LockFiles
 
-    # windows x targets x {lock, atomic} exceeds the cache bound
+    # windows x targets x {lock, atomic} alone exceeds the cache bound
+    # (an accumulate adds its own busy file, and probes the peer's)
     nwin = _LockFiles.BOUND // (2 * comm.size) + 4
     before = _open_fds()
     wins = [Win.allocate(comm, 16)[0] for _ in range(nwin)]
@@ -685,7 +873,8 @@ def _many_windows_body(comm):
                 os.sched_yield()
                 cell[0] = seen + 1
                 win.unlock(target)
-                # and one that only the atomic sublock orders
+                # and one that only the footprint reservation orders (the
+                # two ranks' accumulates overlap)
                 win.lock(target, LOCK_SHARED)
                 win.accumulate(one, target, 8)
                 win.unlock(target)

@@ -47,6 +47,7 @@ from repro.mpi.errors import (
 )
 from repro.mpi.progress import DeterministicSchedule
 from repro.mpi.runtime import Runtime
+from repro.mpi.window import Win
 from repro.sanitizer.fuzz import fuzz_schedules, run_schedule
 
 NPROC = 3
@@ -302,6 +303,94 @@ def test_watchdog_stays_quiet_while_a_timeout_retry_is_in_flight():
     results = rt.spmd(body)
     assert outcome == {"timed_out": True}
     assert results == ["done", "done"]
+
+
+def _lost_reservation_body(comm, how):
+    """Rank 0 reserves bytes [64, 128) of target 1 for an atomic op and
+    then dies there (``"kill"``), stops there (``"stop"``), or stays
+    there until rank 1 is done (``"failed"``, while rank 2 dies); rank 1
+    meanwhile accumulates bytes [96, 160) of its own memory.  Returns rank
+    1's outcome and the seconds it took; procs only (real signals)."""
+    import os
+    import signal
+    import time
+
+    from repro.mpi.datatypes import SegmentMap
+    from repro.mpi.runtime import RankFailedError
+
+    win, _ = Win.allocate(comm, 192, mpi3=True)
+    win.lock_all()
+    comm.barrier()
+    flags = win.exposed_buffer(1)[:24].view(np.int64)  # [holder's pid, ready, done]
+    outcome = "held"
+    if comm.rank == 0:
+        while not flags[1]:
+            time.sleep(0.001)
+        with win._atomic_section(1, SegmentMap.arithmetic(64, 64, 64, 1)):
+            flags[0] = os.getpid()
+            if how == "kill":
+                time.sleep(0.03)  # die while rank 1 is already waiting
+                os.kill(os.getpid(), signal.SIGKILL)
+            elif how == "stop":
+                os.kill(os.getpid(), signal.SIGSTOP)  # rank 1 sends SIGCONT
+            else:
+                while not flags[2]:
+                    time.sleep(0.001)
+    elif comm.rank == 1:
+        flags[1] = 1
+        while not flags[0]:
+            time.sleep(0.001)
+        if how == "stop":
+            time.sleep(0.02)  # let the stop land
+        t0 = time.monotonic()
+        try:
+            win.accumulate(np.ones(8), 1, 96, flush=True)
+            outcome = ("accumulated", time.monotonic() - t0)
+        except (OpTimeoutError, RankFailedError) as exc:
+            outcome = (type(exc).__name__, time.monotonic() - t0)
+        finally:
+            flags[2] = 1
+            if how == "stop":
+                os.kill(int(flags[0]), signal.SIGCONT)
+    else:
+        while not flags[0]:
+            time.sleep(0.001)
+        time.sleep(0.03)  # die while rank 1 is already waiting
+        os.kill(os.getpid(), signal.SIGKILL)
+    win.unlock_all()
+    if how == "stop":
+        comm.barrier()
+        win.free()
+    return outcome
+
+
+def _lost_reservation(nproc, how, **kw):
+    rt = Runtime(nproc, backend="proc", apply_hooks=False, **kw)
+    return rt.spmd(_lost_reservation_body, how, join_timeout=120.0)
+
+
+def test_a_reservation_killed_mid_rmw_does_not_block_an_overlapping_accumulate():
+    """The kernel drops a dead origin's busy flock, so its slot reads free."""
+    dead, (what, waited) = _lost_reservation(2, "kill")
+    assert dead is None and what == "accumulated"
+    assert waited < 5.0, waited
+
+
+def test_a_stopped_reservation_times_out_once_on_schedule():
+    """Every re-probe of an overlapping reservation runs under the one
+    deadline of the wait: ``op_timeout_s``, at most one capped probe
+    interval late (+ scheduling slack on a loaded host)."""
+    from repro.backoff import FLOCK_WAIT
+
+    resumed, (what, waited) = _lost_reservation(2, "stop", op_timeout_s=0.2)
+    assert (resumed, what) == ("held", "OpTimeoutError")
+    assert 0.2 <= waited <= 0.2 + FLOCK_WAIT.cap + 0.05, waited
+
+
+def test_a_reservation_wait_raises_once_a_rank_failed():
+    """A waiter behind a live holder still observes ``runtime.failed``."""
+    held, (what, _waited), dead = _lost_reservation(3, "failed")
+    assert (held, what, dead) == ("held", "RankFailedError", None)
 
 
 # -- the ULFM-analogue primitives --------------------------------------------------
