@@ -70,7 +70,6 @@ from ..mpi import ops as mpi_ops
 from ..mpi.errors import ArgumentError
 from ..mpi.group import UNDEFINED
 from ..mpi.window import (
-    _accumulate_into,
     _check_acc_alignment,
     _IntervalSet,
     _segments_overlap,
@@ -184,6 +183,8 @@ def _wl_acc_strided() -> tuple[Callable, Callable]:
     buf = np.zeros(rows * pitch, dtype=np.uint8)
     data = np.ones(rows * row_bytes // 8).view(np.uint8)
     segmap = strided.strided_datatype((pitch,), (row_bytes, rows), dt.DOUBLE).segment_map()
+    omap = dt.SegmentMap.arithmetic(0, data.nbytes, data.nbytes, 1)
+
     def per_segment() -> None:
         pos = 0
         for lo, hi in segmap.intervals():
@@ -192,7 +193,8 @@ def _wl_acc_strided() -> tuple[Callable, Callable]:
 
     def checked_kernel() -> None:  # what Win.accumulate runs per target
         _check_acc_alignment(segmap, base)
-        _accumulate_into(buf, segmap, data, base, mpi_ops.SUM)
+        target_rows, origin_rows = segmap.row_views(buf, omap, data, base)
+        mpi_ops.SUM.ufunc(target_rows, origin_rows, out=target_rows)
 
     return checked_kernel, per_segment
 

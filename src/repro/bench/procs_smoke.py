@@ -23,6 +23,17 @@ backend once had read 1.35-2.0) shows as a tail the median cannot see.
 It needs two CPUs, not four, so it is the wall-clock check that fires
 on a 2-CPU host.
 
+A third row gates the overlap itself: two ranks accumulate *disjoint*
+column bands of one matrix in rank 0's memory, back to back, so their
+footprints interleave row by row but share no byte.  Its gate is the
+per-op time of that op over the same op's with the other rank idle, in
+adjacent runs, median over many such phases
+(:func:`check_disjoint_acc`): reservations that let disjoint footprints
+run at once keep it near 1 (two cores, each on its own band; 1.1-1.3
+on the 2-CPU reference host), reservations that made them take turns
+would put every op behind the peer's and read about 2 (1.8-2.1 there).
+It needs two CPUs too.
+
 Because the scaling ratio compares the same machine against itself it is
 host-relative — but it still needs cores to scale onto, so the
 ``procs`` entry of :mod:`repro.bench.registry` enforces the
@@ -62,6 +73,14 @@ ACC_ROUNDS = 3
 
 #: ceiling on mean / median operation time of the contended-accumulate row
 MAX_ACC_MEAN_OVER_MEDIAN = 1.4
+
+#: the disjoint-accumulate row's matrix in rank 0's memory, ``float64``:
+#: rank ``r`` accumulates columns ``[r * BAND_COLS, (r + 1) * BAND_COLS)``
+#: of every row, a 512 KiB band
+BAND_ROWS, BAND_COLS = 256, 256
+
+#: ceiling on the disjoint row's per-op time over the uncontended op's
+MAX_DISJOINT_OVER_ALONE = 1.5
 
 
 def _rank_body(comm, nbytes: int, nreps: int) -> float:
@@ -121,9 +140,64 @@ def _contended_acc_body(comm, nbytes: int, nreps: int) -> "list[float]":
     return times
 
 
+def _disjoint_acc_body(comm, phases: int, nreps: int) -> "list[tuple[float, float]]":
+    """``phases`` pairs of back-to-back runs of ``nreps`` accumulates of a
+    rank's column band of the matrix in rank 0's memory: rank 0 alone
+    (rank 1 waits at a barrier), then both ranks at once.  Wall seconds of
+    each run, ``(alone, together)`` per phase (rank 1's alone is 0)."""
+    from ..armci import Armci
+
+    armci = Armci.init(comm, datapath="mpi3")
+    me = armci.my_id
+    row_bytes = 2 * BAND_COLS * 8
+    ptrs = armci.malloc(BAND_ROWS * row_bytes if me == 0 else 0)
+    band = np.ones((BAND_ROWS, BAND_COLS))
+    dst = ptrs[0] + me * BAND_COLS * 8
+
+    def run() -> float:
+        t0 = time.perf_counter()
+        for _ in range(nreps):
+            armci.acc_s(band, [BAND_COLS * 8], dst, [row_bytes], [BAND_COLS * 8, BAND_ROWS])
+        return time.perf_counter() - t0
+
+    run()  # warm: translation, datatypes, lock descriptors
+    out = []
+    for _ in range(phases):
+        armci.barrier()
+        alone = run() if me == 0 else 0.0
+        armci.barrier()
+        out.append((alone, run()))
+    armci.barrier()
+    armci.free(ptrs[me])
+    armci.finalize()
+    return out
+
+
+def _disjoint_acc_row(phases: int, nreps: int) -> dict:
+    """Per-op time of the band accumulate together over alone, per phase:
+    the slowest rank's run over rank 0's run alone just before it (adjacent
+    runs, so a host that drifts moves both).  The slowest rank, because
+    ops that took turns would show as one rank done early and the other
+    twice as long, which a median over both ranks' ops can miss — a flock
+    is not a fair queue."""
+    ranks = Runtime(2, backend="proc").spmd(
+        _disjoint_acc_body, phases, nreps, join_timeout=300.0
+    )
+    alone = [a for a, _ in ranks[0]]
+    together = [max(r0[1], r1[1]) for r0, r1 in zip(*ranks)]
+    ratios = [t / a for a, t in zip(alone, together)]
+    return {
+        "alone_us": float(np.median(alone)) / nreps * 1e6,
+        "together_us": float(np.median(together)) / nreps * 1e6,
+        "together_over_alone": float(np.median(ratios)),
+        "phases": phases,
+    }
+
+
 def measure(fast: bool = False) -> dict:
     """Aggregate put/get throughput for each world size + scaling ratio,
-    and the two-rank contended-accumulate row."""
+    the two-rank contended-accumulate row and the disjoint-accumulate
+    row."""
     nreps = 8 if fast else 32
     results: dict = {}
     for nproc in NPROCS:
@@ -146,6 +220,7 @@ def measure(fast: bool = False) -> dict:
         **min(rounds, key=lambda r: r["mean_over_median"]),
         "mean_over_median_rounds": [r["mean_over_median"] for r in rounds],
     }
+    results["disjoint_acc_np2"] = _disjoint_acc_row(30 if fast else 60, 20)
     return results
 
 
@@ -174,12 +249,17 @@ def format_results(results: dict) -> str:
     )
     acc = results["contended_acc_np2"]
     rounds = ", ".join(f"{r:.2f}" for r in acc["mean_over_median_rounds"])
+    band = results["disjoint_acc_np2"]
     return (
         f"{table}\nscaling 1 -> {NPROCS[-1]} ranks: "
         f"{results['scaling_1_to_4']:.2f}x\n"
         f"contended accumulate, 2 ranks -> rank 0, {SLAB_BYTES // 1024} KiB: "
         f"mean {acc['mean_us']:.0f} us, median {acc['median_us']:.0f} us, "
-        f"mean/median {acc['mean_over_median']:.2f} (best of {rounds})"
+        f"mean/median {acc['mean_over_median']:.2f} (best of {rounds})\n"
+        f"disjoint accumulate, 2 ranks -> column bands of rank 0, "
+        f"{BAND_ROWS * BAND_COLS * 8 // 1024} KiB each: {band['alone_us']:.0f} us "
+        f"per op alone, {band['together_us']:.0f} us together, "
+        f"{band['together_over_alone']:.2f}x (median of {band['phases']} phases)"
     )
 
 
@@ -203,4 +283,16 @@ def check_contended_acc(measured: dict, _committed: dict) -> "list[str]":
         f"contended accumulate mean/median op time is {ratio:.2f} "
         f"(ceiling {MAX_ACC_MEAN_OVER_MEDIAN}): waits cost more than the "
         "holder holds"
+    ]
+
+
+def check_disjoint_acc(measured: dict, _committed: dict) -> "list[str]":
+    """Accumulates on disjoint bytes of one target must not take turns."""
+    ratio = measured["disjoint_acc_np2"]["together_over_alone"]
+    if ratio <= MAX_DISJOINT_OVER_ALONE:
+        return []
+    return [
+        f"disjoint accumulate per-op time is {ratio:.2f}x the uncontended "
+        f"op's (ceiling {MAX_DISJOINT_OVER_ALONE}x): disjoint footprints "
+        "waited for each other"
     ]

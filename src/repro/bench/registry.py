@@ -343,10 +343,12 @@ BENCHES: "dict[str, Bench]" = {
             name="procs",
             help="proc-backend (one OS process per rank) aggregate put/get "
             "throughput over shared-memory windows (ARMCI mpi3 datapath, "
-            "ring workload over fixed-size slabs) for 1/2/4 ranks, and the op time of two ranks accumulating into "
-            "one slab; absolute MB/s and us are machine-dependent trajectory "
-            "data, only the 1->4 rank scaling ratio and the contended "
-            "accumulate's mean/median ratio are gated",
+            "ring workload over fixed-size slabs) for 1/2/4 ranks, the op time of two ranks accumulating into "
+            "one slab, and of two ranks accumulating disjoint column bands of "
+            "one matrix; absolute MB/s and us are machine-dependent trajectory "
+            "data, only the 1->4 rank scaling ratio, the contended "
+            "accumulate's mean/median ratio and the disjoint accumulate's "
+            "ratio to the uncontended op are gated",
             measure=_lazy("procs_smoke", "measure"),
             format=_lazy("procs_smoke", "format_results"),
             baseline="BENCH_procs.json",
@@ -355,6 +357,7 @@ BENCHES: "dict[str, Bench]" = {
                 "procs_smoke",
                 min_scaling="MIN_SCALING",
                 max_acc_mean_over_median="MAX_ACC_MEAN_OVER_MEDIAN",
+                max_disjoint_over_alone="MAX_DISJOINT_OVER_ALONE",
             ),
             checks=(
                 Check(
@@ -365,6 +368,12 @@ BENCHES: "dict[str, Bench]" = {
                 Check(
                     "contended accumulate mean/median <= max_acc_mean_over_median",
                     _lazy("procs_smoke", "check_contended_acc"),
+                    min_cpus=CONTENTION_MIN_CPUS,
+                ),
+                Check(
+                    "disjoint accumulate per-op time <= max_disjoint_over_alone x "
+                    "the uncontended op's",
+                    _lazy("procs_smoke", "check_disjoint_acc"),
                     min_cpus=CONTENTION_MIN_CPUS,
                 ),
             ),

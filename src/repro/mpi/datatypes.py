@@ -222,37 +222,55 @@ class SegmentMap:
         """Set this map's bytes of ``buffer`` to ``src``'s bytes of
         ``src_buffer`` (equal totals), as if gathered and then scattered.
 
-        One C-level strided copy when both maps are arithmetic with disjoint
-        rows of one length (a contiguous side is re-cut to the other's row
-        length), or one slice store when both are a single segment; numpy
-        resolves aliasing buffers as if the source were copied first.
-        Anything else packs and unpacks.
+        One C-level strided copy of :meth:`row_views`, or one slice store
+        when both maps are a single segment; numpy resolves aliasing
+        buffers as if the source were copied first.  Anything else packs
+        and unpacks.
         """
         if self.nsegments == 1 == src.nsegments:  # every small op: skip the views
             (lo, hi), (src_lo, src_hi) = self.bounds(), src.bounds()
             buffer[lo:hi] = src_buffer[src_lo:src_hi]
             return
-        a, b = self._arith_params(), src._arith_params()
-        if a is not None and b is not None and a[1] >= a[2] and b[1] >= b[2]:
-            # the shared row length; a contiguous side (step == seg_len) adopts
-            # the other's; two strided sides with different rows have none
-            (start, step, L, n), (s_start, s_step, s_L, s_n) = a, b
-            row = L if (L == s_L or s_step == s_L) else s_L if step == L else 0
-            if row:
-                # a contiguous side re-cut into rows of that length
-                if L != row:
-                    n, step = n * L // row, row
-                if s_L != row:
-                    s_n, s_step = s_n * s_L // row, row
-                np.copyto(
-                    _rows(buffer, start, step, row, n),
-                    _rows(src_buffer, s_start, s_step, row, s_n),
-                )
-                return
+        rows = self.row_views(buffer, src, src_buffer)
+        if rows is not None:
+            np.copyto(*rows)
+            return
         data = src.gather(src_buffer, copy=False)
         if data.base is not None and np.may_share_memory(data, buffer):
             data = data.copy()
         self.scatter(buffer, data)
+
+    def row_views(
+        self, buffer: np.ndarray, src: "SegmentMap", src_buffer: np.ndarray, dtype=_BYTE
+    ) -> "tuple[np.ndarray, np.ndarray] | None":
+        """This map's bytes of ``buffer`` and ``src``'s bytes of
+        ``src_buffer`` (equal totals) as two 2-D views of one shape in
+        ``dtype`` elements, row for row — or None when the maps do not
+        pair up so: both must be arithmetic with disjoint rows of one
+        length, a whole number of elements (a contiguous side is re-cut
+        to the other's row length).  This map's rows must start on whole
+        elements; ``src``'s may not (numpy reads unaligned views).
+        """
+        a, b = self._arith_params(), src._arith_params()
+        if a is None or b is None or a[1] < a[2] or b[1] < b[2]:
+            return None
+        # the shared row length; a contiguous side (step == seg_len) adopts
+        # the other's; two strided sides with different rows have none
+        (start, step, L, n), (s_start, s_step, s_L, s_n) = a, b
+        row = L if (L == s_L or s_step == s_L) else s_L if step == L else 0
+        item = dtype.itemsize
+        if not row or row % item:
+            return None
+        # a contiguous side re-cut into rows of that length
+        if L != row:
+            n, step = n * L // row, row
+        if s_L != row:
+            s_n, s_step = s_n * s_L // row, row
+        shape = (n, row // item)  # (= s_n rows: the totals are equal)
+        return (
+            np.ndarray(shape, dtype, buffer, start, (step, item)),
+            np.ndarray(shape, dtype, src_buffer, s_start, (s_step, item)),
+        )
 
     def flat_index(self) -> np.ndarray:
         """``int64`` array mapping wire position -> buffer byte offset.

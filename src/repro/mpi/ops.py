@@ -29,20 +29,27 @@ class Op:
     ``apply(target, source)`` combines ``source`` into ``target`` in
     place; both are NumPy views of equal shape and dtype.
     ``combine(a, b)`` is the pure (non-mutating) form used by the
-    reduction-tree collectives.
+    reduction-tree collectives.  ``ufunc`` is the NumPy ufunc behind the
+    op, or None when there is none (the logical ops, ``MPI_REPLACE``,
+    ``MPI_NO_OP``).
     """
 
     name: str
     _combine: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
     commutative: bool = True
+    ufunc: "np.ufunc | None" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        fn = self._combine
+        object.__setattr__(self, "ufunc", fn if isinstance(fn, np.ufunc) else None)
 
     def apply(self, target: np.ndarray, source: np.ndarray) -> None:
         if target.shape != source.shape:
             raise ArgumentError(
                 f"{self.name}: shape mismatch {target.shape} vs {source.shape}"
             )
-        if isinstance(self._combine, np.ufunc):
-            self._combine(target, source, out=target)
+        if self.ufunc is not None:
+            self.ufunc(target, source, out=target)
         else:
             target[...] = self._combine(target, source)
 

@@ -323,6 +323,8 @@ class Win:
         self._buffers = buffers
         self._disp_units = disp_units
         self._world_of = _WorldRanks(comm.group)
+        #: the world ranks that may open an epoch on this window
+        self._members = frozenset(comm.group.members)
         self.strict = strict
         self.mpi3 = mpi3
         self._locks = [_LockState() for _ in range(comm.size)]
@@ -331,6 +333,9 @@ class Win:
         #: origin_world -> the epoch it is in: the target of its ``lock``
         #: (the one-lock-per-window rule), ``_LOCK_ALL`` or ``_FENCE``
         self._open: dict[int, "int | str"] = {}
+        #: (origin_world, target_rank) -> the record every fused op in an
+        #: epoch of its own reuses (see ``_own_lock``)
+        self._own_epochs: dict[tuple[int, int], _Epoch] = {}
         self._freed = False
         # per-runtime ids (not process-global) so a replayed run labels
         # its windows identically — violation text feeds the fuzz digest
@@ -544,14 +549,20 @@ class Win:
         backend supplies — here the FIFO grant of the target's
         :class:`_LockState`.  Returns what :meth:`_release` gets back.
 
-        A free lock (no queue, a compatible mode) is granted without
-        queueing, once the raises a wait makes before it first tests its
-        predicate have been made; anything else waits its turn.
+        A free lock (no queue, a compatible mode) is granted at once, without
+        queueing; only when a wait would raise before it first tests its
+        predicate (the caller or another rank failed, a deadlock or dead
+        stall was declared) does a wait on a granted lock raise it.
+        Anything else waits its turn.
         """
         rt = self.runtime
         ls = self._locks[target_rank]
         if not ls.queue and (ls.mode is None or ls.mode == mode == LOCK_SHARED):
-            rt.wait_for(_granted)
+            if (
+                rt.failed is not None or rt._deadlocked or rt._dead_stall
+                or _tls.proc.dead
+            ):
+                rt.wait_for(_granted)
             ls.mode = mode
             ls.holders.add(origin)
             return None
@@ -663,15 +674,39 @@ class Win:
     def _own_lock(self, target_rank: int, mode: str, fused: bool) -> None:
         """Open the epoch of an op issued with ``lock=mode``: :meth:`lock`
         itself or, fused (see :meth:`_fuses`), its section — left holding
-        ``runtime.giant_lock`` for the op, until :meth:`_own_unlock`."""
+        ``runtime.giant_lock`` for the op, until :meth:`_own_unlock`.
+
+        Fused, the section makes :meth:`_begin`'s checks once, inline, and
+        reuses one epoch record per (origin, target): a fused op records
+        no footprint and leaves no get pending, so its record only needs
+        its mode and counters reset.  A check that fails is raised by
+        :meth:`_begin` itself, with its text.
+        """
         if not fused:
             self.lock(target_rank, mode)
             return
         self._check_target(target_rank)
         rt = self.runtime
+        proc = getattr(_tls, "proc", None) or current_proc()
+        origin = proc.rank
         rt.giant_lock.acquire()
         try:
-            self._begin(current_proc().rank, target_rank, mode)
+            if (
+                proc.dead or self._freed or self.comm.revoked or origin in self._open
+                or origin not in self._members
+                or self._world_of[target_rank] in rt.dead_ranks
+            ):
+                self._begin(origin, target_rank, mode)  # a rule fails: raised here
+            else:
+                key = (origin, target_rank)
+                epoch = self._own_epochs.get(key)
+                if epoch is None:
+                    epoch = self._own_epochs[key] = _Epoch(origin, target_rank, mode)
+                epoch.mode = mode
+                epoch.op_count = epoch.bytes_moved = 0
+                epoch.lock = self._acquire(origin, target_rank, mode)
+                self._epochs[key] = epoch
+                self._open[origin] = target_rank
         except BaseException:
             rt.giant_lock.release()
             raise
@@ -685,10 +720,13 @@ class Win:
             self.unlock(target_rank)
             return
         rt = self.runtime
-        origin = current_proc().rank
+        origin = _tls.proc.rank
         try:
-            self._drop_epoch((origin, target_rank))
-            self._open.pop(origin, None)  # (gone if the origin was killed)
+            # gone if the origin was killed (the death hook dropped it)
+            epoch = self._epochs.pop((origin, target_rank), None)
+            if epoch is not None:
+                self._release(epoch)
+            self._open.pop(origin, None)
             rt.notify_progress()
         finally:
             rt.giant_lock.release()
@@ -900,16 +938,17 @@ class Win:
             self._require_mpi3("flush")
         return not self.runtime.fuzzing
 
-    def _atomic_section(self, target_rank: int, footprint: dt.SegmentMap) -> Any:
+    def _atomic_section(self, target_rank: int, slot: "tuple | None") -> Any:
         """Context entered with ``runtime.cond`` held around the
         read-modify-write of ``accumulate``, ``fetch_and_op`` and
-        ``compare_and_swap``, once every rule check has passed;
-        ``footprint`` is the op's target bytes.
+        ``compare_and_swap``, once every rule check has passed; ``slot``
+        is the op's target bytes as rows, ``(lo, hi, step, seg_len, n)``
+        (see :func:`_footprint_slot`), None for a zero-byte op.
 
         The one hook a backend supplies to make them atomic in shared
         epochs; here ``runtime.cond`` already serialises every rank, so
         the section is its (reentrant) lock, taken once more, and the
-        footprint is not needed (the proc backend reserves it).
+        slot is not needed (the proc backend reserves it).
         """
         return self.runtime.giant_lock
 
@@ -931,8 +970,10 @@ class Win:
         try:
             op = mpi_ops.lookup(op)
             with rt.giant_lock:
-                epoch, fp, buf = self._atomic_view(target_rank, target_offset, datatype, fused)
-                with self._atomic_section(target_rank, fp):
+                epoch, slot, buf = self._atomic_view(
+                    target_rank, target_offset, datatype, fused
+                )
+                with self._atomic_section(target_rank, slot):
                     old = buf[0].item()
                     if op is not mpi_ops.NO_OP:
                         op.apply(buf, np.array([value], dtype=datatype.base))
@@ -958,8 +999,8 @@ class Win:
         """Atomic CAS on one element (MPI-3 MPI_Compare_and_swap)."""
         self._require_mpi3("compare_and_swap")
         with self.runtime.cond:
-            _, fp, buf = self._atomic_view(target_rank, target_offset, datatype)
-            with self._atomic_section(target_rank, fp):
+            _, slot, buf = self._atomic_view(target_rank, target_offset, datatype)
+            with self._atomic_section(target_rank, slot):
                 old = buf[0].item()
                 if old == compare:
                     buf[0] = value
@@ -1099,6 +1140,14 @@ class Win:
         (or the origin array's dtype when no datatype is given).  An
         accumulate that is rejected — its element type, or target segments
         that are not whole elements — records and counts nothing.
+
+        When no fault injector filters the payload, an op backed by a
+        ufunc whose two maps pair up row for row
+        (:meth:`~repro.mpi.datatypes.SegmentMap.row_views`) runs that
+        ufunc once, ``out=`` the target's rows, reading the origin's rows
+        where they are: numpy resolves an origin that overlaps the target
+        as if it had been copied first.  Anything else packs the origin
+        and combines the packed payload (:func:`_accumulate_into`).
         """
         fused = self._fuses(flush, lock)
         rt = self.runtime
@@ -1117,15 +1166,27 @@ class Win:
             )
             if base == _VOID or base.itemsize == 0:
                 raise ArgumentError("accumulate: cannot infer element type")
-            data = self._gather_origin(view, omap, target_rank)
             with rt.giant_lock:
                 epoch = self._require_epoch(target_rank, "acc", fused and flush)
-                _check_acc_alignment(segmap, base)
+                slot = _check_acc_alignment(segmap, base)
                 self._record_access(epoch, "acc", op.name, segmap, origin, not fused)
-                payload = data if fused else self._fault_filter("acc", data)
-                if payload is not None:
-                    with self._atomic_section(target_rank, segmap):
-                        _accumulate_into(self._buffers[target_rank], segmap, payload, base, op)
+                buf = self._buffers[target_rank]
+                rows = (
+                    segmap.row_views(buf, omap, view, base)
+                    if (fused or rt.faults is None) and op.ufunc is not None
+                    else None
+                )
+                if rows is not None:
+                    target_rows, origin_rows = rows
+                    with self._atomic_section(target_rank, slot):
+                        op.ufunc(target_rows, origin_rows, out=target_rows)
+                else:
+                    payload = self._fault_filter(
+                        "acc", self._gather_origin(view, omap, target_rank)
+                    )
+                    if payload is not None:
+                        with self._atomic_section(target_rank, slot):
+                            _accumulate_into(buf, segmap, payload, base, op)
                 op_index = epoch.op_count
                 epoch.op_count += 1
                 epoch.bytes_moved += nbytes
@@ -1438,10 +1499,10 @@ class Win:
     def _atomic_view(
         self, target_rank: int, target_offset: int, datatype: dt.Datatype,
         flush: bool = False,
-    ) -> "tuple[_Epoch, dt.SegmentMap, np.ndarray]":
-        """The epoch of an MPI-3 atomic, its footprint and the element it
-        operates on, after the rule checks (``flush``: the atomic
-        completes itself).
+    ) -> "tuple[_Epoch, tuple, np.ndarray]":
+        """The epoch of an MPI-3 atomic, the slot of its footprint (see
+        :meth:`_atomic_section`) and the element it operates on, after the
+        rule checks (``flush``: the atomic completes itself).
 
         The window treats atomics as self-contained and never
         conflict-checks them; only when a sanitizer is installed is their
@@ -1457,10 +1518,11 @@ class Win:
             self._out_of_range(
                 f"atomic access [{disp},{end})", _RMW, disp, end, target_rank
             )
-        fp = dt.SegmentMap.arithmetic(disp, datatype.size, datatype.size, 1)
         if self.runtime.sanitizer is not None and self._checked():
+            fp = dt.SegmentMap.arithmetic(disp, datatype.size, datatype.size, 1)
             self._admit(epoch, "acc", _RMW, fp, not flush)
-        return epoch, fp, buf[disp:end].view(datatype.base)
+        size = datatype.size
+        return epoch, (disp, end, size, size, 1), buf[disp:end].view(datatype.base)
 
     def _audit_requests(self, epoch: _Epoch) -> None:
         """A closing epoch must leave no request-based op unwaited.
@@ -1536,30 +1598,47 @@ def _granted() -> bool:
     return True
 
 
-def _check_acc_alignment(segmap: dt.SegmentMap, base: np.dtype) -> None:
-    """An accumulate's target segments must be whole ``base`` elements.
+def _footprint_slot(fp: dt.SegmentMap) -> "tuple | None":
+    """The rows ``(lo, hi, step, seg_len, n)`` an atomic op with target
+    footprint ``fp`` reserves (see :meth:`Win._atomic_section`): its
+    arithmetic progression, or its bounding box as one row when it is
+    none — or None for a zero-byte op, which reserves nothing."""
+    if not fp.total_bytes:
+        return None
+    arith = fp._arith_params()
+    if arith is None:
+        lo, hi = fp.bounds()
+        return lo, hi, hi - lo, hi - lo, 1
+    start, step, seg_len, n = arith
+    return start, start + (n - 1) * step + seg_len, step, seg_len, n
+
+
+def _check_acc_alignment(segmap: dt.SegmentMap, base: np.dtype) -> "tuple | None":
+    """An accumulate's target segments must be whole ``base`` elements;
+    returns the map's :func:`_footprint_slot`.
 
     Every row of a progression is aligned iff the first one, the row
     length and (past one row) the step are, so an arithmetic map is
     decided from its four integers; the error names the first misaligned
     interval either way.
     """
+    slot = _footprint_slot(segmap)
     itemsize = base.itemsize
-    if itemsize <= 1 or not segmap.total_bytes:
-        return
-    arith = segmap._arith_params()
-    if arith is not None:
-        start, step, seg_len, n = arith
+    if itemsize <= 1 or slot is None:
+        return slot
+    start, _, step, seg_len, n = slot
+    if n == segmap.nsegments:  # the slot is the map's progression, not its box
         misaligned = start % itemsize or seg_len % itemsize or (n > 1 and step % itemsize)
     else:
         misaligned = np.any(segmap.offsets % itemsize) or np.any(segmap.lengths % itemsize)
-    if misaligned:
-        lo, hi = next(
-            iv for iv in segmap.intervals() if iv[0] % itemsize or iv[1] % itemsize
-        )
-        raise ArgumentError(
-            f"accumulate segment [{lo},{hi}) not aligned to {base} elements"
-        )
+    if not misaligned:
+        return slot
+    lo, hi = next(
+        iv for iv in segmap.intervals() if iv[0] % itemsize or iv[1] % itemsize
+    )
+    raise ArgumentError(
+        f"accumulate segment [{lo},{hi}) not aligned to {base} elements"
+    )
 
 
 def _accumulate_into(

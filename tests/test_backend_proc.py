@@ -26,7 +26,7 @@ from repro.mpi import runtime as rt_mod
 from repro.mpi.errors import CommError, InternalError
 from repro.mpi.group import Group
 from repro.mpi.runtime import RankFailedError, Runtime
-from repro.mpi.window import LOCK_EXCLUSIVE, LOCK_SHARED, Win
+from repro.mpi.window import LOCK_EXCLUSIVE, LOCK_SHARED, Win, _footprint_slot
 
 NPROC = 4
 
@@ -483,7 +483,7 @@ def _footprint_pairs(draw):
 def test_footprint_overlap_predicate_matches_the_bytes(pair):
     """Never a false negative; exact for single segments and equal steps
     (every GA piece of one array); a zero-byte op reserves nothing."""
-    from repro.mpi.backend_proc import _footprint_slot, _slots_overlap
+    from repro.mpi.backend_proc import _slots_overlap
 
     a, b = pair
     sa, sb = _footprint_slot(a), _footprint_slot(b)
@@ -500,7 +500,7 @@ def test_footprint_overlap_predicate_matches_the_bytes(pair):
 
 
 def test_footprint_overlap_predicate_examples():
-    from repro.mpi.backend_proc import _footprint_slot, _slots_overlap
+    from repro.mpi.backend_proc import _slots_overlap
     from repro.mpi.datatypes import SegmentMap
 
     def overlap(a, b):
@@ -574,7 +574,7 @@ def _contended_sublock_body(comm, hold_s, rounds, op, target_offset):
     flags = win.exposed_buffer(0)[:16].view(np.int64)  # [holder's round, waiter's]
     out = []
     if comm.rank == 0:
-        held = dt.SegmentMap.arithmetic(*_HELD)
+        held = _footprint_slot(dt.SegmentMap.arithmetic(*_HELD))
         for r in range(1, rounds + 1):
             with win._atomic_section(0, held):
                 flags[0] = r

@@ -317,6 +317,7 @@ def _lost_reservation_body(comm, how):
 
     from repro.mpi.datatypes import SegmentMap
     from repro.mpi.runtime import RankFailedError
+    from repro.mpi.window import _footprint_slot
 
     win, _ = Win.allocate(comm, 192, mpi3=True)
     win.lock_all()
@@ -326,7 +327,7 @@ def _lost_reservation_body(comm, how):
     if comm.rank == 0:
         while not flags[1]:
             time.sleep(0.001)
-        with win._atomic_section(1, SegmentMap.arithmetic(64, 64, 64, 1)):
+        with win._atomic_section(1, _footprint_slot(SegmentMap.arithmetic(64, 64, 64, 1))):
             flags[0] = os.getpid()
             if how == "kill":
                 time.sleep(0.03)  # die while rank 1 is already waiting

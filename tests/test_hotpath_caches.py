@@ -605,9 +605,12 @@ def _call_budget_body(comm, datapath="mpi3"):
 #: straddling put whose piece heights are new hits the compiled op (one per
 #: patch width; the row count is the MPI count) and pays only each piece's
 #: closed-form count map, three calls (it made 253 while the memo was keyed
-#: on the whole count and every new height rebuilt both datatypes)
+#: on the whole count and every new height rebuilt both datatypes).  It
+#: made 55/55/60/103/109 before an accumulate combined the origin's rows
+#: into the target's in place (no packed payload, no ``Op.apply``) and
+#: ``copy_from`` shared the row pairing that builds both views
 _CALL_BUDGET = {
-    "get": 55, "put": 55, "acc": 60, "straddling put": 103, "cold-height straddling put": 109,
+    "get": 54, "put": 54, "acc": 57, "straddling put": 101, "cold-height straddling put": 107,
 }
 
 
@@ -635,10 +638,12 @@ def test_blocking_patch_op_call_budget():
 #: the same on the mpi2 datapath.  It made 86/86/93/165 while an owner
 #: piece was ``Win.lock``, the op and ``Win.unlock`` (three window
 #: sections) instead of one op with ``lock=``, 77/77/82/147 before the
-#: lookup was inlined, and 295 for the cold-height put while the strided
-#: memo was keyed on the whole count
+#: lookup was inlined, 295 for the cold-height put while the strided
+#: memo was keyed on the whole count, and 76/76/81/145/151 while each
+#: piece built a fresh epoch record, made ``lock``'s checks through
+#: ``_begin`` and waited once on a lock it was granted at once
 _CALL_BUDGET_MPI2 = {
-    "get": 76, "put": 76, "acc": 81, "straddling put": 145, "cold-height straddling put": 151,
+    "get": 60, "put": 60, "acc": 63, "straddling put": 113, "cold-height straddling put": 119,
 }
 
 
@@ -658,6 +663,25 @@ def test_blocking_patch_op_call_budget_mpi2():
     sync = ("repro.mpi.window.lock", "repro.mpi.window.unlock")  # Win.lock/unlock
     locks = {name: [c[f] for f in sync] for name, c in calls.items() if any(c[f] for f in sync)}
     assert not locks, f"a blocking piece called Win.lock/Win.unlock: {locks}"
+
+
+#: the warm accumulate piece on procs, per datapath: the thread budget's
+#: calls plus the footprint reservation (``ProcWin._atomic_section``) and,
+#: on mpi2, the epoch flock.  It made 70 (mpi3) and 92 (mpi2) while the
+#: reservation was built per op and re-derived its slot from the footprint
+_CALL_BUDGET_PROC_ACC = {"mpi3": 63, "mpi2": 73}
+
+
+@pytest.mark.parametrize("datapath", ["mpi3", "mpi2"])
+def test_blocking_acc_call_budget_on_procs(datapath):
+    """The proc twin of the accumulate rows above: the Python around the
+    reservation's four ``flock`` calls cannot creep back (uncontended:
+    rank 1 reserves nothing, so no wait and no busy probe)."""
+    rt = Runtime(2, backend="proc", watchdog_s=5.0, apply_hooks=False)
+    strided_datatype_cache_clear()
+    calls = rt.spmd(_call_budget_body, datapath, join_timeout=120.0)[0]["acc"]
+    assert calls.total() <= _CALL_BUDGET_PROC_ACC[datapath], sorted(calls.items())
+    assert calls["repro.mpi.backend_proc.__enter__"] == 1  # it did reserve
 
 
 @contextmanager
