@@ -498,12 +498,12 @@ class Armci:
         where the GMR's access mode (§VIII-A) permits ``kind`` to be.  One
         :meth:`_issue` call (``issue`` is it) takes its epoch along,
         ``lock=mode``: lock, op and unlock are one window transaction
-        (see ``Win._fuses``); several calls share a ``lock``/``unlock``.
+        (see ``Win._move``); several calls share a ``lock``/``unlock``.
         mpi3: drain queued nb ops to the target (per-location program
         order; at once while none are queued), then ``issue(*args,
         flush=True)`` into the GMR's standing ``lock_all`` epoch: the op
         completes itself as a per-target ``flush`` would (one window
-        transaction, see ``Win._fuses``).
+        transaction, see ``Win._move``).
         """
         if self._flush_mode:
             self._nbq.drain(gmr, win_rank)

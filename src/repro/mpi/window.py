@@ -27,7 +27,7 @@ design (§III, §V):
   runs in an epoch of its own, as ``lock(target, mode)``, the op and
   ``unlock(target)`` would (the MPI-2 pattern of §V-C); it completes
   before it returns too.  Both are one window transaction on a plain
-  runtime (see ``Win._fuses``).
+  runtime (see ``Win._move``).
 * **Local load/store** of exposed memory requires an exclusive self-lock
   when strict checking is on (the public/private window-copy rule of
   §III that motivated the ARMCI DLA extension).
@@ -176,12 +176,8 @@ class _IntervalSet:
             new_run[1:] = o[1:] > ends[:-1]
             starts = np.flatnonzero(new_run)
             run_ends = np.append(starts[1:], len(o))
-            o2 = o[starts]
-            l2 = np.array(
-                [ends[e - 1] - o[s] for s, e in zip(starts, run_ends)],
-                dtype=np.int64,
-            )
-            o, l = o2, l2
+            o = o[starts]
+            l = ends[run_ends - 1] - o
         self._cov_off, self._cov_len = o, l
         self._pending.clear()
 
@@ -334,7 +330,7 @@ class Win:
         #: (the one-lock-per-window rule), ``_LOCK_ALL`` or ``_FENCE``
         self._open: dict[int, "int | str"] = {}
         #: (origin_world, target_rank) -> the record every fused op in an
-        #: epoch of its own reuses (see ``_own_lock``)
+        #: epoch of its own reuses (see ``_move``)
         self._own_epochs: dict[tuple[int, int], _Epoch] = {}
         self._freed = False
         # per-runtime ids (not process-global) so a replayed run labels
@@ -671,67 +667,6 @@ class Win:
         self._open_epoch(origin, target_rank, mode)
         self._open[origin] = target_rank
 
-    def _own_lock(self, target_rank: int, mode: str, fused: bool) -> None:
-        """Open the epoch of an op issued with ``lock=mode``: :meth:`lock`
-        itself or, fused (see :meth:`_fuses`), its section — left holding
-        ``runtime.giant_lock`` for the op, until :meth:`_own_unlock`.
-
-        Fused, the section makes :meth:`_begin`'s checks once, inline, and
-        reuses one epoch record per (origin, target): a fused op records
-        no footprint and leaves no get pending, so its record only needs
-        its mode and counters reset.  A check that fails is raised by
-        :meth:`_begin` itself, with its text.
-        """
-        if not fused:
-            self.lock(target_rank, mode)
-            return
-        self._check_target(target_rank)
-        rt = self.runtime
-        proc = getattr(_tls, "proc", None) or current_proc()
-        origin = proc.rank
-        rt.giant_lock.acquire()
-        try:
-            if (
-                proc.dead or self._freed or self.comm.revoked or origin in self._open
-                or origin not in self._members
-                or self._world_of[target_rank] in rt.dead_ranks
-            ):
-                self._begin(origin, target_rank, mode)  # a rule fails: raised here
-            else:
-                key = (origin, target_rank)
-                epoch = self._own_epochs.get(key)
-                if epoch is None:
-                    epoch = self._own_epochs[key] = _Epoch(origin, target_rank, mode)
-                epoch.mode = mode
-                epoch.op_count = epoch.bytes_moved = 0
-                epoch.lock = self._acquire(origin, target_rank, mode)
-                self._epochs[key] = epoch
-                self._open[origin] = target_rank
-        except BaseException:
-            rt.giant_lock.release()
-            raise
-        self._charge_sync("lock")
-
-    def _own_unlock(self, target_rank: int, fused: bool) -> None:
-        """Close what :meth:`_own_lock` opened: :meth:`unlock` itself or,
-        fused, the epoch — nothing in it is pending, a get has landed — and
-        with it the section."""
-        if not fused:
-            self.unlock(target_rank)
-            return
-        rt = self.runtime
-        origin = _tls.proc.rank
-        try:
-            # gone if the origin was killed (the death hook dropped it)
-            epoch = self._epochs.pop((origin, target_rank), None)
-            if epoch is not None:
-                self._release(epoch)
-            self._open.pop(origin, None)
-            rt.notify_progress()
-        finally:
-            rt.giant_lock.release()
-        self._charge_sync("unlock")
-
     def unlock(self, target_rank: int) -> None:
         """End the access epoch; completes all ops locally and remotely."""
         self._check_target(target_rank)
@@ -1025,42 +960,10 @@ class Win:
         """One-sided put (MPI_Put); completes at unlock or flush, or before
         it returns with ``flush=True`` or in an epoch of its own with
         ``lock=LOCK_SHARED|LOCK_EXCLUSIVE`` (see :meth:`_fuses`)."""
-        fused = self._fuses(flush, lock)
-        rt = self.runtime
-        if lock is not None:
-            self._own_lock(target_rank, lock, fused)
-        try:
-            view, omap, segmap, nbytes = self._op_maps(
-                "put", origin, origin_datatype, origin_count,
-                target_rank, target_offset, target_datatype, target_count,
-            )
-            with rt.giant_lock:
-                epoch = self._require_epoch(target_rank, "put", fused and flush)
-                self._record_access(epoch, "put", None, segmap, origin, not fused)
-                buf = self._buffers[target_rank]
-                if fused or rt.faults is None:  # (fused: no injector)
-                    segmap.copy_from(buf, omap, view)
-                else:  # the injector filters the packed payload
-                    payload = self._fault_filter(
-                        "put", self._gather_origin(view, omap, target_rank)
-                    )
-                    if payload is not None:
-                        segmap.scatter(buf, payload)
-                op_index = epoch.op_count
-                epoch.op_count += 1
-                epoch.bytes_moved += nbytes
-                if fused and flush:
-                    self._complete(epoch)
-                if not (fused and lock):  # (else the unlock's ends the section)
-                    rt.notify_progress()
-            self._charge_op("put", nbytes, segmap.nsegments, op_index)
-        finally:
-            if lock is not None:
-                self._own_unlock(target_rank, fused)
-            elif flush and not fused:
-                self.flush(target_rank)
-        if fused and flush:
-            self._charge_sync("flush")
+        self._move(
+            "put", None, origin, target_rank, target_offset, target_datatype,
+            target_count, origin_datatype, origin_count, flush, lock,
+        )
 
     def get(
         self,
@@ -1078,45 +981,10 @@ class Win:
         """One-sided get (MPI_Get); data lands in ``origin`` when the get
         completes: at unlock/flush/request wait, or before it returns with
         ``flush=True`` or ``lock=mode`` (see :meth:`_fuses`)."""
-        fused = self._fuses(flush, lock)
-        rt = self.runtime
-        if lock is not None:
-            self._own_lock(target_rank, lock, fused)
-        try:
-            view, omap, segmap, nbytes = self._op_maps(
-                "get", origin, origin_datatype, origin_count,
-                target_rank, target_offset, target_datatype, target_count,
-            )
-            with rt.giant_lock:
-                epoch = self._require_epoch(target_rank, "get", fused and flush)
-                self._record_access(epoch, "get", None, segmap, origin, not fused)
-                # the target is read when the get completes, which is where
-                # MPI places it; an injector filters a payload staged now
-                if fused:
-                    omap.copy_from(view, segmap, self._buffers[target_rank])
-                else:
-                    source: "dt.SegmentMap | np.ndarray | None" = segmap
-                    if rt.faults is not None:
-                        source = self._fault_filter(
-                            "get", segmap.gather(self._buffers[target_rank], copy=True)
-                        )
-                    if source is not None:
-                        epoch.pending_gets.append((view, omap, source))
-                op_index = epoch.op_count
-                epoch.op_count += 1
-                epoch.bytes_moved += nbytes
-                if fused and flush:
-                    self._complete(epoch)
-                if not (fused and lock):  # (else the unlock's ends the section)
-                    rt.notify_progress()
-            self._charge_op("get", nbytes, segmap.nsegments, op_index)
-        finally:
-            if lock is not None:
-                self._own_unlock(target_rank, fused)
-            elif flush and not fused:
-                self.flush(target_rank)
-        if fused and flush:
-            self._charge_sync("flush")
+        self._move(
+            "get", None, origin, target_rank, target_offset, target_datatype,
+            target_count, origin_datatype, origin_count, flush, lock,
+        )
 
     def accumulate(
         self,
@@ -1149,42 +1017,129 @@ class Win:
         as if it had been copied first.  Anything else packs the origin
         and combines the packed payload (:func:`_accumulate_into`).
         """
+        self._move(
+            "acc", op, origin, target_rank, target_offset, target_datatype,
+            target_count, origin_datatype, origin_count, flush, lock,
+        )
+
+    def _move(
+        self,
+        kind: str,
+        op: Any,
+        origin: np.ndarray,
+        target_rank: int,
+        target_offset: int,
+        target_datatype: "dt.Datatype | None",
+        target_count: int,
+        origin_datatype: "dt.Datatype | None",
+        origin_count: int,
+        flush: bool,
+        lock: "str | None",
+    ) -> None:
+        """The one body of :meth:`put`, :meth:`get` and :meth:`accumulate`
+        (``kind`` ``"put"``/``"get"``/``"acc"``, ``op`` the accumulate's):
+        the op, its rules and its completion — later, by an unlock or
+        flush; as if ``flush(target)`` followed (``flush=True``); or in an
+        epoch of its own (``lock=mode``), as ``lock``, op, ``unlock``.
+
+        :meth:`_fuses` decides whether the completion shares the op's
+        section.  Fused with its lock, the section makes :meth:`_begin`'s
+        checks once, inline (one that fails is raised by :meth:`_begin`,
+        with its text), and reuses one record per (origin, target),
+        ``_own_epochs``: nothing in it is left pending, so only its mode
+        and counters are reset.
+        """
         fused = self._fuses(flush, lock)
         rt = self.runtime
-        if lock is not None:
-            self._own_lock(target_rank, lock, fused)
+        if lock is not None and not fused:
+            self.lock(target_rank, lock)
+        elif lock is not None:  # lock's section, held until the finally ends it
+            self._check_target(target_rank)
+            proc = getattr(_tls, "proc", None) or current_proc()
+            me = proc.rank
+            rt.giant_lock.acquire()
+            try:
+                if (
+                    proc.dead or self._freed or self.comm.revoked or me in self._open
+                    or me not in self._members
+                    or self._world_of[target_rank] in rt.dead_ranks
+                ):
+                    self._begin(me, target_rank, lock)  # a rule fails: raised here
+                else:
+                    key = (me, target_rank)
+                    epoch = self._own_epochs.get(key)
+                    if epoch is None:
+                        epoch = self._own_epochs[key] = _Epoch(me, target_rank, lock)
+                    epoch.mode = lock
+                    epoch.op_count = epoch.bytes_moved = 0
+                    epoch.lock = self._acquire(me, target_rank, lock)
+                    self._epochs[key] = epoch
+                    self._open[me] = target_rank
+            except BaseException:
+                rt.giant_lock.release()
+                raise
+            self._charge_sync("lock")
         try:
-            op = mpi_ops.lookup(op)
+            if kind == "acc":
+                op = mpi_ops.lookup(op)
             view, omap, segmap, nbytes = self._op_maps(
-                "acc", origin, origin_datatype, origin_count,
+                kind, origin, origin_datatype, origin_count,
                 target_rank, target_offset, target_datatype, target_count,
             )
-            base = (
-                target_datatype.base
-                if target_datatype is not None
-                else np.asarray(origin).dtype
-            )
-            if base == _VOID or base.itemsize == 0:
-                raise ArgumentError("accumulate: cannot infer element type")
-            with rt.giant_lock:
-                epoch = self._require_epoch(target_rank, "acc", fused and flush)
-                slot = _check_acc_alignment(segmap, base)
-                self._record_access(epoch, "acc", op.name, segmap, origin, not fused)
-                buf = self._buffers[target_rank]
-                rows = (
-                    segmap.row_views(buf, omap, view, base)
-                    if (fused or rt.faults is None) and op.ufunc is not None
-                    else None
+            if kind == "acc":
+                base = (
+                    target_datatype.base
+                    if target_datatype is not None
+                    else np.asarray(origin).dtype
                 )
-                if rows is not None:
-                    target_rows, origin_rows = rows
-                    with self._atomic_section(target_rank, slot):
-                        op.ufunc(target_rows, origin_rows, out=target_rows)
-                else:
-                    payload = self._fault_filter(
-                        "acc", self._gather_origin(view, omap, target_rank)
+                if base == _VOID or base.itemsize == 0:
+                    raise ArgumentError("accumulate: cannot infer element type")
+            with rt.giant_lock:
+                epoch = self._require_epoch(target_rank, kind, fused and flush)
+                if kind == "acc":
+                    slot = _check_acc_alignment(segmap, base)
+                if self._checked():  # the conflict-class rules
+                    if kind != "acc" and segmap.overlaps_self():
+                        msg = f"{kind} with self-overlapping target segments within one operation"
+                        self._violate(
+                            RMAConflictError(msg) if self.strict else None,
+                            "conflict", kind, target_rank, msg,
+                        )
+                    san = rt.sanitizer
+                    if san is not None:
+                        san.on_op(self, epoch.origin, kind, origin, epoch.mode, target_rank)
+                    # the footprint is the target map itself (see _IntervalSet)
+                    self._admit(
+                        epoch, kind, op.name if kind == "acc" else None, segmap, not fused
                     )
-                    if payload is not None:
+                buf = self._buffers[target_rank]
+                direct = fused or rt.faults is None  # (fused: no injector)
+                if kind == "get":
+                    # the target is read when the get completes, which is
+                    # where MPI places it; an injector filters a payload
+                    # staged now
+                    if fused:
+                        omap.copy_from(view, segmap, buf)
+                    else:
+                        source: "dt.SegmentMap | np.ndarray | None" = segmap
+                        if not direct:
+                            source = self._fault_filter("get", segmap.gather(buf, copy=True))
+                        if source is not None:
+                            epoch.pending_gets.append((view, omap, source))
+                elif kind == "put" and direct:
+                    segmap.copy_from(buf, omap, view)
+                elif kind == "acc" and direct and op.ufunc is not None and (
+                    rows := segmap.row_views(buf, omap, view, base)
+                ) is not None:
+                    with self._atomic_section(target_rank, slot):  # (target, origin)
+                        op.ufunc(rows[0], rows[1], out=rows[0])
+                else:  # packed: for an injector to filter, or an acc rows cannot serve
+                    payload = self._fault_filter(
+                        kind, self._gather_origin(view, omap, target_rank)
+                    )
+                    if payload is not None and kind == "put":
+                        segmap.scatter(buf, payload)
+                    elif payload is not None:
                         with self._atomic_section(target_rank, slot):
                             _accumulate_into(buf, segmap, payload, base, op)
                 op_index = epoch.op_count
@@ -1192,14 +1147,26 @@ class Win:
                 epoch.bytes_moved += nbytes
                 if fused and flush:
                     self._complete(epoch)
-                if not (fused and lock):  # (else the unlock's ends the section)
+                if not (fused and lock):  # (else the finally ends the section)
                     rt.notify_progress()
-            self._charge_op("acc", nbytes, segmap.nsegments, op_index)
+            self._charge_op(kind, nbytes, segmap.nsegments, op_index)
         finally:
-            if lock is not None:
-                self._own_unlock(target_rank, fused)
-            elif flush and not fused:
-                self.flush(target_rank)
+            if lock is None:
+                if flush and not fused:
+                    self.flush(target_rank)
+            elif not fused:
+                self.unlock(target_rank)
+            else:  # the epoch of its own ends, nothing in it pending
+                try:
+                    # gone if the origin was killed (the death hook dropped it)
+                    epoch = self._epochs.pop((me, target_rank), None)
+                    if epoch is not None:
+                        self._release(epoch)
+                    self._open.pop(me, None)
+                    rt.notify_progress()
+                finally:
+                    rt.giant_lock.release()
+                self._charge_sync("unlock")
         if fused and flush:
             self._charge_sync("flush")
 
@@ -1211,28 +1178,11 @@ class Win:
         self._register_request(target_rank, req)
         return req
 
-    def rget(self, origin: np.ndarray, target_rank: int, **kw: Any):
+    def rget(self, origin: np.ndarray, target_rank: int, *args: Any, **kw: Any):
         """Request-based get (MPI-3): data is delivered at request wait."""
         self._require_mpi3("rget")
-        self.get(origin, target_rank, **kw)
-        o = current_proc().rank
-        win = self
-
-        class _GetRequest(_DoneRequest):
-            __slots__ = ()
-
-            def wait(self):
-                with win.runtime.cond:
-                    epoch = win._epochs.get((o, target_rank))
-                    if epoch is not None:
-                        win._deliver_gets(epoch)
-                return super().wait()
-
-            def test(self):
-                self.wait()
-                return True, None
-
-        req = _GetRequest()
+        self.get(origin, target_rank, *args, **kw)
+        req = _GetRequest(self, current_proc().rank, target_rank)
         self._register_request(target_rank, req)
         return req
 
@@ -1408,31 +1358,6 @@ class Win:
             data = data.copy()
         return data
 
-    def _record_access(
-        self,
-        epoch: _Epoch,
-        kind: str,
-        opname: "str | None",
-        segmap: dt.SegmentMap,
-        origin_buf: np.ndarray,
-        record: bool = True,
-    ) -> None:
-        """Apply the conflict-class rules to one put/get/acc, then record it
-        unless ``record`` is false (an op fused with its flush)."""
-        if not self._checked():
-            return
-        if kind != "acc" and segmap.overlaps_self():
-            msg = f"{kind} with self-overlapping target segments within one operation"
-            self._violate(
-                RMAConflictError(msg) if self.strict else None,
-                "conflict", kind, epoch.target, msg,
-            )
-        san = self.runtime.sanitizer
-        if san is not None:
-            san.on_op(self, epoch.origin, kind, origin_buf, epoch.mode, epoch.target)
-        # the footprint is the target map itself (see _IntervalSet)
-        self._admit(epoch, kind, opname, segmap, record)
-
     def _admit(
         self,
         epoch: _Epoch,
@@ -1586,6 +1511,28 @@ class _DoneRequest:
     def wait(self) -> None:
         self.completed = True
         return None
+
+
+class _GetRequest(_DoneRequest):
+    """The request of an ``rget``: its get lands at ``wait``/``test``."""
+
+    __slots__ = ("win", "origin", "target")
+
+    def __init__(self, win: Win, origin: int, target: int) -> None:
+        super().__init__()
+        self.win, self.origin, self.target = win, origin, target
+
+    def test(self) -> tuple[bool, None]:
+        self.wait()
+        return True, None
+
+    def wait(self) -> None:
+        win = self.win
+        with win.runtime.cond:
+            epoch = win._epochs.get((self.origin, self.target))
+            if epoch is not None:
+                win._deliver_gets(epoch)
+        return super().wait()
 
 
 def _check_lock_mode(mode: str) -> None:

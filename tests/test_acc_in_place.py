@@ -11,7 +11,7 @@ the very target rows it is combined into (numpy resolves the overlap as
 if the origin had been copied first; the packed path copies it).
 
 The second half checks the record a fused op in an epoch of its own
-reuses (``Win._own_lock``): every piece starts with it clean.
+reuses (``Win._move``): every piece starts with it clean.
 """
 
 from __future__ import annotations
@@ -182,9 +182,9 @@ def _record_body(comm):
     comm.barrier()
     seen = []
     if comm.rank == 0:
-        real = win._record_access
+        real = win._admit
 
-        def record_access(epoch, *args):
+        def admit(epoch, *args):
             seen.append((
                 epoch.target, id(epoch), epoch.mode, epoch.op_count, epoch.bytes_moved,
                 epoch.recorded, epoch.puts.count, epoch.gets.count, dict(epoch.accs),
@@ -192,7 +192,7 @@ def _record_body(comm):
             ))
             return real(epoch, *args)
 
-        win._record_access = record_access
+        win._admit = admit
         buf = np.arange(8.0)
         for t in (0, 1, 0, 1):
             for mode in (LOCK_SHARED, LOCK_EXCLUSIVE):

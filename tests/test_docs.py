@@ -10,7 +10,9 @@ Four classes of reference across ``README.md``, ``DESIGN.md``, and
 * backticked dotted names (``repro.mpi.backend_proc``,
   ``repro.bench.registry.run_gate``, …) and ``src/repro/...`` /
   ``tests/...`` style paths — must resolve to an importable module (+
-  attribute chain) or an existing file;
+  attribute chain) or an existing file; a backticked ``Cls.attr`` whose
+  ``Cls`` is a class defined at the top level of a ``repro`` module must
+  name an attribute of that class (see :func:`_class_has`);
 * relative markdown links ``](...)`` — must point at an existing file
   or directory;
 * the baseline catalogue in ``docs/benchmarks.md`` — every bench
@@ -23,7 +25,11 @@ module moved in a refactor fails this test until the docs catch up.
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+import functools
 import importlib
+import inspect
 import pathlib
 import re
 
@@ -127,6 +133,46 @@ def _resolves_as_module(dotted: str) -> bool:
     return False
 
 
+_CLASS_ATTR = re.compile(r"^([A-Za-z_]\w*)\.([A-Za-z_]\w*)$")
+
+
+@functools.cache
+def _repro_classes() -> "dict[str, list[str]]":
+    """Class name -> the ``repro`` modules defining it at their top level
+    (read from the sources, so no module is imported to find them)."""
+    src = REPO / "src"
+    classes: "dict[str, list[str]]" = {}
+    for path in sorted((src / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                classes.setdefault(node.name, []).append(module.removesuffix(".__init__"))
+    return classes
+
+
+def _class_has(cls: type, attr: str) -> bool:
+    """``attr`` is a class attribute (methods, properties and ``__slots__``
+    included), a dataclass field, or assigned as ``self.attr`` in the
+    source of a ``repro`` class of ``cls``'s MRO."""
+    if hasattr(cls, attr):
+        return True
+    if dataclasses.is_dataclass(cls) and attr in {f.name for f in dataclasses.fields(cls)}:
+        return True
+    assigned = re.compile(rf"\bself\.{attr}\s*(?::[^=\n]+)?=(?!=)")
+    return any(
+        assigned.search(inspect.getsource(klass))
+        for klass in cls.__mro__
+        if klass.__module__.startswith("repro")
+    )
+
+
+def _resolves_as_class_attr(name: str, attr: str) -> bool:
+    return any(
+        _class_has(getattr(importlib.import_module(module), name), attr)
+        for module in _repro_classes()[name]
+    )
+
+
 @pytest.mark.parametrize("doc", DOC_FILES, ids=_doc_id)
 def test_code_spans_resolve(doc):
     text = doc.read_text()
@@ -136,6 +182,9 @@ def test_code_spans_resolve(doc):
         if _DOTTED.match(token):
             if not _resolves_as_module(token):
                 problems.append(f"`{span}`: dotted name does not resolve")
+        elif (m := _CLASS_ATTR.match(token)) and m.group(1) in _repro_classes():
+            if not _resolves_as_class_attr(*m.groups()):
+                problems.append(f"`{span}`: no such attribute of class {m.group(1)}")
         elif _PATHLIKE.match(token):
             if not (REPO / token).exists():
                 problems.append(f"`{span}`: path does not exist")

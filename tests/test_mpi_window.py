@@ -674,6 +674,26 @@ def test_mpi3_rget_request_delivery():
     spmd(2, main)
 
 
+def _positional_rget_body(comm):
+    win = mpi.Win.create(comm, np.arange(8.0), disp_unit=8, mpi3=True)
+    comm.barrier()
+    if comm.rank == 1:
+        out = np.zeros(2)
+        win.lock(0, mpi.LOCK_SHARED)
+        req = win.rget(out, 0, 4)  # target_offset, positionally, as rput takes it
+        assert not out.any(), "rget must not deliver before wait()"
+        req.wait()
+        np.testing.assert_array_equal(out, [4.0, 5.0])
+        win.unlock(0)
+    comm.barrier()
+    win.free()
+
+
+@pytest.mark.parametrize("backend", ["thread", "proc"])
+def test_rget_takes_positional_target_arguments_and_delivers_at_wait(backend):
+    _runtime(backend).spmd(_positional_rget_body)
+
+
 def test_freed_window_rejects_ops():
     def main(comm):
         win, _ = _win(comm)
@@ -946,7 +966,9 @@ def test_op_with_lock_keeps_its_fuzz_points_under_a_schedule():
 
 def test_op_with_lock_charges_modeled_time_as_lock_op_unlock():
     """A fused op in its own epoch advances the simulated clock by what
-    ``lock``; op; ``unlock`` charge, in the same order."""
+    ``lock``; op; ``unlock`` charge, in the same order — and one that
+    completes itself (``flush=True`` on an mpi3 window inside
+    ``lock_all``) by what the op and ``flush(t)`` charge."""
     from repro.mpi.runtime import current_proc
     from repro.simtime import INFINIBAND, MPITimingPolicy
 
@@ -955,20 +977,34 @@ def test_op_with_lock_charges_modeled_time_as_lock_op_unlock():
 
     def main(comm):
         win, _ = _win(comm, 64)
+        win3, _ = _win(comm, 64, mpi3=True)
         clock, charged = current_proc().clock, []
         clock.add_jitter(lambda kind, seconds: charged.append((kind, seconds)) or 0.0)
-        got = {}
+
+        def charge(issue):
+            charged.clear()
+            clock.now = 0.0
+            issue()
+            return clock.now, list(charged)
+
+        def flushed(kind, fused):
+            win3.lock_all()  # a fresh epoch each: an op's cost depends on its index
+            try:
+                return charge(
+                    (lambda: _op(win3, kind, 0, flush=True)) if fused
+                    else (lambda: (_op(win3, kind, 0), win3.flush(0)))
+                )
+            finally:
+                win3.unlock_all()
+
         for kind in ("put", "get", "acc"):
-            for form in ("three calls", "lock="):
-                charged.clear()
-                clock.now = 0.0
-                if form == "lock=":
-                    _op(win, kind, 0, lock=mpi.LOCK_EXCLUSIVE)
-                else:
-                    _three_calls(win, kind, 0, mpi.LOCK_EXCLUSIVE)
-                got[kind, form] = (clock.now, list(charged))
-            assert got[kind, "lock="] == got[kind, "three calls"]
-            assert [k for k, _ in charged] == ["rma:lock", f"rma:{kind}", "rma:unlock"]
+            got = charge(lambda: _op(win, kind, 0, lock=mpi.LOCK_EXCLUSIVE))
+            assert got == charge(lambda: _three_calls(win, kind, 0, mpi.LOCK_EXCLUSIVE))
+            assert [k for k, _ in got[1]] == ["rma:lock", f"rma:{kind}", "rma:unlock"]
+            got = flushed(kind, True)
+            assert got == flushed(kind, False)
+            assert [k for k, _ in got[1]] == [f"rma:{kind}", "rma:flush"]
+        win3.free()
         win.free()
 
     rt.spmd(main)
