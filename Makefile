@@ -10,10 +10,12 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Re-run the fault/recovery suite with the ambient injector installed in
-# every runtime (the benign plan exercises the whole injection plumbing).
+# Re-run the fault/recovery suite, the proc-backend suite and the mutex
+# suite with the ambient injector installed in every runtime (the benign
+# plan exercises the whole injection plumbing; both backends accept it).
 test-faults:
-	$(PYTHON) -m pytest -x -q --faults tests/test_faults.py
+	$(PYTHON) -m pytest -x -q --faults tests/test_faults.py \
+		tests/test_backend_proc.py tests/test_armci_mutex.py
 
 # Re-run the whole suite with an RmaSanitizer installed in every runtime:
 # the "zero false positives over the suite" contract (~45 s; the

@@ -99,14 +99,6 @@ class NbQueue:
         self.coalesced = 0
         self.drains = 0
 
-    # -- sanitizer plumbing ---------------------------------------------------------
-    def _san_event(self, event: str, gmr: "Gmr", target: int, *args) -> None:
-        rt = self._armci.world.runtime
-        san = rt.sanitizer
-        if san is not None:
-            with rt.cond:
-                getattr(san, event)(gmr.win, self._armci.my_id, target, *args)
-
     # -- enqueue -------------------------------------------------------------------
     def enqueue(
         self,
@@ -145,7 +137,6 @@ class NbQueue:
             entry = _NbEntry(kind, gmr, win_rank, disp, data, writeback)
             entry.handles.append(handle)
             queue.append(entry)
-        self._san_event("on_nb_enqueue", gmr, win_rank, kind)
         if len(queue) > armci.config.nb_max_pending:
             self.drain(gmr, win_rank, raise_errors=True)
         return handle
@@ -226,7 +217,6 @@ class NbQueue:
             else:
                 for h in entry.handles:
                     h._complete()
-        self._san_event("on_nb_drain", gmr, win_rank)
         if first_error is not None and raise_errors:
             raise first_error
 
@@ -278,8 +268,6 @@ class NbQueue:
                         h._fail(exc)
                     else:
                         h._complete()
-            if queue:
-                self._san_event("on_nb_drain", queue[0].gmr, key[2])
 
     def audit_finalize(self) -> None:
         """Drained-queue-at-finalize invariant (sanitizer-reported).
@@ -287,8 +275,12 @@ class NbQueue:
         By the time finalize has freed every GMR, all queues must be
         empty — anything left means a completion point was skipped.
         """
+        rt = self._armci.world.runtime
+        if rt.sanitizer is None:
+            return
         origin = self._armci.my_id
         for (o, _gid, wr), queue in list(self._queues.items()):
             if o != origin or not queue:
                 continue
-            self._san_event("on_nb_pending", queue[0].gmr, wr, len(queue))
+            with rt.cond:
+                rt.sanitizer.on_nb_pending(queue[0].gmr.win, origin, wr, len(queue))

@@ -37,7 +37,6 @@ from __future__ import annotations
 import time
 
 from ..faults.plan import FaultPlan
-from ..faults.proc import ProcFaultPlan
 from ..traffic import TrafficConfig, run_traffic, run_traffic_proc
 from .harness import format_table
 
@@ -114,7 +113,7 @@ def measure(fast: bool = False) -> dict:
     clean = run_traffic_proc(cfg, NPROC)
     clean_wall_s = time.monotonic() - t0
     kill_after_s = max(0.3, PROC_KILL_FRACTION * clean_wall_s)
-    plan = ProcFaultPlan(seed=SEED).kill(PROC_VICTIM, kill_after_s)
+    plan = FaultPlan(seed=SEED).kill(PROC_VICTIM, after_s=kill_after_s)
     t0 = time.monotonic()
     killed = run_traffic_proc(cfg, NPROC, plan=plan)
     killed_wall_s = time.monotonic() - t0

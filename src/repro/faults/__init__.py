@@ -8,7 +8,10 @@ boundary, stall it for scheduler steps, delay or degrade delivery,
 corrupt or drop one RMA op — and a :class:`FaultInjector` executes it
 against a live runtime.  Composed with the deterministic schedule, a
 fault scenario is a pure function of ``(schedule seed, plan)`` and
-replays bit-identically.
+replays bit-identically.  The same plan type drives the proc backend:
+there a kill or stall is keyed to ``after_s`` wall-clock seconds instead
+of a fuzz point and is delivered as a real signal
+(:mod:`repro.faults.proc`).
 
 The runtime degrades gracefully rather than hanging: failed ranks are
 quarantined (ops targeting them raise a typed
@@ -36,14 +39,7 @@ from ..mpi.errors import (
 )
 from .injector import FaultInjector
 from .plan import Corrupt, Delay, FaultPlan, Kill, Stall
-from .proc import (
-    ProcDelay,
-    ProcFaultInjector,
-    ProcFaultPlan,
-    ProcKill,
-    ProcStall,
-    sweep_stale_segments,
-)
+from .proc import sweep_stale_segments
 from .scenarios import RECOVER_SCENARIOS, SCENARIOS
 
 __all__ = [
@@ -55,11 +51,6 @@ __all__ = [
     "Kill",
     "MutexHolderFailed",
     "OpTimeoutError",
-    "ProcDelay",
-    "ProcFaultInjector",
-    "ProcFaultPlan",
-    "ProcKill",
-    "ProcStall",
     "RECOVER_SCENARIOS",
     "RankKilledError",
     "RetriesExhausted",

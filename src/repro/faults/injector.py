@@ -8,7 +8,10 @@ the plan into the replay digest).  The runtime consults the injector at
 three points:
 
 ``begin_run(runtime)``
-    Called once by ``spmd``: installs seeded delivery-delay jitter into
+    Called once by ``spmd`` on either backend: rejects the plan entries
+    the backend cannot run (:meth:`~repro.faults.plan.FaultPlan.unsupported`)
+    with a typed :class:`~repro.mpi.errors.InternalError`, then installs
+    seeded delivery-delay jitter into
     every rank's :class:`~repro.simtime.clock.SimClock` and swaps the
     installed timing policy's :class:`~repro.simtime.netmodel.PathModel`
     for its :meth:`~repro.simtime.netmodel.PathModel.degraded` copy.
@@ -31,6 +34,11 @@ All plan execution draws randomness from one ``random.Random`` seeded
 by the plan; under a deterministic schedule every consultation happens
 on the token-holding rank, so the whole fault scenario is a pure
 function of ``(schedule seed, plan)``.
+
+On the proc backend none of the three hooks fires inside the ranks: the
+backend's monitor delivers the plan's ``after_s`` kills and stalls as
+signals (:class:`repro.faults.proc.ProcSignals`) and logs each one to
+the same :attr:`FaultInjector.events`.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ import random
 import numpy as np
 
 from ..backoff import STALL_STEPS, STALL_WAIT
-from ..mpi.errors import RankKilledError, RetriesExhausted
+from ..mpi.errors import InternalError, RankKilledError, RetriesExhausted
 from .plan import FaultPlan
 
 __all__ = ["FaultInjector"]
@@ -65,7 +73,8 @@ class FaultInjector:
             retries = int(os.environ.get("REPRO_FAULT_RETRIES", "3"))
         self.retries = retries
         #: executed-fault log, e.g. ``("kill", rank, point, kind)`` — part
-        #: of the replay digest, so divergent execution is detected
+        #: of the replay digest, so divergent execution is detected; on
+        #: the proc backend ``(signal kind, rank, seconds into the run)``
         self.events: list[tuple] = []
         self._rng = random.Random(0x0FAB17 ^ (plan.seed * 0x9E3779B1))
         self._point_counts: dict[int, int] = {}
@@ -80,6 +89,15 @@ class FaultInjector:
             return
         if self.runtime is not None:
             raise RuntimeError("a FaultInjector is single-use; build a new one")
+        backend = runtime.backend.name
+        bad = self.plan.unsupported(backend, runtime.nproc)
+        if bad:
+            raise InternalError(
+                f"fault plan entries the {backend} backend cannot run with "
+                f"{runtime.nproc} ranks: {'; '.join(e.describe() for e in bad)} "
+                "(the proc backend runs after_s= kills and stalls, the thread "
+                "backend every other entry)"
+            )
         self.runtime = runtime
         runtime.faults = self
         if self._jitter_frac > 0.0:

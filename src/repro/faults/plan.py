@@ -1,12 +1,13 @@
-"""Seeded, serializable fault plans.
+"""Seeded, serializable fault plans — one vocabulary for both backends.
 
 A :class:`FaultPlan` is a *pure description* of a fault scenario — which
-rank dies at which operation boundary, who stalls, which RMA operation
-is corrupted or dropped, how the network path degrades.  Plans are
-frozen and composable (builder methods return new plans), have a stable
-canonical :meth:`key` that the schedule fuzzer folds into its replay
-digest, and round-trip through JSON so failing ``(seed, plan)`` pairs
-can be checked into a regression corpus and replayed bit-identically.
+rank dies or stalls and when, which RMA operation is corrupted or
+dropped, how the network path degrades.  Plans are frozen and
+composable (builder methods return new plans), have a stable canonical
+:meth:`key` that the schedule fuzzer folds into its replay digest, and
+round-trip through JSON so failing ``(seed, plan)`` pairs can be checked
+into a regression corpus and replayed bit-identically.  Install one on
+either backend with ``runtime.faults = FaultInjector(plan)``.
 
 Coordinates
 -----------
@@ -14,9 +15,16 @@ Coordinates
   ``Runtime.fuzz_point`` it makes), starting at 0.  Under the
   deterministic schedule this is a pure function of ``(seed, plan)``,
   so "kill rank 2 at its 7th op boundary" is fully reproducible.
+  Thread backend only: fuzz points do not exist across processes.
+* ``after_s`` is wall-clock seconds after the run starts.  Proc backend
+  only, executed with real signals (``SIGKILL``; ``SIGSTOP`` and, after
+  ``for_s``, ``SIGCONT``) by :mod:`repro.faults.proc`.
 * ``op`` counts RMA data-movement operations **globally** in issue
   order (the order the injector's ``filter_rma`` sees them) — again
-  deterministic under a schedule.
+  deterministic under a schedule.  Thread backend only.
+
+A kill or stall takes exactly one trigger, ``point`` or ``after_s``;
+:meth:`FaultPlan.unsupported` names the entries a backend cannot run.
 """
 
 from __future__ import annotations
@@ -27,21 +35,52 @@ from dataclasses import asdict, dataclass, field, replace
 __all__ = ["FaultPlan", "Kill", "Stall", "Corrupt", "Delay"]
 
 
+def _check_trigger(entry) -> None:
+    """Validate a kill/stall's rank and its one trigger."""
+    name = type(entry).__name__
+    if entry.rank < 0:
+        raise ValueError(f"{name}.rank must be >= 0, got {entry.rank}")
+    if (entry.point is None) == (entry.after_s is None):
+        raise ValueError(f"{name} takes exactly one trigger: point= or after_s=")
+    if entry.point is not None and entry.point < 0:
+        raise ValueError(f"{name}.point must be >= 0, got {entry.point}")
+    if entry.after_s is not None and entry.after_s < 0:
+        raise ValueError(f"{name}.after_s must be >= 0, got {entry.after_s}")
+
+
+def _at(entry) -> str:
+    kind = f" [{entry.kind}]" if entry.kind else ""
+    if entry.point is not None:
+        return f"@point {entry.point}{kind}"
+    return f"@{entry.after_s}s{kind}"
+
+
 @dataclass(frozen=True)
 class Kill:
     """Kill ``rank`` at its ``point``-th fuzz point (optionally only if
-    the point's kind matches ``kind``, e.g. ``"lock"`` or ``"put"``)."""
+    the point's kind matches ``kind``, e.g. ``"lock"`` or ``"put"``), or
+    ``SIGKILL`` its process ``after_s`` seconds into a proc run."""
 
     rank: int
-    point: int
+    point: "int | None" = None
     kind: "str | None" = None
+    after_s: "float | None" = None
+
+    def __post_init__(self) -> None:
+        _check_trigger(self)
+
+    def describe(self) -> str:
+        return f"kill rank {self.rank} {_at(self)}"
 
 
 @dataclass(frozen=True)
 class Stall:
     """Take the token away from ``rank`` for ``steps`` scheduler steps
     at its ``point``-th fuzz point (deterministic-schedule runs only;
-    wall-clock runs sleep a token amount instead).
+    wall-clock runs sleep a token amount instead) — or, with
+    ``after_s``, ``SIGSTOP`` its process that many seconds into a proc
+    run and ``SIGCONT`` it ``for_s`` seconds later (the run's teardown
+    resumes it regardless, so a stalled child never outlives the run).
 
     With ``transient=True`` the stall models a *transient* fault the
     injector works through with bounded retry-with-backoff: attempt
@@ -52,10 +91,25 @@ class Stall:
     permanent ``kill``: nothing dies, the operation just gives up)."""
 
     rank: int
-    point: int
+    point: "int | None" = None
     steps: int = 1
     kind: "str | None" = None
     transient: bool = False
+    after_s: "float | None" = None
+    for_s: float = 0.5
+
+    def __post_init__(self) -> None:
+        _check_trigger(self)
+        if self.steps < 1:
+            raise ValueError(f"Stall.steps must be >= 1, got {self.steps}")
+        if self.for_s <= 0.0:
+            raise ValueError(f"Stall.for_s must be > 0, got {self.for_s}")
+
+    def describe(self) -> str:
+        if self.point is None:
+            return f"stall rank {self.rank} {_at(self)} for {self.for_s}s"
+        return (f"stall rank {self.rank} {_at(self)} x{self.steps}"
+                + (" (transient)" if self.transient else ""))
 
 
 @dataclass(frozen=True)
@@ -71,6 +125,11 @@ class Corrupt:
     def __post_init__(self) -> None:
         if self.mode not in ("corrupt", "drop"):
             raise ValueError(f"Corrupt.mode must be corrupt|drop, got {self.mode!r}")
+        if self.op < 0:
+            raise ValueError(f"Corrupt.op must be >= 0, got {self.op}")
+
+    def describe(self) -> str:
+        return f"{self.mode} op {self.op}" + (f" [{self.kind}]" if self.kind else "")
 
 
 @dataclass(frozen=True)
@@ -92,6 +151,10 @@ class Delay:
                 "Delay: latency_factor must be >= 1 and bw_factor in (0, 1]"
             )
 
+    def describe(self) -> str:
+        return (f"delay jitter={self.jitter_frac} lat*{self.latency_factor} "
+                f"bw*{self.bw_factor}")
+
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -103,7 +166,8 @@ class FaultPlan:
 
         plan = (FaultPlan(seed=7)
                 .kill(rank=1, point=5)
-                .delay(jitter_frac=0.2))
+                .delay(jitter_frac=0.2))            # thread backend
+        FaultPlan(seed=7).kill(2, after_s=0.4)      # proc backend
     """
 
     seed: int = 0
@@ -113,20 +177,29 @@ class FaultPlan:
     delays: tuple = field(default_factory=tuple)
 
     # -- builders -------------------------------------------------------------
-    def kill(self, rank: int, point: int, kind: "str | None" = None) -> "FaultPlan":
-        return replace(self, kills=self.kills + (Kill(rank, point, kind),))
+    def kill(
+        self,
+        rank: int,
+        point: "int | None" = None,
+        kind: "str | None" = None,
+        *,
+        after_s: "float | None" = None,
+    ) -> "FaultPlan":
+        return replace(self, kills=self.kills + (Kill(rank, point, kind, after_s),))
 
     def stall(
         self,
         rank: int,
-        point: int,
+        point: "int | None" = None,
         steps: int = 1,
         kind: "str | None" = None,
         transient: bool = False,
+        *,
+        after_s: "float | None" = None,
+        for_s: float = 0.5,
     ) -> "FaultPlan":
-        return replace(
-            self, stalls=self.stalls + (Stall(rank, point, steps, kind, transient),)
-        )
+        stall = Stall(rank, point, steps, kind, transient, after_s, for_s)
+        return replace(self, stalls=self.stalls + (stall,))
 
     def corrupt(self, op: int, kind: "str | None" = None) -> "FaultPlan":
         return replace(
@@ -150,30 +223,33 @@ class FaultPlan:
 
     # -- identity -------------------------------------------------------------
     @property
+    def entries(self) -> tuple:
+        return self.kills + self.stalls + self.corruptions + self.delays
+
+    @property
     def empty(self) -> bool:
-        return not (self.kills or self.stalls or self.corruptions or self.delays)
+        return not self.entries
 
     def key(self) -> str:
         """Canonical string identity, folded into replay digests."""
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def describe(self) -> str:
-        parts = [f"seed={self.seed}"]
-        for k in self.kills:
-            parts.append(f"kill rank {k.rank} @point {k.point}"
-                         + (f" [{k.kind}]" if k.kind else ""))
-        for s in self.stalls:
-            parts.append(f"stall rank {s.rank} @point {s.point} x{s.steps}"
-                         + (" (transient)" if s.transient else "")
-                         + (f" [{s.kind}]" if s.kind else ""))
-        for c in self.corruptions:
-            parts.append(f"{c.mode} op {c.op}" + (f" [{c.kind}]" if c.kind else ""))
-        for d in self.delays:
-            parts.append(
-                f"delay jitter={d.jitter_frac} lat*{d.latency_factor} "
-                f"bw*{d.bw_factor}"
-            )
-        return "; ".join(parts)
+        return "; ".join([f"seed={self.seed}", *(e.describe() for e in self.entries)])
+
+    def unsupported(self, backend: str, nproc: int) -> list:
+        """The entries a ``backend`` run of ``nproc`` ranks cannot execute.
+
+        The proc backend runs only ``after_s=`` kills and stalls; the
+        thread backend runs everything else; neither runs an entry for
+        a rank the run does not have.
+        """
+        timed = backend == "proc"
+        return [
+            e for e in self.entries
+            if (getattr(e, "after_s", None) is not None) != timed
+            or getattr(e, "rank", -1) >= nproc
+        ]
 
     # -- serialization --------------------------------------------------------
     def to_dict(self) -> dict:

@@ -1,32 +1,32 @@
-"""Proc-backend fault injection: real signals on real processes.
+"""Proc-backend fault delivery: real signals on real processes.
 
-The thread-backend injector (:mod:`repro.faults.injector`) schedules
-faults at deterministic *fuzz points* — a coordinate system that only
-exists when every rank runs under the giant lock in one address space.
-Across OS processes there is no shared step counter, so the proc
-backend accepts a different, smaller vocabulary measured in **wall-clock
-seconds after launch** and executed with **real signals**:
+The thread backend executes a :class:`~repro.faults.plan.FaultPlan` at
+deterministic *fuzz points* — a coordinate system that only exists when
+every rank runs under the giant lock in one address space.  Across OS
+processes there is no shared step counter, so the proc backend runs the
+plan's wall-clock entries, ``after_s`` seconds after launch, with
+**real signals**:
 
-* :class:`ProcKill` — ``SIGKILL`` the rank's process (no cleanup, no
-  goodbye message; survivors learn of it from the heartbeat lease or
-  the parent monitor's ``rank_dead`` broadcast),
-* :class:`ProcStall` — ``SIGSTOP`` for a bounded interval, then
-  ``SIGCONT``: the rank's heartbeat lease goes stale and peers may
-  *suspect* it, but its pid stays alive so it is never declared dead
-  (stalled-forever is indistinguishable from slow, exactly as in a real
-  failure detector),
-* :class:`ProcDelay` — hold the rank's body back ``startup_s`` seconds
-  before it enters the user function (the pump thread is already
-  heartbeating, so peers see a slow rank, not a dead one).
+* a ``kill(rank, after_s=...)`` is ``SIGKILL`` on the rank's process (no
+  cleanup, no goodbye message; survivors learn of it from the heartbeat
+  lease or the parent monitor's ``rank_dead`` broadcast),
+* a ``stall(rank, after_s=..., for_s=...)`` is ``SIGSTOP``, then
+  ``SIGCONT`` ``for_s`` seconds later: the rank's heartbeat lease goes
+  stale and peers may *suspect* it, but its pid stays alive so it is
+  never declared dead (stalled-forever is indistinguishable from slow,
+  exactly as in a real failure detector).
 
-A :class:`ProcFaultPlan` is the frozen, composable description; a
-:class:`ProcFaultInjector` (``proc_capable = True``) executes it from
-the parent's monitor loop.  Install by assigning ``runtime.faults``
-before :meth:`~repro.mpi.runtime.Runtime.spmd`::
+Install a plan the same way on both backends, before
+:meth:`~repro.mpi.runtime.Runtime.spmd`::
 
     rt = Runtime(4, backend="proc")
-    rt.faults = ProcFaultInjector(ProcFaultPlan(seed=0).kill(2, after_s=0.3))
+    rt.faults = FaultInjector(FaultPlan(seed=0).kill(2, after_s=0.3))
     rt.spmd(body)
+
+``spmd`` checks the plan through the injector's ``begin_run`` (a point
+kill, a corrupt/drop or a delay raises a typed error there) and drives a
+:class:`ProcSignals` from its monitor loop; every signal lands in the
+injector's ``events`` as ``(kind, rank, seconds)``.
 
 Timing is wall-clock, so *which operation* the victim dies inside is
 not bit-reproducible the way thread-backend plans are — but the plan
@@ -40,17 +40,9 @@ import os
 import pathlib
 import signal
 import time
-from dataclasses import dataclass, field, replace
 from multiprocessing import resource_tracker
 
-__all__ = [
-    "ProcKill",
-    "ProcStall",
-    "ProcDelay",
-    "ProcFaultPlan",
-    "ProcFaultInjector",
-    "sweep_stale_segments",
-]
+__all__ = ["sweep_stale_segments"]
 
 #: a ``repro-*`` shm segment untouched this long is an orphan of a
 #: previous (crashed or SIGKILLed) run, not a live window of this one
@@ -102,82 +94,6 @@ def sweep_stale_segments(
     return removed
 
 
-@dataclass(frozen=True)
-class ProcKill:
-    """``SIGKILL`` ``rank`` ``after_s`` seconds after the run starts."""
-
-    rank: int
-    after_s: float
-
-    def __post_init__(self) -> None:
-        if self.after_s < 0.0:
-            raise ValueError("ProcKill.after_s must be >= 0")
-
-
-@dataclass(frozen=True)
-class ProcStall:
-    """``SIGSTOP`` ``rank`` ``after_s`` seconds in, ``SIGCONT`` after
-    ``for_s`` more seconds (``finish`` resumes it regardless, so a
-    stalled child can never outlive the run)."""
-
-    rank: int
-    after_s: float
-    for_s: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.after_s < 0.0 or self.for_s <= 0.0:
-            raise ValueError("ProcStall: after_s must be >= 0 and for_s > 0")
-
-
-@dataclass(frozen=True)
-class ProcDelay:
-    """Delay ``rank``'s entry into the user function by ``startup_s``."""
-
-    rank: int
-    startup_s: float
-
-    def __post_init__(self) -> None:
-        if self.startup_s < 0.0:
-            raise ValueError("ProcDelay.startup_s must be >= 0")
-
-
-@dataclass(frozen=True)
-class ProcFaultPlan:
-    """An immutable cross-process fault scenario (builder-style).
-
-    ``seed`` names the scenario for replay bookkeeping (bench gates fold
-    it into their records); the plan's execution consults no randomness.
-    """
-
-    seed: int = 0
-    kills: tuple = field(default_factory=tuple)
-    stalls: tuple = field(default_factory=tuple)
-    delays: tuple = field(default_factory=tuple)
-
-    def kill(self, rank: int, after_s: float) -> "ProcFaultPlan":
-        return replace(self, kills=self.kills + (ProcKill(rank, after_s),))
-
-    def stall(self, rank: int, after_s: float, for_s: float = 0.5) -> "ProcFaultPlan":
-        return replace(self, stalls=self.stalls + (ProcStall(rank, after_s, for_s),))
-
-    def delay(self, rank: int, startup_s: float) -> "ProcFaultPlan":
-        return replace(self, delays=self.delays + (ProcDelay(rank, startup_s),))
-
-    @property
-    def empty(self) -> bool:
-        return not (self.kills or self.stalls or self.delays)
-
-    def describe(self) -> str:
-        parts = [f"seed={self.seed}"]
-        for k in self.kills:
-            parts.append(f"SIGKILL rank {k.rank} @{k.after_s}s")
-        for s in self.stalls:
-            parts.append(f"SIGSTOP rank {s.rank} @{s.after_s}s for {s.for_s}s")
-        for d in self.delays:
-            parts.append(f"delay rank {d.rank} start by {d.startup_s}s")
-        return "; ".join(parts)
-
-
 def _signal_child(child, sig: int) -> bool:
     """Deliver ``sig`` to a live child process; False if already gone."""
     pid = child.pid
@@ -190,85 +106,60 @@ def _signal_child(child, sig: int) -> bool:
     return True
 
 
-class ProcFaultInjector:
-    """Executes a :class:`ProcFaultPlan` from the parent monitor loop.
+class ProcSignals:
+    """Delivers a plan's ``after_s`` kills and stalls to ``children``.
 
-    The proc backend recognises it by ``proc_capable`` and calls
-    :meth:`start` once the children are launched, :meth:`poll` every
-    monitor iteration, and :meth:`finish` unconditionally at teardown
-    (first thing in the ``finally`` — a ``SIGSTOP``-ped child cannot
-    handle the ``SIGTERM`` that follows).  ``startup_delays`` is read
-    before fork and shipped to the children in their config tuple.
+    Built by the proc backend once the children are launched (the
+    clock starts then); :meth:`poll` runs every monitor iteration and
+    :meth:`finish` unconditionally at teardown (first thing in the
+    ``finally`` — a ``SIGSTOP``-ped child cannot handle the ``SIGTERM``
+    that follows).  Each delivered signal is appended to ``log`` as
+    ``("kill"|"stop"|"cont", rank, seconds)``.
     """
 
-    #: marks this injector as accepted by the proc backend's ``spmd``
-    proc_capable = True
-
-    def __init__(self, plan: ProcFaultPlan):
-        self.plan = plan
-        self._t0: "float | None" = None
-        # (due_time, kind, rank) min-heap substitute: sorted list, popped
-        # from the front as events fire
-        self._pending: list[tuple[float, str, int, float]] = []
-        self._stopped: set[int] = set()
-        self.fired: list[tuple[str, int, float]] = []
-
-    # -- lifecycle (called by the proc backend) ------------------------------------
-    def startup_delays(self, nproc: int) -> dict[int, float]:
-        """Per-rank startup delay in seconds (shipped to the children)."""
-        return {
-            d.rank: d.startup_s
-            for d in self.plan.delays
-            if 0 <= d.rank < nproc and d.startup_s > 0.0
-        }
-
-    def start(self, children: list) -> None:
+    def __init__(self, plan, log: list, children: list):
+        self._log = log
+        self._children = children
         self._t0 = time.monotonic()
-        events: list[tuple[float, str, int, float]] = []
-        for k in self.plan.kills:
-            if 0 <= k.rank < len(children):
-                events.append((self._t0 + k.after_s, "kill", k.rank, 0.0))
-        for s in self.plan.stalls:
-            if 0 <= s.rank < len(children):
-                events.append((self._t0 + s.after_s, "stop", s.rank, s.for_s))
-        self._pending = sorted(events)
+        # (due_time, kind, rank, for_s), sorted; popped from the front
+        self._pending = sorted(
+            [(self._t0 + k.after_s, "kill", k.rank, 0.0) for k in plan.kills]
+            + [(self._t0 + s.after_s, "stop", s.rank, s.for_s) for s in plan.stalls]
+        )
+        self._stopped: set[int] = set()
 
-    def poll(self, children: list) -> None:
-        """Fire every event whose due time has passed (monitor loop)."""
-        if self._t0 is None:
-            return
+    def poll(self) -> None:
+        """Fire every signal whose due time has passed (monitor loop)."""
         now = time.monotonic()
         while self._pending and self._pending[0][0] <= now:
-            due, kind, rank, for_s = self._pending.pop(0)
-            if kind == "kill":
-                if _signal_child(children[rank], signal.SIGKILL):
-                    self.fired.append(("kill", rank, now - self._t0))
-            elif kind == "stop":
-                if _signal_child(children[rank], signal.SIGSTOP):
+            _due, kind, rank, for_s = self._pending.pop(0)
+            if kind == "cont":
+                self._resume(rank, now)
+            elif _signal_child(
+                self._children[rank],
+                signal.SIGKILL if kind == "kill" else signal.SIGSTOP,
+            ):
+                self._log.append((kind, rank, now - self._t0))
+                if kind == "stop":
                     self._stopped.add(rank)
-                    self.fired.append(("stop", rank, now - self._t0))
                     self._pending.append((now + for_s, "cont", rank, 0.0))
                     self._pending.sort()
-            elif kind == "cont":
-                self._resume(children, rank, now)
 
-    def finish(self, children: list) -> None:
+    def finish(self) -> None:
         """Resume every still-stopped child (teardown safety net).
 
         Also sweeps *stale* ``repro-*`` shm segments orphaned by earlier
         runs — a SIGKILL plan is exactly the kind of run that leaves
         them, so fault-injecting teardowns double as the janitor.
         """
-        if self._t0 is None:
-            return
         now = time.monotonic()
         for rank in sorted(self._stopped):
-            self._resume(children, rank, now)
+            self._resume(rank, now)
         self._pending = [e for e in self._pending if e[1] != "cont"]
         sweep_stale_segments()
 
-    def _resume(self, children: list, rank: int, now: float) -> None:
+    def _resume(self, rank: int, now: float) -> None:
         if rank in self._stopped:
             self._stopped.discard(rank)
-            if _signal_child(children[rank], signal.SIGCONT):
-                self.fired.append(("cont", rank, now - self._t0))
+            if _signal_child(self._children[rank], signal.SIGCONT):
+                self._log.append(("cont", rank, now - self._t0))

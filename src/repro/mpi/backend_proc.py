@@ -11,9 +11,9 @@ and puts/gets are true cross-process memory traffic.  The moving parts:
   runs a monitor loop — collecting per-rank results, broadcasting a
   ``rank_dead`` control message when a child exits abnormally (so
   survivors raise :class:`~repro.mpi.runtime.RankFailedError`, the
-  cross-process analogue of ``mark_dead``), driving an optional
-  proc-capable fault injector (``repro.faults.proc`` — real ``SIGKILL``
-  / ``SIGSTOP``+``SIGCONT`` / delayed starts), and enforcing
+  cross-process analogue of ``mark_dead``), delivering an installed
+  fault plan's ``after_s`` kills and stalls as real ``SIGKILL`` /
+  ``SIGSTOP``+``SIGCONT`` (``repro.faults.proc``), and enforcing
   ``join_timeout`` as the deadlock backstop (the thread watchdog cannot
   see other processes).
 * **Child** (:func:`_child_main`): builds a private :class:`Runtime`
@@ -63,10 +63,10 @@ and puts/gets are true cross-process memory traffic.  The moving parts:
 
 What the proc backend does **not** support — by design, raising typed
 errors rather than misbehaving: the deterministic scheduler and fuzzer,
-the RMA sanitizer, *thread-style* fault plans (``repro.faults.plan``
-schedules faults at deterministic fuzz points, which do not exist
-across processes; the wall-clock subset in ``repro.faults.proc`` is
-accepted instead), and intercommunicators.  ``docs/backends.md`` has
+the RMA sanitizer, the fault-plan entries keyed to fuzz points or RMA
+op counts (``point=`` kills and stalls, corrupt/drop, delay — fuzz
+points do not exist across processes; ``FaultInjector.begin_run``
+names the entry), and intercommunicators.  ``docs/backends.md`` has
 the full matrix.
 """
 
@@ -88,7 +88,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..backoff import FLOCK_WAIT, BackoffPolicy
-from ..faults.proc import sweep_stale_segments
+from ..faults.proc import ProcSignals, sweep_stale_segments
 from . import mailbox
 from .backend import RuntimeBackend
 from .comm import Comm
@@ -202,14 +202,10 @@ class ProcBackend(RuntimeBackend):
             raise InternalError(f"the deterministic scheduler {_THREAD_ONLY}")
         if runtime.sanitizer is not None:
             raise InternalError(f"the RMA sanitizer {_THREAD_ONLY}")
-        injector = None
-        if runtime.faults is not None:
-            if not getattr(runtime.faults, "proc_capable", False):
-                raise InternalError(
-                    f"fault injection via repro.faults.plan {_THREAD_ONLY}; "
-                    "cross-process faults use repro.faults.proc"
-                )
-            injector = runtime.faults
+        faults = runtime.faults
+        if faults is not None:
+            # rejects the entries only threads run, and ranks the run lacks
+            faults.begin_run(runtime)
         nproc = runtime.nproc
         ctx = get_context("fork")
         run_id = f"{os.getpid()}x{next(self._run_counter)}"
@@ -219,14 +215,13 @@ class ProcBackend(RuntimeBackend):
         # one inbox pipe per rank, then the result channel to this process
         pipes = [os.pipe2(os.O_NONBLOCK | os.O_CLOEXEC) for _ in range(nproc + 1)]
         ends = {fd for pair in pipes for fd in pair}
-        outbox = None
+        outbox = signals = None
         # per-rank heartbeat leases: nproc slots of (pid, monotonic_ns),
         # created zeroed here so every child can attach before its peers
         # have written anything
         hb_seg = shared_memory.SharedMemory(
             name=_hb_segment_name(run_id), create=True, size=max(16 * nproc, 16)
         )
-        delays = injector.startup_delays(nproc) if injector is not None else {}
         cfg = (
             runtime.nproc,
             runtime.watchdog_s,
@@ -235,7 +230,6 @@ class ProcBackend(RuntimeBackend):
             runtime.seed,
             runtime.heartbeat_s,
             runtime.suspect_after,
-            delays,
         )
         children = [
             ctx.Process(
@@ -255,17 +249,17 @@ class ProcBackend(RuntimeBackend):
                 os.close(fd)
                 ends.discard(fd)
             outbox = mailbox.Outbox([w for _, w in pipes[:nproc]], lockdir)
-            if injector is not None:
-                injector.start(children)
+            if faults is not None and not faults.plan.empty:
+                signals = ProcSignals(faults.plan, faults.events, children)
             results, errors, died = self._monitor(
                 children, outbox, mailbox.Inbox(pipes[nproc][0]),
-                join_timeout, injector,
+                join_timeout, signals,
             )
         finally:
-            if injector is not None:
+            if signals is not None:
                 # un-stall before terminating: a SIGSTOPped child cannot
                 # handle SIGTERM
-                injector.finish(children)
+                signals.finish()
             # teardown grace derived from the caller's deadlock budget
             # rather than a magic constant; clamped so a generous
             # join_timeout doesn't turn teardown into a second hang
@@ -336,12 +330,13 @@ class ProcBackend(RuntimeBackend):
         outbox: mailbox.Outbox,
         inbox: mailbox.Inbox,
         join_timeout: float,
-        injector=None,
+        signals: "ProcSignals | None" = None,
     ) -> tuple[dict[int, Any], dict[int, BaseException], dict[int, "int | None"]]:
         """Collect results, detect silent deaths, broadcast ``rank_dead``.
 
         Sleeps until a result arrives or a pending child exits; with a
-        fault injector (it fires from here), for at most 50 ms at a time.
+        fault plan's signals to deliver (they fire from here), for at
+        most 50 ms at a time.
         """
         results: dict[int, Any] = {}
         errors: dict[int, BaseException] = {}
@@ -350,10 +345,10 @@ class ProcBackend(RuntimeBackend):
         deadline = time.monotonic() + join_timeout
 
         def give_up(dst: int, since: float) -> None:
-            # a child's full inbox: keep the injector firing, and give up
+            # a child's full inbox: keep the signals firing, and give up
             # at the deadlock backstop
-            if injector is not None:
-                injector.poll(children)
+            if signals is not None:
+                signals.poll()
             if time.monotonic() > deadline:
                 raise ProgressDeadlockError(
                     f"rank {dst} stopped reading its inbox within join_timeout="
@@ -376,12 +371,12 @@ class ProcBackend(RuntimeBackend):
                     f"rank processes {sorted(pending)} did not finish within "
                     f"join_timeout={join_timeout}s (proc-backend deadlock backstop)"
                 )
-            if injector is not None:
-                injector.poll(children)
+            if signals is not None:
+                signals.poll()
             watch = [children[r].sentinel for r in pending]
             connection.wait(
                 watch if inbox.eof else [*watch, inbox.fd],
-                deadline - now if injector is None else 0.05,
+                deadline - now if signals is None else 0.05,
             )
             # a child has written its whole result before it exits, so
             # read the pipe after noting which children stopped
@@ -461,7 +456,7 @@ def _child_main(
 ) -> None:
     (
         nproc, watchdog_s, op_timeout_s, op_retries, seed,
-        heartbeat_s, suspect_after, delays,
+        heartbeat_s, suspect_after,
     ) = cfg
     # read only this rank's inbox: then a dead rank's inbox has no reader,
     # and writing to it fails at once
@@ -503,10 +498,6 @@ def _child_main(
     pump.start()
     status, payload = "ok", None
     try:
-        if delays and rank in delays:
-            # injected startup delay (repro.faults.proc); the pump is
-            # already heartbeating, so peers see a slow rank, not a dead one
-            time.sleep(delays[rank])
         payload = fn(world, *args)
     except BaseException as exc:  # noqa: BLE001 - marshalled to the parent
         # pickling drops __traceback__; carry the formatted one as a note

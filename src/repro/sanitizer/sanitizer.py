@@ -86,9 +86,6 @@ class RmaSanitizer:
         self._mu = threading.Lock()
         #: origin -> ids of the windows whose self-lock a DLA epoch holds
         self._dla_wins: dict[int, set[int]] = {}
-        #: (win_id, origin, target) -> queued-but-unflushed nb op count
-        #: (the flush-completion ledger of the MPI-3 datapath's nb queue)
-        self._nb_pending: dict[tuple, int] = {}
 
     # -- reporting ------------------------------------------------------------
     def report(self, kind, rank, op, target, win_id, detail, ranges=()) -> None:
@@ -145,23 +142,10 @@ class RmaSanitizer:
             self._dla_wins.get(origin, set()).discard(win.win_id)
 
     # -- MPI-3 datapath nb queue (flush-completion tracking) ---------------------
-    def on_nb_enqueue(self, win, origin: int, target: int, kind: str) -> None:
-        key = (win.win_id, origin, target)
-        self._nb_pending[key] = self._nb_pending.get(key, 0) + 1
-
-    def on_nb_drain(self, win, origin: int, target: int) -> None:
-        """The queue was flushed — or discarded by recovery: gone, not leaked."""
-        self._nb_pending.pop((win.win_id, origin, target), None)
-
     def on_nb_pending(self, win, origin: int, target: int, count: int) -> None:
         """Drained-queue-at-finalize invariant: report what never flushed."""
-        self._nb_pending.pop((win.win_id, origin, target), None)
         self.report(
             ViolationKind.NB_PENDING, origin, "finalize", target, win.win_id,
             f"{count} queued nonblocking op(s) never reached a completion "
             "point (wait/wait_all/fence/barrier) before finalize",
         )
-
-    def nb_pending_count(self, win, origin: int, target: int) -> int:
-        """Test hook: queued-op count the ledger currently attributes."""
-        return self._nb_pending.get((win.win_id, origin, target), 0)

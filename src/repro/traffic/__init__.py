@@ -17,7 +17,7 @@ Composability is the point: on the thread backend the harness runs
 under the deterministic scheduler with seeded
 :class:`~repro.faults.plan.FaultPlan` kills, so a failing traffic seed
 replays bit-identically (same shed/retry/violation trace); on the proc
-backend :class:`~repro.faults.proc.ProcFaultPlan` delivers real
+backend the same plan type's ``after_s`` kills and stalls deliver real
 ``SIGKILL``/``SIGSTOP`` mid-traffic and the harness must shed, retry,
 recover, and drain instead of failing the run.  See ``docs/traffic.md``
 and the ``BENCH_traffic.json`` gate (``python -m repro.bench

@@ -87,15 +87,15 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.backend == "proc":
         plan = None
         if args.proc_kill or args.proc_stall:
-            from ..faults.proc import ProcFaultPlan
+            from ..faults.plan import FaultPlan
 
-            plan = ProcFaultPlan(seed=args.seed)
+            plan = FaultPlan(seed=args.seed)
             if args.proc_kill:
                 rank, after = _rank_at(args.proc_kill, "after_s")
-                plan = plan.kill(rank, after)
+                plan = plan.kill(rank, after_s=after)
             if args.proc_stall:
                 rank, after = _rank_at(args.proc_stall, "after_s")
-                plan = plan.stall(rank, after)
+                plan = plan.stall(rank, after_s=after)
         result = run_traffic_proc(cfg, args.nproc, plan=plan)
         print(result.summary())
         return 0 if (result.ok and result.verified) else 1

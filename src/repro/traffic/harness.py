@@ -28,8 +28,8 @@ Drivers: :func:`run_traffic` runs the body under the deterministic
 scheduler (thread backend) so a traffic seed — including its
 shed/retry/violation trace — replays bit-identically;
 :func:`run_traffic_proc` runs it wall-clock on the proc backend where
-:class:`~repro.faults.proc.ProcFaultPlan` delivers real ``SIGKILL`` /
-``SIGSTOP`` mid-traffic.
+a :class:`~repro.faults.plan.FaultPlan` of ``after_s`` kills and stalls
+delivers real ``SIGKILL`` / ``SIGSTOP`` mid-traffic.
 """
 
 from __future__ import annotations
@@ -468,15 +468,16 @@ def run_traffic_proc(
     suspect_after: float = 0.25,
     join_timeout: float = 90.0,
 ) -> TrafficResult:
-    """Wall-clock proc-backend run (optionally under a ProcFaultPlan)."""
+    """Wall-clock proc-backend run (optionally under a fault plan of
+    ``after_s`` kills and stalls)."""
     rt = Runtime(
         nproc, backend="proc",
         heartbeat_s=heartbeat_s, suspect_after=suspect_after,
     )
     if plan is not None:
-        from ..faults.proc import ProcFaultInjector
+        from ..faults.injector import FaultInjector
 
-        rt.faults = ProcFaultInjector(plan)
+        rt.faults = FaultInjector(plan)
     error = None
     results = None
     try:

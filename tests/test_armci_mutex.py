@@ -276,10 +276,8 @@ def _holder_record_body(comm):
 def test_holder_record_is_current_on_every_rank(backend, request):
     from repro.mpi.runtime import Runtime
 
-    if backend == "proc" and (
-        request.config.getoption("--sanitize") or request.config.getoption("--faults")
-    ):
-        pytest.skip("proc backend does not support ambient sanitizer/faults")
+    if backend == "proc" and request.config.getoption("--sanitize"):
+        pytest.skip("proc backend does not support the ambient sanitizer")
     rt = Runtime(3, backend=backend)
     r0, r1, r2 = rt.spmd(_holder_record_body, join_timeout=120.0)
     assert r0 == {"after_handoff": 1, "after_release": None, "slab": (16, True)}

@@ -33,9 +33,10 @@ NPROC = 4
 
 @pytest.fixture(autouse=True)
 def _no_ambient_layers(request):
-    """Proc runs reject ambient sanitizer/fault hooks (thread-only layers)."""
-    if request.config.getoption("--sanitize") or request.config.getoption("--faults"):
-        pytest.skip("proc backend does not support ambient sanitizer/faults")
+    """Proc runs reject an ambient sanitizer (a thread-only layer); the
+    ambient empty fault plan is valid on both backends."""
+    if request.config.getoption("--sanitize"):
+        pytest.skip("proc backend does not support the ambient sanitizer")
 
 
 def proc_spmd(nproc, fn, *args):
@@ -1595,7 +1596,7 @@ def test_thread_proc_recovery_parity():
 
 
 # ---------------------------------------------------------------------------
-# the proc-capable fault injector
+# fault plans on processes: after_s kills and stalls as real signals
 # ---------------------------------------------------------------------------
 
 
@@ -1607,41 +1608,46 @@ def _slow_rounds_body(comm, rounds, pause_s):
 
 
 def test_proc_fault_injector_kill_surfaces_rankfailed():
-    from repro.faults import ProcFaultInjector, ProcFaultPlan
+    from repro.faults import FaultInjector, FaultPlan
 
     rt = Runtime(NPROC, backend="proc")
-    rt.faults = ProcFaultInjector(ProcFaultPlan(seed=0).kill(2, after_s=0.4))
+    rt.faults = FaultInjector(FaultPlan(seed=0).kill(2, after_s=0.4))
     with pytest.raises(RankFailedError, match="rank 2"):
         rt.spmd(_slow_rounds_body, 200, 0.02, join_timeout=60.0)
-    assert ("kill", 2) in [(k, r) for k, r, _t in rt.faults.fired]
+    assert ("kill", 2) in [(k, r) for k, r, _t in rt.faults.events]
 
 
 def test_proc_fault_injector_stall_is_suspected_not_dead():
     """A SIGSTOPped rank's lease goes stale, but its pid stays alive:
     the detector must keep it in 'suspected' forever rather than declare
     death, and the run completes after SIGCONT."""
-    from repro.faults import ProcFaultInjector, ProcFaultPlan
+    from repro.faults import FaultInjector, FaultPlan
 
     rt = Runtime(
         NPROC, backend="proc", heartbeat_s=0.02, suspect_after=0.2
     )
-    rt.faults = ProcFaultInjector(
-        ProcFaultPlan(seed=0).stall(1, after_s=0.2, for_s=1.0)
+    rt.faults = FaultInjector(
+        FaultPlan(seed=0).stall(1, after_s=0.2, for_s=1.0)
     )
     out = rt.spmd(_slow_rounds_body, 40, 0.02, join_timeout=60.0)
     assert out == [list(range(NPROC))] * NPROC
-    kinds = [(k, r) for k, r, _t in rt.faults.fired]
+    kinds = [(k, r) for k, r, _t in rt.faults.events]
     assert ("stop", 1) in kinds and ("cont", 1) in kinds
 
 
-def test_proc_fault_injector_startup_delay_not_mistaken_for_death():
-    from repro.faults import ProcFaultInjector, ProcFaultPlan
+def _late_rank0_body(comm, rounds, pause_s):
+    if comm.rank == 0:
+        # a late start: the pump is already heartbeating, so peers see
+        # a slow rank, not a dead one
+        time.sleep(0.8)
+    return _slow_rounds_body(comm, rounds, pause_s)
 
+
+def test_proc_fault_injector_startup_delay_not_mistaken_for_death():
     rt = Runtime(
         NPROC, backend="proc", heartbeat_s=0.02, suspect_after=0.2
     )
-    rt.faults = ProcFaultInjector(ProcFaultPlan(seed=0).delay(0, startup_s=0.8))
-    out = rt.spmd(_slow_rounds_body, 5, 0.01, join_timeout=60.0)
+    out = rt.spmd(_late_rank0_body, 5, 0.01, join_timeout=60.0)
     assert out == [list(range(NPROC))] * NPROC
 
 
@@ -1650,8 +1656,40 @@ def test_proc_rejects_thread_style_fault_plans():
 
     rt = Runtime(2, backend="proc")
     rt.faults = FaultInjector(FaultPlan(seed=0).kill(1, 5))
-    with pytest.raises(InternalError, match="repro.faults.proc"):
+    with pytest.raises(
+        InternalError, match=r"proc backend cannot run .*kill rank 1 @point 5"
+    ):
         rt.spmd(lambda comm: None)
+
+
+@pytest.mark.parametrize(
+    "plan, entry",
+    [
+        (lambda p: p.corrupt(3), "corrupt op 3"),
+        (lambda p: p.drop(4, kind="put"), "drop op 4 [put]"),
+        (lambda p: p.delay(jitter_frac=0.2), "delay jitter=0.2"),
+        (lambda p: p.stall(0, 2, steps=3), "stall rank 0 @point 2 x3"),
+        (lambda p: p.kill(2, after_s=0.1), "kill rank 2 @0.1s"),  # 2 ranks
+    ],
+)
+def test_proc_rejects_entries_it_cannot_run_by_name(plan, entry):
+    from repro.faults import FaultInjector, FaultPlan
+
+    rt = Runtime(2, backend="proc")
+    rt.faults = FaultInjector(plan(FaultPlan(seed=0)))
+    with pytest.raises(InternalError, match="proc backend") as err:
+        rt.spmd(lambda comm: None)
+    assert entry in str(err.value)
+    assert rt.faults.events == []
+
+
+def test_proc_runs_an_empty_fault_plan():
+    from repro.faults import FaultInjector, FaultPlan
+
+    rt = Runtime(2, backend="proc")
+    rt.faults = FaultInjector(FaultPlan(seed=0))
+    assert rt.spmd(lambda comm: comm.rank) == [0, 1]
+    assert rt.faults.events == []
 
 
 def test_proc_abnormal_exit_leaves_no_shm_segments():

@@ -91,6 +91,85 @@ def test_plan_validates_specs():
         Delay(jitter_frac=-0.5)
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: Kill(-1, 5), "rank"),
+        (lambda: Kill(1, -5), "point"),
+        (lambda: Kill(1, after_s=-0.1), "after_s"),
+        (lambda: Kill(1), "one trigger"),
+        (lambda: Kill(1, 5, after_s=0.2), "one trigger"),
+        (lambda: Stall(-2, 1), "rank"),
+        (lambda: Stall(0, -1), "point"),
+        (lambda: Stall(0, 2, steps=-3), "steps"),
+        (lambda: Stall(0, 2, steps=0), "steps"),
+        (lambda: Stall(0, after_s=-1.0), "after_s"),
+        (lambda: Stall(0, after_s=0.2, for_s=0.0), "for_s"),
+        (lambda: Stall(0), "one trigger"),
+        (lambda: Stall(0, 2, after_s=0.2), "one trigger"),
+        (lambda: Corrupt(op=-1), "op"),
+        (lambda: FaultPlan().kill(0, 1, after_s=1.0), "one trigger"),
+        (lambda: FaultPlan().stall(0, after_s=0.5, for_s=-1.0), "for_s"),
+    ],
+)
+def test_plan_entries_that_can_never_fire_are_rejected(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
+def test_plan_with_both_trigger_forms_round_trips_and_describes():
+    plan = (
+        FaultPlan(seed=4)
+        .kill(1, 3, kind="lock")
+        .kill(2, after_s=0.4)
+        .stall(0, after_s=0.2, for_s=1.5)
+        .corrupt(6)
+    )
+    again = FaultPlan.from_json(plan.to_json())
+    assert again == plan and again.key() == plan.key()
+    assert again.stalls[0].for_s == 1.5
+    text = plan.describe()
+    for part in ("kill rank 1 @point 3 [lock]", "kill rank 2 @0.4s",
+                 "stall rank 0 @0.2s for 1.5s", "corrupt op 6"):
+        assert part in text
+
+
+def test_plan_names_the_entries_each_backend_cannot_run():
+    plan = (
+        FaultPlan(seed=0)
+        .kill(1, 3).kill(2, after_s=0.4).stall(0, after_s=0.2)
+        .corrupt(6).delay(jitter_frac=0.1)
+    )
+    assert plan.unsupported("thread", 4) == [plan.kills[1], plan.stalls[0]]
+    assert plan.unsupported("proc", 4) == [
+        plan.kills[0], plan.corruptions[0], plan.delays[0]
+    ]
+    assert plan.unsupported("proc", 2) == [
+        plan.kills[0], plan.kills[1], plan.corruptions[0], plan.delays[0]
+    ]
+    assert FaultPlan().unsupported("thread", 1) == []
+    assert FaultPlan().unsupported("proc", 1) == []
+
+
+def test_thread_backend_rejects_a_wall_clock_kill():
+    from repro.mpi.errors import InternalError
+
+    rt = Runtime(2)
+    rt.faults = FaultInjector(FaultPlan(seed=0).kill(1, after_s=0.2))
+    with pytest.raises(
+        InternalError, match=r"thread backend cannot run .*kill rank 1 @0.2s"
+    ):
+        rt.spmd(lambda comm: None)
+
+
+def test_a_kill_of_a_rank_the_run_lacks_is_rejected():
+    plan = FaultPlan(seed=0).kill(9, 3)
+    report = run_schedule(SCENARIOS["mutex"], 4, 0, plan=plan)
+    assert not report.ok and report.fault_events == 0
+    assert report.error.startswith("InternalError")
+    assert "kill rank 9 @point 3" in report.error
+
+
 def test_injector_is_single_use():
     inj = FaultInjector(FaultPlan(seed=0))
     rt1, rt2 = Runtime(1), Runtime(1)

@@ -692,20 +692,21 @@ def test_nb_pending_clean_counterpart():
 
 
 def test_nb_ledger_tracks_enqueue_and_drain():
+    """The nb queue is the one ledger: it counts queued entries (adjacent
+    puts coalesce into one, so these two leave a gap) until a fence."""
     counts: list[int] = []
 
     def body(comm):
         a = Armci.init(comm, datapath="mpi3")
-        ptrs = a.malloc(16)
+        ptrs = a.malloc(32)
         a.barrier()
         if a.my_id == 0:
-            san = a.world.runtime.sanitizer
             gmr = a.table.require(ptrs[1])
             a.nb_put(np.ones(8, dtype=np.uint8), ptrs[1], 8)  # repro: lint-ignore[nb-pending]
-            a.nb_put(np.ones(8, dtype=np.uint8), ptrs[1] + 8, 8)  # repro: lint-ignore[nb-pending]
-            counts.append(san.nb_pending_count(gmr.win, 0, 1))
+            a.nb_put(np.ones(8, dtype=np.uint8), ptrs[1] + 16, 8)  # repro: lint-ignore[nb-pending]
+            counts.append(a._nbq.pending(gmr, 1))
             a.fence(1)
-            counts.append(san.nb_pending_count(gmr.win, 0, 1))
+            counts.append(a._nbq.pending(gmr, 1))
         a.barrier()
         a.free(ptrs[a.my_id])
 
