@@ -29,7 +29,7 @@ module tracks them:
     pieces): the closed-form four-integer layout vs the array-built
     flatten of the same subarray.
 ``conflict_check_contig``
-    single-interval :class:`repro.mpi.window._IntervalSet` overlap query
+    single-interval :class:`repro.mpi.rma_rules._IntervalSet` overlap query
     (bounding-box fast path) vs the pre-PR sorted-scan reference.
 ``conflict_footprint_disjoint``
     recording one strided op's footprint (16 rows, a closed-form map) and
@@ -69,7 +69,7 @@ from ..mpi import datatypes as dt
 from ..mpi import ops as mpi_ops
 from ..mpi.errors import ArgumentError
 from ..mpi.group import UNDEFINED
-from ..mpi.window import (
+from ..mpi.rma_rules import (
     _check_acc_alignment,
     _IntervalSet,
     _segments_overlap,

@@ -114,17 +114,22 @@ class ProcSignals:
     :meth:`finish` unconditionally at teardown (first thing in the
     ``finally`` — a ``SIGSTOP``-ped child cannot handle the ``SIGTERM``
     that follows).  Each delivered signal is appended to ``log`` as
-    ``("kill"|"stop"|"cont", rank, seconds)``.
+    ``("kill"|"stop"|"cont", rank, seconds)``, and each kill or stall
+    still due when the run ended as ``("missed", "kill"|"stall", rank,
+    after_s)``.
     """
 
     def __init__(self, plan, log: list, children: list):
         self._log = log
         self._children = children
         self._t0 = time.monotonic()
-        # (due_time, kind, rank, for_s), sorted; popped from the front
+        # (due_time, kind, rank, for_s, after_s), sorted; popped from the front
         self._pending = sorted(
-            [(self._t0 + k.after_s, "kill", k.rank, 0.0) for k in plan.kills]
-            + [(self._t0 + s.after_s, "stop", s.rank, s.for_s) for s in plan.stalls]
+            [(self._t0 + k.after_s, "kill", k.rank, 0.0, k.after_s) for k in plan.kills]
+            + [
+                (self._t0 + s.after_s, "stop", s.rank, s.for_s, s.after_s)
+                for s in plan.stalls
+            ]
         )
         self._stopped: set[int] = set()
 
@@ -132,7 +137,7 @@ class ProcSignals:
         """Fire every signal whose due time has passed (monitor loop)."""
         now = time.monotonic()
         while self._pending and self._pending[0][0] <= now:
-            _due, kind, rank, for_s = self._pending.pop(0)
+            _due, kind, rank, for_s, _after = self._pending.pop(0)
             if kind == "cont":
                 self._resume(rank, now)
             elif _signal_child(
@@ -142,11 +147,12 @@ class ProcSignals:
                 self._log.append((kind, rank, now - self._t0))
                 if kind == "stop":
                     self._stopped.add(rank)
-                    self._pending.append((now + for_s, "cont", rank, 0.0))
+                    self._pending.append((now + for_s, "cont", rank, 0.0, 0.0))
                     self._pending.sort()
 
     def finish(self) -> None:
-        """Resume every still-stopped child (teardown safety net).
+        """Resume every still-stopped child (teardown safety net) and log
+        every kill or stall that never fired as missed.
 
         Also sweeps *stale* ``repro-*`` shm segments orphaned by earlier
         runs — a SIGKILL plan is exactly the kind of run that leaves
@@ -155,7 +161,11 @@ class ProcSignals:
         now = time.monotonic()
         for rank in sorted(self._stopped):
             self._resume(rank, now)
-        self._pending = [e for e in self._pending if e[1] != "cont"]
+        for _due, kind, rank, _for, after_s in self._pending:
+            if kind != "cont":
+                entry = "stall" if kind == "stop" else kind
+                self._log.append(("missed", entry, rank, after_s))
+        self._pending = []
         sweep_stale_segments()
 
     def _resume(self, rank: int, now: float) -> None:

@@ -103,6 +103,7 @@ from .errors import (
 )
 from .group import Group
 from .p2p import ANY_SOURCE, P2PEngine, Request
+from .rma_rules import _slots_overlap
 from .runtime import RankFailedError, Runtime, _tls, current_proc
 from .window import LOCK_EXCLUSIVE, Win, _local_exposure_view
 
@@ -1031,28 +1032,6 @@ def _table_offset(nbytes: int) -> int:
     return -(-nbytes // 8) * 8
 
 
-def _slots_overlap(a: tuple, b: tuple) -> bool:
-    """Whether two footprint slots may share a byte.
-
-    Exact when either is one row or both share a step (every GA piece of
-    one array); otherwise the bounding boxes decide, which errs only
-    towards "overlap" (as does reserving the bounding box of a footprint
-    that is no progression).  Row ``i`` of ``a`` meets row ``j`` of ``b``
-    iff ``-seg_len_b < d + k*step < seg_len_a`` with ``d = lo_b - lo_a``
-    and ``k = j - i``, so the footprints meet iff that window of ``k``
-    meets ``[1 - n_a, n_b - 1]``.
-    """
-    a0, a1, sa, la, na = a
-    b0, b1, sb, lb, nb = b
-    if b0 >= a1 or a0 >= b1:
-        return False
-    if na > 1 and nb > 1 and sa != sb:
-        return True
-    step = sa if na > 1 else sb
-    d = b0 - a0
-    return max(1 - na, -((lb + d - 1) // step)) <= min(nb - 1, (la - d - 1) // step)
-
-
 def _try_flock(fd: int, op: int) -> "bool | None":
     """One nonblocking ``flock``: True if granted, None if held elsewhere."""
     try:
@@ -1110,7 +1089,9 @@ class _Reservation:
             for origin, theirs in self.peers:
                 other = _SLOT.unpack_from(self.buf, theirs)
                 if (
-                    other[0] < hi and lo < other[1]  # the bounding boxes first
+                    # a slot's bounding box first: settles most disjoint
+                    # pairs without a call (the budgeted uncontended case)
+                    other[0] < hi and lo < other[1]
                     and _slots_overlap(slot, other)
                     and self.win._busy(self.target_rank, origin)
                 ):
@@ -1250,14 +1231,14 @@ class ProcWin(Win):
     def _atomic_section(self, target_rank: int, slot: "tuple | None") -> "_Reservation":
         """``with`` block in which this origin holds a reservation of the
         ``slot`` rows of ``target_rank``'s memory (the op's footprint, as
-        the op derived it: see ``window._footprint_slot``).
+        the op derived it: see ``rma_rules._footprint_slot``).
 
         Entering reserves — inside the origin's epoch, so the locks are
         taken in the order ``.lock`` → ``.atomic`` → busy — under the
         target's ``.atomic`` flock: if the slot of another origin
-        overlaps (:func:`_slots_overlap`) and that origin's busy flock is
-        held — probed without blocking — it lets ``.atomic`` go and
-        tries again along the one deadline of
+        overlaps (:func:`~repro.mpi.rma_rules._slots_overlap`) and that
+        origin's busy flock is held — probed without blocking — it lets
+        ``.atomic`` go and tries again along the one deadline of
         :meth:`_wait`; otherwise it writes its own slot, takes its own
         busy flock and lets ``.atomic`` go.  The read-modify-write then
         runs outside any shared lock, and leaving is a single

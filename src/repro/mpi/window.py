@@ -1,36 +1,21 @@
 """MPI RMA windows with passive-target synchronization (MPI-2 + gated MPI-3).
 
-This module is the substrate whose *semantics* shaped the whole ARMCI-MPI
-design (§III, §V):
+:class:`Win` keeps each window's locks and open epochs, moves the data
+and applies the access rules (§III, §V) that :mod:`repro.mpi.rma_rules`
+lists, most of them as that module's pure functions.
 
-* **Passive target epochs.**  All one-sided ops must happen between
-  ``lock(target)`` and ``unlock(target)``; ops outside an epoch raise
-  :class:`RMASyncError`.
-* **Shared vs exclusive locks** with FIFO-fair queuing; a process may
-  hold at most **one** lock per window at a time (the MPI-2 restriction
-  that forbids ARMCI-MPI from locking a local and a remote window region
-  of the same window simultaneously and forces buffer staging, §V-E.1).
-* **Conflicting accesses are erroneous.**  Overlapping put/get/acc within
-  one epoch, or between concurrently open epochs of different origins
-  (possible only under shared locks), raise :class:`RMAConflictError` —
-  except accumulate-vs-accumulate with the same op, which MPI permits.
-  Real MPI may silently corrupt data in these cases; we detect eagerly so
-  tests can prove ARMCI-MPI never triggers them.
-* **Get results are delivered at completion.**  Within an epoch all ops
-  are logically concurrent; a get's data lands in the user buffer only
-  when the get completes — at ``unlock``, ``flush`` or request ``wait`` —
-  so code that peeks earlier observes stale bytes, deliberately, to flush
-  out completion-semantics bugs.  A put/get/accumulate/fetch_and_op
-  issued with ``flush=True`` completes before it returns, as if
-  ``flush(target)`` followed it, so its get lands in the buffer at once.
-  A put/get/accumulate issued with ``lock=LOCK_SHARED|LOCK_EXCLUSIVE``
-  runs in an epoch of its own, as ``lock(target, mode)``, the op and
-  ``unlock(target)`` would (the MPI-2 pattern of §V-C); it completes
-  before it returns too.  Both are one window transaction on a plain
-  runtime (see ``Win._move``).
-* **Local load/store** of exposed memory requires an exclusive self-lock
-  when strict checking is on (the public/private window-copy rule of
-  §III that motivated the ARMCI DLA extension).
+**Get results are delivered at completion.**  Within an epoch all ops
+are logically concurrent; a get's data lands in the user buffer only
+when the get completes — at ``unlock``, ``flush`` or request ``wait`` —
+so code that peeks earlier observes stale bytes, deliberately, to flush
+out completion-semantics bugs.  A put/get/accumulate/fetch_and_op
+issued with ``flush=True`` completes before it returns, as if
+``flush(target)`` followed it, so its get lands in the buffer at once.
+A put/get/accumulate issued with ``lock=LOCK_SHARED|LOCK_EXCLUSIVE``
+runs in an epoch of its own, as ``lock(target, mode)``, the op and
+``unlock(target)`` would (the MPI-2 pattern of §V-C); it completes
+before it returns too.  Both are one window transaction on a plain
+runtime (see ``Win._move``).
 
 MPI-3 extensions (``flush``, ``lock_all`` epochless mode, request-based
 ``rput``/``rget``, ``fetch_and_op``, ``compare_and_swap``) are implemented
@@ -46,6 +31,7 @@ import numpy as np
 
 from . import datatypes as dt
 from . import ops as mpi_ops
+from . import rma_rules as rules
 from .comm import Comm
 from .errors import (
     ArgumentError,
@@ -57,189 +43,34 @@ from .errors import (
     TargetFailedError,
     WinError,
 )
+from .rma_rules import FENCE, LOCK_ALL, RMW, Accesses, Finding
 from .runtime import _tls, current_proc
 
 __all__ = [
     "Win",
     "LOCK_SHARED",
     "LOCK_EXCLUSIVE",
-    "INTERVAL_COMPACT_AT",
 ]
 
 LOCK_SHARED = "shared"
 LOCK_EXCLUSIVE = "exclusive"
 
-#: an origin's epoch record (``Win._open``) holds the target of its
-#: ``lock``, or one of these for the window-wide epochs
-_LOCK_ALL = "lock_all"
-_FENCE = "fence"
-_EPOCH_NAMES = {_LOCK_ALL: "a lock_all epoch", _FENCE: "an active-target fence epoch"}
-
 _VOID = np.dtype("V")
 _NOT_CONTIGUOUS = "RMA buffers must be C-contiguous; pass np.ascontiguousarray(...)"
 
 _NOTHING_TO_FLUSH = "%s outside any passive-target epoch: nothing to complete"
-#: access class of the MPI-3 atomics' footprints, tracked only for a sanitizer
-_RMW = "rmw"
-
-#: pending additions an :class:`_IntervalSet` tolerates before folding them
-#: into its compacted disjoint coverage (amortises the sort; see class doc)
-INTERVAL_COMPACT_AT = 8
 
 
-def _segments_overlap(
-    a_off: np.ndarray, a_len: np.ndarray, b_off: np.ndarray, b_len: np.ndarray
-) -> bool:
-    """True if any interval of A intersects any interval of B.
+class _Epoch(Accesses):
+    """An open access epoch of one origin on one target: the accesses the
+    rules read, and what completing it delivers."""
 
-    B must be sorted by offset (A need not be).  Intervals within B may
-    themselves overlap, so a running-maximum of interval ends is used:
-    interval ``a`` intersects some ``b`` iff among all b starting before
-    ``a``'s end, the furthest-reaching end exceeds ``a``'s start.
-    Vectorised searchsorted — no O(N·M) scan.
-    """
-    if len(a_off) == 0 or len(b_off) == 0:
-        return False
-    b_end_cummax = np.maximum.accumulate(b_off + b_len)
-    a_end = a_off + a_len
-    # number of b intervals starting strictly before each a's end
-    idx = np.searchsorted(b_off, a_end, side="left")
-    has_candidate = idx > 0
-    reach = b_end_cummax[np.maximum(idx - 1, 0)]
-    return bool(np.any(has_candidate & (reach > a_off)))
-
-
-#: what every fresh :class:`_IntervalSet` starts from — shared, because a
-#: set is built per epoch and per flush: the empty coverage (replaced on
-#: compaction, never written) and the inverted bounding box
-_NO_COVERAGE = np.empty(0, dtype=np.int64)
-_NO_COVERAGE.setflags(write=False)
-_I64_MAX = int(np.iinfo(np.int64).max)
-_I64_MIN = int(np.iinfo(np.int64).min)
-
-
-class _IntervalSet:
-    """Byte-coverage set with amortised-cheap overlap queries.
-
-    Stores the union of all added intervals as a compacted sorted
-    disjoint array plus a small pending list; queries check both.  With
-    compaction every :data:`INTERVAL_COMPACT_AT` additions, recording N
-    operations in one epoch costs O(N log N) total instead of the O(N^2)
-    a naive check-against-every-previous-op scan would (the regime the
-    batched IOV method hits with thousands of segments per epoch).
-
-    Additions and queries are *footprints*: the target
-    :class:`~repro.mpi.datatypes.SegmentMap` of the access itself.  Both
-    answer from its memoised ``bounds()`` — disjoint bounding boxes cannot
-    overlap, which is exact — so the closed-form map of a strided op is
-    never materialised into ``offsets``/``lengths`` unless two boxes meet
-    or the set compacts.  A single-interval query that does meet a box
-    takes unsorted vectorised compares, no argsort or concatenation.
-    """
-
-    __slots__ = ("_cov_off", "_cov_len", "_pending", "count", "_lo", "_hi")
-
-    _COMPACT_AT = INTERVAL_COMPACT_AT
-
-    def __init__(self) -> None:
-        self._cov_off = self._cov_len = _NO_COVERAGE
-        self._pending: list[dt.SegmentMap] = []
-        self.count = 0
-        #: bounding box over everything ever added (cheap O(1) reject)
-        self._lo = _I64_MAX
-        self._hi = _I64_MIN
-
-    def add(self, fp: dt.SegmentMap) -> None:
-        if fp.nsegments == 0:
-            return
-        lo, hi = fp.bounds()
-        self._lo = min(self._lo, lo)
-        self._hi = max(self._hi, hi)
-        self._pending.append(fp)
-        self.count += 1
-        if len(self._pending) >= self._COMPACT_AT:
-            self._compact()
-
-    def _compact(self) -> None:
-        offs = np.concatenate([self._cov_off] + [p.offsets for p in self._pending])
-        lens = np.concatenate([self._cov_len] + [p.lengths for p in self._pending])
-        order = np.argsort(offs, kind="stable")
-        offs, lens = offs[order], lens[order]
-        # merge into disjoint coverage
-        merged = dt.SegmentMap(offs, lens).coalesced()
-        # coalesced() only merges exactly-adjacent runs; also merge overlaps
-        o, l = merged.offsets, merged.lengths
-        if len(o) > 1:
-            ends = np.maximum.accumulate(o + l)
-            new_run = np.empty(len(o), dtype=bool)
-            new_run[0] = True
-            new_run[1:] = o[1:] > ends[:-1]
-            starts = np.flatnonzero(new_run)
-            run_ends = np.append(starts[1:], len(o))
-            o = o[starts]
-            l = ends[run_ends - 1] - o
-        self._cov_off, self._cov_len = o, l
-        self._pending.clear()
-
-    def overlaps(self, fp: dt.SegmentMap) -> bool:
-        if self.count == 0 or fp.nsegments == 0:
-            return False
-        # disjoint bounding boxes cannot overlap: O(1), nothing materialised
-        q_lo, q_hi = fp.bounds()
-        if q_lo >= self._hi or q_hi <= self._lo:
-            return False
-        single = fp.nsegments == 1
-
-        def meets(off: np.ndarray, length: np.ndarray, is_sorted: bool) -> bool:
-            if single:  # scalar query: unsorted vectorised compare, no argsort
-                return bool(np.any((off < q_hi) & (off + length > q_lo)))
-            if not is_sorted:
-                order = np.argsort(off, kind="stable")
-                off, length = off[order], length[order]
-            return _segments_overlap(fp.offsets, fp.lengths, off, length)
-
-        if len(self._cov_off) and meets(self._cov_off, self._cov_len, True):
-            return True
-        for p in self._pending:
-            p_lo, p_hi = p.bounds()
-            # only where the boxes meet are the segments themselves compared
-            if q_lo < p_hi and q_hi > p_lo and meets(
-                p.offsets, p.lengths, p.nsegments == 1 or p._arith_params() is not None
-            ):
-                return True
-        return False
-
-
-class _Epoch:
-    """An open access epoch of one origin on one target."""
-
-    __slots__ = (
-        "origin",
-        "target",
-        "mode",
-        "puts",
-        "gets",
-        "accs",
-        "pending_gets",
-        "pending_reqs",
-        "op_count",
-        "bytes_moved",
-        "lock",
-        "recorded",
-    )
+    __slots__ = ("pending_gets", "pending_reqs", "op_count", "bytes_moved", "lock")
 
     def __init__(self, origin: int, target: int, mode: str):
-        self.origin = origin
-        self.target = target
-        self.mode = mode
+        super().__init__(origin, target, mode)
         #: what ``Win._acquire`` returned, for ``Win._release``
         self.lock: Any = None
-        #: per-class byte coverage used for conflict detection
-        self.puts = _IntervalSet()
-        self.gets = _IntervalSet()
-        self.accs: dict[str, _IntervalSet] = {}
-        #: accesses recorded since the last flush: none, nothing to conflict with
-        self.recorded = 0
         #: (user_byte_view, origin_segmap, source): the target's segment map,
         #: read at completion — or the staged payload a fault injector saw
         self.pending_gets: list[tuple] = []
@@ -248,24 +79,6 @@ class _Epoch:
         self.pending_reqs: list["_DoneRequest"] = []
         self.op_count = 0
         self.bytes_moved = 0
-
-    def conflict_class(
-        self, kind: str, opname: "str | None", fp: dt.SegmentMap
-    ) -> "str | None":
-        """Name of the first access class conflicting with the new op,
-        whose target footprint is ``fp``."""
-        if not self.recorded:  # nothing since the last flush
-            return None
-        if kind != "get" and self.gets.overlaps(fp):
-            return "get"
-        if self.puts.overlaps(fp):
-            return "put"
-        for name, cover in self.accs.items():
-            if kind == "acc" and name == opname:
-                continue  # same-op accumulates may overlap (MPI-2 §11.7.1)
-            if cover.overlaps(fp):
-                return f"acc({name})"
-        return None
 
 
 class _WorldRanks(dict):
@@ -297,10 +110,11 @@ class _LockState:
 class Win:
     """An RMA window: one memory region per rank of a communicator.
 
-    Every §III/§V rule is evaluated here, once, and a failed rule leaves
-    through :meth:`_violate`.  When the runtime has a sanitizer installed
-    (see :mod:`repro.sanitizer`) that exit hands it the finding, so it can
-    record it and raise the structured
+    Every §III/§V rule is applied here, once — the access rules are the
+    functions of :mod:`~repro.mpi.rma_rules` — and a failed rule's finding
+    leaves through :meth:`_violate`.  When the runtime has a sanitizer
+    installed (see :mod:`repro.sanitizer`) that exit hands it the finding,
+    so it can record it and raise the structured
     :class:`~repro.sanitizer.RmaViolationError` subclass of the plain MPI
     error this module raises otherwise.
     """
@@ -324,10 +138,10 @@ class Win:
         self.strict = strict
         self.mpi3 = mpi3
         self._locks = [_LockState() for _ in range(comm.size)]
-        #: (origin_world, target_rank) -> open epoch
-        self._epochs: dict[tuple[int, int], _Epoch] = {}
+        #: per target rank, the epochs open on it: origin_world -> epoch
+        self._epochs_at: list[dict[int, _Epoch]] = [{} for _ in range(comm.size)]
         #: origin_world -> the epoch it is in: the target of its ``lock``
-        #: (the one-lock-per-window rule), ``_LOCK_ALL`` or ``_FENCE``
+        #: (the one-lock-per-window rule), ``LOCK_ALL`` or ``FENCE``
         self._open: dict[int, "int | str"] = {}
         #: (origin_world, target_rank) -> the record every fused op in an
         #: epoch of its own reuses (see ``_move``)
@@ -343,30 +157,25 @@ class Win:
 
     # -- rule checking ---------------------------------------------------------
     def _violate(
-        self,
-        plain_exc: "Exception | None",
-        kind: str,
-        op: str,
-        target: int,
-        detail: str,
-        ranges: tuple = (),
+        self, found: Finding, op: str, target: int, error: type = RMASyncError
     ) -> None:
-        """The one exit of a failed rule.
+        """The one exit of a failed rule, whose finding (see
+        :mod:`~repro.mpi.rma_rules`) names the ``repro.sanitizer.ViolationKind``.
 
-        ``kind`` is a ``repro.sanitizer.ViolationKind`` value.  An
-        installed sanitizer gets the finding first (``mode="raise"``
+        An installed sanitizer gets the finding first (``mode="raise"``
         raises the structured error there); otherwise, or in
-        ``mode="record"``, the plain MPI error fires.  ``plain_exc`` is
-        ``None`` for rules the window does not enforce by itself, which
-        therefore only a sanitizer can turn into an error.
+        ``mode="record"``, the plain text fires as an ``error``.  A
+        finding without one is a rule the window does not enforce by
+        itself, which therefore only a sanitizer can turn into an error.
         """
         san = self.runtime.sanitizer
         if san is not None:
             san.report(
-                kind, current_proc().rank, op, target, self.win_id, detail, ranges
+                found.kind, current_proc().rank, op, target, self.win_id,
+                found.detail, found.ranges,
             )
-        if plain_exc is not None:
-            raise plain_exc
+        if found.plain is not None:
+            raise error(found.plain)
 
     def _checked(self) -> bool:
         """Whether the conflict-class rules apply to this window.
@@ -390,8 +199,8 @@ class Win:
         revoking the dead origin's epochs and queued lock requests so
         waiters can be granted instead of deadlocking.
         """
-        for key in [k for k in self._epochs if k[0] == world_rank]:
-            self._drop_epoch(key)
+        for target_rank in range(len(self._epochs_at)):
+            self._drop_epoch(world_rank, target_rank)
         self._open.pop(world_rank, None)
         for ls in self._locks:
             ls.queue[:] = [(o, m) for (o, m) in ls.queue if o != world_rank]
@@ -460,7 +269,7 @@ class Win:
             rank = self.comm.rank
 
             def finish(_c):
-                if self._epochs or self._open:
+                if self._open or any(self._epochs_at):
                     raise RMASyncError("Win.free with access epochs still open")
                 result = on_free() if on_free is not None else None
                 self._freed = True
@@ -484,8 +293,9 @@ class Win:
             if self._freed:
                 return
             self._freed = True
-            for key in list(self._epochs):
-                self._drop_epoch(key)  # every holder has its epoch
+            for target_rank, at in enumerate(self._epochs_at):
+                for origin in list(at):
+                    self._drop_epoch(origin, target_rank)  # every holder has its epoch
             self._open.clear()
             for ls in self._locks:
                 ls.queue.clear()
@@ -503,41 +313,12 @@ class Win:
 
     # -- passive-target synchronisation ---------------------------------------------
     def _check_nesting(self, origin: int, op: str, target_rank: int) -> None:
-        """The one nesting rule of ``lock``, ``lock_all`` and ``fence_sync``,
-        against the origin's epoch record (``runtime.cond`` held): one lock
-        per window per process (MPI-2), and passive and active epochs do
-        not overlap — successive fences are how fence epochs end."""
-        rec = self._open.get(origin)
-        if rec is None or (op == "fence_sync" and rec == _FENCE):
-            return
-        epoch = _EPOCH_NAMES.get(rec)  # None: a lock on target ``rec``
-        if op == "fence_sync":
-            plain = detail = (
-                "MPI_Win_fence while holding a passive-target lock: active "
-                "and passive epochs may not overlap"
-            )
-        elif op == "lock" and epoch is None:
-            plain = (
-                f"origin {origin} already holds a lock on target {rec} of "
-                "this window (MPI-2 allows one lock per window per process)"
-            )
-            detail = (
-                f"already holds a lock on target {rec} of this window (one "
-                "lock per window per process)"
-            )
-        elif op == "lock":
-            plain = detail = f"lock() inside {epoch}"
-        elif rec == _FENCE:  # not a rule the window enforces by itself
-            plain, detail = None, f"lock_all inside {epoch}"
-        else:
-            plain = "lock_all while already in an epoch"
-            detail = f"lock_all while already in {epoch}" if epoch else (
-                f"lock_all while holding a lock on target {rec} of this window"
-            )
-        self._violate(
-            RMASyncError(plain) if plain else None,
-            "lock-nesting", op, target_rank, detail,
-        )
+        """:func:`~repro.mpi.rma_rules.check_nesting` of ``lock``,
+        ``lock_all`` and ``fence_sync`` against the origin's epoch record
+        (``runtime.cond`` held)."""
+        found = rules.check_nesting(origin, self._open.get(origin), op)
+        if found is not None:
+            self._violate(found, op, target_rank)
 
     def _acquire(self, origin: int, target_rank: int, mode: str) -> Any:
         """Take ``target_rank``'s lock for ``origin`` (``runtime.cond`` held;
@@ -621,22 +402,22 @@ class Win:
         epoch in one step for the death hook (``runtime.cond`` held)."""
         epoch = _Epoch(origin, target_rank, mode)
         epoch.lock = self._acquire(origin, target_rank, mode)
-        self._epochs[(origin, target_rank)] = epoch
+        self._epochs_at[target_rank][origin] = epoch
 
-    def _drop_epoch(self, key: tuple[int, int]) -> None:
+    def _drop_epoch(self, origin: int, target_rank: int) -> None:
         """Forget an epoch, giving back its lock if it holds one."""
-        epoch = self._epochs.pop(key, None)
-        if epoch is not None and epoch.mode != _FENCE:
+        epoch = self._epochs_at[target_rank].pop(origin, None)
+        if epoch is not None and epoch.mode != FENCE:
             self._release(epoch)
 
     def _close_epoch(self, origin: int, target_rank: int) -> None:
         """Complete one lock epoch and give its lock back (``runtime.cond``
         held); ``unlock`` and ``unlock_all`` close every epoch this way."""
-        epoch = self._epochs[(origin, target_rank)]
+        epoch = self._epochs_at[target_rank][origin]
         if epoch.pending_reqs:
             self._audit_requests(epoch)
         self._deliver_gets(epoch)  # before the lock goes: MPI reads here
-        self._drop_epoch((origin, target_rank))
+        self._drop_epoch(origin, target_rank)
 
     def lock(self, target_rank: int, mode: str = LOCK_EXCLUSIVE) -> None:
         """Begin a passive-target access epoch (MPI_Win_lock)."""
@@ -676,13 +457,11 @@ class Win:
             self._check_alive()
             rt.check_self_alive()
             if self._open.get(origin) != target_rank:
-                self._violate(
-                    RMASyncError(
-                        f"unlock({target_rank}) without a matching lock by origin {origin}"
-                    ),
-                    "lock-unmatched", "unlock", target_rank,
+                self._violate(Finding(
+                    "lock-unmatched",
+                    f"unlock({target_rank}) without a matching lock by origin {origin}",
                     "unlock without a matching lock by this origin",
-                )
+                ), "unlock", target_rank)
             self._close_epoch(origin, target_rank)
             del self._open[origin]
             rt.notify_progress()
@@ -712,29 +491,20 @@ class Win:
 
         def close(_contrib) -> None:
             # complete the previous fence epoch: deliver gets, drop accesses
-            for (o, _t), epoch in list(self._epochs.items()):
-                if epoch.mode == _FENCE:
-                    self._deliver_gets(epoch)
-                    del self._epochs[(o, _t)]
+            for at in self._epochs_at:
+                for o, epoch in list(at.items()):
+                    if epoch.mode == FENCE:
+                        self._deliver_gets(epoch)
+                        del at[o]
             for w in self._world_of.values():
                 if end:
                     self._open.pop(w, None)
                 else:
-                    self._open[w] = _FENCE
+                    self._open[w] = FENCE
 
         with rt.cond:
             self.comm._coll.run(self.comm.rank, "win_fence", None, close)
         self._charge_sync("fence")
-
-    def _fence_epoch(self, origin: int, target_rank: int) -> "_Epoch | None":
-        if self._open.get(origin) != _FENCE:
-            return None
-        key = (origin, target_rank)
-        epoch = self._epochs.get(key)
-        if epoch is None:
-            epoch = _Epoch(origin, target_rank, _FENCE)
-            self._epochs[key] = epoch
-        return epoch
 
     # -- MPI-3 extensions (gated) ---------------------------------------------------
     def _require_mpi3(self, what: str) -> None:
@@ -752,18 +522,16 @@ class Win:
         origin = current_proc().rank
         with rt.cond:
             self._check_nesting(origin, "lock_all", -1)
-            granted = 0
             try:
                 for t in range(self.comm.size):
                     self._open_epoch(origin, t, LOCK_SHARED)
-                    granted += 1
             except BaseException:
                 # a target that never granted: give back those that did
-                for t in range(granted):
-                    self._drop_epoch((origin, t))
+                for t in range(self.comm.size):
+                    self._drop_epoch(origin, t)
                 rt.notify_progress()
                 raise
-            self._open[origin] = _LOCK_ALL
+            self._open[origin] = LOCK_ALL
             rt.notify_progress()
         self._charge_sync("lock_all")
 
@@ -773,12 +541,11 @@ class Win:
         rt = self.runtime
         origin = current_proc().rank
         with rt.cond:
-            if self._open.get(origin) != _LOCK_ALL:
-                self._violate(
-                    RMASyncError("unlock_all without lock_all"),
-                    "lock-unmatched", "unlock_all", -1,
+            if self._open.get(origin) != LOCK_ALL:
+                self._violate(Finding(
+                    "lock-unmatched", "unlock_all without lock_all",
                     "unlock_all without a lock_all epoch open",
-                )
+                ), "unlock_all", -1)
             for t in range(self.comm.size):
                 self._close_epoch(origin, t)
             del self._open[origin]
@@ -790,12 +557,12 @@ class Win:
         (``runtime.cond`` held); ``flush`` and ``flush_all`` both end here."""
         if self._world_of[target_rank] in self.runtime.dead_ranks:
             self._target_failed(target_rank, True)
-        epoch = self._epochs.get((origin, target_rank))
+        epoch = self._epochs_at[target_rank].get(origin)
         if epoch is None:
-            self._violate(
-                RMASyncError(f"flush({target_rank}) outside an epoch"),
-                "flush", "flush", target_rank, _NOTHING_TO_FLUSH % "flush",
-            )
+            self._violate(Finding(
+                "flush", f"flush({target_rank}) outside an epoch",
+                _NOTHING_TO_FLUSH % "flush",
+            ), "flush", target_rank)
         self._complete(epoch)
 
     def _complete(self, epoch: _Epoch) -> None:
@@ -804,15 +571,7 @@ class Win:
         if epoch.pending_gets:
             self._deliver_gets(epoch)
         if epoch.recorded:
-            # flushed ops no longer conflict with later ops of this epoch;
-            # only a set that recorded something is replaced (a flush
-            # typically follows one op, i.e. one class of access)
-            if epoch.puts.count:
-                epoch.puts = _IntervalSet()
-            if epoch.gets.count:
-                epoch.gets = _IntervalSet()
-            epoch.accs = {}
-            epoch.recorded = 0
+            rules.forget_accesses(epoch)
 
     def flush(self, target_rank: int) -> None:
         """Complete outstanding ops at the target without closing the epoch."""
@@ -834,11 +593,11 @@ class Win:
         origin = current_proc().rank
         with self.runtime.cond:
             self.runtime.check_self_alive()
-            mine = [t for (o, t) in self._epochs if o == origin]
+            mine = [t for t, at in enumerate(self._epochs_at) if origin in at]
             if not mine:
                 # a no-op for the window; only a sanitizer objects
                 self._violate(
-                    None, "flush", "flush_all", -1, _NOTHING_TO_FLUSH % "flush_all"
+                    Finding("flush", None, _NOTHING_TO_FLUSH % "flush_all"), "flush_all", -1
                 )
             for t in mine:
                 self._flush(origin, t)
@@ -878,7 +637,8 @@ class Win:
         read-modify-write of ``accumulate``, ``fetch_and_op`` and
         ``compare_and_swap``, once every rule check has passed; ``slot``
         is the op's target bytes as rows, ``(lo, hi, step, seg_len, n)``
-        (see :func:`_footprint_slot`), None for a zero-byte op.
+        (see :func:`~repro.mpi.rma_rules._footprint_slot`), None for a
+        zero-byte op.
 
         The one hook a backend supplies to make them atomic in shared
         epochs; here ``runtime.cond`` already serialises every rank, so
@@ -1073,7 +833,7 @@ class Win:
                     epoch.mode = lock
                     epoch.op_count = epoch.bytes_moved = 0
                     epoch.lock = self._acquire(me, target_rank, lock)
-                    self._epochs[key] = epoch
+                    self._epochs_at[target_rank][me] = epoch
                     self._open[me] = target_rank
             except BaseException:
                 rt.giant_lock.release()
@@ -1097,21 +857,26 @@ class Win:
             with rt.giant_lock:
                 epoch = self._require_epoch(target_rank, kind, fused and flush)
                 if kind == "acc":
-                    slot = _check_acc_alignment(segmap, base)
-                if self._checked():  # the conflict-class rules
-                    if kind != "acc" and segmap.overlaps_self():
-                        msg = f"{kind} with self-overlapping target segments within one operation"
-                        self._violate(
-                            RMAConflictError(msg) if self.strict else None,
-                            "conflict", kind, target_rank, msg,
-                        )
-                    san = rt.sanitizer
+                    slot = rules._check_acc_alignment(segmap, base)
+                san = rt.sanitizer
+                # the conflict-class rules (``_checked``, inline: one call less)
+                if self.strict or (san is not None and san.check_nonstrict):
+                    found = rules.self_overlap(kind, segmap, self.strict)
+                    if found is not None:
+                        self._violate(found, kind, target_rank, RMAConflictError)
                     if san is not None:
                         san.on_op(self, epoch.origin, kind, origin, epoch.mode, target_rank)
-                    # the footprint is the target map itself (see _IntervalSet)
-                    self._admit(
-                        epoch, kind, op.name if kind == "acc" else None, segmap, not fused
+                    # against every epoch open on the target; a fused op's
+                    # footprint is not recorded (see _fuses)
+                    opname = op.name if kind == "acc" else None
+                    found = rules.find_conflict(
+                        epoch, self._epochs_at[target_rank], kind, opname, segmap,
+                        self.strict,
                     )
+                    if found is not None:
+                        self._violate(found, kind, target_rank, RMAConflictError)
+                    if not fused:
+                        rules.record_access(epoch, kind, opname, segmap)
                 buf = self._buffers[target_rank]
                 direct = fused or rt.faults is None  # (fused: no injector)
                 if kind == "get":
@@ -1159,7 +924,7 @@ class Win:
             else:  # the epoch of its own ends, nothing in it pending
                 try:
                     # gone if the origin was killed (the death hook dropped it)
-                    epoch = self._epochs.pop((me, target_rank), None)
+                    epoch = self._epochs_at[target_rank].pop(me, None)
                     if epoch is not None:
                         self._release(epoch)
                     self._open.pop(me, None)
@@ -1196,7 +961,7 @@ class Win:
             return
         origin = current_proc().rank
         with self.runtime.cond:
-            epoch = self._epochs.get((origin, target_rank))
+            epoch = self._epochs_at[target_rank].get(origin)
             if epoch is not None:
                 epoch.pending_reqs.append(req)
 
@@ -1213,20 +978,18 @@ class Win:
         origin = current_proc().rank
         if self._checked():
             with self.runtime.cond:
-                epoch = self._epochs.get((origin, me))
+                epoch = self._epochs_at[me].get(origin)
                 ok = epoch is not None and epoch.mode == LOCK_EXCLUSIVE
-                if not ok and self._open.get(origin) == _LOCK_ALL:
+                if not ok and self._open.get(origin) == LOCK_ALL:
                     ok = True  # MPI-3 unified-model relaxation
                 if not ok:
-                    self._violate(
-                        RMASyncError(
-                            "direct local access requires an exclusive self-lock "
-                            "(use ARMCI access_begin/access_end)"
-                        ) if self.strict else None,
-                        "local-load-store", "local_view", me,
+                    self._violate(Finding(
+                        "local-load-store",
+                        "direct local access requires an exclusive self-lock "
+                        "(use ARMCI access_begin/access_end)" if self.strict else None,
                         "direct load/store of exposed memory without an "
                         "exclusive self-lock",
-                    )
+                    ), "local_view", me)
         return self._buffers[me].view(np.dtype(dtype))
 
     def exposed_buffer(self, target_rank: int) -> np.ndarray:
@@ -1257,15 +1020,13 @@ class Win:
 
     def _out_of_range(self, what: str, op: str, lo: int, hi: int, target_rank: int):
         nbytes = self._buffers[target_rank].nbytes
-        self._violate(
-            RMARangeError(
-                f"{what} outside window of {nbytes}B at target {target_rank}"
-            ),
-            "range", op, target_rank,
+        self._violate(Finding(
+            "range",
+            f"{what} outside window of {nbytes}B at target {target_rank}",
             f"datatype footprint exceeds the {nbytes}-byte window region at "
             "the target",
             ((lo, hi),),
-        )
+        ), op, target_rank, RMARangeError)
 
     def _target_failed(self, target_rank: int, flush: bool) -> None:
         """Raise the loss of a failed target.  The completion call is where
@@ -1289,16 +1050,15 @@ class Win:
         if self._world_of[target_rank] in rt.dead_ranks:
             self._target_failed(target_rank, flush)
         origin = proc.rank
-        epoch = self._epochs.get((origin, target_rank))
+        at = self._epochs_at[target_rank]
+        epoch = at.get(origin)
+        if epoch is None and self._open.get(origin) == FENCE:  # opened on first use
+            epoch = at[origin] = _Epoch(origin, target_rank, FENCE)
         if epoch is None:
-            epoch = self._fence_epoch(origin, target_rank)
-        if epoch is None:
-            self._violate(
-                RMASyncError(
-                    f"RMA operation on target {target_rank} outside an access epoch"
-                ),
-                "epoch", op, target_rank, "RMA operation outside any access epoch",
-            )
+            self._violate(Finding(
+                "epoch", f"RMA operation on target {target_rank} outside an access epoch",
+                "RMA operation outside any access epoch",
+            ), op, target_rank)
         return epoch
 
     def _op_maps(
@@ -1358,69 +1118,6 @@ class Win:
             data = data.copy()
         return data
 
-    def _admit(
-        self,
-        epoch: _Epoch,
-        kind: str,
-        opname: "str | None",
-        fp: dt.SegmentMap,
-        record: bool = True,
-    ) -> None:
-        """Fail on the first earlier access the new one (target footprint
-        ``fp``) conflicts with, then record it in ``epoch`` unless
-        ``record`` is false.
-
-        Searched in the origin's own epoch, then in the concurrently open
-        epochs of other origins on the same target (possible only under
-        shared locks and fence epochs).
-        """
-        other = epoch
-        hit = epoch.conflict_class(kind, opname, fp)
-        if hit is None:
-            target, origin = epoch.target, epoch.origin
-            for (o, t), other in self._epochs.items():
-                if t == target and o != origin:
-                    hit = other.conflict_class(kind, opname, fp)
-                    if hit is not None:
-                        break
-        if hit is not None:
-            desc = _RMW if opname == _RMW else kind
-            if other is epoch:
-                plain = (
-                    f"{kind} conflicts with earlier {hit} in the same epoch "
-                    f"(origin {epoch.origin} -> target {epoch.target})"
-                )
-                who = "in the same epoch"
-            else:
-                plain = (
-                    f"{kind} by origin {epoch.origin} conflicts with concurrent "
-                    f"{hit} by origin {other.origin} on target {epoch.target} "
-                    "(both hold shared locks)"
-                )
-                who = f"in a concurrent epoch of origin {other.origin}"
-            # the window has no rule of its own about atomics' footprints
-            enforced = self.strict and opname != _RMW and hit != f"acc({_RMW})"
-            lo, hi = fp.bounds()
-            self._violate(
-                RMAConflictError(plain) if enforced else None,
-                "acc-interleave" if kind == "acc" and hit.startswith("acc") else "conflict",
-                desc, epoch.target, f"{desc} overlaps an earlier {hit} access {who}",
-                ((int(lo), int(hi)),),
-            )
-        if not record:
-            return
-        epoch.recorded += 1
-        if kind == "put":
-            epoch.puts.add(fp)
-        elif kind == "get":
-            epoch.gets.add(fp)
-        else:
-            name = opname or ""
-            cover = epoch.accs.get(name)
-            if cover is None:
-                cover = epoch.accs[name] = _IntervalSet()
-            cover.add(fp)
-
     def _atomic_view(
         self, target_rank: int, target_offset: int, datatype: dt.Datatype,
         flush: bool = False,
@@ -1435,19 +1132,24 @@ class Win:
         class — mixed atomics on one counter are clean, an atomic racing
         a put/get in the same epoch is not.
         """
-        epoch = self._require_epoch(target_rank, _RMW, flush)
+        epoch = self._require_epoch(target_rank, RMW, flush)
         disp = target_offset * self._disp_units[target_rank]
         end = disp + datatype.size
         buf = self._buffers[target_rank]
         if disp < 0 or end > buf.nbytes:
             self._out_of_range(
-                f"atomic access [{disp},{end})", _RMW, disp, end, target_rank
+                f"atomic access [{disp},{end})", RMW, disp, end, target_rank
             )
+        fp = dt.SegmentMap.arithmetic(disp, datatype.size, datatype.size, 1)
         if self.runtime.sanitizer is not None and self._checked():
-            fp = dt.SegmentMap.arithmetic(disp, datatype.size, datatype.size, 1)
-            self._admit(epoch, "acc", _RMW, fp, not flush)
-        size = datatype.size
-        return epoch, (disp, end, size, size, 1), buf[disp:end].view(datatype.base)
+            found = rules.find_conflict(
+                epoch, self._epochs_at[target_rank], "acc", RMW, fp, self.strict
+            )
+            if found is not None:
+                self._violate(found, RMW, target_rank, RMAConflictError)
+            if not flush:
+                rules.record_access(epoch, "acc", RMW, fp)
+        return epoch, rules._footprint_slot(fp), buf[disp:end].view(datatype.base)
 
     def _audit_requests(self, epoch: _Epoch) -> None:
         """A closing epoch must leave no request-based op unwaited.
@@ -1457,11 +1159,11 @@ class Win:
         """
         pending = sum(1 for r in epoch.pending_reqs if not r.completed)
         if pending:
-            self._violate(
-                None, "request", "unlock", epoch.target,
+            self._violate(Finding(
+                "request", None,
                 f"{pending} request-based op(s) (rput/rget) never completed "
                 "with wait/test before the epoch closed",
-            )
+            ), "unlock", epoch.target)
 
     def _deliver_gets(self, epoch: _Epoch) -> None:
         buf = self._buffers[epoch.target]
@@ -1529,7 +1231,7 @@ class _GetRequest(_DoneRequest):
     def wait(self) -> None:
         win = self.win
         with win.runtime.cond:
-            epoch = win._epochs.get((self.origin, self.target))
+            epoch = win._epochs_at[self.target].get(self.origin)
             if epoch is not None:
                 win._deliver_gets(epoch)
         return super().wait()
@@ -1543,49 +1245,6 @@ def _check_lock_mode(mode: str) -> None:
 def _granted() -> bool:
     """The wait predicate of a free lock (see ``Win._acquire``)."""
     return True
-
-
-def _footprint_slot(fp: dt.SegmentMap) -> "tuple | None":
-    """The rows ``(lo, hi, step, seg_len, n)`` an atomic op with target
-    footprint ``fp`` reserves (see :meth:`Win._atomic_section`): its
-    arithmetic progression, or its bounding box as one row when it is
-    none — or None for a zero-byte op, which reserves nothing."""
-    if not fp.total_bytes:
-        return None
-    arith = fp._arith_params()
-    if arith is None:
-        lo, hi = fp.bounds()
-        return lo, hi, hi - lo, hi - lo, 1
-    start, step, seg_len, n = arith
-    return start, start + (n - 1) * step + seg_len, step, seg_len, n
-
-
-def _check_acc_alignment(segmap: dt.SegmentMap, base: np.dtype) -> "tuple | None":
-    """An accumulate's target segments must be whole ``base`` elements;
-    returns the map's :func:`_footprint_slot`.
-
-    Every row of a progression is aligned iff the first one, the row
-    length and (past one row) the step are, so an arithmetic map is
-    decided from its four integers; the error names the first misaligned
-    interval either way.
-    """
-    slot = _footprint_slot(segmap)
-    itemsize = base.itemsize
-    if itemsize <= 1 or slot is None:
-        return slot
-    start, _, step, seg_len, n = slot
-    if n == segmap.nsegments:  # the slot is the map's progression, not its box
-        misaligned = start % itemsize or seg_len % itemsize or (n > 1 and step % itemsize)
-    else:
-        misaligned = np.any(segmap.offsets % itemsize) or np.any(segmap.lengths % itemsize)
-    if not misaligned:
-        return slot
-    lo, hi = next(
-        iv for iv in segmap.intervals() if iv[0] % itemsize or iv[1] % itemsize
-    )
-    raise ArgumentError(
-        f"accumulate segment [{lo},{hi}) not aligned to {base} elements"
-    )
 
 
 def _accumulate_into(

@@ -10,12 +10,15 @@
 ``--kill RANK@POINT`` injects a thread-backend
 :class:`~repro.faults.plan.FaultPlan` kill at a fuzz point;
 ``--proc-kill RANK@AFTER_S`` / ``--proc-stall RANK@AFTER_S`` deliver a
-real ``SIGKILL``/``SIGSTOP`` on the proc backend.  ``--replay`` runs
-the thread-backend scenario twice and fails unless both the scheduler
+real ``SIGKILL``/``SIGSTOP`` on the proc backend.  Every flag given
+goes into one plan: a run rejects an entry its backend cannot execute
+(``FaultPlan.unsupported``), and a proc kill or stall still pending when
+the run ends is reported as missed.  ``--replay`` runs the
+thread-backend scenario twice and fails unless both the scheduler
 digest and the traffic trace digest are identical — the seed-replay
 contract.  Exit status is 0 iff the run completed, the workload's
-serial-numpy oracle verified, and (with ``--replay``) the digests
-matched.
+serial-numpy oracle verified, every proc fault fired, and (with
+``--replay``) the digests matched.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..faults.plan import FaultPlan
 from .harness import TrafficConfig, run_traffic, run_traffic_proc
 
 
@@ -76,6 +80,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fault_plan(args) -> "FaultPlan | None":
+    """One plan from every fault flag given, whatever the backend: the
+    run rejects an entry its backend cannot execute, naming it."""
+    plan = FaultPlan(seed=args.seed)
+    if args.kill:
+        rank, point = _rank_at(args.kill, "point")
+        plan = plan.kill(rank, int(point))
+    if args.proc_kill:
+        rank, after = _rank_at(args.proc_kill, "after_s")
+        plan = plan.kill(rank, after_s=after)
+    if args.proc_stall:
+        rank, after = _rank_at(args.proc_stall, "after_s")
+        plan = plan.stall(rank, after_s=after)
+    return None if plan.empty else plan
+
+
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     cfg = TrafficConfig(
@@ -84,27 +104,11 @@ def main(argv: "list[str] | None" = None) -> int:
         queue_capacity=args.queue, deadline_ticks=args.deadline,
         tick_sleep_s=args.tick_sleep if args.backend == "proc" else 0.0,
     )
+    plan = _fault_plan(args)
     if args.backend == "proc":
-        plan = None
-        if args.proc_kill or args.proc_stall:
-            from ..faults.plan import FaultPlan
-
-            plan = FaultPlan(seed=args.seed)
-            if args.proc_kill:
-                rank, after = _rank_at(args.proc_kill, "after_s")
-                plan = plan.kill(rank, after_s=after)
-            if args.proc_stall:
-                rank, after = _rank_at(args.proc_stall, "after_s")
-                plan = plan.stall(rank, after_s=after)
         result = run_traffic_proc(cfg, args.nproc, plan=plan)
         print(result.summary())
-        return 0 if (result.ok and result.verified) else 1
-    plan = None
-    if args.kill:
-        from ..faults.plan import FaultPlan
-
-        rank, point = _rank_at(args.kill, "point")
-        plan = FaultPlan(seed=args.seed).kill(rank, int(point))
+        return 0 if (result.ok and result.verified and not result.missed) else 1
     result = run_traffic(cfg, args.nproc, args.seed, plan=plan)
     print(result.summary())
     bad = not (result.ok and result.verified) or result.violations

@@ -341,6 +341,9 @@ class TrafficResult:
     schedule_digest: "str | None" = None
     error: "str | None" = None
     violations: list = field(default_factory=list)
+    #: proc faults still pending when the run ended, as
+    #: ``("missed", "kill"|"stall", rank, after_s)`` events
+    missed: list = field(default_factory=list)
     ticks: int = 0
     offered: int = 0
     admitted: int = 0
@@ -426,6 +429,11 @@ class TrafficResult:
             lines.append(f"  error: {self.error}")
         for v in self.violations:
             lines.append(f"  violation: {v}")
+        for _, kind, rank, after_s in self.missed:
+            lines.append(
+                f"  missed fault: {kind} rank {rank} @{after_s}s never fired "
+                "(the run ended first)"
+            )
         return "\n".join(lines)
 
 
@@ -469,7 +477,8 @@ def run_traffic_proc(
     join_timeout: float = 90.0,
 ) -> TrafficResult:
     """Wall-clock proc-backend run (optionally under a fault plan of
-    ``after_s`` kills and stalls)."""
+    ``after_s`` kills and stalls; one still pending when the run ends is
+    listed in ``missed``)."""
     rt = Runtime(
         nproc, backend="proc",
         heartbeat_s=heartbeat_s, suspect_after=suspect_after,
@@ -484,6 +493,9 @@ def run_traffic_proc(
         results = rt.spmd(traffic_body, cfg, join_timeout=join_timeout)
     except Exception as exc:  # noqa: BLE001 - gate reports, caller decides
         error = repr(exc)
-    return TrafficResult.from_results(
+    res = TrafficResult.from_results(
         cfg, nproc, results, ok=error is None, error=error,
     )
+    if rt.faults is not None:
+        res.missed = [e for e in rt.faults.events if e[0] == "missed"]
+    return res

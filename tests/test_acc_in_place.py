@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.mpi import LOCK_EXCLUSIVE, LOCK_SHARED, Win
 from repro.mpi import datatypes as dt
 from repro.mpi import ops as mpi_ops
+from repro.mpi import rma_rules
 from repro.mpi import window as window_mod
 from repro.mpi.errors import RMARangeError
 from repro.mpi.runtime import Runtime
@@ -182,7 +183,7 @@ def _record_body(comm):
     comm.barrier()
     seen = []
     if comm.rank == 0:
-        real = win._admit
+        real = rma_rules.find_conflict
 
         def admit(epoch, *args):
             seen.append((
@@ -192,22 +193,25 @@ def _record_body(comm):
             ))
             return real(epoch, *args)
 
-        win._admit = admit
-        buf = np.arange(8.0)
-        for t in (0, 1, 0, 1):
-            for mode in (LOCK_SHARED, LOCK_EXCLUSIVE):
-                win.put(buf, t, 8, lock=mode)
-                win.get(buf, t, 8, lock=mode)
-                win.accumulate(buf, t, 64, lock=mode)
-            # an unfused epoch recording and completing several ops
-            win.lock(t, LOCK_SHARED)
-            win.put(buf, t, 0)
-            win.get(np.empty(8), t, 128)
-            win.accumulate(buf, t, 192)
-            win.unlock(t)
-            with pytest.raises(RMARangeError):
-                win.get(buf, t, 250, lock=LOCK_EXCLUSIVE)
-        assert not win._epochs and not win._open
+        rma_rules.find_conflict = admit
+        try:
+            buf = np.arange(8.0)
+            for t in (0, 1, 0, 1):
+                for mode in (LOCK_SHARED, LOCK_EXCLUSIVE):
+                    win.put(buf, t, 8, lock=mode)
+                    win.get(buf, t, 8, lock=mode)
+                    win.accumulate(buf, t, 64, lock=mode)
+                # an unfused epoch recording and completing several ops
+                win.lock(t, LOCK_SHARED)
+                win.put(buf, t, 0)
+                win.get(np.empty(8), t, 128)
+                win.accumulate(buf, t, 192)
+                win.unlock(t)
+                with pytest.raises(RMARangeError):
+                    win.get(buf, t, 250, lock=LOCK_EXCLUSIVE)
+        finally:
+            rma_rules.find_conflict = real
+        assert not any(win._epochs_at) and not win._open
     comm.barrier()
     win.free()
     return seen

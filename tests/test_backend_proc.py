@@ -25,8 +25,9 @@ from repro.ga import GlobalArray, zero
 from repro.mpi import runtime as rt_mod
 from repro.mpi.errors import CommError, InternalError
 from repro.mpi.group import Group
+from repro.mpi.rma_rules import _footprint_slot
 from repro.mpi.runtime import RankFailedError, Runtime
-from repro.mpi.window import LOCK_EXCLUSIVE, LOCK_SHARED, Win, _footprint_slot
+from repro.mpi.window import LOCK_EXCLUSIVE, LOCK_SHARED, Win
 
 NPROC = 4
 
@@ -484,7 +485,7 @@ def _footprint_pairs(draw):
 def test_footprint_overlap_predicate_matches_the_bytes(pair):
     """Never a false negative; exact for single segments and equal steps
     (every GA piece of one array); a zero-byte op reserves nothing."""
-    from repro.mpi.backend_proc import _slots_overlap
+    from repro.mpi.rma_rules import _slots_overlap
 
     a, b = pair
     sa, sb = _footprint_slot(a), _footprint_slot(b)
@@ -501,7 +502,7 @@ def test_footprint_overlap_predicate_matches_the_bytes(pair):
 
 
 def test_footprint_overlap_predicate_examples():
-    from repro.mpi.backend_proc import _slots_overlap
+    from repro.mpi.rma_rules import _slots_overlap
     from repro.mpi.datatypes import SegmentMap
 
     def overlap(a, b):

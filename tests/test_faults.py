@@ -395,8 +395,8 @@ def _lost_reservation_body(comm, how):
     import time
 
     from repro.mpi.datatypes import SegmentMap
+    from repro.mpi.rma_rules import _footprint_slot
     from repro.mpi.runtime import RankFailedError
-    from repro.mpi.window import _footprint_slot
 
     win, _ = Win.allocate(comm, 192, mpi3=True)
     win.lock_all()

@@ -338,7 +338,7 @@ def test_flush_rebuilds_only_the_interval_sets_that_recorded():
     """A fresh set shares the module's empty coverage; a flush replaces a
     set only if something was added to it since the last one."""
     from repro import mpi
-    from repro.mpi.window import _NO_COVERAGE, _IntervalSet
+    from repro.mpi.rma_rules import _NO_COVERAGE, _IntervalSet
 
     fresh = _IntervalSet()
     assert fresh._cov_off is _NO_COVERAGE and fresh._cov_len is _NO_COVERAGE
@@ -349,7 +349,7 @@ def test_flush_rebuilds_only_the_interval_sets_that_recorded():
         win, _ = mpi.Win.allocate(comm, 64, mpi3=True)
         win.lock_all()
         if comm.rank == 0:
-            epoch = win._epochs[(comm.world_rank(0), 1)]
+            epoch = win._epochs_at[1][comm.world_rank(0)]
             puts, gets, accs = epoch.puts, epoch.gets, epoch.accs
             win.flush(1)
             assert epoch.puts is puts and epoch.gets is gets and epoch.accs is accs

@@ -629,7 +629,7 @@ def test_resized_negative_extent_is_an_argument_error():
 
 
 def test_accumulate_alignment_of_a_resized_double_unit():
-    from repro.mpi.window import _check_acc_alignment
+    from repro.mpi.rma_rules import _check_acc_alignment
 
     row = dt.contiguous(2, dt.DOUBLE).commit()
     _check_acc_alignment(dt.resized(row, 24).commit().segment_map(3).shifted(8), row.base)

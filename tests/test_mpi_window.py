@@ -741,7 +741,7 @@ def _raises_alike(win, kind, target, mode):
 
 def _no_epoch_of(win, comm):
     origin = comm.world_rank(comm.rank)
-    return origin not in win._open and not [k for k in win._epochs if k[0] == origin]
+    return origin not in win._open and not [at for at in win._epochs_at if origin in at]
 
 
 def _runtime(backend):
@@ -1496,7 +1496,7 @@ def _fp(offsets, lengths):
 def test_interval_set_compaction_threshold_is_named_constant():
     """The class compacts at the module constant (docstring/constant drift
     regression: the docstring used to claim 32 while the code used 8)."""
-    from repro.mpi.window import INTERVAL_COMPACT_AT, _IntervalSet
+    from repro.mpi.rma_rules import INTERVAL_COMPACT_AT, _IntervalSet
 
     assert _IntervalSet._COMPACT_AT == INTERVAL_COMPACT_AT
     assert "INTERVAL_COMPACT_AT" in _IntervalSet.__doc__
@@ -1516,7 +1516,7 @@ def test_interval_set_compaction_threshold_is_named_constant():
 def test_interval_set_single_interval_queries():
     """The scalar fast path must agree with interval semantics exactly:
     touching intervals do not overlap, one-byte intrusions do."""
-    from repro.mpi.window import _IntervalSet
+    from repro.mpi.rma_rules import _IntervalSet
 
     iset = _IntervalSet()
     iset.add(_fp([100], [50]))
@@ -1541,7 +1541,7 @@ def test_interval_set_single_interval_queries():
 def test_interval_set_multi_interval_query_against_pending():
     """Multi-segment queries still take the sorted path over pending
     batches; bounding-box rejection must not produce false negatives."""
-    from repro.mpi.window import _IntervalSet
+    from repro.mpi.rma_rules import _IntervalSet
 
     iset = _IntervalSet()
     # an unsorted pending batch (traversal order != address order)
@@ -1648,7 +1648,8 @@ def test_accumulate_alignment_closed_form_equals_the_array_form(
     whatever step it was built with, which must then not matter."""
     from repro.mpi import ops as mpi_ops
     from repro.mpi.datatypes import SegmentMap
-    from repro.mpi.window import _accumulate_into, _check_acc_alignment
+    from repro.mpi.rma_rules import _check_acc_alignment
+    from repro.mpi.window import _accumulate_into
 
     offsets = start + step * np.arange(n)
     lengths = np.full(n, seg_len)

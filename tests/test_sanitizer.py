@@ -954,10 +954,10 @@ def test_outcome_matrix(kind):
 
 def test_one_conflict_search_per_candidate_epoch(monkeypatch):
     """Under the sanitizer a strict put is conflict-checked once, not twice."""
-    from repro.mpi.window import _Epoch
+    from repro.mpi import rma_rules
 
     searches = []
-    real = _Epoch.conflict_class
+    real = rma_rules.conflict_class
 
     def counting(self, kind, opname, fp):
         searches.append((self.origin, self.target, kind))
@@ -969,7 +969,7 @@ def test_one_conflict_search_per_candidate_epoch(monkeypatch):
         win.lock(1, LOCK_SHARED)  # two concurrent epochs on target 1
         comm.barrier()
         if comm.rank == 0:
-            monkeypatch.setattr(_Epoch, "conflict_class", counting)
+            monkeypatch.setattr(rma_rules, "conflict_class", counting)
             win.put(np.ones(8, dtype=np.uint8), 1)
             monkeypatch.undo()
         comm.barrier()

@@ -276,3 +276,41 @@ def test_different_schedule_seeds_explore_distinct_traces():
     cfg = TrafficConfig(scenario="worksteal", seed=SEED, size=18)
     digests = {run_traffic(cfg, NPROC, s).schedule_digest for s in range(4)}
     assert len(digests) == 4
+
+
+# ---------------------------------------------------------------------------
+# the CLI: every fault flag is built into the plan, and one that cannot or
+# did not run fails the command
+# ---------------------------------------------------------------------------
+
+
+def _cli(capsys, request, *argv):
+    from repro.traffic.cli import main
+
+    if "proc" in argv and request.config.getoption("--sanitize"):
+        pytest.skip("proc backend does not support the ambient sanitizer")
+    code = main(["--scenario", "stencil", *argv])
+    return code, capsys.readouterr().out
+
+
+def test_cli_rejects_a_fuzz_point_kill_on_procs(capsys, request):
+    code, out = _cli(capsys, request, "--backend", "proc", "--nproc", "3", "--kill", "1@5")
+    assert code == 1
+    assert "proc backend cannot run" in out and "kill rank 1 @point 5" in out
+
+
+def test_cli_rejects_a_wall_clock_kill_on_threads(capsys, request):
+    code, out = _cli(capsys, request, "--nproc", "3", "--proc-kill", "1@0.1")
+    assert code == 1
+    assert "thread backend cannot run" in out and "kill rank 1 @0.1s" in out
+
+
+def test_cli_fails_a_proc_kill_the_run_outlived(capsys, request):
+    """A kill due after the last tick never fires: it is logged as missed,
+    shown in the summary, and the command fails."""
+    code, out = _cli(
+        capsys, request, "--backend", "proc", "--nproc", "3", "--proc-kill", "2@30"
+    )
+    assert code == 1
+    assert "verified=True" in out and "recoveries=0" in out
+    assert "missed fault: kill rank 2 @30.0s never fired" in out
