@@ -41,6 +41,9 @@ _HANDOFF_TAG_BASE = 800_000
 #: handoff payload marker: the previous holder died mid-critical-section
 _HOLDER_DIED = "MUTEX_HOLDER_DIED"
 
+#: what a lock (1) or an unlock (0) stores in its own entry of a vector
+_BITS = (np.zeros(1, dtype=np.uint8), np.ones(1, dtype=np.uint8))
+
 
 def _cells_offset(count: int, nproc: int) -> int:
     """Byte offset of a slice's holder records: past the vectors, 4-aligned."""
@@ -223,14 +226,30 @@ class MutexSet:
             )
         return self._others_ts[me]
 
+    def _epoch(self, mutex: int, host: int, me: int, bit: int) -> "np.ndarray | None":
+        """One exclusive epoch on ``host``: ``B[me] <- bit`` and fetch all
+        other entries of ``mutex``'s vector (the put and the get do not
+        overlap, so this is a legal epoch).  Returns them, entry ``me``
+        left out, or None when ``me`` is alone."""
+        n = self.comm.size
+        others_t = self._others_datatype(me)
+        waiting = None if others_t is None else np.zeros(n - 1, dtype=np.uint8)
+        self._win.lock(host, LOCK_EXCLUSIVE)
+        self._win.put(_BITS[bit], host, mutex * n + me)
+        if waiting is not None:
+            self._win.get(waiting, host, mutex * n, target_datatype=others_t)
+        self._win.unlock(host)
+        return waiting
+
     def _note_holder(self, host: int, mutex: int, holder: "int | None") -> None:
-        """Record a holder change; must hold ``runtime.cond``.
+        """Record a holder change, under ``runtime.cond``.
 
         One aligned store into ``host``'s slice of the mutex window —
         the memory every process's death hook repairs the vectors in, so
         survivors see an acquisition made in another process at once.
         """
-        self._holder_cells(host)[mutex] = 0 if holder is None else holder + 1
+        with self.comm.runtime.cond:
+            self._holder_cells(host)[mutex] = 0 if holder is None else holder + 1
 
     def _await_handoff(self, req, mutex: int, host: int) -> None:
         """Wait for the handoff message with per-op timeout + bounded retry.
@@ -277,21 +296,8 @@ class MutexSet:
         """
         self._check(mutex, host)
         me = self.comm.rank
-        n = self.comm.size
-        base = mutex * n
-        rt = self.comm.runtime
-        others_t = self._others_datatype(me)
-        waiting = np.zeros(max(n - 1, 1), dtype=np.uint8)
-        # one exclusive epoch: B[me] <- 1, fetch all other entries
-        self._win.lock(host, LOCK_EXCLUSIVE)
-        self._win.put(np.ones(1, dtype=np.uint8), host, base + me)
-        if others_t is not None:
-            self._win.get(
-                waiting[: n - 1], host, base,
-                target_datatype=others_t,
-            )
-        self._win.unlock(host)
-        if others_t is not None and waiting[: n - 1].any():
+        waiting = self._epoch(mutex, host, me, 1)
+        if waiting is not None and waiting.any():
             # enqueued: wait locally for the handoff (§V-D), bounded by
             # the per-op timeout and seeded-backoff retry budget
             tag = _HANDOFF_TAG_BASE + host * self.count + mutex
@@ -302,21 +308,17 @@ class MutexSet:
                 # withdraw (trylock-style): clear our bit, then check
                 # whether a handoff won the race — the posted receive
                 # would already have matched it
-                self._win.lock(host, LOCK_EXCLUSIVE)
-                self._win.put(np.zeros(1, dtype=np.uint8), host, base + me)
-                self._win.unlock(host)
+                self._epoch(mutex, host, me, 0)
                 done, _ = req.test()
                 if not done:
                     raise
             status = req.wait()
-            with rt.cond:
-                self._note_holder(host, mutex, me)
+            self._note_holder(host, mutex, me)
             payload = status.payload
             if isinstance(payload, tuple) and payload and payload[0] == _HOLDER_DIED:
                 raise MutexHolderFailed(mutex, host, payload[1])
             return
-        with rt.cond:
-            self._note_holder(host, mutex, me)
+        self._note_holder(host, mutex, me)
 
     def trylock(self, mutex: int, host: int) -> bool:
         """Nonblocking acquire; on failure the request is *withdrawn*.
@@ -332,18 +334,9 @@ class MutexSet:
         """
         self._check(mutex, host)
         me = self.comm.rank
-        n = self.comm.size
-        base = mutex * n
-        others_t = self._others_datatype(me)
-        waiting = np.zeros(max(n - 1, 1), dtype=np.uint8)
-        self._win.lock(host, LOCK_EXCLUSIVE)
-        self._win.put(np.ones(1, dtype=np.uint8), host, base + me)
-        if others_t is not None:
-            self._win.get(waiting[: n - 1], host, base, target_datatype=others_t)
-        self._win.unlock(host)
-        if others_t is None or not waiting[: n - 1].any():
-            with self.comm.runtime.cond:
-                self._note_holder(host, mutex, me)
+        waiting = self._epoch(mutex, host, me, 1)
+        if waiting is None or not waiting.any():
+            self._note_holder(host, mutex, me)
             return True
         # Withdraw: clear our bit under an exclusive epoch, THEN check for
         # a handoff.  A handoff can only have been sent by an unlocker
@@ -351,13 +344,10 @@ class MutexSet:
         # serialised *before* our clear — so after the clear the message,
         # if any, is already visible and the check is race-free.
         tag = _HANDOFF_TAG_BASE + host * self.count + mutex
-        self._win.lock(host, LOCK_EXCLUSIVE)
-        self._win.put(np.zeros(1, dtype=np.uint8), host, base + me)
-        self._win.unlock(host)
+        self._epoch(mutex, host, me, 0)
         if self.comm.iprobe(tag=tag) is not None:
             self.comm.recv(source=ANY_SOURCE, tag=tag)
-            with self.comm.runtime.cond:
-                self._note_holder(host, mutex, me)
+            self._note_holder(host, mutex, me)
             return True  # the handoff won the race: we own the mutex
         return False
 
@@ -366,36 +356,24 @@ class MutexSet:
         self._check(mutex, host)
         me = self.comm.rank
         n = self.comm.size
-        base = mutex * n
-        rt = self.comm.runtime
-        others_t = self._others_datatype(me)
-        waiting = np.zeros(max(n - 1, 1), dtype=np.uint8)
-        self._win.lock(host, LOCK_EXCLUSIVE)
-        self._win.put(np.zeros(1, dtype=np.uint8), host, base + me)
-        if others_t is not None:
-            self._win.get(waiting[: n - 1], host, base, target_datatype=others_t)
-        self._win.unlock(host)
-        if others_t is None:
-            with rt.cond:
-                self._note_holder(host, mutex, None)
+        waiting = self._epoch(mutex, host, me, 0)
+        if waiting is None:
+            self._note_holder(host, mutex, None)
             return
         # reconstruct the full vector (entry `me` removed by the datatype)
         full = np.zeros(n, dtype=np.uint8)
-        idx = [i for i in range(n) if i != me]
-        full[idx] = waiting[: n - 1]
+        full[[i for i in range(n) if i != me]] = waiting
         # fairness: scan circularly starting at me+1 (§V-D)
         for step in range(1, n):
             j = (me + step) % n
             if full[j]:
                 # the handoff message IS the lock transfer: ownership
                 # moves to j at send time (recovery relies on this)
-                with rt.cond:
-                    self._note_holder(host, mutex, j)
+                self._note_holder(host, mutex, j)
                 self.comm.send(
                     b"",
                     dest=j,
                     tag=_HANDOFF_TAG_BASE + host * self.count + mutex,
                 )
                 return
-        with rt.cond:
-            self._note_holder(host, mutex, None)
+        self._note_holder(host, mutex, None)

@@ -15,7 +15,9 @@ Queue discipline (per ``(origin, gmr, target)``, FIFO):
   immediately (a stronger guarantee than ARMCI requires);
 * **pairwise non-conflicting invariant** — queued entries for one
   target never overlap in a way MPI forbids within an epoch (put/put,
-  put/get, put-or-get/acc).  An enqueue that would violate this first
+  put/get, put-or-get/acc): each queue keeps one epoch's
+  :class:`~repro.mpi.rma_rules.Accesses` record, and an enqueue the
+  window's own rule (``rma_rules.conflict_class``) rejects first
   drains the target, which also preserves ARMCI location consistency:
   per-location program order per target is maintained;
 * **adjacency coalescing** — a put/acc exactly adjacent to the queue
@@ -39,6 +41,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from ..mpi import datatypes as dt
+from ..mpi import rma_rules as rules
 
 if TYPE_CHECKING:  # pragma: no cover
     from .api import Armci, NbHandle
@@ -73,20 +78,6 @@ class _NbEntry:
     def nbytes(self) -> int:
         return self.data.nbytes
 
-    def overlaps(self, disp: int, nbytes: int) -> bool:
-        return disp < self.disp + self.nbytes and self.disp < disp + nbytes
-
-    def conflicts(self, kind: str, disp: int, nbytes: int) -> bool:
-        """Would issuing ``kind`` over [disp, disp+nbytes) alongside this
-        entry in one epoch be erroneous under MPI's conflict rules?"""
-        if not self.overlaps(disp, nbytes):
-            return False
-        if self.kind == "get" and kind == "get":
-            return False  # overlapping reads are permitted
-        if self.kind == "acc" and kind == "acc":
-            return False  # same-op (MPI_SUM) accumulates may overlap
-        return True
-
 
 class NbQueue:
     """Per-origin deferred-operation queues of one MPI-3-datapath Armci."""
@@ -95,6 +86,9 @@ class NbQueue:
         self._armci = armci
         #: (origin, gmr_id, win_rank) -> FIFO of entries
         self._queues: dict[tuple[int, int, int], list[_NbEntry]] = {}
+        #: the same key -> what the queue's entries access, as one epoch's
+        #: record the MPI conflict rules read
+        self._accesses: dict[tuple[int, int, int], rules.Accesses] = {}
         #: enqueued - drained, for stats/tests
         self.coalesced = 0
         self.drains = 0
@@ -119,11 +113,19 @@ class NbQueue:
             return NbHandle(kind=kind, target=target_abs)
         key = (origin, gmr.gmr_id, win_rank)
         queue = self._queues.setdefault(key, [])
-        if any(e.conflicts(kind, disp, nbytes) for e in queue):
+        # every queued ARMCI accumulate is an MPI_SUM
+        opname = "MPI_SUM" if kind == "acc" else None
+        fp = dt.SegmentMap.arithmetic(disp, nbytes, nbytes, 1)
+        rec = self._accesses.get(key)
+        if rec is not None and rules.conflict_class(rec, kind, opname, fp) is not None:
             # conflicting with a queued op: complete the queue first so
             # per-location program order (location consistency) holds
-            self.drain(gmr, win_rank, raise_errors=True)
+            self.drain(gmr, win_rank, raise_errors=True)  # drops rec
             queue = self._queues.setdefault(key, [])
+            rec = None
+        if rec is None:
+            rec = self._accesses[key] = rules.Accesses(origin, win_rank, rules.LOCK_ALL)
+        rules.record_access(rec, kind, opname, fp)
         handle = NbHandle(
             kind=kind,
             target=target_abs,
@@ -178,6 +180,7 @@ class NbQueue:
             return
         origin = self._armci.my_id
         key = (origin, gmr.gmr_id, win_rank)
+        self._accesses.pop(key, None)
         queue = self._queues.pop(key, None)
         if not queue:
             return
@@ -261,6 +264,7 @@ class NbQueue:
         """
         origin = self._armci.my_id
         for key in [k for k in self._queues if k[0] == origin]:
+            self._accesses.pop(key, None)
             queue = self._queues.pop(key)
             for entry in queue:
                 for h in entry.handles:

@@ -190,17 +190,26 @@ class P2PEngine:
 
     # -- public (giant lock held by callers in comm.py) -----------------------
     def post_send(self, src_world: int, dst_world: int, tag: int, payload: Any) -> None:
+        """Match one eager message against ``dst_world``'s posted receives,
+        or buffer it; a rank in another process (proc backend) gets it in
+        its inbox, through the backend, before this returns."""
         if tag < 0:
             raise TagError(f"send tag must be >= 0, got {tag}")
-        if dst_world in self.runtime.dead_ranks:
+        rt = self.runtime
+        if dst_world in rt.dead_ranks:
             # quarantine: typed failure instead of buffering into a void
             raise TargetFailedError(f"send to failed rank {dst_world}")
+        if not rt.hosts(dst_world):
+            rt.backend.send_to(
+                dst_world, ("p2p", self.context_id, src_world, dst_world, tag, payload)
+            )
+            return
         if isinstance(payload, np.ndarray):
             payload = np.ascontiguousarray(payload).copy()
         env = _Envelope(src_world, tag, payload, self._next_seq())
         if not self._match_posted(dst_world, env):
             self._unexpected.setdefault(dst_world, []).append(env)
-        self.runtime.notify_progress()
+        rt.notify_progress()
 
     def post_recv(
         self,

@@ -37,7 +37,7 @@ import threading
 import time
 from typing import Any, Callable, Sequence
 
-from ..backoff import LOCK_RETRY
+from ..backoff import LOCK_RETRY, BackoffPolicy
 from ..simtime.clock import SimClock
 from .backend import RuntimeBackend, resolve_backend
 from .errors import (
@@ -309,11 +309,13 @@ class Runtime:
 
     def wait_for(
         self,
-        pred: Callable[[], bool],
+        pred: Callable[[], Any],
         timeout_s: "float | None" = None,
         what: str = "operation",
-    ) -> None:
-        """Block the calling rank until ``pred()`` is true.
+        poll: "BackoffPolicy | None" = None,
+    ) -> Any:
+        """Block the calling rank until ``pred()`` returns something true,
+        and return it.
 
         Must be called with :attr:`cond` held.  Raises
         :class:`ProgressDeadlockError` if the runtime concludes that no
@@ -324,9 +326,16 @@ class Runtime:
         deterministic schedule has no wall clock, so per-op timeouts are
         disabled under it and the deterministic dead-stall detection
         takes over).
+
+        ``poll`` is for state in another process, which notifies nobody
+        here (a ``flock``): the caller has just tried ``pred``, each later
+        try comes one delay of the curve after the last (however early a
+        notification wakes the wait) and wins over a failure noticed while
+        sleeping, and the watchdog never counts the wait as blocked.
         """
         proc = current_proc()
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        tries = 0
         while True:
             if proc.dead:
                 raise RankKilledError(f"rank {proc.rank} was killed by fault injection")
@@ -339,14 +348,25 @@ class Runtime:
                 )
             if self._deadlocked:
                 raise ProgressDeadlockError("deadlock detected among all ranks")
-            if pred():
-                return
+            if poll is None:
+                result = pred()
+                if result:
+                    return result
             if (
                 deadline is not None
                 and self.schedule is None
                 and time.monotonic() >= deadline
             ):
                 raise OpTimeoutError(f"{what} timed out after {timeout_s}s")
+            if poll is not None:
+                wake = time.monotonic() + poll.delay(tries)
+                tries += 1
+                while (left := wake - time.monotonic()) > 0:
+                    self.sleep(left)
+                result = pred()
+                if result:
+                    return result
+                continue
             if self.schedule is not None:
                 # deterministic mode: hand the token back to the scheduler
                 # instead of sleeping on the watchdog; re-check pred when

@@ -65,7 +65,7 @@ class _Epoch(Accesses):
     """An open access epoch of one origin on one target: the accesses the
     rules read, and what completing it delivers."""
 
-    __slots__ = ("pending_gets", "pending_reqs", "op_count", "bytes_moved", "lock")
+    __slots__ = ("pending_gets", "pending_reqs", "op_count", "lock")
 
     def __init__(self, origin: int, target: int, mode: str):
         super().__init__(origin, target, mode)
@@ -78,7 +78,6 @@ class _Epoch(Accesses):
         #: closing the epoch with any of them incomplete is erroneous
         self.pending_reqs: list["_DoneRequest"] = []
         self.op_count = 0
-        self.bytes_moved = 0
 
 
 class _WorldRanks(dict):
@@ -831,7 +830,7 @@ class Win:
                     if epoch is None:
                         epoch = self._own_epochs[key] = _Epoch(me, target_rank, lock)
                     epoch.mode = lock
-                    epoch.op_count = epoch.bytes_moved = 0
+                    epoch.op_count = 0
                     epoch.lock = self._acquire(me, target_rank, lock)
                     self._epochs_at[target_rank][me] = epoch
                     self._open[me] = target_rank
@@ -909,7 +908,6 @@ class Win:
                             _accumulate_into(buf, segmap, payload, base, op)
                 op_index = epoch.op_count
                 epoch.op_count += 1
-                epoch.bytes_moved += nbytes
                 if fused and flush:
                     self._complete(epoch)
                 if not (fused and lock):  # (else the finally ends the section)

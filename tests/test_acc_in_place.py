@@ -187,7 +187,7 @@ def _record_body(comm):
 
         def admit(epoch, *args):
             seen.append((
-                epoch.target, id(epoch), epoch.mode, epoch.op_count, epoch.bytes_moved,
+                epoch.target, id(epoch), epoch.mode, epoch.op_count,
                 epoch.recorded, epoch.puts.count, epoch.gets.count, dict(epoch.accs),
                 list(epoch.pending_gets), list(epoch.pending_reqs),
             ))
@@ -218,7 +218,7 @@ def _record_body(comm):
 
 
 def test_the_reused_epoch_record_starts_every_piece_clean():
-    """``op_count``/``bytes_moved`` at 0, nothing recorded, nothing pending,
+    """``op_count`` at 0, nothing recorded, nothing pending,
     the piece's own mode — and one record per target for every fused piece,
     however many unfused epochs and failed pieces come between."""
     seen = Runtime(2, watchdog_s=5.0, apply_hooks=False).spmd(_record_body)[0]
@@ -228,7 +228,7 @@ def test_the_reused_epoch_record_starts_every_piece_clean():
     fused = [s for i, s in enumerate(seen) if i % 9 < 6]
     for i, (_target, _id, mode, *clean) in enumerate(fused):
         assert mode == (LOCK_SHARED, LOCK_EXCLUSIVE)[i % 6 // 3]
-        assert clean == [0, 0, 0, 0, 0, {}, [], []], (i, clean)
+        assert clean == [0, 0, 0, 0, {}, [], []], (i, clean)
     assert len({(s[0], s[1]) for s in fused}) == 2
     # the unfused epoch counts its ops as it always did
     assert [s[3] for i, s in enumerate(seen) if i % 9 >= 6] == [0, 1, 2] * 4

@@ -435,7 +435,8 @@ def test_proccomm_is_its_transport():
     """Structural guard (ROADMAP aim 2, one concept / one implementation):
     communicator management and the ULFM surface are Comm's alone, and
     the round state lives once, in the communicator registry."""
-    from repro.mpi.backend_proc import ProcComm, _ProcChildBackend
+    from repro.mpi.proc_child import _ProcChildBackend
+    from repro.mpi.proc_comm import ProcComm
 
     ops = {"dup", "split", "create", "revoke", "agree", "shrink"}
     assert ops & set(vars(ProcComm)) == set()
@@ -855,7 +856,7 @@ def test_lock_files_are_opened_once_and_closed_with_their_window():
 
 
 def _many_windows_body(comm):
-    from repro.mpi.backend_proc import _LockFiles
+    from repro.mpi.proc_win import _LockFiles
 
     # windows x targets x {lock, atomic} alone exceeds the cache bound
     # (an accumulate adds its own busy file, and probes the peer's)
@@ -904,7 +905,7 @@ def test_lock_file_cache_is_bounded_and_every_lock_stays_correct():
 
 def _mutex_cycle_ctl_messages_body(comm):
     from repro.armci.mutexes import MutexSet
-    from repro.mpi.backend_proc import _ProcChildBackend
+    from repro.mpi.proc_child import _ProcChildBackend
 
     ms = MutexSet.create(comm, 1)
     comm.barrier()
@@ -1086,6 +1087,31 @@ def test_send_to_a_full_inbox_whose_reader_dies_fails_fast():
     assert dead is None
     assert outcome in ("TargetFailedError", "RankFailedError")
     assert waited < 0.2 + rt.suspect_after + 1.0, waited
+
+
+def _send_to_a_known_dead_peer_body(comm):
+    from repro.mpi.errors import TargetFailedError
+
+    comm.barrier()
+    if comm.rank == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    while 2 not in comm.runtime.dead_ranks:  # the parent's word is in
+        time.sleep(0.001)
+    outcomes = []
+    for send in (comm.send, comm.isend):
+        try:
+            send("late", 2, tag=1)
+            outcomes.append("sent")
+        except TargetFailedError:
+            outcomes.append("TargetFailedError")
+    return outcomes
+
+
+def test_a_send_to_a_peer_known_dead_raises_target_failed():
+    """``send`` and ``isend`` to a rank this process already holds dead
+    fail typed at once, before anything is written to its inbox."""
+    out = Runtime(3, backend="proc").spmd(_send_to_a_known_dead_peer_body, join_timeout=60.0)
+    assert out == [["TargetFailedError"] * 2] * 2 + [None]
 
 
 def _collective_send_on_full_pipe_body(comm):

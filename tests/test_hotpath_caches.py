@@ -684,7 +684,7 @@ def test_blocking_acc_call_budget_on_procs(datapath):
     strided_datatype_cache_clear()
     calls = rt.spmd(_call_budget_body, datapath, join_timeout=120.0)[0]["acc"]
     assert calls.total() <= _CALL_BUDGET_PROC_ACC[datapath], sorted(calls.items())
-    assert calls["repro.mpi.backend_proc.__enter__"] == 1  # it did reserve
+    assert calls["repro.mpi.proc_win.__enter__"] == 1  # it did reserve
 
 
 @contextmanager

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import mpi
-from repro.mpi.errors import InternalError, RMAConflictError
+from repro.backoff import FLOCK_WAIT
+from repro.mpi.errors import InternalError, OpTimeoutError, RMAConflictError
 from repro.mpi.runtime import Runtime, current_proc, spmd_run
 from repro.simtime import MPITimingPolicy, PathModel
 
 from conftest import spmd
+from test_backend_proc import _curve_probes
 
 
 def test_current_proc_outside_spmd_raises():
@@ -164,3 +168,54 @@ def test_strict_error_in_epoch_propagates_cleanly():
 
     with pytest.raises((RMAConflictError, mpi.RankFailedError)):
         spmd(2, main, watchdog_s=0.3)
+
+
+
+def _poll_wait_body(comm, ready_after, timeout_s):
+    """Wait with ``poll=FLOCK_WAIT`` for a predicate only the clock makes
+    true (``ready_after`` seconds in; never, if None), on a runtime whose
+    every sleep is cut short after at most 0.1 ms, as a notification would
+    cut it.  Returns the wait's value (or the error's type), how long it
+    took, how many tries it made counting the caller's first, and how many
+    times it slept."""
+    rt = comm.runtime
+    tries, sleeps = [], []
+
+    def attempt():
+        tries.append(None)
+        if ready_after is not None and time.monotonic() - t0 >= ready_after:
+            return "granted"
+        return None
+
+    def woken_early(timeout):
+        sleeps.append(timeout)
+        time.sleep(min(timeout, 0.0001))
+        return True
+
+    rt.sleep = woken_early
+    t0 = time.monotonic()
+    try:
+        with rt.cond:
+            value = attempt() or rt.wait_for(
+                attempt, timeout_s=timeout_s, what="poll", poll=FLOCK_WAIT
+            )
+    except OpTimeoutError as exc:
+        value = type(exc).__name__
+    return value, time.monotonic() - t0, len(tries), len(sleeps)
+
+
+def test_a_poll_wait_returns_the_value_and_keeps_to_its_curve():
+    """A notification wakes a poll wait early but does not bring its next
+    try forward: the tries stay within the curve's bound for the wait,
+    however often the sleeps between them were cut short."""
+    value, waited, tries, sleeps = Runtime(1).spmd(_poll_wait_body, 0.01, None)[0]
+    assert value == "granted" and waited >= 0.01
+    assert tries <= _curve_probes(waited), (tries, waited)
+    assert sleeps > tries
+
+
+def test_a_poll_wait_times_out_on_the_curve():
+    value, waited, tries, _ = Runtime(1).spmd(_poll_wait_body, None, 0.05)[0]
+    assert value == "OpTimeoutError"
+    assert 0.05 <= waited <= 0.05 + FLOCK_WAIT.cap + 0.05, waited
+    assert tries <= _curve_probes(waited), (tries, waited)
