@@ -264,8 +264,7 @@ class Armci:
         if nbytes < 0:
             raise ArgumentError(f"negative allocation {nbytes}")
         group = group or self.world_group
-        local = np.zeros(nbytes, dtype=np.uint8) if nbytes else None
-        win = Win.create(group.comm, local, strict=self.strict, mpi3=self.mpi3)
+        win, _ = Win.allocate(group.comm, nbytes, strict=self.strict, mpi3=self.mpi3)
         mutex = MutexSet.create(group.comm, 1)  # the §V-D RMW mutex
         my_abs = group.absolute_id(group.rank)
         contribution = (group.rank, my_abs, nbytes)

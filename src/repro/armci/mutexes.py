@@ -196,10 +196,7 @@ class MutexSet:
         # isolate handoff traffic from application messages
         mcomm = comm.dup()
         # the byte vectors, then (4-aligned) the holder records
-        local = np.zeros(
-            _cells_offset(count, comm.size) + 4 * count, dtype=np.uint8
-        )
-        win = Win.create(mcomm, local)
+        win, _ = Win.allocate(mcomm, _cells_offset(count, comm.size) + 4 * count)
         return cls(mcomm, count, win)
 
     def destroy(self) -> None:

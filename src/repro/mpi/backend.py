@@ -8,8 +8,9 @@ pluggable backend object:
 * **make_world** — what the world communicator is (the plain shared
   :class:`~repro.mpi.comm.Comm`, or a process-local replica that routes
   messages through OS queues),
-* **win_create** — where window memory lives (the caller's NumPy arrays,
-  or ``multiprocessing.shared_memory`` segments every rank attaches).
+* **win_create** — where window memory lives (the caller's NumPy arrays
+  or ``np.zeros``, or ``multiprocessing.shared_memory`` segments every
+  rank attaches).
 
 ``backend="thread"`` (the default, :class:`ThreadBackend`) is the
 deterministic path every checking layer is built on: ranks are threads
@@ -25,6 +26,8 @@ from __future__ import annotations
 import threading
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Callable
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .comm import Comm
@@ -59,12 +62,15 @@ class RuntimeBackend(ABC):
     def win_create(
         self,
         comm: "Comm",
-        local: Any,
+        local: "np.ndarray | int",
         disp_unit: int,
         strict: bool,
         mpi3: bool,
     ) -> "Win":
-        """Collective window creation (the body of ``Win.create``)."""
+        """Collective window creation, the body of ``Win.create`` and
+        ``Win.allocate``: ``local`` is this rank's flat byte view to
+        expose (``Win.create``) or the byte count of zeroed memory for
+        the backend to allocate (``Win.allocate``)."""
 
 
 class ThreadBackend(RuntimeBackend):
@@ -164,14 +170,14 @@ class ThreadBackend(RuntimeBackend):
     def win_create(
         self,
         comm: "Comm",
-        local: Any,
+        local: "np.ndarray | int",
         disp_unit: int,
         strict: bool,
         mpi3: bool,
     ) -> "Win":
-        from .window import Win, _local_exposure_view
+        from .window import Win
 
-        view = _local_exposure_view(local)
+        view = np.zeros(local, dtype=np.uint8) if isinstance(local, int) else local
         contribs = comm.allgather((view, disp_unit))
 
         def build() -> "Win":

@@ -45,9 +45,8 @@ from .errors import InternalError, OpTimeoutError, TargetFailedError
 from .group import Group
 from .p2p import P2PEngine
 from .proc_comm import ProcComm
-from .proc_win import _SLOT, ProcWin, _LockFiles, _table_offset
+from .proc_win import _SLOT, ProcWin, _LockFiles, _segment_array, _table_offset
 from .runtime import RankFailedError, Runtime
-from .window import _local_exposure_view
 
 
 _ATTACH_LOCK = threading.Lock()
@@ -191,23 +190,24 @@ class _ProcChildBackend(RuntimeBackend):
         return ProcComm(runtime, Group(range(self.nproc)), ("w",))
 
     def win_create(self, comm, local, disp_unit, strict, mpi3):
-        view = _local_exposure_view(local)
         token = self._win_token(comm)
         me = comm.rank
-        # the exposed bytes, then the footprint table (zeroed: all free)
+        nbytes = local if isinstance(local, int) else local.nbytes
+        # the exposed bytes, then the footprint table: a new name, so the
+        # kernel's zero fill is all of it (an allocation copies nothing,
+        # and every footprint slot reads free)
         own = shared_memory.SharedMemory(
             name=self._segment_name(token, me), create=True,
-            size=_table_offset(view.nbytes) + comm.size * _SLOT.size,
+            size=_table_offset(nbytes) + comm.size * _SLOT.size,
         )
-        if view.nbytes:
-            np.ndarray((view.nbytes,), dtype=np.uint8, buffer=own.buf)[:] = view
+        if not isinstance(local, int) and nbytes:
+            np.ndarray((nbytes,), dtype=np.uint8, buffer=own.buf)[:] = local
         # the allgather is also the barrier guaranteeing every segment
         # exists before any peer attaches
-        contribs = comm.allgather((view.nbytes, disp_unit))
+        contribs = comm.allgather((nbytes, disp_unit))
         buffers: list[np.ndarray] = []
         tables: list[tuple[memoryview, int]] = []
         units: list[int] = []
-        segments: list[shared_memory.SharedMemory] = []
         for r in range(comm.size):
             nbytes, unit = contribs[r]
             if r == me:
@@ -215,13 +215,12 @@ class _ProcChildBackend(RuntimeBackend):
             else:
                 # attach untracked so only the creator unlinks
                 seg = _attach_untracked(self._segment_name(token, r))
-            buffers.append(np.ndarray((nbytes,), dtype=np.uint8, buffer=seg.buf))
+            buffers.append(_segment_array(seg, nbytes))
             tables.append((seg.buf, _table_offset(nbytes)))
             units.append(unit)
-            segments.append(seg)
         win = ProcWin(
             comm, buffers, units, strict=strict, mpi3=mpi3,
-            segments=segments, tables=tables, creator_rank=me, token=token,
+            segment=own, tables=tables, creator_rank=me, token=token,
             lock_files=self._lock_files,
         )
         self._windows.append(win)

@@ -1,8 +1,9 @@
 """Proc-backend windows: memory in shared-memory segments, locks in flocks.
 
-Each rank's exposure is copied into a shared-memory segment all peers
-attach (the MPI-3 ``MPI_Win_allocate_shared`` analogue from Hammond et
-al., PAPERS.md; ``proc_child`` creates them); the window's one lock
+Each rank's exposure lives in a shared-memory segment all peers attach
+(the MPI-3 ``MPI_Win_allocate_shared`` analogue from Hammond et al.,
+PAPERS.md; ``proc_child`` creates them, empty for ``Win.allocate``, a
+copy of the caller's array for ``Win.create``); the window's one lock
 primitive is an ``fcntl.flock`` per target (shared/exclusive), so
 ``lock`` takes one and MPI-3 ``lock_all`` a shared one on every target,
 and the atomic ops (``accumulate``/``fetch_and_op``/
@@ -22,7 +23,8 @@ from __future__ import annotations
 import fcntl
 import os
 import struct
-from multiprocessing import resource_tracker
+import weakref
+from multiprocessing import resource_tracker, shared_memory
 from typing import Any
 
 import numpy as np
@@ -90,6 +92,22 @@ def _table_offset(nbytes: int) -> int:
     """Where a target's footprint table starts in its segment: after the
     exposed bytes, 8-byte aligned."""
     return -(-nbytes // 8) * 8
+
+
+def _segment_array(seg, nbytes: int) -> np.ndarray:
+    """The first ``nbytes`` of a segment as a byte array that keeps it mapped.
+
+    numpy holds on to a buffer's object but not to its export, so nothing
+    of an array over ``seg.buf`` stops ``seg.close()`` — or the segment's
+    ``__del__`` — from unmapping the memory under it, and touching the
+    array afterwards would crash the process.  So the segment is closed
+    only once this array, and with it every view of it, is gone: at once
+    when the window drops its buffers, later when the caller kept one
+    (a ``Win.allocate`` result kept past ``free``).
+    """
+    array = np.ndarray((nbytes,), dtype=np.uint8, buffer=seg.buf)
+    weakref.finalize(array, seg.close)
+    return array
 
 
 def _try_flock(fd: int, op: int) -> "bool | None":
@@ -211,14 +229,15 @@ class ProcWin(Win):
         strict: bool = True,
         mpi3: bool = False,
         *,
-        segments: list,
+        segment: shared_memory.SharedMemory,
         tables: "list[tuple[memoryview, int]]",
         creator_rank: int,
         token: str,
         lock_files: _LockFiles,
     ):
         super().__init__(comm, buffers, disp_units, strict=strict, mpi3=mpi3)
-        self._segments = segments
+        #: this rank's own segment, which it unlinks at free
+        self._segment = segment
         self._creator_rank = creator_rank
         self._token = token
         self._lock_files = lock_files
@@ -315,12 +334,14 @@ class ProcWin(Win):
         self._release_segments()
 
     def _release_segments(self) -> None:
-        """Detach the shared-memory segments; the creator unlinks its own.
+        """Drop the shared-memory segments and unlink this rank's own.
 
         Peers' mappings stay valid after an unlink (POSIX), so a rank
         finishing early never pulls memory out from under survivors —
         only *new* attachments become impossible, and window creation is
-        collective, so there are none.
+        collective, so there are none.  Each segment is unmapped when the
+        last array over it goes (:func:`_segment_array`): at once, unless
+        the caller still holds one.
         """
         if self._released:
             return
@@ -328,21 +349,13 @@ class ProcWin(Win):
         self._lock_files.forget(self._token)
         self._buffers = [np.empty(0, dtype=np.uint8) for _ in self._buffers]
         self._reservations = []
-        segments, self._segments = self._segments, []
-        for r, seg in enumerate(segments):
-            if r == self._creator_rank:
-                try:
-                    # the parent's teardown sweep can consume the
-                    # (set-valued) tracker entry before this unlink's own
-                    # unregister arrives; re-registering is idempotent and
-                    # keeps the tracker from warning
-                    resource_tracker.register(seg._name, "shared_memory")
-                    seg.unlink()
-                except FileNotFoundError:
-                    pass
-            try:
-                seg.close()
-            except BufferError:
-                # a live external view (user-held local_view) pins the
-                # mapping; the OS reclaims it at process exit
-                pass
+        seg, self._segment = self._segment, None
+        try:
+            # the parent's teardown sweep can consume the (set-valued)
+            # tracker entry before this unlink's own unregister arrives;
+            # re-registering is idempotent and keeps the tracker from
+            # warning
+            resource_tracker.register(seg._name, "shared_memory")
+            seg.unlink()
+        except FileNotFoundError:
+            pass

@@ -25,6 +25,7 @@ these features, and the ablation benchmark quantifies their benefit.
 
 from __future__ import annotations
 
+import operator
 from typing import Any
 
 import numpy as np
@@ -227,26 +228,37 @@ class Win:
     ) -> "Win":
         """Collective window creation (MPI_Win_create).
 
-        ``local`` is this rank's exposed array (any dtype; it is viewed as
-        bytes) or ``None``/size-0 for no local exposure.  Where the
-        window memory lives is the runtime backend's decision: the
-        thread backend exposes ``local`` itself; the proc backend copies
-        it into a ``multiprocessing.shared_memory`` segment (closer to
-        ``MPI_Win_allocate``) — use :meth:`local_view` /
-        :meth:`exposed_buffer` for access that works on both.
+        ``local`` is this rank's exposed array (C-contiguous, any dtype;
+        it is viewed as bytes) or ``None``/size-0 for no local exposure;
+        any other layout is an ``ArgumentError``.  Where the window
+        memory lives is the runtime backend's decision: the thread
+        backend exposes ``local`` itself; the proc backend copies it
+        into a fresh ``multiprocessing.shared_memory`` segment, so
+        ``local`` is not the window's memory there.  Use
+        :meth:`allocate`, or :meth:`local_view` / :meth:`exposed_buffer`,
+        for access that works on both.
         """
-        return comm.runtime.backend.win_create(comm, local, disp_unit, strict, mpi3)
+        view = _local_exposure_view(local)
+        return comm.runtime.backend.win_create(comm, view, disp_unit, strict, mpi3)
 
     @classmethod
     def allocate(
         cls, comm: Comm, nbytes: int, strict: bool = True, mpi3: bool = False
     ) -> tuple["Win", np.ndarray]:
-        """Collective allocate-and-create (MPI_Win_allocate)."""
+        """Collective allocate-and-create (MPI_Win_allocate).
+
+        The backend allocates ``nbytes`` of zeroed window memory — a
+        ``np.zeros`` array on threads, a fresh shared-memory segment on
+        procs, into which nothing is copied — and the returned array
+        *is* this rank's exposed memory on both: a put to this rank
+        shows in it, and a store through it (inside an exclusive
+        self-lock) is what a peer's get reads.
+        """
+        nbytes = operator.index(nbytes)
         if nbytes < 0:
             raise ArgumentError(f"Win.allocate: negative size {nbytes}")
-        local = np.zeros(nbytes, dtype=np.uint8)
-        win = cls.create(comm, local, strict=strict, mpi3=mpi3)
-        return win, local
+        win = comm.runtime.backend.win_create(comm, nbytes, 1, strict, mpi3)
+        return win, win._buffers[comm.rank]
 
     def free(self) -> None:
         """Collective window free; erroneous with epochs still open."""
@@ -1281,10 +1293,14 @@ def _accumulate_into(
 def _local_exposure_view(local: "np.ndarray | None") -> np.ndarray:
     """Validate and flatten a rank's exposed array for ``Win.create``.
 
-    Shared by the backends so both enforce the same argument contract.
+    The result is a byte view of ``local`` itself, never a copy: a
+    strided array would otherwise be flattened into a private copy the
+    window exposed instead of the caller's memory, so it is refused.
     """
     if local is None:
         return np.empty(0, dtype=np.uint8)
     if not isinstance(local, np.ndarray):
         raise ArgumentError("Win.create: local buffer must be a numpy array")
+    if not local.flags.c_contiguous:
+        raise ArgumentError("Win.create: local buffer must be C-contiguous")
     return local.reshape(-1).view(np.uint8)

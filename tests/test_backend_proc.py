@@ -826,7 +826,9 @@ def _descriptor_lifetime_body(comm):
     win.free()
     after_free = _open_fds() - before
     # the forced teardown closes them too — a held epoch lock included
-    win2, _ = Win.allocate(comm, 64)
+    # (the allocated memory is not kept: an array over it would keep its
+    # segment mapped, and so its descriptors open, until it is dropped)
+    win2 = Win.allocate(comm, 64)[0]
     win2.lock(peer, LOCK_SHARED)  # repro: lint-ignore[lint-leak] invalidate() drops it
     win2.accumulate(one, peer)
     comm.barrier()
@@ -887,6 +889,7 @@ def _many_windows_body(comm):
         win.exposed_buffer(comm.rank)[:16].view(np.int64).tolist() for win in wins
     ]
     comm.barrier()
+    del cell  # a view kept past free would keep its segment mapped
     for win in wins:
         win.free()
     return (
