@@ -265,7 +265,9 @@ class Armci:
             raise ArgumentError(f"negative allocation {nbytes}")
         group = group or self.world_group
         win, _ = Win.allocate(group.comm, nbytes, strict=self.strict, mpi3=self.mpi3)
-        mutex = MutexSet.create(group.comm, 1)  # the §V-D RMW mutex
+        # the §V-D RMW mutex: only the mpi2 datapath's Armci.rmw locks it
+        # (mpi3 runs fetch_and_op in the standing epoch, §VIII-B)
+        mutex = None if self._flush_mode else MutexSet.create(group.comm, 1)
         my_abs = group.absolute_id(group.rank)
         contribution = (group.rank, my_abs, nbytes)
 
@@ -279,7 +281,8 @@ class Armci:
                 )
             gmr = Gmr(win, group, bases, sizes)
             self.table.register(gmr)
-            self._gmr_mutexes[gmr.gmr_id] = mutex
+            if mutex is not None:
+                self._gmr_mutexes[gmr.gmr_id] = mutex
             return gmr
 
         with self.world.runtime.cond:

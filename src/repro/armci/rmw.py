@@ -3,7 +3,8 @@
 MPI-2 has no atomic RMW, and issuing a get and a put of the same
 location within one epoch is erroneous (the read and write conflict).
 The only portable route — the one the paper takes — is mutual exclusion:
-each GMR owns a mutex, and an RMW is
+on the mpi2 datapath each GMR owns a mutex (``Armci.malloc`` builds it
+there only), and an RMW is
 
     lock(GMR mutex) ; [epoch 1: get] ; compute ; [epoch 2: put] ; unlock
 

@@ -34,6 +34,16 @@ on the 2-CPU reference host), reservations that made them take turns
 would put every op behind the peer's and read about 2 (1.8-2.1 there).
 It needs two CPUs too.
 
+A fourth row times a message between two ranks: a ``send``/``recv``
+ping-pong against a raw pipe + pickle ping-pong between the same two
+rank processes, in alternating blocks of one run, so the ratio of the two
+one-way latencies cancels host speed (:func:`check_p2p_pingpong`).  Each
+rank's thread is pinned to a CPU of its own for the row, and to one
+shared CPU for a second, recorded reading: unpinned, the scheduler may
+run the raw loop on two CPUs and the runtime's on one (or the reverse),
+and the ratio would compare placements.  Gated on two CPUs, where the
+ranks run as an MPI job's would; the one-CPU ratio is trajectory data.
+
 Because the scaling ratio compares the same machine against itself it is
 host-relative — but it still needs cores to scale onto, so the
 ``procs`` entry of :mod:`repro.bench.registry` enforces the
@@ -81,6 +91,13 @@ BAND_ROWS, BAND_COLS = 256, 256
 
 #: ceiling on the disjoint row's per-op time over the uncontended op's
 MAX_DISJOINT_OVER_ALONE = 1.5
+
+#: round trips per block of the ping-pong row
+PINGPONG_ROUNDS = 200
+
+#: ceiling on a ``send``/``recv`` one-way latency over a raw pipe +
+#: pickle ping-pong's, ranks on two CPUs
+MAX_P2P_OVER_RAW = 3.0
 
 
 def _rank_body(comm, nbytes: int, nreps: int) -> float:
@@ -194,10 +211,88 @@ def _disjoint_acc_row(phases: int, nreps: int) -> dict:
     }
 
 
+def _pingpong_body(comm, pipes, cpus, blocks: int, rounds: int) -> "list[tuple[float, float]]":
+    """Alternating blocks of ``rounds`` round trips, raw then runtime, each
+    rank's thread pinned to ``cpus[rank]``: one-way microseconds of each
+    block, ``(raw, send/recv)``.  The raw loop is what a message needs at
+    least: the same tuple pickled, one ``os.write``, one ``os.read``, one
+    unpickle, over pipes created before the fork."""
+    import os
+    import pickle
+
+    os.sched_setaffinity(0, {cpus[comm.rank]})
+    me, peer = comm.rank, 1 - comm.rank
+    (r0, w0), (r1, w1) = pipes
+    rd, wr = (r1, w0) if me == 0 else (r0, w1)
+    msg = ("p2p", comm.context_id, me, peer, 1, b"ping")
+
+    def raw_send() -> None:
+        data = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
+        os.write(wr, len(data).to_bytes(8, "little") + data)
+
+    def raw_recv() -> None:
+        pickle.loads(os.read(rd, 4096)[8:])
+
+    def per_way(t0: float) -> float:
+        return (time.perf_counter() - t0) / rounds / 2 * 1e6
+
+    out = []
+    for _ in range(blocks):
+        comm.barrier()
+        t0 = time.perf_counter()
+        for _ in range(rounds):
+            if me == 0:
+                raw_send()
+                raw_recv()
+            else:
+                raw_recv()
+                raw_send()
+        raw = per_way(t0)
+        comm.barrier()
+        t0 = time.perf_counter()
+        for _ in range(rounds):
+            if me == 0:
+                comm.send(b"ping", 1, tag=1)
+                comm.recv(source=1, tag=1)
+            else:
+                comm.recv(source=0, tag=1)
+                comm.send(b"ping", 0, tag=1)
+        out.append((raw, per_way(t0)))
+    return out
+
+
+def _pingpong_row(blocks: int) -> dict:
+    """The ping-pong's one-way latencies, ranks on two CPUs and on one:
+    medians over blocks, and the median of the per-block ratios."""
+    import os
+
+    usable = sorted(os.sched_getaffinity(0))
+    out = {"blocks": blocks}
+    for name, cpus in (("two_cpus", usable[:2]), ("one_cpu", usable[:1] * 2)):
+        if len(cpus) < 2:  # a one-CPU host: no two-CPU reading
+            continue
+        pipes = [os.pipe(), os.pipe()]  # inherited by the forked ranks
+        try:
+            ranks = Runtime(2, backend="proc").spmd(
+                _pingpong_body, pipes, cpus, blocks, PINGPONG_ROUNDS,
+                join_timeout=300.0,
+            )
+        finally:
+            for fd in (fd for pair in pipes for fd in pair):
+                os.close(fd)
+        raw, proc = zip(*ranks[0])
+        out[name] = {
+            "raw_us": float(np.median(raw)),
+            "p2p_us": float(np.median(proc)),
+            "p2p_over_raw": float(np.median([p / r for r, p in ranks[0]])),
+        }
+    return out
+
+
 def measure(fast: bool = False) -> dict:
     """Aggregate put/get throughput for each world size + scaling ratio,
-    the two-rank contended-accumulate row and the disjoint-accumulate
-    row."""
+    the two-rank contended-accumulate row, the disjoint-accumulate row
+    and the ping-pong row."""
     nreps = 8 if fast else 32
     results: dict = {}
     for nproc in NPROCS:
@@ -221,6 +316,7 @@ def measure(fast: bool = False) -> dict:
         "mean_over_median_rounds": [r["mean_over_median"] for r in rounds],
     }
     results["disjoint_acc_np2"] = _disjoint_acc_row(30 if fast else 60, 20)
+    results["p2p_pingpong_np2"] = _pingpong_row(31)
     return results
 
 
@@ -250,6 +346,14 @@ def format_results(results: dict) -> str:
     acc = results["contended_acc_np2"]
     rounds = ", ".join(f"{r:.2f}" for r in acc["mean_over_median_rounds"])
     band = results["disjoint_acc_np2"]
+    pp = results["p2p_pingpong_np2"]
+    pingpong = "".join(
+        f"\np2p ping-pong, 2 ranks on {where}: send/recv {pp[key]['p2p_us']:.1f} us "
+        f"one way, raw pipe + pickle {pp[key]['raw_us']:.1f} us, "
+        f"{pp[key]['p2p_over_raw']:.2f}x (median of {pp['blocks']} blocks)"
+        for key, where in (("two_cpus", "two CPUs"), ("one_cpu", "one CPU"))
+        if key in pp
+    )
     return (
         f"{table}\nscaling 1 -> {NPROCS[-1]} ranks: "
         f"{results['scaling_1_to_4']:.2f}x\n"
@@ -260,6 +364,7 @@ def format_results(results: dict) -> str:
         f"{BAND_ROWS * BAND_COLS * 8 // 1024} KiB each: {band['alone_us']:.0f} us "
         f"per op alone, {band['together_us']:.0f} us together, "
         f"{band['together_over_alone']:.2f}x (median of {band['phases']} phases)"
+        f"{pingpong}"
     )
 
 
@@ -295,4 +400,16 @@ def check_disjoint_acc(measured: dict, _committed: dict) -> "list[str]":
         f"disjoint accumulate per-op time is {ratio:.2f}x the uncontended "
         f"op's (ceiling {MAX_DISJOINT_OVER_ALONE}x): disjoint footprints "
         "waited for each other"
+    ]
+
+
+def check_p2p_pingpong(measured: dict, _committed: dict) -> "list[str]":
+    """A message between two ranks on two CPUs costs at most
+    :data:`MAX_P2P_OVER_RAW` raw pipe + pickle messages."""
+    ratio = measured["p2p_pingpong_np2"]["two_cpus"]["p2p_over_raw"]
+    if ratio <= MAX_P2P_OVER_RAW:
+        return []
+    return [
+        f"send/recv one-way latency is {ratio:.2f}x a raw pipe + pickle "
+        f"ping-pong's (ceiling {MAX_P2P_OVER_RAW}x)"
     ]

@@ -345,10 +345,12 @@ BENCHES: "dict[str, Bench]" = {
             "throughput over shared-memory windows (ARMCI mpi3 datapath, "
             "ring workload over fixed-size slabs) for 1/2/4 ranks, the op time of two ranks accumulating into "
             "one slab, and of two ranks accumulating disjoint column bands of "
-            "one matrix; absolute MB/s and us are machine-dependent trajectory "
+            "one matrix, and a two-rank send/recv ping-pong against a raw pipe + "
+            "pickle one; absolute MB/s and us are machine-dependent trajectory "
             "data, only the 1->4 rank scaling ratio, the contended "
-            "accumulate's mean/median ratio and the disjoint accumulate's "
-            "ratio to the uncontended op are gated",
+            "accumulate's mean/median ratio, the disjoint accumulate's "
+            "ratio to the uncontended op and the ping-pong's ratio to the raw "
+            "one (ranks on two CPUs) are gated",
             measure=_lazy("procs_smoke", "measure"),
             format=_lazy("procs_smoke", "format_results"),
             baseline="BENCH_procs.json",
@@ -358,6 +360,7 @@ BENCHES: "dict[str, Bench]" = {
                 min_scaling="MIN_SCALING",
                 max_acc_mean_over_median="MAX_ACC_MEAN_OVER_MEDIAN",
                 max_disjoint_over_alone="MAX_DISJOINT_OVER_ALONE",
+                max_p2p_over_raw="MAX_P2P_OVER_RAW",
             ),
             checks=(
                 Check(
@@ -374,6 +377,12 @@ BENCHES: "dict[str, Bench]" = {
                     "disjoint accumulate per-op time <= max_disjoint_over_alone x "
                     "the uncontended op's",
                     _lazy("procs_smoke", "check_disjoint_acc"),
+                    min_cpus=CONTENTION_MIN_CPUS,
+                ),
+                Check(
+                    "p2p send/recv one-way latency <= max_p2p_over_raw x a raw "
+                    "pipe + pickle ping-pong's, ranks on two CPUs",
+                    _lazy("procs_smoke", "check_p2p_pingpong"),
                     min_cpus=CONTENTION_MIN_CPUS,
                 ),
             ),

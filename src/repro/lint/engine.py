@@ -253,6 +253,7 @@ class FunctionAnalyzer:
     def exec_assign(self, s, st: AbsState) -> AbsState:
         if isinstance(s, ast.AugAssign):
             self.eval_expr(s.value, st)
+            self.check_store(s.target, st)
             return st
         value = s.value
         if value is None:  # bare annotation
@@ -300,6 +301,11 @@ class FunctionAnalyzer:
             if b is not None and b[0] == "win_tuple" and elts and isinstance(elts[0], ast.Name):
                 st.bindings[elts[0].id] = ("win", b[1])
                 rest = elts[1:]
+                if len(elts) == 2 and isinstance(elts[1], ast.Name):
+                    # Win.allocate's memory is the window's own, on both
+                    # backends, for the window's whole life
+                    st.bindings[elts[1].id] = ("wbmem", b[1])
+                    rest = []
             else:
                 if b is not None and b[0] != "win_tuple":
                     self.escape_binding(b, st)
@@ -312,7 +318,28 @@ class FunctionAnalyzer:
         else:
             # attribute / subscript store: the value leaves our sight
             self.escape_binding(b, st)
+            self.check_store(t, st)
             self.eval_expr(t, st)
+
+    def check_store(self, t, st: AbsState) -> None:
+        """A store into ``Win.allocate``'s memory (``mem[i] = ...``) needs
+        an epoch possibly open on the window, as taking a ``local_view()``
+        does (which is where a view's accesses are checked)."""
+        if not isinstance(t, ast.Subscript) or not isinstance(t.value, ast.Name):
+            return
+        b = st.bindings.get(t.value.id)
+        if (
+            b is not None
+            and b[0] == "wbmem"
+            and not st.is_escaped(b[1])
+            and not self._epoch_on(b[1], st.may)
+        ):
+            self.emit(
+                t, ViolationKind.LOCAL_LOAD_STORE,
+                "direct store into window memory with no epoch possibly "
+                "open (needs an exclusive self-lock or "
+                "access_begin/access_end)",
+            )
 
     def exec_loop(self, s, st: AbsState, breaks, conts) -> "AbsState | None":
         if isinstance(s, (ast.For, ast.AsyncFor)):
@@ -437,7 +464,7 @@ class FunctionAnalyzer:
             if b is not None:
                 if b[0] == "alloc":
                     return ("allocitem", b[1])
-                if b[0] in ("allocitem", "wb"):
+                if b[0] in ("allocitem", "wb", "wbmem"):
                     return b
             return None
         if isinstance(e, (ast.Tuple, ast.List, ast.Set)):
@@ -841,7 +868,7 @@ class FunctionAnalyzer:
                 not esc
                 and arg_bindings
                 and arg_bindings[0] is not None
-                and arg_bindings[0][0] == "wb"
+                and arg_bindings[0][0] in ("wb", "wbmem")
                 and arg_bindings[0][1] == wid
                 and m in ("put", "get", "accumulate")
             ):

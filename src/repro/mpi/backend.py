@@ -1,7 +1,8 @@
 """Runtime execution backends: how simulated ranks map onto the OS.
 
 The :class:`~repro.mpi.runtime.Runtime` delegates three decisions to a
-pluggable backend object:
+pluggable backend object (and, through :meth:`RuntimeBackend.idle`, how
+a blocked rank waits):
 
 * **spmd** — how the N rank bodies execute (threads under the giant
   lock, or one OS process per rank),
@@ -71,6 +72,13 @@ class RuntimeBackend(ABC):
         ``Win.allocate``: ``local`` is this rank's flat byte view to
         expose (``Win.create``) or the byte count of zeroed memory for
         the backend to allocate (``Win.allocate``)."""
+
+    def idle(self, runtime: "Runtime", timeout: float) -> bool:
+        """How a rank blocked in :meth:`Runtime.wait_for` waits for progress
+        (called with ``runtime.cond`` held, which it lets go meanwhile): up
+        to ``timeout`` seconds, False only if nothing woke it.  Here, a
+        sleep on the condition until the next ``notify_progress``."""
+        return runtime.sleep(timeout)
 
 
 class ThreadBackend(RuntimeBackend):

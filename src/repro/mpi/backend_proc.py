@@ -96,6 +96,12 @@ class ProcBackend(RuntimeBackend):
         hb_seg = shared_memory.SharedMemory(
             name=_hb_segment_name(run_id), create=True, size=max(16 * nproc, 16)
         )
+        # one CPU per rank where there are enough (an MPI launcher's
+        # binding to cores): left to itself the scheduler runs a rank
+        # woken by a peer's message on the peer's CPU, and two ranks then
+        # share one CPU while the other idles
+        usable = sorted(os.sched_getaffinity(0))
+        cpus = usable[:nproc] if nproc <= len(usable) else [None] * nproc
         cfg = (
             runtime.nproc,
             runtime.watchdog_s,
@@ -108,7 +114,7 @@ class ProcBackend(RuntimeBackend):
         children = [
             ctx.Process(
                 target=_child_main,
-                args=(r, cfg, fn, args, pipes, lockdir, run_id),
+                args=(r, cfg, fn, args, pipes, lockdir, run_id, cpus[r]),
                 name=f"rank-{r}",
                 daemon=True,
             )
@@ -180,13 +186,14 @@ class ProcBackend(RuntimeBackend):
         }
         if primary:
             raise primary[min(primary)]
-        if died and not errors:
+        if died and results and not errors:
             missing = [
                 r for r in range(nproc) if r not in died and r not in results
             ]
             if not missing:
-                # every survivor completed: a recovered run.  Results for
-                # dead ranks are None — the shrunken grid finished the job.
+                # every survivor completed (and there was one): a recovered
+                # run.  Results for dead ranks are None — the shrunken grid
+                # finished the job.
                 return [results.get(r) for r in range(nproc)]
         if died:
             r = min(died)
@@ -296,11 +303,14 @@ def _child_main(
     pipes: list[tuple[int, int]],
     lockdir: str,
     run_id: str,
+    cpu: "int | None",
 ) -> None:
     (
         nproc, watchdog_s, op_timeout_s, op_retries, seed,
         heartbeat_s, suspect_after,
     ) = cfg
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})  # before the pump: it inherits it
     # read only this rank's inbox: then a dead rank's inbox has no reader,
     # and writing to it fails at once
     for i, (r, _) in enumerate(pipes):
@@ -325,6 +335,7 @@ def _child_main(
     # recovery must not wait on the other ranks' replicas
     runtime.local_ranks = {rank}
     backend.runtime = runtime
+    backend.inbox = mailbox.Inbox(pipes[rank][0], wakeable=True)
     try:
         backend.attach_heartbeat(_hb_segment_name(run_id))
     except Exception:  # pragma: no cover - no shm: parent monitor still detects
@@ -335,7 +346,7 @@ def _child_main(
     world = Comm._world(runtime)
     stop = threading.Event()
     pump = threading.Thread(
-        target=_pump, args=(backend, runtime, mailbox.Inbox(pipes[rank][0]), stop),
+        target=_pump, args=(backend, runtime, stop),
         name=f"pump-{rank}", daemon=True,
     )
     pump.start()
@@ -371,11 +382,13 @@ def _child_main(
         backend.release_windows()
         backend.release_heartbeat()
         # tell peers this rank *finished* (stopped heartbeating on
-        # purpose) before the parent can observe the exit
+        # purpose), and which ranks it knew dead, before the parent can
+        # observe the exit
+        done = ("ctl", "rank_done", rank, sorted(runtime.dead_ranks))
         for other in range(nproc):
             if other != rank:
                 try:
-                    backend.send_to(other, ("ctl", "rank_done", rank))
+                    backend.send_to(other, done)
                 except Exception:  # the peer is gone
                     pass
         # the parent reads until every rank reported: wait as long as it takes

@@ -117,7 +117,12 @@ class Comm:
         self.runtime.fuzz_point("p2p:send")
         dst_world = self.group.world_rank(dest)
         nbytes = payload.nbytes if isinstance(payload, np.ndarray) else 0
-        with self.runtime.cond:
+        if self.runtime.hosts(dst_world):
+            with self.runtime.giant_lock:
+                self._p2p.post_send(current_proc().rank, dst_world, tag, payload)
+        else:
+            # a write to another process's inbox, which the giant lock
+            # would only be let go around
             self._p2p.post_send(current_proc().rank, dst_world, tag, payload)
         self._charge_p2p(nbytes, "p2p:send")
 
@@ -146,7 +151,7 @@ class Comm:
         src_world = (
             source if source == ANY_SOURCE else self.group.world_rank(source)
         )
-        with self.runtime.cond:
+        with self.runtime.giant_lock:
             return self._p2p.post_recv(current_proc().rank, src_world, tag, buf)
 
     def recv(

@@ -1,7 +1,9 @@
 """Rank inboxes over pipes created before the fork.
 
-Each proc-backend rank owns a pipe that only its pump thread reads; the
-parent's result channel is one more.  A message is one *frame*: its
+Each proc-backend rank owns a pipe that one thread of its process reads
+at a time (the holder of :attr:`Inbox.reading`): the rank's own thread
+while it waits for a message, its pump thread otherwise.  The parent's
+result channel is one more pipe.  A message is one *frame*: its
 length (``HEADER``), then its pickle.  A sender writes the whole frame
 from its own thread to the ``O_NONBLOCK`` write end under the pipe's
 write lock (a ``threading.Lock`` plus an ``flock``, which the kernel
@@ -85,20 +87,30 @@ class Outbox:
         with self._tlocks[dst]:
             fcntl.flock(flock, fcntl.LOCK_EX)
             try:
-                view, since = memoryview(frame), None
-                while view:
-                    try:
-                        view = view[os.write(fd, view):]
-                    except BlockingIOError:
-                        since = since or time.monotonic()
-                        if (
-                            not wait_writable(fd, tick)
-                            and give_up is not None
-                            and len(view) == len(frame)
-                        ):
-                            give_up(dst, since)
+                try:
+                    sent = os.write(fd, frame)
+                except BlockingIOError:
+                    sent = 0
+                if sent < len(frame):
+                    self._write_rest(dst, frame, sent, tick, give_up)
             finally:
                 fcntl.flock(flock, fcntl.LOCK_UN)
+
+    def _write_rest(
+        self, dst: int, frame: bytes, sent: int, tick: float,
+        give_up: "Callable[[int, float], None] | None",
+    ) -> None:
+        """The rest of a frame the pipe did not take at once (the caller
+        holds the write lock)."""
+        fd = self.fds[dst]
+        view, since = memoryview(frame)[sent:], time.monotonic()
+        while view:
+            if not wait_writable(fd, tick) and give_up is not None and len(view) == len(frame):
+                give_up(dst, since)
+            try:
+                view = view[os.write(fd, view):]
+            except BlockingIOError:
+                pass
 
     def close(self) -> None:
         """Close the write-lock files (the pipe ends belong to the caller)."""
@@ -108,14 +120,28 @@ class Outbox:
 
 
 class Inbox:
-    """The read side of one pipe; blocks only in :meth:`wait`."""
+    """The read side of one pipe; blocks only in :meth:`wait`.
 
-    def __init__(self, fd: int):
+    Only the holder of :attr:`reading` calls :meth:`read`, so no frame is
+    split between two readers.  With ``wakeable``, :meth:`wake` cuts short
+    a ``wait(..., wakeable=True)`` from another thread (a byte on a pipe of
+    its own, which the wait drains).
+    """
+
+    def __init__(self, fd: int, wakeable: bool = False):
         self.fd = fd
         #: every writer has closed its end
         self.eof = False
+        #: held by the one thread that reads this pipe right now
+        self.reading = threading.Lock()
         self._poller = select.poll()
         self._poller.register(fd, select.POLLIN)
+        self._wake_r = self._wake_w = -1
+        if wakeable:
+            self._wake_r, self._wake_w = os.pipe2(os.O_NONBLOCK | os.O_CLOEXEC)
+            self._woken = select.poll()
+            self._woken.register(fd, select.POLLIN)
+            self._woken.register(self._wake_r, select.POLLIN)
         self._buf = bytearray(CHUNK)
         self._view = memoryview(self._buf)
         self._have = 0
@@ -123,9 +149,27 @@ class Inbox:
         self._body: "bytearray | None" = None
         self._got = 0
 
-    def wait(self, timeout_s: float) -> bool:
-        """Wait up to ``timeout_s`` for bytes (or end of file)."""
-        return bool(self._poller.poll(timeout_s * 1e3))
+    def wait(self, timeout_s: float, wakeable: bool = False) -> bool:
+        """Wait up to ``timeout_s`` for bytes (or end of file), or, if
+        ``wakeable``, for a :meth:`wake`; False on timeout."""
+        if not wakeable:
+            return bool(self._poller.poll(timeout_s * 1e3))
+        ready = self._woken.poll(timeout_s * 1e3)
+        for fd, _ in ready:
+            if fd == self._wake_r:
+                try:
+                    while os.read(fd, 64):
+                        pass
+                except BlockingIOError:
+                    pass
+        return bool(ready)
+
+    def wake(self) -> None:
+        """End the current or the next wakeable :meth:`wait` (any thread)."""
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:  # wakes are pending already
+            pass
 
     def read(self) -> list:
         """Every message whose frame is complete in the pipe now."""
@@ -173,5 +217,6 @@ class Inbox:
                 self._got, pos = have - start, have
             else:
                 break
-        buf[:have - pos] = buf[pos:have]
+        if pos < have:
+            buf[:have - pos] = buf[pos:have]
         self._have = have - pos

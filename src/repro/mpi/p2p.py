@@ -43,13 +43,12 @@ class Status:
 class _Envelope:
     """A message in flight: payload already copied (eager protocol)."""
 
-    __slots__ = ("src", "tag", "payload", "seq")
+    __slots__ = ("src", "tag", "payload")
 
-    def __init__(self, src: int, tag: int, payload: Any, seq: int):
+    def __init__(self, src: int, tag: int, payload: Any):
         self.src = src
         self.tag = tag
         self.payload = payload
-        self.seq = seq
 
 
 class Request:
@@ -79,8 +78,7 @@ class Request:
 
     def test(self) -> tuple[bool, Status | None]:
         """Nonblocking completion check."""
-        with self._engine.runtime.cond:
-            self._engine._drain()
+        with self._engine.runtime.giant_lock:
             if self._done and self._error is not None:
                 raise self._error
             return self._done, self._status
@@ -88,22 +86,21 @@ class Request:
     def wait(self) -> Status | None:
         """Block until the operation completes."""
         rt = self._engine.runtime
-        with rt.cond:
-            rt.wait_for(lambda: self._engine._drain() or self._done)
+        with rt.giant_lock:
+            rt.wait_for(lambda: self._done)
             if self._error is not None:
                 raise self._error
             return self._status
 
 
 class _PendingRecv:
-    __slots__ = ("source", "tag", "buf", "request", "posted_seq")
+    __slots__ = ("source", "tag", "buf", "request")
 
-    def __init__(self, source: int, tag: int, buf: "np.ndarray | None", request: Request, posted_seq: int):
+    def __init__(self, source: int, tag: int, buf: "np.ndarray | None", request: Request):
         self.source = source
         self.tag = tag
         self.buf = buf
         self.request = request
-        self.posted_seq = posted_seq
 
 
 class P2PEngine:
@@ -115,7 +112,6 @@ class P2PEngine:
         # per destination world-rank
         self._unexpected: dict[int, list[_Envelope]] = {}
         self._posted: dict[int, list[_PendingRecv]] = {}
-        self._seq = 0
         runtime.add_death_hook(self._on_rank_death)
 
     # -- fault handling -------------------------------------------------------
@@ -150,27 +146,22 @@ class P2PEngine:
         self._unexpected.clear()
 
     # -- internal -----------------------------------------------------------
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _match_posted(self, dst: int, env: _Envelope) -> bool:
-        """Try to deliver ``env`` to an already-posted receive at ``dst``."""
+    def _match_posted(self, dst: int, src: int, tag: int, payload: Any) -> bool:
+        """Try to deliver a message to an already-posted receive at ``dst``."""
         posted = self._posted.get(dst, [])
         for i, pr in enumerate(posted):
-            if (pr.source in (ANY_SOURCE, env.src)) and (pr.tag in (ANY_TAG, env.tag)):
+            if (pr.source in (ANY_SOURCE, src)) and (pr.tag in (ANY_TAG, tag)):
                 posted.pop(i)
-                self._deliver(pr, env)
+                self._deliver(pr, src, tag, payload)
                 return True
         return False
 
     @staticmethod
-    def _deliver(pr: _PendingRecv, env: _Envelope) -> None:
-        payload = env.payload
+    def _deliver(pr: _PendingRecv, src: int, tag: int, payload: Any) -> None:
         if pr.buf is None:
             # object-mode receive: stash the payload on the status
             count = payload.nbytes if isinstance(payload, np.ndarray) else 0
-            pr.request._finish(_ObjStatus(env.src, env.tag, count, payload))
+            pr.request._finish(_ObjStatus(src, tag, count, payload))
             return
         data = payload
         if not isinstance(data, np.ndarray):
@@ -182,11 +173,7 @@ class P2PEngine:
             )
         flat_view = flat.reshape(-1).view(np.uint8)
         flat_view[: data.nbytes] = data.reshape(-1).view(np.uint8)
-        pr.request._finish(Status(env.src, env.tag, data.nbytes))
-
-    def _drain(self) -> bool:
-        """Hook used by Request predicates; matching is eager so no-op."""
-        return False
+        pr.request._finish(Status(src, tag, data.nbytes))
 
     # -- public (giant lock held by callers in comm.py) -----------------------
     def post_send(self, src_world: int, dst_world: int, tag: int, payload: Any) -> None:
@@ -206,9 +193,10 @@ class P2PEngine:
             return
         if isinstance(payload, np.ndarray):
             payload = np.ascontiguousarray(payload).copy()
-        env = _Envelope(src_world, tag, payload, self._next_seq())
-        if not self._match_posted(dst_world, env):
-            self._unexpected.setdefault(dst_world, []).append(env)
+        if not self._match_posted(dst_world, src_world, tag, payload):
+            self._unexpected.setdefault(dst_world, []).append(
+                _Envelope(src_world, tag, payload)
+            )
         rt.notify_progress()
 
     def post_recv(
@@ -219,12 +207,12 @@ class P2PEngine:
         buf: "np.ndarray | None",
     ) -> Request:
         req = Request(self)
-        pr = _PendingRecv(source, tag, buf, req, self._next_seq())
+        pr = _PendingRecv(source, tag, buf, req)
         queue = self._unexpected.get(dst_world, [])
         for i, env in enumerate(queue):
             if (source in (ANY_SOURCE, env.src)) and (tag in (ANY_TAG, env.tag)):
                 queue.pop(i)
-                self._deliver(pr, env)
+                self._deliver(pr, env.src, env.tag, env.payload)
                 self.runtime.notify_progress()
                 return req
         if source != ANY_SOURCE and source in self.runtime.dead_ranks:

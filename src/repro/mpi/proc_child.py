@@ -3,8 +3,14 @@
 :class:`_ProcChildBackend` is the backend a rank's private
 :class:`~repro.mpi.runtime.Runtime` *replica* delegates to: it writes
 messages to the peers' inbox pipes (:mod:`repro.mpi.mailbox`), creates
-the window segments, and is driven by a pump thread (:func:`_pump`) that
-drains this rank's inbox into the local p2p engines.
+the window segments, and applies what arrives in this rank's inbox to the
+local p2p engines and registries.
+
+* **Who reads the inbox**: one thread at a time (``Inbox.reading``).  A
+  rank blocked in ``Runtime.wait_for`` reads its own inbox
+  (:meth:`_ProcChildBackend.idle`), so a message wakes the thread that
+  waits for it; otherwise the pump thread (:func:`_pump`) does, so
+  messages still land while the rank computes or waits on a lock.
 
 * **Failure detection**: every child re-stamps a per-rank *heartbeat
   lease* (pid + monotonic timestamp) in a parent-created shared-memory
@@ -100,35 +106,33 @@ def _pid_alive(pid: int) -> bool:
         return True
 
 
-def _pump(
-    backend: "_ProcChildBackend", runtime: "Runtime", inbox: mailbox.Inbox, stop
-) -> None:
-    """Drain this rank's inbox pipe into the local replicas; police liveness.
+#: how soon the pump takes the inbox back once the rank's own thread
+#: stops reading it: the longest a message that arrives while the rank
+#: computes waits to be applied
+_RECHECK_S = 1e-3
 
-    Each loop iteration waits on the pipe for at most a heartbeat tick
-    and routes the p2p/control/fault-tolerance messages that arrived; it
-    then re-stamps this rank's heartbeat lease and scans the peers'
-    leases — the pump is the per-rank progress/liveness thread the
+
+def _pump(backend: "_ProcChildBackend", runtime: "Runtime", stop) -> None:
+    """Drain this rank's inbox while the rank is not waiting; police liveness.
+
+    Each loop iteration either finds the inbox taken by the rank's own
+    thread, which reads it while it waits (:meth:`_ProcChildBackend.idle`),
+    and looks again :data:`_RECHECK_S` later, or waits on the pipe for at
+    most a tick and routes the p2p/control/fault-tolerance messages that
+    arrived; it then re-stamps this rank's heartbeat lease and scans the
+    peers' leases — the pump is the per-rank progress/liveness thread the
     async-progress designs in PAPERS.md argue for, so detection keeps
     working while the application thread is blocked (or never blocks).
     """
+    inbox = backend.inbox
     while not stop.is_set():
-        msgs = []
-        try:
-            if inbox.wait(backend._tick):
-                msgs = inbox.read()
-        except BaseException as exc:  # noqa: BLE001 - pump must survive
-            with runtime.cond:
-                runtime.death_hook_errors.append(exc)
-        for msg in msgs:
+        if inbox.reading.locked():
+            stop.wait(min(backend._tick, _RECHECK_S))
+        elif inbox.wait(backend._tick):
             # apply every arrived message before the liveness scan so
             # ordered control traffic (rank_done) lands before a probe
             # could misread a silent slot
-            try:
-                backend.dispatch(runtime, msg)
-            except BaseException as exc:  # noqa: BLE001 - pump must survive
-                with runtime.cond:
-                    runtime.death_hook_errors.append(exc)
+            backend.read_now(runtime)
         try:
             backend.heartbeat_tick(runtime)
         except BaseException as exc:  # noqa: BLE001 - pump must survive
@@ -149,6 +153,9 @@ class _ProcChildBackend(RuntimeBackend):
         self.nproc = nproc
         #: the write ends of every rank's inbox, then of the result channel
         self.outbox = outbox
+        #: this rank's own inbox (read by whichever thread holds
+        #: ``inbox.reading``: :meth:`idle` or the pump)
+        self.inbox: "mailbox.Inbox | None" = None
         self.run_id = run_id
         self.runtime: "Runtime | None" = None
         #: ctx key -> P2PEngine replica (guarded by runtime.cond)
@@ -226,7 +233,66 @@ class _ProcChildBackend(RuntimeBackend):
         self._windows.append(win)
         return win
 
+    def idle(self, runtime: "Runtime", timeout: float) -> bool:
+        """Wait in ``Runtime.wait_for`` by reading this rank's own inbox.
+
+        The waiting thread takes the inbox (``Inbox.reading``), waits on the
+        pipe with ``runtime.cond`` let go, and dispatches what it read
+        before letting the inbox go, so messages apply in pipe order and no
+        frame is split between two readers.  A ``notify_progress`` while it
+        waits (the pump's death verdict, another thread) wakes it through
+        ``runtime.wake_reader``.  While the pump holds the inbox it sleeps
+        on the condition instead, at most a tick: the pump's dispatch
+        notifies.
+        """
+        inbox, lock = self.inbox, runtime.giant_lock
+        deadline = time.monotonic() + timeout
+        while True:
+            if not inbox.reading.acquire(blocking=False):
+                if runtime.sleep(min(timeout, self._tick)):
+                    return True
+            else:
+                try:
+                    runtime._sleepers += 1
+                    runtime.wake_reader = inbox.wake
+                    saved = lock._release_save()  # as Condition.wait does
+                    try:
+                        got = inbox.wait(timeout, wakeable=True)
+                        msgs = self.read_inbox(runtime) if got else ()
+                    finally:
+                        lock._acquire_restore(saved)
+                        runtime._sleepers -= 1
+                        runtime.wake_reader = None
+                    self.apply(runtime, msgs)
+                finally:
+                    inbox.reading.release()
+                if got:
+                    return True
+            timeout = deadline - time.monotonic()
+            if timeout <= 0:
+                return False
+
     # -- child-side plumbing -------------------------------------------------
+    def read_inbox(self, runtime: "Runtime") -> list:
+        """Every message complete in this rank's pipe (the caller holds
+        ``inbox.reading``); a failed read is recorded, not raised."""
+        try:
+            return self.inbox.read()
+        except BaseException as exc:  # noqa: BLE001 - readers must survive
+            with runtime.cond:
+                runtime.death_hook_errors.append(exc)
+            return []
+
+    def apply(self, runtime: "Runtime", msgs: list) -> None:
+        """:meth:`dispatch` each message in order (the caller holds
+        ``inbox.reading``); a failed one is recorded, not raised."""
+        for msg in msgs:
+            try:
+                self.dispatch(runtime, msg)
+            except BaseException as exc:  # noqa: BLE001 - readers must survive
+                with runtime.cond:
+                    runtime.death_hook_errors.append(exc)
+
     def register_engine(self, key: Any, engine: P2PEngine) -> None:
         """Publish an engine replica; replay messages that beat it here.
 
@@ -245,18 +311,44 @@ class _ProcChildBackend(RuntimeBackend):
         set (:class:`RankFailedError`) or once the pipe has taken nothing
         for ``op_timeout_s`` (:class:`OpTimeoutError`).
         """
+        try:
+            self._write(dst_world, msg, self._give_up_send)
+        except TargetFailedError:
+            # the destination left; if a peer's death is why, this rank's
+            # inbox holds the news already (the parent announces a death
+            # to every rank at once), and that failure is what it reports
+            self.read_now(self.runtime, wait_s=self._tick)
+            if self.runtime.failed is not None:
+                raise RankFailedError(
+                    f"rank failed elsewhere: {self.runtime.failed!r}"
+                ) from None
+            raise
+
+    def read_now(self, runtime: "Runtime", wait_s: float = 0.0) -> None:
+        """Apply what this rank's inbox holds now; if another thread is
+        reading it, wait up to ``wait_s`` for that thread to be done (with
+        ``runtime.cond`` let go: that thread applies under it)."""
+        inbox = self.inbox
+        if not inbox.reading.acquire(blocking=False):
+            if not wait_s:
+                return
+            with runtime.released():
+                if not inbox.reading.acquire(timeout=wait_s):
+                    return
+        try:
+            self.apply(runtime, self.read_inbox(runtime))
+        finally:
+            inbox.reading.release()
+
+    def _give_up_send(self, dst: int, since: float) -> None:
         rt = self.runtime
-
-        def give_up(dst: int, since: float) -> None:
-            if rt.failed is not None:
-                raise RankFailedError(f"rank failed elsewhere: {rt.failed!r}")
-            if rt.op_timeout_s is not None and time.monotonic() - since >= rt.op_timeout_s:
-                raise OpTimeoutError(
-                    f"send to rank {dst} timed out after {rt.op_timeout_s}s "
-                    "(inbox full, reader stalled but alive?)"
-                )
-
-        self._write(dst_world, msg, give_up)
+        if rt.failed is not None:
+            raise RankFailedError(f"rank failed elsewhere: {rt.failed!r}")
+        if rt.op_timeout_s is not None and time.monotonic() - since >= rt.op_timeout_s:
+            raise OpTimeoutError(
+                f"send to rank {dst} timed out after {rt.op_timeout_s}s "
+                "(inbox full, reader stalled but alive?)"
+            )
 
     def send_ctl(self, dst_world: int, msg: tuple, timeout_s: "float | None" = None) -> None:
         """Write a fault-tolerance message (vote, result, revoke) to rank
@@ -385,11 +477,12 @@ class _ProcChildBackend(RuntimeBackend):
 
     # -- pump dispatch -------------------------------------------------------
     def dispatch(self, runtime: "Runtime", msg: tuple) -> None:
-        """Apply one inbox message (pump thread)."""
+        """Apply one inbox message (the inbox's reader: :meth:`idle` or
+        the pump)."""
         kind = msg[0]
         if kind == "p2p":
             _, key, src, dst, tag, payload = msg
-            with runtime.cond:
+            with runtime.giant_lock:
                 engine = self.engines.get(key)
                 if engine is None:
                     # the matching communicator replica is not
@@ -406,7 +499,12 @@ class _ProcChildBackend(RuntimeBackend):
                 _, _, dead, detail = msg
                 self._declare_dead(runtime, dead, detail)
             elif sub == "rank_done":
-                self.done_ranks.add(msg[2])
+                _, _, done, dead = msg
+                self.done_ranks.add(done)
+                # the deaths it knew: a peer that finds its inbox closed
+                # learns why from what arrived before it closed
+                for r in dead:
+                    self._declare_dead(runtime, r, f"rank {done} finished knowing it dead")
         elif kind == "ft":
             registry = runtime.registry
             with runtime.cond:

@@ -30,7 +30,6 @@ Design notes
 
 from __future__ import annotations
 
-import contextlib
 import os
 import random
 import threading
@@ -96,6 +95,26 @@ class Proc:
 
 
 _tls = threading.local()
+
+
+class _Released:
+    """The ``with`` block of :meth:`Runtime.released`: the RLock's own
+    save/restore of its recursion level, the pair ``Condition.wait`` uses
+    (one C call each way)."""
+
+    __slots__ = ("_lock", "_saved")
+
+    def __init__(self, lock):
+        self._lock = lock
+        self._saved = None
+
+    def __enter__(self) -> None:
+        if self._lock._is_owned():
+            self._saved = self._lock._release_save()
+
+    def __exit__(self, *exc) -> None:
+        if self._saved is not None:
+            self._lock._acquire_restore(self._saved)
 
 
 def current_proc() -> Proc:
@@ -205,6 +224,10 @@ class Runtime:
         self.cond = threading.Condition(self.giant_lock)
         #: how many ranks (and helper threads) are in :meth:`sleep` right now
         self._sleepers = 0
+        #: set while a waiting thread sleeps on something other than
+        #: :attr:`cond` (a proc rank on its own inbox), which
+        #: :meth:`notify_progress` must then wake by calling it
+        self.wake_reader: "Callable[[], None] | None" = None
         self.procs = [Proc(r, self) for r in range(nproc)]
         self.progress_counter = 0
         #: optional simtime timing policy consulted by communication layers
@@ -271,20 +294,23 @@ class Runtime:
         self.progress_counter += 1
         if self._sleepers:
             self.cond.notify_all()
+            if self.wake_reader is not None:
+                self.wake_reader()
 
     def sleep(self, timeout: float) -> bool:
         """``cond.wait(timeout)``, counted so that :meth:`notify_progress`
         knows whether anyone is asleep: every wait on :attr:`cond` goes
-        through here.  Must be called with :attr:`cond` held (which guards
-        the count); returns False on timeout."""
+        through here (and a backend's :meth:`RuntimeBackend.idle` that
+        waits elsewhere counts itself too).  Must be called with
+        :attr:`cond` held (which guards the count); returns False on
+        timeout."""
         self._sleepers += 1
         try:
             return self.cond.wait(timeout)
         finally:
             self._sleepers -= 1
 
-    @contextlib.contextmanager
-    def released(self):
+    def released(self) -> "_Released":
         """Let go of :attr:`cond` for a ``with`` block, at every level of
         recursion this thread holds it (none is fine), and take it back
         after.
@@ -294,18 +320,7 @@ class Runtime:
         change what the lock guards: the caller re-checks afterwards
         whatever it checked before.
         """
-        depth = 0
-        try:
-            while True:  # an RLock raises once this thread holds it no more
-                self.giant_lock.release()
-                depth += 1
-        except RuntimeError:
-            pass
-        try:
-            yield
-        finally:
-            for _ in range(depth):
-                self.giant_lock.acquire()
+        return _Released(self.giant_lock)
 
     def wait_for(
         self,
@@ -317,7 +332,8 @@ class Runtime:
         """Block the calling rank until ``pred()`` returns something true,
         and return it.
 
-        Must be called with :attr:`cond` held.  Raises
+        Must be called with :attr:`cond` held.  While ``pred()`` is false
+        (a true one returns, whatever failure is known), raises
         :class:`ProgressDeadlockError` if the runtime concludes that no
         rank can make progress, :class:`RankFailedError` if another
         rank failed while we waited, :class:`TargetFailedError` if dead
@@ -326,6 +342,10 @@ class Runtime:
         deterministic schedule has no wall clock, so per-op timeouts are
         disabled under it and the deterministic dead-stall detection
         takes over).
+
+        The sleep between tries is the backend's
+        (:meth:`~repro.mpi.backend.RuntimeBackend.idle`): on procs the
+        waiting rank reads its own inbox meanwhile.
 
         ``poll`` is for state in another process, which notifies nobody
         here (a ``flock``): the caller has just tried ``pred``, each later
@@ -339,22 +359,17 @@ class Runtime:
         while True:
             if proc.dead:
                 raise RankKilledError(f"rank {proc.rank} was killed by fault injection")
-            if self.failed is not None:
-                raise RankFailedError(f"rank failed elsewhere: {self.failed!r}")
-            if self._dead_stall and (self.dead_ranks - proc.acked_dead):
-                raise TargetFailedError(
-                    f"no rank can make progress while rank(s) "
-                    f"{sorted(self.dead_ranks - proc.acked_dead)} are failed"
-                )
-            if self._deadlocked:
-                raise ProgressDeadlockError("deadlock detected among all ranks")
+            # what has completed returns, whatever failure is known by now
+            # (as after a poll): a collective whose result arrived before a
+            # peer's death notice succeeds, and the next wait raises
             if poll is None:
                 result = pred()
                 if result:
                     return result
+            self.check_wait(proc)
             if (
                 deadline is not None
-                and self.schedule is None
+                and self._schedule is None
                 and time.monotonic() >= deadline
             ):
                 raise OpTimeoutError(f"{what} timed out after {timeout_s}s")
@@ -367,11 +382,11 @@ class Runtime:
                 if result:
                     return result
                 continue
-            if self.schedule is not None:
+            if self._schedule is not None:
                 # deterministic mode: hand the token back to the scheduler
                 # instead of sleeping on the watchdog; re-check pred when
                 # (deterministically) re-dispatched.
-                self.schedule.block(proc.rank)
+                self._schedule.block(proc.rank)
                 continue
             proc.blocked = True
             seen = self.progress_counter
@@ -379,7 +394,7 @@ class Runtime:
             if deadline is not None:
                 wait_s = min(wait_s, max(deadline - time.monotonic(), 0.001))
             try:
-                timed_out = not self.sleep(wait_s)
+                timed_out = not self.backend.idle(self, wait_s)
             finally:
                 proc.blocked = False
             # The watchdog verdict is only valid after a *full* watchdog
@@ -400,6 +415,22 @@ class Runtime:
                     "all ranks blocked with no progress "
                     f"for {self.watchdog_s}s (watchdog)"
                 )
+
+    def check_wait(self, proc: Proc) -> None:
+        """Raise what a wait of ``proc`` that has not completed raises
+        now: :class:`RankFailedError` once another rank failed,
+        :class:`TargetFailedError` in a dead stall ``proc`` has not
+        acknowledged, :class:`ProgressDeadlockError` after a deadlock
+        verdict.  Must be called with :attr:`cond` held."""
+        if self.failed is not None:
+            raise RankFailedError(f"rank failed elsewhere: {self.failed!r}")
+        if self._dead_stall and (self.dead_ranks - proc.acked_dead):
+            raise TargetFailedError(
+                f"no rank can make progress while rank(s) "
+                f"{sorted(self.dead_ranks - proc.acked_dead)} are failed"
+            )
+        if self._deadlocked:
+            raise ProgressDeadlockError("deadlock detected among all ranks")
 
     def _all_stuck(self) -> bool:
         return all(p.blocked or p.finished for p in self.procs if p is not current_proc())

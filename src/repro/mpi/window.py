@@ -338,10 +338,10 @@ class Win:
         :class:`_LockState`.  Returns what :meth:`_release` gets back.
 
         A free lock (no queue, a compatible mode) is granted at once, without
-        queueing; only when a wait would raise before it first tests its
-        predicate (the caller or another rank failed, a deadlock or dead
-        stall was declared) does a wait on a granted lock raise it.
-        Anything else waits its turn.
+        queueing, unless the caller or another rank failed, or a deadlock or
+        dead stall was declared: then it raises what a wait would
+        (``check_self_alive``, ``Runtime.check_wait``).  Anything else waits
+        its turn.
         """
         rt = self.runtime
         ls = self._locks[target_rank]
@@ -350,7 +350,8 @@ class Win:
                 rt.failed is not None or rt._deadlocked or rt._dead_stall
                 or _tls.proc.dead
             ):
-                rt.wait_for(_granted)
+                rt.check_self_alive()
+                rt.check_wait(_tls.proc)
             ls.mode = mode
             ls.holders.add(origin)
             return None
@@ -1250,11 +1251,6 @@ class _GetRequest(_DoneRequest):
 def _check_lock_mode(mode: str) -> None:
     if mode not in (LOCK_SHARED, LOCK_EXCLUSIVE):
         raise ArgumentError(f"unknown lock mode {mode!r}")
-
-
-def _granted() -> bool:
-    """The wait predicate of a free lock (see ``Win._acquire``)."""
-    return True
 
 
 def _accumulate_into(

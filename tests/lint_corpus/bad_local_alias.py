@@ -8,3 +8,13 @@ def body(comm):
     win.lock(1)
     win.put(mine, 1)  # expect: local-alias
     win.unlock(1)
+
+
+def allocated(comm):
+    # Win.allocate's second value is the window's own memory
+    win, mem = Win.allocate(comm, 64)
+    comm.barrier()
+    win.lock(1)
+    win.put(mem[:8], 1)  # expect: local-alias
+    win.unlock(1)
+    win.free()

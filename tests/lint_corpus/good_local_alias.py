@@ -8,3 +8,13 @@ def body(comm):
     win.lock(1)
     win.put(staged, 1)
     win.unlock(1)
+
+
+def allocated(comm):
+    win, mem = Win.allocate(comm, 64)
+    comm.barrier()
+    staged = mem[:8].copy()  # private staging copy
+    win.lock(1)
+    win.put(staged, 1)
+    win.unlock(1)
+    win.free()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from repro.armci import (
     SWAP,
     SWAP_LONG,
     Armci,
+    MutexSet,
 )
+from repro.mpi import Comm, Win
 from repro.mpi.errors import ArgumentError
 
 from conftest import spmd
@@ -286,3 +290,48 @@ def test_holder_record_is_current_on_every_rank(backend, request):
         "after_release": None, "slab": (16, True),
     }
     assert r2 == {"slab": (16, True)}  # 2 mutexes x 3 ranks -> 6, padded to 8, + 2 x 4
+
+
+@pytest.mark.parametrize(
+    "datapath, windows, mutex_sets, dups", [("mpi3", 1, 0, 0), ("mpi2", 2, 1, 1)]
+)
+def test_malloc_builds_the_rmw_mutex_only_on_mpi2(
+    monkeypatch, datapath, windows, mutex_sets, dups
+):
+    """§VIII-B: on mpi3 ``Armci.rmw`` is one ``fetch_and_op``, so a malloc
+    is one window; only mpi2's mutex-based RMW needs the §V-D mutex (a
+    derived communicator and a second window)."""
+    made = {"win": 0, "mutex_set": 0, "dup": 0}
+    lock = threading.Lock()  # the ranks are threads
+
+    def counting(key, fn):
+        def wrapper(*args, **kw):
+            with lock:
+                made[key] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(Win, "allocate", classmethod(counting("win", Win.allocate.__func__)))
+    monkeypatch.setattr(
+        MutexSet, "create", classmethod(counting("mutex_set", MutexSet.create.__func__))
+    )
+    monkeypatch.setattr(Comm, "dup", counting("dup", Comm.dup))
+
+    def main(comm):
+        a = Armci.init(comm, datapath=datapath)
+        comm.barrier()
+        if comm.rank == 0:
+            made.update(win=0, mutex_set=0, dup=0)
+        comm.barrier()
+        ptrs = a.malloc(64)
+        comm.barrier()
+        seen = (dict(made), len(a._gmr_mutexes))
+        a.free(ptrs[a.my_id])
+        return seen
+
+    nproc = 2
+    for counts, held in spmd(nproc, main):
+        assert counts == {
+            "win": windows * nproc, "mutex_set": mutex_sets * nproc, "dup": dups * nproc
+        }
+        assert held == mutex_sets

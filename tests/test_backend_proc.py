@@ -1322,6 +1322,160 @@ def test_back_to_back_jobs_leak_no_descriptor_or_lock_directory(monkeypatch):
     assert not [d for d in made if os.path.exists(d)]
 
 
+def _affinity_body(comm, getaffinity):
+    return sorted(getaffinity(0))
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+def test_ranks_are_bound_to_a_cpu_each_where_there_are_enough():
+    usable = sorted(os.sched_getaffinity(0))
+    out = proc_spmd(2, _affinity_body, os.sched_getaffinity)
+    assert out == [[usable[0]], [usable[1]]]
+
+
+def test_ranks_are_left_unbound_with_more_ranks_than_cpus(monkeypatch):
+    real = os.sched_getaffinity
+    usable = sorted(real(0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {usable[0]})
+    assert proc_spmd(2, _affinity_body, real) == [usable, usable]
+
+
+def _long_recv_body(comm, wait_s):
+    """Rank 1 waits in ``recv`` for ``wait_s``, reading its own inbox the
+    while; rank 0 watches rank 1's heartbeat lease meanwhile."""
+    backend = comm._backend
+    comm.barrier()  # both leases stamped
+    if comm.rank == 1:
+        t0 = time.monotonic()
+        comm.recv(source=0, tag=1)
+        return time.monotonic() - t0
+    stalest, suspected = 0.0, False
+    end = time.monotonic() + wait_s
+    while time.monotonic() < end:
+        stalest = max(stalest, (time.monotonic_ns() - int(backend.hb_view[1, 1])) / 1e9)
+        suspected = suspected or 1 in backend._suspect
+        time.sleep(0.005)
+    comm.send("late", 1, tag=1)
+    return stalest, suspected
+
+
+def test_a_rank_waiting_in_recv_past_suspect_after_is_never_suspected():
+    """The rank's own thread reads its inbox while it waits; its pump keeps
+    the heartbeat lease fresh through a wait five times ``suspect_after``."""
+    rt = Runtime(2, backend="proc", heartbeat_s=0.02, suspect_after=0.2)
+    (stalest, suspected), waited = rt.spmd(_long_recv_body, 1.0, join_timeout=60.0)
+    assert waited > 0.9  # rank 0 started its watch first
+    assert not suspected
+    assert stalest < rt.suspect_after, stalest
+
+
+# ---------------------------------------------------------------------------
+# what an ARMCI set-up costs in collective rounds, and the §V-D RMW mutex
+# ---------------------------------------------------------------------------
+
+
+def _counted_setup_body(comm, datapath):
+    """One set-up cycle of the e2e benchmark's GA workloads (init, one
+    array, a barrier), counting this rank's collective rounds by kind and
+    the windows it creates."""
+    from repro.mpi import proc_child, proc_comm
+
+    kinds, windows = [], []
+    run, win_create = proc_comm._ProcCollEngine.run, proc_child._ProcChildBackend.win_create
+
+    def counted_run(self, rank, kind, contribution, compute):
+        kinds.append(kind)
+        return run(self, rank, kind, contribution, compute)
+
+    def counted_win_create(self, *args, **kw):
+        windows.append(args[0].context_id)
+        return win_create(self, *args, **kw)
+
+    # this rank's process only
+    proc_comm._ProcCollEngine.run = counted_run
+    proc_child._ProcChildBackend.win_create = counted_win_create
+    armci = Armci.init(comm, datapath=datapath)
+    ga = GlobalArray.create(armci, (8, 8), "f8")
+    armci.barrier()
+    counts = (list(kinds), len(windows), len(armci._gmr_mutexes))
+    ga.destroy()
+    armci.finalize()
+    return counts
+
+
+@pytest.mark.parametrize(
+    "datapath, rounds, windows, mutexes",
+    [
+        ("mpi3", ["comm_dup", "armci_init", "allgather", "armci_malloc", "barrier"], 1, 0),
+        (
+            "mpi2",
+            ["comm_dup", "armci_init", "allgather", "comm_dup", "allgather",
+             "armci_malloc", "barrier"],
+            2,
+            1,
+        ),
+    ],
+)
+def test_a_setup_cycle_builds_the_rmw_mutex_only_on_mpi2(datapath, rounds, windows, mutexes):
+    """An mpi3 ``Armci.malloc`` is one window (§VIII-B: RMW is a
+    ``fetch_and_op``); mpi2 adds the §V-D mutex, a derived communicator
+    and a second window, two collective rounds more."""
+    for counts in proc_spmd(2, _counted_setup_body, datapath):
+        assert counts == (rounds, windows, mutexes)
+
+
+def _rmw_draws_body(comm, datapath, draws):
+    from repro.armci import FETCH_AND_ADD_LONG
+
+    armci = Armci.init(comm, datapath=datapath)
+    ptrs = armci.malloc(8)
+    armci.barrier()
+    got = [armci.rmw(FETCH_AND_ADD_LONG, ptrs[0], 1) for _ in range(draws)]
+    armci.barrier()
+    armci.free(ptrs[armci.my_id])
+    armci.finalize()
+    return got
+
+
+@pytest.mark.parametrize("datapath", ["mpi2", "mpi3"])
+def test_rmw_hands_out_every_value_once_on_both_datapaths(datapath):
+    got = proc_spmd(2, _rmw_draws_body, datapath, 50)
+    assert sorted(got[0] + got[1]) == list(range(100))
+
+
+def _rmw_past_a_kill_body(comm, victim, draws):
+    """Every rank draws from rank 0's counter; ``victim`` then dies, the
+    survivors learn of it at a barrier, acknowledge, and draw again over
+    the §V-D mutex the victim no longer takes part in."""
+    from repro.armci import FETCH_AND_ADD_LONG
+
+    armci = Armci.init(comm)  # mpi2: the mutex-based RMW
+    ptrs = armci.malloc(8)
+    armci.barrier()
+    before = [armci.rmw(FETCH_AND_ADD_LONG, ptrs[0], 1) for _ in range(draws)]
+    armci.barrier()
+    if comm.rank == victim:
+        os.kill(os.getpid(), signal.SIGKILL)
+    with pytest.raises(RankFailedError):
+        comm.barrier()
+    comm.failure_ack()
+    after = [armci.rmw(FETCH_AND_ADD_LONG, ptrs[0], 1) for _ in range(draws)]
+    return before, after
+
+
+def test_mpi2_rmw_stays_exactly_once_past_a_rank_kill():
+    draws, victim = 5, 2
+    out = proc_spmd(NPROC, _rmw_past_a_kill_body, victim, draws)
+    assert out[victim] is None
+    survivors = [r for r in out if r is not None]
+    before = sorted(v for b, _ in survivors for v in b)
+    after = sorted(v for _, a in survivors for v in a)
+    # the victim's draws are lost with it; nobody else's collide
+    assert len(set(before)) == len(before) and set(before) <= set(range(NPROC * draws))
+    first = NPROC * draws
+    assert after == list(range(first, first + len(survivors) * draws))
+
+
 # ---------------------------------------------------------------------------
 # fork/spawn safety of runtime globals
 # ---------------------------------------------------------------------------
@@ -1562,6 +1716,34 @@ def test_proc_recovered_run_returns_none_for_dead_ranks():
 
     out = proc_spmd(NPROC, body)
     assert out == [0, 1, 2, None]
+
+
+def _kill_self_body(comm):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_proc_run_where_every_rank_dies_raises_for_the_lowest():
+    """A recovered run needs at least one survivor's result: with every
+    rank dead there is none, and spmd names the lowest dead rank."""
+    with pytest.raises(RankFailedError, match=r"rank 0 process died .*exit code -9"):
+        Runtime(2, backend="proc").spmd(_kill_self_body, join_timeout=60.0)
+
+
+def _sleep_body(comm, seconds):
+    time.sleep(seconds)
+    return comm.rank
+
+
+def test_proc_fault_plan_that_kills_every_rank_raises():
+    from repro.faults import FaultInjector, FaultPlan
+
+    rt = Runtime(2, backend="proc")
+    rt.faults = FaultInjector(
+        FaultPlan(seed=0).kill(0, after_s=0.2).kill(1, after_s=0.2)
+    )
+    with pytest.raises(RankFailedError, match=r"rank 0 process died .*exit code -9"):
+        rt.spmd(_sleep_body, 10.0, join_timeout=60.0)
+    assert sorted(r for k, r, _t in rt.faults.events if k == "kill") == [0, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -424,22 +424,23 @@ def test_mpi3_check_both_floors_and_regression():
     assert verdict == "FAIL" and len(failures) == 2
 
 
-def _procs_results(scaling, acc_ratio=1.1, disjoint_ratio=1.2):
+def _procs_results(scaling, acc_ratio=1.1, disjoint_ratio=1.2, p2p_ratio=2.5):
     return {
         "scaling_1_to_4": scaling,
         "contended_acc_np2": {"mean_over_median": acc_ratio},
         "disjoint_acc_np2": {"together_over_alone": disjoint_ratio},
+        "p2p_pingpong_np2": {"two_cpus": {"p2p_over_raw": p2p_ratio}},
     }
 
 
 def test_procs_check_scaling_floor_and_skip():
-    assert _verdicts("procs", _procs_results(2.0)) == [("ok", [])] * 3
-    (verdict, failures), _acc, _disjoint = _verdicts("procs", _procs_results(1.99))
+    assert _verdicts("procs", _procs_results(2.0)) == [("ok", [])] * 4
+    (verdict, failures), _acc, _disjoint, _p2p = _verdicts("procs", _procs_results(1.99))
     assert verdict == "FAIL" and "floor 2.0x" in failures[0]
     # the same bad ratio on a host that cannot scale is skipped, not ok
     assert _verdicts("procs", _procs_results(0.93), cpus=1) == [
         ("skipped(cpu_count=1<4)", []), ("skipped(cpu_count=1<2)", []),
-        ("skipped(cpu_count=1<2)", []),
+        ("skipped(cpu_count=1<2)", []), ("skipped(cpu_count=1<2)", []),
     ]
     assert _verdicts("procs", _procs_results(0.93), cpus=4)[0][0] == "FAIL"
 
@@ -448,9 +449,9 @@ def test_procs_contended_accumulate_check_fires_on_two_cpus():
     """The wall-clock check a 2-CPU host can enforce: ok or FAIL there,
     while the 1->4 scaling floor beside it stays skipped."""
     assert _verdicts("procs", _procs_results(1.8, 1.4), cpus=2) == [
-        ("skipped(cpu_count=2<4)", []), ("ok", []), ("ok", []),
+        ("skipped(cpu_count=2<4)", []), ("ok", []), ("ok", []), ("ok", []),
     ]
-    _scaling, (verdict, failures), _disjoint = _verdicts(
+    _scaling, (verdict, failures), _disjoint, _p2p = _verdicts(
         "procs", _procs_results(1.8, 1.84), cpus=2
     )
     assert verdict == "FAIL" and "1.84 (ceiling 1.4)" in failures[0]
@@ -460,10 +461,18 @@ def test_procs_disjoint_accumulate_check_fires_on_two_cpus():
     """Disjoint footprints that took turns (about 2x the uncontended op)
     fail on a 2-CPU host; ones that overlap pass."""
     assert _verdicts("procs", _procs_results(1.8, disjoint_ratio=1.5), cpus=2)[2] == ("ok", [])
-    *_, (verdict, failures) = _verdicts(
+    *_, (verdict, failures), _p2p = _verdicts(
         "procs", _procs_results(1.8, disjoint_ratio=1.97), cpus=2
     )
     assert verdict == "FAIL" and "1.97x the uncontended op's (ceiling 1.5x)" in failures[0]
+
+
+def test_procs_p2p_pingpong_check_fires_on_two_cpus():
+    """A message that costs more than 3 raw pipe + pickle messages (the
+    pump-hop design read 5x on two CPUs) fails on a 2-CPU host."""
+    assert _verdicts("procs", _procs_results(1.8, p2p_ratio=3.0), cpus=2)[3] == ("ok", [])
+    *_, (verdict, failures) = _verdicts("procs", _procs_results(1.8, p2p_ratio=4.9), cpus=2)
+    assert verdict == "FAIL" and "4.90x a raw pipe + pickle ping-pong's (ceiling 3.0x)" in failures[0]
 
 
 def _proc_recover_results(value_correct=True, worst=0.2):

@@ -215,7 +215,7 @@ def _local_alias_violation(comm):
     comm.barrier()
     if comm.rank == 0:
         win.lock(1)
-        win.put(local[:8], 1)  # origin IS this window's exposed memory
+        win.put(local[:8], 1)  # origin IS this window's exposed memory  # repro: lint-ignore[local-alias]
 
 
 def _local_alias_clean(comm):
@@ -476,7 +476,7 @@ def _request_violation(comm):
 
 def _request_clean(comm):
     win, local = Win.allocate(comm, 64, mpi3=True)
-    local[:] = comm.rank
+    local[:] = comm.rank  # repro: lint-ignore[local-load-store]
     comm.barrier()
     if comm.rank == 0:
         out = np.zeros(8, dtype=np.uint8)
@@ -519,7 +519,7 @@ def _flush_all_violation(comm):
 
 def _lock_all_cycle_clean(comm):
     win, local = Win.allocate(comm, 64, mpi3=True)
-    local[:] = comm.rank
+    local[:] = comm.rank  # repro: lint-ignore[local-load-store]
     comm.barrier()
     out = np.zeros(8, dtype=np.uint8)
     win.lock_all()
@@ -784,7 +784,7 @@ def _local_alias_relaxed(comm):
     comm.barrier()
     if comm.rank == 0:
         win.lock(1)
-        win.put(local[:8], 1)
+        win.put(local[:8], 1)  # repro: lint-ignore[local-alias]
         win.unlock(1)
     comm.barrier()
 
