@@ -45,9 +45,11 @@ lint:
 #     to 4 ranks (wall-clock floor: skipped on hosts too small to scale),
 #     two ranks accumulating into one slab must keep mean/median op
 #     time <= 1.4 (lock waits cost what the holder holds; needs 2 CPUs),
-#     and two ranks accumulating into disjoint column bands of one
-#     target must keep the median slowest-rank per-op time together /
-#     alone <= 1.5 (disjoint footprints overlap; needs 2 CPUs).
+#     two ranks accumulating into disjoint column bands of one target
+#     must keep the median run time over the same run less its
+#     reservation waits <= 1.5 (disjoint footprints overlap; needs 2
+#     CPUs), and the rank waiting in a send/recv ping-pong must read
+#     >= 90% of its messages itself (ranks on two CPUs).
 #   proc-recover-smoke: SIGKILL a rank mid-collective; survivors must
 #     finish a value-correct checkpoint restore on the shrunken grid and
 #     (wall-clock floor) detect the death inside the latency budget.

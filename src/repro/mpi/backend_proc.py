@@ -96,12 +96,14 @@ class ProcBackend(RuntimeBackend):
         hb_seg = shared_memory.SharedMemory(
             name=_hb_segment_name(run_id), create=True, size=max(16 * nproc, 16)
         )
-        # one CPU per rank where there are enough (an MPI launcher's
-        # binding to cores): left to itself the scheduler runs a rank
-        # woken by a peer's message on the peer's CPU, and two ranks then
-        # share one CPU while the other idles
+        # one CPU per rank when the ranks fill the usable CPUs exactly (an
+        # MPI launcher's binding to cores): left to itself the scheduler
+        # runs a rank woken by a peer's message on the peer's CPU, and two
+        # ranks then share one CPU while the other idles.  With CPUs to
+        # spare nothing is bound: a bound rank's BLAS threads would share
+        # its one CPU, and concurrent runs would all pile onto the first
         usable = sorted(os.sched_getaffinity(0))
-        cpus = usable[:nproc] if nproc <= len(usable) else [None] * nproc
+        cpus = usable if nproc == len(usable) else [None] * nproc
         cfg = (
             runtime.nproc,
             runtime.watchdog_s,

@@ -117,12 +117,7 @@ class Comm:
         self.runtime.fuzz_point("p2p:send")
         dst_world = self.group.world_rank(dest)
         nbytes = payload.nbytes if isinstance(payload, np.ndarray) else 0
-        if self.runtime.hosts(dst_world):
-            with self.runtime.giant_lock:
-                self._p2p.post_send(current_proc().rank, dst_world, tag, payload)
-        else:
-            # a write to another process's inbox, which the giant lock
-            # would only be let go around
+        with self.runtime.giant_lock:
             self._p2p.post_send(current_proc().rank, dst_world, tag, payload)
         self._charge_p2p(nbytes, "p2p:send")
 

@@ -123,9 +123,11 @@ class Inbox:
     """The read side of one pipe; blocks only in :meth:`wait`.
 
     Only the holder of :attr:`reading` calls :meth:`read`, so no frame is
-    split between two readers.  With ``wakeable``, :meth:`wake` cuts short
-    a ``wait(..., wakeable=True)`` from another thread (a byte on a pipe of
-    its own, which the wait drains).
+    split between two readers; a holder that lets go through
+    :meth:`let_go` wakes a thread in :meth:`wait_let_go`.  With
+    ``wakeable``, :meth:`wake` cuts short a ``wait(..., wakeable=True)``
+    from another thread (a byte on a pipe of its own, which the wait
+    drains).
     """
 
     def __init__(self, fd: int, wakeable: bool = False):
@@ -134,6 +136,9 @@ class Inbox:
         self.eof = False
         #: held by the one thread that reads this pipe right now
         self.reading = threading.Lock()
+        #: the held lock a thread in :meth:`wait_let_go` blocks on, which
+        #: :meth:`let_go` releases
+        self._bell: "threading.Lock | None" = None
         self._poller = select.poll()
         self._poller.register(fd, select.POLLIN)
         self._wake_r = self._wake_w = -1
@@ -163,6 +168,33 @@ class Inbox:
                 except BlockingIOError:
                     pass
         return bool(ready)
+
+    def let_go(self) -> None:
+        """Release :attr:`reading` and wake a thread in :meth:`wait_let_go`
+        (with nobody there, one attribute read)."""
+        self.reading.release()
+        bell = self._bell
+        if bell is not None:
+            try:
+                bell.release()
+            except RuntimeError:  # rung already
+                pass
+
+    def wait_let_go(self, grace_s: float, timeout_s: float) -> None:
+        """While another thread holds :attr:`reading`: sleep ``grace_s``,
+        then, if that thread held it all along (it did not :meth:`let_go`
+        meanwhile), wait up to ``timeout_s`` more for it to let go.  A
+        let-go during the grace wakes nobody."""
+        bell = threading.Lock()
+        bell.acquire()
+        self._bell = bell  # before the test: a let-go after it rings
+        try:
+            if self.reading.locked():
+                time.sleep(grace_s)
+                if not bell.acquire(blocking=False):
+                    bell.acquire(timeout=timeout_s)
+        finally:
+            self._bell = None
 
     def wake(self) -> None:
         """End the current or the next wakeable :meth:`wait` (any thread)."""

@@ -106,10 +106,11 @@ def _pid_alive(pid: int) -> bool:
         return True
 
 
-#: how soon the pump takes the inbox back once the rank's own thread
-#: stops reading it: the longest a message that arrives while the rank
-#: computes waits to be applied
-_RECHECK_S = 1e-3
+#: how long the pump leaves the inbox to the rank's own thread before it
+#: looks again (or, if the thread held it all along, sleeps until it lets
+#: go): the longest a message that arrives right after a wait, while the
+#: rank computes, waits to be applied
+_GRACE_S = 1e-3
 
 
 def _pump(backend: "_ProcChildBackend", runtime: "Runtime", stop) -> None:
@@ -117,7 +118,8 @@ def _pump(backend: "_ProcChildBackend", runtime: "Runtime", stop) -> None:
 
     Each loop iteration either finds the inbox taken by the rank's own
     thread, which reads it while it waits (:meth:`_ProcChildBackend.idle`),
-    and looks again :data:`_RECHECK_S` later, or waits on the pipe for at
+    and leaves it to that thread for :data:`_GRACE_S` (through one long
+    wait, until it lets go or a tick passes), or waits on the pipe for at
     most a tick and routes the p2p/control/fault-tolerance messages that
     arrived; it then re-stamps this rank's heartbeat lease and scans the
     peers' leases — the pump is the per-rank progress/liveness thread the
@@ -127,7 +129,10 @@ def _pump(backend: "_ProcChildBackend", runtime: "Runtime", stop) -> None:
     inbox = backend.inbox
     while not stop.is_set():
         if inbox.reading.locked():
-            stop.wait(min(backend._tick, _RECHECK_S))
+            # the rank's own thread reads it while it waits, and a rank
+            # that waited once often waits again at once: look again after
+            # a grace, or, through one longer wait, once it lets go
+            inbox.wait_let_go(_GRACE_S, backend._tick)
         elif inbox.wait(backend._tick):
             # apply every arrived message before the liveness scan so
             # ordered control traffic (rank_done) lands before a probe
@@ -265,7 +270,7 @@ class _ProcChildBackend(RuntimeBackend):
                         runtime.wake_reader = None
                     self.apply(runtime, msgs)
                 finally:
-                    inbox.reading.release()
+                    inbox.let_go()
                 if got:
                     return True
             timeout = deadline - time.monotonic()
@@ -338,7 +343,7 @@ class _ProcChildBackend(RuntimeBackend):
         try:
             self.apply(runtime, self.read_inbox(runtime))
         finally:
-            inbox.reading.release()
+            inbox.let_go()
 
     def _give_up_send(self, dst: int, since: float) -> None:
         rt = self.runtime

@@ -23,6 +23,7 @@ from __future__ import annotations
 import fcntl
 import os
 import struct
+import time
 import weakref
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any
@@ -125,7 +126,9 @@ class _Reservation:
     every atomic op there (a rank process runs one op at a time, and none
     nests), with the slot of the op it guards."""
 
-    __slots__ = ("win", "target_rank", "akey", "bkey", "buf", "mine", "peers", "slot", "fd")
+    __slots__ = (
+        "win", "target_rank", "akey", "bkey", "buf", "mine", "peers", "slot", "fd", "waited_s"
+    )
 
     def __init__(
         self, win: "ProcWin", target_rank: int, buf: memoryview, table: int, nranks: int
@@ -139,16 +142,21 @@ class _Reservation:
         self.peers = [(r, table + r * size) for r in range(nranks) if r != me]
         self.slot: "tuple | None" = None
         self.fd: "int | None" = None
+        #: wall seconds spent waiting after a refused first attempt
+        self.waited_s = 0.0
 
     def __enter__(self) -> None:
         if self.slot is not None:
-            rt = self.win.runtime
-            self.fd = self.attempt() or rt.wait_for(
-                self.attempt,
-                timeout_s=rt.op_timeout_s,
-                what=f"win {self.win.win_id} atomic reservation (target {self.target_rank})",
-                poll=FLOCK_WAIT,
-            )
+            self.fd = self.attempt()
+            if self.fd is None:
+                rt, t0 = self.win.runtime, time.perf_counter()
+                self.fd = rt.wait_for(
+                    self.attempt,
+                    timeout_s=rt.op_timeout_s,
+                    what=f"win {self.win.win_id} atomic reservation (target {self.target_rank})",
+                    poll=FLOCK_WAIT,
+                )
+                self.waited_s += time.perf_counter() - t0
 
     def __exit__(self, *exc) -> None:
         fd, self.fd = self.fd, None
@@ -310,6 +318,13 @@ class ProcWin(Win):
         res = self._reservations[target_rank]
         res.slot = slot
         return res
+
+    @property
+    def reservation_wait_s(self) -> float:
+        """Wall seconds this origin's atomic ops on the window have waited
+        for a reservation held elsewhere (``.atomic`` or an overlapping
+        footprint): what disjoint footprints must not cost each other."""
+        return sum(res.waited_s for res in self._reservations)
 
     def _busy(self, target_rank: int, origin: int) -> bool:
         """Whether ``origin`` holds its busy flock on ``target_rank``: a

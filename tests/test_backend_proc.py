@@ -568,7 +568,8 @@ def _contended_sublock_body(comm, hold_s, rounds, op, target_offset):
     as soon as it sees the round's flag in the window — an accumulate of
     8 x 4 float64 at the row step (``"acc"``), or a ``"fetch_and_op"`` or
     ``"compare_and_swap"`` of one element.  Returns rank 1's (seconds,
-    reservation attempts) per op."""
+    reservation attempts, seconds its window counted as reservation
+    waits) per op."""
     from repro.mpi import datatypes as dt
 
     win, _ = Win.allocate(comm, 64 + 8 * 128, mpi3=True)
@@ -590,14 +591,16 @@ def _contended_sublock_body(comm, hold_s, rounds, op, target_offset):
         for r in range(1, rounds + 1):
             while flags[0] != r:
                 os.sched_yield()
-            t0, n0 = time.perf_counter(), len(probes)
+            t0, n0, waited = time.perf_counter(), len(probes), win.reservation_wait_s
             if op == "acc":
                 win.accumulate(ones, 0, target_offset, target_datatype=cols, flush=True)
             elif op == "fetch_and_op":
                 win.fetch_and_op(1, 0, target_offset, flush=True)
             else:
                 win.compare_and_swap(0, 1, 0, target_offset)
-            out.append((time.perf_counter() - t0, len(probes) - n0))
+            out.append(
+                (time.perf_counter() - t0, len(probes) - n0, win.reservation_wait_s - waited)
+            )
             flags[1] = r
     win.unlock_all()
     comm.barrier()
@@ -631,16 +634,18 @@ def test_contended_flock_wait_costs_what_the_holder_holds():
     from repro.backoff import FLOCK_WAIT
 
     rounds = proc_spmd(2, _contended_sublock_body, 0.0005, 50, "acc", _OVERLAPPING)[1]
-    waits = sorted(w for w, _ in rounds)
+    waits = sorted(w for w, _, _ in rounds)
     assert waits[len(waits) // 2] <= 1.2e-3, waits
     assert _curve_probes(1.2e-3) <= 8  # a wait of about the hold: few probes
-    assert all(n <= _curve_probes(w) for w, n in rounds), rounds
+    assert all(n <= _curve_probes(w) for w, n, _ in rounds), rounds
     # a long hold: after the curve reaches its cap the poll rate is the
     # old flat one, so the extra CPU is bounded by the curve's length
     assert _curve_probes(0.05) <= 0.05 / FLOCK_WAIT.cap + 8
     long_rounds = proc_spmd(2, _contended_sublock_body, 0.05, 3, "acc", _OVERLAPPING)[1]
-    assert all(n <= _curve_probes(w) for w, n in long_rounds), long_rounds
-    assert min(w for w, _ in long_rounds) >= 0.04
+    assert all(n <= _curve_probes(w) for w, n, _ in long_rounds), long_rounds
+    assert min(w for w, _, _ in long_rounds) >= 0.04
+    # the window counts the wait, not the op around it
+    assert all(0.04 <= waited <= w for w, _, waited in long_rounds), long_rounds
 
 
 def test_a_disjoint_accumulate_runs_during_a_held_reservation():
@@ -648,15 +653,15 @@ def test_a_disjoint_accumulate_runs_during_a_held_reservation():
     touch) do not exclude each other: the accumulate is done in one
     attempt, long before the holder lets go of its 0.2 s hold."""
     rounds = proc_spmd(2, _contended_sublock_body, 0.2, 3, "acc", _DISJOINT)[1]
-    assert all(w < 0.05 and n == 1 for w, n in rounds), rounds
+    assert all(w < 0.05 and n == 1 and waited == 0 for w, n, waited in rounds), rounds
 
 
 @pytest.mark.parametrize("op", ["fetch_and_op", "compare_and_swap"])
 def test_an_atomic_waits_only_inside_an_accumulates_footprint(op):
     inside = proc_spmd(2, _contended_sublock_body, 0.2, 2, op, _INSIDE)[1]
-    assert min(w for w, _ in inside) >= 0.15, inside
+    assert min(w for w, _, _ in inside) >= 0.15, inside
     outside = proc_spmd(2, _contended_sublock_body, 0.2, 2, op, _OUTSIDE)[1]
-    assert all(w < 0.05 and n == 1 for w, n in outside), outside
+    assert all(w < 0.05 and n == 1 for w, n, _ in outside), outside
 
 
 #: ranks of the stress test: more than the 2-CPU reference host has cores
@@ -1327,28 +1332,43 @@ def _affinity_body(comm, getaffinity):
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
-def test_ranks_are_bound_to_a_cpu_each_where_there_are_enough():
-    usable = sorted(os.sched_getaffinity(0))
-    out = proc_spmd(2, _affinity_body, os.sched_getaffinity)
+def test_ranks_are_bound_to_a_cpu_each_when_they_fill_the_cpus(monkeypatch):
+    real = os.sched_getaffinity
+    usable = sorted(real(0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(usable[:2]))
+    out = proc_spmd(2, _affinity_body, real)
     assert out == [[usable[0]], [usable[1]]]
 
 
-def test_ranks_are_left_unbound_with_more_ranks_than_cpus(monkeypatch):
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+def test_ranks_are_left_unbound_unless_they_fill_the_cpus(monkeypatch):
     real = os.sched_getaffinity
     usable = sorted(real(0))
+    # more ranks than CPUs
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {usable[0]})
     assert proc_spmd(2, _affinity_body, real) == [usable, usable]
+    # CPUs to spare
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(usable[:2]))
+    assert proc_spmd(1, _affinity_body, real) == [usable]
 
 
 def _long_recv_body(comm, wait_s):
     """Rank 1 waits in ``recv`` for ``wait_s``, reading its own inbox the
-    while; rank 0 watches rank 1's heartbeat lease meanwhile."""
+    while, and counts its pump's loops meanwhile (one heartbeat tick
+    each); rank 0 watches rank 1's heartbeat lease."""
     backend = comm._backend
     comm.barrier()  # both leases stamped
     if comm.rank == 1:
+        loops, tick = [0], backend.heartbeat_tick
+
+        def counted(runtime):
+            loops[0] += 1
+            tick(runtime)
+
+        backend.heartbeat_tick = counted  # the pump looks it up each loop
         t0 = time.monotonic()
         comm.recv(source=0, tag=1)
-        return time.monotonic() - t0
+        return time.monotonic() - t0, loops[0]
     stalest, suspected = 0.0, False
     end = time.monotonic() + wait_s
     while time.monotonic() < end:
@@ -1363,10 +1383,20 @@ def test_a_rank_waiting_in_recv_past_suspect_after_is_never_suspected():
     """The rank's own thread reads its inbox while it waits; its pump keeps
     the heartbeat lease fresh through a wait five times ``suspect_after``."""
     rt = Runtime(2, backend="proc", heartbeat_s=0.02, suspect_after=0.2)
-    (stalest, suspected), waited = rt.spmd(_long_recv_body, 1.0, join_timeout=60.0)
+    (stalest, suspected), (waited, _) = rt.spmd(_long_recv_body, 1.0, join_timeout=60.0)
     assert waited > 0.9  # rank 0 started its watch first
     assert not suspected
     assert stalest < rt.suspect_after, stalest
+
+
+def test_a_long_wait_wakes_the_pump_about_once_per_tick():
+    """Through one long wait the pump sleeps until the rank lets its inbox
+    go, waking once per heartbeat tick (20 ms here: ~50 loops a second),
+    not once per grace (1 ms: ~1000)."""
+    rt = Runtime(2, backend="proc", heartbeat_s=0.02, suspect_after=0.2)
+    _, (waited, loops) = rt.spmd(_long_recv_body, 1.0, join_timeout=60.0)
+    assert waited > 0.9
+    assert loops < 4 * waited / 0.02, (loops, waited)
 
 
 # ---------------------------------------------------------------------------

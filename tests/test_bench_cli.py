@@ -424,12 +424,12 @@ def test_mpi3_check_both_floors_and_regression():
     assert verdict == "FAIL" and len(failures) == 2
 
 
-def _procs_results(scaling, acc_ratio=1.1, disjoint_ratio=1.2, p2p_ratio=2.5):
+def _procs_results(scaling, acc_ratio=1.1, disjoint_ratio=1.2, waiter_share=1.0):
     return {
         "scaling_1_to_4": scaling,
         "contended_acc_np2": {"mean_over_median": acc_ratio},
-        "disjoint_acc_np2": {"together_over_alone": disjoint_ratio},
-        "p2p_pingpong_np2": {"two_cpus": {"p2p_over_raw": p2p_ratio}},
+        "disjoint_acc_np2": {"together_over_unwaited": disjoint_ratio},
+        "p2p_pingpong_np2": {"two_cpus": {"waiter_share": waiter_share}},
     }
 
 
@@ -458,21 +458,21 @@ def test_procs_contended_accumulate_check_fires_on_two_cpus():
 
 
 def test_procs_disjoint_accumulate_check_fires_on_two_cpus():
-    """Disjoint footprints that took turns (about 2x the uncontended op)
-    fail on a 2-CPU host; ones that overlap pass."""
+    """Disjoint footprints that took turns (each run about 2x itself less
+    its reservation waits) fail on a 2-CPU host; ones that overlap pass."""
     assert _verdicts("procs", _procs_results(1.8, disjoint_ratio=1.5), cpus=2)[2] == ("ok", [])
     *_, (verdict, failures), _p2p = _verdicts(
         "procs", _procs_results(1.8, disjoint_ratio=1.97), cpus=2
     )
-    assert verdict == "FAIL" and "1.97x the uncontended op's (ceiling 1.5x)" in failures[0]
+    assert verdict == "FAIL" and "1.97x the same run less its reservation waits (ceiling 1.5x)" in failures[0]
 
 
 def test_procs_p2p_pingpong_check_fires_on_two_cpus():
-    """A message that costs more than 3 raw pipe + pickle messages (the
-    pump-hop design read 5x on two CPUs) fails on a 2-CPU host."""
-    assert _verdicts("procs", _procs_results(1.8, p2p_ratio=3.0), cpus=2)[3] == ("ok", [])
-    *_, (verdict, failures) = _verdicts("procs", _procs_results(1.8, p2p_ratio=4.9), cpus=2)
-    assert verdict == "FAIL" and "4.90x a raw pipe + pickle ping-pong's (ceiling 3.0x)" in failures[0]
+    """Messages the pump hands over to the waiting rank (the pump-hop
+    design: none read by the rank itself) fail on a 2-CPU host."""
+    assert _verdicts("procs", _procs_results(1.8, waiter_share=0.9), cpus=2)[3] == ("ok", [])
+    *_, (verdict, failures) = _verdicts("procs", _procs_results(1.8, waiter_share=0.0), cpus=2)
+    assert verdict == "FAIL" and "read only 0% of the ping-pong's messages" in failures[0]
 
 
 def _proc_recover_results(value_correct=True, worst=0.2):
