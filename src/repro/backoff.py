@@ -4,8 +4,9 @@ Retry-with-backoff used to be re-derived ad hoc wherever it was needed:
 lock acquisition (:meth:`~repro.mpi.runtime.Runtime.backoff`), the
 fault injector's transient-stall budget
 (:meth:`~repro.faults.injector.FaultInjector`), the proc backend's
-suspected-pid probing (:mod:`repro.mpi.proc_child`) and contended-``flock``
-wait (:mod:`repro.mpi.proc_win`), and the traffic harness's request
+suspected-pid probing (:mod:`repro.mpi.proc_child`) and contended
+cross-process lock waits (:mod:`repro.mpi.proc_win`, :mod:`repro.mpi.mailbox`),
+and the traffic harness's request
 retries (:mod:`repro.traffic`).  All of them share
 :class:`BackoffPolicy` — a frozen description of one geometric backoff
 curve ``base * factor**attempt`` with an optional cap and optional
@@ -110,8 +111,9 @@ STALL_STEPS = BackoffPolicy(base=1.0, factor=2.0, cap=None, jitter=1.0)
 #: deterministic schedule: 2 ms base, doubled, capped at 50 ms
 STALL_WAIT = BackoffPolicy(base=0.002, factor=2.0, cap=0.05, jitter=1.0)
 
-#: re-probe intervals of a contended cross-process ``flock`` or atomic
-#: reservation (the ``poll`` of ``Runtime.wait_for`` in ``repro.mpi.proc_win``):
+#: re-probe intervals of a contended cross-process lock or atomic
+#: reservation (the ``poll`` of ``Runtime.wait_for`` in ``repro.mpi.proc_win``,
+#: and an inbox write lock's retries in ``repro.mpi.mailbox``):
 #: the first re-probe comes well inside one scheduler quantum — a holder is
 #: typically done within a copy, tens to hundreds of microseconds — and
 #: seven doublings later the poll rate is the flat 2 ms it always was, so a

@@ -145,7 +145,7 @@ def _stats(xs: "list[float]") -> dict:
 
 def _run_once(heartbeat_s: float) -> dict:
     suspect_after = max(4.0 * heartbeat_s, 0.2)
-    tmp = tempfile.mkdtemp(prefix=f"repro-proc-{os.getpid()}xrecover-")
+    tmp = tempfile.mkdtemp(prefix="repro-recover-")
     marker = os.path.join(tmp, "t_kill")
     try:
         rt = Runtime(

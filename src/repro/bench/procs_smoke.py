@@ -7,8 +7,8 @@ clock can see that.  Each rank ring-puts and ring-gets a slab through
 the ARMCI mpi3 datapath (standing ``lock_all`` epoch + flush) over
 shared-memory windows, for world sizes 1, 2, and 4; the headline metric
 is *aggregate* throughput (total bytes moved by all ranks / slowest
-rank's elapsed time), and the gate is the scaling ratio from 1 to 4
-ranks.
+rank's elapsed time), the median of :data:`THROUGHPUT_RUNS` timed runs
+per world size, and the gate is the scaling ratio from 1 to 4 ranks.
 
 A second row measures what two ranks cost *each other*: both produce
 and accumulate slabs into the same bytes of rank 0's memory, so an
@@ -84,6 +84,10 @@ NPROCS = (1, 2, 4)
 #: window dominates epoch/flush bookkeeping
 SLAB_BYTES = 1 << 20
 
+#: timed runs per world size; a throughput row is their median (a single
+#: ~20 ms run read np1 anywhere from 2.8k to 6.1k MB/s on unchanged code)
+THROUGHPUT_RUNS = 5
+
 #: local work between two accumulates of the contended row (multiply +
 #: add passes over a slab)
 PRODUCE_PASSES = 6
@@ -111,8 +115,9 @@ PINGPONG_ROUNDS = 200
 MIN_WAITER_SHARE = 0.9
 
 
-def _rank_body(comm, nbytes: int, nreps: int) -> float:
-    """Ring put+get workload; returns this rank's elapsed wall seconds."""
+def _rank_body(comm, nbytes: int, nreps: int, runs: int = 1) -> "list[float]":
+    """Ring put+get workload, ``runs`` times; returns this rank's elapsed
+    wall seconds per run."""
     from ..armci import Armci
 
     armci = Armci.init(comm, datapath="mpi3")
@@ -121,13 +126,15 @@ def _rank_body(comm, nbytes: int, nreps: int) -> float:
     right = (me + 1) % armci.nproc
     src = np.arange(nbytes, dtype=np.uint8)
     dst = np.empty(nbytes, dtype=np.uint8)
-    armci.barrier()
-    t0 = time.perf_counter()
-    for _ in range(nreps):
-        armci.put(src, ptrs[right], nbytes=nbytes)
-        armci.fence(right)
-        armci.get(ptrs[right], dst, nbytes=nbytes)
-    elapsed = time.perf_counter() - t0
+    elapsed = []
+    for _ in range(runs):
+        armci.barrier()
+        t0 = time.perf_counter()
+        for _ in range(nreps):
+            armci.put(src, ptrs[right], nbytes=nbytes)
+            armci.fence(right)
+            armci.get(ptrs[right], dst, nbytes=nbytes)
+        elapsed.append(time.perf_counter() - t0)
     armci.barrier()
     armci.free(ptrs[me])
     armci.finalize()
@@ -142,7 +149,7 @@ def _contended_acc_body(comm, nbytes: int, nreps: int) -> "list[float]":
     stand-in for the DGEMM tile an NWChem-style accumulate carries, ~4x
     the accumulate itself), so the peer's reservation is free most of the
     time and an operation that meets it held waits for one holder.  Back-to-back
-    accumulates would measure something else: ``flock`` polling is not
+    accumulates would measure something else: lock polling is not
     a fair queue, a saturated lock goes to whoever released it last, and
     mean/median reads ~2 however short a single wait is.
     """
@@ -210,7 +217,7 @@ def _disjoint_acc_row(phases: int, nreps: int) -> dict:
     before it (recorded); medians over phases.  The larger, because ops
     that took turns could show as one rank done early and the other
     waiting through the peer's run, which a median over both ranks can
-    miss — a flock is not a fair queue."""
+    miss — a polled lock is not a fair queue."""
     ranks = Runtime(2, backend="proc").spmd(
         _disjoint_acc_body, phases, nreps, join_timeout=300.0
     )
@@ -339,12 +346,16 @@ def measure(fast: bool = False) -> dict:
     results: dict = {}
     for nproc in NPROCS:
         rt = Runtime(nproc, backend="proc")
-        elapsed = rt.spmd(_rank_body, SLAB_BYTES, nreps, join_timeout=300.0)
-        slowest = max(elapsed)
+        per_rank = rt.spmd(
+            _rank_body, SLAB_BYTES, nreps, THROUGHPUT_RUNS, join_timeout=300.0
+        )
+        # each run's slowest rank, then the median run
+        slowest = float(np.median([max(run) for run in zip(*per_rank)]))
         moved = nproc * nreps * SLAB_BYTES * 2  # one put + one get per rep
         results[f"np{nproc}"] = {
             "aggregate_MB_per_s": moved / slowest / 1e6,
             "slowest_rank_s": slowest,
+            "runs": THROUGHPUT_RUNS,
         }
     first, last = f"np{NPROCS[0]}", f"np{NPROCS[-1]}"
     results["scaling_1_to_4"] = (
@@ -377,7 +388,8 @@ def _contended_acc_round(nreps: int) -> dict:
 
 def format_results(results: dict) -> str:
     table = format_table(
-        "proc-backend put/get throughput (wall clock, shared-memory windows)",
+        "proc-backend put/get throughput (wall clock, shared-memory windows; "
+        f"median of {THROUGHPUT_RUNS} runs)",
         ["ranks", "aggregate MB/s", "slowest rank s"],
         [
             [n, f"{results[f'np{n}']['aggregate_MB_per_s']:.1f}",

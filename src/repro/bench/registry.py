@@ -31,7 +31,6 @@ import multiprocessing
 import os
 import pathlib
 import platform
-import tempfile
 import traceback
 from dataclasses import dataclass
 from typing import Callable
@@ -208,14 +207,12 @@ def load_baseline(bench: Bench, path: "str | os.PathLike | None" = None) -> dict
 
 def _leftovers() -> "set[str]":
     """What a finished proc-backend run of this process must not leave
-    behind: the segments and lock directories named after its runs
-    (``repro-<pid>x<n>-…``, ``repro-proc-<pid>x…``) and its children —
-    never another process's, which may be running beside it."""
-    tmp = tempfile.gettempdir()
+    behind: the segments named after its runs (``repro-<pid>x<n>-…``; a
+    run's locks live in them, so it makes no other file) and its
+    children — never another process's, which may be running beside it."""
     mine = f"{os.getpid()}x"
     return {
         *glob.glob(f"/dev/shm/repro-{mine}*"),
-        *glob.glob(os.path.join(tmp, f"repro-proc-{mine}*")),
         *(f"child process {p.pid}" for p in multiprocessing.active_children()),
     }
 

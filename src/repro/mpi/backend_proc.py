@@ -8,12 +8,15 @@ and puts/gets are true cross-process memory traffic.  A rank process's
 parts are :mod:`~repro.mpi.proc_child`, :mod:`~repro.mpi.proc_comm` and
 :mod:`~repro.mpi.proc_win`; this module launches and monitors them.
 
-* **Parent** (:class:`ProcBackend`): creates one inbox pipe per rank and
-  a result pipe (:mod:`repro.mpi.mailbox`), forks the children, then
-  runs a monitor loop — collecting per-rank results, broadcasting a
-  ``rank_dead`` control message when a child exits abnormally (so
-  survivors raise :class:`~repro.mpi.runtime.RankFailedError`, the
-  cross-process analogue of ``mark_dead``), delivering an installed
+* **Parent** (:class:`ProcBackend`): creates one inbox pipe per rank, a
+  result pipe (:mod:`repro.mpi.mailbox`) and the run's shared-memory
+  segment (the heartbeat leases; its byte ``i`` is also pipe ``i``'s
+  write lock, so a run makes no file outside ``/dev/shm``), forks the
+  children, then runs a monitor loop — collecting per-rank results,
+  broadcasting a ``rank_dead`` control message when a child exits
+  abnormally (so survivors raise
+  :class:`~repro.mpi.runtime.RankFailedError`, the cross-process
+  analogue of ``mark_dead``), delivering an installed
   fault plan's ``after_s`` kills and stalls as real ``SIGKILL`` /
   ``SIGSTOP``+``SIGCONT`` (``repro.faults.proc``), and enforcing
   ``join_timeout`` as the deadlock backstop (the thread watchdog cannot
@@ -37,8 +40,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import shutil
-import tempfile
 import threading
 import time
 import traceback
@@ -50,7 +51,7 @@ from . import mailbox
 from .backend import RuntimeBackend
 from .comm import Comm
 from .errors import CommRevokedError, InternalError, ProgressDeadlockError, TargetFailedError
-from .proc_child import _hb_segment_name, _ProcChildBackend, _pump
+from .proc_child import _attach_untracked, _hb_segment_name, _ProcChildBackend, _pump
 from .proc_comm import _THREAD_ONLY, ProcComm
 from .proc_win import ProcWin
 from .runtime import RankFailedError, Runtime, _tls
@@ -82,17 +83,17 @@ class ProcBackend(RuntimeBackend):
             faults.begin_run(runtime)
         nproc = runtime.nproc
         ctx = get_context("fork")
+        # names this run's segments, so a leak check can tell this
+        # process's leftovers from a concurrent run's
         run_id = f"{os.getpid()}x{next(self._run_counter)}"
-        # named after the run, as its segments are, so a leak check can
-        # tell this process's leftovers from a concurrent run's
-        lockdir = tempfile.mkdtemp(prefix=f"repro-proc-{run_id}-")
         # one inbox pipe per rank, then the result channel to this process
         pipes = [os.pipe2(os.O_NONBLOCK | os.O_CLOEXEC) for _ in range(nproc + 1)]
         ends = {fd for pair in pipes for fd in pair}
-        outbox = signals = None
-        # per-rank heartbeat leases: nproc slots of (pid, monotonic_ns),
-        # created zeroed here so every child can attach before its peers
-        # have written anything
+        locks = signals = None
+        # the run's segment: per-rank heartbeat leases, nproc slots of
+        # (pid, monotonic_ns), created zeroed here so every child can
+        # attach before its peers have written anything; its byte i is
+        # also pipe i's write lock (mailbox.Outbox)
         hb_seg = shared_memory.SharedMemory(
             name=_hb_segment_name(run_id), create=True, size=max(16 * nproc, 16)
         )
@@ -116,7 +117,7 @@ class ProcBackend(RuntimeBackend):
         children = [
             ctx.Process(
                 target=_child_main,
-                args=(r, cfg, fn, args, pipes, lockdir, run_id, cpus[r]),
+                args=(r, cfg, fn, args, pipes, run_id, cpus[r]),
                 name=f"rank-{r}",
                 daemon=True,
             )
@@ -130,7 +131,10 @@ class ProcBackend(RuntimeBackend):
             for fd in [r for r, _ in pipes[:nproc]] + [pipes[nproc][1]]:
                 os.close(fd)
                 ends.discard(fd)
-            outbox = mailbox.Outbox([w for _, w in pipes[:nproc]], lockdir)
+            # locked through an attachment of its own: every child shares
+            # the creating descriptor's locks, inherited over the fork
+            locks = _attach_untracked(hb_seg.name)
+            outbox = mailbox.Outbox([w for _, w in pipes[:nproc]], locks._fd)
             if faults is not None and not faults.plan.empty:
                 signals = ProcSignals(faults.plan, faults.events, children)
             results, errors, died = self._monitor(
@@ -155,11 +159,10 @@ class ProcBackend(RuntimeBackend):
                 if p.is_alive():  # ignored SIGTERM (wedged/stopped): escalate
                     p.kill()
                     p.join(timeout=join_grace)
-            if outbox is not None:
-                outbox.close()
+            if locks is not None:
+                locks.close()
             for fd in ends:
                 os.close(fd)
-            shutil.rmtree(lockdir, ignore_errors=True)
             try:
                 hb_seg.close()
                 # re-register before unlink (idempotent) in case the
@@ -303,7 +306,6 @@ def _child_main(
     fn: Callable[..., Any],
     args: tuple,
     pipes: list[tuple[int, int]],
-    lockdir: str,
     run_id: str,
     cpu: "int | None",
 ) -> None:
@@ -318,8 +320,11 @@ def _child_main(
     for i, (r, _) in enumerate(pipes):
         if i != rank:
             os.close(r)
+    # the run's segment, attached after the fork: this process's own
+    # descriptor, so its pipe write locks exclude the other processes'
+    run_seg = _attach_untracked(_hb_segment_name(run_id))
     backend = _ProcChildBackend(
-        rank, nproc, mailbox.Outbox([w for _, w in pipes], lockdir), lockdir,
+        rank, nproc, mailbox.Outbox([w for _, w in pipes], run_seg._fd),
         run_id, heartbeat_s=heartbeat_s, suspect_after=suspect_after,
     )
     runtime = Runtime(
@@ -338,10 +343,7 @@ def _child_main(
     runtime.local_ranks = {rank}
     backend.runtime = runtime
     backend.inbox = mailbox.Inbox(pipes[rank][0], wakeable=True)
-    try:
-        backend.attach_heartbeat(_hb_segment_name(run_id))
-    except Exception:  # pragma: no cover - no shm: parent monitor still detects
-        backend.hb_view = None
+    backend.attach_heartbeat(run_seg)
     _tls.proc = runtime.procs[rank]
     # built before the pump starts: a peer's revoke or vote is applied to
     # the registry that comes with the world
@@ -382,7 +384,8 @@ def _child_main(
         stop.set()
         pump.join(timeout=1.0)
         backend.release_windows()
-        backend.release_heartbeat()
+        # stop heartbeating; the segment stays mapped for the writes below
+        backend.hb_view = None
         # tell peers this rank *finished* (stopped heartbeating on
         # purpose), and which ranks it knew dead, before the parent can
         # observe the exit

@@ -6,20 +6,21 @@ while it waits for a message, its pump thread otherwise.  The parent's
 result channel is one more pipe.  A message is one *frame*: its
 length (``HEADER``), then its pickle.  A sender writes the whole frame
 from its own thread to the ``O_NONBLOCK`` write end under the pipe's
-write lock (a ``threading.Lock`` plus an ``flock``, which the kernel
-drops if its holder dies); a frame larger than the pipe goes in parts,
-and while the pipe is full the sender waits for room.  It may give up
-only before the frame's first byte is in the pipe: a reader that got
-part of a frame would take the next frame's bytes as the rest of it.
-Writing to a pipe nobody can read any more raises ``BrokenPipeError``
-(the only way a started frame ends unfinished).  The reader parses small
-frames out of one staging buffer and reads a large one into a buffer of
-its size.
+write lock (a ``threading.Lock`` plus a byte of the run's lease segment,
+:class:`~repro.mpi.bytelock.ByteLock`, which the kernel drops if its
+holder dies); a frame larger than the pipe goes in parts, and while
+another process holds the lock, or the pipe is full, the sender waits.
+It may give up only before the frame's first byte is in the pipe: a
+reader that got part of a frame would take the next frame's bytes as the
+rest of it.  Writing to a pipe nobody can read any more raises
+``BrokenPipeError`` (the only way a started frame ends unfinished).  The
+reader parses small frames out of one staging buffer and reads a large
+one into a buffer of its size.
 """
 
 from __future__ import annotations
 
-import fcntl
+import itertools
 import os
 import pickle
 import select
@@ -27,6 +28,9 @@ import struct
 import threading
 import time
 from typing import Any, Callable
+
+from ..backoff import FLOCK_WAIT
+from .bytelock import ByteLock
 
 __all__ = ["Inbox", "Outbox", "encode", "wait_writable"]
 
@@ -55,17 +59,14 @@ def wait_writable(fd: int, timeout_s: float) -> bool:
 class Outbox:
     """One process's write side of a list of pipes.
 
-    Opens the write lock of pipe ``i``, ``<lockdir>/pipe<i>.wlock``, once.
-    Build it after the fork: a process must flock its *own* open file
-    description (one inherited over ``fork`` is shared, excluding nobody).
+    Pipe ``i``'s write lock is byte ``i`` of the file open on ``lock_fd``,
+    a descriptor this process opened itself: one inherited over ``fork``
+    shares its locks with the parent, and would exclude nobody.
     """
 
-    def __init__(self, fds: list[int], lockdir: str):
+    def __init__(self, fds: list[int], lock_fd: int):
         self.fds = fds
-        self._flocks = [
-            os.open(os.path.join(lockdir, f"pipe{i}.wlock"), os.O_RDWR | os.O_CREAT, 0o666)
-            for i in range(len(fds))
-        ]
+        self._locks = [ByteLock(lock_fd, i) for i in range(len(fds))]
         self._tlocks = [threading.Lock() for _ in fds]
 
     def write(
@@ -77,33 +78,50 @@ class Outbox:
     ) -> None:
         """Write one :func:`encode`-d frame to pipe ``dst``.
 
-        While the pipe is full, waits for room ``tick`` seconds at a time.
-        Until the frame's first byte is in the pipe, ``give_up(dst, since)``
-        runs after each wait that found none (``since``: when the first
-        wait began) and may raise to abandon the frame.  After that, only
-        the reader's exit (``BrokenPipeError``) ends it unfinished.
+        While another process holds the pipe's write lock, retries along
+        :data:`~repro.backoff.FLOCK_WAIT`; while the pipe is full, waits for
+        room ``tick`` seconds at a time.  Until the frame's first byte is in
+        the pipe, ``give_up(dst, since)`` runs after each wait that got
+        neither (``since``: when the first wait began) and may raise to
+        abandon the frame.  After that, only the reader's exit
+        (``BrokenPipeError``) ends it unfinished.
         """
-        fd, flock = self.fds[dst], self._flocks[dst]
+        fd, lock = self.fds[dst], self._locks[dst]
         with self._tlocks[dst]:
-            fcntl.flock(flock, fcntl.LOCK_EX)
+            since = None if lock.try_lock() else self._wait_lock(dst, give_up)
             try:
                 try:
                     sent = os.write(fd, frame)
                 except BlockingIOError:
                     sent = 0
                 if sent < len(frame):
-                    self._write_rest(dst, frame, sent, tick, give_up)
+                    self._write_rest(dst, frame, sent, tick, give_up, since)
             finally:
-                fcntl.flock(flock, fcntl.LOCK_UN)
+                lock.unlock()
+
+    def _wait_lock(
+        self, dst: int, give_up: "Callable[[int, float], None] | None"
+    ) -> float:
+        """Take pipe ``dst``'s write lock, held by another process; returns
+        when the wait began."""
+        lock, since = self._locks[dst], time.monotonic()
+        for attempt in itertools.count():
+            time.sleep(FLOCK_WAIT.delay(attempt))
+            if lock.try_lock():
+                return since
+            if give_up is not None:
+                give_up(dst, since)
 
     def _write_rest(
         self, dst: int, frame: bytes, sent: int, tick: float,
-        give_up: "Callable[[int, float], None] | None",
+        give_up: "Callable[[int, float], None] | None", since: "float | None",
     ) -> None:
         """The rest of a frame the pipe did not take at once (the caller
-        holds the write lock)."""
+        holds the write lock, waited for since ``since``)."""
         fd = self.fds[dst]
-        view, since = memoryview(frame)[sent:], time.monotonic()
+        view = memoryview(frame)[sent:]
+        if since is None:
+            since = time.monotonic()
         while view:
             if not wait_writable(fd, tick) and give_up is not None and len(view) == len(frame):
                 give_up(dst, since)
@@ -111,12 +129,6 @@ class Outbox:
                 view = view[os.write(fd, view):]
             except BlockingIOError:
                 pass
-
-    def close(self) -> None:
-        """Close the write-lock files (the pipe ends belong to the caller)."""
-        for fd in self._flocks:
-            os.close(fd)
-        self._flocks = []
 
 
 class Inbox:

@@ -51,7 +51,7 @@ from .errors import InternalError, OpTimeoutError, TargetFailedError
 from .group import Group
 from .p2p import P2PEngine
 from .proc_comm import ProcComm
-from .proc_win import _SLOT, ProcWin, _LockFiles, _segment_array, _table_offset
+from .proc_win import _SLOT, ProcWin, _segment_array, _table_offset
 from .runtime import RankFailedError, Runtime
 
 
@@ -151,7 +151,7 @@ class _ProcChildBackend(RuntimeBackend):
     name = "proc"
 
     def __init__(
-        self, rank: int, nproc: int, outbox: mailbox.Outbox, lockdir: str,
+        self, rank: int, nproc: int, outbox: mailbox.Outbox,
         run_id: str, heartbeat_s: float = 0.05, suspect_after: float = 1.0,
     ):
         self.rank = rank
@@ -172,8 +172,6 @@ class _ProcChildBackend(RuntimeBackend):
         #: key + creation order, not the per-runtime ``win_id`` counter)
         self._win_seq: dict[Any, int] = {}
         self._windows: list["ProcWin"] = []
-        #: this process's descriptors of the windows' lock files
-        self._lock_files = _LockFiles(lockdir)
         #: ranks that announced a *clean* finish (stop heartbeating them)
         self.done_ranks: set[int] = set()
         # -- heartbeat lease state (pump thread only) --
@@ -182,7 +180,6 @@ class _ProcChildBackend(RuntimeBackend):
         #: the pump's longest wait on its inbox, and a sender's on a full pipe
         self._tick = min(0.05, max(heartbeat_s, 0.005))
         self.hb_view: "np.ndarray | None" = None
-        self._hb_seg = None
         self._beat_ns = max(int(heartbeat_s * 1e9), 1_000_000)
         self._last_beat = 0
         #: pid-probe intervals for a suspected peer: start at one beat,
@@ -218,7 +215,7 @@ class _ProcChildBackend(RuntimeBackend):
         # exists before any peer attaches
         contribs = comm.allgather((nbytes, disp_unit))
         buffers: list[np.ndarray] = []
-        tables: list[tuple[memoryview, int]] = []
+        tables: list[tuple[memoryview, int, int]] = []
         units: list[int] = []
         for r in range(comm.size):
             nbytes, unit = contribs[r]
@@ -228,12 +225,12 @@ class _ProcChildBackend(RuntimeBackend):
                 # attach untracked so only the creator unlinks
                 seg = _attach_untracked(self._segment_name(token, r))
             buffers.append(_segment_array(seg, nbytes))
-            tables.append((seg.buf, _table_offset(nbytes)))
+            # this process's own descriptor of the segment: its locks
+            tables.append((seg.buf, _table_offset(nbytes), seg._fd))
             units.append(unit)
         win = ProcWin(
             comm, buffers, units, strict=strict, mpi3=mpi3,
-            segment=own, tables=tables, creator_rank=me, token=token,
-            lock_files=self._lock_files,
+            segment=own, tables=tables, creator_rank=me,
         )
         self._windows.append(win)
         return win
@@ -388,7 +385,7 @@ class _ProcChildBackend(RuntimeBackend):
         """Deterministic cross-process window identity.
 
         Same structural context key + same per-comm creation ordinal on
-        every member ⇒ same token ⇒ same segment names and lock files.
+        every member ⇒ same token ⇒ same segment names.
         """
         key = comm.context_id
         seq = self._win_seq.get(key, 0)
@@ -403,24 +400,13 @@ class _ProcChildBackend(RuntimeBackend):
             win._release_segments()
 
     # -- heartbeat failure detector -----------------------------------------
-    def attach_heartbeat(self, name: str) -> None:
-        """Attach the parent's lease segment and stamp our own slot."""
-        seg = _attach_untracked(name)
-        self._hb_seg = seg
+    def attach_heartbeat(self, seg: shared_memory.SharedMemory) -> None:
+        """Map the run's lease segment and stamp our own slot."""
         self.hb_view = np.ndarray((self.nproc, 2), dtype=np.int64, buffer=seg.buf)
         now = time.monotonic_ns()
         self.hb_view[self.rank, 0] = os.getpid()
         self.hb_view[self.rank, 1] = now
         self._last_beat = now
-
-    def release_heartbeat(self) -> None:
-        self.hb_view = None
-        if self._hb_seg is not None:
-            try:
-                self._hb_seg.close()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-            self._hb_seg = None
 
     def heartbeat_tick(self, runtime: "Runtime") -> None:
         """Refresh our lease; suspect, probe, and declare stale peers.

@@ -348,7 +348,7 @@ class Runtime:
         waiting rank reads its own inbox meanwhile.
 
         ``poll`` is for state in another process, which notifies nobody
-        here (a ``flock``): the caller has just tried ``pred``, each later
+        here (a byte-range lock): the caller has just tried ``pred``, each later
         try comes one delay of the curve after the last (however early a
         notification wakes the wait) and wins over a failure noticed while
         sleeping, and the watchdog never counts the wait as blocked.

@@ -342,7 +342,8 @@ def _lock_discipline_body(comm, rows="lock"):
 
 
 def test_proc_lock_raises_the_same_typed_errors_as_the_thread_window():
-    """ProcWin keeps only the flock: the lock rules are Win's, stated once."""
+    """ProcWin keeps only the lock primitive: the lock rules are Win's,
+    stated once."""
     threads = Runtime(2).spmd(_lock_discipline_body)
     procs = proc_spmd(2, _lock_discipline_body)
     assert procs == threads
@@ -395,7 +396,7 @@ def _lock_all_behind_exclusive_body(comm):
 
 def test_lock_all_behind_an_exclusive_holder_times_out_like_lock():
     """``lock_all`` acquires every target as ``lock`` does, so it honours
-    ``op_timeout_s`` on threads and waits on the holder's flock on procs."""
+    ``op_timeout_s`` on threads and waits on the holder's lock byte on procs."""
     kw = dict(op_timeout_s=0.2, op_retries=0)
     threads = Runtime(2, **kw).spmd(_lock_all_behind_exclusive_body)
     procs = Runtime(2, backend="proc", **kw).spmd(
@@ -440,7 +441,7 @@ def test_proccomm_is_its_transport():
 
     ops = {"dup", "split", "create", "revoke", "agree", "shrink"}
     assert ops & set(vars(ProcComm)) == set()
-    backend = _ProcChildBackend(0, 1, None, "", "guard")
+    backend = _ProcChildBackend(0, 1, None, "guard")
     assert {"ft_rounds", "ft_results"} & set(vars(backend)) == set()
 
 
@@ -530,26 +531,23 @@ def test_footprint_overlap_predicate_examples():
 
 
 # ---------------------------------------------------------------------------
-# the contended flock wait and the cached lock descriptors
+# the contended lock wait, and the descriptors the locks go through
 # ---------------------------------------------------------------------------
 
 
-def _count_flock_probes():
-    """Count this rank process's exclusive nonblocking ``flock`` attempts:
-    one per attempt of an atomic op's reservation (on the target's
-    ``.atomic`` file; a busy probe is shared, an inbox write lock blocks)."""
-    import fcntl
+def _count_reservation_attempts():
+    """Count this rank process's attempts at an atomic op's reservation."""
+    from repro.mpi.proc_win import _Reservation
 
-    probes = []
-    real = fcntl.flock
+    attempts = []
+    real = _Reservation.attempt
 
-    def flock(fd, op):
-        if op == fcntl.LOCK_EX | fcntl.LOCK_NB:
-            probes.append(op)
-        return real(fd, op)
+    def attempt(self):
+        attempts.append(self.slot)
+        return real(self)
 
-    fcntl.flock = flock  # this forked rank only
-    return probes
+    _Reservation.attempt = attempt  # this forked rank only
+    return attempts
 
 
 #: the footprint rank 0 reserves in the contended rounds: columns 0-3 of
@@ -586,7 +584,7 @@ def _contended_sublock_body(comm, hold_s, rounds, op, target_offset):
             while flags[1] != r:
                 time.sleep(0.0002)
     else:
-        probes = _count_flock_probes()
+        probes = _count_reservation_attempts()
         cols, ones = dt.vector(8, 4, 16, dt.DOUBLE).commit(), np.ones(32)
         for r in range(1, rounds + 1):
             while flags[0] != r:
@@ -623,7 +621,7 @@ def _curve_probes(wait):
     return j + 1
 
 
-def test_contended_flock_wait_costs_what_the_holder_holds():
+def test_contended_lock_wait_costs_what_the_holder_holds():
     """A 0.5 ms hold (a 2 MiB accumulate) of an overlapping footprint is
     waited out in about that, not in a 2 ms sleep quantum — and the short
     first re-probes stay few.
@@ -721,8 +719,8 @@ def test_overlapping_and_disjoint_atomics_sum_exactly_as_on_threads():
 
 
 def _lost_holder_body(comm, sig):
-    """Rank 0 takes target 0's exclusive epoch lock — on a descriptor both
-    ranks already cached — and then stops or dies holding it."""
+    """Rank 0 takes target 0's exclusive epoch lock — after both ranks
+    took and let go of it twice — and then stops or dies holding it."""
     from repro.mpi.errors import OpTimeoutError
 
     win, _ = Win.allocate(comm, 64)
@@ -767,7 +765,7 @@ def _lost_holder_body(comm, sig):
     return outcome
 
 
-def test_stalled_flock_holder_still_times_out_on_schedule():
+def test_stalled_lock_holder_still_times_out_on_schedule():
     from repro.backoff import FLOCK_WAIT
 
     rt = Runtime(2, backend="proc", op_timeout_s=0.2)
@@ -780,26 +778,12 @@ def test_stalled_flock_holder_still_times_out_on_schedule():
     assert 0.2 <= waited <= 0.2 + FLOCK_WAIT.cap + 0.05, waited
 
 
-def test_killed_flock_holders_cached_lock_is_inherited():
-    """The kernel drops a dead rank's flock because every process locks
-    its own open file description — also when that description is cached."""
+def test_killed_lock_holders_lock_is_inherited():
+    """The kernel drops a dead rank's lock byte because every process locks
+    through its own open file description of the target's segment."""
     dead, (what, waited) = proc_spmd(2, _lost_holder_body, signal.SIGKILL)
     assert dead is None and what == "acquired"
     assert waited < 5.0, waited
-
-
-def _count_lock_file_opens():
-    """Record the basename of every window lock file this rank opens."""
-    opened = []
-    real = os.open
-
-    def counting(path, *args, **kw):
-        if str(path).endswith((".lock", ".atomic")) or ".busy" in str(path):
-            opened.append(os.path.basename(path))
-        return real(path, *args, **kw)
-
-    os.open = counting  # this forked rank only
-    return opened
 
 
 def _open_fds():
@@ -807,10 +791,9 @@ def _open_fds():
 
 
 def _descriptor_lifetime_body(comm):
-    opened = _count_lock_file_opens()
     peer = (comm.rank + 1) % comm.size
     one = np.ones(1, dtype=np.int64)
-    # every descriptor of the inbox pipes and their write locks is open
+    # every descriptor of the inbox pipes and of the run's segment is open
     # from rank start on; the two barriers leave both ranks with nothing
     # in flight when the count starts
     comm.barrier()
@@ -827,47 +810,38 @@ def _descriptor_lifetime_body(comm):
         win.unlock(peer)
     comm.barrier()
     total = int(win.exposed_buffer(comm.rank)[:8].view(np.int64)[0])
-    cached = _open_fds() - allocated
+    locked = _open_fds() - allocated
     win.free()
     after_free = _open_fds() - before
     # the forced teardown closes them too — a held epoch lock included
     # (the allocated memory is not kept: an array over it would keep its
-    # segment mapped, and so its descriptors open, until it is dropped)
+    # segment mapped, and so its descriptor open, until it is dropped)
     win2 = Win.allocate(comm, 64)[0]
     win2.lock(peer, LOCK_SHARED)  # repro: lint-ignore[lint-leak] invalidate() drops it
     win2.accumulate(one, peer)
     comm.barrier()
     win2.invalidate()
     after_invalidate = _open_fds() - before
-    return sorted(n.split(".", 2)[2] for n in opened), total, cached, (
-        after_free, after_invalidate
-    )
+    return allocated - before, total, locked, (after_free, after_invalidate)
 
 
-def test_lock_files_are_opened_once_and_closed_with_their_window():
-    results = proc_spmd(2, _descriptor_lifetime_body)
-    for rank, (opened, total, cached, leaked) in enumerate(results):
-        peer = 1 - rank
-        # 1 000 acquisitions on the first window, four opens — lock_all
-        # locks the own target too, and an accumulate reserves through the
-        # target's .atomic and this origin's own busy file there — then
-        # three more for the second window's
-        assert opened == sorted(
-            [f"t{peer}.atomic", f"t{peer}.busy{rank}", f"t{peer}.lock"] * 2
-            + [f"t{rank}.lock"]
-        )
+def test_locks_open_no_descriptor_and_free_closes_the_segments():
+    for segments, total, locked, leaked in proc_spmd(2, _descriptor_lifetime_body):
+        # the own segment and an attachment of the peer's, each a
+        # descriptor and its mapping's duplicate of it
+        assert segments == 2 * 2
         assert total == 500
-        # the two .lock files lock_all held, the peer's .atomic and busy file
-        assert cached == 4
+        # 1 000 epochs and 500 reservations go through those two
+        assert locked == 0
         assert leaked == (0, 0)
 
 
-def _many_windows_body(comm):
-    from repro.mpi.proc_win import _LockFiles
+#: windows of the many-windows test: 80 lock bytes per rank
+_MANY_WINDOWS = 20
 
-    # windows x targets x {lock, atomic} alone exceeds the cache bound
-    # (an accumulate adds its own busy file, and probes the peer's)
-    nwin = _LockFiles.BOUND // (2 * comm.size) + 4
+
+def _many_windows_body(comm):
+    nwin = _MANY_WINDOWS
     before = _open_fds()
     wins = [Win.allocate(comm, 16)[0] for _ in range(nwin)]
     one = np.ones(1, dtype=np.int64)
@@ -876,7 +850,7 @@ def _many_windows_body(comm):
     for _ in range(sweeps):
         for win in wins:
             for target in range(comm.size):
-                # a raw read-modify-write that only the epoch flock orders
+                # a raw read-modify-write that only the epoch lock orders
                 win.lock(target, LOCK_EXCLUSIVE)
                 cell = win.exposed_buffer(target)[:8].view(np.int64)
                 seen = int(cell[0])
@@ -898,17 +872,17 @@ def _many_windows_body(comm):
     for win in wins:
         win.free()
     return (
-        nwin * comm.size * 2, _LockFiles.BOUND, peak - baseline,
-        _open_fds() - before, mine == [[sweeps * comm.size] * 2] * nwin,
+        baseline - before, peak - baseline, _open_fds() - before,
+        mine == [[sweeps * comm.size] * 2] * nwin,
     )
 
 
-def test_lock_file_cache_is_bounded_and_every_lock_stays_correct():
-    for paths, bound, peak, after_free, exact in proc_spmd(2, _many_windows_body):
-        assert paths > bound
-        assert peak <= bound + 1, (peak, bound)  # + the one being held
+def test_many_windows_lock_through_their_segments_and_every_lock_stays_correct():
+    for segments, peak, after_free, exact in proc_spmd(2, _many_windows_body):
+        assert segments == _MANY_WINDOWS * 2 * 2  # as above, per window
+        assert peak == 0
         assert after_free == 0
-        assert exact, "lost update: a reopened lock file did not exclude"
+        assert exact, "lost update: a lock byte did not exclude"
 
 
 def _mutex_cycle_ctl_messages_body(comm):
@@ -946,46 +920,56 @@ def test_mutex_cycle_sends_no_control_messages():
 def test_inbox_write_lock_survives_a_sigkilled_holder():
     """A rank killed mid-send must not wedge every later writer to that inbox."""
     import multiprocessing
-    import tempfile
+    from multiprocessing import shared_memory
 
     from repro.mpi import mailbox
+    from repro.mpi.proc_child import _attach_untracked
 
     ctx = multiprocessing.get_context("fork")
     r, w = os.pipe2(os.O_NONBLOCK)
+    run = shared_memory.SharedMemory(name=f"repro-test-{os.getpid()}-wlock", create=True, size=8)
     try:
-        with tempfile.TemporaryDirectory() as tmp:
 
-            def send_forever():
-                # nobody reads: the frame stops part-way, its lock held
-                mailbox.Outbox([w], tmp).write(0, b"x" * (1 << 22), 0.05)
+        def outbox():
+            # each process locks through an attachment of its own
+            seg = _attach_untracked(run.name)
+            return mailbox.Outbox([w], seg._fd), seg
 
-            def send_after(done):
-                mailbox.Outbox([w], tmp).write(0, mailbox.encode("after"), 0.05)
-                done.set()
+        def send_forever():
+            # nobody reads: the frame stops part-way, its lock held
+            box, _seg = outbox()
+            box.write(0, b"x" * (1 << 22), 0.05)
 
-            victim = ctx.Process(target=send_forever)
-            victim.start()
-            deadline = time.monotonic() + 30
-            while mailbox.wait_writable(w, 0.01):  # until the pipe is full
-                assert time.monotonic() < deadline
-            time.sleep(0.05)
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.join(timeout=30)
-            assert victim.exitcode == -signal.SIGKILL
-            while True:  # drop the victim's partial frame
-                try:
-                    os.read(r, 1 << 16)
-                except BlockingIOError:
-                    break
-            done = ctx.Event()
-            survivor = ctx.Process(target=send_after, args=(done,), daemon=True)
-            survivor.start()
-            assert done.wait(timeout=30)
-            survivor.join(timeout=30)
-            assert not survivor.is_alive()
+        def send_after(done):
+            box, _seg = outbox()
+            box.write(0, mailbox.encode("after"), 0.05)
+            done.set()
+
+        victim = ctx.Process(target=send_forever)
+        victim.start()
+        deadline = time.monotonic() + 30
+        while mailbox.wait_writable(w, 0.01):  # until the pipe is full
+            assert time.monotonic() < deadline
+        time.sleep(0.05)
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=30)
+        assert victim.exitcode == -signal.SIGKILL
+        while True:  # drop the victim's partial frame
+            try:
+                os.read(r, 1 << 16)
+            except BlockingIOError:
+                break
+        done = ctx.Event()
+        survivor = ctx.Process(target=send_after, args=(done,), daemon=True)
+        survivor.start()
+        assert done.wait(timeout=30)
+        survivor.join(timeout=30)
+        assert not survivor.is_alive()
     finally:
         os.close(r)
         os.close(w)
+        run.close()
+        run.unlink()
 
 
 def test_short_proc_job_tears_down_silently():
@@ -1300,8 +1284,8 @@ def test_ft_result_broadcast_waits_out_a_full_voter_pipe():
 
 def test_back_to_back_jobs_leak_no_descriptor_or_lock_directory(monkeypatch):
     """Both ends of every inbox pipe and of the result channel, and the
-    write-lock files, are closed when ``spmd`` returns, and its lock
-    directory is gone."""
+    parent's attachment of the run's segment, are closed when ``spmd``
+    returns, and no run makes a directory."""
     import gc
     import tempfile
 
@@ -1310,21 +1294,45 @@ def test_back_to_back_jobs_leak_no_descriptor_or_lock_directory(monkeypatch):
         return comm.rank
 
     Runtime(2, backend="proc").spmd(body, join_timeout=60.0)  # warm-up
-    made, real_mkdtemp = [], tempfile.mkdtemp
-
-    def mkdtemp(*args, **kw):
-        made.append(real_mkdtemp(*args, **kw))
-        return made[-1]
-
-    monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+    made = []
+    monkeypatch.setattr(tempfile, "mkdtemp", lambda *a, **kw: made.append(a or kw))
     gc.collect()
     before = len(os.listdir("/proc/self/fd"))
     for _ in range(20):
         assert Runtime(2, backend="proc").spmd(body, join_timeout=60.0) == [0, 1]
     gc.collect()
     assert len(os.listdir("/proc/self/fd")) == before
-    assert len(made) == 20 and all("repro-proc-" in d for d in made)
-    assert not [d for d in made if os.path.exists(d)]
+    assert made == []
+
+
+def _tempdir_body(comm):
+    import tempfile
+
+    win, mem = Win.allocate(comm, 64, mpi3=True)
+    win.lock_all()
+    win.accumulate(np.ones(1, dtype=np.int64), 0)
+    win.unlock_all()
+    win.lock(1 - comm.rank, LOCK_EXCLUSIVE)
+    win.unlock(1 - comm.rank)
+    comm.barrier()
+    inside = os.listdir(tempfile.gettempdir())
+    del mem
+    win.free()
+    return inside
+
+
+def test_a_proc_run_writes_nothing_to_the_temp_directory(tmp_path, monkeypatch):
+    """Locks live in the run's shared-memory segments: a run that locks,
+    accumulates into and frees windows leaves the temp directory empty,
+    while it runs and after."""
+    import tempfile
+
+    empty = tmp_path / "tmp"
+    empty.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(empty))
+    monkeypatch.setenv("TMPDIR", str(empty))
+    assert proc_spmd(2, _tempdir_body) == [[], []]
+    assert os.listdir(empty) == []
 
 
 def _affinity_body(comm, getaffinity):
@@ -1471,6 +1479,35 @@ def _rmw_draws_body(comm, datapath, draws):
 def test_rmw_hands_out_every_value_once_on_both_datapaths(datapath):
     got = proc_spmd(2, _rmw_draws_body, datapath, 50)
     assert sorted(got[0] + got[1]) == list(range(100))
+
+
+#: NXTVAL tickets each rank draws in the counter storm below
+_NXTVAL_DRAWS = 10_000
+
+
+def _nxtval_storm_body(comm, datapath, draws):
+    from repro.ga.counters import SharedCounter
+
+    armci = Armci.init(comm, datapath=datapath)
+    counter = SharedCounter(armci)
+    got = [counter.next() for _ in range(draws)]
+    armci.barrier()
+    final = counter.read()
+    counter.destroy()
+    armci.finalize()
+    return got, final
+
+
+@pytest.mark.parametrize("datapath", ["mpi2", "mpi3"])
+def test_nxtval_storm_draws_every_ticket_exactly_once(datapath):
+    """Both ranks draw back to back from one counter: on mpi2 each ticket
+    is the §V-D mutex plus two epochs, on mpi3 a ``fetch_and_op`` under a
+    footprint reservation — every lock byte of a window on the path."""
+    draws = _NXTVAL_DRAWS
+    out = proc_spmd(2, _nxtval_storm_body, datapath, draws)
+    assert sorted(t for got, _ in out for t in got) == list(range(2 * draws))
+    assert all(got == sorted(got) for got, _ in out)
+    assert [final for _, final in out] == [2 * draws] * 2
 
 
 def _rmw_past_a_kill_body(comm, victim, draws):

@@ -309,25 +309,30 @@ def test_usable_cpus_respects_affinity_not_just_cpu_count(monkeypatch):
     assert registry.usable_cpus() == 1
 
 
-def test_gate_fails_on_leftovers_of_a_spawning_bench(tmp_path, monkeypatch):
+def test_gate_fails_on_leftovers_of_a_spawning_bench(tmp_path):
     import os
+    import pathlib
 
-    monkeypatch.setattr(registry.tempfile, "gettempdir", lambda: str(tmp_path))
-    leaked = tmp_path / f"repro-proc-{os.getpid()}x7-leaked"
+    leaked = pathlib.Path(f"/dev/shm/repro-{os.getpid()}x7-leaked")
+    already = pathlib.Path(f"/dev/shm/repro-{os.getpid()}x6-already-there")
 
     def leaky(fast):
-        leaked.mkdir()
+        leaked.touch()
         return {"x": 1}
 
     bench, path = _gate_bench(tmp_path, measure=leaky, spawns=True)
-    (tmp_path / f"repro-proc-{os.getpid()}x6-already-there").mkdir()
-    verdict, report = registry.run_gate(bench, path)
-    assert verdict == registry.FAIL
-    assert "left behind" in report and leaked.name in report
-    assert "already-there" not in report
-    # only entries that declare they spawn processes pay for the snapshot
-    leaked.rmdir()
-    assert registry.run_gate(dataclasses.replace(bench, spawns=False), path)[0] == "ok"
+    already.touch()
+    try:
+        verdict, report = registry.run_gate(bench, path)
+        assert verdict == registry.FAIL
+        assert "left behind" in report and leaked.name in report
+        assert "already-there" not in report
+        # only entries that declare they spawn processes pay for the snapshot
+        leaked.unlink()
+        assert registry.run_gate(dataclasses.replace(bench, spawns=False), path)[0] == "ok"
+    finally:
+        for p in (leaked, already):
+            p.unlink(missing_ok=True)
 
 
 def test_leftovers_sees_shm_segments_and_children():
@@ -351,16 +356,13 @@ def test_leftovers_sees_shm_segments_and_children():
     assert registry._leftovers() == before
 
 
-def test_leftovers_blame_only_this_process(tmp_path, monkeypatch):
-    """Another process's segments and lock directories (a run beside this
-    one) are not this process's leftovers."""
+def test_leftovers_blame_only_this_process():
+    """Another process's segments (a run beside this one) are not this
+    process's leftovers."""
     import os
 
-    monkeypatch.setattr(registry.tempfile, "gettempdir", lambda: str(tmp_path))
     before = registry._leftovers()
-    other = f"{os.getpid() + 1}x0"
-    seg = f"/dev/shm/repro-{other}-test"
-    (tmp_path / f"repro-proc-{other}-lock").mkdir()
+    seg = f"/dev/shm/repro-{os.getpid() + 1}x0-test"
     try:
         with open(seg, "w"):
             pass

@@ -450,7 +450,7 @@ def _lost_reservation(nproc, how, **kw):
 
 
 def test_a_reservation_killed_mid_rmw_does_not_block_an_overlapping_accumulate():
-    """The kernel drops a dead origin's busy flock, so its slot reads free."""
+    """The kernel drops a dead origin's busy byte, so its slot reads free."""
     dead, (what, waited) = _lost_reservation(2, "kill")
     assert dead is None and what == "accumulated"
     assert waited < 5.0, waited

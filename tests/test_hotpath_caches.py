@@ -669,7 +669,7 @@ def test_blocking_patch_op_call_budget_mpi2():
 
 #: the warm accumulate piece on procs, per datapath: the thread budget's
 #: calls plus the footprint reservation (``ProcWin._atomic_section``) and,
-#: on mpi2, the epoch flock.  It made 70 (mpi3) and 92 (mpi2) while the
+#: on mpi2, the epoch lock.  It made 70 (mpi3) and 92 (mpi2) while the
 #: reservation was built per op and re-derived its slot from the footprint,
 #: and 73 on mpi2 while the epoch of its own took two helper calls
 _CALL_BUDGET_PROC_ACC = {"mpi3": 63, "mpi2": 71}
@@ -678,7 +678,7 @@ _CALL_BUDGET_PROC_ACC = {"mpi3": 63, "mpi2": 71}
 @pytest.mark.parametrize("datapath", ["mpi3", "mpi2"])
 def test_blocking_acc_call_budget_on_procs(datapath):
     """The proc twin of the accumulate rows above: the Python around the
-    reservation's four ``flock`` calls cannot creep back (uncontended:
+    reservation's lock calls cannot creep back (uncontended:
     rank 1 reserves nothing, so no wait and no busy probe)."""
     rt = Runtime(2, backend="proc", watchdog_s=5.0, apply_hooks=False)
     strided_datatype_cache_clear()
