@@ -83,9 +83,19 @@ class MutexSet:
         self.count = count
         self._win = win
         self._destroyed = False
+        #: the communicator's size: every vector's length
+        self._n = n = comm.size
         #: rank -> the indexed type of its lock/unlock epochs (one
         #: instance may serve every rank thread, so keyed, built once each)
         self._others_ts: "dict[int, dt.Datatype | None]" = {}
+        #: per host, its holder records, one ``int32`` per mutex: live
+        #: views of the window, made once (dropped at destroy, so that
+        #: nothing here keeps the window's memory)
+        off = _cells_offset(count, n)
+        self._cells = [
+            win.exposed_buffer(host)[off : off + 4 * count].view(np.int32)
+            for host in range(n)
+        ]
         # each rank constructs its own MutexSet around the ONE shared
         # window, so the death hook is per-window, not per-instance
         rt = comm.runtime
@@ -95,15 +105,9 @@ class MutexSet:
                 rt.shared[hooked] = True
                 rt.add_death_hook(self._on_rank_death)
 
-    def _holder_cells(self, host: int) -> np.ndarray:
-        """``host``'s holder records, one ``int32`` per mutex (a live view)."""
-        off = _cells_offset(self.count, self.comm.size)
-        cells = self._win.exposed_buffer(host)[off : off + 4 * self.count]
-        return cells.view(np.int32)
-
     def holder(self, host: int, mutex: int) -> "int | None":
         """Rank currently on record as owning ``mutex`` on ``host``."""
-        cell = int(self._holder_cells(host)[mutex])
+        cell = int(self._cells[host][mutex])
         return cell - 1 if cell else None
 
     def _on_rank_death(self, world_rank: int) -> None:
@@ -132,7 +136,7 @@ class MutexSet:
         rt = self.comm.runtime
         for host in range(n):
             vec = self._win.exposed_buffer(host)
-            cells = self._holder_cells(host)
+            cells = self._cells[host]
             for mutex in np.flatnonzero(cells == dead + 1).tolist():
                 base = mutex * n
                 for step in range(1, n):
@@ -179,8 +183,7 @@ class MutexSet:
             }
             if not dead:
                 return reclaimed
-            for host in range(self.comm.size):
-                cells = self._holder_cells(host)
+            for host, cells in enumerate(self._cells):
                 for mutex in np.flatnonzero(cells).tolist():
                     holder = int(cells[mutex]) - 1
                     if holder in dead:
@@ -204,6 +207,7 @@ class MutexSet:
         self.comm.barrier()
         self._win.free()
         self._destroyed = True
+        self._cells = []
 
     # -- the algorithm -----------------------------------------------------------
     def _check(self, mutex: int, host: int) -> None:
@@ -211,13 +215,13 @@ class MutexSet:
             raise ArgumentError("mutex set already destroyed")
         if not 0 <= mutex < self.count:
             raise ArgumentError(f"mutex {mutex} not in [0, {self.count})")
-        if not 0 <= host < self.comm.size:
-            raise ArgumentError(f"mutex host {host} not in [0, {self.comm.size})")
+        if not 0 <= host < self._n:
+            raise ArgumentError(f"mutex host {host} not in [0, {self._n})")
 
     def _others_datatype(self, me: int) -> "dt.Datatype | None":
         """Indexed type covering B[0..nproc-1] except entry ``me``."""
         if me not in self._others_ts:
-            disps = [i for i in range(self.comm.size) if i != me]
+            disps = [i for i in range(self._n) if i != me]
             self._others_ts[me] = (
                 dt.indexed_block(1, disps, dt.BYTE).commit() if disps else None
             )
@@ -227,15 +231,16 @@ class MutexSet:
         """One exclusive epoch on ``host``: ``B[me] <- bit`` and fetch all
         other entries of ``mutex``'s vector (the put and the get do not
         overlap, so this is a legal epoch).  Returns them, entry ``me``
-        left out, or None when ``me`` is alone."""
-        n = self.comm.size
-        others_t = self._others_datatype(me)
+        left out (rank ``j`` at ``j - (j > me)``), or None when ``me`` is
+        alone."""
+        n, win = self._n, self._win
+        others_t = self._others_ts.get(me) or self._others_datatype(me)
         waiting = None if others_t is None else np.zeros(n - 1, dtype=np.uint8)
-        self._win.lock(host, LOCK_EXCLUSIVE)
-        self._win.put(_BITS[bit], host, mutex * n + me)
+        win.lock(host, LOCK_EXCLUSIVE)
+        win.put(_BITS[bit], host, mutex * n + me)
         if waiting is not None:
-            self._win.get(waiting, host, mutex * n, target_datatype=others_t)
-        self._win.unlock(host)
+            win.get(waiting, host, mutex * n, target_datatype=others_t)
+        win.unlock(host)
         return waiting
 
     def _note_holder(self, host: int, mutex: int, holder: "int | None") -> None:
@@ -246,10 +251,11 @@ class MutexSet:
         survivors see an acquisition made in another process at once.
         """
         with self.comm.runtime.cond:
-            self._holder_cells(host)[mutex] = 0 if holder is None else holder + 1
+            self._cells[host][mutex] = 0 if holder is None else holder + 1
 
     def _await_handoff(self, req, mutex: int, host: int) -> None:
-        """Wait for the handoff message with per-op timeout + bounded retry.
+        """Wait for the handoff message with per-op timeout + bounded retry:
+        ``req`` (its posted receive) is done on return.
 
         Each attempt waits up to the runtime's ``op_timeout_s`` (when
         configured), then sleeps a seeded exponential backoff before
@@ -294,7 +300,8 @@ class MutexSet:
         self._check(mutex, host)
         me = self.comm.rank
         waiting = self._epoch(mutex, host, me, 1)
-        if waiting is not None and waiting.any():
+        # (read as a list: ``ndarray.any`` of a few bytes costs a microsecond)
+        if waiting is not None and any(waiting.tolist()):
             # enqueued: wait locally for the handoff (§V-D), bounded by
             # the per-op timeout and seeded-backoff retry budget
             tag = _HANDOFF_TAG_BASE + host * self.count + mutex
@@ -309,9 +316,13 @@ class MutexSet:
                 done, _ = req.test()
                 if not done:
                     raise
-            status = req.wait()
-            self._note_holder(host, mutex, me)
-            payload = status.payload
+            # the receive is done: its outcome is read, not waited for
+            # again.  The record names this rank already: whoever sent
+            # the handoff (the holder, or the death hook for a dead one)
+            # moved it here first
+            if req._error is not None:
+                raise req._error
+            payload = req._status.payload
             if isinstance(payload, tuple) and payload and payload[0] == _HOLDER_DIED:
                 raise MutexHolderFailed(mutex, host, payload[1])
             return
@@ -332,7 +343,7 @@ class MutexSet:
         self._check(mutex, host)
         me = self.comm.rank
         waiting = self._epoch(mutex, host, me, 1)
-        if waiting is None or not waiting.any():
+        if waiting is None or not any(waiting.tolist()):
             self._note_holder(host, mutex, me)
             return True
         # Withdraw: clear our bit under an exclusive epoch, THEN check for
@@ -343,34 +354,35 @@ class MutexSet:
         tag = _HANDOFF_TAG_BASE + host * self.count + mutex
         self._epoch(mutex, host, me, 0)
         if self.comm.iprobe(tag=tag) is not None:
+            # the handoff won the race: we own the mutex (and its sender
+            # moved the record to us)
             self.comm.recv(source=ANY_SOURCE, tag=tag)
-            self._note_holder(host, mutex, me)
-            return True  # the handoff won the race: we own the mutex
+            return True
         return False
 
     def unlock(self, mutex: int, host: int) -> None:
         """Release the mutex, forwarding it to the next waiter if any."""
         self._check(mutex, host)
         me = self.comm.rank
-        n = self.comm.size
         waiting = self._epoch(mutex, host, me, 0)
-        if waiting is None:
-            self._note_holder(host, mutex, None)
-            return
-        # reconstruct the full vector (entry `me` removed by the datatype)
-        full = np.zeros(n, dtype=np.uint8)
-        full[[i for i in range(n) if i != me]] = waiting
-        # fairness: scan circularly starting at me+1 (§V-D)
-        for step in range(1, n):
-            j = (me + step) % n
-            if full[j]:
-                # the handoff message IS the lock transfer: ownership
-                # moves to j at send time (recovery relies on this)
-                self._note_holder(host, mutex, j)
-                self.comm.send(
-                    b"",
-                    dest=j,
-                    tag=_HANDOFF_TAG_BASE + host * self.count + mutex,
-                )
-                return
+        if waiting is not None:
+            # fairness: scan circularly starting at me+1 (§V-D).  Entry
+            # ``me`` is left out of ``waiting``, so ranks me+1.. sit at
+            # me.. and ranks ..me-1 where they are: the scan is the
+            # entries from ``me`` round
+            flags = waiting.tolist()
+            m = len(flags)
+            for k in range(me, me + m):
+                i = k % m
+                if flags[i]:
+                    j = i + (i >= me)
+                    # the handoff message IS the lock transfer: ownership
+                    # moves to j at send time (recovery relies on this)
+                    self._note_holder(host, mutex, j)
+                    self.comm.send(
+                        b"",
+                        dest=j,
+                        tag=_HANDOFF_TAG_BASE + host * self.count + mutex,
+                    )
+                    return
         self._note_holder(host, mutex, None)

@@ -8,7 +8,8 @@ the ARMCI mpi3 datapath (standing ``lock_all`` epoch + flush) over
 shared-memory windows, for world sizes 1, 2, and 4; the headline metric
 is *aggregate* throughput (total bytes moved by all ranks / slowest
 rank's elapsed time), the median of :data:`THROUGHPUT_RUNS` timed runs
-per world size, and the gate is the scaling ratio from 1 to 4 ranks.
+per world size after one untimed warm-up run, and the gate is the
+scaling ratio from 1 to 4 ranks.
 
 A second row measures what two ranks cost *each other*: both produce
 and accumulate slabs into the same bytes of rank 0's memory, so an
@@ -116,8 +117,12 @@ MIN_WAITER_SHARE = 0.9
 
 
 def _rank_body(comm, nbytes: int, nreps: int, runs: int = 1) -> "list[float]":
-    """Ring put+get workload, ``runs`` times; returns this rank's elapsed
-    wall seconds per run."""
+    """Ring put+get workload, ``runs`` times after one untimed pass;
+    returns this rank's elapsed wall seconds per timed run.
+
+    The untimed pass is what a first run would otherwise time: a fresh
+    window's pages and a ``dst`` never touched (one cold run read np2
+    20.7 ms against 8.3-8.9 ms for the next four)."""
     from ..armci import Armci
 
     armci = Armci.init(comm, datapath="mpi3")
@@ -127,14 +132,15 @@ def _rank_body(comm, nbytes: int, nreps: int, runs: int = 1) -> "list[float]":
     src = np.arange(nbytes, dtype=np.uint8)
     dst = np.empty(nbytes, dtype=np.uint8)
     elapsed = []
-    for _ in range(runs):
+    for run in range(runs + 1):
         armci.barrier()
         t0 = time.perf_counter()
         for _ in range(nreps):
             armci.put(src, ptrs[right], nbytes=nbytes)
             armci.fence(right)
             armci.get(ptrs[right], dst, nbytes=nbytes)
-        elapsed.append(time.perf_counter() - t0)
+        if run:  # (run 0 is the warm-up)
+            elapsed.append(time.perf_counter() - t0)
     armci.barrier()
     armci.free(ptrs[me])
     armci.finalize()

@@ -55,6 +55,7 @@ __all__ = [
     "subarray",
     "resized",
     "SegmentMap",
+    "contiguous_map",
     "flat_bytes",
 ]
 
@@ -228,7 +229,9 @@ class SegmentMap:
         and unpacks.
         """
         if self.nsegments == 1 == src.nsegments:  # every small op: skip the views
-            (lo, hi), (src_lo, src_hi) = self.bounds(), src.bounds()
+            # (the memo itself: a closed-form map always has it)
+            lo, hi = self._bounds or self.bounds()
+            src_lo, src_hi = src._bounds or src.bounds()
             buffer[lo:hi] = src_buffer[src_lo:src_hi]
             return
         rows = self.row_views(buffer, src, src_buffer)
@@ -411,6 +414,25 @@ class SegmentMap:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SegmentMap(n={self.nsegments}, bytes={self.total_bytes})"
+
+
+#: :func:`contiguous_map`'s maps by ``(start, nbytes)``, emptied when full
+_CONTIGUOUS: "dict[tuple[int, int], SegmentMap]" = {}
+_CONTIGUOUS_MAX = 4096
+
+
+def contiguous_map(start: int, nbytes: int) -> SegmentMap:
+    """``nbytes`` contiguous bytes from byte ``start``: the closed-form map
+    of a contiguous RMA op's origin or target side, memoised.  Like a
+    datatype's own map it is shared, and nothing writes a map (only its
+    memos are filled), so one serves every op of those bytes."""
+    key = (start, nbytes)
+    segmap = _CONTIGUOUS.get(key)
+    if segmap is None:
+        if len(_CONTIGUOUS) >= _CONTIGUOUS_MAX:
+            _CONTIGUOUS.clear()
+        segmap = _CONTIGUOUS[key] = SegmentMap.arithmetic(start, nbytes, nbytes, 1)
+    return segmap
 
 
 class Datatype:

@@ -146,16 +146,6 @@ class P2PEngine:
         self._unexpected.clear()
 
     # -- internal -----------------------------------------------------------
-    def _match_posted(self, dst: int, src: int, tag: int, payload: Any) -> bool:
-        """Try to deliver a message to an already-posted receive at ``dst``."""
-        posted = self._posted.get(dst, [])
-        for i, pr in enumerate(posted):
-            if (pr.source in (ANY_SOURCE, src)) and (pr.tag in (ANY_TAG, tag)):
-                posted.pop(i)
-                self._deliver(pr, src, tag, payload)
-                return True
-        return False
-
     @staticmethod
     def _deliver(pr: _PendingRecv, src: int, tag: int, payload: Any) -> None:
         if pr.buf is None:
@@ -193,11 +183,25 @@ class P2PEngine:
             return
         if isinstance(payload, np.ndarray):
             payload = np.ascontiguousarray(payload).copy()
-        if not self._match_posted(dst_world, src_world, tag, payload):
+        self.deliver(src_world, dst_world, tag, payload)
+
+    def deliver(self, src_world: int, dst_world: int, tag: int, payload: Any) -> None:
+        """Match a message to ``dst_world``, a rank of this process, against
+        its posted receives, or buffer it: the end of :meth:`post_send`, and
+        all a message from another process needs when it arrives (its
+        sender made the checks, and its payload is a fresh copy no one
+        else holds)."""
+        posted = self._posted.get(dst_world, ())
+        for i, pr in enumerate(posted):
+            if (pr.source in (ANY_SOURCE, src_world)) and (pr.tag in (ANY_TAG, tag)):
+                posted.pop(i)
+                self._deliver(pr, src_world, tag, payload)
+                break
+        else:
             self._unexpected.setdefault(dst_world, []).append(
                 _Envelope(src_world, tag, payload)
             )
-        rt.notify_progress()
+        self.runtime.notify_progress()
 
     def post_recv(
         self,

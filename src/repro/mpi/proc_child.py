@@ -303,7 +303,7 @@ class _ProcChildBackend(RuntimeBackend):
         """
         self.engines[key] = engine
         for src, dst, tag, payload in self.stash.pop(key, ()):
-            engine.post_send(src, dst, tag, payload)
+            engine.deliver(src, dst, tag, payload)
 
     def send_to(self, dst_world: int, msg: tuple) -> None:
         """Write ``msg`` to rank ``dst_world``'s inbox: a data send.
@@ -483,7 +483,7 @@ class _ProcChildBackend(RuntimeBackend):
                         (src, dst, tag, payload)
                     )
                 else:
-                    engine.post_send(src, dst, tag, payload)
+                    engine.deliver(src, dst, tag, payload)
         elif kind == "ctl":
             sub = msg[1]
             if sub == "rank_dead":

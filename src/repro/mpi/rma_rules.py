@@ -150,7 +150,7 @@ class _IntervalSet:
     def add(self, fp: dt.SegmentMap) -> None:
         if fp.nsegments == 0:
             return
-        lo, hi = fp.bounds()
+        lo, hi = fp._bounds or fp.bounds()  # (the memo, read without a call)
         self._lo = min(self._lo, lo)
         self._hi = max(self._hi, hi)
         self._pending.append(fp)
@@ -183,7 +183,7 @@ class _IntervalSet:
         if self.count == 0 or fp.nsegments == 0:
             return False
         # disjoint bounding boxes cannot overlap: O(1), nothing materialised
-        q_lo, q_hi = fp.bounds()
+        q_lo, q_hi = fp._bounds or fp.bounds()
         if q_lo >= self._hi or q_hi <= self._lo:
             return False
         single = fp.nsegments == 1
@@ -199,7 +199,7 @@ class _IntervalSet:
         if len(self._cov_off) and meets(self._cov_off, self._cov_len, True):
             return True
         for p in self._pending:
-            p_lo, p_hi = p.bounds()
+            p_lo, p_hi = p._bounds  # (memoised when it was added)
             # only where the boxes meet are the segments themselves compared
             if q_lo < p_hi and q_hi > p_lo and meets(
                 p.offsets, p.lengths, p.nsegments == 1 or p._arith_params() is not None
@@ -296,11 +296,15 @@ def find_conflict(
     atomics' footprints (``opname`` :data:`RMW`), which only a sanitizer
     checks.
     """
+    # (a record with nothing recorded conflicts with nothing: not asked)
     other = rec
-    hit = conflict_class(rec, kind, opname, fp)
+    hit = conflict_class(rec, kind, opname, fp) if rec.recorded else None
     if hit is None:
         for o, other in open_at_target.items():
-            if o != rec.origin and (hit := conflict_class(other, kind, opname, fp)):
+            if (
+                o != rec.origin and other.recorded
+                and (hit := conflict_class(other, kind, opname, fp))
+            ):
                 break
         else:
             return None
@@ -332,7 +336,7 @@ def self_overlap(kind: str, fp: dt.SegmentMap, strict: bool) -> "Finding | None"
     """A put or get whose target segments overlap each other within the
     one operation is erroneous (an accumulate's may: same-op accumulates
     combine in order); the plain error fires on a ``strict`` window."""
-    if kind == "acc" or not fp.overlaps_self():
+    if kind == "acc" or fp.nsegments < 2 or not fp.overlaps_self():
         return None
     msg = f"{kind} with self-overlapping target segments within one operation"
     return Finding("conflict", msg if strict else None, msg)

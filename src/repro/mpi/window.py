@@ -55,6 +55,7 @@ __all__ = [
 
 LOCK_SHARED = "shared"
 LOCK_EXCLUSIVE = "exclusive"
+_LOCK_MODES = (LOCK_SHARED, LOCK_EXCLUSIVE)
 
 _VOID = np.dtype("V")
 _NOT_CONTIGUOUS = "RMA buffers must be C-contiguous; pass np.ascontiguousarray(...)"
@@ -399,6 +400,8 @@ class Win:
         ls.queue.pop(0)
         ls.mode = mode
         ls.holders.add(origin)
+        # the next request in the queue may be grantable now (shared after shared)
+        rt.notify_progress()
         return None
 
     def _release(self, epoch: _Epoch) -> None:
@@ -409,12 +412,31 @@ class Win:
         if not ls.holders:
             ls.mode = None
 
-    def _open_epoch(self, origin: int, target_rank: int, mode: str) -> None:
+    def _open_epoch(self, origin: int, target_rank: int, mode: str) -> _Epoch:
         """Acquire ``target_rank``'s lock for ``origin`` and record the
-        epoch in one step for the death hook (``runtime.cond`` held)."""
-        epoch = _Epoch(origin, target_rank, mode)
+        epoch in one step for the death hook (``runtime.cond`` held).
+
+        Every lock epoch of one (origin, target) pair is the one record
+        ``_own_epochs`` keeps for it: it starts clean, whatever ended the
+        last epoch in it (an unlock, the death hook, ``invalidate``), so
+        an access, a get or a request of an earlier epoch never reaches
+        this one."""
+        key = (origin, target_rank)
+        epoch = self._own_epochs.get(key)
+        if epoch is None:
+            epoch = self._own_epochs[key] = _Epoch(origin, target_rank, mode)
+        else:
+            epoch.mode = mode
+            epoch.op_count = 0
+            if epoch.recorded:
+                rules.forget_accesses(epoch)
+            if epoch.pending_gets:
+                epoch.pending_gets.clear()
+            if epoch.pending_reqs:
+                epoch.pending_reqs.clear()
         epoch.lock = self._acquire(origin, target_rank, mode)
         self._epochs_at[target_rank][origin] = epoch
+        return epoch
 
     def _drop_epoch(self, origin: int, target_rank: int) -> None:
         """Forget an epoch, giving back its lock if it holds one."""
@@ -424,26 +446,55 @@ class Win:
 
     def _close_epoch(self, origin: int, target_rank: int) -> None:
         """Complete one lock epoch and give its lock back (``runtime.cond``
-        held); ``unlock`` and ``unlock_all`` close every epoch this way."""
-        epoch = self._epochs_at[target_rank][origin]
-        if epoch.pending_reqs:
-            self._audit_requests(epoch)
-        self._deliver_gets(epoch)  # before the lock goes: MPI reads here
-        self._drop_epoch(origin, target_rank)
+        held), and end ``origin``'s lock if that was its target: ``unlock``,
+        ``unlock_all`` and an op's epoch of its own close every epoch this
+        way.  One the death hook dropped already (its origin was killed)
+        is gone: nothing to close."""
+        at = self._epochs_at[target_rank]
+        epoch = at.get(origin)
+        if epoch is not None:
+            if epoch.pending_reqs:
+                self._audit_requests(epoch)
+            if epoch.pending_gets:
+                self._deliver_gets(epoch)  # before the lock goes: MPI reads here
+            del at[origin]
+            self._release(epoch)
+        if self._open.get(origin) == target_rank:
+            del self._open[origin]
 
     def lock(self, target_rank: int, mode: str = LOCK_EXCLUSIVE) -> None:
         """Begin a passive-target access epoch (MPI_Win_lock)."""
-        _check_lock_mode(mode)
+        if mode not in _LOCK_MODES:
+            raise _unknown_lock_mode(mode)
         self._check_target(target_rank)
-        rt = self.runtime
-        with rt.cond:
-            self._begin(current_proc().rank, target_rank, mode)
-            rt.notify_progress()
+        proc = getattr(_tls, "proc", None) or current_proc()  # (see _require_epoch)
+        with self.runtime.giant_lock:
+            self._lock_section(proc, target_rank, mode)
         self._charge_sync("lock")
 
-    def _begin(self, origin: int, target_rank: int, mode: str) -> None:
-        """The section of :meth:`lock` (``runtime.cond`` held): its rules,
-        then the lock, recorded as ``origin``'s epoch and its one lock."""
+    def _lock_section(self, proc, target_rank: int, mode: str) -> _Epoch:
+        """The section of :meth:`lock`, and of an op in an epoch of its own
+        (``runtime.cond`` held, ``target_rank`` checked): ``proc``'s epoch
+        on ``target_rank``, opened, recorded as its one lock and returned.
+
+        :meth:`_begin`'s checks are made inline, once; when any of them
+        fails, :meth:`_begin` makes them all again and raises, with its
+        text."""
+        me = proc.rank
+        if (
+            proc.dead or self._freed or self.comm._revoked or me in self._open
+            or me not in self._members
+            or self._world_of[target_rank] in self.runtime.dead_ranks
+        ):
+            return self._begin(me, target_rank, mode)  # a rule fails: raised there
+        epoch = self._open_epoch(me, target_rank, mode)
+        self._open[me] = target_rank
+        return epoch
+
+    def _begin(self, origin: int, target_rank: int, mode: str) -> _Epoch:
+        """:meth:`_lock_section` with every check made in turn (``runtime.cond``
+        held): its rules, then the lock, recorded as ``origin``'s epoch and
+        its one lock."""
         rt = self.runtime
         if self.comm.group.rank_of_world(origin) < 0:
             raise WinError(
@@ -457,25 +508,33 @@ class Win:
             raise TargetFailedError(
                 f"lock: target rank {target_rank} of win {self.win_id} has failed"
             )
-        self._open_epoch(origin, target_rank, mode)
+        epoch = self._open_epoch(origin, target_rank, mode)
         self._open[origin] = target_rank
+        return epoch
 
     def unlock(self, target_rank: int) -> None:
-        """End the access epoch; completes all ops locally and remotely."""
-        self._check_target(target_rank)
+        """End the access epoch; completes all ops locally and remotely.
+
+        The checks are made inline, once; only when one fails are they
+        made in turn, each raising with its text.  The origin's lock being
+        on ``target_rank`` proves the rank in range."""
+        proc = getattr(_tls, "proc", None) or current_proc()  # (see _require_epoch)
+        me = proc.rank
         rt = self.runtime
-        origin = current_proc().rank
-        with rt.cond:
-            self._check_alive()
-            rt.check_self_alive()
-            if self._open.get(origin) != target_rank:
+        with rt.giant_lock:
+            if (
+                proc.dead or self._freed or self.comm._revoked
+                or self._open.get(me) != target_rank
+            ):
+                self._check_target(target_rank)
+                self._check_alive()
+                rt.check_self_alive()
                 self._violate(Finding(
                     "lock-unmatched",
-                    f"unlock({target_rank}) without a matching lock by origin {origin}",
+                    f"unlock({target_rank}) without a matching lock by origin {me}",
                     "unlock without a matching lock by this origin",
                 ), "unlock", target_rank)
-            self._close_epoch(origin, target_rank)
-            del self._open[origin]
+            self._close_epoch(me, target_rank)
             rt.notify_progress()
         self._charge_sync("unlock")
 
@@ -559,7 +618,7 @@ class Win:
                     "unlock_all without a lock_all epoch open",
                 ), "unlock_all", -1)
             for t in range(self.comm.size):
-                self._close_epoch(origin, t)
+                self._close_epoch(origin, t)  # (leaves _open: its record is LOCK_ALL)
             del self._open[origin]
             rt.notify_progress()
         self._charge_sync("unlock_all")
@@ -637,7 +696,8 @@ class Win:
                     "flush=True with lock=: an op in an epoch of its own "
                     "completes at its unlock"
                 )
-            _check_lock_mode(lock)
+            if lock not in _LOCK_MODES:
+                raise _unknown_lock_mode(lock)
         elif not flush:
             return False
         elif not self.mpi3:
@@ -815,38 +875,22 @@ class Win:
         epoch of its own (``lock=mode``), as ``lock``, op, ``unlock``.
 
         :meth:`_fuses` decides whether the completion shares the op's
-        section.  Fused with its lock, the section makes :meth:`_begin`'s
-        checks once, inline (one that fails is raised by :meth:`_begin`,
-        with its text), and reuses one record per (origin, target),
-        ``_own_epochs``: nothing in it is left pending, so only its mode
-        and counters are reset.
+        section.  Fused with its lock, the section opens and closes the
+        epoch as :meth:`lock` and :meth:`unlock` do (:meth:`_lock_section`,
+        :meth:`_close_epoch`), in the record the (origin, target) pair
+        reuses for every epoch.
         """
-        fused = self._fuses(flush, lock)
+        fused = (flush or lock is not None) and self._fuses(flush, lock)
         rt = self.runtime
+        self._check_target(target_rank)
+        epoch = None  # (the op's epoch of its own, once opened)
         if lock is not None and not fused:
             self.lock(target_rank, lock)
         elif lock is not None:  # lock's section, held until the finally ends it
-            self._check_target(target_rank)
             proc = getattr(_tls, "proc", None) or current_proc()
-            me = proc.rank
             rt.giant_lock.acquire()
             try:
-                if (
-                    proc.dead or self._freed or self.comm.revoked or me in self._open
-                    or me not in self._members
-                    or self._world_of[target_rank] in rt.dead_ranks
-                ):
-                    self._begin(me, target_rank, lock)  # a rule fails: raised here
-                else:
-                    key = (me, target_rank)
-                    epoch = self._own_epochs.get(key)
-                    if epoch is None:
-                        epoch = self._own_epochs[key] = _Epoch(me, target_rank, lock)
-                    epoch.mode = lock
-                    epoch.op_count = 0
-                    epoch.lock = self._acquire(me, target_rank, lock)
-                    self._epochs_at[target_rank][me] = epoch
-                    self._open[me] = target_rank
+                epoch = self._lock_section(proc, target_rank, lock)
             except BaseException:
                 rt.giant_lock.release()
                 raise
@@ -867,7 +911,8 @@ class Win:
                 if base == _VOID or base.itemsize == 0:
                     raise ArgumentError("accumulate: cannot infer element type")
             with rt.giant_lock:
-                epoch = self._require_epoch(target_rank, kind, fused and flush)
+                if epoch is None:  # (else just opened, in this same section)
+                    epoch = self._require_epoch(target_rank, kind, fused and flush)
                 if kind == "acc":
                     slot = rules._check_acc_alignment(segmap, base)
                 san = rt.sanitizer
@@ -890,7 +935,8 @@ class Win:
                     if not fused:
                         rules.record_access(epoch, kind, opname, segmap)
                 buf = self._buffers[target_rank]
-                direct = fused or rt.faults is None  # (fused: no injector)
+                # (fused, or not fuzzing: no injector)
+                direct = fused or not rt.fuzzing or rt.faults is None
                 if kind == "get":
                     # the target is read when the get completes, which is
                     # where MPI places it; an injector filters a payload
@@ -934,11 +980,7 @@ class Win:
                 self.unlock(target_rank)
             else:  # the epoch of its own ends, nothing in it pending
                 try:
-                    # gone if the origin was killed (the death hook dropped it)
-                    epoch = self._epochs_at[target_rank].pop(me, None)
-                    if epoch is not None:
-                        self._release(epoch)
-                    self._open.pop(me, None)
+                    self._close_epoch(proc.rank, target_rank)
                     rt.notify_progress()
                 finally:
                     rt.giant_lock.release()
@@ -1086,19 +1128,19 @@ class Win:
         """What a put/get/acc derives from its arguments, each fact once and
         before any window state is touched: the origin as bytes, the layout
         the op touches there, the target footprint (checked against the
-        target's memory) and the byte count, ``(view, omap, segmap, nbytes)``."""
+        target's memory; ``target_rank`` is checked) and the byte count,
+        ``(view, omap, segmap, nbytes)``."""
         view = dt.flat_bytes(origin, _NOT_CONTIGUOUS)
         if origin_datatype is None:
             nbytes = view.nbytes
-            omap = dt.SegmentMap.arithmetic(0, nbytes, nbytes, 1)
+            omap = dt.contiguous_map(0, nbytes)
         else:
             omap = origin_datatype.segment_map(origin_count)
             nbytes = omap.total_bytes
             dt._check_bounds(omap, view.nbytes, f"{kind}: origin {origin_datatype.name}")
-        self._check_target(target_rank)
         disp = target_offset * self._disp_units[target_rank]
         if target_datatype is None:
-            segmap = dt.SegmentMap.arithmetic(disp, nbytes, nbytes, 1)
+            segmap = dt.contiguous_map(disp, nbytes)
         else:
             segmap = target_datatype.segment_map(target_count).shifted(disp)
             if segmap.total_bytes != nbytes:
@@ -1107,7 +1149,7 @@ class Win:
                     f"{segmap.total_bytes}B"
                 )
         if segmap.nsegments:
-            lo, hi = segmap.bounds()
+            lo, hi = segmap._bounds or segmap.bounds()  # (the memo, read without a call)
             if lo < 0 or hi > self._buffers[target_rank].nbytes:
                 self._out_of_range(
                     f"access [{lo},{hi})", kind, int(lo), int(hi), target_rank
@@ -1151,7 +1193,7 @@ class Win:
             self._out_of_range(
                 f"atomic access [{disp},{end})", RMW, disp, end, target_rank
             )
-        fp = dt.SegmentMap.arithmetic(disp, datatype.size, datatype.size, 1)
+        fp = dt.contiguous_map(disp, datatype.size)
         if self.runtime.sanitizer is not None and self._checked():
             found = rules.find_conflict(
                 epoch, self._epochs_at[target_rank], "acc", RMW, fp, self.strict
@@ -1248,9 +1290,8 @@ class _GetRequest(_DoneRequest):
         return super().wait()
 
 
-def _check_lock_mode(mode: str) -> None:
-    if mode not in (LOCK_SHARED, LOCK_EXCLUSIVE):
-        raise ArgumentError(f"unknown lock mode {mode!r}")
+def _unknown_lock_mode(mode: str) -> ArgumentError:
+    return ArgumentError(f"unknown lock mode {mode!r}")
 
 
 def _accumulate_into(

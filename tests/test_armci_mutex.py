@@ -17,11 +17,24 @@ from repro.armci import (
 )
 from repro.mpi import Comm, Win
 from repro.mpi.errors import ArgumentError
+from repro.mpi.runtime import Runtime
 
 from conftest import spmd
 
 
-def test_mutex_mutual_exclusion_counter():
+def _run_on(backend, request, nproc, main):
+    """``main`` on ``nproc`` ranks of ``backend``: threads with the suite's
+    fast watchdog, or one process per rank (which does not take the
+    ambient sanitizer)."""
+    if backend == "thread":
+        return spmd(nproc, main)
+    if request.config.getoption("--sanitize"):
+        pytest.skip("proc backend does not support the ambient sanitizer")
+    return Runtime(nproc, backend="proc").spmd(main, join_timeout=120.0)
+
+
+@pytest.mark.parametrize("backend", ["thread", "proc"])
+def test_mutex_mutual_exclusion_counter(backend, request):
     """Unprotected read-modify-write would lose updates; the mutex must not."""
 
     def main(comm):
@@ -44,10 +57,11 @@ def test_mutex_mutual_exclusion_counter():
         mtx.destroy()
         a.free(ptrs[a.my_id])
 
-    spmd(4, main)
+    _run_on(backend, request, 4, main)
 
 
-def test_mutexes_on_every_host_and_index():
+@pytest.mark.parametrize("backend", ["thread", "proc"])
+def test_mutexes_on_every_host_and_index(backend, request):
     def main(comm):
         a = Armci.init(comm)
         mtx = a.create_mutexes(3)
@@ -59,10 +73,11 @@ def test_mutexes_on_every_host_and_index():
         a.barrier()
         mtx.destroy()
 
-    spmd(3, main)
+    _run_on(backend, request, 3, main)
 
 
-def test_mutex_blocks_until_released():
+@pytest.mark.parametrize("backend", ["thread", "proc"])
+def test_mutex_blocks_until_released(backend, request):
     def main(comm):
         a = Armci.init(comm)
         mtx = a.create_mutexes(1)
@@ -82,10 +97,11 @@ def test_mutex_blocks_until_released():
         a.barrier()
         mtx.destroy()
 
-    spmd(3, main)
+    _run_on(backend, request, 3, main)
 
 
-def test_trylock():
+@pytest.mark.parametrize("backend", ["thread", "proc"])
+def test_trylock(backend, request):
     def main(comm):
         a = Armci.init(comm)
         mtx = a.create_mutexes(1)
@@ -101,7 +117,7 @@ def test_trylock():
         a.barrier()
         mtx.destroy()
 
-    spmd(2, main)
+    _run_on(backend, request, 2, main)
 
 
 def test_mutex_invalid_args():

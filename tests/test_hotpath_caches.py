@@ -82,6 +82,25 @@ def test_recommit_after_free_rebuilds_segment_maps():
     np.testing.assert_array_equal(before.lengths, after.lengths)
 
 
+def test_contiguous_maps_are_shared_and_bounded():
+    """A contiguous op's origin and target maps come from one memo: the same
+    map object for the same bytes, an empty run of no bytes, and the
+    memo never holds more than its bound."""
+    dt._CONTIGUOUS.clear()
+    try:
+        run = dt.contiguous_map(8, 16)
+        assert run is dt.contiguous_map(8, 16)
+        assert (run.nsegments, run.total_bytes, run.bounds()) == (1, 16, (8, 24))
+        assert run.offsets.tolist() == [8] and run.lengths.tolist() == [16]
+        assert dt.contiguous_map(4, 0).total_bytes == 0
+        for start in range(dt._CONTIGUOUS_MAX + 10):
+            dt.contiguous_map(start, 8)
+            assert len(dt._CONTIGUOUS) <= dt._CONTIGUOUS_MAX
+        assert dt.contiguous_map(8, 16).bounds() == (8, 24)
+    finally:
+        dt._CONTIGUOUS.clear()
+
+
 # ---------------------------------------------------------------------------
 # SegmentMap.shifted(): translation-invariant memos travel with the copy
 # ---------------------------------------------------------------------------
@@ -608,9 +627,13 @@ def _call_budget_body(comm, datapath="mpi3"):
 #: on the whole count and every new height rebuilt both datatypes).  It
 #: made 55/55/60/103/109 before an accumulate combined the origin's rows
 #: into the target's in place (no packed payload, no ``Op.apply``) and
-#: ``copy_from`` shared the row pairing that builds both views
+#: ``copy_from`` shared the row pairing that builds both views, and
+#: 54/54/57/101/107 before a contiguous side's segment map was memoised
+#: (``datatypes.contiguous_map``), the footprint's bounds were read from
+#: its memo and the conflict search stopped asking an epoch that had
+#: recorded nothing
 _CALL_BUDGET = {
-    "get": 54, "put": 54, "acc": 57, "straddling put": 101, "cold-height straddling put": 107,
+    "get": 50, "put": 50, "acc": 53, "straddling put": 93, "cold-height straddling put": 103,
 }
 
 
@@ -643,9 +666,11 @@ def test_blocking_patch_op_call_budget():
 #: piece built a fresh epoch record, made ``lock``'s checks through
 #: ``_begin`` and waited once on a lock it was granted at once, and
 #: 60/60/63/113/119 while the epoch of its own was opened and closed by two
-#: helpers beside the op's body instead of inline in ``Win._move``
+#: helpers beside the op's body instead of inline in ``Win._move``, and
+#: 58/58/61/109/115 before that piece shared ``Win.lock``'s and
+#: ``Win.unlock``'s helpers and the contiguous maps were memoised
 _CALL_BUDGET_MPI2 = {
-    "get": 58, "put": 58, "acc": 61, "straddling put": 109, "cold-height straddling put": 115,
+    "get": 54, "put": 54, "acc": 57, "straddling put": 101, "cold-height straddling put": 107,
 }
 
 
@@ -671,8 +696,9 @@ def test_blocking_patch_op_call_budget_mpi2():
 #: calls plus the footprint reservation (``ProcWin._atomic_section``) and,
 #: on mpi2, the epoch lock.  It made 70 (mpi3) and 92 (mpi2) while the
 #: reservation was built per op and re-derived its slot from the footprint,
-#: and 73 on mpi2 while the epoch of its own took two helper calls
-_CALL_BUDGET_PROC_ACC = {"mpi3": 63, "mpi2": 71}
+#: 73 on mpi2 while the epoch of its own took two helper calls, and 63/71
+#: before the contiguous maps were memoised
+_CALL_BUDGET_PROC_ACC = {"mpi3": 60, "mpi2": 66}
 
 
 @pytest.mark.parametrize("datapath", ["mpi3", "mpi2"])
@@ -685,6 +711,84 @@ def test_blocking_acc_call_budget_on_procs(datapath):
     calls = rt.spmd(_call_budget_body, datapath, join_timeout=120.0)[0]["acc"]
     assert calls.total() <= _CALL_BUDGET_PROC_ACC[datapath], sorted(calls.items())
     assert calls["repro.mpi.proc_win.__enter__"] == 1  # it did reserve
+
+
+def _ticket_budget_body(comm, datapath):
+    """Rank 1 draws warm, uncontended NXTVAL tickets from the counter rank 0
+    hosts (rank 0 waits in a barrier), then runs bare explicit epochs on
+    rank 0: ``lock``, a 1-byte ``put``, a ``get`` through the indexed type
+    of a §V-D mutex epoch, ``unlock``."""
+    from repro import mpi
+    from repro.ga.counters import SharedCounter
+
+    a = Armci.init(comm, datapath=datapath)
+    counter = SharedCounter(a, host=0)
+    counter.reset()
+    win, _ = mpi.Win.allocate(comm, 64)
+    counts = {}
+    if comm.rank == 1:
+        counts["ticket"] = _repro_calls(counter.next)
+        others = dt.indexed_block(1, [0], dt.BYTE).commit()
+        bit, got = np.ones(1, np.uint8), np.zeros(1, np.uint8)
+
+        def epoch():
+            win.lock(0)
+            win.put(bit, 0, 1)
+            win.get(got, 0, 0, target_datatype=others)
+            win.unlock(0)
+
+        counts["epoch"] = _repro_calls(epoch)
+    comm.barrier()
+    win.free()
+    counter.destroy()
+    a.finalize()
+    return counts
+
+
+#: ``repro.*`` calls of one warm uncontended ticket, per (backend, datapath).
+#: The mpi2 ticket (the §V-D RMW: a mutex epoch, two epochs of their own, a
+#: mutex epoch) made 281 on threads and 289 on procs while each mutex epoch
+#: took ``Win.lock``/``unlock`` through ``_begin`` and ``_close_epoch`` with a
+#: fresh epoch record, and the mutex re-derived its holder records and
+#: rebuilt the waiting vector on every call
+_TICKET_BUDGET = {
+    ("thread", "mpi2"): 170, ("proc", "mpi2"): 178,
+    ("thread", "mpi3"): 26, ("proc", "mpi3"): 33,
+}
+
+#: the bare explicit epoch, per backend: 85 on threads and 87 on procs
+#: while it made those checks in turn and built a fresh epoch record
+_EPOCH_BUDGET = {"thread": 50, "proc": 52}
+
+
+@pytest.mark.parametrize("datapath", ["mpi2", "mpi3"])
+@pytest.mark.parametrize("backend", ["thread", "proc"])
+def test_nxtval_ticket_call_budget(backend, datapath):
+    """A warm NXTVAL ticket and a bare explicit epoch stay within their call
+    budgets, and the ticket keeps its protocol: on mpi2 two mutex epochs of
+    one put and one get each around the RMW's read and write epochs, and no
+    handoff without a waiter; on mpi3 one ``fetch_and_op`` and no lock or
+    mutex at all.  A plain runtime (no ambient sanitizer or injector)."""
+    rt = Runtime(2, backend=backend, watchdog_s=5.0, apply_hooks=False)
+    counts = rt.spmd(_ticket_budget_body, datapath, join_timeout=120.0)[1]
+    ticket, epoch = counts["ticket"], counts["epoch"]
+    assert ticket.total() <= _TICKET_BUDGET[backend, datapath], sorted(ticket.items())
+    assert epoch.total() <= _EPOCH_BUDGET[backend], sorted(epoch.items())
+    win = "repro.mpi.window."
+    protocol = {
+        name: ticket[name]
+        for name in (
+            win + "lock", win + "unlock", win + "put", win + "get", win + "fetch_and_op",
+            "repro.mpi.comm.send", "repro.armci.mutexes.lock", "repro.armci.mutexes.unlock",
+        )
+    }
+    mutex = 1 if datapath == "mpi2" else 0
+    assert protocol == {
+        win + "lock": 2 * mutex, win + "unlock": 2 * mutex,
+        win + "put": 3 * mutex, win + "get": 3 * mutex,
+        win + "fetch_and_op": 1 - mutex, "repro.mpi.comm.send": 0,
+        "repro.armci.mutexes.lock": mutex, "repro.armci.mutexes.unlock": mutex,
+    }
 
 
 @contextmanager

@@ -1709,3 +1709,75 @@ def test_rejected_accumulate_records_and_counts_nothing(backend):
     (A plain runtime: no ambient sanitizer or injector, which procs reject.)"""
     rt = mpi.Runtime(2, backend=backend, watchdog_s=5.0, apply_hooks=False)
     rt.spmd(_rejected_accumulate_body)
+
+
+# ---------------------------------------------------------------------------
+# the record every lock epoch of one (origin, target) pair reuses
+# ---------------------------------------------------------------------------
+
+
+def _reused_epoch_body(comm):
+    """Rank 0 runs epochs on target 1 back to back, all in the one record
+    the pair reuses; each must start as a fresh one would."""
+    win, _ = mpi.Win.allocate(comm, 64)
+    comm.barrier()
+    if comm.rank == 0:
+        me = comm.world_rank(0)
+        data1, data2 = np.arange(1, 9, dtype=np.uint8), np.arange(11, 19, dtype=np.uint8)
+        records = set()
+        # an epoch that raised: its put is recorded, the overlapping get is not
+        win.lock(1)
+        records.add(id(win._epochs_at[1][me]))
+        win.put(data1, 1, 16)
+        with pytest.raises(RMAConflictError, match="get conflicts with earlier put"):
+            win.get(np.zeros(8, np.uint8), 1, 16)
+        win.unlock(1)
+        # the next epoch meets none of it: a put over that put is clean
+        win.lock(1)
+        records.add(id(win._epochs_at[1][me]))
+        win.put(data2, 1, 16)
+        win.unlock(1)
+        # a get lands at its own epoch's unlock ...
+        got = np.full(8, 0xFF, np.uint8)
+        win.lock(1)
+        records.add(id(win._epochs_at[1][me]))
+        win.get(got, 1, 16)
+        assert (got == 0xFF).all()  # not before the unlock
+        win.unlock(1)
+        assert (got == data2).all()
+        # ... and never again: the next epoch's unlock leaves it alone
+        win.lock(1)
+        records.add(id(win._epochs_at[1][me]))
+        win.put(data1, 1, 16)
+        win.unlock(1)
+        assert (got == data2).all()
+        assert len(records) == 1  # one record, reused
+        assert not any(win._epochs_at) and not win._open
+        # the lock rules' texts, made inline, are the ones made in turn
+        win.lock(0)
+        with pytest.raises(RMASyncError) as nested:
+            win.lock(1)  # repro: lint-ignore[lock-nesting]
+        win.unlock(0)
+        with pytest.raises(RMASyncError) as unmatched:
+            win.unlock(1)  # repro: lint-ignore[lock-unmatched]
+        assert str(nested.value) == (
+            f"[MPI_ERR_RMA_SYNC] origin {me} already holds a lock on target 0 of "
+            "this window (MPI-2 allows one lock per window per process)"
+        )
+        assert str(unmatched.value) == (
+            f"[MPI_ERR_RMA_SYNC] unlock(1) without a matching lock by origin {me}"
+        )
+        win.lock(1)
+        win.unlock(1)
+    comm.barrier()
+    win.free()
+
+
+@pytest.mark.parametrize("backend", ["thread", "proc"])
+def test_a_reused_epoch_record_carries_nothing_over(backend):
+    """Accesses of an epoch that raised, and a get delivered at its epoch's
+    unlock, reach no later epoch of the pair; the lock rules still raise
+    with their texts.  (A plain runtime: no ambient sanitizer or injector,
+    which procs reject.)"""
+    rt = mpi.Runtime(2, backend=backend, watchdog_s=5.0, apply_hooks=False)
+    rt.spmd(_reused_epoch_body, join_timeout=120.0)

@@ -245,8 +245,11 @@ def test_disjoint_footprints_do_not_conflict():
 
 def test_the_search_reads_only_the_epochs_it_is_given(monkeypatch):
     """The cross-origin search walks the target's open epochs, nothing else;
-    the origin's own epoch is searched first, and once."""
+    the origin's own epoch is searched first, and once.  (Each has recorded
+    something: one that recorded nothing conflicts with nothing and is not
+    searched.)"""
     own = Accesses(0, 1, "shared")
+    record_access(own, "put", None, dt.SegmentMap.arithmetic(8, 8, 8, 1))  # not FP
     other = Accesses(2, 1, "shared")
     _record(other, "put")
     seen = []

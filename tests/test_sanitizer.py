@@ -967,6 +967,9 @@ def test_one_conflict_search_per_candidate_epoch(monkeypatch):
         win, _ = Win.allocate(comm, 64)
         comm.barrier()
         win.lock(1, LOCK_SHARED)  # two concurrent epochs on target 1
+        # each records an access the put does not touch (an epoch that
+        # recorded nothing conflicts with nothing and is not searched)
+        win.put(np.ones(8, dtype=np.uint8), 1, 16 + 8 * comm.rank)
         comm.barrier()
         if comm.rank == 0:
             monkeypatch.setattr(rma_rules, "conflict_class", counting)
