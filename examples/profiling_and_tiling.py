@@ -3,7 +3,7 @@
 
 Two production idioms on top of the reproduction:
 
-1. **Tracing** (`TracingArmci`, the ARMCI_PROFILE equivalent): record
+1. **Tracing** (`Armci.trace()`, the ARMCI_PROFILE equivalent): record
    every one-sided operation a GA workload issues, then read the
    per-op and per-target breakdown — how you find the hot array.
 2. **Irregular distribution** (`create_irregular`, NGA_Create_irreg):
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import mpi
-from repro.armci import Armci, TracingArmci
+from repro.armci import Armci
 from repro.ga import GlobalArray, create_irregular, zero
 from repro.mpi.runtime import Runtime
 from repro.simtime import INFINIBAND, MPITimingPolicy
@@ -28,32 +28,30 @@ TILES = [(0, 5), (5, 8)]  # row tiles of an 8x8 array
 
 def fetch_all_tiles(ga) -> int:
     """Fetch every (row-tile x full-width) patch; return ops issued."""
-    before = len([e for e in getattr(ga.runtime, "events", [])])
+    events = ga.runtime.record.events
+    before = len(events)
     for lo, hi in TILES:
         ga.get((lo, 0), (hi, 8))
-    return len([e for e in getattr(ga.runtime, "events", [])]) - before
+    return len(events) - before
 
 
 def main(comm):
-    tr = TracingArmci(Armci.init(comm))
-    me = tr.my_id
+    armci = Armci.init(comm)
+    tr = armci.trace()  # this rank's op record, now tracing
+    me = armci.my_id
 
     # --- regular (even) distribution: tiles straddle block boundaries ---
-    even = GlobalArray.create(tr, (8, 8), "f8", name="even")
+    even = GlobalArray.create(armci, (8, 8), "f8", name="even")
     zero(even)
     if me == 0:
-        tr.clear()
-        fetch_all_tiles(even)
-        even_ops = len(tr.events)
+        even_ops = fetch_all_tiles(even)
     even.sync()
 
     # --- tile-aligned irregular distribution -----------------------------
-    aligned = create_irregular(tr, (8, 8), [[0, 5], [0]], name="aligned")
+    aligned = create_irregular(armci, (8, 8), [[0, 5], [0]], name="aligned")
     zero(aligned)
     if me == 0:
-        tr.clear()
-        fetch_all_tiles(aligned)
-        aligned_ops = len(tr.events)
+        aligned_ops = fetch_all_tiles(aligned)
         print(f"tile fetches: {even_ops} strided gets on the even "
               f"distribution vs {aligned_ops} on the tile-aligned one")
         assert aligned_ops <= even_ops
@@ -61,19 +59,19 @@ def main(comm):
 
     # --- profile a mixed workload ----------------------------------------
     tr.clear()
-    ptrs = tr.malloc(256)
-    right = (me + 1) % tr.nproc
+    ptrs = armci.malloc(256)
+    right = (me + 1) % armci.nproc
     for _ in range(4):
-        tr.put(np.ones(8), ptrs[right])
-    tr.acc(np.ones(4), ptrs[0], scale=2.0)
+        armci.put(np.ones(8), ptrs[right])
+    armci.acc(np.ones(4), ptrs[0], scale=2.0)
     out = np.zeros(8)
-    tr.get(ptrs[right], out)
-    tr.barrier()
+    armci.get(ptrs[right], out)
+    armci.barrier()
     if me == 0:
         print()
         print(tr.render(max_events=4))
-    tr.barrier()
-    tr.free(ptrs[me])
+    armci.barrier()
+    armci.free(ptrs[me])
     aligned.destroy()
     even.destroy()
 

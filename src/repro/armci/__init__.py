@@ -9,11 +9,13 @@ The paper's contribution.  Public surface:
 * :class:`ArmciConfig` — method/batch-size configuration (§VI-A);
 * :class:`AccessMode` — §VIII-A access-mode hints;
 * :class:`ConflictTree` — §VI-B overlap detection;
+* :class:`OpRecord` — one rank's op counters and ARMCI_PROFILE trace
+  (``Armci.record``, ``Armci.trace()``; ``Armci.stats`` totals them);
 * :mod:`~repro.armci.strided` — Table I notation and Algorithm 1.
 """
 
 from .access_modes import AccessMode
-from .api import Armci, ArmciStats, NbHandle
+from .api import Armci, NbHandle
 from .config import DEFAULT_CONFIG, IOV_METHODS, STRIDED_METHODS, ArmciConfig
 from .conflict_tree import ConflictTree, any_overlap_naive, any_overlap_tree
 from .gmr import NULL_ADDR, GlobalPtr, Gmr, GmrTable
@@ -29,7 +31,7 @@ from .msg import (
 )
 from .mutexes import MutexSet
 from .rmw import FETCH_AND_ADD, FETCH_AND_ADD_LONG, SWAP, SWAP_LONG
-from .trace import TraceEvent, TracingArmci
+from .record import OpRecord, TraceEvent
 from .strided import (
     StridedSpec,
     algorithm1_iter,
@@ -43,7 +45,6 @@ __all__ = [
     "Armci",
     "ArmciConfig",
     "ArmciGroup",
-    "ArmciStats",
     "ConflictTree",
     "DEFAULT_CONFIG",
     "FETCH_AND_ADD",
@@ -55,11 +56,11 @@ __all__ = [
     "MutexSet",
     "NbHandle",
     "NULL_ADDR",
+    "OpRecord",
     "STRIDED_METHODS",
     "SWAP",
     "SWAP_LONG",
     "TraceEvent",
-    "TracingArmci",
     "StridedSpec",
     "algorithm1_iter",
     "any_overlap_naive",

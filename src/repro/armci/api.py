@@ -28,9 +28,8 @@ Usage (SPMD function run under :func:`repro.mpi.spmd_run`)::
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from functools import partial
 from typing import Sequence
 
@@ -39,7 +38,7 @@ import numpy as np
 from ..mpi import datatypes as dt
 from ..mpi.comm import Comm
 from ..mpi.errors import ArgumentError
-from ..mpi.runtime import current_proc
+from ..mpi.runtime import _tls, current_proc
 from ..mpi.window import Win
 from . import dla, iov, nbqueue, rmw, strided
 from .access_modes import AccessMode
@@ -47,44 +46,14 @@ from .config import DEFAULT_CONFIG, ArmciConfig
 from .gmr import GlobalPtr, Gmr, GmrTable
 from .groups import ArmciGroup
 from .mutexes import MutexSet
+from .record import OpRecord, TraceEvent
 
-
-@dataclass
-class ArmciStats:
-    """Operation counters (thread-safe); used by tests and benches."""
-
-    puts: int = 0
-    gets: int = 0
-    accs: int = 0
-    bytes_put: int = 0
-    bytes_got: int = 0
-    bytes_acc: int = 0
-    staged_copies: int = 0
-    rmw_ops: int = 0
-    fences: int = 0
-    iov_ops: dict = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def count(self, kind: str, nbytes: int) -> None:
-        with self._lock:
-            if kind == "put":
-                self.puts += 1
-                self.bytes_put += nbytes
-            elif kind == "get":
-                self.gets += 1
-                self.bytes_got += nbytes
-            else:
-                self.accs += 1
-                self.bytes_acc += nbytes
-
-    def count_iov(self, method: str, nsegments: int, seg_bytes: int) -> None:
-        with self._lock:
-            ops, segs, nbytes = self.iov_ops.get(method, (0, 0, 0))
-            self.iov_ops[method] = (
-                ops + 1,
-                segs + nsegments,
-                nbytes + nsegments * seg_bytes,
-            )
+#: public one-sided call -> the kind it counts as
+_KIND_OF = {"rmw": "rmw"} | {
+    op: kind
+    for kind in ("put", "get", "acc")
+    for op in (kind, kind + "_s", kind + "v", "nb_" + kind)
+}
 
 
 class NbHandle:
@@ -183,7 +152,11 @@ class Armci:
         self._id_of_world = {w: i for i, w in enumerate(world.group.members)}
         self.table = GmrTable()
         self.world_group = ArmciGroup(world, world)
-        self.stats = ArmciStats()
+        #: one op record per member, by ARMCI id; each written by its rank only
+        self._records = [OpRecord(w) for w in world.group.members]
+        #: whether any rank has switched its trace on (ops then read the
+        #: clock at entry)
+        self._tracing = False
         self._dla = dla.DlaState()
         self._gmr_mutexes: dict[int, MutexSet] = {}
         self._nbq = nbqueue.NbQueue(self)
@@ -252,6 +225,52 @@ class Armci:
     @property
     def nproc(self) -> int:
         return self.world.size
+
+    # -- the op record -----------------------------------------------------------------
+    @property
+    def stats(self) -> OpRecord:
+        """Counter totals over the ranks this process hosts (every rank on
+        threads, its own on procs)."""
+        return OpRecord.total(self._records)
+
+    @property
+    def record(self) -> OpRecord:
+        """The calling rank's op record."""
+        proc = getattr(_tls, "proc", None) or current_proc()
+        return self._records[self._id_of_world[proc.rank]]
+
+    def trace(self) -> OpRecord:
+        """ARMCI_PROFILE: from now on the calling rank's record also keeps a
+        :class:`~repro.armci.record.TraceEvent` per public one-sided call.
+        Returns that record (``events``, ``summary_by_op``,
+        ``traffic_matrix``, ``render``, ``clear``)."""
+        rec = self.record
+        if rec.events is None:
+            rec.events = []
+        self._tracing = True
+        return rec
+
+    def _record(self, op: str, target: int, nbytes: int, t0: float) -> None:
+        """Record one public one-sided call of the calling rank, at its
+        end: ``nbytes`` moved to or from ARMCI process ``target``, entered
+        at modeled time ``t0`` (read only while tracing)."""
+        proc = getattr(_tls, "proc", None) or current_proc()  # (self.record, inline)
+        rec = self._records[self._id_of_world[proc.rank]]
+        kind = _KIND_OF[op]
+        if kind == "put":
+            rec.puts += 1
+            rec.bytes_put += nbytes
+        elif kind == "get":
+            rec.gets += 1
+            rec.bytes_got += nbytes
+        elif kind == "acc":
+            rec.accs += 1
+            rec.bytes_acc += nbytes
+        else:
+            rec.rmw_ops += 1
+        if rec.events is not None:
+            duration = proc.clock.now - t0
+            rec.events.append(TraceEvent(rec.rank, op, target, nbytes, t0, duration))
 
     # -- memory management (§V-B) ---------------------------------------------------
     def malloc(
@@ -358,9 +377,6 @@ class Armci:
         if mutex is not None:
             mutex.destroy()
 
-    def _gmr_mutex(self, gmr: Gmr) -> MutexSet:
-        return self._gmr_mutexes[gmr.gmr_id]
-
     # -- the one transfer path (§V-A, §V-E.1, §V-C, §VI) ------------------------------
     def _check_mode(self, gmr: Gmr, kind: str) -> None:
         """§VIII-A access-mode gate."""
@@ -428,14 +444,16 @@ class Armci:
         """
         if self.config.coherent_shortcut:
             return local, None
-        gmr = self.table.find_local_buffer(self.my_id, local)
+        me = self.my_id
+        gmr = self.table.find_local_buffer(me, local)
         if gmr is None:
             return local, None
+        rec = self._records[me]
         my_rank = gmr.group.rank
         if kind != "get":
             with self._stage_epoch(gmr, my_rank):
                 temp = local.copy()
-            self.stats.staged_copies += 1
+            rec.staged_copies += 1
             return temp, None
         temp = np.zeros_like(local)
 
@@ -446,7 +464,7 @@ class Armci:
                 else:
                     omap = origin_t.segment_map(count)
                     omap.copy_from(local, omap, temp)
-            self.stats.staged_copies += 1
+            rec.staged_copies += 1
 
         return temp, writeback
 
@@ -582,21 +600,23 @@ class Armci:
         self, src: "np.ndarray | GlobalPtr", dst: GlobalPtr, nbytes: "int | None" = None
     ) -> None:
         """Contiguous one-sided put; complete (locally and remotely) on return."""
+        t0 = self._tracing and current_proc().clock.now
         if nbytes is None:
             nbytes = _infer_nbytes(src)
         gmr, win_rank, disp = self._target(dst, "put")
         self._transfer("put", gmr, win_rank, disp, self._local_bytes(src, nbytes))
-        self.stats.count("put", nbytes)
+        self._record("put", dst.rank, nbytes, t0)
 
     def get(
         self, src: GlobalPtr, dst: "np.ndarray | GlobalPtr", nbytes: "int | None" = None
     ) -> None:
         """Contiguous one-sided get; data is in ``dst`` on return."""
+        t0 = self._tracing and current_proc().clock.now
         if nbytes is None:
             nbytes = _infer_nbytes(dst)
         gmr, win_rank, disp = self._target(src, "get")
         self._transfer("get", gmr, win_rank, disp, self._local_bytes(dst, nbytes))
-        self.stats.count("get", nbytes)
+        self._record("get", src.rank, nbytes, t0)
 
     def acc(
         self,
@@ -612,13 +632,14 @@ class Armci:
         ``MPI_SUM`` accumulate, the mapping §V-F relies on.  Atomic
         element-wise with respect to other accumulates of the same type.
         """
+        t0 = self._tracing and current_proc().clock.now
         dtype, nbytes = _acc_args(src, nbytes, dtype)
         gmr, win_rank, disp = self._target(dst, "acc")
         self._transfer(
             "acc", gmr, win_rank, disp, self._local_bytes(src, nbytes),
             scale=scale, acc_dtype=dtype,
         )
-        self.stats.count("acc", nbytes)
+        self._record("acc", dst.rank, nbytes, t0)
 
     # -- nonblocking variants ------------------------------------------------------
     def nb_put(self, src, dst: GlobalPtr, nbytes: "int | None" = None) -> NbHandle:
@@ -628,18 +649,21 @@ class Armci:
         mpi3: the contribution is snapshotted and queued; the target is
         untouched until a completion point drains the queue.
         """
+        t0 = self._tracing and current_proc().clock.now
         if nbytes is None:
             nbytes = _infer_nbytes(src)
-        if not self._flush_mode:
-            self.put(src, dst, nbytes)
-            return NbHandle(kind="put", target=dst.rank)
         gmr, win_rank, disp = self._target(dst, "put")
         local = self._local_bytes(src, nbytes)
-        data, _ = self._stage("put", local)
-        if data is local:  # not staged: snapshot it here
-            data = local.copy()
-        self.stats.count("put", nbytes)
-        return self._nbq.enqueue("put", gmr, win_rank, disp, data)
+        if self._flush_mode:
+            data, _ = self._stage("put", local)
+            if data is local:  # not staged: snapshot it here
+                data = local.copy()
+            handle = self._nbq.enqueue("put", gmr, win_rank, disp, data)
+        else:
+            self._transfer("put", gmr, win_rank, disp, local)
+            handle = NbHandle(kind="put", target=dst.rank)
+        self._record("nb_put", dst.rank, nbytes, t0)
+        return handle
 
     def nb_get(self, src: GlobalPtr, dst, nbytes: "int | None" = None) -> NbHandle:
         """Nonblocking get: the destination buffer is valid after wait().
@@ -651,31 +675,37 @@ class Armci:
         mpi3: the whole operation is queued; the destination fills when
         the queue drains.
         """
+        t0 = self._tracing and current_proc().clock.now
         if nbytes is None:
             nbytes = _infer_nbytes(dst)
         gmr, win_rank, disp = self._target(src, "get")
         data, writeback = self._stage("get", self._local_bytes(dst, nbytes))
         if self._flush_mode:
-            self.stats.count("get", nbytes)
-            return self._nbq.enqueue("get", gmr, win_rank, disp, data, writeback)
-        self._in_epoch(gmr, win_rank, "get", self._issue, gmr.win, "get", data, win_rank, disp)
-        self.stats.count("get", nbytes)
-        return NbHandle(finish=writeback, kind="get", target=src.rank)
+            handle = self._nbq.enqueue("get", gmr, win_rank, disp, data, writeback)
+        else:
+            self._in_epoch(gmr, win_rank, "get", self._issue, gmr.win, "get", data, win_rank, disp)
+            handle = NbHandle(finish=writeback, kind="get", target=src.rank)
+        self._record("nb_get", src.rank, nbytes, t0)
+        return handle
 
     def nb_acc(
         self, src, dst: GlobalPtr, scale: float = 1.0,
         nbytes: "int | None" = None, dtype=None,
     ) -> NbHandle:
         """Nonblocking accumulate; deferred and coalescible under mpi3."""
-        if not self._flush_mode:
-            self.acc(src, dst, scale, nbytes, dtype)
-            return NbHandle(kind="acc", target=dst.rank)
+        t0 = self._tracing and current_proc().clock.now
         dtype, nbytes = _acc_args(src, nbytes, dtype)
         gmr, win_rank, disp = self._target(dst, "acc")
-        data, _ = self._stage("acc", self._local_bytes(src, nbytes))
-        contrib = self._contribution(data, None, scale, dtype, snapshot=True)
-        self.stats.count("acc", nbytes)
-        return self._nbq.enqueue("acc", gmr, win_rank, disp, contrib)
+        local = self._local_bytes(src, nbytes)
+        if self._flush_mode:
+            data, _ = self._stage("acc", local)
+            contrib = self._contribution(data, None, scale, dtype, snapshot=True)
+            handle = self._nbq.enqueue("acc", gmr, win_rank, disp, contrib)
+        else:
+            self._transfer("acc", gmr, win_rank, disp, local, scale=scale, acc_dtype=dtype)
+            handle = NbHandle(kind="acc", target=dst.rank)
+        self._record("nb_acc", dst.rank, nbytes, t0)
+        return handle
 
     @staticmethod
     def wait(handle: NbHandle) -> None:
@@ -721,13 +751,13 @@ class Armci:
             raise ArgumentError(f"fence target {proc} not in [0, {self.nproc})")
         if self._flush_mode:
             self._nbq.drain_target(proc)
-        self.stats.fences += 1
+        self.record.fences += 1
 
     def fence_all(self) -> None:
         """Remote completion for all targets (mpi2: a no-op, §V-F)."""
         if self._flush_mode:
             self._nbq.drain_all()
-        self.stats.fences += 1
+        self.record.fences += 1
 
     def barrier(self) -> None:
         """ARMCI_Barrier: fence to all targets + process barrier."""
@@ -744,7 +774,7 @@ class Armci:
         count: Sequence[int],
     ) -> None:
         """ARMCI_PutS: strided put (Table I notation; byte strides/counts)."""
-        self._strided_op("put", src, src_strides, dst, dst_strides, count)
+        self._strided_op("put_s", src, src_strides, dst, dst_strides, count)
 
     def get_s(
         self,
@@ -756,7 +786,7 @@ class Armci:
     ) -> None:
         """ARMCI_GetS: strided get."""
         # note: for get, the REMOTE side is src; local strides are dst's
-        self._strided_op("get", dst, dst_strides, src, src_strides, count)
+        self._strided_op("get_s", dst, dst_strides, src, src_strides, count)
 
     def acc_s(
         self,
@@ -770,13 +800,13 @@ class Armci:
     ) -> None:
         """ARMCI_AccS: strided accumulate (dst += scale * src per element)."""
         self._strided_op(
-            "acc", src, src_strides, dst, dst_strides, count,
+            "acc_s", src, src_strides, dst, dst_strides, count,
             scale=scale, acc_dtype=np.dtype(dtype),
         )
 
     def _strided_op(
         self,
-        kind: str,
+        op: str,
         local: np.ndarray,
         local_strides: Sequence[int],
         remote: GlobalPtr,
@@ -785,6 +815,8 @@ class Armci:
         scale: float = 1.0,
         acc_dtype: "np.dtype | None" = None,
     ) -> None:
+        t0 = self._tracing and current_proc().clock.now
+        kind = _KIND_OF[op]
         # step 0: the compiled descriptor — validation, sizes and (for the
         # direct method) both sides' outer-unit datatypes, derived once per
         # patch width; the outermost count n is the MPI count
@@ -810,13 +842,12 @@ class Armci:
                 remote.rank, remote.addr + strided.segment_displacements(remote_strides, count),
                 count[0], scale=scale, acc_dtype=acc_dtype,
             )
-            return
-        # direct method: one op, n outer units of one datatype per side (§VI-C)
-        gmr, win_rank, disp = self._target(remote, kind)
-        self._transfer(
-            kind, gmr, win_rank, disp, local_view, origin_t, target_t, scale, acc_dtype, n
-        )
-        self.stats.count(kind, total)
+        else:  # one op, n outer units of one datatype per side (§VI-C)
+            gmr, win_rank, disp = self._target(remote, kind)
+            self._transfer(
+                kind, gmr, win_rank, disp, local_view, origin_t, target_t, scale, acc_dtype, n
+            )
+        self._record(op, remote.rank, total, t0)
 
     # -- IOV operations (§VI-A) ------------------------------------------------------
     def putv(
@@ -828,11 +859,13 @@ class Armci:
         method: "str | None" = None,
     ) -> None:
         """ARMCI_PutV: scatter equal-size segments to one remote process."""
+        t0 = self._tracing and current_proc().clock.now
         rank, addrs = _iov_remote(dst)
-        self._iov_op(
+        nbytes = self._iov_op(
             "put", _as_flat_bytes(local), np.asarray(loc_offsets, dtype=np.int64),
             rank, addrs, seg_bytes, method=method,
         )
+        self._record("putv", rank, nbytes, t0)
 
     def getv(
         self,
@@ -843,11 +876,13 @@ class Armci:
         method: "str | None" = None,
     ) -> None:
         """ARMCI_GetV: gather equal-size segments from one remote process."""
+        t0 = self._tracing and current_proc().clock.now
         rank, addrs = _iov_remote(src)
-        self._iov_op(
+        nbytes = self._iov_op(
             "get", _as_flat_bytes(local), np.asarray(loc_offsets, dtype=np.int64),
             rank, addrs, seg_bytes, method=method,
         )
+        self._record("getv", rank, nbytes, t0)
 
     def accv(
         self,
@@ -860,12 +895,14 @@ class Armci:
         method: "str | None" = None,
     ) -> None:
         """ARMCI_AccV: accumulate equal-size segments into one remote process."""
+        t0 = self._tracing and current_proc().clock.now
         rank, addrs = _iov_remote(dst)
-        self._iov_op(
+        nbytes = self._iov_op(
             "acc", _as_flat_bytes(local), np.asarray(loc_offsets, dtype=np.int64),
             rank, addrs, seg_bytes,
             scale=scale, acc_dtype=np.dtype(dtype), method=method,
         )
+        self._record("accv", rank, nbytes, t0)
 
     def _iov_op(
         self,
@@ -878,7 +915,9 @@ class Armci:
         scale: float = 1.0,
         acc_dtype: "np.dtype | None" = None,
         method: "str | None" = None,
-    ) -> None:
+    ) -> int:
+        """One IOV op, recorded by its caller: returns the bytes it moved,
+        tallied here under the IOV method that moved them."""
         req = iov.IovRequest(  # validates the descriptor
             kind=kind, local=local_view,
             loc_offsets=np.asarray(loc_offsets, dtype=np.int64),
@@ -891,18 +930,27 @@ class Armci:
             None if kind == "put"
             else iov._hindexed_cached(seg_bytes, req.loc_offsets, dt.BYTE)
         )
+        nsegments = req.nsegments
         data, writeback = self._stage(kind, local_view, origin_t)
         if kind == "acc":
             # packed: segment i of the contribution sits at i * seg_bytes
             data = self._contribution(data, origin_t, scale, acc_dtype).view(np.uint8)
-            packed_at = seg_bytes * np.arange(req.nsegments, dtype=np.int64)
+            packed_at = seg_bytes * np.arange(nsegments, dtype=np.int64)
             req = replace(req, local=data, loc_offsets=packed_at)
         elif data is not local_view:
             req = replace(req, local=data)
-        iov.execute(self, req, method=method)
+        method = iov.execute(self, req, method=method)
         if writeback is not None:
             writeback()
-        self.stats.count(kind, seg_bytes * req.nsegments)
+        if method is not None:
+            tallies = self.record.iov_ops
+            tally = tallies.get(method)
+            if tally is None:
+                tally = tallies[method] = [0, 0, 0]
+            tally[0] += 1
+            tally[1] += nsegments
+            tally[2] += nsegments * seg_bytes
+        return nsegments * seg_bytes
 
     # -- synchronisation objects (§V-D) -------------------------------------------
     def create_mutexes(self, count: int) -> MutexSet:
@@ -916,9 +964,13 @@ class Armci:
         standing lock_all epoch, completed by one flush — no mutex, no
         epochs (§VIII-B).  mpi2 uses the §V-D mutex protocol.
         """
-        if self._flush_mode:
-            return rmw.rmw_flush(self, op, ptr, value)
-        return rmw.rmw_mutex_based(self, op, ptr, value)
+        t0 = self._tracing and current_proc().clock.now
+        dtype = rmw.rmw_dtype(op)
+        old = (rmw.rmw_flush if self._flush_mode else rmw.rmw_mutex_based)(
+            self, op, dtype, ptr, value
+        )
+        self._record("rmw", ptr.rank, dtype.itemsize, t0)
+        return old
 
     # -- direct local access (§V-E) ----------------------------------------------
     def access_begin(

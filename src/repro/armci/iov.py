@@ -95,10 +95,11 @@ class IovRequest:
         return seg if self.kind != "acc" else seg.view(self.acc_dtype)
 
 
-def execute(armci: "Armci", req: IovRequest, method: "str | None" = None) -> None:
-    """Run one IOV operation with the configured (or given) method."""
+def execute(armci: "Armci", req: IovRequest, method: "str | None" = None) -> "str | None":
+    """Run one IOV operation with the configured (or given) method; returns
+    the method that ran (None: an empty descriptor, nothing moved)."""
     if req.nsegments == 0 or req.seg_bytes == 0:
-        return
+        return None
     method = method or armci.config.iov_method
     single = None  # the one GMR of the segments, where auto already resolved it
     if method == "auto":
@@ -111,7 +112,7 @@ def execute(armci: "Armci", req: IovRequest, method: "str | None" = None) -> Non
         _direct(armci, req, single or _require_single_gmr(armci, req, "direct"))
     else:  # pragma: no cover - config validates
         raise ArgumentError(f"unknown IOV method {method!r}")
-    armci.stats.count_iov(method, req.nsegments, req.seg_bytes)
+    return method
 
 
 # ---------------------------------------------------------------------------

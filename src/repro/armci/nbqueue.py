@@ -89,9 +89,6 @@ class NbQueue:
         #: the same key -> what the queue's entries access, as one epoch's
         #: record the MPI conflict rules read
         self._accesses: dict[tuple[int, int, int], rules.Accesses] = {}
-        #: enqueued - drained, for stats/tests
-        self.coalesced = 0
-        self.drains = 0
 
     # -- enqueue -------------------------------------------------------------------
     def enqueue(
@@ -134,7 +131,7 @@ class NbQueue:
         merged = self._try_merge(queue, kind, disp, data)
         if merged is not None:
             merged.handles.append(handle)
-            self.coalesced += 1
+            armci._records[origin].coalesced += 1
         else:
             entry = _NbEntry(kind, gmr, win_rank, disp, data, writeback)
             entry.handles.append(handle)
@@ -184,7 +181,7 @@ class NbQueue:
         queue = self._queues.pop(key, None)
         if not queue:
             return
-        self.drains += 1
+        self._armci._records[origin].drains += 1
         win = gmr.win
         first_error: "BaseException | None" = None
         issued: list[_NbEntry] = []

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..mpi import datatypes as dt
 from ..mpi.errors import ArgumentError
 from .mutexes import MutexHolderFailed
 
@@ -51,6 +52,9 @@ _RMW_DTYPES = {
     SWAP_LONG: np.dtype("i8"),
 }
 
+#: each RMW element type's predefined MPI type (``fetch_and_op``'s)
+_MPI_TYPES = {d: dt.from_numpy_dtype(d) for d in _RMW_DTYPES.values()}
+
 
 def rmw_dtype(op: str) -> np.dtype:
     try:
@@ -61,21 +65,23 @@ def rmw_dtype(op: str) -> np.dtype:
         ) from None
 
 
-def rmw_mutex_based(armci: "Armci", op: str, ptr: "GlobalPtr", value: int) -> int:
-    """The §V-D two-epoch RMW under the GMR's mutex; returns the old value.
+def rmw_mutex_based(
+    armci: "Armci", op: str, dtype: np.dtype, ptr: "GlobalPtr", value: int
+) -> int:
+    """The §V-D two-epoch RMW under the GMR's mutex; returns the old value
+    (``dtype``: ``rmw_dtype(op)``).
 
     Atomic only with respect to other ARMCI RMW operations — exactly the
     guarantee ARMCI documents (§V-D: "atomicity with respect to other
     operations is not guaranteed").
     """
-    dtype = rmw_dtype(op)
     gmr = armci.table.require(ptr)
     win_rank, disp = gmr.displacement(ptr)
     if disp % dtype.itemsize:
         raise ArgumentError(
             f"RMW target {ptr} not aligned to {dtype} ({disp=} bytes)"
         )
-    mutex = armci._gmr_mutex(gmr)
+    mutex = armci._gmr_mutexes[gmr.gmr_id]
     # the GMR's single mutex is hosted on group rank 0 of its group
     host = 0
     try:
@@ -99,12 +105,12 @@ def rmw_mutex_based(armci: "Armci", op: str, ptr: "GlobalPtr", value: int) -> in
         armci._in_epoch(gmr, win_rank, "rmw", armci._issue, gmr.win, "put", new, win_rank, disp)
     finally:
         mutex.unlock(0, host)
-    armci.stats.rmw_ops += 1
     return int(old[0])
 
 
-def rmw_flush(armci: "Armci", op: str, ptr: "GlobalPtr", value: int) -> int:
-    """MPI-3 datapath RMW: fetch_and_op in the standing lock_all epoch.
+def rmw_flush(armci: "Armci", op: str, dtype: np.dtype, ptr: "GlobalPtr", value: int) -> int:
+    """MPI-3 datapath RMW: fetch_and_op in the standing lock_all epoch
+    (``dtype``: ``rmw_dtype(op)``).
 
     No mutex and no epoch of its own — the GMR's lock_all epoch (opened
     at allocation) hosts the atomic, which completes itself as a
@@ -112,15 +118,10 @@ def rmw_flush(armci: "Armci", op: str, ptr: "GlobalPtr", value: int) -> int:
     protocol the paper's §V-D mutex design exists to approximate under
     MPI-2.
     """
-    from ..mpi import datatypes as dt
-
-    dtype = rmw_dtype(op)
     gmr = armci.table.require(ptr)
     win_rank, disp = gmr.displacement(ptr)
-    mpi_t = dt.from_numpy_dtype(dtype)
+    mpi_t = _MPI_TYPES[dtype]
     # per-location program order vs queued nb ops on this target
     armci._nbq.drain(gmr, win_rank)
     mpi_op = "MPI_SUM" if op in (FETCH_AND_ADD, FETCH_AND_ADD_LONG) else "MPI_REPLACE"
-    old = gmr.win.fetch_and_op(value, win_rank, disp, mpi_t, op=mpi_op, flush=True)
-    armci.stats.rmw_ops += 1
-    return int(old)
+    return int(gmr.win.fetch_and_op(value, win_rank, disp, mpi_t, op=mpi_op, flush=True))

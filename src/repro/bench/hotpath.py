@@ -46,7 +46,8 @@ module tracks them:
 
 Each workload exposes an *optimized* callable (the production code path)
 and a *baseline* callable (the pre-PR algorithm, retained in-tree), so
-speedups are measured by one suite on one machine in one process — the
+speedups are measured by one suite on one machine in one process, the
+two sides in alternating rounds (:func:`_time_rounds`) — the
 committed ``benchmarks/BENCH_hotpath.json`` records them and the smoke
 target (``python -m repro.bench --hotpath-smoke``) fails when a speedup
 drops below its :data:`MIN_SPEEDUP` floor or collapses by more than 2x
@@ -56,6 +57,7 @@ the shared ones in :mod:`repro.bench.registry`.
 
 from __future__ import annotations
 
+import statistics
 import time
 from typing import Callable
 
@@ -372,41 +374,51 @@ WORKLOADS: dict[str, Callable[[], tuple[Callable, Callable]]] = {
 # ---------------------------------------------------------------------------
 
 
-def _time_per_op(fn: Callable, min_time: float, repeats: int) -> float:
-    """Best-of-``repeats`` seconds per call, auto-calibrated batch size."""
+def _batch(fn: Callable, min_time: float) -> int:
+    """Calls per timed batch: enough for ``min_time / 4`` seconds."""
     fn()  # warmup (also warms memo caches)
     number = 1
     while True:
         t0 = time.perf_counter()
         for _ in range(number):
             fn()
-        elapsed = time.perf_counter() - t0
-        if elapsed >= min_time / 4 or number >= 1 << 20:
-            break
+        if time.perf_counter() - t0 >= min_time / 4 or number >= 1 << 20:
+            return number
         number *= 4
-    best = elapsed / number
-    for _ in range(repeats - 1):
-        t0 = time.perf_counter()
-        for _ in range(number):
-            fn()
-        best = min(best, (time.perf_counter() - t0) / number)
-    return best
+
+
+def _time_rounds(
+    optimized: Callable, baseline: Callable, min_time: float, rounds: int
+) -> dict[str, float]:
+    """Both sides timed in each of ``rounds`` rounds, one batch each, the
+    side that goes first alternating: the median seconds per call of each
+    side and the median of the per-round ratios.  A slow spell of the host
+    then slows both sides of a round instead of one side's only timing."""
+    sides = (optimized, baseline)
+    numbers = [_batch(fn, min_time) for fn in sides]
+    opt: "list[float]" = []
+    base: "list[float]" = []
+    for i in range(rounds):
+        for k in ((0, 1) if i % 2 == 0 else (1, 0)):
+            t0 = time.perf_counter()
+            for _ in range(numbers[k]):
+                sides[k]()
+            (opt, base)[k].append((time.perf_counter() - t0) / numbers[k])
+    return {
+        "optimized_s": statistics.median(opt),
+        "baseline_s": statistics.median(base),
+        "speedup": statistics.median(b / o for o, b in zip(opt, base)),
+    }
 
 
 def measure(fast: bool = False) -> dict[str, dict[str, float]]:
-    """Run every workload; returns per-workload optimized/baseline/speedup."""
-    min_time, repeats = (0.02, 2) if fast else (0.1, 3)
-    results: dict[str, dict[str, float]] = {}
-    for name, setup in WORKLOADS.items():
-        optimized, baseline = setup()
-        opt_s = _time_per_op(optimized, min_time, repeats)
-        base_s = _time_per_op(baseline, min_time, repeats)
-        results[name] = {
-            "optimized_s": opt_s,
-            "baseline_s": base_s,
-            "speedup": base_s / opt_s if opt_s > 0 else float("inf"),
-        }
-    return results
+    """Run every workload; returns per-workload optimized/baseline seconds
+    per call and the speedup (the median per-round ratio)."""
+    min_time, rounds = (0.02, 15) if fast else (0.1, 21)
+    return {
+        name: _time_rounds(*setup(), min_time, rounds)
+        for name, setup in WORKLOADS.items()
+    }
 
 
 def format_results(results: dict[str, dict[str, float]]) -> str:

@@ -23,7 +23,6 @@ from .diagnostics import Diagnostic
 from .model import (
     ARMCI_COMM_METHODS,
     ARMCI_INIT_CLASSES,
-    ARMCI_WRAPPER_CLASSES,
     WIN_OP_METHODS,
     WIN_REQ_METHODS,
     base_name,
@@ -563,11 +562,6 @@ class FunctionAnalyzer:
                 wid = ("win", call.lineno, call.col_offset)
                 self.info[wid] = (call.lineno, call.col_offset, "window")
                 return ("win", wid) if d[-1] == "create" else ("win_tuple", wid)
-            if d[-1] in ARMCI_WRAPPER_CLASSES:
-                self.scan_args(call, st, escape=True)
-                aid = ("armci", call.lineno, call.col_offset)
-                self.info[aid] = (call.lineno, call.col_offset, "ARMCI handle")
-                return ("armci", aid)
         if isinstance(func, ast.Attribute):
             recv = self.eval_expr(func.value, st)
             if func.attr in ("agree", "shrink") and recv is None:

@@ -15,7 +15,6 @@ import ast
 
 __all__ = [
     "ARMCI_INIT_CLASSES",
-    "ARMCI_WRAPPER_CLASSES",
     "ARMCI_COMM_METHODS",
     "WIN_OP_METHODS",
     "WIN_REQ_METHODS",
@@ -27,9 +26,6 @@ __all__ = [
 
 #: classes whose ``.init(comm)`` classmethod yields an ARMCI handle
 ARMCI_INIT_CLASSES = {"Armci", "NativeArmci", "DataServerArmci"}
-
-#: wrapper constructors taking an existing handle and returning one
-ARMCI_WRAPPER_CLASSES = {"TracingArmci"}
 
 #: ARMCI methods that communicate through a GMR's window — issuing one
 #: while a direct-local-access epoch is open on the same GMR reproduces

@@ -6,7 +6,7 @@ simulated MPI), while time is charged through the models in this package.
 See DESIGN.md ("Functional time vs modeled time").
 """
 
-from .clock import SimClock, TimedEvent, elapsed_by_kind
+from .clock import SimClock
 from .netmodel import MPITimingPolicy, PathModel
 from .platforms import (
     BLUEGENE_P,
@@ -32,7 +32,5 @@ __all__ = [
     "RegistrationModel",
     "RegistrationState",
     "SimClock",
-    "TimedEvent",
-    "elapsed_by_kind",
     "get_platform",
 ]

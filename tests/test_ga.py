@@ -934,15 +934,15 @@ def test_a_warm_patch_class_still_resolves_its_target_every_op():
 
 def test_a_traced_runtime_sees_every_warm_piece():
     """GA calls ``runtime.put_s/get_s/acc_s`` once per owner piece whether
-    or not the class is warm, so a wrapping runtime misses nothing."""
-    from repro.armci import TracingArmci
+    or not the class is warm, so the trace misses nothing."""
 
     def main(comm):
-        tr = TracingArmci(Armci.init(comm))
-        ga = GlobalArray.create(tr, (8, 8), "f8")
+        rt = Armci.init(comm)
+        tr = rt.trace()
+        ga = GlobalArray.create(rt, (8, 8), "f8")
         zero(ga)
         ga.sync()
-        if tr.my_id == 0:
+        if rt.my_id == 0:
             buf = np.ones((4, 4))
             before = len(tr.events)
             for _ in range(3):  # the 4-owner class: cold once, then warm

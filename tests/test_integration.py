@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.armci import AccessMode, Armci, ArmciConfig, TracingArmci
+from repro.armci import AccessMode, Armci, ArmciConfig
 from repro.ga import (
     GlobalArray,
     SharedCounter,
@@ -32,7 +32,8 @@ from conftest import spmd
 
 def test_full_stack_workout():
     def main(comm):
-        armci = TracingArmci(Armci.init(comm, ArmciConfig(iov_method="auto")))
+        armci = Armci.init(comm, ArmciConfig(iov_method="auto"))
+        trace = armci.trace()
         me, nproc = armci.my_id, armci.nproc
 
         # --- phase 1: raw ARMCI ring traffic -----------------------------
@@ -104,7 +105,7 @@ def test_full_stack_workout():
 
         # --- wrap up --------------------------------------------------------
         armci.barrier()
-        ops = armci.summary_by_op()
+        ops = trace.summary_by_op()
         assert ops.get("put_s") or ops.get("get_s"), "GA traffic was traced"
         for ga_obj in (G.ga, D, C, B, A):
             ga_obj.destroy()

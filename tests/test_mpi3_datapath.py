@@ -127,7 +127,7 @@ def test_adjacent_puts_coalesce_into_one_entry():
                        for i in range(8)]
             # 8 adjacent 8-byte puts within the 64-byte cap -> one entry
             assert a._nbq.pending() == 1
-            assert a._nbq.coalesced == 7
+            assert a.record.coalesced == 7
             a.wait_all(handles)
             assert all(h.test() for h in handles)
         a.barrier()
@@ -150,7 +150,7 @@ def test_threshold_zero_disables_coalescing():
             handles = [a.nb_put(src[i * 8 : (i + 1) * 8], ptrs[1] + i * 8, 8)
                        for i in range(8)]
             assert a._nbq.pending() == 8
-            assert a._nbq.coalesced == 0
+            assert a.record.coalesced == 0
             a.wait_all(handles)
         a.barrier()
         if a.my_id == 1:
@@ -257,7 +257,7 @@ def test_queue_auto_drains_past_max_pending():
             for i in range(6):
                 a.nb_put(src[i * 8 : (i + 1) * 8], ptrs[1] + i * 8, 8)  # repro: lint-ignore[nb-pending]
             assert a._nbq.pending() <= 4
-            assert a._nbq.drains >= 1
+            assert a.record.drains >= 1
             a.fence(1)
         a.barrier()
         if a.my_id == 1:
