@@ -49,7 +49,7 @@ def main(comm):
         print("temperature profile down the centre column:")
         print("  " + "  ".join(f"{v:.3f}" for v in col))
         print(f"strided ops issued by rank 0: "
-              f"{armci.stats.gets} gets, {armci.stats.puts} puts")
+              f"{armci.record.gets} gets, {armci.record.puts} puts")
     grid.ga.sync()
     grid.destroy()
 

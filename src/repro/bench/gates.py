@@ -52,7 +52,7 @@ import numpy as np
 from ..faults.plan import FaultPlan
 from ..faults.scenarios import RECOVER_SCENARIOS
 from ..lint.cli import _iter_py_files, lint_file, lint_paths
-from ..sanitizer.fuzz import run_schedule
+from ..sanitizer.fuzz import run_and_replay
 
 NPROC = 4
 SEED = 2012  # the paper's year; any seed works — the gates replay it
@@ -93,15 +93,8 @@ def check_rows(measured: dict, _committed: dict) -> "list[str]":
     ]
 
 
-def _run_and_replay(fn, **kwargs):
-    """One seeded schedule and whether a second run reproduced its digest."""
-    first = run_schedule(fn, NPROC, SEED, **kwargs)
-    replay = run_schedule(fn, NPROC, SEED, **kwargs)
-    return first, first.digest == replay.digest
-
-
-def _replay_word(reproduced: bool) -> str:
-    return "identical" if reproduced else "DIVERGED"
+def _replay_word(diverged: "str | None") -> str:
+    return "DIVERGED" if diverged else "identical"
 
 
 def _read_counter(armci, ptrs):
@@ -158,14 +151,14 @@ def measure_sanitize(_fast: bool = False) -> dict:
         ("mutex handoff", _mutex_workload),
         ("mutex-based rmw", _rmw_workload),
     ):
-        first, reproduced = _run_and_replay(fn, jitter_frac=0.1)
+        first, diverged = run_and_replay(fn, NPROC, SEED)
         clean = first.ok and not first.violations
         expected = NPROC * INCREMENTS
         got = first.results[0] if first.results else None
         results[label] = _row(
-            clean and got == expected and reproduced,
+            clean and got == expected and not diverged,
             f"seed {SEED}: schedule {'clean' if clean else first.error}, "
-            f"counter {got}/{expected}, replay {_replay_word(reproduced)}",
+            f"counter {got}/{expected}, replay {_replay_word(diverged)}",
         )
     return results
 
@@ -174,7 +167,7 @@ def measure_recover(_fast: bool = False) -> dict:
     results = {}
     for label, fn in RECOVER_SCENARIOS.items():
         plan = FaultPlan(seed=SEED).kill(VICTIM, POINT)
-        first, reproduced = _run_and_replay(fn, plan=plan)
+        first, diverged = run_and_replay(fn, NPROC, SEED, plan=plan)
         clean = first.ok and not first.violations
         live = [r for r in first.results or [] if r is not None]
         shrunken = NPROC - len(first.dead_ranks)
@@ -184,12 +177,12 @@ def measure_recover(_fast: bool = False) -> dict:
         completed = bool(live) and all(r[0] == shrunken for r in live)
         recovered = bool(first.dead_ranks) and all(r[1] >= 1 for r in live)
         results[label] = _row(
-            clean and completed and recovered and reproduced,
+            clean and completed and recovered and not diverged,
             f"seed {SEED} kill {VICTIM}@{POINT}: "
             f"{'completed' if clean else first.error}, "
             f"world {NPROC}->{shrunken}, "
             f"recoveries {sorted({r[1] for r in live}) if live else '-'}, "
-            f"replay {_replay_word(reproduced)}",
+            f"replay {_replay_word(diverged)}",
         )
     return results
 

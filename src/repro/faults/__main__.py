@@ -1,4 +1,4 @@
-"""``python -m repro.faults`` — fault-plan injection CLI."""
+"""``python -m repro.faults``: the fuzz CLI, :mod:`repro.faults.cli`."""
 
 import sys
 

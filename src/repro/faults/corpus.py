@@ -12,6 +12,10 @@ bit-identically forever.  Each entry records the *expected* outcome:
     the run fails and ``report.error`` starts with that exception name
     (always one of the typed graceful-degradation classes).
 
+An entry whose plan carries a ``Delay`` replays on the modeled
+InfiniBand path (:data:`DELAY_PLATFORM`): a delay acts on modeled time
+only, and a runtime without a timing policy refuses it.
+
 The corpus is replayed by ``python -m repro.sanitize --sweep`` (and by
 ``tests/test_seed_sweep.py`` on every tier-1 run); each entry runs
 *twice* and the two digests must match, so schedule/injector
@@ -35,6 +39,9 @@ DEFAULT_CORPUS = (
     / "failing_seeds.json"
 )
 
+#: the :data:`repro.simtime.PLATFORMS` entry timing a plan with a ``Delay``
+DELAY_PLATFORM = "ib"
+
 
 def load_corpus(path: "pathlib.Path | str | None" = None) -> list:
     path = pathlib.Path(path) if path is not None else DEFAULT_CORPUS
@@ -52,14 +59,16 @@ def replay_entry(entry: dict) -> "tuple[bool, str]":
     Passes iff both runs produce the same digest AND the outcome matches
     ``entry["expect"]``.
     """
-    from ..sanitizer.fuzz import run_schedule
+    from ..sanitizer.fuzz import run_and_replay
+    from ..simtime import PLATFORMS, MPITimingPolicy
 
     fn = SCENARIOS[entry["scenario"]]
     plan = FaultPlan.from_dict(entry["plan"])
-    a = run_schedule(fn, entry["nproc"], entry["seed"], plan=plan)
-    b = run_schedule(fn, entry["nproc"], entry["seed"], plan=plan)
-    if a.digest != b.digest:
-        return False, f"nondeterministic replay: {a.digest[:12]} != {b.digest[:12]}"
+    timing = MPITimingPolicy(PLATFORMS[DELAY_PLATFORM].mpi) if plan.delays else None
+    a, diverged = run_and_replay(fn, entry["nproc"], entry["seed"], plan=plan,
+                                 timing=timing)
+    if diverged:
+        return False, f"nondeterministic replay: {diverged}"
     expect = entry["expect"]
     if expect == "ok":
         if not a.ok:

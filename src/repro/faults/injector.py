@@ -10,11 +10,13 @@ three points:
 ``begin_run(runtime)``
     Called once by ``spmd`` on either backend: rejects the plan entries
     the backend cannot run (:meth:`~repro.faults.plan.FaultPlan.unsupported`)
-    with a typed :class:`~repro.mpi.errors.InternalError`, then installs
-    seeded delivery-delay jitter into
-    every rank's :class:`~repro.simtime.clock.SimClock` and swaps the
-    installed timing policy's :class:`~repro.simtime.netmodel.PathModel`
-    for its :meth:`~repro.simtime.netmodel.PathModel.degraded` copy.
+    with a typed :class:`~repro.mpi.errors.InternalError`, and a ``Delay``
+    on a runtime with no ``timing`` policy (nothing charges modeled time
+    there, so it could not act) with the same error.  Then a ``Delay``
+    installs seeded delivery-delay jitter as every rank's
+    :class:`~repro.simtime.clock.SimClock` hook and swaps the installed
+    timing policy's :class:`~repro.simtime.netmodel.PathModel` for its
+    :meth:`~repro.simtime.netmodel.PathModel.degraded` copy.
 
 ``at_point(runtime, proc, kind)``
     Called from ``Runtime.fuzz_point`` — *not* holding the runtime
@@ -43,6 +45,7 @@ the same :attr:`FaultInjector.events`.
 
 from __future__ import annotations
 
+import copy
 import os
 import random
 
@@ -98,24 +101,36 @@ class FaultInjector:
                 "(the proc backend runs after_s= kills and stalls, the thread "
                 "backend every other entry)"
             )
+        if self.plan.delays and runtime.timing is None:
+            raise InternalError(
+                f"fault plan entries that need modeled time on a runtime with "
+                f"no timing policy: "
+                f"{'; '.join(d.describe() for d in self.plan.delays)} "
+                "(set runtime.timing, e.g. run_schedule(timing=...))"
+            )
         self.runtime = runtime
         runtime.faults = self
         if self._jitter_frac > 0.0:
             for p in runtime.procs:
-                p.clock.add_jitter(self._jitter)
+                p.clock.jitter = self._jitter
         lat = 1.0
         bw = 1.0
         for d in self.plan.delays:
             lat *= d.latency_factor
             bw *= d.bw_factor
-        if (lat > 1.0 or bw < 1.0) and runtime.timing is not None:
-            path = getattr(runtime.timing, "path", None)
-            if path is not None:
-                runtime.timing.path = path.degraded(
-                    latency_factor=lat, bw_factor=bw
-                )
+        path = getattr(runtime.timing, "path", None)
+        if (lat > 1.0 or bw < 1.0) and path is not None:
+            # this run's own copy: the caller's policy may time other runs
+            runtime.timing = copy.copy(runtime.timing)
+            runtime.timing.path = path.degraded(latency_factor=lat, bw_factor=bw)
 
     def _jitter(self, kind: str, seconds: float) -> float:
+        # drawn by the token-holding rank under a schedule: a seeded order
+        if self.runtime._dead_stall:
+            # the token regime is suspended while survivors raise toward
+            # failure_ack; a draw here would take the RNG in OS order and
+            # break replay, so the jitter is 0 until the stall clears
+            return 0.0
         return seconds * self._jitter_frac * self._rng.random()
 
     def point_counts(self) -> dict[int, int]:

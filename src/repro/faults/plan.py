@@ -137,7 +137,9 @@ class Delay:
     """Delivery-delay injection: seeded per-op clock jitter (a fraction
     of each charged cost) plus optional degradation of the installed
     :class:`~repro.simtime.netmodel.PathModel` (latency multiplied,
-    bandwidth scaled down)."""
+    bandwidth scaled down).  Both act on modeled time, so the runtime
+    needs a ``timing`` policy; without one ``FaultInjector.begin_run``
+    refuses the plan."""
 
     jitter_frac: float = 0.0
     latency_factor: float = 1.0
@@ -166,7 +168,7 @@ class FaultPlan:
 
         plan = (FaultPlan(seed=7)
                 .kill(rank=1, point=5)
-                .delay(jitter_frac=0.2))            # thread backend
+                .delay(jitter_frac=0.2))            # threads + runtime.timing
         FaultPlan(seed=7).kill(2, after_s=0.4)      # proc backend
     """
 

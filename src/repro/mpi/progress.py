@@ -96,26 +96,18 @@ class DeterministicSchedule:
     (all blocked with no progress since they blocked) the schedule marks
     the runtime deadlocked and every rank raises — no wall-clock
     watchdog involved.
-
-    Optional ``jitter_frac`` injects seeded delivery delays into each
-    rank's :class:`~repro.simtime.clock.SimClock` (scaled fractions of
-    each charged cost), modeling variable message-delivery timing.
     """
 
     def __init__(
         self,
         seed: int,
         switch_prob: float = 0.25,
-        jitter_frac: float = 0.0,
         trace_limit: int = 250_000,
     ):
         if not 0.0 <= switch_prob <= 1.0:
             raise ValueError(f"switch_prob must be in [0, 1], got {switch_prob}")
-        if jitter_frac < 0.0:
-            raise ValueError(f"jitter_frac must be >= 0, got {jitter_frac}")
         self.seed = seed
         self.switch_prob = switch_prob
-        self.jitter_frac = jitter_frac
         self.rng = random.Random(seed)
         #: serialized event log: tuples like ("run", rank), ("yield", rank, kind)
         self.trace: list[tuple] = []
@@ -136,21 +128,7 @@ class DeterministicSchedule:
             raise RuntimeError("a DeterministicSchedule is single-use")
         self.runtime = runtime
         self.nproc = runtime.nproc
-        if self.jitter_frac > 0.0:
-            for p in runtime.procs:
-                p.clock.add_jitter(self._jitter)
         runtime.schedule = self
-
-    def _jitter(self, kind: str, seconds: float) -> float:
-        # consumed only by the token-holding rank => deterministic order
-        rt = self.runtime
-        if rt is not None and rt._dead_stall:
-            # token regime suspended (survivors stampeding toward
-            # failure_ack): charging seeded jitter here would consume RNG
-            # in OS order and break replay — jitter is deterministically
-            # zero until the stall clears and the token resumes.
-            return 0.0
-        return seconds * self.jitter_frac * self.rng.random()
 
     def _event(self, *ev) -> None:
         rt = self.runtime
@@ -243,9 +221,10 @@ class DeterministicSchedule:
 
         Emits a single ``("recover", dead_ranks)`` trace event and hands
         the token to a seeded choice among the survivors.  No RNG was
-        consumed while the regime was suspended (``yield_point`` and
-        ``_jitter`` are gated), so the post-recovery decision sequence is
-        still a pure function of the seed.
+        consumed while the regime was suspended (``yield_point`` and a
+        ``Delay``'s clock jitter, ``FaultInjector._jitter``, are gated),
+        so the post-recovery decision sequence is still a pure function
+        of the seed.
         """
         self._event("recover", tuple(sorted(self.runtime.dead_ranks)))
         self._dispatch()

@@ -1,10 +1,7 @@
-"""``python -m repro.sanitize <script.py> [--seed N --schedules K]``.
+"""``python -m repro.sanitize``: the spelling of :mod:`repro.faults.cli`
+that the sanitizer docs use."""
 
-Thin entry point for :mod:`repro.sanitizer.cli` matching the spelling
-used throughout the docs.
-"""
-
-from .sanitizer.cli import main
+from .faults.cli import main
 
 if __name__ == "__main__":
     import sys

@@ -1,7 +1,8 @@
-"""``python -m repro.sanitizer`` — same entry as ``python -m repro.sanitize``."""
+"""``python -m repro.sanitizer``: the same command as ``python -m repro.faults``."""
 
 import sys
 
-from .cli import main
+from ..faults.cli import main
 
-sys.exit(main())
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,6 +12,8 @@ digest bit-for-bit — a failing seed IS the reproducer.
 
 :func:`fuzz_schedules` sweeps ``nschedules`` consecutive seeds and
 reports each; callers filter for failures and replay the seed.
+:func:`run_and_replay` runs one seed twice and says whether the digest
+reproduced (the recover/sanitize gates and the regression corpus).
 
 Passing ``plan=`` (a :class:`~repro.faults.plan.FaultPlan`) installs a
 :class:`~repro.faults.injector.FaultInjector` on the runtime: the fault
@@ -31,7 +33,8 @@ from ..mpi.progress import DeterministicSchedule
 from ..mpi.runtime import Runtime
 from .sanitizer import RmaSanitizer
 
-__all__ = ["ScheduleReport", "run_schedule", "fuzz_schedules", "format_reports"]
+__all__ = ["ScheduleReport", "run_schedule", "run_and_replay", "fuzz_schedules",
+           "format_reports"]
 
 
 @dataclass
@@ -66,7 +69,6 @@ def run_schedule(
     *,
     args: Sequence[Any] = (),
     switch_prob: float = 0.25,
-    jitter_frac: float = 0.0,
     sanitize: bool = True,
     check_nonstrict: bool = False,
     timing=None,
@@ -80,8 +82,7 @@ def run_schedule(
     rt = Runtime(nproc, seed=seed)
     if timing is not None:
         rt.timing = timing
-    sched = DeterministicSchedule(seed, switch_prob=switch_prob,
-                                  jitter_frac=jitter_frac)
+    sched = DeterministicSchedule(seed, switch_prob=switch_prob)
     sched.begin_run(rt)
     injector = None
     if plan is not None:
@@ -114,6 +115,19 @@ def run_schedule(
         fault_events=len(injector.events) if injector is not None else 0,
         dead_ranks=sorted(rt.dead_ranks),
     )
+
+
+def run_and_replay(
+    fn: Callable[..., Any], nproc: int, seed: int, **kw: Any
+) -> "tuple[ScheduleReport, str | None]":
+    """Run one seeded schedule twice; returns the first report and
+    ``None`` when the second reproduced its digest, else the two digests
+    as ``"<first> != <second>"`` (12 hex digits each)."""
+    first = run_schedule(fn, nproc, seed, **kw)
+    again = run_schedule(fn, nproc, seed, **kw)
+    if again.digest == first.digest:
+        return first, None
+    return first, f"{first.digest[:12]} != {again.digest[:12]}"
 
 
 def _digest(sched: DeterministicSchedule, rt: Runtime,

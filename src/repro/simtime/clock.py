@@ -14,10 +14,9 @@ class SimClock:
     """Monotone simulated clock, charged in seconds.
 
     ``jitter`` is an optional ``(kind, seconds) -> extra_seconds`` hook
-    the schedule fuzzer installs to model variable delivery delay; the
-    extra charge is clamped to be non-negative so the clock stays
-    monotone.  Multiple sources (schedule fuzzer + fault injector) can
-    coexist via :meth:`add_jitter`, which composes hooks additively.
+    a fault plan's ``Delay`` installs to model variable delivery delay;
+    the extra charge is clamped to be non-negative so the clock stays
+    monotone.
     """
 
     __slots__ = ("now", "jitter")
@@ -25,17 +24,6 @@ class SimClock:
     def __init__(self):
         self.now = 0.0
         self.jitter = None
-
-    def add_jitter(self, hook) -> None:
-        """Install ``hook(kind, seconds) -> extra``, composing with any
-        existing jitter source (extras add; each clamped by ``advance``)."""
-        prev = self.jitter
-        if prev is None:
-            self.jitter = hook
-        else:
-            self.jitter = lambda kind, seconds: (
-                prev(kind, seconds) + hook(kind, seconds)
-            )
 
     def advance(self, seconds: float, kind: str = "op", nbytes: int = 0) -> float:
         """Charge ``seconds`` to this rank; returns the new time.  ``kind``

@@ -61,7 +61,7 @@ _FLAG = re.compile(r"(--[a-z0-9][a-z0-9-]*)")
 def _package_sources(module_name: str) -> str:
     """Concatenated source of the module (or package tree) behind ``-m``.
 
-    Thin shims (``repro.sanitize`` re-exporting ``repro.sanitizer.cli``)
+    Thin shims (``repro.sanitize`` re-exporting ``repro.faults.cli``)
     are followed through their ``main`` callable so flags are looked up
     where the argparse definitions actually live.
     """

@@ -40,6 +40,7 @@ from repro.faults.cli import graceful, main as faults_main
 from repro.armci.mutexes import MutexSet
 from repro.mpi.errors import (
     CommRevokedError,
+    InternalError,
     OpTimeoutError,
     RankKilledError,
     RetriesExhausted,
@@ -49,6 +50,7 @@ from repro.mpi.progress import DeterministicSchedule
 from repro.mpi.runtime import Runtime
 from repro.mpi.window import Win
 from repro.sanitizer.fuzz import fuzz_schedules, run_schedule
+from repro.simtime import PLATFORMS, MPITimingPolicy
 
 NPROC = 3
 SEED = 2012
@@ -249,12 +251,28 @@ def test_failing_plan_replays_bit_identically():
 
 
 def test_stall_and_jitter_perturb_but_complete():
-    plan = FaultPlan(seed=SEED).stall(0, 2, steps=4).delay(jitter_frac=0.2)
-    a = run_schedule(SCENARIOS["rmw"], NPROC, SEED, plan=plan)
-    b = run_schedule(SCENARIOS["rmw"], NPROC, SEED, plan=plan)
+    def run(plan):
+        timing = MPITimingPolicy(PLATFORMS["ib"].mpi)
+        return run_schedule(SCENARIOS["rmw"], NPROC, SEED, plan=plan,
+                            timing=timing)
+
+    stalled = FaultPlan(seed=SEED).stall(0, 2, steps=4)
+    plan = stalled.delay(jitter_frac=0.2)
+    base, a, b = run(stalled), run(plan), run(plan)
     assert a.ok and not a.violations
     assert a.fault_events >= 1
+    assert a.events == base.events and a.yields == base.yields
+    assert 0.0 < base.max_clock < a.max_clock
     assert a.digest == b.digest
+
+
+def test_delay_without_modeled_time_is_refused():
+    """Nothing charges a clock on a runtime with no ``timing``: a
+    ``Delay`` there could not act, so ``spmd`` refuses the plan."""
+    rt = Runtime(2)
+    rt.faults = FaultInjector(FaultPlan(seed=SEED).delay(jitter_frac=0.2))
+    with pytest.raises(InternalError, match="delay jitter=0.2"):
+        rt.spmd(lambda comm: comm.barrier())
 
 
 def test_corrupt_and_drop_are_silent_data_faults():
@@ -273,6 +291,34 @@ def test_cli_kill_run_is_graceful(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "kill" in out
+
+
+#: the three ``-m`` spellings of the one fuzz CLI, with the module that
+#: holds each one's ``main``
+CLI_SPELLINGS = {
+    "repro.faults": "repro.faults.__main__",
+    "repro.sanitize": "repro.sanitize",
+    "repro.sanitizer": "repro.sanitizer.__main__",
+}
+
+
+def test_cli_spellings_share_one_main_and_help():
+    import importlib
+    import subprocess
+    import sys
+
+    for module in CLI_SPELLINGS.values():
+        assert importlib.import_module(module).main is faults_main, module
+    helps = {
+        spelling: subprocess.run(
+            [sys.executable, "-m", spelling, "--help"],
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        for spelling in CLI_SPELLINGS
+    }
+    assert "--sweep" in helps["repro.faults"] and "--kill" in helps["repro.faults"]
+    assert len(set(helps.values())) == 1, helps
+
 
 
 # -- graceful degradation ----------------------------------------------------------

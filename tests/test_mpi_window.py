@@ -979,7 +979,7 @@ def test_op_with_lock_charges_modeled_time_as_lock_op_unlock():
         win, _ = _win(comm, 64)
         win3, _ = _win(comm, 64, mpi3=True)
         clock, charged = current_proc().clock, []
-        clock.add_jitter(lambda kind, seconds: charged.append((kind, seconds)) or 0.0)
+        clock.jitter = lambda kind, seconds: charged.append((kind, seconds)) or 0.0
 
         def charge(issue):
             charged.clear()

@@ -23,7 +23,7 @@ import pytest
 
 from repro.faults import SCENARIOS
 from repro.faults.corpus import DEFAULT_CORPUS, load_corpus, replay_entry
-from repro.sanitizer.cli import main as sanitize_main
+from repro.sanitize import main as sanitize_main
 from repro.sanitizer.fuzz import fuzz_schedules
 
 SWEEP_SEEDS = int(os.environ.get("REPRO_SWEEP_SEEDS", "6"))
